@@ -108,7 +108,13 @@ func (c *Composition) FanOut(src int) []int {
 // The scheduler uses it to break attraction ties: better-connected PEs make
 // later routing easier (§V-G).
 func (c *Composition) Degree(i int) int {
-	return len(c.PEs[i].Inputs) + len(c.FanOut(i))
+	d := len(c.PEs[i].Inputs)
+	for _, pe := range c.PEs {
+		if pe.CanReadFrom(i) {
+			d++
+		}
+	}
+	return d
 }
 
 // SupportingPEs returns the indices of PEs implementing op, ascending.

@@ -150,9 +150,8 @@ func (l *lexer) next() (token, error) {
 		}
 		return token{kind: tokInt, val: int32(uint32(v)), text: text, line: line, col: col}, nil
 	default:
-		rest := string(l.src[l.pos:])
 		for _, p := range punctuation {
-			if len(rest) >= len(p) && rest[:len(p)] == p {
+			if l.hasPrefix(p) {
 				for range p {
 					l.advance()
 				}
@@ -161,6 +160,21 @@ func (l *lexer) next() (token, error) {
 		}
 		return token{}, l.errf("unexpected character %q", r)
 	}
+}
+
+// hasPrefix reports whether the unread input starts with the ASCII string p.
+// It looks at len(p) runes only: converting the rest of the source to a
+// string for every operator made lexing quadratic in the source length.
+func (l *lexer) hasPrefix(p string) bool {
+	if len(l.src)-l.pos < len(p) {
+		return false
+	}
+	for i := 0; i < len(p); i++ {
+		if l.src[l.pos+i] != rune(p[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func isHexLetter(r rune) bool {

@@ -2,27 +2,32 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"cgra/internal/arch"
 	"cgra/internal/cdfg"
 )
 
-// blockState carries the per-block list-scheduling context.
+// blockState carries the per-block list-scheduling context. Per-node block
+// state (priority, dependency counter, successors) lives in nodeState.
 type blockState struct {
-	start       int
-	strictDeps  map[*cdfg.Node][]*cdfg.Node
-	prio        map[*cdfg.Node]int
-	unscheduled map[*cdfg.Node]bool
-	// fusable maps a producer node to the pWRITE that may fold into it.
-	fusable map[*cdfg.Node]*cdfg.Node
-	maxEnd  int
-	// order holds the block's nodes pre-sorted by (priority desc, ID asc).
-	// Priorities are fixed once computePriorities runs, so the sort happens
-	// once per block; each time step only filters this list.
-	order []*cdfg.Node
-	// candBuf is the reusable backing array for candidates().
-	candBuf []*cdfg.Node
+	start, maxEnd int
+	// remaining counts the block's unscheduled nodes.
+	remaining int
+	// ready holds the candidates of the current time step: the unscheduled
+	// nodes whose strict dependencies have all issued, by (priority desc,
+	// ID asc). It is fixed when the step starts.
+	ready []candidate
+	// released collects the nodes whose last strict dependency issues
+	// during the step; they become candidates when the next one starts.
+	released []candidate
+	// spare is the buffer the next ready list is merged into.
+	spare []candidate
+	// conds are the conditions the block's nodes and exit use; succArena
+	// backs the nodes' successor lists.
+	conds     []*cdfg.CondExpr
+	succArena []*cdfg.Node
 }
 
 // block schedules one straight-line block with the time-stepped list
@@ -31,27 +36,25 @@ func (s *scheduler) block(blk *cdfg.Block, start int) (int, error) {
 	if blk == nil || (len(blk.Nodes) == 0 && blk.Cond == nil) {
 		return start, nil
 	}
-	bs := &blockState{
-		start:       start,
-		strictDeps:  map[*cdfg.Node][]*cdfg.Node{},
-		prio:        map[*cdfg.Node]int{},
-		unscheduled: map[*cdfg.Node]bool{},
-		fusable:     map[*cdfg.Node]*cdfg.Node{},
-		maxEnd:      start,
-	}
+	bs := &s.blk
+	bs.start, bs.maxEnd, bs.remaining = start, start, len(blk.Nodes)
+	bs.ready, bs.released, bs.conds = bs.ready[:0], bs.released[:0], bs.conds[:0]
 	// Register conditions and predicates used by this block with the
 	// C-Box planner, and serialize each condition's status consumption.
-	conds := map[*cdfg.CondExpr]bool{}
-	if blk.Cond != nil {
-		conds[blk.Cond] = true
-	}
-	for _, n := range blk.Nodes {
-		bs.unscheduled[n] = true
-		for p := n.Pred; p != nil; p = p.Parent {
-			conds[p.Cond] = true
+	addCond := func(c *cdfg.CondExpr) {
+		if !slices.Contains(bs.conds, c) {
+			bs.conds = append(bs.conds, c)
 		}
 	}
-	for c := range conds {
+	if blk.Cond != nil {
+		addCond(blk.Cond)
+	}
+	for _, n := range blk.Nodes {
+		for p := n.Pred; p != nil; p = p.Parent {
+			addCond(p.Cond)
+		}
+	}
+	for _, c := range bs.conds {
 		s.prepareCond(c)
 	}
 	for _, n := range blk.Nodes {
@@ -59,44 +62,34 @@ func (s *scheduler) block(blk *cdfg.Block, start int) (int, error) {
 			s.preparePred(n.Pred)
 		}
 	}
-	// Strict dependencies: data producers, explicit prereqs, and the
-	// C-Box status chains.
-	for _, n := range blk.Nodes {
-		deps := append([]*cdfg.Node(nil), n.Prereqs...)
-		for _, a := range n.Args {
-			if a.Kind == cdfg.FromNode {
-				deps = append(deps, a.Node)
+	for _, c := range bs.conds {
+		leaves := c.Leaves(s.depBuf[:0])
+		for i := 1; i < len(leaves); i++ {
+			if st := s.st(leaves[i]); st.block == blk.ID {
+				st.chain = append(st.chain, leaves[i-1])
 			}
 		}
-		bs.strictDeps[n] = deps
+		s.depBuf = leaves
 	}
-	for c := range conds {
-		for _, e := range condChain(c) {
-			bs.strictDeps[e[1]] = append(bs.strictDeps[e[1]], e[0])
+	s.linkDependencies(blk)
+	s.computePriorities(blk)
+	for _, n := range blk.Nodes {
+		if st := s.st(n); st.waiting == 0 {
+			bs.released = append(bs.released, candidate{n, st.prio})
 		}
 	}
-	s.computePriorities(blk, bs)
-	bs.order = append(make([]*cdfg.Node, 0, len(blk.Nodes)), blk.Nodes...)
-	sort.SliceStable(bs.order, func(i, j int) bool {
-		if bs.prio[bs.order[i]] != bs.prio[bs.order[j]] {
-			return bs.prio[bs.order[i]] > bs.prio[bs.order[j]]
-		}
-		return bs.order[i].ID < bs.order[j].ID
-	})
-	bs.candBuf = make([]*cdfg.Node, 0, len(blk.Nodes))
 	if !s.opts.NoFusing {
 		for _, n := range blk.Nodes {
 			if n.Kind == cdfg.KPWrite && n.AliasOf != nil && n.Pred == nil {
-				if _, taken := bs.fusable[n.AliasOf]; !taken {
-					bs.fusable[n.AliasOf] = n
+				if prod := s.st(n.AliasOf); prod.block == blk.ID && prod.fusable == nil {
+					prod.fusable = n
 				}
 			}
 		}
 	}
 
 	t := start
-	remaining := len(blk.Nodes)
-	for remaining > 0 {
+	for bs.remaining > 0 {
 		// Cooperative cancellation: one check per time step bounds the
 		// reaction time to a deadline by a single candidate sweep.
 		if err := s.ctx.Err(); err != nil {
@@ -104,48 +97,35 @@ func (s *scheduler) block(blk *cdfg.Block, start int) (int, error) {
 		}
 		if t-start > s.opts.MaxCycles {
 			var stuck []string
-			for n := range bs.unscheduled {
-				stuck = append(stuck, fmt.Sprintf("%s [%s]", n, s.stallReason(n, t, bs)))
+			for _, n := range blk.Nodes {
+				if s.st(n).issue < 0 {
+					stuck = append(stuck, fmt.Sprintf("%s [%s]", n, s.stallReason(n, t)))
+				}
 			}
 			sort.Strings(stuck)
 			return 0, fmt.Errorf("block %d: exceeded %d cycles (scheduling livelock?); unscheduled: %v",
 				blk.ID, s.opts.MaxCycles, stuck)
 		}
-		cands := s.candidates(bs)
-		for _, n := range cands {
-			if !bs.unscheduled[n] {
+		for _, c := range s.candidates() {
+			n := c.node
+			st := s.st(n)
+			if st.issue >= 0 {
 				continue // fused along with its producer this cycle
 			}
-			if s.readyCycle(bs, n) > t {
+			if st.ready > t {
 				continue
 			}
 			if !s.weakOK(n, t) {
 				continue
 			}
-			var scheduled bool
 			var err error
 			if n.Kind == cdfg.KPWrite {
-				scheduled, err = s.schedPWrite(n, t)
+				err = s.schedPWrite(n, t)
 			} else {
-				scheduled, err = s.schedOp(n, t, bs)
+				err = s.schedOp(n, t)
 			}
 			if err != nil {
 				return 0, err
-			}
-			if scheduled {
-				delete(bs.unscheduled, n)
-				remaining--
-				if f := s.nodeFinish[n]; f+1 > bs.maxEnd {
-					bs.maxEnd = f + 1
-				}
-				// A fused pWRITE is scheduled together with its
-				// producer.
-				if pw := bs.fusable[n]; pw != nil && bs.unscheduled[pw] {
-					if _, done := s.nodeIssue[pw]; done {
-						delete(bs.unscheduled, pw)
-						remaining--
-					}
-				}
 			}
 		}
 		s.processPending()
@@ -155,89 +135,153 @@ func (s *scheduler) block(blk *cdfg.Block, start int) (int, error) {
 	return maxInt(bs.maxEnd, start), nil
 }
 
+// strictDeps appends n's strict dependencies to buf: explicit prereqs, data
+// producers, and the C-Box status chain.
+func (s *scheduler) strictDeps(buf []*cdfg.Node, n *cdfg.Node) []*cdfg.Node {
+	buf = append(buf, n.Prereqs...)
+	for _, a := range n.Args {
+		if a.Kind == cdfg.FromNode {
+			buf = append(buf, a.Node)
+		}
+	}
+	return append(buf, s.st(n).chain...)
+}
+
+// linkDependencies sets up, for every node of blk, the count of strict
+// dependencies still to issue, the ready cycle the issued ones allow, and
+// the successor lists through which issuing a node releases its dependents.
+func (s *scheduler) linkDependencies(blk *cdfg.Block) {
+	bs := &s.blk
+	// A dependency releases its dependents when it issues if it is a node
+	// of this block. Nodes of earlier blocks have issued; one outside the
+	// block that has not never will, and its dependents stay stuck.
+	inBlock := func(d *cdfg.Node) bool { return s.st(d).block == blk.ID }
+	edges := 0
+	for _, n := range blk.Nodes {
+		st := s.st(n)
+		st.ready = bs.start
+		s.depBuf = s.strictDeps(s.depBuf[:0], n)
+		for _, d := range s.depBuf {
+			switch ds := s.st(d); {
+			case ds.issue < 0:
+				st.waiting++
+				if inBlock(d) {
+					s.counts[d.ID]++
+					edges++
+				}
+			case ds.finish+1 > st.ready:
+				st.ready = ds.finish + 1
+			}
+		}
+	}
+	// Successor lists are sub-slices of one arena, cut by the counts.
+	if cap(bs.succArena) < edges {
+		bs.succArena = make([]*cdfg.Node, edges)
+	}
+	arena := bs.succArena[:edges]
+	for _, n := range blk.Nodes {
+		k := s.counts[n.ID]
+		s.st(n).succs, arena = arena[:0:k], arena[k:]
+		s.counts[n.ID] = 0
+	}
+	for _, n := range blk.Nodes {
+		s.depBuf = s.strictDeps(s.depBuf[:0], n)
+		for _, d := range s.depBuf {
+			if ds := s.st(d); ds.issue < 0 && inBlock(d) {
+				ds.succs = append(ds.succs, n)
+			}
+		}
+	}
+}
+
+// issued records that n occupies its PE from cycle t through finish and
+// releases the nodes that were waiting for it.
+func (s *scheduler) issued(n *cdfg.Node, t, finish int) {
+	bs := &s.blk
+	st := s.st(n)
+	st.issue, st.finish = t, finish
+	bs.remaining--
+	if finish+1 > bs.maxEnd {
+		bs.maxEnd = finish + 1
+	}
+	for _, m := range st.succs {
+		ms := s.st(m)
+		if finish+1 > ms.ready {
+			ms.ready = finish + 1
+		}
+		if ms.waiting--; ms.waiting == 0 {
+			bs.released = append(bs.released, candidate{m, ms.prio})
+		}
+	}
+}
+
 // computePriorities assigns each node its longest-path weight to any sink
 // (§V-F: "the longest path weight is currently used as the priority
 // criterion"). Durations use the slowest implementation among supporting
 // PEs, a safe critical-path estimate on inhomogeneous arrays.
-func (s *scheduler) computePriorities(blk *cdfg.Block, bs *blockState) {
-	succs := map[*cdfg.Node][]*cdfg.Node{}
-	for n, deps := range bs.strictDeps {
-		for _, d := range deps {
-			succs[d] = append(succs[d], n)
-		}
-	}
+func (s *scheduler) computePriorities(blk *cdfg.Block) {
 	// blk.Nodes is topologically ordered (builders append dependencies
 	// first), so one reverse sweep suffices.
 	for i := len(blk.Nodes) - 1; i >= 0; i-- {
-		n := blk.Nodes[i]
-		w := s.repDuration(n)
+		st := s.st(blk.Nodes[i])
 		best := 0
-		for _, m := range succs[n] {
-			if bs.prio[m] > best {
-				best = bs.prio[m]
+		for _, m := range st.succs {
+			if p := s.st(m).prio; p > best {
+				best = p
 			}
 		}
-		bs.prio[n] = w + best
+		st.prio = s.repDur[blk.Nodes[i].Op] + best
 	}
 }
 
-// repDuration is a composition-representative latency for priority purposes.
-func (s *scheduler) repDuration(n *cdfg.Node) int {
-	op := n.Op
-	d := 1
-	for _, pe := range s.comp.PEs {
-		if pe.Supports(op) && pe.Duration(op) > d {
-			d = pe.Duration(op)
-		}
-	}
-	return d
+// candidate is a node of the ready list with its priority.
+type candidate struct {
+	node *cdfg.Node
+	prio int
 }
 
-// candidates returns unscheduled nodes whose strict dependencies are all
-// scheduled, ordered by decreasing priority (ties by node ID for
-// determinism). The order comes from bs.order, sorted once per block —
-// filtering a sorted list preserves its order, so results are identical to
-// re-sorting the filtered set at every time step, without the O(n log n)
-// per-step cost. The returned slice aliases bs.candBuf and is only valid
-// until the next call.
-func (s *scheduler) candidates(bs *blockState) []*cdfg.Node {
-	out := bs.candBuf[:0]
-	for _, n := range bs.order {
-		if !bs.unscheduled[n] {
-			continue
+// compareCandidates orders by decreasing priority, ties by node ID for
+// determinism.
+func compareCandidates(a, b candidate) int {
+	if a.prio != b.prio {
+		return b.prio - a.prio
+	}
+	return a.node.ID - b.node.ID
+}
+
+// candidates returns the nodes that may issue in the time step that starts
+// now: the unscheduled nodes whose strict dependencies have all issued, in
+// compareCandidates order. The set is fixed here; a node released during the
+// step waits for the next one. Last step's survivors are already in order,
+// so only the newly released nodes are sorted and the two lists merged. The
+// returned slice is only valid until the next call.
+func (s *scheduler) candidates() []candidate {
+	bs := &s.blk
+	slices.SortFunc(bs.released, compareCandidates)
+	out := bs.spare[:0]
+	old, fresh := bs.ready, bs.released
+	for len(old) > 0 || len(fresh) > 0 {
+		var c candidate
+		if len(fresh) == 0 || (len(old) > 0 && compareCandidates(old[0], fresh[0]) < 0) {
+			c, old = old[0], old[1:]
+		} else {
+			c, fresh = fresh[0], fresh[1:]
 		}
-		ok := true
-		for _, d := range bs.strictDeps[n] {
-			if _, done := s.nodeIssue[d]; !done {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, n)
+		// A pWRITE fused into its producer issues with it, possibly
+		// before the producer releases it.
+		if s.st(c.node).issue < 0 {
+			out = append(out, c)
 		}
 	}
-	bs.candBuf = out
+	bs.spare, bs.ready, bs.released = bs.ready[:0], out, bs.released[:0]
 	return out
-}
-
-// readyCycle is the earliest issue cycle permitted by strict dependencies.
-func (s *scheduler) readyCycle(bs *blockState, n *cdfg.Node) int {
-	r := bs.start
-	for _, d := range bs.strictDeps[n] {
-		if f, ok := s.nodeFinish[d]; ok && f+1 > r {
-			r = f + 1
-		}
-	}
-	return r
 }
 
 // weakOK checks write-after-read ordering: every weak predecessor must have
 // issued no later than t.
 func (s *scheduler) weakOK(n *cdfg.Node, t int) bool {
 	for _, d := range n.WeakPrereqs {
-		iss, ok := s.nodeIssue[d]
-		if !ok || iss > t {
+		if iss := s.st(d).issue; iss < 0 || iss > t {
 			return false
 		}
 	}
@@ -250,16 +294,15 @@ func (s *scheduler) weakOK(n *cdfg.Node, t int) bool {
 // self (the overwriting node) is exempt: it reads the slot in the cycle it
 // overwrites it, which the register file permits.
 func (s *scheduler) consumersIssuedBy(local string, cycle int, self *cdfg.Node) bool {
-	fp := s.fusedProd[local]
-	if fp == nil {
+	l := s.locals[local]
+	if l == nil || l.fusedProd == nil {
 		return true
 	}
-	for _, c := range s.consumers[fp] {
+	for _, c := range s.st(l.fusedProd).consumers {
 		if c == self {
 			continue
 		}
-		iss, ok := s.nodeIssue[c]
-		if !ok || iss > cycle {
+		if iss := s.st(c).issue; iss < 0 || iss > cycle {
 			return false
 		}
 	}
@@ -268,13 +311,13 @@ func (s *scheduler) consumersIssuedBy(local string, cycle int, self *cdfg.Node) 
 
 // stallReason explains (for livelock diagnostics) why node n cannot issue
 // at cycle t.
-func (s *scheduler) stallReason(n *cdfg.Node, t int, bs *blockState) string {
-	for _, d := range bs.strictDeps[n] {
-		if _, done := s.nodeIssue[d]; !done {
+func (s *scheduler) stallReason(n *cdfg.Node, t int) string {
+	for _, d := range s.strictDeps(nil, n) {
+		if s.st(d).issue < 0 {
 			return fmt.Sprintf("strict dep n%d unscheduled", d.ID)
 		}
 	}
-	if r := s.readyCycle(bs, n); r > t {
+	if r := s.st(n).ready; r > t {
 		return fmt.Sprintf("not ready before cycle %d", r)
 	}
 	if !s.weakOK(n, t) {
@@ -286,14 +329,12 @@ func (s *scheduler) stallReason(n *cdfg.Node, t int, bs *blockState) string {
 		}
 	}
 	if n.Kind == cdfg.KPWrite {
-		if home, ok := s.sch.Homes[n.Local]; ok {
+		if home := s.home(n.Local); home != nil {
 			if !s.consumersIssuedBy(n.Local, t, n) {
 				return fmt.Sprintf("consumers of fused producer of %q pending", n.Local)
 			}
-			if src, ok := s.operandAccessible(n.Args[0], home.PE, t); !ok {
+			if _, ok := s.operandAccessible(n.Args[0], home.PE, t); !ok {
 				return fmt.Sprintf("operand %v inaccessible on home PE %d", n.Args[0], home.PE)
-			} else {
-				_ = src
 			}
 		}
 		return "home/resources"
@@ -310,32 +351,32 @@ func (s *scheduler) reject(n *cdfg.Node, t int, cause RejectCause) {
 	s.opts.Explain.Add(t, n.String(), cause)
 }
 
-// schedOp tries to schedule a KOp node at cycle t; false means "try again
-// later" (resources or operands unavailable; provisioning may have been
-// started).
-func (s *scheduler) schedOp(n *cdfg.Node, t int, bs *blockState) (bool, error) {
+// schedOp tries to schedule a KOp node at cycle t. A node left unissued is
+// tried again next step (resources or operands unavailable; provisioning may
+// have been started).
+func (s *scheduler) schedOp(n *cdfg.Node, t int) error {
 	op := n.Op
-	role := s.cmpRole[n]
+	role := s.st(n).role
 	// Predication gating for DMA operations.
 	var predSlot *Slot
 	if n.IsDMA() && n.Pred != nil {
 		slot, ok := s.predSlotReady(n.Pred, t)
 		if !ok || !s.predGateOK(t, slot) {
 			s.reject(n, t, RejectPredication)
-			return false, nil
+			return nil
 		}
 		predSlot = slot
 	}
 	pes := s.candidatePEs(n, op)
 	if len(pes) == 0 {
 		s.reject(n, t, RejectNoSupportingPE)
-		return false, fmt.Errorf("no PE supports %v (node %s)", op, n)
+		return fmt.Errorf("no PE supports %v (node %s)", op, n)
 	}
 	// Pass 1: a PE where all operands are accessible right now.
 	sawFree := false
 	cboxBlocked, loopBlocked := false, false
 	for _, p := range pes {
-		dur := s.comp.PEs[p].Duration(op)
+		dur := s.duration(p, op)
 		if !s.peFree(p, t, dur) {
 			continue
 		}
@@ -345,7 +386,7 @@ func (s *scheduler) schedOp(n *cdfg.Node, t int, bs *blockState) (bool, error) {
 		// partial condition must already be available (§IV-A2).
 		if n.IsCompare() && role != nil {
 			finish := t + dur - 1
-			if s.cboxBusy[finish] || !s.cmpStoredReady(role, finish) {
+			if at(s.cboxBusy, finish) || !s.cmpStoredReady(role, finish) {
 				cboxBlocked = true
 				continue
 			}
@@ -357,8 +398,8 @@ func (s *scheduler) schedOp(n *cdfg.Node, t int, bs *blockState) (bool, error) {
 			}
 			continue
 		}
-		s.emitNode(n, p, t, dur, srcs, predSlot, bs)
-		return true, nil
+		s.emitNode(n, p, t, dur, srcs, predSlot)
+		return nil
 	}
 	switch {
 	case !sawFree:
@@ -385,7 +426,7 @@ func (s *scheduler) schedOp(n *cdfg.Node, t int, bs *blockState) (bool, error) {
 			s.provisionOperand(a, target, force)
 		}
 	}
-	return false, nil
+	return nil
 }
 
 // constBlockedBySafeFloor reports whether an operand of n is a constant
@@ -397,7 +438,7 @@ func (s *scheduler) constBlockedBySafeFloor(n *cdfg.Node, p, t int) bool {
 		return false
 	}
 	for _, a := range n.Args {
-		if a.Kind != cdfg.FromConst || !s.comp.PEs[p].Supports(arch.CONST) {
+		if a.Kind != cdfg.FromConst || !s.supports(p, arch.CONST) {
 			continue
 		}
 		reachable := false
@@ -415,7 +456,7 @@ func (s *scheduler) constBlockedBySafeFloor(n *cdfg.Node, p, t int) bool {
 }
 
 // emitNode finalizes the placement of a KOp node.
-func (s *scheduler) emitNode(n *cdfg.Node, p, t, dur int, srcs []Src, predSlot *Slot, bs *blockState) {
+func (s *scheduler) emitNode(n *cdfg.Node, p, t, dur int, srcs []Src, predSlot *Slot) {
 	finish := t + dur - 1
 	op := &Op{
 		PE:    p,
@@ -438,16 +479,16 @@ func (s *scheduler) emitNode(n *cdfg.Node, p, t, dur int, srcs []Src, predSlot *
 		s.gatePred(t, predSlot)
 	}
 	// Destination value.
+	st := s.st(n)
 	if n.ProducesValue() {
-		if pw := bs.fusable[n]; pw != nil && s.tryFuse(pw, n, p, finish, t) {
+		if pw := st.fusable; pw != nil && s.tryFuse(pw, n, p, finish) {
 			home := s.homeValue(pw.Local, p)
 			op.Dest = home
-			s.nodeVal[n] = home
-			s.nodeIssue[pw] = t
-			s.nodeFinish[pw] = finish
-			s.nodeVal[pw] = home
-			delete(s.copies, pw.Local)
-			s.fusedProd[pw.Local] = n
+			st.val = home
+			s.st(pw).val = home
+			s.issued(pw, t, finish)
+			l := s.local(pw.Local)
+			l.copies, l.fusedProd = nil, n
 			s.sch.Stats.FusedPWrites++
 			if pw.Pred != nil {
 				panic("fused a predicated pWRITE") // guarded by construction
@@ -455,17 +496,13 @@ func (s *scheduler) emitNode(n *cdfg.Node, p, t, dur int, srcs []Src, predSlot *
 		} else {
 			v := s.newValue(p, finish)
 			op.Dest = v
-			s.nodeVal[n] = v
+			st.val = v
 		}
 	}
 	s.markBusy(p, t, dur)
-	s.nodeIssue[n] = t
-	s.nodeFinish[n] = finish
+	s.issued(n, t, finish)
 	s.sch.Ops = append(s.sch.Ops, op)
 	s.sch.Stats.Nodes++
-	if finish+1 > bs.maxEnd {
-		bs.maxEnd = finish + 1
-	}
 	if n.IsCompare() {
 		// The status bit reaches the C-Box in the op's final cycle.
 		if err := s.emitCompare(n, p, finish); err != nil {
@@ -479,25 +516,23 @@ func (s *scheduler) emitNode(n *cdfg.Node, p, t, dur int, srcs []Src, predSlot *
 // finishing at cycle `finish` (§V-E): the variable's home must be p (or
 // still unassigned), all of pw's ordering predecessors must be satisfied at
 // the commit cycle, and no consumer-of-overwritten-value hazard may exist.
-func (s *scheduler) tryFuse(pw, n *cdfg.Node, p, finish, t int) bool {
+func (s *scheduler) tryFuse(pw, n *cdfg.Node, p, finish int) bool {
 	if s.opts.NoFusing || pw.Pred != nil {
 		return false
 	}
-	if home, ok := s.sch.Homes[pw.Local]; ok && home.PE != p {
+	if home := s.home(pw.Local); home != nil && home.PE != p {
 		return false
 	}
 	for _, d := range pw.Prereqs {
 		if d == n {
 			continue
 		}
-		f, ok := s.nodeFinish[d]
-		if !ok || f+1 > finish {
+		if ds := s.st(d); ds.issue < 0 || ds.finish+1 > finish {
 			return false
 		}
 	}
 	for _, d := range pw.WeakPrereqs {
-		iss, ok := s.nodeIssue[d]
-		if !ok || iss > finish {
+		if iss := s.st(d).issue; iss < 0 || iss > finish {
 			return false
 		}
 	}
@@ -509,49 +544,49 @@ func (s *scheduler) tryFuse(pw, n *cdfg.Node, p, finish, t int) bool {
 
 // schedPWrite schedules an unfused pWRITE as a MOVE/CONST on the variable's
 // home PE, predicated when control flow requires it.
-func (s *scheduler) schedPWrite(n *cdfg.Node, t int) (bool, error) {
+func (s *scheduler) schedPWrite(n *cdfg.Node, t int) error {
 	arg := n.Args[0]
 	// Home assignment: prefer the PE that can provide the value (§V-D).
-	home, ok := s.sch.Homes[n.Local]
-	if !ok {
-		pe := s.pickHomePE(arg)
-		home = s.homeValue(n.Local, pe)
+	home := s.home(n.Local)
+	if home == nil {
+		home = s.homeValue(n.Local, s.pickHomePE(arg))
 	}
 	p := home.PE
 	code := arch.MOVE
 	if arg.Kind == cdfg.FromConst {
 		code = arch.CONST
 	}
-	if !s.comp.PEs[p].Supports(code) {
-		return false, fmt.Errorf("home PE %d of %q lacks %v", p, n.Local, code)
+	if !s.supports(p, code) {
+		return fmt.Errorf("home PE %d of %q lacks %v", p, n.Local, code)
 	}
-	dur := s.comp.PEs[p].Duration(code)
+	dur := s.duration(p, code)
 	if !s.peFree(p, t, dur) {
 		s.reject(n, t, RejectPEBusy)
-		return false, nil
+		return nil
 	}
 	if !s.consumersIssuedBy(n.Local, t, n) {
 		s.reject(n, t, RejectWARHazard)
-		return false, nil
+		return nil
 	}
 	var predSlot *Slot
 	if n.Pred != nil {
 		slot, ready := s.predSlotReady(n.Pred, t)
 		if !ready || !s.predGateOK(t, slot) {
 			s.reject(n, t, RejectPredication)
-			return false, nil
+			return nil
 		}
 		predSlot = slot
 	}
-	var srcs []Src
+	srcs := s.argSrcs[:0]
 	if code == arch.MOVE {
 		src, ok := s.operandAccessible(arg, p, t)
 		if !ok {
 			s.reject(n, t, RejectRouting)
 			s.provisionOperand(arg, p, false)
-			return false, nil
+			return nil
 		}
-		srcs = []Src{src}
+		srcs = append(srcs, src)
+		s.argSrcs = srcs
 	}
 	finish := t + dur - 1
 	op := &Op{
@@ -566,34 +601,33 @@ func (s *scheduler) schedPWrite(n *cdfg.Node, t int) (bool, error) {
 		s.gatePred(t, predSlot)
 	}
 	s.markBusy(p, t, dur)
-	s.nodeIssue[n] = t
-	s.nodeFinish[n] = finish
-	s.nodeVal[n] = home
-	delete(s.copies, n.Local)
-	s.fusedProd[n.Local] = nil
+	s.st(n).val = home
+	s.issued(n, t, finish)
+	l := s.local(n.Local)
+	l.copies, l.fusedProd = nil, nil
 	s.sch.Ops = append(s.sch.Ops, op)
 	s.sch.Stats.Nodes++
 	s.sch.Stats.UnfusedPWrites++
 	s.bumpAttraction(n, p)
-	return true, nil
+	return nil
 }
 
 // pickHomePE chooses a home PE for a local whose first access is a write.
 func (s *scheduler) pickHomePE(arg cdfg.Operand) int {
 	switch arg.Kind {
 	case cdfg.FromNode:
-		if v, ok := s.nodeVal[arg.Node]; ok {
+		if v := s.st(arg.Node).val; v != nil {
 			return v.PE
 		}
 	case cdfg.FromLocal:
-		if h, ok := s.sch.Homes[arg.Local]; ok {
+		if h := s.home(arg.Local); h != nil {
 			return h.PE
 		}
 	}
 	// Fall back to the best-connected PE.
 	best, bestDeg := 0, -1
-	for i := range s.comp.PEs {
-		if d := s.comp.Degree(i); d > bestDeg {
+	for i, d := range s.degree {
+		if d > bestDeg {
 			best, bestDeg = i, d
 		}
 	}
@@ -620,84 +654,70 @@ func (s *scheduler) bumpAttraction(n *cdfg.Node, p int) {
 	if s.opts.NoAttraction {
 		return
 	}
-	targets := append([]int{p}, s.comp.FanOut(p)...)
-	for _, succ := range s.consumers[n] {
-		m := s.attraction[succ]
-		if m == nil {
-			m = map[int]float64{}
-			s.attraction[succ] = m
-		}
-		for _, q := range targets {
-			m[q]++
+	numPEs := len(s.degree)
+	for _, succ := range s.st(n).consumers {
+		row := s.attraction[succ.ID*numPEs : (succ.ID+1)*numPEs]
+		for _, q := range s.readers[p] {
+			row[q]++
 		}
 	}
+}
+
+// peKey is what candidatePEs sorts by.
+type peKey struct{ score, degree, pe int }
+
+func comparePEKeys(a, b peKey) int {
+	if a.score != b.score {
+		return b.score - a.score
+	}
+	if a.degree != b.degree {
+		return b.degree - a.degree
+	}
+	return a.pe - b.pe
 }
 
 // candidatePEs orders the PEs able to execute op by decreasing attraction,
-// breaking ties toward better-connected PEs (§V-G).
+// breaking ties toward better-connected PEs (§V-G). A PE's score is its
+// attraction plus 2 for every operand instance in its own register file and
+// 1 for every instance one hop away; it is computed once per call. The
+// returned slice is only valid until the next call.
 func (s *scheduler) candidatePEs(n *cdfg.Node, op arch.OpCode) []int {
-	pes := s.comp.SupportingPEs(op)
+	pes := s.supp[op]
 	if s.opts.NoAttraction {
 		return pes
 	}
-	score := func(q int) float64 {
-		sc := s.attraction[n][q]
-		for _, a := range n.Args {
-			for _, v := range s.sourcesOf(a) {
+	numPEs := len(s.degree)
+	scores := s.scores
+	copy(scores, s.attraction[n.ID*numPEs:(n.ID+1)*numPEs])
+	for _, a := range n.Args {
+		for _, v := range s.sourcesOf(a) {
+			for _, q := range pes {
 				switch s.rt.Dist(v.PE, q) {
 				case 0:
-					sc += 2
+					scores[q] += 2
 				case 1:
-					sc++
+					scores[q]++
 				}
 			}
 		}
-		return sc
 	}
-	sort.SliceStable(pes, func(i, j int) bool {
-		si, sj := score(pes[i]), score(pes[j])
-		if si != sj {
-			return si > sj
-		}
-		di, dj := s.comp.Degree(pes[i]), s.comp.Degree(pes[j])
-		if di != dj {
-			return di > dj
-		}
-		return pes[i] < pes[j]
-	})
-	return pes
+	keys := s.peKeys[:0]
+	for _, q := range pes {
+		keys = append(keys, peKey{scores[q], s.degree[q], q})
+	}
+	slices.SortFunc(keys, comparePEKeys)
+	order := s.peOrder[:0]
+	for _, k := range keys {
+		order = append(order, k.pe)
+	}
+	s.peKeys, s.peOrder = keys, order
+	return order
 }
 
-// sourcesOf lists the RF-resident instances of an operand's value.
-func (s *scheduler) sourcesOf(a cdfg.Operand) []*Value {
-	var out []*Value
-	switch a.Kind {
-	case cdfg.FromConst:
-		for _, v := range s.constCp[a.Const] {
-			out = append(out, v)
-		}
-	case cdfg.FromLocal:
-		if h, ok := s.sch.Homes[a.Local]; ok {
-			out = append(out, h)
-		}
-		for _, v := range s.copies[a.Local] {
-			out = append(out, v)
-		}
-	case cdfg.FromNode:
-		if v, ok := s.nodeVal[a.Node]; ok {
-			out = append(out, v)
-		}
-		for _, v := range s.nodeCp[a.Node] {
-			out = append(out, v)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// argsAccessible resolves all operands of n for execution on p at t.
+// argsAccessible resolves all operands of n for execution on p at t. The
+// returned slice is only valid until the next call.
 func (s *scheduler) argsAccessible(n *cdfg.Node, p, t int) ([]Src, bool) {
-	srcs := make([]Src, 0, len(n.Args))
+	srcs := s.argSrcs[:0]
 	for _, a := range n.Args {
 		src, ok := s.operandAccessible(a, p, t)
 		if !ok {
@@ -705,6 +725,7 @@ func (s *scheduler) argsAccessible(n *cdfg.Node, p, t int) ([]Src, bool) {
 		}
 		srcs = append(srcs, src)
 	}
+	s.argSrcs = srcs
 	// Two routed operands from the same neighbour carrying different
 	// values would need two outl values in one cycle: reject.
 	for i := 0; i < len(srcs); i++ {
@@ -723,13 +744,11 @@ func (s *scheduler) argsAccessible(n *cdfg.Node, p, t int) ([]Src, bool) {
 // free earlier cycle of p itself).
 func (s *scheduler) operandAccessible(a cdfg.Operand, p, t int) (Src, bool) {
 	// Live-in locals are homed at their first requiring PE (§V-D).
-	if a.Kind == cdfg.FromLocal {
-		if _, ok := s.sch.Homes[a.Local]; !ok {
-			h := s.homeValue(a.Local, p)
-			return Src{Kind: SrcReg, Val: h}, true
-		}
+	if a.Kind == cdfg.FromLocal && s.home(a.Local) == nil {
+		h := s.homeValue(a.Local, p)
+		return Src{Kind: SrcReg, Val: h}, true
 	}
-	var routed *Src
+	var routed Src
 	for _, v := range s.sourcesOf(a) {
 		if v.Def >= t {
 			continue // not yet written
@@ -738,16 +757,16 @@ func (s *scheduler) operandAccessible(a cdfg.Operand, p, t int) (Src, bool) {
 		case 0:
 			return Src{Kind: SrcReg, Val: v}, true
 		case 1:
-			if routed == nil && s.outlAvailable(v.PE, t, v) {
-				routed = &Src{Kind: SrcRoute, Val: v, FromPE: v.PE}
+			if routed.Kind == SrcNone && s.outlAvailable(v.PE, t, v) {
+				routed = Src{Kind: SrcRoute, Val: v, FromPE: v.PE}
 			}
 		}
 	}
-	if routed != nil {
-		return *routed, true
+	if routed.Kind != SrcNone {
+		return routed, true
 	}
 	// Constants can be materialized into an earlier free cycle of p.
-	if a.Kind == cdfg.FromConst && s.comp.PEs[p].Supports(arch.CONST) {
+	if a.Kind == cdfg.FromConst && s.supports(p, arch.CONST) {
 		e := s.earliestFree(p, s.safeFloor, 1)
 		if e < t {
 			v := s.materializeConst(a.Const, p, e)
@@ -774,17 +793,15 @@ func (s *scheduler) provisionOperand(a cdfg.Operand, p int, force bool) {
 		}
 	}
 	if a.Kind == cdfg.FromConst {
-		if s.comp.PEs[p].Supports(arch.CONST) {
+		if s.supports(p, arch.CONST) {
 			e := s.earliestFree(p, s.safeFloor, 1)
 			s.materializeConst(a.Const, p, e)
 		}
 		return
 	}
-	if a.Kind == cdfg.FromLocal {
-		if _, ok := s.sch.Homes[a.Local]; !ok {
-			s.homeValue(a.Local, p)
-			return
-		}
+	if a.Kind == cdfg.FromLocal && s.home(a.Local) == nil {
+		s.homeValue(a.Local, p)
+		return
 	}
 	sources := s.sourcesOf(a)
 	if len(sources) == 0 {
@@ -807,17 +824,17 @@ func (s *scheduler) provisionOperand(a cdfg.Operand, p int, force bool) {
 	// without this a copy could capture the stale pre-write value.
 	if a.Kind == cdfg.FromLocal {
 		for _, w := range a.Version {
-			f, ok := s.nodeFinish[w]
-			if !ok {
+			ws := s.st(w)
+			if ws.issue < 0 {
 				return // writer not scheduled yet; retry later
 			}
-			if f+1 > ready {
-				ready = f + 1
+			if ws.finish+1 > ready {
+				ready = ws.finish + 1
 			}
 		}
 	}
 	for _, hop := range path[1:] {
-		if !s.comp.PEs[hop].Supports(arch.MOVE) {
+		if !s.supports(hop, arch.MOVE) {
 			return // cannot route through this PE; give up this path
 		}
 		e := maxInt(ready, s.safeFloor)
@@ -829,7 +846,7 @@ func (s *scheduler) provisionOperand(a cdfg.Operand, p int, force bool) {
 			e++
 		}
 		dst := s.newValue(hop, e)
-		s.registerCopy(a, hop, dst)
+		s.registerCopy(a, dst)
 		op := &Op{
 			PE: hop, Cycle: e, Dur: 1, Code: arch.MOVE,
 			A:    Src{Kind: SrcRoute, Val: prev, FromPE: prev.PE},
@@ -846,49 +863,38 @@ func (s *scheduler) provisionOperand(a cdfg.Operand, p int, force bool) {
 }
 
 // materializeConst emits CONST #val on PE p at cycle e and registers the
-// copy for reuse.
+// copy for reuse, in place of an older one on the same PE.
 func (s *scheduler) materializeConst(val int32, p, e int) *Value {
 	v := s.newValue(p, e)
 	v.IsConst = true
 	v.ConstVal = val
 	v.Pinned = true
-	if s.constCp[val] == nil {
-		s.constCp[val] = map[int]*Value{}
+	list := s.consts[val]
+	if i := slices.IndexFunc(list, func(o *Value) bool { return o.PE == p }); i >= 0 {
+		list = slices.Delete(list, i, i+1)
 	}
-	s.constCp[val][p] = v
+	s.consts[val] = append(list, v)
 	s.markBusy(p, e, 1)
 	s.sch.Ops = append(s.sch.Ops, &Op{PE: p, Cycle: e, Dur: 1, Code: arch.CONST, Imm: val, Dest: v})
 	s.sch.Stats.ConstsMaterialized++
 	return v
 }
 
-// registerCopy records a routing copy for reuse by later consumers.
-func (s *scheduler) registerCopy(a cdfg.Operand, pe int, v *Value) {
+// registerCopy records a routing copy for reuse by later consumers, unless
+// its PE already holds one.
+func (s *scheduler) registerCopy(a cdfg.Operand, v *Value) {
 	switch a.Kind {
 	case cdfg.FromConst:
 		v.IsConst = true
 		v.ConstVal = a.Const
 		v.Pinned = true
-		if s.constCp[a.Const] == nil {
-			s.constCp[a.Const] = map[int]*Value{}
-		}
-		if _, exists := s.constCp[a.Const][pe]; !exists {
-			s.constCp[a.Const][pe] = v
-		}
+		s.consts[a.Const] = addCopy(s.consts[a.Const], v)
 	case cdfg.FromLocal:
 		v.Local = a.Local
-		if s.copies[a.Local] == nil {
-			s.copies[a.Local] = map[int]*Value{}
-		}
-		if _, exists := s.copies[a.Local][pe]; !exists {
-			s.copies[a.Local][pe] = v
-		}
+		l := s.local(a.Local)
+		l.copies = addCopy(l.copies, v)
 	case cdfg.FromNode:
-		if s.nodeCp[a.Node] == nil {
-			s.nodeCp[a.Node] = map[int]*Value{}
-		}
-		if _, exists := s.nodeCp[a.Node][pe]; !exists {
-			s.nodeCp[a.Node][pe] = v
-		}
+		st := s.st(a.Node)
+		st.copies = addCopy(st.copies, v)
 	}
 }

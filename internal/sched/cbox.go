@@ -16,91 +16,79 @@ import (
 // each compare leaf gets a cmpRole describing the C-Box consume operation
 // issued in its cycle; non-leaf right children become floated recombines.
 // Shared sub-expressions (pointer-identical) are prepared once.
-func (s *scheduler) prepareCond(c *cdfg.CondExpr) {
-	if c == nil || s.condSeen[c] {
-		return
+func (s *scheduler) prepareCond(c *cdfg.CondExpr) *condState {
+	if c == nil {
+		return nil
 	}
-	s.condSeen[c] = true
+	if cs := s.conds[c]; cs != nil {
+		return cs
+	}
+	cs := &condState{ready: -1}
+	s.conds[c] = cs
 	switch c.Op {
 	case cdfg.CondLeaf:
-		s.condOut[c] = s.newSlot()
-		s.cmpRole[c.Cmp] = &cmpRole{Expr: c, Stored: nil, Logic: CBPass}
+		cs.slot = s.newSlot()
+		s.st(c.Cmp).role = &cmpRole{Expr: cs, Stored: nil, Logic: CBPass}
 	case cdfg.CondAnd, cdfg.CondOr:
 		logic := CBAnd
 		if c.Op == cdfg.CondOr {
 			logic = CBOr
 		}
-		s.prepareCond(c.X)
-		if c.Y.Op == cdfg.CondLeaf && !s.condSeen[c.Y] {
+		x := s.prepareCond(c.X)
+		if c.Y.Op == cdfg.CondLeaf && s.conds[c.Y] == nil {
 			// Fold the right leaf's consume into the combine: the
 			// stored partial result meets the incoming status.
-			s.condSeen[c.Y] = true
-			s.condOut[c] = s.newSlot()
-			s.condOut[c.Y] = s.condOut[c] // alias: leaf value only observable combined
-			s.cmpRole[c.Y.Cmp] = &cmpRole{Expr: c, Stored: c.X, Logic: logic}
+			cs.slot = s.newSlot()
+			s.conds[c.Y] = &condState{slot: cs.slot, ready: -1} // alias: leaf value only observable combined
+			s.st(c.Y.Cmp).role = &cmpRole{Expr: cs, Stored: x, Logic: logic}
 		} else {
 			// General tree: evaluate both sides, then join the two
 			// stored conditions.
-			s.prepareCond(c.Y)
-			s.condOut[c] = s.newSlot()
-			s.pending = append(s.pending, &pendingComb{x: c.X, y: c.Y, logic: logic, out: c})
+			y := s.prepareCond(c.Y)
+			cs.slot = s.newSlot()
+			s.pending = append(s.pending, &pendingComb{x: x, y: y, logic: logic, out: cs})
 		}
 	}
-}
-
-// chainEdges returns strict ordering constraints between the compare leaves
-// of a condition: the C-Box consumes one status per cycle, in evaluation
-// order.
-func condChain(c *cdfg.CondExpr) [][2]*cdfg.Node {
-	leaves := c.Leaves(nil)
-	var edges [][2]*cdfg.Node
-	for i := 1; i < len(leaves); i++ {
-		edges = append(edges, [2]*cdfg.Node{leaves[i-1], leaves[i]})
-	}
-	return edges
+	return cs
 }
 
 // preparePred ensures the predicate's slot computation is registered. The
 // slot is parent AND (cond ^ negate); predicates whose parent is nil and
 // that are not negated alias the condition's own slot (no extra C-Box op).
 func (s *scheduler) preparePred(p *cdfg.Pred) {
-	if p == nil || s.predSeen[p] {
+	if p == nil || s.preds[p.ID].seen {
 		return
 	}
-	s.predSeen[p] = true
+	s.preds[p.ID].seen = true
 	s.preparePred(p.Parent)
-	s.prepareCond(p.Cond)
+	cond := s.prepareCond(p.Cond)
 	if p.Parent == nil && !p.Negate {
-		s.predSlots[p] = s.condOut[p.Cond]
+		s.preds[p.ID].slot = cond.slot
 		return
 	}
-	s.predSlots[p] = s.newSlot()
+	s.preds[p.ID].slot = s.newSlot()
 	s.pending = append(s.pending, &pendingComb{pred: p})
 }
 
 // cmpStoredReady reports whether the stored operand needed by a compare's
 // C-Box consume is available at cycle t (and exists at all).
 func (s *scheduler) cmpStoredReady(role *cmpRole, t int) bool {
-	if role.Stored == nil {
-		return true
-	}
-	ready, ok := s.condReady[role.Stored]
-	return ok && ready <= t
+	return role.Stored == nil || (role.Stored.ready >= 0 && role.Stored.ready <= t)
 }
 
 // emitCompare issues the C-Box consume for a compare node scheduled on pe at
 // cycle t.
 func (s *scheduler) emitCompare(n *cdfg.Node, pe, t int) error {
-	role := s.cmpRole[n]
+	role := s.st(n).role
 	if role == nil {
 		// A compare whose status nobody consumes (dead condition);
 		// nothing to do.
 		return nil
 	}
-	if s.cboxBusy[t] {
+	if at(s.cboxBusy, t) {
 		return fmt.Errorf("cbox busy at %d", t)
 	}
-	out := s.condOut[role.Expr]
+	out := role.Expr.slot
 	op := &CBoxOp{
 		Cycle:    t,
 		Kind:     CBConsume,
@@ -109,15 +97,15 @@ func (s *scheduler) emitCompare(n *cdfg.Node, pe, t int) error {
 		Write:    out,
 	}
 	if role.Stored != nil {
-		a := s.condOut[role.Stored]
+		a := role.Stored.slot
 		op.A = a
 		a.Uses = append(a.Uses, t)
 	}
 	out.Writes = append(out.Writes, t)
-	s.cboxBusy[t] = true
+	s.cboxBusy = put(s.cboxBusy, t, true)
 	s.sch.CBox = append(s.sch.CBox, op)
 	s.sch.Stats.CBoxOps++
-	s.condReady[role.Expr] = t + 1
+	role.Expr.ready = t + 1
 	s.processPending()
 	return nil
 }
@@ -143,12 +131,13 @@ func (s *scheduler) processPending() {
 // predReadyCycle resolves a predicate's slot readiness, following the alias
 // of non-negated root predicates to their condition slot.
 func (s *scheduler) predReadyCycle(p *cdfg.Pred) (int, bool) {
-	if r, ok := s.predReady[p]; ok {
+	if r := s.preds[p.ID].ready; r >= 0 {
 		return r, true
 	}
 	if p.Parent == nil && !p.Negate {
-		r, ok := s.condReady[p.Cond]
-		return r, ok
+		if cs := s.conds[p.Cond]; cs != nil && cs.ready >= 0 {
+			return cs.ready, true
+		}
 	}
 	return 0, false
 }
@@ -157,23 +146,23 @@ func (s *scheduler) predReadyCycle(p *cdfg.Pred) (int, bool) {
 func (s *scheduler) placeComb(pc *pendingComb) bool {
 	if pc.pred != nil {
 		p := pc.pred
-		condReady, ok := s.condReady[p.Cond]
-		if !ok {
+		cond := s.conds[p.Cond]
+		if cond.ready < 0 {
 			return false
 		}
-		earliest := condReady
+		earliest := cond.ready
 		var parentSlot *Slot
 		if p.Parent != nil {
 			pr, ok := s.predReadyCycle(p.Parent)
 			if !ok {
 				return false
 			}
-			parentSlot = s.predSlots[p.Parent]
+			parentSlot = s.preds[p.Parent.ID].slot
 			earliest = maxInt(earliest, pr)
 		}
 		t := s.freeCBoxCycle(maxInt(earliest, s.safeFloor))
-		out := s.predSlots[p]
-		condSlot := s.condOut[p.Cond]
+		out := s.preds[p.ID].slot
+		condSlot := cond.slot
 		var op *CBoxOp
 		if parentSlot == nil {
 			// parent nil, negate true: out = !cond
@@ -185,33 +174,31 @@ func (s *scheduler) placeComb(pc *pendingComb) bool {
 			condSlot.Uses = append(condSlot.Uses, t)
 		}
 		out.Writes = append(out.Writes, t)
-		s.cboxBusy[t] = true
+		s.cboxBusy = put(s.cboxBusy, t, true)
 		s.sch.CBox = append(s.sch.CBox, op)
 		s.sch.Stats.CBoxOps++
-		s.predReady[p] = t + 1
+		s.preds[p.ID].ready = t + 1
 		return true
 	}
-	rx, okx := s.condReady[pc.x]
-	ry, oky := s.condReady[pc.y]
-	if !okx || !oky {
+	if pc.x.ready < 0 || pc.y.ready < 0 {
 		return false
 	}
-	t := s.freeCBoxCycle(maxInt(maxInt(rx, ry), s.safeFloor))
-	a, b, out := s.condOut[pc.x], s.condOut[pc.y], s.condOut[pc.out]
+	t := s.freeCBoxCycle(maxInt(maxInt(pc.x.ready, pc.y.ready), s.safeFloor))
+	a, b, out := pc.x.slot, pc.y.slot, pc.out.slot
 	op := &CBoxOp{Cycle: t, Kind: CBRecombine, Logic: pc.logic, A: a, B: b, Write: out}
 	a.Uses = append(a.Uses, t)
 	b.Uses = append(b.Uses, t)
 	out.Writes = append(out.Writes, t)
-	s.cboxBusy[t] = true
+	s.cboxBusy = put(s.cboxBusy, t, true)
 	s.sch.CBox = append(s.sch.CBox, op)
 	s.sch.Stats.CBoxOps++
-	s.condReady[pc.out] = t + 1
+	pc.out.ready = t + 1
 	return true
 }
 
 func (s *scheduler) freeCBoxCycle(from int) int {
 	c := from
-	for s.cboxBusy[c] {
+	for at(s.cboxBusy, c) {
 		c++
 	}
 	return c
@@ -225,18 +212,18 @@ func (s *scheduler) predSlotReady(p *cdfg.Pred, t int) (*Slot, bool) {
 	if !ok || ready > t {
 		return nil, false
 	}
-	return s.predSlots[p], true
+	return s.preds[p.ID].slot, true
 }
 
 // predGateOK reports whether a predicated commit can be gated at cycle t:
 // the C-Box drives one predication signal (outPE) per cycle, so every
 // predicated operation in a cycle must share the same slot.
 func (s *scheduler) predGateOK(t int, slot *Slot) bool {
-	cur, used := s.predRead[t]
-	return !used || cur == slot
+	cur := at(s.predRead, t)
+	return cur == nil || cur == slot
 }
 
 func (s *scheduler) gatePred(t int, slot *Slot) {
-	s.predRead[t] = slot
+	s.predRead = put(s.predRead, t, slot)
 	slot.Uses = append(slot.Uses, t)
 }

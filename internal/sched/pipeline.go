@@ -196,9 +196,9 @@ func (s *scheduler) analyzePipeline(r *cdfg.Region) (*pipePlan, string) {
 			}
 		}
 	}
-	for local, ws := range writes {
-		if len(ws) > 1 {
-			return nil, fmt.Sprintf("local %q written more than once per iteration", local)
+	for _, n := range body.Nodes {
+		if n.Kind == cdfg.KPWrite && len(writes[n.Local]) > 1 {
+			return nil, fmt.Sprintf("local %q written more than once per iteration", n.Local)
 		}
 	}
 	if bound.Kind == cdfg.FromLocal && len(writes[bound.Local]) > 0 {
@@ -279,10 +279,11 @@ func (s *scheduler) extractOps(plan *pipePlan, writes map[string][]*cdfg.Node) s
 	body := plan.body
 	// Ensure every written local has a home before candidate sets are
 	// pinned to it (the list scheduler would assign the same way on first
-	// write: producer PE if known, else the best-connected PE).
-	for local, ws := range writes {
-		if _, ok := s.sch.Homes[local]; !ok {
-			s.homeValue(local, s.pickHomePE(ws[0].Args[0]))
+	// write: producer PE if known, else the best-connected PE). Homes are
+	// assigned in body order: a home can depend on the ones before it.
+	for _, n := range body.Nodes {
+		if n.Kind == cdfg.KPWrite && s.home(n.Local) == nil {
+			s.homeValue(n.Local, s.pickHomePE(n.Args[0]))
 		}
 	}
 	// Merge decisions: one unpredicated pWRITE may ride its producer when
@@ -293,11 +294,11 @@ func (s *scheduler) extractOps(plan *pipePlan, writes map[string][]*cdfg.Node) s
 			if n.Kind != cdfg.KPWrite || n.AliasOf == nil {
 				continue
 			}
-			home := s.sch.Homes[n.Local]
+			home := s.home(n.Local)
 			if _, taken := merged[n.AliasOf]; taken {
 				continue
 			}
-			if s.comp.PEs[home.PE].Supports(n.AliasOf.Op) {
+			if s.supports(home.PE, n.AliasOf.Op) {
 				merged[n.AliasOf] = n
 			}
 		}
@@ -311,19 +312,19 @@ func (s *scheduler) extractOps(plan *pipePlan, writes map[string][]*cdfg.Node) s
 				nodeToOp[n] = nodeToOp[n.AliasOf] // producer emitted earlier (topological order)
 				continue
 			}
-			home := s.sch.Homes[n.Local]
+			home := s.home(n.Local)
 			code := arch.MOVE
 			var imm int32
 			if n.Args[0].Kind == cdfg.FromConst {
 				code = arch.CONST
 				imm = n.Args[0].Const
 			}
-			if !s.comp.PEs[home.PE].Supports(code) {
+			if !s.supports(home.PE, code) {
 				return fmt.Sprintf("home PE %d of %q lacks %v", home.PE, n.Local, code)
 			}
 			op := pipeOp{
 				node: n, code: code, local: n.Local, imm: imm,
-				dur: s.comp.PEs[home.PE].Duration(code), cand: []int{home.PE},
+				dur: s.duration(home.PE, code), cand: []int{home.PE},
 			}
 			args := n.Args[:0:0]
 			if code == arch.MOVE {
@@ -336,10 +337,10 @@ func (s *scheduler) extractOps(plan *pipePlan, writes map[string][]*cdfg.Node) s
 		}
 		op := pipeOp{node: n, code: n.Op, array: n.Array, imm: n.Const}
 		if pw := merged[n]; pw != nil {
-			home := s.sch.Homes[pw.Local]
+			home := s.home(pw.Local)
 			op.local = pw.Local
 			op.cand = []int{home.PE}
-			op.dur = s.comp.PEs[home.PE].Duration(n.Op)
+			op.dur = s.duration(home.PE, n.Op)
 		} else {
 			cand, dur := s.minDurPEs(n.Op)
 			if len(cand) == 0 {
@@ -379,17 +380,17 @@ func (s *scheduler) extractOps(plan *pipePlan, writes map[string][]*cdfg.Node) s
 // minDurPEs returns the PEs implementing op at its minimum duration (modulo
 // ops need one uniform latency across their candidate set).
 func (s *scheduler) minDurPEs(op arch.OpCode) ([]int, int) {
-	all := s.comp.SupportingPEs(op)
+	all := s.supp[op]
 	best := 0
 	for i, pe := range all {
-		d := s.comp.PEs[pe].Duration(op)
+		d := s.duration(pe, op)
 		if i == 0 || d < best {
 			best = d
 		}
 	}
 	var out []int
 	for _, pe := range all {
-		if s.comp.PEs[pe].Duration(op) == best {
+		if s.duration(pe, op) == best {
 			out = append(out, pe)
 		}
 	}
@@ -405,7 +406,7 @@ func (s *scheduler) buildProblem(plan *pipePlan) (*modsched.Problem, string) {
 	}
 	subCand, subDur := s.minDurPEs(arch.ISUB)
 	// The pass counter is initialized by a MOVE on the same PE.
-	subCand = filterSupports(s.comp, subCand, arch.MOVE)
+	subCand = s.filterSupports(subCand, arch.MOVE)
 	if len(subCand) == 0 {
 		return nil, "no PE supports both ISUB and MOVE for loop control"
 	}
@@ -433,10 +434,10 @@ func (s *scheduler) buildProblem(plan *pipePlan) (*modsched.Problem, string) {
 	return p, ""
 }
 
-func filterSupports(comp *arch.Composition, pes []int, op arch.OpCode) []int {
+func (s *scheduler) filterSupports(pes []int, op arch.OpCode) []int {
 	var out []int
 	for _, pe := range pes {
-		if comp.PEs[pe].Supports(op) {
+		if s.supports(pe, op) {
 			out = append(out, pe)
 		}
 	}
@@ -450,15 +451,14 @@ func filterSupports(comp *arch.Composition, pes []int, op arch.OpCode) []int {
 // (nil error) falls back to the list layout with no state committed.
 func (s *scheduler) realizePipeline(r *cdfg.Region, plan *pipePlan, sol *modsched.Solution, start int) (int, bool, error) {
 	II, S := sol.II, sol.Stages
-	ctrHome := s.sch.Homes[plan.ctr]
+	ctrHome := s.home(plan.ctr)
 
 	// The trip/pass-count computation needs ISUB, possibly IADD, and the
 	// guard compare IFGE on one PE near the counter's home.
 	needIADD := plan.inclusive && S == 1
 	var workCand []int
 	for pe := range s.comp.PEs {
-		if s.comp.PEs[pe].Supports(arch.ISUB) && s.comp.PEs[pe].Supports(arch.IFGE) &&
-			(!needIADD || s.comp.PEs[pe].Supports(arch.IADD)) {
+		if s.supports(pe, arch.ISUB) && s.supports(pe, arch.IFGE) && (!needIADD || s.supports(pe, arch.IADD)) {
 			workCand = append(workCand, pe)
 		}
 	}
@@ -518,7 +518,7 @@ func (s *scheduler) realizePipeline(r *cdfg.Region, plan *pipePlan, sol *modsche
 		Cycle: guardFin, Kind: CBConsume, StatusPE: guardOp.PE, Logic: CBPass, Write: guardSlot,
 	})
 	guardSlot.Writes = append(guardSlot.Writes, guardFin)
-	s.cboxBusy[guardFin] = true
+	s.cboxBusy = put(s.cboxBusy, guardFin, true)
 	s.sch.Stats.CBoxOps++
 
 	// Pass counter k on SubPE, initialized to K; the kernel decrements it
@@ -580,7 +580,7 @@ func (s *scheduler) realizePipeline(r *cdfg.Region, plan *pipePlan, sol *modsche
 	vals := make([]*Value, len(sol.Ops))
 	for i := range sol.Ops {
 		if i < nOrig && plan.ops[i].local != "" {
-			home := s.sch.Homes[plan.ops[i].local]
+			home := s.home(plan.ops[i].local)
 			if home.PE != sol.PE[i] {
 				return 0, false, fmt.Errorf("sched: pipelined op %d placed on PE %d, home of %q on PE %d",
 					i, sol.PE[i], plan.ops[i].local, home.PE)
@@ -659,8 +659,8 @@ func (s *scheduler) realizePipeline(r *cdfg.Region, plan *pipePlan, sol *modsche
 
 	// --- loop control: k decrement, exit compare, conditional back-jump ---
 	m0 := sol.CtrlSlot
-	subDur := s.comp.PEs[sol.SubPE].Duration(arch.ISUB)
-	cmpDur := s.comp.PEs[sol.CmpPE].Duration(arch.IFGT)
+	subDur := s.duration(sol.SubPE, arch.ISUB)
+	cmpDur := s.duration(sol.CmpPE, arch.IFGT)
 	ksub := &Op{
 		PE: sol.SubPE, Cycle: K0 + m0, Dur: subDur, Code: arch.ISUB,
 		A: Src{Kind: SrcReg, Val: kVal}, B: Src{Kind: SrcReg, Val: oneSub}, Dest: kVal,
@@ -685,7 +685,7 @@ func (s *scheduler) realizePipeline(r *cdfg.Region, plan *pipePlan, sol *modsche
 		Cycle: cmpFin, Kind: CBConsume, StatusPE: sol.CmpPE, Logic: CBPass, Write: condSlot,
 	})
 	condSlot.Writes = append(condSlot.Writes, cmpFin)
-	s.cboxBusy[cmpFin] = true
+	s.cboxBusy = put(s.cboxBusy, cmpFin, true)
 	s.sch.Stats.CBoxOps++
 	bjc := K0 + II - 1
 	if s.sch.CCU[bjc] != nil {
@@ -791,7 +791,7 @@ func resolveFeeds(plan *pipePlan, sol *modsched.Solution) ([][]int, error) {
 // where the PE is free and any routed operand's source port is available.
 // dest nil creates a fresh value. Returns the op and its finish cycle.
 func (s *scheduler) pipeSetupOp(pe int, code arch.OpCode, a, b Src, minT int, dest *Value) (*Value, int) {
-	dur := s.comp.PEs[pe].Duration(code)
+	dur := s.duration(pe, code)
 	t := minT
 	for {
 		t = s.earliestFree(pe, t, dur)
@@ -821,11 +821,11 @@ func (s *scheduler) pipeSetupOp(pe int, code arch.OpCode, a, b Src, minT int, de
 // pipeSetupCompare places a compare whose status must land in a free C-Box
 // cycle at its finish.
 func (s *scheduler) pipeSetupCompare(pe int, code arch.OpCode, a, b Src, minT int) (*Op, int) {
-	dur := s.comp.PEs[pe].Duration(code)
+	dur := s.duration(pe, code)
 	t := minT
 	for {
 		t = s.earliestFree(pe, t, dur)
-		if !s.cboxBusy[t+dur-1] && routedOK(s, a, t) && routedOK(s, b, t) {
+		if !at(s.cboxBusy, t+dur-1) && routedOK(s, a, t) && routedOK(s, b, t) {
 			break
 		}
 		t++
@@ -875,7 +875,7 @@ func (s *scheduler) pipeHop(prev *Value, hop, minT int, setupMax *int, reg *cdfg
 	dst := s.newValue(hop, t)
 	if reg != nil {
 		dst.Pinned = true
-		s.registerCopy(*reg, hop, dst)
+		s.registerCopy(*reg, dst)
 	}
 	op := &Op{
 		PE: hop, Cycle: t, Dur: 1, Code: arch.MOVE,
@@ -895,12 +895,13 @@ func (s *scheduler) pipeHop(prev *Value, hop, minT int, setupMax *int, reg *cdfg
 
 // pipeConstOnPE returns a pinned constant value resident on pe, reusing
 // registered copies, materializing a CONST when the PE supports it, and
-// otherwise copying from the nearest materialization point.
+// otherwise copying from the nearest materialization point (the oldest one
+// among equally near).
 func (s *scheduler) pipeConstOnPE(c int32, pe, floor int, setupMax *int) (*Value, int) {
-	if v := s.constCp[c][pe]; v != nil {
+	if v := onPE(s.consts[c], pe); v != nil {
 		return v, maxInt(v.Def+1, floor)
 	}
-	if s.comp.PEs[pe].Supports(arch.CONST) {
+	if s.supports(pe, arch.CONST) {
 		e := s.earliestFree(pe, floor, 1)
 		v := s.materializeConst(c, pe, e)
 		if e > *setupMax {
@@ -910,13 +911,13 @@ func (s *scheduler) pipeConstOnPE(c int32, pe, floor int, setupMax *int) (*Value
 	}
 	// Materialize on the nearest CONST-capable PE, then hop over.
 	var best *Value
-	for _, v := range s.constCp[c] {
+	for _, v := range s.consts[c] {
 		if best == nil || s.rt.Dist(v.PE, pe) < s.rt.Dist(best.PE, pe) {
 			best = v
 		}
 	}
 	if best == nil {
-		src := s.rt.NearestFrom(pe, s.comp.SupportingPEs(arch.CONST))
+		src := s.rt.NearestFrom(pe, s.supp[arch.CONST])
 		e := s.earliestFree(src, floor, 1)
 		best = s.materializeConst(c, src, e)
 		if e > *setupMax {
@@ -927,17 +928,20 @@ func (s *scheduler) pipeConstOnPE(c int32, pe, floor int, setupMax *int) (*Value
 	return s.pipeResidentChain(best, pe, maxInt(best.Def+1, floor), setupMax, &reg)
 }
 
-// pipeLocalOnPE returns a pinned, dist-0 copy of an invariant local on pe.
+// pipeLocalOnPE returns a pinned, dist-0 copy of an invariant local on pe,
+// made from the nearest instance (the home, then the oldest copy, among
+// equally near).
 func (s *scheduler) pipeLocalOnPE(name string, pe, floor int, setupMax *int) *Value {
 	home := s.homeValue(name, pe)
 	if home.PE == pe {
 		return home
 	}
-	if v := s.copies[name][pe]; v != nil {
+	copies := s.local(name).copies
+	if v := onPE(copies, pe); v != nil {
 		return v
 	}
 	best := home
-	for _, v := range s.copies[name] {
+	for _, v := range copies {
 		if s.rt.Dist(v.PE, pe) < s.rt.Dist(best.PE, pe) {
 			best = v
 		}

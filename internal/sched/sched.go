@@ -45,44 +45,7 @@ func runCtx(ctx context.Context, g *cdfg.Graph, comp *arch.Composition, opts Opt
 	if opts.MaxCycles == 0 {
 		opts.MaxCycles = 100000
 	}
-	s := &scheduler{
-		ctx:      ctx,
-		comp:     comp,
-		g:        g,
-		rt:       rt,
-		opts:     opts,
-		pipeline: pipeline,
-		sch: &Schedule{
-			Comp:  comp,
-			Graph: g,
-			CCU:   map[int]*CCUOp{},
-			Homes: map[string]*Value{},
-		},
-		busy:       make([][]bool, comp.NumPEs()),
-		outl:       make([]map[int]*Value, comp.NumPEs()),
-		cboxBusy:   map[int]bool{},
-		predRead:   map[int]*Slot{},
-		copies:     map[string]map[int]*Value{},
-		constCp:    map[int32]map[int]*Value{},
-		nodeCp:     map[*cdfg.Node]map[int]*Value{},
-		nodeVal:    map[*cdfg.Node]*Value{},
-		nodeFinish: map[*cdfg.Node]int{},
-		nodeIssue:  map[*cdfg.Node]int{},
-		condOut:    map[*cdfg.CondExpr]*Slot{},
-		condReady:  map[*cdfg.CondExpr]int{},
-		condSeen:   map[*cdfg.CondExpr]bool{},
-		cmpRole:    map[*cdfg.Node]*cmpRole{},
-		predSlots:  map[*cdfg.Pred]*Slot{},
-		predReady:  map[*cdfg.Pred]int{},
-		predSeen:   map[*cdfg.Pred]bool{},
-		attraction: map[*cdfg.Node]map[int]float64{},
-		consumers:  map[*cdfg.Node][]*cdfg.Node{},
-		fusedProd:  map[string]*cdfg.Node{},
-	}
-	for i := range s.outl {
-		s.outl[i] = map[int]*Value{}
-	}
-	s.precomputeConsumers()
+	s := newScheduler(ctx, g, comp, rt, opts, pipeline)
 	place := opts.Span.StartChild("place")
 	end, err := s.region(g.Root, 0)
 	if err != nil {
@@ -138,8 +101,8 @@ func runCtx(ctx context.Context, g *cdfg.Graph, comp *arch.Composition, opts Opt
 // condition sub-expression Expr by combining its status with the already
 // stored result of Stored (nil for the first leaf of a chain).
 type cmpRole struct {
-	Expr   *cdfg.CondExpr
-	Stored *cdfg.CondExpr
+	Expr   *condState
+	Stored *condState
 	Logic  CBLogic
 }
 
@@ -148,9 +111,9 @@ type cmpRole struct {
 // parent.
 type pendingComb struct {
 	// For cond-tree joins:
-	x, y  *cdfg.CondExpr
+	x, y  *condState
 	logic CBLogic
-	out   *cdfg.CondExpr
+	out   *condState
 	// For predicate slots:
 	pred *cdfg.Pred
 }
@@ -160,58 +123,50 @@ type scheduler struct {
 	// per time step.
 	ctx  context.Context
 	comp *arch.Composition
-	g    *cdfg.Graph
 	rt   *route.Table
 	opts Options
 	sch  *Schedule
 	// pipeline enables the modulo backend's loop pipelining in region().
 	pipeline bool
 
-	busy     [][]bool         // [pe][cycle]
-	outl     []map[int]*Value // [pe][cycle] -> routed value
-	cboxBusy map[int]bool
-	predRead map[int]*Slot
+	// Per-run dense tables (tables.go): what the composition says about
+	// each PE and opcode, and the scheduling state of every node, local,
+	// constant and predicate.
+	peTables
+	nodes  []nodeState // by Node.ID
+	locals map[string]*localState
+	consts map[int32][]*Value // materialized constants, ascending value ID
+	preds  []predState        // by Pred.ID
+	conds  map[*cdfg.CondExpr]*condState
+	// attraction[n.ID*NumPEs+pe] is node n's pull toward pe (§V-G).
+	attraction []int
 
-	copies     map[string]map[int]*Value
-	constCp    map[int32]map[int]*Value
-	nodeCp     map[*cdfg.Node]map[int]*Value
-	nodeVal    map[*cdfg.Node]*Value
-	nodeFinish map[*cdfg.Node]int
-	nodeIssue  map[*cdfg.Node]int
+	busy     [][]bool   // [pe][cycle]
+	outl     [][]*Value // [pe][cycle]: the value the routing output carries
+	cboxBusy []bool     // [cycle]
+	predRead []*Slot    // [cycle]: the slot driving the predication signal
 
-	condOut   map[*cdfg.CondExpr]*Slot
-	condReady map[*cdfg.CondExpr]int // first cycle the slot is usable
-	condSeen  map[*cdfg.CondExpr]bool
-	cmpRole   map[*cdfg.Node]*cmpRole
-	predSlots map[*cdfg.Pred]*Slot
-	predReady map[*cdfg.Pred]int
-	predSeen  map[*cdfg.Pred]bool
-	pending   []*pendingComb
+	pending []*pendingComb
+	// blk is the state of the block being scheduled; its buffers are reused
+	// from block to block.
+	blk blockState
 
-	attraction map[*cdfg.Node]map[int]float64
-	consumers  map[*cdfg.Node][]*cdfg.Node
-	// fusedProd tracks, per local, the producer node whose RF write was
-	// fused with the local's home slot; a later pWRITE of that local must
-	// wait until all of the producer's value consumers have issued.
-	fusedProd map[string]*cdfg.Node
+	// Scratch buffers of the placement loop, reused by every call. counts
+	// is all zero between uses (by Node.ID: list lengths before an arena
+	// is cut into them).
+	counts  []int
+	srcBuf  []*Value
+	argSrcs []Src
+	depBuf  []*cdfg.Node
+	peKeys  []peKey
+	peOrder []int
+	scores  []int
 
 	// safeFloor is the earliest cycle scheduler-inserted operations may
 	// occupy: the start of the current unconditional straight-line
 	// stretch. Holes before it belong to contexts that re-execute in
 	// loops or execute conditionally.
 	safeFloor int
-}
-
-// precomputeConsumers records FromNode value consumers for the attraction
-// criterion and for fusing legality.
-func (s *scheduler) precomputeConsumers() {
-	for _, n := range s.g.AllNodes() {
-		for _, a := range n.Args {
-			if a.Kind == cdfg.FromNode {
-				s.consumers[a.Node] = append(s.consumers[a.Node], n)
-			}
-		}
-	}
 }
 
 // region schedules region r starting at cycle start and returns the first
@@ -272,12 +227,12 @@ func (s *scheduler) loop(r *cdfg.Region, start int) (int, error) {
 	if r.Header.Cond == nil {
 		return 0, fmt.Errorf("loop region %d has no condition", r.ID)
 	}
-	contSlot := s.condOut[r.Header.Cond]
-	contReady, ok := s.condReady[r.Header.Cond]
-	if contSlot == nil || !ok {
+	cont := s.conds[r.Header.Cond]
+	if cont == nil || cont.ready < 0 {
 		return 0, fmt.Errorf("loop region %d: condition slot not computed", r.ID)
 	}
-	j := maxInt(hdrEnd-1, contReady)
+	contSlot := cont.slot
+	j := maxInt(hdrEnd-1, cont.ready)
 	j = maxInt(j, hdrStart)
 	for s.sch.CCU[j] != nil {
 		j++
@@ -324,12 +279,12 @@ func (s *scheduler) branchedIf(r *cdfg.Region, start int) (int, error) {
 	if r.CondBlock.Cond == nil {
 		return 0, fmt.Errorf("if region %d has no condition", r.ID)
 	}
-	slot := s.condOut[r.CondBlock.Cond]
-	ready, ok := s.condReady[r.CondBlock.Cond]
-	if slot == nil || !ok {
+	cond := s.conds[r.CondBlock.Cond]
+	if cond == nil || cond.ready < 0 {
 		return 0, fmt.Errorf("if region %d: condition slot not computed", r.ID)
 	}
-	j := maxInt(condEnd-1, ready)
+	slot := cond.slot
+	j := maxInt(condEnd-1, cond.ready)
 	j = maxInt(j, start)
 	for s.sch.CCU[j] != nil {
 		j++
@@ -378,73 +333,30 @@ func (s *scheduler) branchedIf(r *cdfg.Region, start int) (int, error) {
 // purgeWrittenCopies invalidates copies of every local that is written
 // anywhere inside region r (loop-carried staleness).
 func (s *scheduler) purgeWrittenCopies(r *cdfg.Region) {
-	written := map[string]bool{}
-	var scan func(q *cdfg.Region)
-	scanBlock := func(b *cdfg.Block) {
+	for _, b := range r.Blocks() {
 		for _, n := range b.Nodes {
-			if n.Kind == cdfg.KPWrite {
-				written[n.Local] = true
+			if n.Kind != cdfg.KPWrite {
+				continue
+			}
+			if l := s.locals[n.Local]; l != nil {
+				l.copies, l.fusedProd = nil, nil
 			}
 		}
-	}
-	scan = func(q *cdfg.Region) {
-		if q == nil {
-			return
-		}
-		switch q.Kind {
-		case cdfg.RBlock:
-			scanBlock(q.Block)
-		case cdfg.RSeq:
-			for _, c := range q.Children {
-				scan(c)
-			}
-		case cdfg.RLoop:
-			scanBlock(q.Header)
-			scan(q.Body)
-		case cdfg.RIf:
-			scanBlock(q.CondBlock)
-			scan(q.Then)
-			scan(q.Else)
-		}
-	}
-	scan(r)
-	for name := range written {
-		delete(s.copies, name)
-		s.fusedProd[name] = nil
 	}
 }
 
 // purgeCopiesFrom drops every copy (local, constant or node copy) defined at
 // or after the given cycle.
 func (s *scheduler) purgeCopiesFrom(cycle int) {
-	for name, m := range s.copies {
-		for pe, v := range m {
-			if v.Def >= cycle {
-				delete(m, pe)
-			}
-		}
-		if len(m) == 0 {
-			delete(s.copies, name)
-		}
+	for _, l := range s.locals {
+		l.copies = definedBefore(l.copies, cycle)
 	}
-	for c, m := range s.constCp {
-		for pe, v := range m {
-			if v.Def >= cycle {
-				delete(m, pe)
-			}
-		}
-		if len(m) == 0 {
-			delete(s.constCp, c)
-		}
+	for c, list := range s.consts {
+		s.consts[c] = definedBefore(list, cycle)
 	}
-	for n, m := range s.nodeCp {
-		for pe, v := range m {
-			if v.Def >= cycle {
-				delete(m, pe)
-			}
-		}
-		if len(m) == 0 {
-			delete(s.nodeCp, n)
+	for i := range s.nodes {
+		if st := &s.nodes[i]; len(st.copies) > 0 {
+			st.copies = definedBefore(st.copies, cycle)
 		}
 	}
 }
@@ -452,9 +364,7 @@ func (s *scheduler) purgeCopiesFrom(cycle int) {
 // --- resource helpers ---
 
 func (s *scheduler) ensureCycle(pe, cycle int) {
-	for len(s.busy[pe]) <= cycle {
-		s.busy[pe] = append(s.busy[pe], false)
-	}
+	s.busy[pe] = grown(s.busy[pe], cycle)
 }
 
 func (s *scheduler) peFree(pe, from, dur int) bool {
@@ -486,12 +396,12 @@ func (s *scheduler) earliestFree(pe, from, dur int) int {
 
 // outlAvailable reports whether pe's routing output can carry v at cycle.
 func (s *scheduler) outlAvailable(pe, cycle int, v *Value) bool {
-	cur, used := s.outl[pe][cycle]
-	return !used || cur == v
+	cur := at(s.outl[pe], cycle)
+	return cur == nil || cur == v
 }
 
 func (s *scheduler) reserveOutl(pe, cycle int, v *Value) {
-	s.outl[pe][cycle] = v
+	s.outl[pe] = put(s.outl[pe], cycle, v)
 }
 
 func (s *scheduler) newValue(pe, def int) *Value {
@@ -510,13 +420,15 @@ func (s *scheduler) newSlot() *Slot {
 // given preferred PE. Once assigned, the home never moves (§V-D: "a write
 // must ultimately be done on its assigned PE").
 func (s *scheduler) homeValue(name string, preferPE int) *Value {
-	if v, ok := s.sch.Homes[name]; ok {
-		return v
+	l := s.local(name)
+	if l.home != nil {
+		return l.home
 	}
 	v := s.newValue(preferPE, -1)
 	v.Local = name
 	v.IsHome = true
 	v.Pinned = true
+	l.home = v
 	s.sch.Homes[name] = v
 	return v
 }
