@@ -201,6 +201,26 @@ func (g *gen) loop(depth int) ir.Stmt {
 	}
 }
 
+// IncrementInPost moves the counter increment loop puts last in every loop
+// body into the for statement's post clause: the form a counted loop needs
+// to reach the software pipeliner. It rewrites stmts in place.
+func IncrementInPost(stmts []ir.Stmt) []ir.Stmt {
+	for _, s := range stmts {
+		switch s := s.(type) {
+		case *ir.If:
+			s.Then, s.Else = IncrementInPost(s.Then), IncrementInPost(s.Else)
+		case *ir.While:
+			s.Body = IncrementInPost(s.Body)
+		case *ir.For:
+			s.Body = IncrementInPost(s.Body)
+			if last, ok := s.Body[len(s.Body)-1].(*ir.Assign); ok && s.Post == nil && last.Name == s.Init.Name {
+				s.Post, s.Body = last, s.Body[:len(s.Body)-1]
+			}
+		}
+	}
+	return stmts
+}
+
 // index produces an always-in-bounds array index: expr & (len-1).
 func (g *gen) index() ir.Expr {
 	return ir.And(g.expr(1), ir.C(int32(g.cfg.ArrayLen-1)))

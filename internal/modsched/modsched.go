@@ -7,17 +7,33 @@
 //
 // The solver searches II = MII, MII+1, … (MII = max(ResMII, RecMII)). Each
 // attempt places operations in height-priority order into a modulo
-// reservation table over PE issue slots, routing-output ports, and the
-// C-Box consume port, with budget-bounded eject-and-retry backtracking.
+// reservation table, with budget-bounded eject-and-retry backtracking.
 // When an operation cannot reach a fixed partner within the one-hop routing
 // constraint, the solver splits the dependence edge with a MOVE copy op —
 // the modulo-time analogue of the list scheduler's routing-copy insertion.
+//
+// The reservation table is three dense tables per attempt:
+//
+//   - slot [PE×II]: the op holding PE's issue slot (an op of latency Dur
+//     holds Dur consecutive slots modulo II);
+//   - port [PE×II]: the op whose value PE's routing output carries in that
+//     slot, with a reference count, since every cross-PE reader claims the
+//     writer's port at its own issue slot and readers of one value share;
+//   - cbox [II]: the op consuming the C-Box port in that slot.
+//
+// Only reserve — called by place and eject, and through eject by insertCopy
+// before it rewrites the edge — updates them. A conflict probe reads them
+// and walks nothing but the probed op's own edges, which is sound because of
+// one invariant: the placed body is conflict-free at all times. A free
+// placement adds no conflict by definition, and a forced placement ejects
+// its whole conflict set before it places, so every table cell has at most
+// one owner and a probe never has to look for collisions among placed ops.
 package modsched
 
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Op is one operation of the loop body.
@@ -34,7 +50,9 @@ type Op struct {
 	// pins the op (home-fused writes, for instance).
 	Cand []int
 	// CopyOf is -1 for caller ops; for solver-inserted copies it names the
-	// op whose result value this MOVE forwards.
+	// op whose result value this MOVE forwards. That op may itself be a
+	// copy (a routing chain W→C1→C2→R gives C2.CopyOf = C1): follow CopyOf
+	// until it is -1 to reach the value's original producer.
 	CopyOf int
 	// UsesCBox marks ops that occupy the C-Box consume port at their
 	// finish slot (compares feeding predication; unused by plain bodies).
@@ -170,11 +188,12 @@ func Solve(ctx context.Context, p *Problem) (*Solution, error) {
 	}
 	var attempts []Attempt
 	backtracks := 0
+	st := newAttempt(p)
 	for ii := mii; ii <= maxII; ii++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("modsched: II search cancelled at II=%d: %w", ii, err)
 		}
-		st := newAttempt(p, ii)
+		st.reset(ii)
 		sol, a := st.run(ctx)
 		attempts = append(attempts, a)
 		backtracks += a.Ejections
@@ -234,20 +253,25 @@ func (p *Problem) validate() error {
 // pressure for ops restricted to a PE subset (DMA loads, pinned writes).
 func (p *Problem) resMII() int {
 	total := p.SubDur + p.CmpDur
-	classes := map[string]*[2]int{} // candidate-set key → {demand, |set|}
+	type class struct {
+		cand   []int
+		demand int
+	}
+	var classes []class // a composition has a handful of candidate sets
 	for _, o := range p.Ops {
 		total += o.Dur
-		key := fmt.Sprint(o.Cand)
-		c := classes[key]
-		if c == nil {
-			c = &[2]int{0, len(o.Cand)}
-			classes[key] = c
+		k := 0
+		for k < len(classes) && !slices.Equal(classes[k].cand, o.Cand) {
+			k++
 		}
-		c[0] += o.Dur
+		if k == len(classes) {
+			classes = append(classes, class{cand: o.Cand})
+		}
+		classes[k].demand += o.Dur
 	}
 	mii := ceilDiv(total, p.NumPEs)
 	for _, c := range classes {
-		if m := ceilDiv(c[0], c[1]); m > mii {
+		if m := ceilDiv(c.demand, len(c.cand)); m > mii {
 			mii = m
 		}
 	}
@@ -310,15 +334,19 @@ func ceilDiv(a, b int) int {
 	return (a + b - 1) / b
 }
 
-// attempt is the mutable state of one II attempt.
+// attempt is the mutable state of one II attempt. One value serves every II
+// of a Solve: reset starts the next attempt in the same buffers.
 type attempt struct {
-	p  *Problem
-	ii int
+	p    *Problem
+	ii   int
+	dist []int // [from·NumPEs+to]: Problem.Dist, tabulated once per Solve
 
 	ops   []Op
 	edges []Edge
-	in    [][]int // edge indices entering each op
-	out   [][]int // edge indices leaving each op
+	in    [][]int // edge indices entering each op, ascending
+	out   [][]int // edge indices leaving each op, ascending
+	adj   []int   // arena the lists of the problem's own ops are cut from
+	adj0  []int   // adj before any copy insertion
 
 	time       []int // -1 while unplaced
 	pe         []int
@@ -326,56 +354,119 @@ type attempt struct {
 	prevTime   []int
 	height     []int
 
+	// The modulo reservation table (package comment): -1 marks a free cell.
+	slot    []int // [pe·II+s]
+	port    []int // [pe·II+s]
+	portRef []int // placed cross-PE reads sharing port's claim
+	cbox    []int // [s]
+
+	// Probe scratch. seen[q] == epoch marks q as already in conf.
+	seen  []int
+	epoch int
+	conf  []int // conflict set of the latest probe
+	best  []int // findForced's cheapest set so far
+	order []int // candidate PEs of the op being placed, see candOrder
+	score []int // score[i] is order[i]'s hop count to placed partners
+
 	ejections int
 	copies    int
 	budget    int
 	maxCopies int
+
+	// check is nil outside the package's tests, which use it to compare
+	// every probe and every table update against a from-scratch rebuild.
+	check *checker
 }
 
-func newAttempt(p *Problem, ii int) *attempt {
-	st := &attempt{p: p, ii: ii}
-	st.ops = append([]Op(nil), p.Ops...)
-	st.edges = append([]Edge(nil), p.Edges...)
+// checker is the test-only observer of an attempt.
+type checker struct {
+	probed  func(st *attempt, op, t, pe int) // after conflicts filled st.conf
+	updated func(st *attempt)                // after place, eject, insertCopy
+}
+
+// testCheck is nil; the package's tests set it to have every attempt
+// observed (Oracle in modsched_test.go).
+var testCheck *checker
+
+func newAttempt(p *Problem) *attempt {
+	n, npe := len(p.Ops), p.NumPEs
+	st := &attempt{p: p, check: testCheck, dist: make([]int, npe*npe)}
+	for a := 0; a < npe; a++ {
+		for b := 0; b < npe; b++ {
+			st.dist[a*npe+b] = p.Dist(a, b)
+		}
+	}
 	st.budget = p.Budget
 	if st.budget <= 0 {
-		st.budget = 16 + 8*len(p.Ops)
+		st.budget = 16 + 8*n
 	}
 	st.maxCopies = p.MaxCopies
 	if st.maxCopies <= 0 {
-		st.maxCopies = 8 + 4*len(p.Ops)
+		st.maxCopies = 8 + 4*n
 	}
-	st.rebuild()
-	return st
-}
-
-// rebuild refreshes adjacency, placement arrays, and heights after the op
-// set changes (attempt start and copy insertion). Existing placements are
-// preserved.
-func (st *attempt) rebuild() {
-	n := len(st.ops)
-	st.in = make([][]int, n)
-	st.out = make([][]int, n)
-	for i, e := range st.edges {
+	// Adjacency of the problem's own edges, in edge order, cut from one
+	// arena. Copy insertion only ever replaces an entry of an in-list, so
+	// reset restores the lists by copying the arena back.
+	deg := make([]int, 2*n) // in-degree at [op], out-degree at [n+op]
+	for _, e := range p.Edges {
+		deg[e.To]++
+		deg[n+e.From]++
+	}
+	st.in, st.out = make([][]int, n), make([][]int, n)
+	st.adj = make([]int, 2*len(p.Edges))
+	arena := st.adj
+	for i := 0; i < n; i++ {
+		st.in[i], arena = arena[:0:deg[i]], arena[deg[i]:]
+		st.out[i], arena = arena[:0:deg[n+i]], arena[deg[n+i]:]
+	}
+	for i, e := range p.Edges {
 		st.out[e.From] = append(st.out[e.From], i)
 		st.in[e.To] = append(st.in[e.To], i)
 	}
-	grow := func(s []int, v int) []int {
-		for len(s) < n {
-			s = append(s, v)
-		}
-		return s
+	st.adj0 = slices.Clone(st.adj)
+	return st
+}
+
+// reset starts the attempt at ii: the problem's ops and edges without
+// copies, nothing placed, empty tables.
+func (st *attempt) reset(ii int) {
+	p, n := st.p, len(st.p.Ops)
+	st.ii = ii
+	st.ejections, st.copies = 0, 0
+	st.ops = append(st.ops[:0], p.Ops...)
+	st.edges = append(st.edges[:0], p.Edges...)
+	st.in, st.out = st.in[:n], st.out[:n]
+	copy(st.adj, st.adj0)
+	st.time = fill(st.time, n, -1)
+	st.pe = fill(st.pe, n, -1)
+	st.prevTime = fill(st.prevTime, n, -1)
+	st.wasEjected = fill(st.wasEjected, n, false)
+	st.seen = fill(st.seen, n, 0)
+	st.slot = fill(st.slot, p.NumPEs*ii, -1)
+	st.port = fill(st.port, p.NumPEs*ii, -1)
+	st.portRef = fill(st.portRef, p.NumPEs*ii, 0)
+	st.cbox = fill(st.cbox, ii, -1)
+	st.heights()
+}
+
+// fill returns s resized to n cells, all v.
+func fill[T any](s []T, n int, v T) []T {
+	s = slices.Grow(s[:0], n)
+	for i := 0; i < n; i++ {
+		s = append(s, v)
 	}
-	st.time = grow(st.time, -1)
-	st.pe = grow(st.pe, -1)
-	st.prevTime = grow(st.prevTime, -1)
-	for len(st.wasEjected) < n {
-		st.wasEjected = append(st.wasEjected, false)
-	}
-	// Height priority: h(op) = Dur + max over out-edges of h(To) - Dist·II,
-	// by relaxation (converges when II ≥ RecMII; capped defensively).
-	st.height = make([]int, n)
-	for i := range st.height {
-		st.height[i] = st.ops[i].Dur
+	return s
+}
+
+// heights recomputes the height priority after the op set changes (attempt
+// start and copy insertion): h(op) = Dur + max over out-edges of
+// h(To) - Dist·II, by relaxation (converges when II ≥ RecMII; capped
+// defensively).
+func (st *attempt) heights() {
+	n := len(st.ops)
+	st.height = st.height[:0]
+	for i := 0; i < n; i++ {
+		st.height = append(st.height, st.ops[i].Dur)
 	}
 	for iter := 0; iter < 2*n+4; iter++ {
 		changed := false
@@ -423,6 +514,7 @@ func (st *attempt) run(ctx context.Context) (*Solution, Attempt) {
 		if e > st.horizon() {
 			return fail(fmt.Sprintf("op %s pushed past horizon", st.ops[op].Name))
 		}
+		st.candOrder(op)
 		if t, pe, ok := st.findFree(op, e); ok {
 			st.place(op, t, pe)
 			continue
@@ -440,13 +532,11 @@ func (st *attempt) run(ctx context.Context) (*Solution, Attempt) {
 				st.insertCopy(ei)
 				continue
 			}
-			if conf == nil {
-				return fail(fmt.Sprintf("op %s has no placement", st.ops[op].Name))
-			}
 		}
-		if conf == nil {
+		if len(conf) == 0 {
 			return fail(fmt.Sprintf("op %s has no placement", st.ops[op].Name))
 		}
+		// Ejecting the whole set is what keeps the placed body conflict-free.
 		for _, q := range conf {
 			st.eject(q)
 		}
@@ -538,47 +628,40 @@ func (st *attempt) earliest(op int) int {
 	return e
 }
 
-// candOrder returns the op's candidate PEs, adjacency-satisfying ones
-// first (fewest total hop count to placed partners), preserving the
-// caller's preference order among equals.
-func (st *attempt) candOrder(op int) []int {
-	type scored struct{ pe, score, idx int }
-	var cs []scored
-	for idx, pe := range st.ops[op].Cand {
+// candOrder leaves in st.order the op's candidate PEs, adjacency-satisfying
+// ones first (fewest total hop count to placed partners), preserving the
+// caller's preference order among equals. It is computed once per placement:
+// findFree and findForced scan the same order.
+func (st *attempt) candOrder(op int) {
+	n := st.p.NumPEs
+	st.order, st.score = st.order[:0], st.score[:0]
+	for _, pe := range st.ops[op].Cand {
 		score := 0
 		for _, ei := range st.in[op] {
-			ed := st.edges[ei]
-			if st.time[ed.From] >= 0 {
-				score += st.p.Dist(st.pe[ed.From], pe)
+			if w := st.edges[ei].From; st.time[w] >= 0 {
+				score += st.dist[st.pe[w]*n+pe]
 			}
 		}
 		for _, ei := range st.out[op] {
-			ed := st.edges[ei]
-			if st.time[ed.To] >= 0 {
-				score += st.p.Dist(pe, st.pe[ed.To])
+			if r := st.edges[ei].To; st.time[r] >= 0 {
+				score += st.dist[pe*n+st.pe[r]]
 			}
 		}
-		cs = append(cs, scored{pe, score, idx})
-	}
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].score != cs[j].score {
-			return cs[i].score < cs[j].score
+		// Stable insertion by score keeps preference order among equals.
+		i := len(st.order)
+		st.order, st.score = append(st.order, pe), append(st.score, score)
+		for ; i > 0 && st.score[i-1] > score; i-- {
+			st.order[i], st.score[i] = st.order[i-1], st.score[i-1]
 		}
-		return cs[i].idx < cs[j].idx
-	})
-	out := make([]int, len(cs))
-	for i, c := range cs {
-		out[i] = c.pe
+		st.order[i], st.score[i] = pe, score
 	}
-	return out
 }
 
 // findFree scans the II-wide window from e for a conflict-free placement.
 func (st *attempt) findFree(op, e int) (int, int, bool) {
-	order := st.candOrder(op)
 	hz := st.horizon()
 	for t := e; t < e+st.ii && t <= hz; t++ {
-		for _, pe := range order {
+		for _, pe := range st.order {
 			if len(st.conflicts(op, t, pe)) == 0 {
 				return t, pe, true
 			}
@@ -587,18 +670,18 @@ func (st *attempt) findFree(op, e int) (int, int, bool) {
 	return 0, 0, false
 }
 
-// findForced scans the same window for the min-cost conflict set.
+// findForced scans the same window for the min-cost conflict set (the first
+// one in scan order among equals). The set it returns is valid until the
+// next call.
 func (st *attempt) findForced(op, e int) (int, int, []int, int) {
 	bestCost := int(^uint(0) >> 1)
 	var bestT, bestPE int
-	var bestConf []int
-	order := st.candOrder(op)
+	st.best = st.best[:0]
 	hz := st.horizon()
 	for t := e; t < e+st.ii && t <= hz; t++ {
-		for _, pe := range order {
-			conf := st.conflicts(op, t, pe)
+		for _, pe := range st.order {
 			cost := 0
-			for _, q := range conf {
+			for _, q := range st.conflicts(op, t, pe) {
 				if len(st.ops[q].Cand) == 1 {
 					cost += fixedCost
 				} else {
@@ -607,136 +690,105 @@ func (st *attempt) findForced(op, e int) (int, int, []int, int) {
 			}
 			if cost < bestCost {
 				bestCost, bestT, bestPE = cost, t, pe
-				bestConf = conf
+				st.conf, st.best = st.best, st.conf
 			}
 		}
 	}
-	return bestT, bestPE, bestConf, bestCost
+	return bestT, bestPE, st.best, bestCost
 }
 
-// conflicts lists placed ops that collide with placing op at (t, pe):
-// dependence-window violations, modulo issue-slot overlaps on the PE,
-// routing-output port collisions, C-Box port collisions, and
-// routing-adjacency violations. Each colliding partner is listed, since
-// ejecting it could re-place it compatibly.
+// conflicts lists, in st.conf and in no particular order, the placed ops
+// that collide with placing op at (t, pe): dependence-window violations,
+// modulo issue-slot overlaps on the PE, routing-output port collisions,
+// C-Box port collisions, and routing-adjacency violations. Each colliding
+// partner is listed, since ejecting it could re-place it compatibly. The
+// slice is valid until the next probe.
+//
+// Only op's own edges and Dur slots are visited; who holds a slot, a port
+// or the C-Box comes from the tables. That finds every collision because
+// the placed body has none of its own (the invariant in the package
+// comment), so each one involves op: as the writer whose port a placed
+// reader would claim, as the reader claiming a placed writer's port, or —
+// the one check that involves no table — as the reader of two different
+// values from one PE in one slot.
 func (st *attempt) conflicts(op, t, pe int) []int {
-	var conf []int
-	seen := map[int]bool{}
-	add := func(q int) {
-		if !seen[q] {
-			seen[q] = true
-			conf = append(conf, q)
-		}
-	}
-	slots := func(t0, dur int) map[int]bool {
-		m := map[int]bool{}
-		for d := 0; d < dur; d++ {
-			m[(t0+d)%st.ii] = true
-		}
-		return m
-	}
-	// Dependence windows against placed partners:
-	// fin(W)+1 ≤ issue(R)+Dist·II ≤ fin(W)+II.
-	fin := t + st.ops[op].Dur - 1
-	for _, ei := range st.in[op] {
+	st.epoch++
+	st.conf = st.conf[:0]
+	ii, n := st.ii, st.p.NumPEs
+	dur := st.ops[op].Dur
+	fin := t + dur - 1
+	in := st.in[op]
+	for k, ei := range in {
 		ed := st.edges[ei]
-		if st.time[ed.From] < 0 {
+		w := ed.From
+		if st.time[w] < 0 {
 			continue
 		}
-		r := t + ed.Dist*st.ii
-		if r < st.fin(ed.From)+1 || r > st.fin(ed.From)+st.ii {
-			add(ed.From)
+		// fin(W)+1 ≤ issue(R)+Dist·II ≤ fin(W)+II.
+		if r, wfin := t+ed.Dist*ii, st.fin(w); r < wfin+1 || r > wfin+ii {
+			st.add(w)
+		}
+		wpe := st.pe[w]
+		if wpe == pe {
+			continue
+		}
+		if st.dist[wpe*n+pe] > 1 {
+			st.add(w)
+		}
+		// op's read claims w's output port at op's issue slot.
+		if o := st.port[wpe*ii+t%ii]; o >= 0 && o != w {
+			st.add(w)
+			st.add(o)
+		}
+		for _, ej := range in[:k] {
+			if x := st.edges[ej].From; x != w && st.time[x] >= 0 && st.pe[x] == wpe {
+				st.add(w)
+				st.add(x)
+			}
 		}
 	}
 	for _, ei := range st.out[op] {
 		ed := st.edges[ei]
-		if st.time[ed.To] < 0 {
+		r := ed.To
+		if st.time[r] < 0 {
 			continue
 		}
-		r := st.time[ed.To] + ed.Dist*st.ii
-		if r < fin+1 || r > fin+st.ii {
-			add(ed.To)
+		if x := st.time[r] + ed.Dist*ii; x < fin+1 || x > fin+ii {
+			st.add(r)
 		}
-	}
-	mine := slots(t, st.ops[op].Dur)
-	for q := range st.ops {
-		if q == op || st.time[q] < 0 || st.pe[q] != pe {
+		rpe := st.pe[r]
+		if rpe == pe {
 			continue
 		}
-		for d := 0; d < st.ops[q].Dur; d++ {
-			if mine[(st.time[q]+d)%st.ii] {
-				add(q)
-				break
-			}
+		if st.dist[pe*n+rpe] > 1 {
+			st.add(r)
+		}
+		// r's read claims op's output port at r's issue slot.
+		if o := st.port[pe*ii+st.time[r]%ii]; o >= 0 {
+			st.add(o)
 		}
 	}
-	// Routing adjacency against placed partners.
-	for _, ei := range st.in[op] {
-		ed := st.edges[ei]
-		if st.time[ed.From] >= 0 && st.pe[ed.From] != pe && st.p.Dist(st.pe[ed.From], pe) > 1 {
-			add(ed.From)
+	for d := 0; d < dur; d++ {
+		if q := st.slot[pe*ii+(t+d)%ii]; q >= 0 {
+			st.add(q)
 		}
 	}
-	for _, ei := range st.out[op] {
-		ed := st.edges[ei]
-		if st.time[ed.To] >= 0 && st.pe[ed.To] != pe && st.p.Dist(pe, st.pe[ed.To]) > 1 {
-			add(ed.To)
-		}
-	}
-	// Routing-output port: a PE's output register holds one value per
-	// modulo slot; every cross-PE reader of op's value claims (pe,
-	// reader-slot), and op's own cross-PE reads claim the writer's port.
-	type claim struct{ pe, slot, owner int }
-	var claims []claim
-	for i, ed := range st.edges {
-		_ = i
-		wr, rd := ed.From, ed.To
-		var wpe, rslot, owner int
-		switch {
-		case wr == op && st.time[rd] >= 0:
-			wpe, rslot, owner = pe, st.time[rd]%st.ii, op
-			if st.pe[rd] == pe {
-				continue
-			}
-		case rd == op && st.time[wr] >= 0:
-			wpe, rslot, owner = st.pe[wr], t%st.ii, wr
-			if wpe == pe {
-				continue
-			}
-		case st.time[wr] >= 0 && st.time[rd] >= 0 && st.pe[wr] != st.pe[rd]:
-			wpe, rslot, owner = st.pe[wr], st.time[rd]%st.ii, wr
-		default:
-			continue
-		}
-		claims = append(claims, claim{wpe, rslot, owner})
-	}
-	for i := 0; i < len(claims); i++ {
-		for j := i + 1; j < len(claims); j++ {
-			a, b := claims[i], claims[j]
-			if a.pe == b.pe && a.slot == b.slot && a.owner != b.owner {
-				// Blame the placed participant that is not the op being
-				// placed.
-				if a.owner != op {
-					add(a.owner)
-				}
-				if b.owner != op {
-					add(b.owner)
-				}
-			}
-		}
-	}
-	// C-Box consume port: one per modulo slot.
 	if st.ops[op].UsesCBox {
-		myslot := (t + st.ops[op].Dur - 1) % st.ii
-		for q := range st.ops {
-			if q != op && st.time[q] >= 0 && st.ops[q].UsesCBox &&
-				(st.time[q]+st.ops[q].Dur-1)%st.ii == myslot {
-				add(q)
-			}
+		if q := st.cbox[fin%ii]; q >= 0 {
+			st.add(q)
 		}
 	}
-	sort.Ints(conf)
-	return conf
+	if st.check != nil {
+		st.check.probed(st, op, t, pe)
+	}
+	return st.conf
+}
+
+func (st *attempt) add(q int) {
+	if st.seen[q] != st.epoch {
+		st.seen[q] = st.epoch
+		st.conf = append(st.conf, q)
+	}
 }
 
 // blockedEdge finds a dependence edge of op whose placed partner is
@@ -744,24 +796,20 @@ func (st *attempt) conflicts(op, t, pe int) []int {
 // signature of a topology block that a routing copy resolves. Edges whose
 // partner is pinned are preferred (ejecting it can never help).
 func (st *attempt) blockedEdge(op int) (int, bool) {
+	n := st.p.NumPEs
+	// hops is the routing distance of edge ei with op on pe.
+	hops := func(ei, partner, pe int) int {
+		if st.edges[ei].To == op {
+			return st.dist[st.pe[partner]*n+pe]
+		}
+		return st.dist[pe*n+st.pe[partner]]
+	}
 	best, bestPinned := -1, false
 	consider := func(ei int, partner int) {
-		blocked := true
 		for _, pe := range st.ops[op].Cand {
-			ed := st.edges[ei]
-			var d int
-			if ed.To == op {
-				d = st.p.Dist(st.pe[partner], pe)
-			} else {
-				d = st.p.Dist(pe, st.pe[partner])
+			if hops(ei, partner, pe) <= 1 {
+				return
 			}
-			if d <= 1 {
-				blocked = false
-				break
-			}
-		}
-		if !blocked {
-			return
 		}
 		pinned := len(st.ops[partner].Cand) == 1
 		if best < 0 || (pinned && !bestPinned) {
@@ -785,18 +833,11 @@ func (st *attempt) blockedEdge(op int) (int, bool) {
 	// candidate cannot reach: pressure cases where the only in-reach
 	// candidate is saturated by pinned ops.
 	check := func(ei int, partner int) {
-		ed := st.edges[ei]
 		if len(st.ops[partner].Cand) != 1 {
 			return
 		}
 		for _, pe := range st.ops[op].Cand {
-			var d int
-			if ed.To == op {
-				d = st.p.Dist(st.pe[partner], pe)
-			} else {
-				d = st.p.Dist(pe, st.pe[partner])
-			}
-			if d > 1 && best < 0 {
+			if hops(ei, partner, pe) > 1 && best < 0 {
 				best = ei
 			}
 		}
@@ -820,6 +861,15 @@ func (st *attempt) blockedEdge(op int) (int, bool) {
 // updated edge set on subsequent placements.
 func (st *attempt) insertCopy(ei int) {
 	ed := st.edges[ei]
+	// The reader's prior placement may be invalid relative to the copy;
+	// eject it so both re-place against the new edge — first, so that its
+	// reservations are released over the edges they were made over. This
+	// is a graph repair, not a backtrack: the progress rule stays off so
+	// the reader may return to its old time.
+	if st.time[ed.To] >= 0 {
+		st.eject(ed.To)
+		st.wasEjected[ed.To] = false
+	}
 	c := Op{
 		ID:     len(st.ops),
 		Name:   fmt.Sprintf("copy(%s→%s)", st.ops[ed.From].Name, st.ops[ed.To].Name),
@@ -827,81 +877,115 @@ func (st *attempt) insertCopy(ei int) {
 		Cand:   st.p.MoveCand,
 		CopyOf: ed.From,
 	}
+	ej := len(st.edges)
 	st.ops = append(st.ops, c)
 	st.edges[ei] = Edge{From: ed.From, To: c.ID, Dist: ed.Dist}
 	st.edges = append(st.edges, Edge{From: c.ID, To: ed.To, Dist: 0})
 	st.copies++
-	// The reader's prior placement may now be invalid relative to the
-	// copy; eject it so both re-place against the new edge. This is a
-	// graph repair, not a backtrack: the progress rule stays off so the
-	// reader may return to its old time.
-	if st.time[ed.To] >= 0 {
-		st.eject(ed.To)
-		st.wasEjected[ed.To] = false
+	// Adjacency stays in ascending edge order: ei moves from R's in-list
+	// to C's, and ej, the highest index, goes last in R's.
+	rin := st.in[ed.To]
+	k := slices.Index(rin, ei)
+	copy(rin[k:], rin[k+1:])
+	rin[len(rin)-1] = ej
+	st.in = append(st.in, []int{ei})
+	st.out = append(st.out, []int{ej})
+	st.time = append(st.time, -1)
+	st.pe = append(st.pe, -1)
+	st.prevTime = append(st.prevTime, -1)
+	st.wasEjected = append(st.wasEjected, false)
+	st.seen = append(st.seen, 0)
+	st.heights()
+	if st.check != nil {
+		st.check.updated(st)
 	}
-	st.rebuild()
 }
 
 func (st *attempt) place(op, t, pe int) {
 	st.time[op] = t
 	st.pe[op] = pe
+	st.reserve(op, true)
+	if st.check != nil {
+		st.check.updated(st)
+	}
 }
 
 func (st *attempt) eject(op int) {
+	st.reserve(op, false)
 	st.prevTime[op] = st.time[op]
 	st.wasEjected[op] = true
 	st.time[op] = -1
 	st.pe[op] = -1
+	if st.check != nil {
+		st.check.updated(st)
+	}
+}
+
+// reserve enters (take) or removes placed op's reservations: its issue
+// slots, its C-Box slot, and one port claim per edge to a placed partner on
+// another PE — on op's port for its readers, on the producer's port for its
+// own reads. It is the only writer of the tables.
+func (st *attempt) reserve(op int, take bool) {
+	ii := st.ii
+	t, pe := st.time[op], st.pe[op]
+	owner := -1
+	if take {
+		owner = op
+	}
+	for d := 0; d < st.ops[op].Dur; d++ {
+		st.slot[pe*ii+(t+d)%ii] = owner
+	}
+	if st.ops[op].UsesCBox {
+		st.cbox[st.fin(op)%ii] = owner
+	}
+	for _, ei := range st.in[op] {
+		if w := st.edges[ei].From; st.time[w] >= 0 && st.pe[w] != pe {
+			st.claim(st.pe[w]*ii+t%ii, w, take)
+		}
+	}
+	for _, ei := range st.out[op] {
+		if r := st.edges[ei].To; st.time[r] >= 0 && st.pe[r] != pe {
+			st.claim(pe*ii+st.time[r]%ii, op, take)
+		}
+	}
+}
+
+// claim adds or drops one reader's share of port cell, which carries w's
+// value.
+func (st *attempt) claim(cell, w int, take bool) {
+	if take {
+		st.port[cell] = w
+		st.portRef[cell]++
+	} else if st.portRef[cell]--; st.portRef[cell] == 0 {
+		st.port[cell] = -1
+	}
 }
 
 // placeControl finds kernel slot m0 and an adjacent (SubPE, CmpPE) pair for
 // the loop counter decrement and exit compare, avoiding body issue slots,
 // routing-port reservations, and the C-Box port.
 func (st *attempt) placeControl() (m0, psub, pcmp int, ok bool) {
-	// Routing-port reservations of the placed body, keyed (pe, slot).
-	ports := map[[2]int]bool{}
-	for _, ed := range st.edges {
-		if st.time[ed.From] < 0 || st.time[ed.To] < 0 || st.pe[ed.From] == st.pe[ed.To] {
-			continue
-		}
-		ports[[2]int{st.pe[ed.From], st.time[ed.To] % st.ii}] = true
-	}
+	ii, n := st.ii, st.p.NumPEs
 	busy := func(pe, slot, dur int) bool {
-		for q := range st.ops {
-			if st.time[q] < 0 || st.pe[q] != pe {
-				continue
-			}
-			for d := 0; d < st.ops[q].Dur; d++ {
-				qs := (st.time[q] + d) % st.ii
-				for k := 0; k < dur; k++ {
-					if qs == (slot+k)%st.ii {
-						return true
-					}
-				}
-			}
-		}
-		return false
-	}
-	cboxBusy := func(slot int) bool {
-		for q := range st.ops {
-			if st.time[q] >= 0 && st.ops[q].UsesCBox && (st.time[q]+st.ops[q].Dur-1)%st.ii == slot {
+		for k := 0; k < dur; k++ {
+			if st.slot[pe*ii+(slot+k)%ii] >= 0 {
 				return true
 			}
 		}
 		return false
 	}
-	hiSub := st.ii - st.p.SubDur
-	hiCmp := st.ii - 1 - st.p.CmpDur
+	hiSub := ii - st.p.SubDur
+	hiCmp := ii - 1 - st.p.CmpDur
 	for m := 0; m <= hiSub && m <= hiCmp; m++ {
-		if cboxBusy(m + st.p.CmpDur - 1) {
+		if st.cbox[m+st.p.CmpDur-1] >= 0 {
 			continue
 		}
 		for _, ps := range st.p.SubCand {
-			if busy(ps, m, st.p.SubDur) || ports[[2]int{ps, m}] {
+			if busy(ps, m, st.p.SubDur) || st.port[ps*ii+m] >= 0 {
 				continue
 			}
 			for _, pc := range st.p.CmpCand {
-				if pc == ps || st.p.Dist(ps, pc) != 1 {
+				if pc == ps || st.dist[ps*n+pc] != 1 {
 					continue
 				}
 				if busy(pc, m, st.p.CmpDur) {

@@ -53,31 +53,11 @@ func generatedGoldenCases(n int, postClause bool) []goldenCase {
 	for id := 0; id < n; id++ {
 		g := kgen.New(int64(id), kgen.Config{})
 		if postClause {
-			g.Kernel.Body = incrementInPost(g.Kernel.Body)
+			g.Kernel.Body = kgen.IncrementInPost(g.Kernel.Body)
 		}
 		out = append(out, goldenCase{g.Kernel.Name, g.Kernel, g.Args, g.NewHost()})
 	}
 	return out
-}
-
-// incrementInPost moves the counter increment kgen puts last in every loop
-// body into the for statement's post clause: the form a counted loop needs
-// to reach the software pipeliner.
-func incrementInPost(stmts []ir.Stmt) []ir.Stmt {
-	for _, s := range stmts {
-		switch s := s.(type) {
-		case *ir.If:
-			s.Then, s.Else = incrementInPost(s.Then), incrementInPost(s.Else)
-		case *ir.While:
-			s.Body = incrementInPost(s.Body)
-		case *ir.For:
-			s.Body = incrementInPost(s.Body)
-			if last, ok := s.Body[len(s.Body)-1].(*ir.Assign); ok && s.Post == nil && last.Name == s.Init.Name {
-				s.Post, s.Body = last, s.Body[:len(s.Body)-1]
-			}
-		}
-	}
-	return stmts
 }
 
 // goldenOutcome compiles one cell and renders what it built: the contexts'
@@ -148,19 +128,24 @@ func TestScheduleGolden(t *testing.T) {
 
 // TestModuloDeterministicOnGeneratedLoops compiles kgen kernels 0–127, with
 // the counter increment in the post clause so their loops reach the
-// pipeliner, eight times each on "9 PEs" and requires the same outcome every
-// time: same contexts and cycles, or the same refusal.
+// pipeliner, eight times each on "9 PEs", "16 PEs" and "8 PEs B" — the
+// compositions where the solver builds routing-copy chains — and requires
+// the same outcome every time: same contexts and cycles, or the same
+// refusal. Every kernel that flips is reported by name.
 func TestModuloDeterministicOnGeneratedLoops(t *testing.T) {
-	comp, err := arch.ByName("9 PEs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range generatedGoldenCases(128, true) {
-		first := goldenOutcome(c, comp, sched.BackendModulo)
-		for i := 1; i < 8; i++ {
-			if again := goldenOutcome(c, comp, sched.BackendModulo); again != first {
-				t.Errorf("%s: compile %d differs from the first:\n  %s\n  %s", c.name, i+1, again, first)
-				break
+	cases := generatedGoldenCases(128, true)
+	for _, name := range []string{"9 PEs", "16 PEs", "8 PEs B"} {
+		comp, err := arch.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cases {
+			first := goldenOutcome(c, comp, sched.BackendModulo)
+			for i := 1; i < 8; i++ {
+				if again := goldenOutcome(c, comp, sched.BackendModulo); again != first {
+					t.Errorf("%s on %s: compile %d differs from the first:\n  %s\n  %s", c.name, name, i+1, again, first)
+					break
+				}
 			}
 		}
 	}

@@ -82,6 +82,39 @@ func TestModuloBackendPipelinesDot(t *testing.T) {
 	}
 }
 
+// TestModuloCompilesCopyChains: on these three cells the solver bridges a
+// dependence with a chain of routing copies, W→C1→C2→R. Realization used to
+// trace a copy back one step only and gave the whole loop up with "no edge
+// for producer". They must pipeline, with copies, and answer like the
+// interpreter.
+func TestModuloCompilesCopyChains(t *testing.T) {
+	for _, c := range []struct{ kernel, comp string }{
+		{"fir", "16 PEs"}, {"matmul", "16 PEs"}, {"matmul", "8 PEs B"},
+	} {
+		t.Run(c.kernel+"@"+c.comp, func(t *testing.T) {
+			comp, err := arch.ByName(c.comp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := workload.ByName(c.kernel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := Compile(w.Kernel, comp, moduloOptions())
+			if err != nil {
+				t.Fatalf("compile: %v", err)
+			}
+			if _, err := CheckAgainstInterpreter(w.Kernel, out, w.Args(w.DefaultSize), w.Host(w.DefaultSize)); err != nil {
+				t.Fatalf("differential: %v", err)
+			}
+			pl := out.Schedule.Pipelined
+			if len(pl) != 1 || pl[0].Copies < 2 {
+				t.Errorf("pipelined = %+v, want one loop with a routing-copy chain", pl)
+			}
+		})
+	}
+}
+
 // TestParseBackend covers flag-level validation, including the pipeline-only
 // "auto" value.
 func TestParseBackend(t *testing.T) {

@@ -740,9 +740,10 @@ func routeSrc(vals []*Value, sol *modsched.Solution, src, pe int) Src {
 // solution op whose value is actually read (the writer itself, or the last
 // copy of an inserted routing chain); copies resolve their single in-edge.
 func resolveFeeds(plan *pipePlan, sol *modsched.Solution) ([][]int, error) {
+	// A copy of a copy names that copy: follow the chain to the producer.
 	origin := func(i int) int {
-		if sol.Ops[i].CopyOf >= 0 {
-			return sol.Ops[i].CopyOf
+		for sol.Ops[i].CopyOf >= 0 {
+			i = sol.Ops[i].CopyOf
 		}
 		return i
 	}

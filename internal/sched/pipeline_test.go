@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"cgra/internal/arch"
+	"cgra/internal/modsched"
+	"cgra/internal/route"
 )
 
 func nine(t *testing.T) *arch.Composition {
@@ -150,5 +152,62 @@ func TestModuloDeadline(t *testing.T) {
 	}
 	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
+// TestResolveFeedsFollowsCopyChains: a producer pinned to one corner of the
+// mesh and its reader pinned to the opposite one are four hops apart, so the
+// solver bridges the edge with a chain of copies W→C1→C2→C3→R in which each
+// copy names the op it split from — C2 and C3 name a copy. resolveFeeds has
+// to trace the reader's in-edge back to W through all of them (following
+// CopyOf one step ended in "no edge for producer").
+func TestResolveFeedsFollowsCopyChains(t *testing.T) {
+	comp := nine(t)
+	all := make([]int, comp.NumPEs())
+	for i := range all {
+		all[i] = i
+	}
+	p := &modsched.Problem{
+		NumPEs: comp.NumPEs(), Dist: route.New(comp).Dist,
+		Ops: []modsched.Op{
+			{ID: 0, Name: "w", Dur: 1, Cand: []int{0}, CopyOf: -1},
+			{ID: 1, Name: "r", Dur: 1, Cand: []int{8}, CopyOf: -1},
+		},
+		Edges:    []modsched.Edge{{From: 0, To: 1}},
+		MoveCand: all, MoveDur: 1,
+		SubCand: all, CmpCand: all, SubDur: 1, CmpDur: 1,
+	}
+	sol, err := modsched.Solve(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chained := false
+	for _, o := range sol.Ops {
+		if o.CopyOf >= 0 && sol.Ops[o.CopyOf].CopyOf >= 0 {
+			chained = true
+		}
+	}
+	if !chained {
+		t.Fatalf("no copy of a copy in %+v: the problem does not exercise a chain", sol.Ops)
+	}
+	plan := &pipePlan{ops: []pipeOp{{}, {args: []pipeArg{{producer: 0}}}}}
+	feeds, err := resolveFeeds(plan, sol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Walk the chain back from the reader: every link one hop, ending at w.
+	hops, at := 0, 1
+	for at != 0 {
+		from := feeds[at][0]
+		if d := p.Dist(sol.PE[from], sol.PE[at]); d > 1 {
+			t.Fatalf("feed %d→%d spans %d hops", from, at, d)
+		}
+		at = from
+		if hops++; hops > len(sol.Ops) {
+			t.Fatalf("feeds %v do not lead back to the producer", feeds)
+		}
+	}
+	if hops != len(sol.Ops)-1 {
+		t.Errorf("chain of %d links, want all %d copies on it", hops, len(sol.Ops)-2)
 	}
 }
