@@ -15,12 +15,11 @@ package main
 //   - the restarted node re-warms every artifact from its peers — cold
 //     disk, zero local compiles — proving churn-safe cache warming.
 //
-// The report lands in -bench-json (BENCH_cluster.json in CI) with run
-// p50/p99 and the warm-propagation time.
+// The summary printed at the end carries run p50/p99 and the
+// warm-propagation time; the exit status carries the contract.
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net"
@@ -38,43 +37,11 @@ import (
 )
 
 type churnConfig struct {
-	CompName  string
-	Nodes     int
-	Clients   int
-	Iters     int
-	Seed      int64
-	BenchJSON string
-}
-
-// churnReport is BENCH_cluster.json.
-type churnReport struct {
-	Nodes   int   `json:"nodes"`
-	Clients int   `json:"clients"`
-	Iters   int   `json:"iters"`
-	Seed    int64 `json:"seed"`
-
-	// WarmPropagationMS is how long it took every replica to serve every
-	// kernel of the set warm after the initial cold compiles.
-	WarmPropagationMS float64 `json:"warm_propagation_ms"`
-
-	Runs        int64   `json:"runs"`
-	RunErrors   int64   `json:"run_errors"`
-	Mismatches  int64   `json:"mismatches"`
-	WallMS      float64 `json:"wall_ms"`
-	RunsPerSec  float64 `json:"runs_per_sec"`
-	RunP50MS    float64 `json:"run_p50_ms"`
-	RunP99MS    float64 `json:"run_p99_ms"`
-	KilledNode  string  `json:"killed_node"`
-	KillAtRun   int64   `json:"kill_at_run"`
-	RestartAt   int64   `json:"restart_at_run"`
-	OwnerChange int64   `json:"owner_changes_total"`
-
-	// Rewarm captures the restarted node's cold-start: every kernel's
-	// compile source (all must be "peer") and its peer-fetch hit count.
-	RewarmSources  map[string]string `json:"rewarm_sources"`
-	RewarmFetchHit int64             `json:"rewarm_peer_fetch_hits"`
-	PeerFetchHits  int64             `json:"peer_fetch_hits_total"`
-	ForwardsOK     int64             `json:"forwards_ok_total"`
+	CompName string
+	Nodes    int
+	Clients  int
+	Iters    int
+	Seed     int64
 }
 
 // churnNode is one in-process replica plus what it takes to kill and
@@ -151,7 +118,6 @@ func runChurn(cfg churnConfig) error {
 	if err != nil {
 		return err
 	}
-	report := churnReport{Nodes: cfg.Nodes, Clients: cfg.Clients, Iters: cfg.Iters, Seed: cfg.Seed}
 
 	// Reserve every port before any node boots so each replica's peer list
 	// is complete from its first probe.
@@ -222,8 +188,7 @@ func runChurn(cfg churnConfig) error {
 			}
 		}
 	}
-	report.WarmPropagationMS = float64(time.Since(warmStart).Microseconds()) / 1000
-	fmt.Printf("cgrad: churn: fleet warm in %.1f ms\n", report.WarmPropagationMS)
+	fmt.Printf("cgrad: churn: fleet warm in %.1f ms\n", float64(time.Since(warmStart).Microseconds())/1000)
 
 	// Pick the victim: the owner of the first kernel's key, so at least
 	// one key is guaranteed to re-own when it dies.
@@ -241,9 +206,6 @@ func runChurn(cfg churnConfig) error {
 	total := int64(cfg.Clients * cfg.Iters)
 	killAt := total * 35 / 100
 	restartAt := total * 70 / 100
-	report.KilledNode = nodes[victim].url
-	report.KillAtRun = killAt
-	report.RestartAt = restartAt
 
 	// Load phase: every client is a multi-endpoint failover client with an
 	// unbounded retry budget — churn consumes retries, and exhausting the
@@ -352,68 +314,53 @@ func runChurn(cfg churnConfig) error {
 		allLat = append(allLat, lats...)
 	}
 	sort.Slice(allLat, func(i, j int) bool { return allLat[i] < allLat[j] })
-	report.Runs = progress.Load()
-	report.RunErrors = runErrors.Load()
-	report.Mismatches = mismatches.Load()
-	report.WallMS = float64(wall.Microseconds()) / 1000
+	runs := progress.Load()
+	var runsPerSec float64
 	if wall > 0 {
-		report.RunsPerSec = float64(report.Runs) / wall.Seconds()
+		runsPerSec = float64(runs) / wall.Seconds()
 	}
-	report.RunP50MS = percentile(allLat, 50)
-	report.RunP99MS = percentile(allLat, 99)
 
 	// Re-warm assertion: the restarted node has a cold disk, its peers are
 	// hot. Every kernel must arrive over the peer fetch path — zero local
 	// compiles — before it serves its first compile.
 	rewarm := server.NewClient(nodes[victim].url)
-	report.RewarmSources = map[string]string{}
+	rewarmSources := map[string]string{}
 	for _, k := range set {
 		resp, err := rewarm.Compile(ctx, k.source, 0)
 		if err != nil {
 			return fmt.Errorf("rewarm %s: %v", k.name, err)
 		}
-		report.RewarmSources[k.name] = resp.Source
+		rewarmSources[k.name] = resp.Source
 	}
-	reg := nodes[victim].srv.Metrics()
-	report.RewarmFetchHit = reg.Counter("cgra_peer_fetch_total", obs.L("outcome", "hit")).Value()
+	rewarmFetchHits := nodes[victim].srv.Metrics().Counter("cgra_peer_fetch_total", obs.L("outcome", "hit")).Value()
+	var peerFetchHits, ownerChanges int64
 	for _, nd := range nodes {
 		r := nd.srv.Metrics()
-		report.PeerFetchHits += r.Counter("cgra_peer_fetch_total", obs.L("outcome", "hit")).Value()
-		report.OwnerChange += r.Counter("cgra_route_owner_changes_total").Value()
-		report.ForwardsOK += r.Counter("cgra_cluster_forward_total", obs.L("outcome", "ok")).Value()
+		peerFetchHits += r.Counter("cgra_peer_fetch_total", obs.L("outcome", "hit")).Value()
+		ownerChanges += r.Counter("cgra_route_owner_changes_total").Value()
 	}
 
 	fmt.Printf("cgrad: churn: %d runs (%d errors, %d mismatches) in %.1f ms — %.0f runs/s, p50 %.3f ms, p99 %.3f ms\n",
-		report.Runs, report.RunErrors, report.Mismatches, report.WallMS, report.RunsPerSec, report.RunP50MS, report.RunP99MS)
+		runs, runErrors.Load(), mismatches.Load(), float64(wall.Microseconds())/1000, runsPerSec,
+		percentile(allLat, 50), percentile(allLat, 99))
 	fmt.Printf("cgrad: churn: owner changes %d, peer fetch hits %d (restarted node: %d), rewarm sources %v\n",
-		report.OwnerChange, report.PeerFetchHits, report.RewarmFetchHit, report.RewarmSources)
-
-	if cfg.BenchJSON != "" {
-		data, err := json.MarshalIndent(&report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(cfg.BenchJSON, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Println("cgrad: report written to", cfg.BenchJSON)
-	}
+		ownerChanges, peerFetchHits, rewarmFetchHits, rewarmSources)
 
 	// The contract, enforced.
 	switch {
-	case report.Mismatches > 0:
-		return fmt.Errorf("%d reference mismatches under churn", report.Mismatches)
-	case report.RunErrors > 0:
+	case mismatches.Load() > 0:
+		return fmt.Errorf("%d reference mismatches under churn", mismatches.Load())
+	case runErrors.Load() > 0:
 		err := <-errCh
-		return fmt.Errorf("%d of %d runs failed (first: %v) — node churn must not be client-visible", report.RunErrors, report.Runs, err)
-	case report.OwnerChange == 0:
+		return fmt.Errorf("%d of %d runs failed (first: %v) — node churn must not be client-visible", runErrors.Load(), runs, err)
+	case ownerChanges == 0:
 		return fmt.Errorf("cgra_route_owner_changes_total is zero — re-ownership never observed")
-	case report.RewarmFetchHit == 0:
+	case rewarmFetchHits == 0:
 		return fmt.Errorf("restarted node shows no peer fetch hits — it did not re-warm from peers")
 	}
-	for name, src := range report.RewarmSources {
-		if src == "compile" {
-			return fmt.Errorf("restarted node recompiled %s locally instead of re-warming from peers", name)
+	for name, src := range rewarmSources {
+		if src != "peer" {
+			return fmt.Errorf("restarted node served %s from %q instead of re-warming from peers", name, src)
 		}
 	}
 	fmt.Println("cgrad: churn: PASS")

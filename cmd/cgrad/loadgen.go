@@ -25,7 +25,6 @@ type loadgenConfig struct {
 	Target     string
 	Clients    int
 	Iters      int
-	BenchJSON  string
 	ExpectWarm bool
 	// ExpectBatched fails the loadgen unless the daemon coalesced at least
 	// one run (client-observed and metric-confirmed) — the CI smoke asserts
@@ -52,51 +51,6 @@ type lgKernel struct {
 	kernel *ir.Kernel
 	args   map[string]int32
 	arrays map[string][]int32
-}
-
-// benchKernel is the per-kernel compile record of the report.
-type benchKernel struct {
-	Name       string  `json:"name"`
-	ColdMS     float64 `json:"cold_ms"`
-	ColdSource string  `json:"cold_source"`
-	WarmMS     float64 `json:"warm_ms"`
-	WarmSource string  `json:"warm_source"`
-	Speedup    float64 `json:"speedup"`
-}
-
-// benchReport is BENCH_server.json.
-type benchReport struct {
-	Target     string        `json:"target"`
-	Clients    int           `json:"clients"`
-	Iters      int           `json:"iters"`
-	Kernels    []benchKernel `json:"kernels"`
-	Seed       int64         `json:"seed"`
-	Runs       int64         `json:"runs"`
-	RunErrors  int64         `json:"run_errors"`
-	OnCGRA     int64         `json:"on_cgra"`
-	WallMS     float64       `json:"wall_ms"`
-	RunsPerSec float64       `json:"runs_per_sec"`
-	RunP50MS   float64       `json:"run_p50_ms"`
-	RunP99MS   float64       `json:"run_p99_ms"`
-	// Solo/Batched latencies split the run phase: the solo pass opts every
-	// request out of coalescing (no_batch), the batched pass replays the
-	// same deterministic mix through the coalescer.
-	SoloP50MS    float64 `json:"solo_p50_ms,omitempty"`
-	SoloP99MS    float64 `json:"solo_p99_ms,omitempty"`
-	BatchedP50MS float64 `json:"batched_p50_ms,omitempty"`
-	BatchedP99MS float64 `json:"batched_p99_ms,omitempty"`
-	// BatchedRuns counts responses that rode a coalesced engine pass;
-	// LanesPerFlush is the daemon-side mean batch size over all flushes.
-	BatchedRuns   int64   `json:"batched_runs"`
-	LanesPerFlush float64 `json:"lanes_per_flush,omitempty"`
-	// P99Attribution breaks the slowest runs down by span: mean self-time
-	// (child time excluded) in milliseconds per span name, aggregated over
-	// the daemon's slowest-run trace reservoir. It answers "where does the
-	// p99 spend its time" from the server's own flight recorder.
-	P99Attribution map[string]float64 `json:"p99_attribution_ms,omitempty"`
-	// SlowestTraceIDs lists the reservoir's trace IDs, slowest first, for
-	// /debug/traces/{id} follow-up.
-	SlowestTraceIDs []string `json:"slowest_trace_ids,omitempty"`
 }
 
 // traceList is the structured /debug/traces response.
@@ -163,26 +117,20 @@ func selfTimes(sp *obs.SpanExport, acc map[string]float64) {
 
 // p99Attribution fetches the daemon's slowest-run reservoir and reduces it
 // to mean self-time per span name, answering where the tail spends its
-// time. Returns the attribution and the reservoir's trace IDs (slowest
-// first).
-func p99Attribution(target string) (map[string]float64, []string, error) {
+// time. Returns the attribution and how many traces it was taken over.
+func p99Attribution(target string) (map[string]float64, int, error) {
 	var list traceList
 	if err := fetchJSON(target, "/debug/traces?endpoint=run&slowest=1", &list); err != nil {
-		return nil, nil, err
-	}
-	if len(list.Traces) == 0 {
-		return nil, nil, nil
+		return nil, 0, err
 	}
 	acc := map[string]float64{}
-	ids := make([]string, 0, len(list.Traces))
 	for _, t := range list.Traces {
-		ids = append(ids, t.ID)
 		selfTimes(t.Root, acc)
 	}
 	for name := range acc {
 		acc[name] /= float64(len(list.Traces))
 	}
-	return acc, ids, nil
+	return acc, len(list.Traces), nil
 }
 
 // percentile returns the p-th percentile (nearest-rank) of sorted latencies
@@ -340,7 +288,6 @@ func runLoadgen(cfg loadgenConfig) error {
 
 	// Phase 1+2: cold compile each kernel, then recompile warm. The
 	// server-reported elapsed time isolates compile cost from the network.
-	report := benchReport{Target: cfg.Target, Clients: cfg.Clients, Iters: cfg.Iters, Seed: cfg.Seed}
 	for _, k := range set {
 		cold, err := c.Compile(ctx, k.source, 0)
 		if err != nil {
@@ -356,23 +303,14 @@ func runLoadgen(cfg loadgenConfig) error {
 		if !warm.Cached {
 			return fmt.Errorf("recompile %s: not served from cache", k.name)
 		}
-		bk := benchKernel{
-			Name:       k.name,
-			ColdMS:     cold.ElapsedMS,
-			ColdSource: cold.Source,
-			WarmMS:     warm.ElapsedMS,
-			WarmSource: warm.Source,
-		}
 		// A warm serve regularly completes under the 1 µs measurement
 		// resolution; floor the denominator so the ratio stays finite.
 		warmMS := warm.ElapsedMS
 		if warmMS < 0.001 {
 			warmMS = 0.001
 		}
-		bk.Speedup = cold.ElapsedMS / warmMS
-		report.Kernels = append(report.Kernels, bk)
 		fmt.Printf("cgrad: %-14s cold %8.3f ms (%s)  warm %8.3f ms (%s)  speedup %.0fx\n",
-			k.name, bk.ColdMS, bk.ColdSource, bk.WarmMS, bk.WarmSource, bk.Speedup)
+			k.name, cold.ElapsedMS, cold.Source, warm.ElapsedMS, warm.Source, cold.ElapsedMS/warmMS)
 	}
 
 	// Phase 3: concurrent reference-checked runs over the mixed set, twice:
@@ -450,55 +388,42 @@ func runLoadgen(cfg loadgenConfig) error {
 	allLat := append(append([]time.Duration(nil), soloLat...), batchLat...)
 	sort.Slice(allLat, func(i, j int) bool { return allLat[i] < allLat[j] })
 
-	report.Runs = runs.Load()
-	report.RunErrors = runErrors.Load()
-	report.OnCGRA = onCGRA.Load()
-	report.BatchedRuns = batched.Load()
-	report.WallMS = float64(wall.Microseconds()) / 1000
+	var runsPerSec float64
 	if wall > 0 {
-		report.RunsPerSec = float64(report.Runs) / wall.Seconds()
+		runsPerSec = float64(runs.Load()) / wall.Seconds()
 	}
-	report.RunP50MS = percentile(allLat, 50)
-	report.RunP99MS = percentile(allLat, 99)
-	report.SoloP50MS = percentile(soloLat, 50)
-	report.SoloP99MS = percentile(soloLat, 99)
-	report.BatchedP50MS = percentile(batchLat, 50)
-	report.BatchedP99MS = percentile(batchLat, 99)
 	fmt.Printf("cgrad: %d runs (%d on CGRA, %d errors) in %.1f ms — %.0f runs/s, p50 %.3f ms, p99 %.3f ms\n",
-		report.Runs, report.OnCGRA, report.RunErrors, report.WallMS, report.RunsPerSec,
-		report.RunP50MS, report.RunP99MS)
-	fmt.Printf("cgrad: solo    p50 %.3f ms, p99 %.3f ms\n", report.SoloP50MS, report.SoloP99MS)
+		runs.Load(), onCGRA.Load(), runErrors.Load(), float64(wall.Microseconds())/1000, runsPerSec,
+		percentile(allLat, 50), percentile(allLat, 99))
+	fmt.Printf("cgrad: solo    p50 %.3f ms, p99 %.3f ms\n", percentile(soloLat, 50), percentile(soloLat, 99))
 	fmt.Printf("cgrad: batched p50 %.3f ms, p99 %.3f ms (%d of %d runs coalesced)\n",
-		report.BatchedP50MS, report.BatchedP99MS, report.BatchedRuns, int64(len(batchLat)))
+		percentile(batchLat, 50), percentile(batchLat, 99), batched.Load(), len(batchLat))
 
 	// Daemon-side batching counters: mean lanes per flush confirms the
 	// coalescer actually merged lanes rather than flushing singletons.
 	if lanes, flushes, err := batchCounters(cfg.Target); err != nil {
 		fmt.Fprintf(os.Stderr, "cgrad: batch metrics unavailable: %v\n", err)
 	} else if flushes > 0 {
-		report.LanesPerFlush = lanes / flushes
 		fmt.Printf("cgrad: coalescer: %.0f lanes over %.0f flushes — %.2f lanes/flush\n",
-			lanes, flushes, report.LanesPerFlush)
+			lanes, flushes, lanes/flushes)
 	}
-	if cfg.ExpectBatched && report.BatchedRuns == 0 {
+	if cfg.ExpectBatched && batched.Load() == 0 {
 		return fmt.Errorf("expected coalesced runs, got none (is the daemon serving with -batch-window?)")
 	}
 
 	// Tail attribution: reduce the daemon's slowest-run traces to mean
-	// self-time per span, so the report says where the p99 went, not just
+	// self-time per span, so the summary says where the p99 went, not just
 	// how big it was. A daemon without the /debug/traces surface (or an
-	// empty reservoir) only costs the report this section.
-	if attr, ids, err := p99Attribution(cfg.Target); err != nil {
+	// empty reservoir) only costs the summary this section.
+	if attr, n, err := p99Attribution(cfg.Target); err != nil {
 		fmt.Fprintf(os.Stderr, "cgrad: p99 attribution unavailable: %v\n", err)
 	} else if len(attr) > 0 {
-		report.P99Attribution = attr
-		report.SlowestTraceIDs = ids
 		names := make([]string, 0, len(attr))
 		for name := range attr {
 			names = append(names, name)
 		}
 		sort.Slice(names, func(i, j int) bool { return attr[names[i]] > attr[names[j]] })
-		fmt.Printf("cgrad: p99 attribution over %d slowest runs (mean self-time):\n", len(ids))
+		fmt.Printf("cgrad: p99 attribution over %d slowest runs (mean self-time):\n", n)
 		for _, name := range names {
 			fmt.Printf("cgrad:   %-18s %8.3f ms\n", name, attr[name])
 		}
@@ -511,22 +436,12 @@ func runLoadgen(cfg loadgenConfig) error {
 		fmt.Println("cgrad: chrome trace written to", cfg.TraceOut)
 	}
 
-	if cfg.BenchJSON != "" {
-		data, err := json.MarshalIndent(&report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(cfg.BenchJSON, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Println("cgrad: report written to", cfg.BenchJSON)
-	}
-	if report.RunErrors > 0 {
+	if n := runErrors.Load(); n > 0 {
 		select {
 		case err := <-errCh:
-			return fmt.Errorf("%d of %d runs failed; first failure: %v", report.RunErrors, report.Runs, err)
+			return fmt.Errorf("%d of %d runs failed; first failure: %v", n, runs.Load(), err)
 		default:
-			return fmt.Errorf("%d of %d runs failed", report.RunErrors, report.Runs)
+			return fmt.Errorf("%d of %d runs failed", n, runs.Load())
 		}
 	}
 	return nil

@@ -8,10 +8,10 @@
 //	cgrad -addr :8080 -comp "9 PEs" -cache-dir /var/cache/cgrad
 //
 // Load-generator mode (-loadgen) drives a running daemon with N concurrent
-// clients over a mixed kernel set, reference-checks every result and writes
-// a benchmark report:
+// clients over a mixed kernel set, reference-checks every result and prints
+// a latency summary:
 //
-//	cgrad -loadgen -target http://127.0.0.1:8080 -clients 4 -iters 8 -bench-json BENCH_server.json
+//	cgrad -loadgen -target http://127.0.0.1:8080 -clients 4 -iters 8
 //
 // Chaos soak mode (-chaos) serves in-process under seeded environment
 // fault injection, drives reference-checked load, then asserts bounded
@@ -55,7 +55,6 @@ func main() {
 		target        = flag.String("target", "http://127.0.0.1:8080", "daemon base URL (loadgen mode)")
 		clients       = flag.Int("clients", 4, "concurrent clients (loadgen mode)")
 		iters         = flag.Int("iters", 8, "run iterations per client (loadgen mode)")
-		benchJSON     = flag.String("bench-json", "", "write the loadgen benchmark report to this file")
 		expectWarm    = flag.Bool("expect-warm", false, "loadgen: fail unless every first compile is served from the cache")
 		expectBatched = flag.Bool("expect-batched", false, "loadgen: fail unless the daemon coalesced at least one run")
 		seed          = flag.Int64("seed", 1, "loadgen/chaos: RNG seed (deterministic request mix and fault schedule)")
@@ -74,12 +73,11 @@ func main() {
 
 	if *churnMode {
 		if err := runChurn(churnConfig{
-			CompName:  *compName,
-			Nodes:     *churnNodes,
-			Clients:   *clients,
-			Iters:     *churnIters,
-			Seed:      *seed,
-			BenchJSON: *benchJSON,
+			CompName: *compName,
+			Nodes:    *churnNodes,
+			Clients:  *clients,
+			Iters:    *churnIters,
+			Seed:     *seed,
 		}); err != nil {
 			fmt.Fprintln(os.Stderr, "cgrad:", err)
 			os.Exit(1)
@@ -106,7 +104,6 @@ func main() {
 			Target:        *target,
 			Clients:       *clients,
 			Iters:         *iters,
-			BenchJSON:     *benchJSON,
 			ExpectWarm:    *expectWarm,
 			ExpectBatched: *expectBatched,
 			Seed:          *seed,

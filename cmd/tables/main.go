@@ -30,29 +30,13 @@ func main() {
 	mul := flag.Bool("mul", false, "print the multiplier-latency experiment (FIR)")
 	ablations := flag.Bool("ablations", false, "print the ablation studies")
 	compositions := flag.Bool("compositions", false, "print the evaluated compositions (Fig. 13/14)")
-	benchJSON := flag.String("bench-json", "", "write per-workload compile+sim timings to this JSON file (use BENCH_pipeline.json)")
-	simBenchJSON := flag.String("sim-bench-json", "", "write simulator interp-vs-fast-path throughput to this JSON file (use BENCH_sim.json)")
-	moduloBenchJSON := flag.String("modulo-bench-json", "", "write the list-vs-modulo backend comparison to this JSON file (use BENCH_modulo.json)")
-	lanesBenchJSON := flag.String("lanes-bench-json", "", "write scalar-vs-batched engine throughput to this JSON file (use BENCH_lanes.json)")
 	flag.Parse()
 
-	all := *table == 0 && *figure == 0 && !*speedup && !*ablations && !*compositions && !*energy && !*mul && *benchJSON == "" && *simBenchJSON == "" && *moduloBenchJSON == "" && *lanesBenchJSON == ""
+	all := *table == 0 && *figure == 0 && !*speedup && !*ablations && !*compositions && !*energy && !*mul
 
 	s, err := exper.NewSetup()
 	if err != nil {
 		fatal(err)
-	}
-	if *benchJSON != "" {
-		writeBench(s, *benchJSON)
-	}
-	if *simBenchJSON != "" {
-		writeSimBench(s, *simBenchJSON)
-	}
-	if *moduloBenchJSON != "" {
-		writeModuloBench(*moduloBenchJSON)
-	}
-	if *lanesBenchJSON != "" {
-		writeLanesBench(s, *lanesBenchJSON)
 	}
 	if all || *table == 1 {
 		printTableI(s)
@@ -92,111 +76,6 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "tables:", err)
 	os.Exit(1)
-}
-
-// writeBench runs the per-workload compile+simulate benchmark and writes
-// the timings as JSON (the CI bench-smoke artifact).
-func writeBench(s *exper.Setup, path string) {
-	b, err := exper.Bench(s)
-	if err != nil {
-		fatal(err)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	err = b.WriteJSON(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %d workload benchmarks to %s\n", len(b.Workloads), path)
-}
-
-// writeModuloBench runs the auto backend (list vs modulo, both arms
-// verified) over the workload library and writes the per-kernel selection
-// and II report as JSON (committed as BENCH_modulo.json).
-func writeModuloBench(path string) {
-	b, err := exper.ModuloBench()
-	if err != nil {
-		fatal(err)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	err = b.WriteJSON(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fatal(err)
-	}
-	for _, e := range b.Workloads {
-		extra := ""
-		if e.PipelinedLoops > 0 {
-			extra = fmt.Sprintf("  II=%d MII=%d stages=%d iter-latency=%d", e.II, e.MII, e.Stages, e.ListIterLatency)
-		}
-		fmt.Printf("modulo-bench: %-10s selected %-6s list %8d  modulo %8d  (%+.1f%%)%s\n",
-			e.Name, e.Selected, e.ListCycles, e.ModuloCycles, -e.Reduction*100, extra)
-	}
-}
-
-// writeSimBench measures interpreter-vs-fast-path simulator throughput and
-// writes the result as JSON (committed as BENCH_sim.json; cmd/benchguard
-// gates CI against it).
-func writeSimBench(s *exper.Setup, path string) {
-	b, err := exper.SimBench(s)
-	if err != nil {
-		fatal(err)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	err = b.WriteJSON(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fatal(err)
-	}
-	for _, e := range b.Workloads {
-		fmt.Printf("sim-bench: %-10s interp %10.0f cyc/s  fast %10.0f cyc/s  speedup %5.1fx  allocs/cycle %.4f\n",
-			e.Name, e.InterpCyclesPerSec, e.FastCyclesPerSec, e.Speedup, e.FastAllocsPerCycle)
-	}
-	fmt.Printf("wrote %d simulator benchmarks to %s\n", len(b.Workloads), path)
-}
-
-// writeLanesBench measures scalar-vs-batched engine throughput and writes
-// the result as JSON (committed as BENCH_lanes.json; cmd/benchguard gates
-// CI against it with -kind lanes).
-func writeLanesBench(s *exper.Setup, path string) {
-	b, err := exper.LanesBench(s)
-	if err != nil {
-		fatal(err)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	err = b.WriteJSON(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fatal(err)
-	}
-	for _, e := range b.Workloads {
-		fmt.Printf("lanes-bench: %-10s scalar %11.0f cyc/s", e.Name, e.ScalarCyclesPerSec)
-		for _, p := range e.Lanes {
-			fmt.Printf("  N=%-2d %5.2fx", p.N, p.Speedup)
-		}
-		fmt.Println()
-	}
-	fmt.Printf("wrote %d lane benchmarks to %s\n", len(b.Workloads), path)
 }
 
 func i64(v int64) string { return strconv.FormatInt(v, 10) }

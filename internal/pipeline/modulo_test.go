@@ -39,46 +39,65 @@ func TestModuloBackendDifferential(t *testing.T) {
 	}
 }
 
-// TestModuloBackendPipelinesDot asserts dot actually pipelines and beats the
-// list backend end to end.
-func TestModuloBackendPipelinesDot(t *testing.T) {
+// pipeliningWins are the kernels whose inner loop must software-pipeline on
+// "9 PEs" and pay for it end to end.
+var pipeliningWins = []string{"dot", "fir"}
+
+// TestModuloBackendPipelines asserts dot and fir actually pipeline and beat
+// the list backend end to end.
+func TestModuloBackendPipelines(t *testing.T) {
 	comp, err := arch.ByName("9 PEs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := workload.DotProduct()
-	cm, err := Compile(w.Kernel, comp, moduloOptions())
-	if err != nil {
-		t.Fatalf("modulo compile: %v", err)
-	}
-	if cm.Schedule.Stats.PipelinedLoops != 1 {
-		t.Fatalf("pipelined loops = %d, want 1", cm.Schedule.Stats.PipelinedLoops)
-	}
-	pl := cm.Schedule.Pipelined[0]
-	t.Logf("dot: %+v", pl)
-	if pl.II < pl.MII {
-		t.Errorf("II %d below MII %d", pl.II, pl.MII)
-	}
+	for _, name := range pipeliningWins {
+		t.Run(name, func(t *testing.T) {
+			w, err := workload.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cm, err := Compile(w.Kernel, comp, moduloOptions())
+			if err != nil {
+				t.Fatalf("modulo compile: %v", err)
+			}
+			if cm.Schedule.Stats.PipelinedLoops != 1 {
+				t.Fatalf("pipelined loops = %d, want 1", cm.Schedule.Stats.PipelinedLoops)
+			}
+			pl := cm.Schedule.Pipelined[0]
+			t.Logf("%s: %+v", name, pl)
+			if pl.II < pl.MII {
+				t.Errorf("II %d below MII %d", pl.II, pl.MII)
+			}
 
-	cl, err := Compile(w.Kernel, comp, Defaults())
-	if err != nil {
-		t.Fatalf("list compile: %v", err)
-	}
-	rm, err := CheckAgainstInterpreter(w.Kernel, cm, w.Args(w.DefaultSize), w.Host(w.DefaultSize))
-	if err != nil {
-		t.Fatalf("modulo differential: %v", err)
-	}
-	rl, err := CheckAgainstInterpreter(w.Kernel, cl, w.Args(w.DefaultSize), w.Host(w.DefaultSize))
-	if err != nil {
-		t.Fatalf("list differential: %v", err)
-	}
-	t.Logf("cycles: modulo=%d list=%d", rm.Sim.RunCycles, rl.Sim.RunCycles)
-	if rm.Sim.RunCycles >= rl.Sim.RunCycles {
-		t.Errorf("modulo %d cycles not below list %d", rm.Sim.RunCycles, rl.Sim.RunCycles)
-	}
-	// The issue's acceptance bar: at least a 25% end-to-end reduction.
-	if rm.Sim.RunCycles*4 > rl.Sim.RunCycles*3 {
-		t.Errorf("modulo %d cycles is less than 25%% below list %d", rm.Sim.RunCycles, rl.Sim.RunCycles)
+			cl, err := Compile(w.Kernel, comp, Defaults())
+			if err != nil {
+				t.Fatalf("list compile: %v", err)
+			}
+			// The list layout's tightest loop, header through back-jump, is
+			// what one iteration costs without overlap; II must undercut it.
+			listIter := 0
+			for _, lr := range cl.Schedule.LoopRanges {
+				if n := lr[1] - lr[0] + 1; listIter == 0 || n < listIter {
+					listIter = n
+				}
+			}
+			if pl.II >= listIter {
+				t.Errorf("II %d not below the list layout's %d contexts per iteration", pl.II, listIter)
+			}
+			rm, err := CheckAgainstInterpreter(w.Kernel, cm, w.Args(w.DefaultSize), w.Host(w.DefaultSize))
+			if err != nil {
+				t.Fatalf("modulo differential: %v", err)
+			}
+			rl, err := CheckAgainstInterpreter(w.Kernel, cl, w.Args(w.DefaultSize), w.Host(w.DefaultSize))
+			if err != nil {
+				t.Fatalf("list differential: %v", err)
+			}
+			t.Logf("cycles: modulo=%d list=%d", rm.Sim.RunCycles, rl.Sim.RunCycles)
+			// The acceptance bar: at least a 25% end-to-end reduction.
+			if rm.Sim.RunCycles*4 > rl.Sim.RunCycles*3 {
+				t.Errorf("modulo %d cycles is less than 25%% below list %d", rm.Sim.RunCycles, rl.Sim.RunCycles)
+			}
+		})
 	}
 }
 
@@ -185,22 +204,29 @@ func TestAutoNeverSlowerThanList(t *testing.T) {
 	}
 }
 
-// TestAutoSelectsModuloForDot: the flagship kernel must actually win on the
+// TestAutoSelectsModulo: the flagship kernels must actually win on the
 // modulo path, and the report must carry the pipelining evidence.
-func TestAutoSelectsModuloForDot(t *testing.T) {
+func TestAutoSelectsModulo(t *testing.T) {
 	comp, err := arch.ByName("9 PEs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := workload.DotProduct()
-	_, rep, err := CompileAuto(w.Kernel, comp, Defaults(), w.Args(w.DefaultSize), w.Host(w.DefaultSize))
-	if err != nil {
-		t.Fatalf("auto: %v", err)
-	}
-	if rep.Selected != sched.BackendModulo {
-		t.Fatalf("auto selected %q for dot: %+v", rep.Selected, rep)
-	}
-	if len(rep.Pipelined) != 1 {
-		t.Errorf("report carries no pipelining evidence: %+v", rep)
+	for _, name := range pipeliningWins {
+		t.Run(name, func(t *testing.T) {
+			w, err := workload.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, rep, err := CompileAuto(w.Kernel, comp, Defaults(), w.Args(w.DefaultSize), w.Host(w.DefaultSize))
+			if err != nil {
+				t.Fatalf("auto: %v", err)
+			}
+			if rep.Selected != sched.BackendModulo {
+				t.Fatalf("auto selected %q: %+v", rep.Selected, rep)
+			}
+			if len(rep.Pipelined) != 1 {
+				t.Errorf("report carries no pipelining evidence: %+v", rep)
+			}
+		})
 	}
 }

@@ -72,12 +72,12 @@ func ParseBackend(name string) (string, error) {
 	if name == BackendAuto {
 		return BackendAuto, nil
 	}
-	b, err := sched.BackendByName(name)
+	canonical, err := sched.BackendByName(name)
 	if err != nil {
 		return "", fmt.Errorf("pipeline: unknown backend %q (valid: %s, auto)",
 			name, strings.Join(sched.Backends(), ", "))
 	}
-	return b.Name(), nil
+	return canonical, nil
 }
 
 // resolveBackend folds Options.Backend into the scheduler options and

@@ -1,28 +1,15 @@
 package sched
 
 import (
-	"context"
 	"fmt"
-	"sort"
 	"strings"
-
-	"cgra/internal/arch"
-	"cgra/internal/cdfg"
 )
 
-// Backend is one scheduling strategy. Both backends produce a complete,
+// Backend names (Options.Backend values). Both backends produce a complete,
 // verified Schedule for the whole kernel; they differ in how loop bodies are
 // laid out: the list backend runs iterations back-to-back, the modulo
 // backend software-pipelines eligible innermost loops at a minimized
 // initiation interval and falls back to the list layout elsewhere.
-type Backend interface {
-	// Name returns the backend's registry name (Options.Backend value).
-	Name() string
-	// Run schedules the graph onto the composition.
-	Run(ctx context.Context, g *cdfg.Graph, comp *arch.Composition, opts Options) (*Schedule, error)
-}
-
-// Backend names.
 const (
 	// BackendList is the paper's list scheduler (the default).
 	BackendList = "list"
@@ -31,45 +18,19 @@ const (
 	BackendModulo = "modulo"
 )
 
-type listBackend struct{}
+// Backends lists the valid backend names, sorted.
+func Backends() []string { return []string{BackendList, BackendModulo} }
 
-func (listBackend) Name() string { return BackendList }
-func (listBackend) Run(ctx context.Context, g *cdfg.Graph, comp *arch.Composition, opts Options) (*Schedule, error) {
-	return runCtx(ctx, g, comp, opts, false)
-}
-
-type moduloBackend struct{}
-
-func (moduloBackend) Name() string { return BackendModulo }
-func (moduloBackend) Run(ctx context.Context, g *cdfg.Graph, comp *arch.Composition, opts Options) (*Schedule, error) {
-	return runCtx(ctx, g, comp, opts, true)
-}
-
-var backends = map[string]Backend{
-	BackendList:   listBackend{},
-	BackendModulo: moduloBackend{},
-}
-
-// Backends lists the registered backend names, sorted.
-func Backends() []string {
-	out := make([]string, 0, len(backends))
-	for name := range backends {
-		out = append(out, name)
+// BackendByName resolves a backend name to its canonical form; the empty
+// string selects the list backend. Unknown names fail with the valid choices
+// spelled out, so flag parsing can reject them before any compilation work
+// starts.
+func BackendByName(name string) (string, error) {
+	switch name {
+	case "", BackendList:
+		return BackendList, nil
+	case BackendModulo:
+		return BackendModulo, nil
 	}
-	sort.Strings(out)
-	return out
-}
-
-// BackendByName resolves a backend name; the empty string selects the list
-// backend. Unknown names fail with the valid choices spelled out, so flag
-// parsing can reject them before any compilation work starts.
-func BackendByName(name string) (Backend, error) {
-	if name == "" {
-		name = BackendList
-	}
-	b, ok := backends[name]
-	if !ok {
-		return nil, fmt.Errorf("sched: unknown backend %q (valid: %s)", name, strings.Join(Backends(), ", "))
-	}
-	return b, nil
+	return "", fmt.Errorf("sched: unknown backend %q (valid: %s)", name, strings.Join(Backends(), ", "))
 }

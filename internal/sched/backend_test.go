@@ -21,12 +21,12 @@ func TestBackends(t *testing.T) {
 func TestBackendByName(t *testing.T) {
 	for _, name := range []string{"", BackendList} {
 		b, err := BackendByName(name)
-		if err != nil || b.Name() != BackendList {
+		if err != nil || b != BackendList {
 			t.Errorf("BackendByName(%q) = %v, %v; want list backend", name, b, err)
 		}
 	}
 	b, err := BackendByName(BackendModulo)
-	if err != nil || b.Name() != BackendModulo {
+	if err != nil || b != BackendModulo {
 		t.Errorf("BackendByName(modulo) = %v, %v", b, err)
 	}
 	if _, err := BackendByName("simulated-annealing"); err == nil {

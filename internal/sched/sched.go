@@ -23,18 +23,15 @@ func Run(g *cdfg.Graph, comp *arch.Composition, opts Options) (*Schedule, error)
 // returns no schedule — never a partial one.
 //
 // Options.Backend selects the strategy; see Backends() for valid names.
+// Under the modulo backend innermost eligible loops are software-pipelined
+// by the modulo scheduler; everything else (and every fallback) uses the
+// list layout.
 func RunCtx(ctx context.Context, g *cdfg.Graph, comp *arch.Composition, opts Options) (*Schedule, error) {
-	b, err := BackendByName(opts.Backend)
+	backend, err := BackendByName(opts.Backend)
 	if err != nil {
 		return nil, err
 	}
-	return b.Run(ctx, g, comp, opts)
-}
-
-// runCtx is the shared scheduling driver. With pipeline set, innermost
-// eligible loops are software-pipelined by the modulo scheduler; everything
-// else (and every fallback) uses the list layout.
-func runCtx(ctx context.Context, g *cdfg.Graph, comp *arch.Composition, opts Options, pipeline bool) (*Schedule, error) {
+	pipeline := backend == BackendModulo
 	if err := comp.Validate(); err != nil {
 		return nil, fmt.Errorf("sched: %v", err)
 	}

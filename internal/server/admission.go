@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"cgra/internal/ir"
+	"cgra/internal/system"
 )
 
 // Machine-readable error codes carried in the JSON error body ("code") so
@@ -200,7 +201,7 @@ func (s *Server) handleRunDegraded(w http.ResponseWriter, r *http.Request) int {
 	}
 	res, err := s.sys.InvokeHost(ctx, req.Kernel, req.Args, host)
 	if err != nil {
-		if errIsDeadline(err) {
+		if system.ErrIsDeadline(err) {
 			return writeError(w, r, http.StatusGatewayTimeout, codeDeadline, err.Error())
 		}
 		return writeError(w, r, http.StatusUnprocessableEntity, codeRunFailed, err.Error())

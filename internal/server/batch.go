@@ -232,7 +232,7 @@ func (s *Server) serveBatched(w http.ResponseWriter, r *http.Request, req *RunRe
 	sp.Finish()
 
 	if ln.out.Err != nil {
-		if errIsDeadline(ln.out.Err) {
+		if system.ErrIsDeadline(ln.out.Err) {
 			return writeError(w, r, http.StatusGatewayTimeout, codeDeadline, ln.out.Err.Error()), true
 		}
 		return writeError(w, r, http.StatusUnprocessableEntity, codeRunFailed, ln.out.Err.Error()), true

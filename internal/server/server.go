@@ -443,7 +443,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) int {
 	}
 	info, err := s.sys.SynthesizeCtx(ctx, k.Name)
 	if err != nil {
-		if errIsDeadline(err) {
+		if system.ErrIsDeadline(err) {
 			return writeError(w, r, http.StatusGatewayTimeout, codeDeadline, err.Error())
 		}
 		return writeError(w, r, http.StatusUnprocessableEntity, codeCompileFailed, err.Error())
@@ -500,7 +500,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) int {
 	}
 	res, err := s.sys.InvokeCtx(ctx, req.Kernel, req.Args, host)
 	if err != nil {
-		if errIsDeadline(err) {
+		if system.ErrIsDeadline(err) {
 			return writeError(w, r, http.StatusGatewayTimeout, codeDeadline, err.Error())
 		}
 		return writeError(w, r, http.StatusUnprocessableEntity, codeRunFailed, err.Error())
@@ -587,10 +587,6 @@ func traceIDOf(r *http.Request) string {
 // request's trace ID so a logged failure joins against its trace.
 func writeError(w http.ResponseWriter, r *http.Request, status int, code, msg string) int {
 	return writeJSON(w, status, errorResponse{Error: msg, Code: code, TraceID: traceIDOf(r)})
-}
-
-func errIsDeadline(err error) bool {
-	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
 }
 
 // CompileRequest is the body of POST /v1/compile.

@@ -8,7 +8,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"net/http/httptrace"
 	"strings"
 	"sync"
 	"testing"
@@ -257,21 +256,29 @@ func TestDrainUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 8
-	var wrote sync.WaitGroup
-	wrote.Add(n)
+	// Requests the server has begun handling: completed plus in flight.
+	// Total is read first, so a request finishing between the two reads is
+	// missed, never counted twice.
+	begun := func() int { return int(s.flight.Total()) + len(s.flight.InFlight()) }
+	before := begun()
 	errs := make(chan error, n)
 	for i := 0; i < n; i++ {
 		go func() {
-			// Signal once the request bytes are on the wire, so shutdown
-			// races with genuinely in-flight requests.
-			trace := &httptrace.ClientTrace{WroteRequest: func(httptrace.WroteRequestInfo) { wrote.Done() }}
-			ctx := httptrace.WithClientTrace(context.Background(), trace)
 			host := w.Host(w.DefaultSize)
-			_, err := c.Run(ctx, "fir", w.Args(w.DefaultSize), host.Arrays)
+			_, err := c.Run(context.Background(), "fir", w.Args(w.DefaultSize), host.Arrays)
 			errs <- err
 		}()
 	}
-	wrote.Wait()
+	// Shut down only once the server has taken all n requests off the
+	// listener, so shutdown races with genuinely in-flight requests: a
+	// connection still in the accept backlog is reset by the kernel when the
+	// listener closes, which no drain logic can prevent.
+	for deadline := time.Now().Add(10 * time.Second); begun() < before+n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("server began %d of %d requests within 10s", begun()-before, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := s.Shutdown(shutCtx); err != nil {

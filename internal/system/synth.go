@@ -102,7 +102,7 @@ func (s *System) completeSynthJob(job synthJob, ent *entry, err error) {
 	case err == nil:
 		s.installLocked(job.name, ent)
 		br.success()
-	case errIsDeadline(err):
+	case ErrIsDeadline(err):
 		result = "deadline"
 		s.ctr.deadlineHits.Add(1)
 		br.failure(time.Now(), s.breakerThreshold())

@@ -750,7 +750,7 @@ func (s *System) recoverInvocation(ctx context.Context, name string, args map[st
 				// The degraded array cannot map the kernel: permanent host
 				// fallback — unless the compile merely hit its deadline, in
 				// which case a later profiled run may retry synthesis.
-				if !errIsDeadline(err) {
+				if !ErrIsDeadline(err) {
 					s.hostOnly[name] = true
 				}
 				s.mu.Unlock()
@@ -1139,8 +1139,8 @@ func (s *System) Profile() []struct {
 	return out
 }
 
-// errIsDeadline reports whether a synthesis error was a deadline or
-// cancellation abort rather than a genuine mapping failure.
-func errIsDeadline(err error) bool {
+// ErrIsDeadline reports whether an error was a deadline or cancellation
+// abort rather than a genuine mapping or execution failure.
+func ErrIsDeadline(err error) bool {
 	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
 }
