@@ -27,8 +27,8 @@ type loadgenConfig struct {
 	Iters      int
 	ExpectWarm bool
 	// ExpectBatched fails the loadgen unless the daemon coalesced at least
-	// one run (client-observed and metric-confirmed) — the CI smoke asserts
-	// the batching path is actually exercised, not silently bypassed.
+	// one run — the CI smoke asserts the batching path is actually
+	// exercised, not silently bypassed.
 	ExpectBatched bool
 	// Seed drives the kernel mix. Worker g uses rand.NewSource(Seed+g), so
 	// a given (seed, clients, iters) triple replays the exact same request
@@ -69,33 +69,6 @@ func fetchJSON(base, path string, out any) error {
 		return fmt.Errorf("GET %s: HTTP %d", path, resp.StatusCode)
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// batchCounters scrapes the daemon's metrics and returns the total number
-// of coalesced lanes (cgra_run_batched_total) and batch flushes
-// (cgra_run_batch_flush_total summed over flush reasons).
-func batchCounters(target string) (lanes, flushes float64, err error) {
-	var doc struct {
-		Metrics []struct {
-			Name  string   `json:"name"`
-			Value *float64 `json:"value"`
-		} `json:"metrics"`
-	}
-	if err := fetchJSON(target, "/metrics?format=json", &doc); err != nil {
-		return 0, 0, err
-	}
-	for _, m := range doc.Metrics {
-		if m.Value == nil {
-			continue
-		}
-		switch m.Name {
-		case "cgra_run_batched_total":
-			lanes += *m.Value
-		case "cgra_run_batch_flush_total":
-			flushes += *m.Value
-		}
-	}
-	return lanes, flushes, nil
 }
 
 // selfTimes accumulates each span's self-time (duration minus direct
@@ -313,99 +286,86 @@ func runLoadgen(cfg loadgenConfig) error {
 			k.name, cold.ElapsedMS, cold.Source, warm.ElapsedMS, warm.Source, cold.ElapsedMS/warmMS)
 	}
 
-	// Phase 3: concurrent reference-checked runs over the mixed set, twice:
-	// a solo pass with every request opted out of coalescing (no_batch),
-	// then a batched pass replaying the identical mix through the coalescer.
-	// Each worker draws kernels from its own deterministic RNG stream
-	// (seeded from -seed plus the worker index), so both passes submit the
-	// same request sequence regardless of goroutine interleaving.
+	// Phase 3: concurrent reference-checked runs over the mixed set. Each
+	// worker draws kernels from its own deterministic RNG stream (seeded
+	// from -seed plus the worker index), so a (seed, clients, iters) triple
+	// submits the same request sequence regardless of goroutine
+	// interleaving.
 	var runs, runErrors, onCGRA, batched atomic.Int64
 	errCh := make(chan error, cfg.Clients)
-	runPhase := func(noBatch bool) []time.Duration {
-		latencies := make([][]time.Duration, cfg.Clients)
-		var wg sync.WaitGroup
-		for g := 0; g < cfg.Clients; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(cfg.Seed + int64(g)))
-				lats := make([]time.Duration, 0, cfg.Iters)
-				for i := 0; i < cfg.Iters; i++ {
-					k := set[rng.Intn(len(set))]
-					req := server.RunRequest{
-						Kernel:  k.name,
-						Args:    k.freshArgs(),
-						Arrays:  k.freshArrays(),
-						NoBatch: noBatch,
-					}
-					t0 := time.Now()
-					resp, err := c.RunReq(ctx, req)
-					elapsed := time.Since(t0)
-					lats = append(lats, elapsed)
-					runs.Add(1)
-					if cfg.SlowLog > 0 && elapsed >= cfg.SlowLog && err == nil {
-						fmt.Printf("cgrad: slow run %-14s %8.3f ms  trace %s\n",
-							k.name, float64(elapsed.Microseconds())/1000, resp.TraceID)
-					}
-					if err != nil {
-						runErrors.Add(1)
-						select {
-						case errCh <- fmt.Errorf("run %s: %v", k.name, err):
-						default:
-						}
-						continue
-					}
-					if resp.OnCGRA {
-						onCGRA.Add(1)
-					}
-					if resp.Batched {
-						batched.Add(1)
-					}
-					if err := k.check(resp); err != nil {
-						runErrors.Add(1)
-						select {
-						case errCh <- err:
-						default:
-						}
-					}
-				}
-				latencies[g] = lats
-			}(g)
+	latencies := make([][]time.Duration, cfg.Clients)
+	// flushes[g] sums 1/batch_lanes over worker g's coalesced runs: each
+	// engine pass adds up to one across the lanes it carried.
+	flushes := make([]float64, cfg.Clients)
+	fail := func(err error) {
+		runErrors.Add(1)
+		select {
+		case errCh <- err:
+		default:
 		}
-		wg.Wait()
-		var all []time.Duration
-		for _, lats := range latencies {
-			all = append(all, lats...)
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-		return all
 	}
-
 	start := time.Now()
-	soloLat := runPhase(true)
-	batchLat := runPhase(false)
+	var wg sync.WaitGroup
+	for g := 0; g < cfg.Clients; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(cfg.Seed + int64(g)))
+			lats := make([]time.Duration, 0, cfg.Iters)
+			for i := 0; i < cfg.Iters; i++ {
+				k := set[rng.Intn(len(set))]
+				t0 := time.Now()
+				resp, err := c.Run(ctx, k.name, k.freshArgs(), k.freshArrays())
+				elapsed := time.Since(t0)
+				lats = append(lats, elapsed)
+				runs.Add(1)
+				if cfg.SlowLog > 0 && elapsed >= cfg.SlowLog && err == nil {
+					fmt.Printf("cgrad: slow run %-14s %8.3f ms  trace %s\n",
+						k.name, float64(elapsed.Microseconds())/1000, resp.TraceID)
+				}
+				if err != nil {
+					fail(fmt.Errorf("run %s: %v", k.name, err))
+					continue
+				}
+				if resp.OnCGRA {
+					onCGRA.Add(1)
+				}
+				if resp.Batched {
+					batched.Add(1)
+					flushes[g] += 1 / float64(resp.BatchLanes)
+				}
+				if err := k.check(resp); err != nil {
+					fail(err)
+				}
+			}
+			latencies[g] = lats
+		}(g)
+	}
+	wg.Wait()
 	wall := time.Since(start)
-	allLat := append(append([]time.Duration(nil), soloLat...), batchLat...)
+	var allLat []time.Duration
+	for _, lats := range latencies {
+		allLat = append(allLat, lats...)
+	}
 	sort.Slice(allLat, func(i, j int) bool { return allLat[i] < allLat[j] })
 
 	var runsPerSec float64
 	if wall > 0 {
 		runsPerSec = float64(runs.Load()) / wall.Seconds()
 	}
-	fmt.Printf("cgrad: %d runs (%d on CGRA, %d errors) in %.1f ms — %.0f runs/s, p50 %.3f ms, p99 %.3f ms\n",
-		runs.Load(), onCGRA.Load(), runErrors.Load(), float64(wall.Microseconds())/1000, runsPerSec,
+	fmt.Printf("cgrad: %d runs (%d on CGRA, %d coalesced, %d errors) in %.1f ms — %.0f runs/s, p50 %.3f ms, p99 %.3f ms\n",
+		runs.Load(), onCGRA.Load(), batched.Load(), runErrors.Load(), float64(wall.Microseconds())/1000, runsPerSec,
 		percentile(allLat, 50), percentile(allLat, 99))
-	fmt.Printf("cgrad: solo    p50 %.3f ms, p99 %.3f ms\n", percentile(soloLat, 50), percentile(soloLat, 99))
-	fmt.Printf("cgrad: batched p50 %.3f ms, p99 %.3f ms (%d of %d runs coalesced)\n",
-		percentile(batchLat, 50), percentile(batchLat, 99), batched.Load(), len(batchLat))
 
-	// Daemon-side batching counters: mean lanes per flush confirms the
-	// coalescer actually merged lanes rather than flushing singletons.
-	if lanes, flushes, err := batchCounters(cfg.Target); err != nil {
-		fmt.Fprintf(os.Stderr, "cgrad: batch metrics unavailable: %v\n", err)
-	} else if flushes > 0 {
-		fmt.Printf("cgrad: coalescer: %.0f lanes over %.0f flushes — %.2f lanes/flush\n",
-			lanes, flushes, lanes/flushes)
+	// Mean lanes per flush says whether the coalescer merged lanes or
+	// flushed singletons.
+	var passes float64
+	for _, f := range flushes {
+		passes += f
+	}
+	if passes > 0 {
+		fmt.Printf("cgrad: coalescer: %d lanes over %.0f flushes — %.2f lanes/flush\n",
+			batched.Load(), passes, float64(batched.Load())/passes)
 	}
 	if cfg.ExpectBatched && batched.Load() == 0 {
 		return fmt.Errorf("expected coalesced runs, got none (is the daemon serving with -batch-window?)")

@@ -46,7 +46,6 @@ func main() {
 		deadline    = flag.Duration("deadline", 0, "default per-request deadline (0 = 30s)")
 		unroll      = flag.Int("unroll", 2, "loop unroll factor")
 		batchWindow = flag.Duration("batch-window", 0, "same-artifact /v1/run coalescing window (0 = coalescing off)")
-		batchLanes  = flag.Int("batch-lanes", 0, "max lanes per coalesced /v1/run batch (0 = default)")
 		advertise   = flag.String("advertise", "", "this node's base URL as peers reach it (enables clustering with -peers)")
 		peers       = flag.String("peers", "", "comma-separated peer base URLs (the same list can be passed to every node)")
 		probeEvery  = flag.Duration("probe-interval", 0, "peer health probe interval (0 = default)")
@@ -131,7 +130,6 @@ func main() {
 		MaxInFlight:     *maxInFlight,
 		DefaultDeadline: *deadline,
 		BatchWindow:     *batchWindow,
-		BatchMaxLanes:   *batchLanes,
 		Advertise:       *advertise,
 		Peers:           splitPeers(*peers),
 		ProbeInterval:   *probeEvery,

@@ -21,15 +21,10 @@
 package server
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
 	"time"
-
-	"cgra/internal/ir"
-	"cgra/internal/system"
 )
 
 // Machine-readable error codes carried in the JSON error body ("code") so
@@ -176,44 +171,6 @@ func (s *Server) BrownoutActive() bool {
 		s.brownoutG.Set(0)
 	}
 	return active
-}
-
-// handleRunDegraded is the brownout overflow path for /v1/run: the kernel
-// runs on the host interpreter — no accelerator, no profiling, no
-// admission slot — and the response is marked degraded so callers know the
-// cycle count is absent and the result did not exercise the CGRA.
-func (s *Server) handleRunDegraded(w http.ResponseWriter, r *http.Request) int {
-	if r.Method != http.MethodPost {
-		return writeError(w, r, http.StatusMethodNotAllowed, codeBadMethod, "POST required")
-	}
-	var req RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return writeError(w, r, http.StatusBadRequest, codeBadRequest, "bad request body: "+err.Error())
-	}
-	if s.sys.Kernel(req.Kernel) == nil {
-		return writeError(w, r, http.StatusNotFound, codeUnknownKernel, fmt.Sprintf("unknown kernel %q", req.Kernel))
-	}
-	ctx, cancel := s.requestCtx(r, req.DeadlineMS)
-	defer cancel()
-	host := ir.NewHost()
-	for name, data := range req.Arrays {
-		host.Arrays[name] = append([]int32(nil), data...)
-	}
-	res, err := s.sys.InvokeHost(ctx, req.Kernel, req.Args, host)
-	if err != nil {
-		if system.ErrIsDeadline(err) {
-			return writeError(w, r, http.StatusGatewayTimeout, codeDeadline, err.Error())
-		}
-		return writeError(w, r, http.StatusUnprocessableEntity, codeRunFailed, err.Error())
-	}
-	return writeJSON(w, http.StatusOK, RunResponse{
-		LiveOuts: res.LiveOuts,
-		Arrays:   host.Arrays,
-		Cycles:   res.Cycles,
-		OnCGRA:   res.OnCGRA,
-		Degraded: true,
-		TraceID:  traceIDOf(r),
-	})
 }
 
 // writeShed writes a shed/backpressure error (429/503) with retry hints:

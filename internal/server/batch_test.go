@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -14,11 +13,10 @@ import (
 
 // newBatchServer builds a server with request coalescing enabled and dot
 // compiled/installed, so /v1/run requests are batch-eligible immediately.
-func newBatchServer(t *testing.T, window time.Duration, maxLanes int) (*Server, *Client, func()) {
+func newBatchServer(t *testing.T, window time.Duration) (*Server, *Client, func()) {
 	t.Helper()
 	cfg := testConfig(t, t.TempDir())
 	cfg.BatchWindow = window
-	cfg.BatchMaxLanes = maxLanes
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -48,11 +46,13 @@ func dotReq(t *testing.T, size int) (RunRequest, int32) {
 	return RunRequest{Kernel: w.Kernel.Name, Args: args, Arrays: host.Arrays}, want["s"]
 }
 
-// TestRunBatchLingerFlush coalesces concurrent same-artifact requests
-// inside the linger window: every lane gets its own correct result, and at
-// least one flush is driven by the linger timer.
+// TestRunBatchLingerFlush is the HTTP face of the system's coalescer (its
+// flush rules are tested in internal/system, TestInvokeCtxCoalesces):
+// concurrent same-artifact requests inside the linger window each get
+// their own correct result marked batched with its lane count, and the
+// flush-reason counters move on the daemon's registry.
 func TestRunBatchLingerFlush(t *testing.T) {
-	s, c, cleanup := newBatchServer(t, 60*time.Millisecond, 16)
+	s, c, cleanup := newBatchServer(t, 60*time.Millisecond)
 	defer cleanup()
 
 	const n = 4
@@ -78,64 +78,25 @@ func TestRunBatchLingerFlush(t *testing.T) {
 		if got := resps[i].LiveOuts["s"]; got != wants[i] {
 			t.Errorf("lane %d: s = %d, want %d", i, got, wants[i])
 		}
-		if !resps[i].Batched {
-			t.Errorf("lane %d not batched", i)
+		if !resps[i].Batched || resps[i].BatchLanes < 1 || resps[i].BatchLanes > n {
+			t.Errorf("lane %d: batched=%t batch_lanes=%d, want batched with 1..%d lanes",
+				i, resps[i].Batched, resps[i].BatchLanes, n)
 		}
 	}
 	reg := s.Metrics()
 	if got := reg.Counter("cgra_run_batched_total").Value(); got < n {
 		t.Errorf("cgra_run_batched_total = %d, want >= %d", got, n)
 	}
-	if got := reg.Counter("cgra_run_batch_flush_total", obs.L("reason", flushLinger)).Value(); got < 1 {
+	if got := reg.Counter("cgra_run_batch_flush_total", obs.L("reason", "linger")).Value(); got < 1 {
 		t.Errorf("no linger flush recorded")
 	}
 }
 
-// TestRunBatchFullFlush: a long linger window must not delay a batch that
-// fills up — the filling lane flushes immediately with reason "full".
-func TestRunBatchFullFlush(t *testing.T) {
-	// Long enough that a linger flush would trip the elapsed check, short
-	// enough that the default 30s deadline stays >= 8x window (no rush).
-	const window = time.Second
-	s, c, cleanup := newBatchServer(t, window, 2)
-	defer cleanup()
-
-	start := time.Now()
-	const n = 4
-	resps := make([]*RunResponse, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		req, _ := dotReq(t, 8)
-		wg.Add(1)
-		go func(i int, req RunRequest) {
-			defer wg.Done()
-			resps[i], errs[i] = c.RunReq(context.Background(), req)
-		}(i, req)
-	}
-	wg.Wait()
-	if elapsed := time.Since(start); elapsed > window {
-		t.Fatalf("batch waited out the linger window (%v): full flush not triggered", elapsed)
-	}
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			t.Fatalf("lane %d: %v", i, errs[i])
-		}
-		if !resps[i].Batched || resps[i].BatchLanes != 2 {
-			t.Errorf("lane %d: batched=%t lanes=%d, want batched with 2 lanes",
-				i, resps[i].Batched, resps[i].BatchLanes)
-		}
-	}
-	reg := s.Metrics()
-	if got := reg.Counter("cgra_run_batch_flush_total", obs.L("reason", flushFull)).Value(); got != 2 {
-		t.Errorf("full flushes = %d, want 2", got)
-	}
-}
-
-// TestRunBatchDeadlineSolo: a request whose deadline cannot absorb the
-// linger window bypasses the batcher entirely.
+// TestRunBatchDeadlineSolo: the body's deadline_ms reaches the system's
+// coalescer through the request context — one that cannot absorb the
+// linger window (under 2x) runs alone.
 func TestRunBatchDeadlineSolo(t *testing.T) {
-	s, c, cleanup := newBatchServer(t, 200*time.Millisecond, 16)
+	s, c, cleanup := newBatchServer(t, 200*time.Millisecond)
 	defer cleanup()
 
 	req, want := dotReq(t, 8)
@@ -159,10 +120,10 @@ func TestRunBatchDeadlineSolo(t *testing.T) {
 	}
 }
 
-// TestRunBatchDeadlineRush: a deadline that can start a batch but not wait
-// out the linger joins and flushes immediately (reason "deadline").
+// TestRunBatchDeadlineRush: a deadline_ms that can start a batch but not
+// wait out the linger joins and flushes immediately (reason "deadline").
 func TestRunBatchDeadlineRush(t *testing.T) {
-	s, c, cleanup := newBatchServer(t, 200*time.Millisecond, 16)
+	s, c, cleanup := newBatchServer(t, 200*time.Millisecond)
 	defer cleanup()
 
 	req, want := dotReq(t, 8)
@@ -182,76 +143,8 @@ func TestRunBatchDeadlineRush(t *testing.T) {
 		t.Errorf("s = %d, want %d", got, want)
 	}
 	reg := s.Metrics()
-	if got := reg.Counter("cgra_run_batch_flush_total", obs.L("reason", flushDeadline)).Value(); got != 1 {
+	if got := reg.Counter("cgra_run_batch_flush_total", obs.L("reason", "deadline")).Value(); got != 1 {
 		t.Errorf("deadline flushes = %d, want 1", got)
-	}
-}
-
-// TestRunBatchNoBatchOptOut: "no_batch": true skips coalescing even when
-// the kernel is batch-eligible.
-func TestRunBatchNoBatchOptOut(t *testing.T) {
-	s, c, cleanup := newBatchServer(t, 50*time.Millisecond, 16)
-	defer cleanup()
-
-	req, want := dotReq(t, 8)
-	req.NoBatch = true
-	resp, err := c.RunReq(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Batched {
-		t.Error("no_batch request was batched")
-	}
-	if got := resp.LiveOuts["s"]; got != want {
-		t.Errorf("s = %d, want %d", got, want)
-	}
-	if got := s.Metrics().Counter("cgra_run_batched_total").Value(); got != 0 {
-		t.Errorf("cgra_run_batched_total = %d, want 0", got)
-	}
-}
-
-// TestRunBatchLaneErrorIsolation: a lane whose heap cannot sustain the run
-// fails alone; sibling lanes in the same batch are unaffected.
-func TestRunBatchLaneErrorIsolation(t *testing.T) {
-	_, c, cleanup := newBatchServer(t, 60*time.Millisecond, 16)
-	defer cleanup()
-
-	const n = 3
-	resps := make([]*RunResponse, n)
-	errs := make([]error, n)
-	wants := make([]int32, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		req, want := dotReq(t, 8)
-		wants[i] = want
-		if i == 1 {
-			// Middle lane: heap too small for n=8 — faults on the engine
-			// and again on the host recovery ladder.
-			req.Arrays = map[string][]int32{"a": {}, "b": {}}
-		}
-		wg.Add(1)
-		go func(i int, req RunRequest) {
-			defer wg.Done()
-			resps[i], errs[i] = c.RunReq(context.Background(), req)
-		}(i, req)
-	}
-	wg.Wait()
-
-	if errs[1] == nil {
-		t.Error("broken lane succeeded")
-	} else {
-		var apiErr *APIError
-		if !errors.As(errs[1], &apiErr) {
-			t.Errorf("broken lane error is not an APIError: %v", errs[1])
-		}
-	}
-	for _, i := range []int{0, 2} {
-		if errs[i] != nil {
-			t.Fatalf("good lane %d poisoned: %v", i, errs[i])
-		}
-		if got := resps[i].LiveOuts["s"]; got != wants[i] {
-			t.Errorf("good lane %d: s = %d, want %d", i, got, wants[i])
-		}
 	}
 }
 

@@ -124,8 +124,7 @@ func (c *Client) Run(ctx context.Context, kernel string, args map[string]int32, 
 }
 
 // RunReq invokes a kernel with full control over the request body (per-run
-// deadline, batching opt-out). The loadgen's solo phases use NoBatch to
-// measure uncoalesced latency against a batching daemon.
+// deadline).
 func (c *Client) RunReq(ctx context.Context, req RunRequest) (*RunResponse, error) {
 	var resp RunResponse
 	if err := c.post(ctx, "/v1/run", req.DeadlineMS, req, &resp); err != nil {

@@ -77,9 +77,6 @@ type Config struct {
 	// for one installed artifact arriving within this linger window run as
 	// data-parallel lanes of a single engine pass (0 = batching off).
 	BatchWindow time.Duration
-	// BatchMaxLanes bounds one batch; a batch that fills flushes without
-	// waiting out the window (0 = 16).
-	BatchMaxLanes int
 	// BrownoutWindow and BrownoutThreshold arm brownout mode when that many
 	// requests are shed inside the window (0 = 1s / 4); BrownoutHold keeps
 	// it armed after the last trigger (0 = 2s).
@@ -128,7 +125,6 @@ type Server struct {
 	bo      *brownout
 	flight  *obs.FlightRecorder
 	cluster *clusterState
-	batcher *runBatcher
 
 	inflight       *obs.Gauge
 	shed           *obs.Counter
@@ -158,6 +154,7 @@ func New(cfg Config) (*Server, error) {
 	// Threshold 1: a served daemon compiles on request (or first profiled
 	// run), it does not wait for a hot-loop profile.
 	sys := system.New(cfg.Comp, cfg.Opts, 1)
+	sys.CoalesceRuns(cfg.BatchWindow)
 	reg := sys.Metrics()
 	store, err := cache.New(cache.Options{
 		Dir:           cfg.CacheDir,
@@ -207,15 +204,14 @@ func New(cfg Config) (*Server, error) {
 		brownoutServes: reg.Counter("cgra_server_brownout_serves_total"),
 		latency:        reg.Histogram("cgra_server_request_seconds", requestLatencyBuckets),
 	}
-	if cfg.BatchWindow > 0 {
-		s.batcher = newRunBatcher(sys, reg, cfg.BatchWindow, cfg.BatchMaxLanes, deadline)
-	}
 	if cfg.Advertise != "" && len(cfg.Peers) > 0 {
 		s.cluster = newClusterState(cfg, reg)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/compile", s.instrument("compile", s.handleCompile))
-	mux.HandleFunc("/v1/run", s.instrument("run", s.handleRun))
+	mux.HandleFunc("/v1/run", s.instrument("run", func(w http.ResponseWriter, r *http.Request) int {
+		return s.handleRun(w, r, false)
+	}))
 	mux.HandleFunc("/v1/kernels", s.instrument("kernels", s.handleKernels))
 	mux.HandleFunc("/v1/artifact/", s.instrument("artifact", s.handleArtifact))
 	mux.HandleFunc("/v1/peerz", s.handlePeers)
@@ -367,7 +363,7 @@ func (s *Server) instrument(endpoint string, h func(http.ResponseWriter, *http.R
 				s.brownoutServes.Inc()
 				adm.Event("brownout_serve", "overflow served by host interpreter")
 				adm.Finish()
-				code = s.handleRunDegraded(w, r)
+				code = s.handleRun(w, r, true)
 				return
 			}
 			adm.Event("shed", "overloaded")
@@ -384,12 +380,15 @@ func (s *Server) instrument(endpoint string, h func(http.ResponseWriter, *http.R
 	}
 }
 
-// requestCtx derives the per-request context from the deadline field (or
-// the server default).
+// requestCtx is the one place a request's deadline is derived: the body's
+// deadline_ms, else the announced X-Deadline-Ms header admission already
+// shed on, else the server default.
 func (s *Server) requestCtx(r *http.Request, deadlineMS int64) (context.Context, context.CancelFunc) {
 	d := s.deadline
 	if deadlineMS > 0 {
 		d = time.Duration(deadlineMS) * time.Millisecond
+	} else if dl := clientDeadline(r); dl > 0 {
+		d = dl
 	}
 	return context.WithTimeout(r.Context(), d)
 }
@@ -471,7 +470,10 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) int {
 	})
 }
 
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) int {
+// handleRun serves /v1/run. brownout is admission's verdict: the overflow
+// request holds no admission slot and runs on the host interpreter — no
+// accelerator, no profiling — with the response marked degraded.
+func (s *Server) handleRun(w http.ResponseWriter, r *http.Request, brownout bool) int {
 	if r.Method != http.MethodPost {
 		return writeError(w, r, http.StatusMethodNotAllowed, codeBadMethod, "POST required")
 	}
@@ -487,18 +489,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) int {
 	}
 	ctx, cancel := s.requestCtx(r, req.DeadlineMS)
 	defer cancel()
-	host := ir.NewHost()
-	for name, data := range req.Arrays {
-		host.Arrays[name] = append([]int32(nil), data...)
-	}
 	dec.Set("arrays", int64(len(req.Arrays)))
 	dec.Finish()
-	if s.batcher != nil && !req.NoBatch {
-		if code, handled := s.serveBatched(w, r, &req, host); handled {
-			return code
-		}
+	invoke := s.sys.InvokeCtx
+	if brownout {
+		invoke = s.sys.InvokeHost
 	}
-	res, err := s.sys.InvokeCtx(ctx, req.Kernel, req.Args, host)
+	// The decoded arrays are private to this request: they are the heap.
+	res, err := invoke(ctx, req.Kernel, req.Args, &ir.Host{Arrays: req.Arrays})
 	if err != nil {
 		if system.ErrIsDeadline(err) {
 			return writeError(w, r, http.StatusGatewayTimeout, codeDeadline, err.Error())
@@ -510,11 +508,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) int {
 	rsp := obs.ContextSpan(r.Context()).StartChild("respond")
 	defer rsp.Finish()
 	return writeJSON(w, http.StatusOK, RunResponse{
-		LiveOuts: res.LiveOuts,
-		Arrays:   host.Arrays,
-		Cycles:   res.Cycles,
-		OnCGRA:   res.OnCGRA,
-		TraceID:  traceIDOf(r),
+		LiveOuts:   res.LiveOuts,
+		Arrays:     req.Arrays,
+		Cycles:     res.Cycles,
+		OnCGRA:     res.OnCGRA,
+		Degraded:   brownout,
+		Batched:    res.Lanes > 0,
+		BatchLanes: res.Lanes,
+		TraceID:    traceIDOf(r),
 	})
 }
 
@@ -620,9 +621,6 @@ type RunRequest struct {
 	Args       map[string]int32   `json:"args,omitempty"`
 	Arrays     map[string][]int32 `json:"arrays,omitempty"`
 	DeadlineMS int64              `json:"deadline_ms,omitempty"`
-	// NoBatch opts this request out of same-artifact coalescing (used by
-	// benchmark solo phases and latency-critical callers).
-	NoBatch bool `json:"no_batch,omitempty"`
 }
 
 // RunResponse reports one execution.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -212,21 +213,51 @@ func TestAdmissionControlSheds(t *testing.T) {
 
 func TestCompileDeadlineReturns504(t *testing.T) {
 	// An aggressive unroll factor makes the adpcm compile take ~100 ms, so
-	// a 1 ms deadline reliably expires inside the scheduler.
-	cfg := testConfig(t, "")
-	cfg.Opts = pipeline.Options{UnrollFactor: 64, CSE: true, ConstFold: true}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	// a 1 ms deadline reliably expires inside the scheduler — whether the
+	// body carries it or only the announced header does.
+	cases := []struct {
+		name   string
+		bodyMS int64
+		header string
+	}{
+		{"body deadline_ms", 1, ""},
+		{"header only", 0, "1"},
 	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	defer s.Shutdown(context.Background())
-	c := NewClient(ts.URL)
-	_, err = c.Compile(context.Background(), adpcm.KernelSource, time.Millisecond)
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.Code != http.StatusGatewayTimeout {
-		t.Fatalf("deadline compile: got %v, want 504", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(t, "")
+			cfg.Opts = pipeline.Options{UnrollFactor: 64, CSE: true, ConstFold: true}
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			defer s.Shutdown(context.Background())
+			body, err := json.Marshal(CompileRequest{Source: adpcm.KernelSource, DeadlineMS: tc.bodyMS})
+			if err != nil {
+				t.Fatal(err)
+			}
+			req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/compile", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.header != "" {
+				req.Header.Set(deadlineHeader, tc.header)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var e errorResponse
+			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusGatewayTimeout || e.Code != codeDeadline {
+				t.Fatalf("deadline compile: HTTP %d code %q, want 504 %q", resp.StatusCode, e.Code, codeDeadline)
+			}
+		})
 	}
 }
 
@@ -407,6 +438,15 @@ func TestErrorBodiesCarryCodes(t *testing.T) {
 	_, err = c.Compile(context.Background(), "this is not ir", 0)
 	if !errors.As(err, &apiErr) || apiErr.ErrCode != codeBadRequest {
 		t.Fatalf("bad source: got %v, want code %q", err, codeBadRequest)
+	}
+	// A heap too small for the run faults on the array and again on the
+	// host recovery ladder: the failure is the request's own, not a 5xx.
+	compileWorkload(t, c, "dot")
+	req, _ := dotReq(t, 8)
+	req.Arrays = map[string][]int32{"a": {}, "b": {}}
+	_, err = c.RunReq(context.Background(), req)
+	if !errors.As(err, &apiErr) || apiErr.ErrCode != codeRunFailed {
+		t.Fatalf("failing run: got %v, want code %q", err, codeRunFailed)
 	}
 }
 

@@ -41,6 +41,7 @@ import (
 	"cgra/internal/obs"
 	"cgra/internal/opt"
 	"cgra/internal/pipeline"
+	"cgra/internal/sim"
 )
 
 // Result reports one invocation through the system.
@@ -57,6 +58,9 @@ type Result struct {
 	// and the reported result comes from a recovery path (a re-execution,
 	// a degraded-array re-synthesis, or the host fallback).
 	Recovered bool
+	// Lanes is how many invocations shared the engine pass that served this
+	// one (0 = it ran alone; see batch.go).
+	Lanes int
 }
 
 // Stats is a point-in-time snapshot of the system-level counters. The
@@ -182,6 +186,11 @@ type entry struct {
 	maxCycles int64
 	// br is the kernel's circuit breaker (shared across entries).
 	br *breaker
+	// batchMu guards open, the batch currently lingering for this artifact
+	// (see batch.go). A re-synthesis installs a new entry, so a new artifact
+	// starts fresh batches.
+	batchMu sync.Mutex
+	open    *batch
 }
 
 // sysState is the immutable dispatch snapshot behind the atomic pointer.
@@ -273,6 +282,9 @@ type System struct {
 	// every synthesis run.
 	reg *obs.Registry
 	ctr sysCounters
+	// co is the run coalescer's window and counters (nil = coalescing off;
+	// see CoalesceRuns).
+	co *coalescer
 	// seqMu guards synthSeq so Stats can snapshot it without taking mu.
 	seqMu    sync.Mutex
 	synthSeq []string
@@ -391,23 +403,34 @@ func (s *System) ClearFaults() {
 // machinery entirely. It is the server's brownout path: always available,
 // never queued behind a compile, immune to accelerator faults.
 func (s *System) InvokeHost(ctx context.Context, name string, args map[string]int32, host *ir.Host) (*Result, error) {
+	res, err := s.execHost(ctx, name, args, host)
+	if err == nil {
+		s.ctr.invocations.Add(1)
+	}
+	return res, err
+}
+
+// execHost is the one AMIDAR execution: run, "engine" span, run and cycle
+// counters. It must never take s.mu — InvokeHost is the brownout path and
+// has to answer while a compile holds the lock; runHost adds the profiling
+// that needs it.
+func (s *System) execHost(ctx context.Context, name string, args map[string]int32, host *ir.Host) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("system: invocation of %q cancelled: %w", name, err)
 	}
-	st := s.state.Load()
-	k := st.kernels[name]
+	kernels := s.state.Load().kernels
+	k := kernels[name]
 	if k == nil {
 		return nil, fmt.Errorf("system: unknown kernel %q", name)
 	}
 	sp := obs.ContextSpan(ctx).StartChild("engine")
 	sp.Annotate("path", "host")
-	base, err := amidar.ExecuteProgram(k, st.kernels, s.Cost, args, host)
+	base, err := amidar.ExecuteProgram(k, kernels, s.Cost, args, host)
 	sp.Finish()
 	if err != nil {
 		return nil, fmt.Errorf("system: AMIDAR run of %q: %v", name, err)
 	}
 	sp.Set("cycles", base.Cycles)
-	s.ctr.invocations.Add(1)
 	s.ctr.amidarRuns.Add(1)
 	s.ctr.amidarCycles.Add(base.Cycles)
 	return &Result{LiveOuts: base.LiveOuts, Cycles: base.Cycles}, nil
@@ -477,7 +500,9 @@ func (s *System) Invoke(name string, args map[string]int32, host *ir.Host) (*Res
 // accelerator faults are recovered transparently (retries with backoff,
 // degraded re-synthesis, host fallback); InvokeCtx returns an error only
 // for caller mistakes (unknown kernel, bad arguments), host-side failures,
-// or a cancelled context.
+// or a cancelled context. With CoalesceRuns on, an invocation of an
+// installed entry may linger for same-artifact siblings and run as one
+// lane of a shared engine pass (Result.Lanes; see batch.go).
 //
 // InvokeCtx is safe for concurrent use and the hot path (synthesized
 // kernel, fault-free hardware) is lock-free; invocations of different
@@ -485,8 +510,7 @@ func (s *System) Invoke(name string, args map[string]int32, host *ir.Host) (*Res
 // passed in must not be shared between concurrent invocations.
 func (s *System) InvokeCtx(ctx context.Context, name string, args map[string]int32, host *ir.Host) (*Result, error) {
 	st := s.state.Load()
-	k := st.kernels[name]
-	if k == nil {
+	if st.kernels[name] == nil {
 		return nil, fmt.Errorf("system: unknown kernel %q", name)
 	}
 	ctx, sp := obs.StartSpanCtx(ctx, "system.invoke")
@@ -505,28 +529,24 @@ func (s *System) InvokeCtx(ctx context.Context, name string, args map[string]int
 	}
 	lk.Finish()
 
-	if ent != nil {
-		if !ent.br.allow(time.Now(), s.breakerCooldown()) {
-			// Breaker open: shed to the host without profiling (the kernel
-			// is already synthesized; re-synthesis is not what it needs).
-			sp.Event("breaker_open_shed", "breaker open: serving on host")
-			return s.runHost(ctx, name, k, args, host, false)
-		}
-		res, err := s.runAccelerated(ctx, name, ent, args, host)
-		if err == nil {
-			ent.br.success()
-			return res, nil
-		}
-		if ctx.Err() != nil {
-			// Caller cancellation is not a hardware fault; surface it.
-			return nil, err
-		}
-		s.ctr.faultsDetected.Add(1)
-		sp.Event("fault_detected", err.Error())
-		ent.br.failure(time.Now(), s.breakerThreshold())
-		return s.recoverInvocation(ctx, name, args, host)
+	eng, rush := s.admitLane(ctx, ent)
+	switch {
+	case ent == nil:
+		return s.runHost(ctx, name, args, host, !s.isHostOnly(name))
+	case !ent.br.allow(time.Now(), s.breakerCooldown()):
+		// Breaker open: shed to the host without profiling (the kernel
+		// is already synthesized; re-synthesis is not what it needs).
+		sp.Event("breaker_open_shed", "breaker open: serving on host")
+		return s.runHost(ctx, name, args, host, false)
+	case eng != nil:
+		return s.coalesce(ctx, name, ent, eng, rush, args, host)
 	}
-	return s.runHost(ctx, name, k, args, host, !s.isHostOnly(name))
+	res, err := s.runAccelerated(ctx, name, ent, args, host)
+	if err != nil {
+		return s.recoverInvocation(ctx, name, err, args, host)
+	}
+	ent.br.success()
+	return res, nil
 }
 
 func (s *System) isHostOnly(name string) bool {
@@ -579,33 +599,22 @@ func (s *System) BreakerState(name string) string {
 
 // runHost executes on the AMIDAR host; when profile is true the profiler
 // accumulates the kernel's weight and may enqueue background synthesis.
-func (s *System) runHost(ctx context.Context, name string, k *ir.Kernel, args map[string]int32, host *ir.Host, profile bool) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("system: invocation of %q cancelled: %w", name, err)
-	}
-	st := s.state.Load()
-	sp := obs.ContextSpan(ctx).StartChild("engine")
-	sp.Annotate("path", "host")
-	base, err := amidar.ExecuteProgram(k, st.kernels, s.Cost, args, host)
-	sp.Finish()
+func (s *System) runHost(ctx context.Context, name string, args map[string]int32, host *ir.Host, profile bool) (*Result, error) {
+	result, err := s.execHost(ctx, name, args, host)
 	if err != nil {
-		return nil, fmt.Errorf("system: AMIDAR run of %q: %v", name, err)
+		return nil, err
 	}
-	sp.Set("cycles", base.Cycles)
-	s.ctr.amidarRuns.Add(1)
-	s.ctr.amidarCycles.Add(base.Cycles)
-	result := &Result{LiveOuts: base.LiveOuts, Cycles: base.Cycles}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.hostRuns[name]++
-	if base.Cycles > s.hostMaxCycles[name] {
-		s.hostMaxCycles[name] = base.Cycles
+	if result.Cycles > s.hostMaxCycles[name] {
+		s.hostMaxCycles[name] = result.Cycles
 	}
 	if !profile {
 		return result, nil
 	}
-	s.weights[name] += base.Cycles
+	s.weights[name] += result.Cycles
 	if s.weights[name] < s.Threshold || s.hostOnly[name] || s.pendingSynth[name] {
 		return result, nil
 	}
@@ -668,14 +677,21 @@ func (s *System) runAccelerated(ctx context.Context, name string, ent *entry, ar
 			return nil, fmt.Errorf("system: cross-check of %q: heap contents diverge from reference", name)
 		}
 	}
-	// Accept: commit the scratch heap into the caller's.
+	out := s.accept(host, scratch, res)
+	sp.Set("cycles", out.Cycles)
+	return out, nil
+}
+
+// accept is the one accept step of a CGRA run, solo or lane: commit the
+// scratch heap into the caller's, count the run, build the Result.
+func (s *System) accept(host, scratch *ir.Host, res *sim.Result) *Result {
 	for arr, data := range scratch.Arrays {
 		copy(host.Arrays[arr], data)
 	}
-	sp.Set("cycles", res.TotalCycles())
+	cycles := res.TotalCycles()
 	s.ctr.cgraRuns.Add(1)
-	s.ctr.cgraCycles.Add(res.TotalCycles())
-	return &Result{LiveOuts: res.LiveOuts, Cycles: res.TotalCycles(), OnCGRA: true}, nil
+	s.ctr.cgraCycles.Add(cycles)
+	return &Result{LiveOuts: res.LiveOuts, Cycles: cycles, OnCGRA: true}
 }
 
 func (s *System) watchdogCap() int64 {
@@ -712,12 +728,17 @@ func (s *System) cycleBudgetLocked(name string) int64 {
 	return budget
 }
 
-// recoverInvocation drives the recovery policy after a detected fault:
-// mask newly diagnosed permanent faults and re-synthesize onto the
-// degraded composition, re-execute up to the retry cap — each attempt
-// paced by exponential backoff with jitter — and finally fall back to host
-// execution.
-func (s *System) recoverInvocation(ctx context.Context, name string, args map[string]int32, host *ir.Host) (*Result, error) {
+// recoverInvocation is the one fault step of a rejected CGRA run, solo or
+// lane. A cancelled caller is not a hardware fault and gets the error
+// back. Any other rejection, and each failed retry after it, is counted
+// and charged to the breaker; the recovery policy masks newly diagnosed
+// permanent faults and re-synthesizes onto the degraded composition,
+// re-executes up to the retry cap — each attempt paced by exponential
+// backoff with jitter — and finally falls back to host execution.
+func (s *System) recoverInvocation(ctx context.Context, name string, fault error, args map[string]int32, host *ir.Host) (*Result, error) {
+	if ctx.Err() != nil {
+		return nil, fault
+	}
 	ctx, sp := obs.StartSpanCtx(ctx, "recover")
 	defer sp.Finish()
 	br := s.breakerFor(name)
@@ -729,8 +750,11 @@ func (s *System) recoverInvocation(ctx context.Context, name string, args map[st
 	if maxBackoff <= 0 {
 		maxBackoff = 20 * time.Millisecond
 	}
-	for attempt := 0; attempt < s.Policy.MaxRetries; attempt++ {
-		if sleepCtx(ctx, jitter(backoff)) != nil {
+	for attempt := 0; ; attempt++ {
+		s.ctr.faultsDetected.Add(1)
+		sp.Event("fault_detected", fault.Error())
+		br.failure(time.Now(), s.breakerThreshold())
+		if attempt >= s.Policy.MaxRetries || sleepCtx(ctx, jitter(backoff)) != nil {
 			break
 		}
 		if backoff *= 2; backoff > maxBackoff {
@@ -776,13 +800,11 @@ func (s *System) recoverInvocation(ctx context.Context, name string, args map[st
 		if ctx.Err() != nil {
 			break
 		}
-		s.ctr.faultsDetected.Add(1)
-		sp.Event("fault_detected", err.Error())
-		br.failure(time.Now(), s.breakerThreshold())
+		fault = err
 	}
 	s.ctr.fallbacks.Add(1)
 	sp.Event("host_fallback", "recovery exhausted: serving on host")
-	res, err := s.runHost(ctx, name, s.state.Load().kernels[name], args, host, false)
+	res, err := s.runHost(ctx, name, args, host, false)
 	if err != nil {
 		return nil, err
 	}
