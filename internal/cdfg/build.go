@@ -436,6 +436,17 @@ var cmpToArch = map[ir.BinOp]arch.OpCode{
 	ir.OpGe: arch.IFGE, ir.OpEq: arch.IFEQ, ir.OpNe: arch.IFNE,
 }
 
+// ArchOp returns the PE opcode a binary operator lowers to: an ALU op for
+// arithmetic, a status-producing compare for relations. ok is false for
+// the logical connectives, which lower to predicates instead.
+func ArchOp(op ir.BinOp) (code arch.OpCode, ok bool) {
+	if code, ok = binToArch[op]; ok {
+		return code, true
+	}
+	code, ok = cmpToArch[op]
+	return code, ok
+}
+
 var cmpNegate = map[ir.BinOp]ir.BinOp{
 	ir.OpLt: ir.OpGe, ir.OpGe: ir.OpLt,
 	ir.OpLe: ir.OpGt, ir.OpGt: ir.OpLe,

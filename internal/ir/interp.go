@@ -377,9 +377,11 @@ func (in *Interp) eval(k *Kernel, env map[string]int32, host *Host, e Expr) (int
 }
 
 // EvalBin applies a non-logical binary operator with Java-like 32-bit
-// semantics (shift amounts masked to 5 bits, wrap-around arithmetic).
-// Both the interpreter and the CGRA simulator ALU use this single
-// definition, so the two execution paths cannot diverge.
+// semantics (shift amounts masked to 5 bits, wrap-around arithmetic). It
+// is the interpreter's definition. The simulator keeps its own per-opcode
+// copies (sim's evalALU/evalCompare, and RunBatch's inlined switches);
+// sim's TestEvalMatchesIR holds the first to this one on every operator
+// cdfg lowers, and the lane differential holds RunBatch to the first.
 func EvalBin(op BinOp, x, y int32, stats *OpStats) (int32, error) {
 	if stats != nil {
 		switch {

@@ -181,10 +181,10 @@ func (a *Artifact) Realize() (*Compiled, error) {
 		prog.PE[pe] = ctxs
 	}
 	c := &Compiled{Schedule: s, Graph: g, Program: prog}
-	// Warm the fast-path engine eagerly: a realized artifact exists to be
-	// executed (the daemon's warm-cache serving path), so the one-time
-	// predecode happens here rather than on the first request. A program
-	// the fast path cannot pre-resolve simply keeps the interpreter.
+	// Warm the engine eagerly: a realized artifact exists to be executed
+	// (the daemon's warm-cache serving path), so the one-time predecode
+	// happens here rather than on the first request. A predecode error is
+	// memoized and surfaces on the first run.
 	_, _ = c.Engine()
 	return c, nil
 }

@@ -42,8 +42,7 @@ func engineCases(t testing.TB) []engineCase {
 			host: w.Host(w.DefaultSize),
 		})
 		// Modulo-backend variants: software-pipelined context layouts
-		// (prologue/kernel/epilogue with a conditional back-jump) must run
-		// identically on the fast path and the instrumented interpreter.
+		// (prologue/kernel/epilogue with a conditional back-jump).
 		mo := Defaults()
 		mo.Backend = sched.BackendModulo
 		cm, err := Compile(w.Kernel, comp, mo)
@@ -79,53 +78,54 @@ func engineCases(t testing.TB) []engineCase {
 	return cases
 }
 
-// runSlow forces the fully instrumented interpreter path by attaching a
-// no-op probe (the fast path requires Probe == nil).
-func runSlow(c *Compiled, args map[string]int32, host *ir.Host) (*sim.Result, error) {
-	m := sim.New(c.Program)
+// runHooked runs the compiled kernel with a no-op probe attached, so the
+// walk takes every hook branch.
+func runHooked(c *Compiled, args map[string]int32, host *ir.Host) (*sim.Result, error) {
+	m := c.Machine()
 	m.Probe = func(sim.Event) {}
 	return m.Run(args, host)
 }
 
-// TestEngineDifferential asserts the predecoded fast path is byte-for-byte
-// result-identical to the instrumented interpreter on every workload
-// kernel: live-outs, run/transfer cycles, accumulated energy and heap
-// effects.
+// TestEngineDifferential asserts that attaching instrumentation leaves a
+// run result-identical on every workload kernel: live-outs, run/transfer
+// cycles, accumulated energy and heap effects of the hooked walk equal the
+// plain one. Identity with the old interpreter, events and faults included,
+// is sim's TestEngineMatchesReference.
 func TestEngineDifferential(t *testing.T) {
 	for _, tc := range engineCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := tc.c.Engine(); err != nil {
 				t.Fatalf("program does not predecode: %v", err)
 			}
-			hostSlow := tc.host.Clone()
-			hostFast := tc.host.Clone()
-			slow, err := runSlow(tc.c, tc.args, hostSlow)
+			hostHooked := tc.host.Clone()
+			hostPlain := tc.host.Clone()
+			hooked, err := runHooked(tc.c, tc.args, hostHooked)
 			if err != nil {
-				t.Fatalf("interpreter: %v", err)
+				t.Fatalf("hooked: %v", err)
 			}
-			fast, err := tc.c.Run(tc.args, hostFast)
+			plain, err := tc.c.Run(tc.args, hostPlain)
 			if err != nil {
-				t.Fatalf("fast path: %v", err)
+				t.Fatalf("plain: %v", err)
 			}
-			if slow.RunCycles != fast.RunCycles {
-				t.Errorf("run cycles: interpreter %d, fast %d", slow.RunCycles, fast.RunCycles)
+			if hooked.RunCycles != plain.RunCycles {
+				t.Errorf("run cycles: hooked %d, plain %d", hooked.RunCycles, plain.RunCycles)
 			}
-			if slow.TransferCycles != fast.TransferCycles {
-				t.Errorf("transfer cycles: interpreter %d, fast %d", slow.TransferCycles, fast.TransferCycles)
+			if hooked.TransferCycles != plain.TransferCycles {
+				t.Errorf("transfer cycles: hooked %d, plain %d", hooked.TransferCycles, plain.TransferCycles)
 			}
-			if slow.Energy != fast.Energy {
-				t.Errorf("energy: interpreter %v, fast %v", slow.Energy, fast.Energy)
+			if hooked.Energy != plain.Energy {
+				t.Errorf("energy: hooked %v, plain %v", hooked.Energy, plain.Energy)
 			}
-			if len(slow.LiveOuts) != len(fast.LiveOuts) {
-				t.Errorf("live-out count: interpreter %d, fast %d", len(slow.LiveOuts), len(fast.LiveOuts))
+			if len(hooked.LiveOuts) != len(plain.LiveOuts) {
+				t.Errorf("live-out count: hooked %d, plain %d", len(hooked.LiveOuts), len(plain.LiveOuts))
 			}
-			for name, want := range slow.LiveOuts {
-				if got, ok := fast.LiveOuts[name]; !ok || got != want {
-					t.Errorf("live-out %q: interpreter %d, fast %d (present %v)", name, want, got, ok)
+			for name, want := range hooked.LiveOuts {
+				if got, ok := plain.LiveOuts[name]; !ok || got != want {
+					t.Errorf("live-out %q: hooked %d, plain %d (present %v)", name, want, got, ok)
 				}
 			}
-			if !hostSlow.Equal(hostFast) {
-				t.Errorf("heap contents diverge between interpreter and fast path")
+			if !hostHooked.Equal(hostPlain) {
+				t.Errorf("heap contents diverge between hooked and plain run")
 			}
 		})
 	}
@@ -368,7 +368,7 @@ func TestEngineLanesCancellation(t *testing.T) {
 	}
 }
 
-// TestEnginePoolReuse runs the fast path repeatedly and concurrently over
+// TestEnginePoolReuse runs the scalar walk repeatedly and concurrently over
 // one shared Decoded: pooled run state must be fully reset between runs,
 // and concurrent requests must not interfere (the cgrad serving pattern).
 func TestEnginePoolReuse(t *testing.T) {
@@ -417,8 +417,8 @@ func TestEnginePoolReuse(t *testing.T) {
 	}
 }
 
-// TestEngineWatchdog asserts the fast path honors MaxCycles with the same
-// typed error as the interpreter.
+// TestEngineWatchdog asserts the scalar walk honors MaxCycles with the
+// typed WatchdogError.
 func TestEngineWatchdog(t *testing.T) {
 	tc := engineCases(t)[0]
 	m := tc.c.Machine()

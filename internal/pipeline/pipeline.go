@@ -117,7 +117,7 @@ type Compiled struct {
 	// phase). Always populated, even without an Options.Obs registry.
 	Trace *obs.Span
 
-	// engine memoizes the predecoded fast-path simulator of Program, so
+	// engine memoizes the predecoded simulator engine of Program, so
 	// repeated runs of one compiled kernel (the daemon's serving hot path)
 	// decode the context stream exactly once.
 	engineOnce sync.Once
@@ -125,11 +125,10 @@ type Compiled struct {
 	engineErr  error
 }
 
-// Engine returns the predecoded fast-path engine of the compiled program,
-// decoding it on first use and memoizing the result. An error means the
-// program holds a construct the fast path cannot pre-resolve; callers fall
-// back to the instrumented interpreter, which reproduces the exact runtime
-// diagnostic.
+// Engine returns the predecoded engine of the compiled program, decoding it
+// on first use and memoizing the result. An error means the program holds
+// a construct Predecode cannot pre-resolve; every run of it fails with
+// that error.
 func (c *Compiled) Engine() (*sim.Decoded, error) {
 	c.engineOnce.Do(func() {
 		c.engine, c.engineErr = sim.Predecode(c.Program)
@@ -137,10 +136,9 @@ func (c *Compiled) Engine() (*sim.Decoded, error) {
 	return c.engine, c.engineErr
 }
 
-// Machine builds a simulator for the compiled program with the predecoded
-// engine attached when available. Attaching instrumentation (Probe, Trace)
-// or a fault plan to the returned machine automatically reverts it to the
-// fully observable interpreter path.
+// Machine builds a simulator for the compiled program with the memoized
+// engine attached when available. Instrumentation (Probe, Trace) or a fault
+// plan attached to the returned machine hooks into the same engine walk.
 func (c *Compiled) Machine() *sim.Machine {
 	m := sim.New(c.Program)
 	if d, err := c.Engine(); err == nil {
@@ -257,8 +255,7 @@ func CompileCtx(ctx context.Context, k *ir.Kernel, comp *arch.Composition, o Opt
 	return &Compiled{Kernel: optimized, Graph: g, Schedule: s, Program: prog, Trace: root}, nil
 }
 
-// Run executes the compiled kernel on the CGRA simulator (fast path when
-// the program predecodes).
+// Run executes the compiled kernel on the CGRA simulator.
 func (c *Compiled) Run(args map[string]int32, host *ir.Host) (*sim.Result, error) {
 	return c.Machine().Run(args, host)
 }

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"cgra/internal/arch"
+	"cgra/internal/cdfg"
+	"cgra/internal/ir"
 )
 
 // TestEvalALUExhaustive covers every ALU opcode, including the JVM-style
@@ -143,6 +145,44 @@ func TestEvalCompareUnknownOp(t *testing.T) {
 	for _, op := range []arch.OpCode{arch.IADD, arch.MOVE, arch.LOAD, arch.OpCode(250)} {
 		if _, err := evalCompare(op, 1, 2); err == nil {
 			t.Errorf("evalCompare(%v) succeeded, want error", op)
+		}
+	}
+}
+
+// TestEvalMatchesIR holds the simulator ALU to ir.EvalBin, the
+// interpreter's definition: for every binary operator cdfg lowers to a PE
+// opcode, evalALU or evalCompare must agree with it on the edge operands
+// of the tests above (extremes, shift counts around the 5-bit mask).
+func TestEvalMatchesIR(t *testing.T) {
+	vals := []int32{math.MinInt32, -31, -2, -1, 0, 1, 2, 4, 31, 32, 33, 0x12345678, math.MaxInt32}
+	for op := ir.OpAdd; op <= ir.OpLOr; op++ {
+		code, ok := cdfg.ArchOp(op)
+		if !ok {
+			if !op.IsLogical() {
+				t.Errorf("cdfg lowers %v to no PE opcode", op)
+			}
+			continue
+		}
+		for _, a := range vals {
+			for _, b := range vals {
+				want, err := ir.EvalBin(op, a, b, nil)
+				if err != nil {
+					t.Fatalf("ir.EvalBin(%v, %d, %d): %v", op, a, b, err)
+				}
+				var got int32
+				if op.IsCompare() {
+					var s bool
+					s, err = evalCompare(code, a, b)
+					if s {
+						got = 1
+					}
+				} else {
+					got, err = evalALU(code, a, b, 0)
+				}
+				if err != nil || got != want {
+					t.Errorf("%v as %v on (%d, %d): sim %d (err %v), ir %d", op, code, a, b, got, err, want)
+				}
+			}
 		}
 	}
 }

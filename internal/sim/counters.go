@@ -38,7 +38,7 @@ func AttachCounters(m *Machine) *Counters {
 		links: map[[2]int]int64{},
 	}
 	if c.limit == 0 {
-		c.limit = 500_000_000
+		c.limit = defaultMaxCycles
 	}
 	c.issues = make([]int64, c.numPE)
 	c.rfHigh = make([]int, c.numPE)

@@ -65,9 +65,3 @@ type Event struct {
 	Addr  int
 	Value int32
 }
-
-func (m *Machine) emit(ev Event) {
-	if m.Probe != nil {
-		m.Probe(ev)
-	}
-}

@@ -1,6 +1,6 @@
 // Predecoding compiles a ctxgen.Program once into a flat, cache-friendly
-// microprogram the simulator's fast path executes with zero allocations per
-// cycle. The paper's tool flow fixes the context stream at synthesis time
+// microprogram the simulator executes with zero allocations per cycle. The
+// paper's tool flow fixes the context stream at synthesis time
 // (§IV: context memories addressed by one global CCNT), so everything
 // cycle-invariant — which PE slots are non-NOP, operand multiplexer
 // settings, routed-input source PEs, DMA array identities, op durations and
@@ -24,7 +24,7 @@ import (
 	"cgra/internal/sched"
 )
 
-// slot kinds: what the fast path does with an issued operation.
+// slot kinds: what the walk does with an issued operation.
 const (
 	slotALU = iota
 	slotCompare
@@ -99,8 +99,8 @@ type Decoded struct {
 	cbSlots int
 
 	// slots[slotIdx[c]:slotIdx[c+1]] are context c's non-NOP PE slots in
-	// PE order (the interpreter's issue order, so energy accumulation is
-	// bit-identical).
+	// PE order: the issue order, which fixes the order of energy
+	// accumulation and of the issue-phase hook calls.
 	slots   []dslot
 	slotIdx []int32
 	// outls[outlIdx[c]:outlIdx[c+1]] are context c's routing-output
@@ -135,8 +135,8 @@ type Decoded struct {
 	lanePool sync.Pool
 }
 
-// fpend is one pending end-of-cycle commit on the fast path (the
-// interpreter's pendingWrite with the array name replaced by its ID).
+// fpend is one pending end-of-cycle commit of the scalar walk: an RF write
+// (possibly squashed) or a DMA transfer completing at the end of cycle.
 type fpend struct {
 	cycle   int64
 	pe      int32
@@ -149,7 +149,7 @@ type fpend struct {
 	index   int32
 }
 
-// runState is the reusable mutable state of one fast-path run: the flat
+// runState is the reusable mutable state of one scalar run: the flat
 // register slab, condition memory, routing-output scratch, per-PE status
 // slots and the pending-commit buffer. All buffers are sized once and
 // reused across runs via the Decoded's pool.
@@ -203,12 +203,11 @@ func (d *Decoded) putState(rs *runState) {
 	d.pool.Put(rs)
 }
 
-// Predecode compiles a program into its fast-path engine. It is
-// conservative: any construct the fast path cannot prove executable with
-// pre-resolved state (a routed read without a matching routing output, a
-// missing live-in/live-out home) returns an error, and callers fall back
-// to the fully instrumented interpreter, which reproduces the exact
-// runtime diagnostic.
+// Predecode compiles a program into its execution engine. It is
+// conservative: any construct it cannot prove executable with pre-resolved
+// state (a routed read without a matching routing output, a missing
+// live-in/live-out home, an out-of-range address) is an error, and a
+// machine running the program fails with it.
 func Predecode(prog *ctxgen.Program) (*Decoded, error) {
 	if prog == nil || prog.Sched == nil || prog.Sched.Comp == nil || prog.Sched.Graph == nil {
 		return nil, fmt.Errorf("sim: predecode: incomplete program")
@@ -565,7 +564,7 @@ func (d *Decoded) homeOff(pe, addr int) int32 {
 
 // decodeSrc resolves one operand multiplexer setting at decode time. A
 // routed read is checked against the source PE's routing output of the
-// same context, so the fast path never needs an outl-valid bit.
+// same context, so the walk never needs an outl-valid bit.
 func (d *Decoded) decodeSrc(prog *ctxgen.Program, pe, c int, mode ctxgen.SrcMode, addr, input int) (int8, int32, int32, error) {
 	comp := prog.Sched.Comp
 	switch mode {
@@ -599,20 +598,23 @@ func (d *Decoded) NumCtx() int { return d.numCtx }
 func (d *Decoded) Slots() int { return len(d.slots) }
 
 // run executes the decoded program with zero allocations per cycle. It is
-// selected by Machine.RunCtx when no instrumentation (Probe/Trace) and no
-// fault plan is attached; results are byte-identical to the interpreted
-// path.
-func (d *Decoded) run(ctx context.Context, limit int64, args map[string]int32, host *ir.Host) (*Result, error) {
+// the one scalar walk: h carries the machine's Probe, Trace and fault plan
+// (nil on the production path), called where each observed or corrupted
+// value is produced, in issue and commit order.
+func (d *Decoded) run(ctx context.Context, limit int64, args map[string]int32, host *ir.Host, h *hooks) (*Result, error) {
+	if h != nil {
+		h.inject.BeginRun()
+	}
 	rs := d.getState()
 	defer d.putState(rs)
 
 	// Invocation: live-ins into their home slots.
-	for _, h := range d.liveIns {
-		v, ok := args[h.name]
+	for _, home := range d.liveIns {
+		v, ok := args[home.name]
 		if !ok {
-			return nil, fmt.Errorf("sim: missing live-in %q", h.name)
+			return nil, fmt.Errorf("sim: missing live-in %q", home.name)
 		}
-		rs.rf[h.off] = v
+		rs.rf[home.off] = v
 	}
 	// Resolve the host arrays once; a nil entry (absent or empty array)
 	// falls back to the host interface on access for the exact fault.
@@ -636,6 +638,9 @@ func (d *Decoded) run(ctx context.Context, limit int64, args map[string]int32, h
 		if ccnt < 0 || ccnt >= d.numCtx {
 			return nil, fmt.Errorf("sim: CCNT %d out of range", ccnt)
 		}
+		if h != nil {
+			h.tick(cycle, ccnt)
+		}
 		cb := &d.cbox[ccnt]
 		ccu := &d.ccu[ccnt]
 
@@ -654,18 +659,27 @@ func (d *Decoded) run(ctx context.Context, limit int64, args map[string]int32, h
 		// Phase 3: issue this context's non-NOP slots.
 		for i := d.slotIdx[ccnt]; i < d.slotIdx[ccnt+1]; i++ {
 			sl := &d.slots[i]
+			if h != nil {
+				h.issue(sl.pe, sl.op)
+			}
 			var a, b int32
 			switch sl.aMode {
 			case int8(ctxgen.SrcReg):
 				a = rs.rf[sl.aOff]
 			case int8(ctxgen.SrcRoute):
 				a = rs.outl[sl.aSrc]
+				if h != nil {
+					a = h.route(sl.aSrc, sl.pe, a)
+				}
 			}
 			switch sl.bMode {
 			case int8(ctxgen.SrcReg):
 				b = rs.rf[sl.bOff]
 			case int8(ctxgen.SrcRoute):
 				b = rs.outl[sl.bSrc]
+				if h != nil {
+					b = h.route(sl.bSrc, sl.pe, b)
+				}
 			}
 			finish := cycle + int64(sl.dur) - 1
 			squash := sl.predicated && !outPE
@@ -676,6 +690,9 @@ func (d *Decoded) run(ctx context.Context, limit int64, args map[string]int32, h
 				val, err := evalCompare(sl.op, a, b)
 				if err != nil {
 					return nil, err
+				}
+				if h != nil {
+					val = h.status(sl.pe, val)
 				}
 				rs.statusVal[sl.pe] = val
 				rs.statusArrive[sl.pe] = finish
@@ -688,6 +705,9 @@ func (d *Decoded) run(ctx context.Context, limit int64, args map[string]int32, h
 				}
 			case slotStore:
 				if !squash {
+					if h != nil {
+						b = h.alu(sl.pe, b)
+					}
 					rs.pending = append(rs.pending, fpend{
 						cycle: finish, pe: sl.pe,
 						isDMA: true, array: sl.array, index: a, value: b,
@@ -697,6 +717,9 @@ func (d *Decoded) run(ctx context.Context, limit int64, args map[string]int32, h
 				val, err := evalALU(sl.op, a, b, sl.imm)
 				if err != nil {
 					return nil, fmt.Errorf("sim: pe %d ctx %d: %v", sl.pe, ccnt, err)
+				}
+				if h != nil {
+					val = h.alu(sl.pe, val)
 				}
 				if sl.writeEnable {
 					rs.pending = append(rs.pending, fpend{
@@ -758,17 +781,37 @@ func (d *Decoded) run(ctx context.Context, limit int64, args map[string]int32, h
 					return nil, fmt.Errorf("sim: %v", err)
 				}
 				if pw.dmaLoad {
-					rs.rf[pw.wOff] = arr[pw.index]
+					v := arr[pw.index]
+					if h != nil {
+						v = h.alu(pw.pe, v)
+						h.emit(EvDMALoad, int(pw.pe), int(pw.wOff-d.rfOff[pw.pe]), v)
+					}
+					rs.rf[pw.wOff] = v
 				} else {
 					arr[pw.index] = pw.value
+					if h != nil {
+						h.emit(EvDMAStore, int(pw.pe), int(pw.index), pw.value)
+					}
 				}
 			} else if !pw.squash {
+				if h != nil {
+					pw.value = h.write(pw.pe, int(pw.wOff-d.rfOff[pw.pe]), pw.value)
+				}
 				rs.rf[pw.wOff] = pw.value
+			} else if h != nil {
+				h.emit(EvRFSquash, int(pw.pe), int(pw.wOff-d.rfOff[pw.pe]), 0)
 			}
 		}
 		rs.pending = kept
 		if condWrite {
 			rs.cond[condAddr] = condVal
+			if h != nil {
+				v := int32(0)
+				if condVal {
+					v = 1
+				}
+				h.emit(EvCondWrite, 0, condAddr, v)
+			}
 		}
 
 		// Phase 6: next CCNT.
@@ -776,19 +819,28 @@ func (d *Decoded) run(ctx context.Context, limit int64, args map[string]int32, h
 		switch ccu.Mode {
 		case ctxgen.CCUJump:
 			if ccu.Target == ccnt {
+				if h != nil {
+					h.emit(EvHalt, 0, 0, 0)
+				}
 				cycle++
 				res.RunCycles = cycle
 				res.Energy = energy
 				res.TransferCycles = d.transfer
-				for _, h := range d.liveOuts {
-					res.LiveOuts[h.name] = rs.rf[h.off]
+				for _, home := range d.liveOuts {
+					res.LiveOuts[home.name] = rs.rf[home.off]
 				}
 				return res, nil
 			}
 			next = ccu.Target
+			if h != nil {
+				h.emit(EvJumpTaken, 0, 0, int32(next))
+			}
 		case ctxgen.CCUCondJump:
 			if outCtrl {
 				next = ccu.Target
+				if h != nil {
+					h.emit(EvJumpTaken, 0, 0, int32(next))
+				}
 			}
 		}
 		ccnt = next

@@ -5,6 +5,13 @@
 // status per cycle and driving predication (outPE) and branch selection
 // (outctrl), DMA to the host heap, and predicated squashing of commits.
 //
+// A program executes one way: Predecode compiles it once into a Decoded
+// engine, and Decoded.run walks it cycle by cycle. Probe, Trace and fault
+// injection are hooks on that walk (hooks.go), nil on the production path,
+// so an observed or fault-injected run executes the same code as a plain
+// one. RunBatch (runlanes.go) steps N hook-free invocations as lanes of the
+// same microprogram.
+//
 // The simulator is the ground truth for the reproduction: every kernel's
 // CGRA run is checked against the IR interpreter's results.
 package sim
@@ -18,7 +25,6 @@ import (
 	"cgra/internal/fault"
 	"cgra/internal/ir"
 	"cgra/internal/obs"
-	"cgra/internal/sched"
 )
 
 // WatchdogError reports that a run exceeded its cycle budget. The recovery
@@ -71,27 +77,16 @@ type Machine struct {
 	// renumbered, so the mapping keeps faults pinned to the physical
 	// hardware; nil means identity (undegraded composition).
 	PhysPE []int
-	// Engine, when non-nil, is the predecoded fast-path engine for prog
-	// (see Predecode). RunCtx selects it whenever no instrumentation
-	// (Trace/Probe) and no fault plan is attached, so observability costs
-	// nothing when unused; results are identical either way.
+	// Engine is the predecoded engine of prog (see Predecode). A nil
+	// Engine is decoded on the machine's first run and kept.
 	Engine *Decoded
 }
 
+// defaultMaxCycles is the cycle budget of a machine with MaxCycles 0.
+const defaultMaxCycles = 500_000_000
+
 // New creates a machine for a program.
 func New(prog *ctxgen.Program) *Machine { return &Machine{prog: prog} }
-
-type pendingWrite struct {
-	cycle   int64 // end of this absolute cycle
-	pe      int
-	addr    int
-	value   int32
-	squash  bool
-	isDMA   bool
-	dmaLoad bool
-	array   string
-	index   int32
-}
 
 // Run executes the program with the given live-in arguments against host
 // memory and returns the live-outs and cycle counts.
@@ -112,20 +107,21 @@ const ctxCheckInterval = 8192
 // cancelled run; callers that need clean state must run against a clone.
 //
 // Inside a traced request the execution becomes an "engine" span,
-// annotated with the path taken (predecoded fast engine vs instrumented
-// interpreter) and the simulated cycle count. Untraced runs skip the span
-// entirely.
+// annotated with the path taken ("fast" without instrumentation, "hooked"
+// with Probe, Trace or a fault plan attached) and the simulated cycle
+// count. Untraced runs skip the span entirely.
 func (m *Machine) RunCtx(ctx context.Context, args map[string]int32, host *ir.Host) (*Result, error) {
+	h := m.hooks()
 	sp := obs.ContextSpan(ctx).StartChild("engine")
 	if sp == nil {
-		return m.runCtx(ctx, args, host)
+		return m.run(ctx, args, host, h)
 	}
-	if m.fastPath() {
-		sp.Annotate("path", "fast")
-	} else {
-		sp.Annotate("path", "interp")
+	path := "fast"
+	if h != nil {
+		path = "hooked"
 	}
-	res, err := m.runCtx(ctx, args, host)
+	sp.Annotate("path", path)
+	res, err := m.run(ctx, args, host, h)
 	if err == nil {
 		sp.Set("cycles", res.TotalCycles())
 	}
@@ -133,320 +129,21 @@ func (m *Machine) RunCtx(ctx context.Context, args map[string]int32, host *ir.Ho
 	return res, err
 }
 
-// fastPath reports whether the run dispatches to the predecoded engine:
-// only when one is attached and no instrumentation or fault plan forces
-// the interpreter (mirrors the dispatch check in runCtx).
-func (m *Machine) fastPath() bool {
-	return m.Engine != nil && m.Trace == nil && m.Probe == nil && m.Inject == nil
-}
-
-func (m *Machine) runCtx(ctx context.Context, args map[string]int32, host *ir.Host) (*Result, error) {
-	prog := m.prog
-	s := prog.Sched
-	comp := s.Comp
-	g := s.Graph
+// run walks the program's predecoded engine, decoding it on first use; a
+// program Predecode rejects fails with the predecode error.
+func (m *Machine) run(ctx context.Context, args map[string]int32, host *ir.Host, h *hooks) (*Result, error) {
+	if m.Engine == nil {
+		d, err := Predecode(m.prog)
+		if err != nil {
+			return nil, err
+		}
+		m.Engine = d
+	}
 	limit := m.MaxCycles
 	if limit == 0 {
-		limit = 500_000_000
+		limit = defaultMaxCycles
 	}
-	if m.fastPath() {
-		return m.Engine.run(ctx, limit, args, host)
-	}
-	m.Inject.BeginRun()
-	// phys maps a logical PE index to the physical identity faults name.
-	phys := func(pe int) int {
-		if m.PhysPE == nil {
-			return pe
-		}
-		return m.PhysPE[pe]
-	}
-
-	// Register files and condition memory.
-	rf := make([][]int32, comp.NumPEs())
-	for i, pe := range comp.PEs {
-		rf[i] = make([]int32, pe.RegfileSize)
-	}
-	condMem := make([]bool, comp.CBoxSlots)
-
-	// Invocation: transfer live-ins into their home RF slots (2 cycles
-	// per variable via the token network, §IV-A3).
-	liveIns := g.LiveIns()
-	for _, name := range liveIns {
-		v, ok := args[name]
-		if !ok {
-			return nil, fmt.Errorf("sim: missing live-in %q", name)
-		}
-		home := s.Homes[name]
-		if home == nil {
-			return nil, fmt.Errorf("sim: no home for live-in %q", name)
-		}
-		rf[home.PE][home.Addr] = v
-	}
-
-	// busyUntil[pe] is the absolute cycle after which the PE accepts a
-	// new context (multi-cycle ops stall context decoding per PE; the
-	// scheduler guarantees NOPs there, so this only guards consistency).
-	res := &Result{LiveOuts: map[string]int32{}}
-	var pending []pendingWrite
-	// Per-PE status slots: a compare finishing at cycle c leaves its value
-	// in statusVal[pe] with statusArrive[pe]=c. A PE has at most one
-	// status in flight (multi-cycle ops stall its context decoding), so
-	// one slot per PE replaces a pending-status list, and the C-Box
-	// consume becomes a single bounded lookup.
-	statusVal := make([]bool, comp.NumPEs())
-	statusArrive := make([]int64, comp.NumPEs())
-	for i := range statusArrive {
-		statusArrive[i] = -1
-	}
-
-	ccnt := 0
-	var cycle int64
-	for {
-		if cycle >= limit {
-			return nil, &WatchdogError{Limit: limit, CCNT: ccnt}
-		}
-		if cycle%ctxCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("sim: run cancelled at cycle %d: %w", cycle, err)
-			}
-		}
-		if ccnt < 0 || ccnt >= prog.NumCtx {
-			return nil, fmt.Errorf("sim: CCNT %d out of range", ccnt)
-		}
-		if m.Trace != nil {
-			m.Trace(cycle, ccnt)
-		}
-		cbox := prog.CBox[ccnt]
-		ccu := prog.CCU[ccnt]
-
-		// Phase 1: routing outputs present RF values (state before
-		// this cycle's writes).
-		outl := make([]int32, comp.NumPEs())
-		outlValid := make([]bool, comp.NumPEs())
-		for pe := range comp.PEs {
-			ctx := prog.PE[pe][ccnt]
-			if ctx.OutlEnable {
-				outl[pe] = rf[pe][ctx.OutlAddr]
-				outlValid[pe] = true
-			}
-		}
-
-		// Phase 2: C-Box combinational outputs from current memory.
-		outPE := false
-		if cbox.OutPEEnable {
-			outPE = condMem[cbox.OutPEAddr]
-		}
-		outCtrl := false
-		if cbox.OutCtrlEnable {
-			outCtrl = condMem[cbox.OutCtrlAddr] != cbox.OutCtrlInv
-		}
-
-		// Phase 3: PEs issue operations.
-		for pe := range comp.PEs {
-			ctx := prog.PE[pe][ccnt]
-			if ctx.Op == arch.NOP {
-				continue
-			}
-			m.emit(Event{Cycle: cycle, CCNT: ccnt, Kind: EvIssue, PE: pe, Value: int32(ctx.Op)})
-			fetch := func(mode ctxgen.SrcMode, addr, input int) (int32, error) {
-				switch mode {
-				case ctxgen.SrcReg:
-					return rf[pe][addr], nil
-				case ctxgen.SrcRoute:
-					src := comp.PEs[pe].Inputs[input]
-					if !outlValid[src] {
-						return 0, fmt.Errorf("sim: PE %d reads idle outl of PE %d at ctx %d", pe, src, ccnt)
-					}
-					v := outl[src]
-					if cv, hit := m.Inject.CorruptRoute(phys(src), phys(pe), cycle, v); hit {
-						m.emit(Event{Cycle: cycle, CCNT: ccnt, Kind: EvFault, PE: pe, Value: cv})
-						v = cv
-					}
-					m.emit(Event{Cycle: cycle, CCNT: ccnt, Kind: EvRouteRead, PE: pe, Addr: src, Value: v})
-					return v, nil
-				default:
-					return 0, nil
-				}
-			}
-			a, err := fetch(ctx.AMode, ctx.AAddr, ctx.AInput)
-			if err != nil {
-				return nil, err
-			}
-			b, err := fetch(ctx.BMode, ctx.BAddr, ctx.BInput)
-			if err != nil {
-				return nil, err
-			}
-			dur := comp.PEs[pe].Duration(ctx.Op)
-			finish := cycle + int64(dur) - 1
-			squash := ctx.Predicated && !outPE
-			res.Energy += comp.PEs[pe].Energy(ctx.Op)
-
-			switch {
-			case ctx.Op.IsCompare():
-				val, err := evalCompare(ctx.Op, a, b)
-				if err != nil {
-					return nil, err
-				}
-				if cv, hit := m.Inject.CorruptStatus(phys(pe), cycle, val); hit {
-					m.emit(Event{Cycle: cycle, CCNT: ccnt, Kind: EvFault, PE: pe})
-					val = cv
-				}
-				statusVal[pe] = val
-				statusArrive[pe] = finish
-			case ctx.Op == arch.LOAD:
-				if !squash {
-					arr := g.Arrays[ctx.Array]
-					pending = append(pending, pendingWrite{
-						cycle: finish, pe: pe, addr: ctx.WriteAddr,
-						isDMA: true, dmaLoad: true, array: arr, index: a,
-					})
-				}
-			case ctx.Op == arch.STORE:
-				if !squash {
-					if cv, hit := m.Inject.CorruptALU(phys(pe), cycle, b); hit {
-						m.emit(Event{Cycle: cycle, CCNT: ccnt, Kind: EvFault, PE: pe, Value: cv})
-						b = cv
-					}
-					arr := g.Arrays[ctx.Array]
-					pending = append(pending, pendingWrite{
-						cycle: finish, pe: pe,
-						isDMA: true, array: arr, index: a, value: b,
-					})
-				}
-			default:
-				val, err := evalALU(ctx.Op, a, b, ctx.Imm)
-				if err != nil {
-					return nil, fmt.Errorf("sim: pe %d ctx %d: %v", pe, ccnt, err)
-				}
-				if cv, hit := m.Inject.CorruptALU(phys(pe), cycle, val); hit {
-					m.emit(Event{Cycle: cycle, CCNT: ccnt, Kind: EvFault, PE: pe, Value: cv})
-					val = cv
-				}
-				if ctx.WriteEnable {
-					pending = append(pending, pendingWrite{
-						cycle: finish, pe: pe, addr: ctx.WriteAddr,
-						value: val, squash: squash,
-					})
-				}
-			}
-		}
-
-		// Phase 4: C-Box consumes a status / recombines, writing at end
-		// of cycle.
-		var condWrite *struct {
-			addr int
-			val  bool
-		}
-		if cbox.Consume || cbox.Recombine {
-			var in bool
-			if cbox.Consume {
-				// The status must arrive exactly this cycle.
-				if statusArrive[cbox.StatusPE] != cycle {
-					return nil, fmt.Errorf("sim: ctx %d consumes missing status of PE %d", ccnt, cbox.StatusPE)
-				}
-				in = statusVal[cbox.StatusPE]
-			} else if cbox.HasA {
-				in = condMem[cbox.AAddr] != cbox.AInv
-			}
-			out := in
-			switch cbox.Logic {
-			case sched.CBAnd:
-				if cbox.Consume && cbox.HasA {
-					out = in && (condMem[cbox.AAddr] != cbox.AInv)
-				} else if cbox.Recombine && cbox.HasB {
-					out = in && (condMem[cbox.BAddr] != cbox.BInv)
-				}
-			case sched.CBOr:
-				if cbox.Consume && cbox.HasA {
-					out = in || (condMem[cbox.AAddr] != cbox.AInv)
-				} else if cbox.Recombine && cbox.HasB {
-					out = in || (condMem[cbox.BAddr] != cbox.BInv)
-				}
-			}
-			condWrite = &struct {
-				addr int
-				val  bool
-			}{cbox.WriteAddr, out}
-		}
-
-		// Phase 5: end-of-cycle commits (RF writes, DMA completions).
-		kept := pending[:0]
-		for _, pw := range pending {
-			if pw.cycle != cycle {
-				kept = append(kept, pw)
-				continue
-			}
-			if pw.isDMA {
-				if pw.dmaLoad {
-					v, err := host.Load(pw.array, pw.index)
-					if err != nil {
-						return nil, fmt.Errorf("sim: %v", err)
-					}
-					if cv, hit := m.Inject.CorruptALU(phys(pw.pe), cycle, v); hit {
-						m.emit(Event{Cycle: cycle, CCNT: ccnt, Kind: EvFault, PE: pw.pe, Value: cv})
-						v = cv
-					}
-					rf[pw.pe][pw.addr] = v
-					m.emit(Event{Cycle: cycle, CCNT: ccnt, Kind: EvDMALoad, PE: pw.pe, Addr: pw.addr, Value: v})
-				} else {
-					if err := host.Store(pw.array, pw.index, pw.value); err != nil {
-						return nil, fmt.Errorf("sim: %v", err)
-					}
-					m.emit(Event{Cycle: cycle, CCNT: ccnt, Kind: EvDMAStore, PE: pw.pe, Addr: int(pw.index), Value: pw.value})
-				}
-			} else if !pw.squash {
-				if cv, hit := m.Inject.CorruptWrite(phys(pw.pe), cycle, pw.value); hit {
-					m.emit(Event{Cycle: cycle, CCNT: ccnt, Kind: EvFault, PE: pw.pe, Addr: pw.addr, Value: cv})
-					pw.value = cv
-				}
-				rf[pw.pe][pw.addr] = pw.value
-				m.emit(Event{Cycle: cycle, CCNT: ccnt, Kind: EvRFWrite, PE: pw.pe, Addr: pw.addr, Value: pw.value})
-			} else {
-				m.emit(Event{Cycle: cycle, CCNT: ccnt, Kind: EvRFSquash, PE: pw.pe, Addr: pw.addr})
-			}
-		}
-		pending = kept
-		if condWrite != nil {
-			condMem[condWrite.addr] = condWrite.val
-			v := int32(0)
-			if condWrite.val {
-				v = 1
-			}
-			m.emit(Event{Cycle: cycle, CCNT: ccnt, Kind: EvCondWrite, Addr: condWrite.addr, Value: v})
-		}
-
-		// Phase 6: next CCNT.
-		next := ccnt + 1
-		switch ccu.Mode {
-		case ctxgen.CCUJump:
-			if ccu.Target == ccnt {
-				// Halt context: lock and finish the run.
-				m.emit(Event{Cycle: cycle, CCNT: ccnt, Kind: EvHalt})
-				cycle++
-				res.RunCycles = cycle
-				goto done
-			}
-			next = ccu.Target
-			m.emit(Event{Cycle: cycle, CCNT: ccnt, Kind: EvJumpTaken, Value: int32(ccu.Target)})
-		case ctxgen.CCUCondJump:
-			if outCtrl {
-				next = ccu.Target
-				m.emit(Event{Cycle: cycle, CCNT: ccnt, Kind: EvJumpTaken, Value: int32(ccu.Target)})
-			}
-		}
-		ccnt = next
-		cycle++
-	}
-done:
-	res.TransferCycles = int64(2 * (len(liveIns) + len(g.LiveOuts())))
-	for _, name := range g.LiveOuts() {
-		home := s.Homes[name]
-		if home == nil {
-			return nil, fmt.Errorf("sim: no home for live-out %q", name)
-		}
-		res.LiveOuts[name] = rf[home.PE][home.Addr]
-	}
-	return res, nil
+	return m.Engine.run(ctx, limit, args, host, h)
 }
 
 func evalALU(op arch.OpCode, a, b, imm int32) (int32, error) {

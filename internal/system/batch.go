@@ -104,7 +104,8 @@ type batch struct {
 
 // laneEngine returns the predecoded engine when a run of ent would take
 // the lane path right now: a compiled entry, fault-free hardware, no
-// cross-check (both need the instrumented interpreter) and a program that
+// cross-check (both take runAccelerated: a fault plan needs the hooked
+// scalar walk, the cross-check runs there too) and a program that
 // predecodes. nil otherwise.
 func (s *System) laneEngine(ent *entry) *sim.Decoded {
 	if ent == nil || s.inj.Load() != nil || s.Policy.CrossCheck {

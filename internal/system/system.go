@@ -642,8 +642,8 @@ func (s *System) runAccelerated(ctx context.Context, name string, ent *entry, ar
 	ctx, sp := obs.StartSpanCtx(ctx, "cgra.run")
 	defer sp.Finish()
 	inj := s.inj.Load()
-	// Machine attaches the memoized predecoded engine; setting Inject to a
-	// live fault plan reverts the run to the instrumented interpreter.
+	// Machine attaches the memoized predecoded engine; a live fault plan in
+	// Inject hooks into the same walk.
 	m := ent.c.Machine()
 	m.Inject = inj
 	m.PhysPE = ent.phys
@@ -971,8 +971,8 @@ func (s *System) compileKernel(ctx context.Context, name string) (ent *entry, er
 	if err != nil {
 		return nil, fmt.Errorf("system: synthesize %q: %w", name, err)
 	}
-	// Predecode the fast-path engine once at synthesis time, off the
-	// serving hot path (cache hits were warmed by Realize already).
+	// Predecode the engine once at synthesis time, off the serving hot
+	// path (cache hits were warmed by Realize already).
 	_, _ = c.Engine()
 	if s.Cache != nil {
 		if art, aerr := c.Artifact(); aerr == nil {

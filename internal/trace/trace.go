@@ -24,14 +24,25 @@ type Recorder struct {
 func NewRecorder() *Recorder { return &Recorder{} }
 
 // Attach hooks the recorder into a machine (both the per-cycle trace and
-// the event probe).
+// the event probe), chaining any Probe/Trace consumers already installed
+// (e.g. sim.AttachCounters), so both observe the same run.
 func (r *Recorder) Attach(m *sim.Machine) {
-	m.Probe = r.Record
+	prevProbe := m.Probe
+	m.Probe = func(ev sim.Event) {
+		r.Record(ev)
+		if prevProbe != nil {
+			prevProbe(ev)
+		}
+	}
+	prevTrace := m.Trace
 	m.Trace = func(cycle int64, ccnt int) {
 		for int64(len(r.ccnt)) <= cycle {
 			r.ccnt = append(r.ccnt, ccnt)
 		}
 		r.ccnt[cycle] = ccnt
+		if prevTrace != nil {
+			prevTrace(cycle, ccnt)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"cgra/internal/arch"
 	"cgra/internal/ir"
 	"cgra/internal/irtext"
+	"cgra/internal/obs"
 	"cgra/internal/pipeline"
 	"cgra/internal/sim"
 )
@@ -68,6 +69,56 @@ func TestRecorderCapturesEvents(t *testing.T) {
 	}
 	if sum[sim.EvHalt] != 1 {
 		t.Errorf("halts = %d, want 1", sum[sim.EvHalt])
+	}
+}
+
+// TestAttachChainsCounters attaches a recorder and counters to one machine
+// in both orders (cgrasim -metrics -vcd attaches counters first): both must
+// see the whole run.
+func TestAttachChainsCounters(t *testing.T) {
+	comp, err := arch.HomogeneousMesh(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := pipeline.Compile(mustParse(t, loopSrc), comp, pipeline.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, countersFirst := range []bool{true, false} {
+		m := sim.New(c.Program)
+		r := NewRecorder()
+		var ctrs *sim.Counters
+		if countersFirst {
+			ctrs = sim.AttachCounters(m)
+			r.Attach(m)
+		} else {
+			r.Attach(m)
+			ctrs = sim.AttachCounters(m)
+		}
+		host := ir.NewHost()
+		host.Arrays["a"] = []int32{1, 5, 2, 9}
+		res, err := m.Run(map[string]int32{"n": 4, "s": 0}, host)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ctrs.Cycles() != res.RunCycles {
+			t.Errorf("counters first %v: counted %d cycles, run took %d", countersFirst, ctrs.Cycles(), res.RunCycles)
+		}
+		if int64(len(r.ccnt)) != res.RunCycles || r.Summary()[sim.EvHalt] != 1 {
+			t.Errorf("counters first %v: recorder saw %d cycles and %d halts, want %d and 1",
+				countersFirst, len(r.ccnt), r.Summary()[sim.EvHalt], res.RunCycles)
+		}
+		reg := obs.NewRegistry()
+		ctrs.Flush(reg)
+		var issued float64
+		for _, mp := range reg.Snapshot() {
+			if mp.Name == "cgra_sim_pe_issue_total" && mp.Value != nil {
+				issued += *mp.Value
+			}
+		}
+		if issued == 0 {
+			t.Errorf("counters first %v: no issues counted", countersFirst)
+		}
 	}
 }
 
