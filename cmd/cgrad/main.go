@@ -45,20 +45,19 @@ func main() {
 		maxInFlight = flag.Int("max-inflight", 0, "max concurrently served requests (0 = default)")
 		deadline    = flag.Duration("deadline", 0, "default per-request deadline (0 = 30s)")
 		unroll      = flag.Int("unroll", 2, "loop unroll factor")
-		batchWindow = flag.Duration("batch-window", 0, "same-artifact /v1/run coalescing window (0 = coalescing off)")
+		batchWindow = flag.Duration("batch-window", 0, "same-artifact /v1/run coalescing: the longest a run queues behind a busy artifact (0 = coalescing off)")
 		advertise   = flag.String("advertise", "", "this node's base URL as peers reach it (enables clustering with -peers)")
 		peers       = flag.String("peers", "", "comma-separated peer base URLs (the same list can be passed to every node)")
 		probeEvery  = flag.Duration("probe-interval", 0, "peer health probe interval (0 = default)")
 
-		loadgen       = flag.Bool("loadgen", false, "run as load generator against -target instead of serving")
-		target        = flag.String("target", "http://127.0.0.1:8080", "daemon base URL (loadgen mode)")
-		clients       = flag.Int("clients", 4, "concurrent clients (loadgen mode)")
-		iters         = flag.Int("iters", 8, "run iterations per client (loadgen mode)")
-		expectWarm    = flag.Bool("expect-warm", false, "loadgen: fail unless every first compile is served from the cache")
-		expectBatched = flag.Bool("expect-batched", false, "loadgen: fail unless the daemon coalesced at least one run")
-		seed          = flag.Int64("seed", 1, "loadgen/chaos: RNG seed (deterministic request mix and fault schedule)")
-		slowlog       = flag.Duration("slowlog", 0, "loadgen: log every run slower than this with its trace ID (0 = off)")
-		traceOut      = flag.String("trace-out", "", "loadgen: fetch /debug/traces after the load phase, validate it, and write the Chrome trace JSON here")
+		loadgen    = flag.Bool("loadgen", false, "run as load generator against -target instead of serving")
+		target     = flag.String("target", "http://127.0.0.1:8080", "daemon base URL (loadgen mode)")
+		clients    = flag.Int("clients", 4, "concurrent clients (loadgen mode)")
+		iters      = flag.Int("iters", 8, "run iterations per client (loadgen mode)")
+		expectWarm = flag.Bool("expect-warm", false, "loadgen: fail unless every first compile is served from the cache")
+		seed       = flag.Int64("seed", 1, "loadgen/chaos: RNG seed (deterministic request mix and fault schedule)")
+		slowlog    = flag.Duration("slowlog", 0, "loadgen: log every run slower than this with its trace ID (0 = off)")
+		traceOut   = flag.String("trace-out", "", "loadgen: fetch /debug/traces after the load phase, validate it, and write the Chrome trace JSON here")
 
 		chaosMode  = flag.Bool("chaos", false, "run the chaos soak: serve in-process under fault injection, drive load, assert recovery")
 		chaosIters = flag.Int("chaos-iters", 8, "chaos: run iterations per client")
@@ -100,14 +99,13 @@ func main() {
 
 	if *loadgen {
 		if err := runLoadgen(loadgenConfig{
-			Target:        *target,
-			Clients:       *clients,
-			Iters:         *iters,
-			ExpectWarm:    *expectWarm,
-			ExpectBatched: *expectBatched,
-			Seed:          *seed,
-			SlowLog:       *slowlog,
-			TraceOut:      *traceOut,
+			Target:     *target,
+			Clients:    *clients,
+			Iters:      *iters,
+			ExpectWarm: *expectWarm,
+			Seed:       *seed,
+			SlowLog:    *slowlog,
+			TraceOut:   *traceOut,
 		}); err != nil {
 			fmt.Fprintln(os.Stderr, "cgrad:", err)
 			os.Exit(1)

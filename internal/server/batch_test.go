@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -46,14 +47,51 @@ func dotReq(t *testing.T, size int) (RunRequest, int32) {
 	return RunRequest{Kernel: w.Kernel.Name, Args: args, Arrays: host.Arrays}, want["s"]
 }
 
-// TestRunBatchLingerFlush is the HTTP face of the system's coalescer (its
-// flush rules are tested in internal/system, TestInvokeCtxCoalesces):
-// concurrent same-artifact requests inside the linger window each get
-// their own correct result marked batched with its lane count, and the
-// flush-reason counters move on the daemon's registry.
-func TestRunBatchLingerFlush(t *testing.T) {
-	s, c, cleanup := newBatchServer(t, 60*time.Millisecond)
+// holdLimit saturates the daemon for dot: it holds dot's installed artifact
+// at its run limit (GOMAXPROCS runs in flight) and returns the step that
+// ends one held run.
+func holdLimit(t *testing.T, s *Server) (release func()) {
+	t.Helper()
+	for i := 0; i < runtime.GOMAXPROCS(0); i++ {
+		release = s.System().HoldRun("dot")
+	}
+	if release == nil {
+		t.Fatal("dot is not installed on a coalescing system")
+	}
+	return release
+}
+
+// waitQueued blocks until n in-flight /v1/run requests sit in a run batch.
+func waitQueued(t *testing.T, s *Server, n int) {
+	t.Helper()
+	for give := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		got := 0
+		for _, tr := range s.Flight().InFlight() {
+			spans := map[string]*obs.SpanExport{}
+			spanNames(tr.Export().Root, spans)
+			if spans["batch"] != nil {
+				got++
+			}
+		}
+		if got == n {
+			return
+		}
+		if time.Now().After(give) {
+			t.Fatalf("%d requests queued, want %d", got, n)
+		}
+	}
+}
+
+// TestRunBatchSaturated is the HTTP face of the system's coalescer (its
+// rules are tested in internal/system, TestInvokeCtxCoalesces): on a
+// daemon whose artifact is at its run limit, concurrent requests queue,
+// and when one run ends they share one pass. Each gets its own correct
+// result marked batched with its lane count, and the flush-reason counters
+// move on the daemon's registry.
+func TestRunBatchSaturated(t *testing.T) {
+	s, c, cleanup := newBatchServer(t, time.Second)
 	defer cleanup()
+	release := holdLimit(t, s)
 
 	const n = 4
 	resps := make([]*RunResponse, n)
@@ -69,6 +107,8 @@ func TestRunBatchLingerFlush(t *testing.T) {
 			resps[i], errs[i] = c.RunReq(context.Background(), req)
 		}(i, req)
 	}
+	waitQueued(t, s, n)
+	release()
 	wg.Wait()
 
 	for i := 0; i < n; i++ {
@@ -78,29 +118,30 @@ func TestRunBatchLingerFlush(t *testing.T) {
 		if got := resps[i].LiveOuts["s"]; got != wants[i] {
 			t.Errorf("lane %d: s = %d, want %d", i, got, wants[i])
 		}
-		if !resps[i].Batched || resps[i].BatchLanes < 1 || resps[i].BatchLanes > n {
-			t.Errorf("lane %d: batched=%t batch_lanes=%d, want batched with 1..%d lanes",
+		if !resps[i].Batched || resps[i].BatchLanes != n {
+			t.Errorf("lane %d: batched=%t batch_lanes=%d, want batched with %d lanes",
 				i, resps[i].Batched, resps[i].BatchLanes, n)
 		}
 	}
 	reg := s.Metrics()
-	if got := reg.Counter("cgra_run_batched_total").Value(); got < n {
-		t.Errorf("cgra_run_batched_total = %d, want >= %d", got, n)
+	if got := reg.Counter("cgra_run_batched_total").Value(); got != n {
+		t.Errorf("cgra_run_batched_total = %d, want %d", got, n)
 	}
-	if got := reg.Counter("cgra_run_batch_flush_total", obs.L("reason", "linger")).Value(); got < 1 {
-		t.Errorf("no linger flush recorded")
+	if got := reg.Counter("cgra_run_batch_flush_total", obs.L("reason", "released")).Value(); got != 1 {
+		t.Errorf("released flushes = %d, want 1", got)
 	}
 }
 
 // TestRunBatchDeadlineSolo: the body's deadline_ms reaches the system's
-// coalescer through the request context — one that cannot absorb the
-// linger window (under 2x) runs alone.
+// coalescer through the request context — one that cannot absorb a queue
+// (under 2x the window left) runs at once, even on a saturated artifact.
 func TestRunBatchDeadlineSolo(t *testing.T) {
 	s, c, cleanup := newBatchServer(t, 200*time.Millisecond)
 	defer cleanup()
+	holdLimit(t, s)
 
 	req, want := dotReq(t, 8)
-	req.DeadlineMS = 100 // < 2x window: too tight to linger
+	req.DeadlineMS = 100 // < 2x window: too tight to queue
 	resp, err := c.RunReq(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -120,40 +161,12 @@ func TestRunBatchDeadlineSolo(t *testing.T) {
 	}
 }
 
-// TestRunBatchDeadlineRush: a deadline_ms that can start a batch but not
-// wait out the linger joins and flushes immediately (reason "deadline").
-func TestRunBatchDeadlineRush(t *testing.T) {
-	s, c, cleanup := newBatchServer(t, 200*time.Millisecond)
-	defer cleanup()
-
-	req, want := dotReq(t, 8)
-	req.DeadlineMS = 900 // in [2x, 8x) window: join, then rush the flush
-	start := time.Now()
-	resp, err := c.RunReq(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 150*time.Millisecond {
-		t.Errorf("rushed request still lingered: %v", elapsed)
-	}
-	if !resp.Batched || resp.BatchLanes != 1 {
-		t.Errorf("batched=%t lanes=%d, want batched solo lane", resp.Batched, resp.BatchLanes)
-	}
-	if got := resp.LiveOuts["s"]; got != want {
-		t.Errorf("s = %d, want %d", got, want)
-	}
-	reg := s.Metrics()
-	if got := reg.Counter("cgra_run_batch_flush_total", obs.L("reason", "deadline")).Value(); got != 1 {
-		t.Errorf("deadline flushes = %d, want 1", got)
-	}
-}
-
-// TestRunBatchDrainDuringWindow: a request lingering in an open batch when
-// Shutdown begins must still complete — the linger timer keeps running
-// during the drain and the flush executes before the system is torn down.
+// TestRunBatchDrainDuringWindow: a request queued behind a held run when
+// Shutdown begins must still complete — the batch outlives the drain and
+// flushes when the held run ends.
 func TestRunBatchDrainDuringWindow(t *testing.T) {
 	cfg := testConfig(t, t.TempDir())
-	cfg.BatchWindow = 300 * time.Millisecond
+	cfg.BatchWindow = 5 * time.Second // the release, not the window, flushes
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -162,6 +175,7 @@ func TestRunBatchDrainDuringWindow(t *testing.T) {
 	defer ts.Close()
 	c := NewClient(ts.URL)
 	compileWorkload(t, c, "dot")
+	release := holdLimit(t, s)
 
 	req, want := dotReq(t, 8)
 	type result struct {
@@ -173,12 +187,11 @@ func TestRunBatchDrainDuringWindow(t *testing.T) {
 		resp, err := c.RunReq(context.Background(), req)
 		done <- result{resp, err}
 	}()
-	// Let the request join the open batch, then start draining while it
-	// is still waiting out the linger window.
-	time.Sleep(75 * time.Millisecond)
+	waitQueued(t, s, 1)
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
+	release()
 	res := <-done
 	if res.err != nil {
 		t.Fatalf("request lost during drain: %v", res.err)

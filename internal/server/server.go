@@ -73,9 +73,11 @@ type Config struct {
 	MaxInFlight int
 	// DefaultDeadline applies to requests that carry none (0 = 30s).
 	DefaultDeadline time.Duration
-	// BatchWindow enables same-artifact coalescing on /v1/run: requests
-	// for one installed artifact arriving within this linger window run as
-	// data-parallel lanes of a single engine pass (0 = batching off).
+	// BatchWindow enables same-artifact coalescing on /v1/run: a request
+	// that finds its installed artifact at GOMAXPROCS runs in flight queues
+	// with the rest of the backlog and runs as a data-parallel lane of one
+	// engine pass. The window is the longest it queues; below the limit a
+	// request runs at once (0 = batching off).
 	BatchWindow time.Duration
 	// BrownoutWindow and BrownoutThreshold arm brownout mode when that many
 	// requests are shed inside the window (0 = 1s / 4); BrownoutHold keeps
@@ -634,8 +636,8 @@ type RunResponse struct {
 	// under overload instead of being shed. Correct, but no accelerator
 	// cycle count.
 	Degraded bool `json:"degraded,omitempty"`
-	// Batched marks a coalesced result: this request ran as one lane of a
-	// shared engine pass; BatchLanes is how many lanes that pass carried.
+	// Batched marks a result the run coalescer served; BatchLanes is how
+	// many requests its engine pass carried (1 = it ran alone).
 	Batched    bool `json:"batched,omitempty"`
 	BatchLanes int  `json:"batch_lanes,omitempty"`
 	// TraceID identifies this request's trace in /debug/traces/{id}.

@@ -1,23 +1,27 @@
-// Same-artifact coalescing and the lane ladder. Invocations of one
-// installed entry that arrive inside a small linger window run as
-// data-parallel lanes of a single predecoded engine pass (sim.RunBatch),
-// singleflight-style: whichever goroutine closes the batch — the lane that
-// fills it, the linger timer, or a deadline-pressed joiner — runs the pass,
-// and every waiter settles its own lane. The batch hangs off the installed
-// entry, whose pointer identity is the artifact identity.
+// Same-artifact coalescing and the lane ladder. An eligible invocation runs
+// at once, a batch of one on the solo path, while its installed entry has
+// fewer than limit (GOMAXPROCS) runs in flight. Only at the limit does it
+// queue as a lane of the entry's open batch, which runs as one predecoded
+// engine pass (sim.RunBatch) on the first of three events: one of the
+// entry's runs ends (released), it reaches 16 lanes (full), or the window
+// has passed since it opened (linger). The window is a cap on queueing
+// behind a busy artifact, not a cost every request pays: below saturation
+// coalescing costs one mutex and one counter, and under saturation each
+// batch is as large as the backlog.
 //
-// Coalescing is opportunistic: only an entry that would dispatch to the
-// lane engine right now joins, a deadline that cannot absorb the linger
-// runs alone or flushes at once (admitLane), every lane runs on a scratch
-// heap and is accepted or recovered exactly like a solo run, and an open
-// batch outlives a draining server because the linger timer keeps running
-// while each waiter is still inside InvokeCtx.
+// One of the batch's own waiters runs its pass and every waiter settles its
+// own lane: each lane runs on a scratch heap and is accepted or recovered
+// exactly like a solo run. An invocation with under 2 x window left never
+// queues. A queued batch outlives a draining server, because its waiters
+// are still inside InvokeCtx and the next release or the window flushes it.
 package system
 
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
+	"sync"
 	"time"
 
 	"cgra/internal/ir"
@@ -35,71 +39,74 @@ type BatchOutcome struct {
 	Err error
 }
 
-// maxBatchLanes bounds one batch; the lane that fills it flushes without
-// waiting out the window.
+// maxBatchLanes bounds one batch; the lane that fills it flushes it.
 const maxBatchLanes = 16
 
 // Batch flush reasons (the label values of cgra_run_batch_flush_total).
 const (
 	flushFull     = "full"
+	flushReleased = "released"
 	flushLinger   = "linger"
-	flushDeadline = "deadline"
 )
 
-// coalescer is the linger window and the counters of the run coalescer.
+// coalescer is the run coalescer's queueing cap, run limit and counters.
 type coalescer struct {
 	window  time.Duration
+	limit   int
 	batched *obs.Counter
 	size    *obs.Histogram
+	wait    *obs.Histogram
 	flushes map[string]*obs.Counter
 	solo    map[string]*obs.Counter
 }
 
-// CoalesceRuns turns same-artifact coalescing on: eligible invocations
-// linger up to window for siblings to share an engine pass with. Call it
-// before the first invocation; a window of zero or less leaves it off.
+// CoalesceRuns turns same-artifact coalescing on: an invocation that finds
+// its artifact at GOMAXPROCS runs in flight queues, for at most window, for
+// a shared engine pass. Call it before the first invocation; window <= 0
+// leaves it off.
 func (s *System) CoalesceRuns(window time.Duration) {
 	if window <= 0 {
 		return
 	}
 	s.reg.Help("cgra_run_batched_total", "run requests served through a coalesced batch")
 	s.reg.Help("cgra_run_batch_size", "lanes per flushed run batch")
-	s.reg.Help("cgra_run_batch_flush_total", "batch flushes by reason (full|linger|deadline)")
-	s.reg.Help("cgra_run_batch_solo_total", "batch-eligible run requests that ran solo, by reason")
+	s.reg.Help("cgra_run_batch_wait_seconds", "time a coalesced run request queued before its batch flushed")
+	s.reg.Help("cgra_run_batch_flush_total", "batch flushes by reason (full|released|linger)")
+	s.reg.Help("cgra_run_batch_solo_total", "batch-eligible run requests that ran solo, by reason (cold|deadline|idle)")
 	co := &coalescer{
 		window:  window,
+		limit:   runtime.GOMAXPROCS(0),
 		batched: s.reg.Counter("cgra_run_batched_total"),
 		size:    s.reg.Histogram("cgra_run_batch_size", []float64{1, 2, 4, 8, 16, 32, 64}),
+		wait:    s.reg.Histogram("cgra_run_batch_wait_seconds", []float64{0.0001, 0.0005, 0.001, 0.002, 0.005, 0.01, 0.05}),
 		flushes: map[string]*obs.Counter{},
 		solo:    map[string]*obs.Counter{},
 	}
-	for _, reason := range []string{flushFull, flushLinger, flushDeadline} {
+	for _, reason := range []string{flushFull, flushReleased, flushLinger} {
 		co.flushes[reason] = s.reg.Counter("cgra_run_batch_flush_total", obs.L("reason", reason))
 	}
-	for _, reason := range []string{"deadline", "cold"} {
+	for _, reason := range []string{"cold", "deadline", "idle"} {
 		co.solo[reason] = s.reg.Counter("cgra_run_batch_solo_total", obs.L("reason", reason))
 	}
 	s.co = co
 }
 
-// lane is one invocation waiting inside a batch. The flusher fills scratch
-// and run — the private heap the pass ran this lane on and what came of
-// it — then closes done.
+// lane is one invocation queued in a batch. The pass fills scratch and run:
+// the private heap it ran this lane on and what came of it.
 type lane struct {
 	req     BatchRequest
-	done    chan struct{}
 	scratch *ir.Host
 	run     sim.BatchResult
 }
 
-// batch is one open (or flushing) batch of an installed entry. lanes and
-// closed are guarded by the entry's batchMu; reason is written by the
-// flusher before it closes the first lane's done.
+// batch is one queued (or flushing) batch of an installed entry: lanes and
+// reason change under batchMu while it is ent.open, and pass runs it once.
 type batch struct {
 	lanes  []*lane
 	timer  *time.Timer
-	closed bool
+	ready  chan struct{}
 	reason string
+	pass   sync.Once
 }
 
 // laneEngine returns the predecoded engine when a run of ent would take
@@ -118,77 +125,88 @@ func (s *System) laneEngine(ent *entry) *sim.Decoded {
 	return eng
 }
 
-// admitLane decides, once per invocation, whether it joins ent's batch: it
-// returns the lane engine to join with, nil to run alone (no installed or
-// lane-capable entry: "cold"; under 2 x window left: "deadline"). rush
-// means the deadline (under 8 x window) lets the invocation start a batch
-// but not wait out the linger.
-func (s *System) admitLane(ctx context.Context, ent *entry) (eng *sim.Decoded, rush bool) {
+// admitLane returns the lane engine an invocation of ent goes through the
+// coalescer with, or nil to run it alone: coalescing is off, or there is
+// no installed or lane-capable entry ("cold").
+func (s *System) admitLane(ent *entry) *sim.Decoded {
 	if s.co == nil {
-		return nil, false
+		return nil
 	}
-	if eng = s.laneEngine(ent); eng == nil {
+	eng := s.laneEngine(ent)
+	if eng == nil {
 		s.co.solo["cold"].Inc()
-		return nil, false
 	}
-	if dl, ok := ctx.Deadline(); ok {
-		left := time.Until(dl)
-		if left < 2*s.co.window {
-			s.co.solo["deadline"].Inc()
-			return nil, false
-		}
-		rush = left < 8*s.co.window
-	}
-	return eng, rush
+	return eng
 }
 
-// coalesce joins (or opens) ent's batch, flushes it when this lane filled
-// it or cannot wait, and settles this lane's own outcome under its own
-// context once the pass has run.
-func (s *System) coalesce(ctx context.Context, name string, ent *entry, eng *sim.Decoded, rush bool, args map[string]int32, host *ir.Host) (*Result, error) {
-	sp := obs.ContextSpan(ctx).StartChild("batch")
-	defer sp.Finish()
-	ln := &lane{req: BatchRequest{Args: args, Host: host}, done: make(chan struct{})}
-
+// coalesce runs the invocation at once while ent has a free run slot, or
+// when its deadline cannot absorb a queue; otherwise it queues a lane in
+// ent's open batch and settles that lane under its own context once the
+// pass has run.
+func (s *System) coalesce(ctx context.Context, name string, ent *entry, eng *sim.Decoded, args map[string]int32, host *ir.Host) (*Result, error) {
 	ent.batchMu.Lock()
+	if ent.running < s.co.limit {
+		ent.running++
+		ent.batchMu.Unlock()
+		s.co.solo["idle"].Inc()
+		defer s.release(ent)
+		res, err := s.runSolo(ctx, name, ent, args, host)
+		if err == nil {
+			res.Lanes = 1 // a batch of one: nothing was queued to share its pass
+		}
+		return res, err
+	}
+	if dl, ok := ctx.Deadline(); ok && time.Until(dl) < 2*s.co.window {
+		ent.batchMu.Unlock()
+		s.co.solo["deadline"].Inc()
+		return s.runSolo(ctx, name, ent, args, host)
+	}
 	bt := ent.open
 	if bt == nil {
-		bt = &batch{}
+		bt = &batch{timer: time.NewTimer(s.co.window), ready: make(chan struct{})}
 		ent.open = bt
-		bt.timer = time.AfterFunc(s.co.window, func() { s.flush(ent, eng, bt, flushLinger) })
 	}
+	ln := &lane{req: BatchRequest{Args: args, Host: host}}
 	bt.lanes = append(bt.lanes, ln)
-	reason := ""
-	switch {
-	case len(bt.lanes) >= maxBatchLanes:
-		reason = flushFull
-		ent.open = nil // the next arrival opens a fresh batch
-	case rush:
-		reason = flushDeadline
+	if len(bt.lanes) == maxBatchLanes {
+		ent.closeOpenLocked(flushFull)
 	}
 	ent.batchMu.Unlock()
-	if reason != "" {
-		s.flush(ent, eng, bt, reason)
-	}
 
+	sp := obs.ContextSpan(ctx).StartChild("batch")
+	defer sp.Finish()
+	queued := time.Now()
+	withdrawn := false
 	select {
-	case <-ln.done:
-	case <-ctx.Done():
-		// Still lingering: withdraw, so the abandoned lane neither runs nor
-		// delays its siblings. Already flushing: the pass is reading this
-		// lane's heap; it is one engine run, which the watchdog bounds.
+	case <-bt.ready:
+	case <-bt.timer.C:
 		ent.batchMu.Lock()
-		lingering := !bt.closed
-		if lingering {
-			bt.lanes = slices.DeleteFunc(bt.lanes, func(l *lane) bool { return l == ln })
+		if ent.open == bt {
+			ent.closeOpenLocked(flushLinger)
 		}
 		ent.batchMu.Unlock()
-		if lingering {
-			sp.Annotate("flush", "abandoned")
-			return nil, fmt.Errorf("system: invocation of %q cancelled while coalesced: %w", name, ctx.Err())
+	case <-ctx.Done():
+		// Still queued: withdraw, so the abandoned lane neither runs nor
+		// delays its siblings. Already closed: the pass reads this lane's
+		// heap; it is one engine run, which the watchdog bounds.
+		ent.batchMu.Lock()
+		if withdrawn = ent.open == bt; withdrawn {
+			bt.lanes = slices.DeleteFunc(bt.lanes, func(l *lane) bool { return l == ln })
+			if len(bt.lanes) == 0 {
+				ent.open = nil
+				bt.timer.Stop()
+			}
 		}
-		<-ln.done
+		ent.batchMu.Unlock()
 	}
+	wait := time.Since(queued)
+	sp.Set("wait_us", wait.Microseconds())
+	s.co.wait.Observe(wait.Seconds())
+	if withdrawn {
+		sp.Annotate("flush", "abandoned")
+		return nil, fmt.Errorf("system: invocation of %q cancelled while coalesced: %w", name, ctx.Err())
+	}
+	bt.pass.Do(func() { s.flush(ent, eng, bt) })
 	sp.Set("lanes", int64(len(bt.lanes)))
 	sp.Annotate("flush", bt.reason)
 	res, err := s.settle(ctx, name, ent, ln.req, ln.scratch, ln.run)
@@ -198,40 +216,60 @@ func (s *System) coalesce(ctx context.Context, name string, ent *entry, eng *sim
 	return res, err
 }
 
-// flush closes the batch and runs its pass in the calling goroutine.
-// Exactly one caller wins; late attempts (the linger timer racing a
-// full-batch flush) are no-ops.
-func (s *System) flush(ent *entry, eng *sim.Decoded, bt *batch, reason string) {
-	ent.batchMu.Lock()
-	if bt.closed {
-		ent.batchMu.Unlock()
-		return
-	}
-	bt.closed = true
-	if ent.open == bt {
-		ent.open = nil
-	}
-	lanes := bt.lanes
-	ent.batchMu.Unlock()
-	bt.timer.Stop()
-	if len(lanes) == 0 {
-		return // every lane withdrew
-	}
+// closeOpenLocked closes ent's open batch to new lanes and wakes its waiters.
+func (ent *entry) closeOpenLocked(reason string) {
+	bt := ent.open
+	ent.open = nil
 	bt.reason = reason
-	s.co.flushes[reason].Inc()
-	s.co.size.Observe(float64(len(lanes)))
-	s.co.batched.Add(int64(len(lanes)))
+	bt.timer.Stop()
+	close(bt.ready)
+}
 
-	reqs := make([]BatchRequest, len(lanes))
-	for i, ln := range lanes {
+// release ends one of ent's in-flight runs. A queued batch takes over the
+// slot and wakes; one of its waiters, not the caller, runs the pass.
+func (s *System) release(ent *entry) {
+	ent.batchMu.Lock()
+	if ent.open != nil {
+		ent.closeOpenLocked(flushReleased)
+	} else {
+		ent.running--
+	}
+	ent.batchMu.Unlock()
+}
+
+// HoldRun takes a run slot of the named kernel's installed artifact, as a
+// run in flight would, and returns the release step that ends it (nil when
+// coalescing is off or nothing is installed): tests queue without timing.
+func (s *System) HoldRun(name string) (release func()) {
+	ent := s.state.Load().compiled[name]
+	if s.co == nil || ent == nil {
+		return nil
+	}
+	ent.batchMu.Lock()
+	ent.running++
+	ent.batchMu.Unlock()
+	return func() { s.release(ent) }
+}
+
+// flush runs a closed batch's pass in the first of its waiters to get
+// here. A released batch holds the slot its releaser handed over, and
+// hands it on as soon as the pass is done.
+func (s *System) flush(ent *entry, eng *sim.Decoded, bt *batch) {
+	s.co.flushes[bt.reason].Inc()
+	s.co.size.Observe(float64(len(bt.lanes)))
+	s.co.batched.Add(int64(len(bt.lanes)))
+	reqs := make([]BatchRequest, len(bt.lanes))
+	for i, ln := range bt.lanes {
 		reqs[i] = ln.req
 	}
 	// The pass runs under no waiter's context: one cancellation must not
 	// kill sibling lanes. Each waiter settles its lane under its own.
 	scratch, runs := s.enginePass(context.Background(), ent, eng, reqs)
-	for i, ln := range lanes {
+	if bt.reason == flushReleased {
+		s.release(ent)
+	}
+	for i, ln := range bt.lanes {
 		ln.scratch, ln.run = scratch[i].Host, runs[i]
-		close(ln.done)
 	}
 }
 

@@ -342,10 +342,13 @@ func TestQueueShedding(t *testing.T) {
 		t.Errorf("no synthesis request shed: %+v", st)
 	}
 	s.Quiesce()
-	// The shed kernel is re-admitted by its next profiled host run.
+	// The shed kernel is re-admitted by its next profiled host run. With one
+	// worker and a queue of one, k3 could find the slot still holding k2
+	// and be shed again: let k2's synthesis land first.
 	if _, err := s.Invoke("k2", map[string]int32{"r": 1}, ir.NewHost()); err != nil {
 		t.Fatal(err)
 	}
+	s.Quiesce()
 	if _, err := s.Invoke("k3", map[string]int32{"r": 1}, ir.NewHost()); err != nil {
 		t.Fatal(err)
 	}

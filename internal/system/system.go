@@ -58,8 +58,9 @@ type Result struct {
 	// and the reported result comes from a recovery path (a re-execution,
 	// a degraded-array re-synthesis, or the host fallback).
 	Recovered bool
-	// Lanes is how many invocations shared the engine pass that served this
-	// one (0 = it ran alone; see batch.go).
+	// Lanes is how many invocations the run coalescer served in one engine
+	// pass with this one, itself included: 1 = it ran alone (0 = the
+	// coalescer did not serve it; see batch.go).
 	Lanes int
 }
 
@@ -186,10 +187,12 @@ type entry struct {
 	maxCycles int64
 	// br is the kernel's circuit breaker (shared across entries).
 	br *breaker
-	// batchMu guards open, the batch currently lingering for this artifact
-	// (see batch.go). A re-synthesis installs a new entry, so a new artifact
-	// starts fresh batches.
+	// batchMu guards running, this artifact's runs in flight that hold a
+	// coalescer slot, and open, the batch queued behind them (see batch.go).
+	// A re-synthesis installs a new entry, so a new artifact starts with
+	// free slots and no batch.
 	batchMu sync.Mutex
+	running int
 	open    *batch
 }
 
@@ -282,8 +285,8 @@ type System struct {
 	// every synthesis run.
 	reg *obs.Registry
 	ctr sysCounters
-	// co is the run coalescer's window and counters (nil = coalescing off;
-	// see CoalesceRuns).
+	// co is the run coalescer's queueing cap, run limit and counters (nil =
+	// coalescing off; see CoalesceRuns).
 	co *coalescer
 	// seqMu guards synthSeq so Stats can snapshot it without taking mu.
 	seqMu    sync.Mutex
@@ -500,9 +503,10 @@ func (s *System) Invoke(name string, args map[string]int32, host *ir.Host) (*Res
 // accelerator faults are recovered transparently (retries with backoff,
 // degraded re-synthesis, host fallback); InvokeCtx returns an error only
 // for caller mistakes (unknown kernel, bad arguments), host-side failures,
-// or a cancelled context. With CoalesceRuns on, an invocation of an
-// installed entry may linger for same-artifact siblings and run as one
-// lane of a shared engine pass (Result.Lanes; see batch.go).
+// or a cancelled context. With CoalesceRuns on, an invocation that finds
+// its installed entry at the run limit queues, for at most the window, and
+// runs as one lane of a shared engine pass (Result.Lanes; see batch.go);
+// below the limit it runs at once.
 //
 // InvokeCtx is safe for concurrent use and the hot path (synthesized
 // kernel, fault-free hardware) is lock-free; invocations of different
@@ -529,7 +533,7 @@ func (s *System) InvokeCtx(ctx context.Context, name string, args map[string]int
 	}
 	lk.Finish()
 
-	eng, rush := s.admitLane(ctx, ent)
+	eng := s.admitLane(ent)
 	switch {
 	case ent == nil:
 		return s.runHost(ctx, name, args, host, !s.isHostOnly(name))
@@ -539,8 +543,13 @@ func (s *System) InvokeCtx(ctx context.Context, name string, args map[string]int
 		sp.Event("breaker_open_shed", "breaker open: serving on host")
 		return s.runHost(ctx, name, args, host, false)
 	case eng != nil:
-		return s.coalesce(ctx, name, ent, eng, rush, args, host)
+		return s.coalesce(ctx, name, ent, eng, args, host)
 	}
+	return s.runSolo(ctx, name, ent, args, host)
+}
+
+// runSolo is one accelerated run on its own, recovered on a detected fault.
+func (s *System) runSolo(ctx context.Context, name string, ent *entry, args map[string]int32, host *ir.Host) (*Result, error) {
 	res, err := s.runAccelerated(ctx, name, ent, args, host)
 	if err != nil {
 		return s.recoverInvocation(ctx, name, err, args, host)
