@@ -32,20 +32,21 @@ func TestOpClassification(t *testing.T) {
 	if !LOAD.IsDMA() || !STORE.IsDMA() || IADD.IsDMA() {
 		t.Error("DMA classification wrong")
 	}
-	if NOP.IsALU() || !MOVE.IsALU() {
-		t.Error("ALU classification wrong")
+	if OpCode(250).IsCompare() || OpCode(-1).IsDMA() {
+		t.Error("an undefined opcode classified as defined")
 	}
 }
 
-func TestOpArity(t *testing.T) {
-	cases := map[OpCode]int{
-		NOP: 0, CONST: 0, MOVE: 1, INEG: 1, INOT: 1, LOAD: 1,
-		STORE: 2, IADD: 2, IFEQ: 2, ISHL: 2,
-	}
-	for op, want := range cases {
-		if got := op.Arity(); got != want {
-			t.Errorf("%v.Arity() = %d, want %d", op, got, want)
+// TestOpTableComplete asserts every opcode has a row: a name and the
+// Verilog vgen emits for it.
+func TestOpTableComplete(t *testing.T) {
+	for _, op := range AllOpCodes() {
+		if opTable[op].name == "" || op.Verilog() == "" {
+			t.Errorf("opcode %d has no complete op table row: %+v", int(op), opTable[op])
 		}
+	}
+	if OpCode(250).Verilog() != "" {
+		t.Error("an undefined opcode has Verilog")
 	}
 }
 

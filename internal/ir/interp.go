@@ -378,10 +378,10 @@ func (in *Interp) eval(k *Kernel, env map[string]int32, host *Host, e Expr) (int
 
 // EvalBin applies a non-logical binary operator with Java-like 32-bit
 // semantics (shift amounts masked to 5 bits, wrap-around arithmetic). It
-// is the interpreter's definition. The simulator keeps its own per-opcode
-// copies (sim's evalALU/evalCompare, and RunBatch's inlined switches);
-// sim's TestEvalMatchesIR holds the first to this one on every operator
-// cdfg lowers, and the lane differential holds RunBatch to the first.
+// is the interpreter's definition, the oracle every execution path answers
+// to, so it keeps its own switch instead of reading the op table the
+// simulator executes (arch.Eval/arch.Holds); cdfg's TestEvalMatchesIR
+// holds the table to this function on every operator cdfg lowers.
 func EvalBin(op BinOp, x, y int32, stats *OpStats) (int32, error) {
 	if stats != nil {
 		switch {

@@ -5,14 +5,16 @@ import (
 	"testing"
 
 	"cgra/internal/arch"
-	"cgra/internal/cdfg"
-	"cgra/internal/ir"
 )
+
+// Both walks inline arch.Eval and arch.Holds; these tests pin them on the
+// edge operands the kernels rely on.
 
 // TestEvalALUExhaustive covers every ALU opcode, including the JVM-style
 // edge cases the kernels rely on: shift counts masked to the low five bits
 // (so 32 behaves like 0 and negative counts wrap), and two's-complement
-// wraparound for INT_MIN negation and subtraction overflow.
+// wraparound for INT_MIN negation and subtraction overflow. CONST's
+// immediate is passed as operand a, as the walks do.
 func TestEvalALUExhaustive(t *testing.T) {
 	const min32, max32 = math.MinInt32, math.MaxInt32
 	cases := []struct {
@@ -65,12 +67,12 @@ func TestEvalALUExhaustive(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := evalALU(tc.op, tc.a, tc.b, tc.imm)
-			if err != nil {
-				t.Fatalf("evalALU(%v, %d, %d, %d): %v", tc.op, tc.a, tc.b, tc.imm, err)
+			a := tc.a
+			if tc.op == arch.CONST {
+				a = tc.imm
 			}
-			if got != tc.want {
-				t.Errorf("evalALU(%v, %d, %d, %d) = %d, want %d", tc.op, tc.a, tc.b, tc.imm, got, tc.want)
+			if got := arch.Eval(tc.op, a, tc.b); got != tc.want {
+				t.Errorf("arch.Eval(%v, %d, %d) = %d, want %d", tc.op, a, tc.b, got, tc.want)
 			}
 		})
 	}
@@ -84,25 +86,15 @@ func TestEvalALUShiftMaskSweep(t *testing.T) {
 	for _, a := range vals {
 		for n := int32(-64); n <= 64; n++ {
 			eff := uint32(n) & 31
-			if got, _ := evalALU(arch.ISHL, a, n, 0); got != a<<eff {
+			if got := arch.Eval(arch.ISHL, a, n); got != a<<eff {
 				t.Fatalf("ISHL %d by %d: %d, want %d", a, n, got, a<<eff)
 			}
-			if got, _ := evalALU(arch.ISHR, a, n, 0); got != a>>eff {
+			if got := arch.Eval(arch.ISHR, a, n); got != a>>eff {
 				t.Fatalf("ISHR %d by %d: %d, want %d", a, n, got, a>>eff)
 			}
-			if got, _ := evalALU(arch.IUSHR, a, n, 0); got != int32(uint32(a)>>eff) {
+			if got := arch.Eval(arch.IUSHR, a, n); got != int32(uint32(a)>>eff) {
 				t.Fatalf("IUSHR %d by %d: %d, want %d", a, n, got, int32(uint32(a)>>eff))
 			}
-		}
-	}
-}
-
-// TestEvalALUUnknownOp asserts unsupported opcodes (compares, memory ops,
-// and out-of-range codes) surface as errors rather than silent zeros.
-func TestEvalALUUnknownOp(t *testing.T) {
-	for _, op := range []arch.OpCode{arch.IFLT, arch.IFEQ, arch.LOAD, arch.STORE, arch.OpCode(250)} {
-		if _, err := evalALU(op, 1, 2, 3); err == nil {
-			t.Errorf("evalALU(%v) succeeded, want error", op)
 		}
 	}
 }
@@ -128,59 +120,8 @@ func TestEvalCompareExhaustive(t *testing.T) {
 	for _, c := range cmps {
 		for _, a := range vals {
 			for _, b := range vals {
-				got, err := evalCompare(c.op, a, b)
-				if err != nil {
-					t.Fatalf("evalCompare(%v, %d, %d): %v", c.op, a, b, err)
-				}
-				if want := c.want(a, b); got != want {
-					t.Errorf("evalCompare(%v, %d, %d) = %v, want %v", c.op, a, b, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestEvalCompareUnknownOp asserts non-compare opcodes are rejected.
-func TestEvalCompareUnknownOp(t *testing.T) {
-	for _, op := range []arch.OpCode{arch.IADD, arch.MOVE, arch.LOAD, arch.OpCode(250)} {
-		if _, err := evalCompare(op, 1, 2); err == nil {
-			t.Errorf("evalCompare(%v) succeeded, want error", op)
-		}
-	}
-}
-
-// TestEvalMatchesIR holds the simulator ALU to ir.EvalBin, the
-// interpreter's definition: for every binary operator cdfg lowers to a PE
-// opcode, evalALU or evalCompare must agree with it on the edge operands
-// of the tests above (extremes, shift counts around the 5-bit mask).
-func TestEvalMatchesIR(t *testing.T) {
-	vals := []int32{math.MinInt32, -31, -2, -1, 0, 1, 2, 4, 31, 32, 33, 0x12345678, math.MaxInt32}
-	for op := ir.OpAdd; op <= ir.OpLOr; op++ {
-		code, ok := cdfg.ArchOp(op)
-		if !ok {
-			if !op.IsLogical() {
-				t.Errorf("cdfg lowers %v to no PE opcode", op)
-			}
-			continue
-		}
-		for _, a := range vals {
-			for _, b := range vals {
-				want, err := ir.EvalBin(op, a, b, nil)
-				if err != nil {
-					t.Fatalf("ir.EvalBin(%v, %d, %d): %v", op, a, b, err)
-				}
-				var got int32
-				if op.IsCompare() {
-					var s bool
-					s, err = evalCompare(code, a, b)
-					if s {
-						got = 1
-					}
-				} else {
-					got, err = evalALU(code, a, b, 0)
-				}
-				if err != nil || got != want {
-					t.Errorf("%v as %v on (%d, %d): sim %d (err %v), ir %d", op, code, a, b, got, err, want)
+				if got, want := arch.Holds(c.op, a, b), c.want(a, b); got != want {
+					t.Errorf("arch.Holds(%v, %d, %d) = %v, want %v", c.op, a, b, got, want)
 				}
 			}
 		}

@@ -65,10 +65,12 @@ type dslot struct {
 	resolveLoad bool
 	wOff        int32
 	op          arch.OpCode
-	imm         int32
-	array       int32
-	dur         int32
-	energy      float64
+	// imm is operand A when A names no source: CONST's immediate, 0 for
+	// every other op (see arch.Eval).
+	imm    int32
+	array  int32
+	dur    int32
+	energy float64
 }
 
 // outlSlot is one predecoded routing-output capture: at this slot's
@@ -205,9 +207,10 @@ func (d *Decoded) putState(rs *runState) {
 
 // Predecode compiles a program into its execution engine. It is
 // conservative: any construct it cannot prove executable with pre-resolved
-// state (a routed read without a matching routing output, a missing
-// live-in/live-out home, an out-of-range address) is an error, and a
-// machine running the program fails with it.
+// state (an op its PE does not implement, a routed read without a
+// matching routing output, a missing live-in/live-out home, an
+// out-of-range address) is an error, and a machine running the program
+// fails with it.
 func Predecode(prog *ctxgen.Program) (*Decoded, error) {
 	if prog == nil || prog.Sched == nil || prog.Sched.Comp == nil || prog.Sched.Graph == nil {
 		return nil, fmt.Errorf("sim: predecode: incomplete program")
@@ -255,10 +258,12 @@ func Predecode(prog *ctxgen.Program) (*Decoded, error) {
 			if ctx.Op == arch.NOP {
 				continue
 			}
+			if !comp.PEs[pe].Supports(ctx.Op) {
+				return nil, fmt.Errorf("sim: predecode: PE %d ctx %d issues %v, which the PE does not implement", pe, c, ctx.Op)
+			}
 			sl := dslot{
 				pe:          int32(pe),
 				op:          ctx.Op,
-				imm:         ctx.Imm,
 				array:       int32(ctx.Array),
 				predicated:  ctx.Predicated,
 				writeEnable: ctx.WriteEnable,
@@ -293,6 +298,10 @@ func Predecode(prog *ctxgen.Program) (*Decoded, error) {
 			sl.bMode, sl.bOff, sl.bSrc, err = d.decodeSrc(prog, pe, c, ctx.BMode, ctx.BAddr, ctx.BInput)
 			if err != nil {
 				return nil, err
+			}
+			if ctx.Op == arch.CONST {
+				// The ALU passes CONST's immediate through as operand A.
+				sl.aMode, sl.imm = int8(ctxgen.SrcNone), ctx.Imm
 			}
 			d.slots = append(d.slots, sl)
 		}
@@ -662,7 +671,7 @@ func (d *Decoded) run(ctx context.Context, limit int64, args map[string]int32, h
 			if h != nil {
 				h.issue(sl.pe, sl.op)
 			}
-			var a, b int32
+			a, b := sl.imm, int32(0)
 			switch sl.aMode {
 			case int8(ctxgen.SrcReg):
 				a = rs.rf[sl.aOff]
@@ -687,10 +696,7 @@ func (d *Decoded) run(ctx context.Context, limit int64, args map[string]int32, h
 
 			switch sl.kind {
 			case slotCompare:
-				val, err := evalCompare(sl.op, a, b)
-				if err != nil {
-					return nil, err
-				}
+				val := arch.Holds(sl.op, a, b)
 				if h != nil {
 					val = h.status(sl.pe, val)
 				}
@@ -714,10 +720,7 @@ func (d *Decoded) run(ctx context.Context, limit int64, args map[string]int32, h
 					})
 				}
 			default:
-				val, err := evalALU(sl.op, a, b, sl.imm)
-				if err != nil {
-					return nil, fmt.Errorf("sim: pe %d ctx %d: %v", sl.pe, ccnt, err)
-				}
+				val := arch.Eval(sl.op, a, b)
 				if h != nil {
 					val = h.alu(sl.pe, val)
 				}

@@ -166,10 +166,7 @@ func (m *Machine) refRun(ctx context.Context, args map[string]int32, host *ir.Ho
 
 			switch {
 			case ctx.Op.IsCompare():
-				val, err := evalCompare(ctx.Op, a, b)
-				if err != nil {
-					return nil, err
-				}
+				val := arch.Holds(ctx.Op, a, b)
 				if cv, hit := m.Inject.CorruptStatus(phys(pe), cycle, val); hit {
 					m.emit(Event{Cycle: cycle, CCNT: ccnt, Kind: EvFault, PE: pe})
 					val = cv
@@ -197,9 +194,9 @@ func (m *Machine) refRun(ctx context.Context, args map[string]int32, host *ir.Ho
 					})
 				}
 			default:
-				val, err := evalALU(ctx.Op, a, b, ctx.Imm)
-				if err != nil {
-					return nil, fmt.Errorf("sim: pe %d ctx %d: %v", pe, ccnt, err)
+				val := arch.Eval(ctx.Op, a, b)
+				if ctx.Op == arch.CONST {
+					val = ctx.Imm
 				}
 				if cv, hit := m.Inject.CorruptALU(phys(pe), cycle, val); hit {
 					m.emit(Event{Cycle: cycle, CCNT: ccnt, Kind: EvFault, PE: pe, Value: cv})

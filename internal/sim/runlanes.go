@@ -26,8 +26,9 @@
 //     count, so ring-free stretches skip the commit phase entirely;
 //   - loads from arrays no store ever targets (dslot.resolveLoad) read
 //     the host value at issue and defer only the register write;
-//   - op evaluation is inlined into the slot walk (invalid static ops are
-//     rejected once per slot, not once per lane) — no per-lane calls.
+//   - op evaluation (arch.Eval, arch.Holds) inlines into the slot walk —
+//     no per-lane calls, and no unknown-op path, since Predecode refuses
+//     an op its PE does not implement.
 //
 // Control flow is allowed to diverge: lanes advance their own CCNT. While
 // every lane shares a context — the server's same-artifact coalescing
@@ -383,16 +384,6 @@ func (d *Decoded) stepLanes(ls *laneState, reqs []BatchRequest, out []BatchResul
 
 		switch sl.kind {
 		case slotCompare:
-			switch op {
-			case arch.IFLT, arch.IFLE, arch.IFGT, arch.IFGE, arch.IFEQ, arch.IFNE:
-			default:
-				// The op is static: every lane dies with the scalar error.
-				for _, l := range group {
-					out[l].Err = fmt.Errorf("unknown compare %v", op)
-					ls.dead[l] = true
-				}
-				return deaths + len(group), split, 0
-			}
 			stIdx := int(sl.pe) * L
 			for _, l := range group {
 				li := int(l)
@@ -403,22 +394,7 @@ func (d *Decoded) stepLanes(ls *laneState, reqs []BatchRequest, out []BatchResul
 				if bMode != laneSrcNone {
 					b = rf[bReg+li]
 				}
-				var v bool
-				switch op {
-				case arch.IFLT:
-					v = a < b
-				case arch.IFLE:
-					v = a <= b
-				case arch.IFGT:
-					v = a > b
-				case arch.IFGE:
-					v = a >= b
-				case arch.IFEQ:
-					v = a == b
-				default: // arch.IFNE
-					v = a != b
-				}
-				ls.statusVal[stIdx+li] = v
+				ls.statusVal[stIdx+li] = arch.Holds(op, a, b)
 				ls.statusArrive[stIdx+li] = finish
 			}
 		case slotLoad:
@@ -506,17 +482,6 @@ func (d *Decoded) stepLanes(ls *laneState, reqs []BatchRequest, out []BatchResul
 				ls.pendAny++
 			}
 		default: // slotALU
-			switch op {
-			case arch.MOVE, arch.CONST, arch.IADD, arch.ISUB, arch.IMUL,
-				arch.IAND, arch.IOR, arch.IXOR, arch.ISHL, arch.ISHR,
-				arch.IUSHR, arch.INEG, arch.INOT:
-			default:
-				for _, l := range group {
-					out[l].Err = fmt.Errorf("sim: pe %d ctx %d: unknown ALU op %v", sl.pe, c, op)
-					ls.dead[l] = true
-				}
-				return deaths + len(group), split, 0
-			}
 			if !sl.writeEnable {
 				continue // energy accounted; the result is discarded
 			}
@@ -527,43 +492,14 @@ func (d *Decoded) stepLanes(ls *laneState, reqs []BatchRequest, out []BatchResul
 			if direct && !pred {
 				for _, l := range group {
 					li := int(l)
-					var a, b int32
+					a, b := imm, int32(0)
 					if aMode != laneSrcNone {
 						a = rf[aReg+li]
 					}
 					if bMode != laneSrcNone {
 						b = rf[bReg+li]
 					}
-					var v int32
-					switch op {
-					case arch.MOVE:
-						v = a
-					case arch.CONST:
-						v = imm
-					case arch.IADD:
-						v = a + b
-					case arch.ISUB:
-						v = a - b
-					case arch.IMUL:
-						v = a * b
-					case arch.IAND:
-						v = a & b
-					case arch.IOR:
-						v = a | b
-					case arch.IXOR:
-						v = a ^ b
-					case arch.ISHL:
-						v = a << (uint32(b) & 31)
-					case arch.ISHR:
-						v = a >> (uint32(b) & 31)
-					case arch.IUSHR:
-						v = int32(uint32(a) >> (uint32(b) & 31))
-					case arch.INEG:
-						v = -a
-					default: // arch.INOT
-						v = ^a
-					}
-					rf[wIdx+li] = v
+					rf[wIdx+li] = arch.Eval(op, a, b)
 				}
 			} else {
 				for _, l := range group {
@@ -571,42 +507,14 @@ func (d *Decoded) stepLanes(ls *laneState, reqs []BatchRequest, out []BatchResul
 					if pred && !ls.outPE[l] {
 						continue
 					}
-					var a, b int32
+					a, b := imm, int32(0)
 					if aMode != laneSrcNone {
 						a = rf[aReg+li]
 					}
 					if bMode != laneSrcNone {
 						b = rf[bReg+li]
 					}
-					var v int32
-					switch op {
-					case arch.MOVE:
-						v = a
-					case arch.CONST:
-						v = imm
-					case arch.IADD:
-						v = a + b
-					case arch.ISUB:
-						v = a - b
-					case arch.IMUL:
-						v = a * b
-					case arch.IAND:
-						v = a & b
-					case arch.IOR:
-						v = a | b
-					case arch.IXOR:
-						v = a ^ b
-					case arch.ISHL:
-						v = a << (uint32(b) & 31)
-					case arch.ISHR:
-						v = a >> (uint32(b) & 31)
-					case arch.IUSHR:
-						v = int32(uint32(a) >> (uint32(b) & 31))
-					case arch.INEG:
-						v = -a
-					default: // arch.INOT
-						v = ^a
-					}
+					v := arch.Eval(op, a, b)
 					if direct {
 						rf[wIdx+li] = v
 					} else {

@@ -12,6 +12,10 @@
 // one. RunBatch (runlanes.go) steps N hook-free invocations as lanes of the
 // same microprogram.
 //
+// Neither walk defines what an opcode computes: both inline arch.Eval and
+// arch.Holds, the op table's definitions. Predecode refuses a program that
+// issues an op its PE does not implement, so no walk has an unknown-op path.
+//
 // The simulator is the ground truth for the reproduction: every kernel's
 // CGRA run is checked against the IR interpreter's results.
 package sim
@@ -20,7 +24,6 @@ import (
 	"context"
 	"fmt"
 
-	"cgra/internal/arch"
 	"cgra/internal/ctxgen"
 	"cgra/internal/fault"
 	"cgra/internal/ir"
@@ -144,54 +147,4 @@ func (m *Machine) run(ctx context.Context, args map[string]int32, host *ir.Host,
 		limit = defaultMaxCycles
 	}
 	return m.Engine.run(ctx, limit, args, host, h)
-}
-
-func evalALU(op arch.OpCode, a, b, imm int32) (int32, error) {
-	switch op {
-	case arch.MOVE:
-		return a, nil
-	case arch.CONST:
-		return imm, nil
-	case arch.IADD:
-		return a + b, nil
-	case arch.ISUB:
-		return a - b, nil
-	case arch.IMUL:
-		return a * b, nil
-	case arch.IAND:
-		return a & b, nil
-	case arch.IOR:
-		return a | b, nil
-	case arch.IXOR:
-		return a ^ b, nil
-	case arch.ISHL:
-		return a << (uint32(b) & 31), nil
-	case arch.ISHR:
-		return a >> (uint32(b) & 31), nil
-	case arch.IUSHR:
-		return int32(uint32(a) >> (uint32(b) & 31)), nil
-	case arch.INEG:
-		return -a, nil
-	case arch.INOT:
-		return ^a, nil
-	}
-	return 0, fmt.Errorf("unknown ALU op %v", op)
-}
-
-func evalCompare(op arch.OpCode, a, b int32) (bool, error) {
-	switch op {
-	case arch.IFLT:
-		return a < b, nil
-	case arch.IFLE:
-		return a <= b, nil
-	case arch.IFGT:
-		return a > b, nil
-	case arch.IFGE:
-		return a >= b, nil
-	case arch.IFEQ:
-		return a == b, nil
-	case arch.IFNE:
-		return a != b, nil
-	}
-	return false, fmt.Errorf("unknown compare %v", op)
 }

@@ -15,6 +15,7 @@ package vgen
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"cgra/internal/arch"
@@ -255,9 +256,10 @@ func maxI(a, b int) int {
 	return b
 }
 
-// alu emits one PE's ALU: one case arm per implemented operation (the paper:
-// "each operation is realized separately in the ALU. This cannot be done
-// efficiently using parameters.").
+// alu emits one PE's ALU: one case arm per implemented operation, the op
+// table's Verilog (arch.OpCode.Verilog) with the data width and the op's
+// duration on this PE filled in (the paper: "each operation is realized
+// separately in the ALU. This cannot be done efficiently using parameters.").
 func (g *gen) alu(pe *arch.PE) string {
 	var b strings.Builder
 	header(&b, fmt.Sprintf("ALU of PE %d: %d operations", pe.Index, len(pe.Ops)))
@@ -283,52 +285,8 @@ func (g *gen) alu(pe *arch.PE) string {
 	fmt.Fprintf(&b, "    y = {%d{1'b0}};\n    status = 1'b0;\n", dw)
 	fmt.Fprintf(&b, "    case (op)\n")
 	for i, op := range ops {
-		fmt.Fprintf(&b, "      %d: begin // %v\n", i+1, op)
-		switch op {
-		case arch.NOP:
-			fmt.Fprintf(&b, "        y = {%d{1'b0}};\n", dw)
-		case arch.MOVE:
-			fmt.Fprintf(&b, "        y = a;\n")
-		case arch.CONST:
-			fmt.Fprintf(&b, "        y = imm;\n")
-		case arch.IADD:
-			fmt.Fprintf(&b, "        y = a + b;\n")
-		case arch.ISUB:
-			fmt.Fprintf(&b, "        y = a - b;\n")
-		case arch.IMUL:
-			fmt.Fprintf(&b, "        y = a * b; // %d-cycle multiplier\n", pe.Duration(arch.IMUL))
-		case arch.IAND:
-			fmt.Fprintf(&b, "        y = a & b;\n")
-		case arch.IOR:
-			fmt.Fprintf(&b, "        y = a | b;\n")
-		case arch.IXOR:
-			fmt.Fprintf(&b, "        y = a ^ b;\n")
-		case arch.ISHL:
-			fmt.Fprintf(&b, "        y = a <<< b[4:0];\n")
-		case arch.ISHR:
-			fmt.Fprintf(&b, "        y = a >>> b[4:0];\n")
-		case arch.IUSHR:
-			fmt.Fprintf(&b, "        y = $unsigned(a) >> b[4:0];\n")
-		case arch.INEG:
-			fmt.Fprintf(&b, "        y = -a;\n")
-		case arch.INOT:
-			fmt.Fprintf(&b, "        y = ~a;\n")
-		case arch.IFLT:
-			fmt.Fprintf(&b, "        status = (a < b);\n")
-		case arch.IFLE:
-			fmt.Fprintf(&b, "        status = (a <= b);\n")
-		case arch.IFGT:
-			fmt.Fprintf(&b, "        status = (a > b);\n")
-		case arch.IFGE:
-			fmt.Fprintf(&b, "        status = (a >= b);\n")
-		case arch.IFEQ:
-			fmt.Fprintf(&b, "        status = (a == b);\n")
-		case arch.IFNE:
-			fmt.Fprintf(&b, "        status = (a != b);\n")
-		case arch.LOAD, arch.STORE:
-			fmt.Fprintf(&b, "        y = a; // handled by the DMA interface\n")
-		}
-		fmt.Fprintf(&b, "      end\n")
+		arm := strings.NewReplacer("WIDTH", strconv.Itoa(dw), "DUR", strconv.Itoa(pe.Duration(op))).Replace(op.Verilog())
+		fmt.Fprintf(&b, "      %d: begin // %v\n        %s\n      end\n", i+1, op, arm)
 	}
 	fmt.Fprintf(&b, "      default: y = {%d{1'b0}};\n", dw)
 	fmt.Fprintf(&b, "    endcase\n  end\nendmodule\n")

@@ -75,11 +75,11 @@ func TestGenerateTopWiresInterconnect(t *testing.T) {
 }
 
 func TestGenerateALUMatchesOpSet(t *testing.T) {
-	f, err := arch.IrregularComposition("F", 2)
+	f, err := arch.IrregularComposition("F", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	files, err := Generate(f, Options{})
+	files, err := Generate(f, Options{DataWidth: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,6 +97,19 @@ func TestGenerateALUMatchesOpSet(t *testing.T) {
 	// Compare ops drive the status output.
 	if !strings.Contains(byName["alu_0.v"], "status = (a < b);") {
 		t.Error("alu_0 missing IFLT status logic")
+	}
+	// The op table's arms get this PE's multiplier latency and the data
+	// width filled in.
+	if !strings.Contains(byName["alu_2.v"], "y = a * b; // 1-cycle multiplier") {
+		t.Error("alu_2 IMUL arm does not state the single-cycle multiplier")
+	}
+	if !strings.Contains(byName["alu_0.v"], "// NOP\n        y = {16{1'b0}};") {
+		t.Error("alu_0 NOP arm is not 16 bits of zero")
+	}
+	for name, src := range byName {
+		if strings.HasPrefix(name, "alu_") && (strings.Contains(src, "WIDTH") || strings.Contains(src, "DUR")) {
+			t.Errorf("%s keeps an unfilled op table placeholder", name)
+		}
 	}
 }
 
