@@ -15,9 +15,12 @@
 //
 // Chaos soak mode (-chaos) serves in-process under seeded environment
 // fault injection, drives reference-checked load, then asserts bounded
-// recovery (see chaos.go):
+// recovery; churn mode (-churn) kills and restarts one node of an
+// in-process cluster under load. All three harnesses live in
+// internal/drill:
 //
-//	cgrad -chaos -seed 1 -clients 4 -chaos-iters 8 -metrics-out chaos-metrics.prom
+//	cgrad -chaos -seed 1 -clients 4 -iters 16 -metrics-out chaos-metrics.prom
+//	cgrad -churn -churn-nodes 3 -clients 4 -seed 1
 package main
 
 import (
@@ -32,6 +35,7 @@ import (
 	"time"
 
 	"cgra/internal/arch"
+	"cgra/internal/drill"
 	"cgra/internal/pipeline"
 	"cgra/internal/server"
 )
@@ -52,72 +56,36 @@ func main() {
 
 		loadgen    = flag.Bool("loadgen", false, "run as load generator against -target instead of serving")
 		target     = flag.String("target", "http://127.0.0.1:8080", "daemon base URL (loadgen mode)")
-		clients    = flag.Int("clients", 4, "concurrent clients (loadgen mode)")
-		iters      = flag.Int("iters", 8, "run iterations per client (loadgen mode)")
+		clients    = flag.Int("clients", 4, "concurrent clients (loadgen, chaos and churn)")
+		iters      = flag.Int("iters", 0, "run iterations per client (0 = the mode's default: 8 for loadgen and chaos, 30 for churn)")
 		expectWarm = flag.Bool("expect-warm", false, "loadgen: fail unless every first compile is served from the cache")
-		seed       = flag.Int64("seed", 1, "loadgen/chaos: RNG seed (deterministic request mix and fault schedule)")
+		seed       = flag.Int64("seed", 1, "loadgen/chaos/churn: RNG seed (deterministic request mix and fault schedule)")
 		slowlog    = flag.Duration("slowlog", 0, "loadgen: log every run slower than this with its trace ID (0 = off)")
 		traceOut   = flag.String("trace-out", "", "loadgen: fetch /debug/traces after the load phase, validate it, and write the Chrome trace JSON here")
 
 		chaosMode  = flag.Bool("chaos", false, "run the chaos soak: serve in-process under fault injection, drive load, assert recovery")
-		chaosIters = flag.Int("chaos-iters", 8, "chaos: run iterations per client")
 		metricsOut = flag.String("metrics-out", "", "chaos: write the final metrics dump (Prometheus text) to this file")
 
 		churnMode  = flag.Bool("churn", false, "run the cluster churn harness: N in-process clustered nodes, kill one mid-load, restart it cold, assert peer re-warming")
 		churnNodes = flag.Int("churn-nodes", 3, "churn: cluster size")
-		churnIters = flag.Int("churn-iters", 30, "churn: run iterations per client")
 	)
 	flag.Parse()
 
-	if *churnMode {
-		if err := runChurn(churnConfig{
-			CompName: *compName,
-			Nodes:    *churnNodes,
-			Clients:  *clients,
-			Iters:    *churnIters,
-			Seed:     *seed,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "cgrad:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *chaosMode {
-		if err := runChaos(chaosConfig{
-			CompName:   *compName,
-			Seed:       *seed,
-			Clients:    *clients,
-			Iters:      *chaosIters,
-			MetricsOut: *metricsOut,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "cgrad:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *loadgen {
-		if err := runLoadgen(loadgenConfig{
-			Target:     *target,
-			Clients:    *clients,
-			Iters:      *iters,
-			ExpectWarm: *expectWarm,
-			Seed:       *seed,
-			SlowLog:    *slowlog,
-			TraceOut:   *traceOut,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "cgrad:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	comp, err := arch.ByName(*compName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cgrad:", err)
-		os.Exit(1)
+	exitOn(err)
+	switch {
+	case *churnMode:
+		exitOn(drill.Churn(drill.ChurnConfig{Comp: comp, Nodes: *churnNodes, Clients: *clients, Iters: *iters, Seed: *seed}, os.Stdout))
+		return
+	case *chaosMode:
+		exitOn(drill.Chaos(drill.ChaosConfig{Comp: comp, Seed: *seed, Clients: *clients, Iters: *iters, MetricsOut: *metricsOut}, os.Stdout))
+		return
+	case *loadgen:
+		exitOn(drill.Loadgen(drill.LoadgenConfig{Target: *target, Clients: *clients, Iters: *iters, ExpectWarm: *expectWarm,
+			Seed: *seed, SlowLog: *slowlog, TraceOut: *traceOut}, os.Stdout))
+		return
 	}
+
 	opts := pipeline.Defaults()
 	opts.UnrollFactor = *unroll
 	srv, err := server.New(server.Config{
@@ -132,18 +100,11 @@ func main() {
 		Peers:           splitPeers(*peers),
 		ProbeInterval:   *probeEvery,
 	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cgrad:", err)
-		os.Exit(1)
-	}
-
+	exitOn(err)
 	// Bind synchronously so a bad address fails loudly, before any client
 	// is told the daemon is up.
 	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cgrad:", err)
-		os.Exit(1)
-	}
+	exitOn(err)
 	fmt.Printf("cgrad: serving %q on %s (cache: %s)\n", *compName, ln.Addr(), cacheDirLabel(*cacheDir))
 
 	sig := make(chan os.Signal, 1)
@@ -156,19 +117,20 @@ func main() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
-			fmt.Fprintln(os.Stderr, "cgrad: shutdown:", err)
-			os.Exit(1)
+			exitOn(fmt.Errorf("shutdown: %v", err))
 		}
-		if err := <-done; err != nil {
-			fmt.Fprintln(os.Stderr, "cgrad:", err)
-			os.Exit(1)
-		}
+		exitOn(<-done)
 		fmt.Println("cgrad: drained")
 	case err := <-done:
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cgrad:", err)
-			os.Exit(1)
-		}
+		exitOn(err)
+	}
+}
+
+// exitOn ends the process with status 1 when err is set.
+func exitOn(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "cgrad:", err)
+		os.Exit(1)
 	}
 }
 

@@ -30,13 +30,11 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
-	"cgra/internal/adpcm"
 	"cgra/internal/arch"
+	"cgra/internal/drill"
 	"cgra/internal/fault"
 	"cgra/internal/ir"
 	"cgra/internal/irtext"
@@ -46,7 +44,6 @@ import (
 	"cgra/internal/sim"
 	"cgra/internal/system"
 	"cgra/internal/trace"
-	"cgra/internal/workload"
 )
 
 type argList []string
@@ -97,7 +94,7 @@ func main() {
 	switch {
 	case *workloadName != "":
 		var err error
-		k, scalars, host, err = loadWorkload(*workloadName)
+		k, scalars, host, err = drill.Workload(*workloadName)
 		if err != nil {
 			fatal(err)
 		}
@@ -229,12 +226,10 @@ func main() {
 		report(c.UsedContexts(), res.Sim.RunCycles, res.Sim.TransferCycles, res.Sim.Energy, res.Sim.LiveOuts, host)
 		return
 	}
-	var refHost *ir.Host
-	refArgs := map[string]int32{}
+	var ref *drill.Case
 	if *verify {
-		refHost = host.Clone()
-		for n, v := range scalars {
-			refArgs[n] = v
+		if ref, err = drill.NewCase(k, scalars, host); err != nil {
+			fatal(err)
 		}
 	}
 	m := sim.New(c.Program)
@@ -271,8 +266,8 @@ func main() {
 	if ctrs != nil {
 		ctrs.Flush(reg)
 	}
-	if refHost != nil {
-		if err := verifyAgainstInterpreter(k, res, refArgs, refHost, host); err != nil {
+	if ref != nil {
+		if err := ref.Check(res.LiveOuts, host); err != nil {
 			fatal(fmt.Errorf("differential check failed: %v", err))
 		}
 	}
@@ -303,49 +298,6 @@ func main() {
 		<-sig
 		// The deferred shutdownMetrics drains the server before exit.
 	}
-}
-
-// loadWorkload resolves a built-in input: the ADPCM decode of the paper's
-// experiments, or a workload-library entry at its default size.
-func loadWorkload(name string) (*ir.Kernel, map[string]int32, *ir.Host, error) {
-	if name == "adpcm" {
-		samples := adpcm.GenerateSamples(adpcm.NumSamples)
-		var enc adpcm.State
-		codes, err := adpcm.Encode(samples, &enc)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return adpcm.Kernel(), adpcm.Args(adpcm.NumSamples, adpcm.State{}),
-			adpcm.NewHost(codes, adpcm.NumSamples), nil
-	}
-	w, err := workload.ByName(name)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return w.Kernel, w.Args(w.DefaultSize), w.Host(w.DefaultSize), nil
-}
-
-// verifyAgainstInterpreter replays the original kernel on the reference
-// interpreter with pristine inputs and compares live-outs and heap.
-func verifyAgainstInterpreter(k *ir.Kernel, res *sim.Result,
-	args map[string]int32, refHost, simHost *ir.Host) error {
-	refOuts, err := (&ir.Interp{}).Run(k, args, refHost)
-	if err != nil {
-		return fmt.Errorf("interpreter: %v", err)
-	}
-	for name, want := range refOuts {
-		got, ok := res.LiveOuts[name]
-		if !ok {
-			return fmt.Errorf("live-out %q missing from CGRA run", name)
-		}
-		if got != want {
-			return fmt.Errorf("live-out %q: CGRA %d != reference %d", name, got, want)
-		}
-	}
-	if !simHost.Equal(refHost) {
-		return fmt.Errorf("heap contents differ from reference")
-	}
-	return nil
 }
 
 // serveMetrics exposes the registry and the pprof handlers. It binds
@@ -397,16 +349,10 @@ func runResilient(k *ir.Kernel, comp *arch.Composition, opts pipeline.Options,
 	if err != nil {
 		return err
 	}
-
-	// Fault-free golden reference, computed up front on untouched clones.
-	refHost := host.Clone()
-	refArgs := make(map[string]int32, len(scalars))
-	for n, v := range scalars {
-		refArgs[n] = v
-	}
-	refOuts, err := (&ir.Interp{}).Run(k, refArgs, refHost)
+	// Fault-free golden reference, computed up front on untouched copies.
+	ref, err := drill.NewCase(k, scalars, host)
 	if err != nil {
-		return fmt.Errorf("reference interpreter: %v", err)
+		return err
 	}
 
 	s := system.New(comp, opts, 1)
@@ -418,28 +364,19 @@ func runResilient(k *ir.Kernel, comp *arch.Composition, opts pipeline.Options,
 	if err := s.Synthesize(k.Name); err != nil {
 		return fmt.Errorf("synthesis onto %s: %v", comp.Name, err)
 	}
-	if err := s.InjectFaults(fault.Plan{Seed: seed, Faults: faults}); err != nil {
+	if err := drill.Arm(s, fault.Plan{Seed: seed, Faults: faults}, os.Stdout); err != nil {
 		return err
-	}
-	for _, f := range faults {
-		fmt.Printf("armed fault: %s (seed %d)\n", f, seed)
 	}
 
 	res, err := s.Invoke(k.Name, scalars, host)
 	if err != nil {
 		return fmt.Errorf("invocation did not survive the fault plan: %v", err)
 	}
-
 	// The system's own cross-check already gates what it commits, but the
 	// acceptance bar is explicit: live-outs and heap must match the
 	// fault-free reference exactly.
-	for name, want := range refOuts {
-		if got := res.LiveOuts[name]; got != want {
-			return fmt.Errorf("live-out %q: %d != fault-free reference %d", name, got, want)
-		}
-	}
-	if !host.Equal(refHost) {
-		return fmt.Errorf("heap diverged from the fault-free reference")
+	if err := ref.Check(res.LiveOuts, host); err != nil {
+		return fmt.Errorf("fault-free reference: %v", err)
 	}
 
 	st := s.Stats()
@@ -463,46 +400,26 @@ func runResilient(k *ir.Kernel, comp *arch.Composition, opts pipeline.Options,
 	return nil
 }
 
-// runSoak drives N concurrent invocation streams of the kernel through
-// the online-synthesis system: every stream starts on the AMIDAR host,
-// background synthesis moves the kernel to the CGRA mid-soak, and — when
-// -fault specs are armed — detection, recovery, degradation and the
-// circuit breaker all exercise under load. Every result is checked against
-// the fault-free reference; any mismatch or invocation error fails the
-// run.
+// runSoak builds the online-synthesis system the soak drill drives (see
+// drill.Soak), serves its metrics while the soak runs, and reports the
+// scheduler's explain log and the metrics afterwards, pass or fail.
 func runSoak(k *ir.Kernel, comp *arch.Composition, opts pipeline.Options,
 	scalars map[string]int32, host *ir.Host, specs []string, seed int64,
 	streams, iters int, tunePolicy func(*system.System),
 	explainLog *sched.ExplainLog, serveAddr, metricsPath, metricsFormat string) error {
-
-	// Fault-free golden reference: expected live-outs and post-run heap.
-	refHost := host.Clone()
-	refArgs := make(map[string]int32, len(scalars))
-	for n, v := range scalars {
-		refArgs[n] = v
-	}
-	refOuts, err := (&ir.Interp{}).Run(k, refArgs, refHost)
+	faults, err := fault.ParseSpecs(specs)
 	if err != nil {
-		return fmt.Errorf("reference interpreter: %v", err)
+		return err
 	}
-
+	ref, err := drill.NewCase(k, scalars, host)
+	if err != nil {
+		return err
+	}
 	s := system.New(comp, opts, 1)
 	defer s.Close()
 	tunePolicy(s)
 	if err := s.Register(k); err != nil {
 		return err
-	}
-	if len(specs) > 0 {
-		faults, err := fault.ParseSpecs(specs)
-		if err != nil {
-			return err
-		}
-		if err := s.InjectFaults(fault.Plan{Seed: seed, Faults: faults}); err != nil {
-			return err
-		}
-		for _, f := range faults {
-			fmt.Printf("armed fault: %s (seed %d)\n", f, seed)
-		}
 	}
 	if serveAddr != "" {
 		srv, err := serveMetrics(serveAddr, s.Metrics())
@@ -512,50 +429,7 @@ func runSoak(k *ir.Kernel, comp *arch.Composition, opts pipeline.Options,
 		defer shutdownMetrics(srv)
 		fmt.Printf("serving /metrics and /debug/pprof on %s\n", serveAddr)
 	}
-
-	var wg sync.WaitGroup
-	var failures, mismatches atomic.Int64
-	start := time.Now()
-	for w := 0; w < streams; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				h := host.Clone()
-				res, err := s.Invoke(k.Name, scalars, h)
-				if err != nil {
-					failures.Add(1)
-					continue
-				}
-				ok := h.Equal(refHost)
-				for name, want := range refOuts {
-					if res.LiveOuts[name] != want {
-						ok = false
-					}
-				}
-				if !ok {
-					mismatches.Add(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	s.Quiesce()
-	elapsed := time.Since(start)
-
-	st := s.Stats()
-	fmt.Printf("soak: %d streams × %d invocations of %s in %v\n",
-		streams, iters, k.Name, elapsed.Round(time.Millisecond))
-	fmt.Printf("  runs: %d host, %d CGRA (cycles: %d host, %d CGRA)\n",
-		st.AMIDARRuns, st.CGRARuns, st.AMIDARCycles, st.CGRACycles)
-	fmt.Printf("  synthesis: %d landed, %d shed, %d deadline hits; recovery retries %d\n",
-		len(st.SynthesizedSeq), st.SynthSheds, st.DeadlineHits, st.Retries)
-	fmt.Printf("  faults: injected %d, detected %d, re-syntheses %d, host fallbacks %d\n",
-		st.FaultsInjected, st.FaultsDetected, st.Resyntheses, st.Fallbacks)
-	fmt.Printf("  breaker[%s]: %s\n", k.Name, s.BreakerState(k.Name))
-	if masked := s.MaskedPEs(); len(masked) > 0 {
-		fmt.Printf("  degraded composition active, PEs masked: %v\n", masked)
-	}
+	soakErr := drill.Soak(s, ref, fault.Plan{Seed: seed, Faults: faults}, streams, iters, os.Stdout)
 	if explainLog != nil {
 		explainLog.WriteSummary(os.Stdout, 10)
 		explainLog.Export(s.Metrics())
@@ -566,12 +440,7 @@ func runSoak(k *ir.Kernel, comp *arch.Composition, opts pipeline.Options,
 		}
 		fmt.Printf("wrote metrics to %s\n", metricsPath)
 	}
-	if failures.Load() > 0 || mismatches.Load() > 0 {
-		return fmt.Errorf("soak failed: %d invocation errors, %d result mismatches",
-			failures.Load(), mismatches.Load())
-	}
-	fmt.Println("  every result matched the fault-free reference")
-	return nil
+	return soakErr
 }
 
 func report(ctx int, run, xfer int64, energy float64, outs map[string]int32, host *ir.Host) {

@@ -3,6 +3,7 @@ package ir
 import (
 	"errors"
 	"fmt"
+	"sort"
 )
 
 // Host models the heap of the host processor. Array parameters of a kernel
@@ -67,6 +68,51 @@ func (h *Host) Equal(o *Host) bool {
 		}
 	}
 	return true
+}
+
+// Compare checks a run's live-outs and post-run heap against the reference
+// interpreter's and returns nil when they agree. This is the one definition
+// of "same answer" every execution path is held to: a reference live-out the
+// run did not return is a mismatch, and so is any heap difference; the error
+// names the first differing live-out or array element, in name order.
+func Compare(want map[string]int32, wantHeap *Host, got map[string]int32, gotHeap *Host) error {
+	for _, name := range sortedKeys(want) {
+		g, ok := got[name]
+		if !ok {
+			return fmt.Errorf("live-out %q missing", name)
+		}
+		if g != want[name] {
+			return fmt.Errorf("live-out %q = %d, reference %d", name, g, want[name])
+		}
+	}
+	if len(gotHeap.Arrays) != len(wantHeap.Arrays) {
+		return fmt.Errorf("heap holds %d arrays, reference %d", len(gotHeap.Arrays), len(wantHeap.Arrays))
+	}
+	for _, name := range sortedKeys(wantHeap.Arrays) {
+		w := wantHeap.Arrays[name]
+		g, ok := gotHeap.Arrays[name]
+		if !ok {
+			return fmt.Errorf("heap array %q missing", name)
+		}
+		if len(g) != len(w) {
+			return fmt.Errorf("heap %s: %d elements, reference %d", name, len(g), len(w))
+		}
+		for i := range w {
+			if g[i] != w[i] {
+				return fmt.Errorf("heap %s[%d] = %d, reference %d", name, i, g[i], w[i])
+			}
+		}
+	}
+	return nil
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // OpStats counts dynamic operations during an interpreted run. The AMIDAR

@@ -338,6 +338,37 @@ func TestHostCloneAndEqual(t *testing.T) {
 	}
 }
 
+// TestCompare pins the reference check's rules: a missing live-out is a
+// mismatch, extra live-outs are not, and the first differing element in
+// array-name order is the one named.
+func TestCompare(t *testing.T) {
+	ref := NewHost()
+	ref.Arrays["a"] = []int32{1, 2, 3}
+	ref.Arrays["b"] = []int32{4, 5}
+	want := map[string]int32{"s": 7}
+	for _, tc := range []struct {
+		name string
+		outs map[string]int32
+		heap func(*Host)
+		err  string
+	}{
+		{"agree, extra live-out", map[string]int32{"s": 7, "t": 1}, func(*Host) {}, ""},
+		{"missing live-out", map[string]int32{}, func(*Host) {}, `live-out "s" missing`},
+		{"wrong live-out", map[string]int32{"s": 8}, func(*Host) {}, `live-out "s" = 8, reference 7`},
+		{"first element in name order", want, func(h *Host) { h.Arrays["b"][0] = 0; h.Arrays["a"][2] = 0 }, "heap a[2] = 0, reference 3"},
+		{"short array", want, func(h *Host) { h.Arrays["b"] = h.Arrays["b"][:1] }, "heap b: 1 elements, reference 2"},
+		{"missing array", want, func(h *Host) { delete(h.Arrays, "a"); h.Arrays["c"] = nil }, `heap array "a" missing`},
+		{"extra array", want, func(h *Host) { h.Arrays["c"] = nil }, "heap holds 3 arrays, reference 2"},
+	} {
+		got := ref.Clone()
+		tc.heap(got)
+		err := Compare(want, ref, tc.outs, got)
+		if (err == nil) != (tc.err == "") || err != nil && err.Error() != tc.err {
+			t.Errorf("%s: Compare = %v, want %q", tc.name, err, tc.err)
+		}
+	}
+}
+
 func TestStringers(t *testing.T) {
 	e := Add(Mul(V("x"), C(3)), At("a", V("i")))
 	if got := e.String(); got != "((x * 3) + a[i])" {

@@ -15,7 +15,6 @@ package pipeline
 // skeleton the simulator consumes.
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/gob"
 	"encoding/hex"
@@ -225,18 +224,4 @@ func Key(k *ir.Kernel, comp *arch.Composition, o Options) string {
 		backend, o.UnrollFactor, o.CSE, o.ConstFold, o.Build.BranchAllIfs,
 		o.Sched.NoAttraction, o.Sched.NoFusing, o.Sched.MaxCycles)
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// CompileOrRealize is a convenience for callers holding a cache-looked-up
-// artifact: it realizes the artifact when non-nil and falls back to a full
-// compile otherwise.
-func CompileOrRealize(ctx context.Context, a *Artifact, k *ir.Kernel, comp *arch.Composition, o Options) (*Compiled, error) {
-	if a != nil {
-		if c, err := a.Realize(); err == nil {
-			return c, nil
-		}
-		// A realize failure (version skew, corrupt entry that slipped the
-		// checksum) falls through to a fresh compile.
-	}
-	return CompileCtx(ctx, k, comp, o)
 }

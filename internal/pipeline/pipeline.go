@@ -291,30 +291,12 @@ func CheckAgainstInterpreter(original *ir.Kernel, c *Compiled, args map[string]i
 	if err != nil {
 		return nil, fmt.Errorf("simulator: %v", err)
 	}
-	interp := &ir.Interp{}
-	refOut, err := interp.Run(original, args, hostRef)
+	refOut, err := (&ir.Interp{}).Run(original, args, hostRef)
 	if err != nil {
 		return nil, fmt.Errorf("interpreter: %v", err)
 	}
-	for name, want := range refOut {
-		got, ok := simRes.LiveOuts[name]
-		if !ok {
-			return nil, fmt.Errorf("live-out %q missing from CGRA run", name)
-		}
-		if got != want {
-			return nil, fmt.Errorf("live-out %q: CGRA %d != reference %d", name, got, want)
-		}
-	}
-	if !hostSim.Equal(hostRef) {
-		for name, ref := range hostRef.Arrays {
-			got := hostSim.Arrays[name]
-			for i := range ref {
-				if got[i] != ref[i] {
-					return nil, fmt.Errorf("heap %s[%d]: CGRA %d != reference %d", name, i, got[i], ref[i])
-				}
-			}
-		}
-		return nil, fmt.Errorf("heap contents differ")
+	if err := ir.Compare(refOut, hostRef, simRes.LiveOuts, hostSim); err != nil {
+		return nil, fmt.Errorf("CGRA run: %w", err)
 	}
 	return &CheckResult{Sim: simRes, Reference: refOut}, nil
 }

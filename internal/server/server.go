@@ -62,9 +62,6 @@ type Config struct {
 	// CacheFS is the filesystem the cache persists through (nil = the real
 	// OS). Tests and the chaos soak pass a fault-injecting chaos.Injector.
 	CacheFS chaos.FS
-	// CacheDiskCap bounds the disk tier in bytes (0 = cache default,
-	// negative = unbounded).
-	CacheDiskCap int64
 	// CacheScrubInterval paces the cache's background scrubber (0 = cache
 	// default, negative = startup pass only).
 	CacheScrubInterval time.Duration
@@ -79,17 +76,11 @@ type Config struct {
 	// engine pass. The window is the longest it queues; below the limit a
 	// request runs at once (0 = batching off).
 	BatchWindow time.Duration
-	// BrownoutWindow and BrownoutThreshold arm brownout mode when that many
-	// requests are shed inside the window (0 = 1s / 4); BrownoutHold keeps
-	// it armed after the last trigger (0 = 2s).
-	BrownoutWindow    time.Duration
+	// BrownoutThreshold arms brownout mode when that many requests are shed
+	// inside brownoutWindow (0 = 4); BrownoutHold keeps it armed after the
+	// last trigger (0 = 2s).
 	BrownoutThreshold int
 	BrownoutHold      time.Duration
-	// TraceRing bounds the flight recorder's ring of recent completed
-	// traces (0 = 256); TraceSlowest bounds its per-endpoint reservoir of
-	// slowest traces (0 = 8).
-	TraceRing    int
-	TraceSlowest int
 	// Advertise is this node's base URL as peers reach it (e.g.
 	// "http://10.0.0.3:8080"). Together with a non-empty Peers list it
 	// turns the daemon into a cluster member: compiles route to their
@@ -136,6 +127,10 @@ type Server struct {
 	latency        *obs.Histogram
 }
 
+// brownoutWindow is the span over which BrownoutThreshold sheds arm
+// brownout mode.
+const brownoutWindow = time.Second
+
 // requestLatencyBuckets spans sub-millisecond cache hits to multi-second
 // cold compiles.
 var requestLatencyBuckets = []float64{0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 30}
@@ -163,17 +158,12 @@ func New(cfg Config) (*Server, error) {
 		MemEntries:    cfg.CacheMem,
 		Registry:      reg,
 		FS:            cfg.CacheFS,
-		DiskCapBytes:  cfg.CacheDiskCap,
 		ScrubInterval: cfg.CacheScrubInterval,
 	})
 	if err != nil {
 		return nil, err
 	}
 	sys.Cache = store
-	boWindow := cfg.BrownoutWindow
-	if boWindow <= 0 {
-		boWindow = time.Second
-	}
 	boThreshold := cfg.BrownoutThreshold
 	if boThreshold <= 0 {
 		boThreshold = 4
@@ -197,8 +187,8 @@ func New(cfg Config) (*Server, error) {
 		deadline:       deadline,
 		digests:        map[string]string{},
 		est:            newSvcEstimator(),
-		bo:             &brownout{window: boWindow, threshold: boThreshold, hold: boHold},
-		flight:         obs.NewFlightRecorder(cfg.TraceRing, cfg.TraceSlowest),
+		bo:             &brownout{window: brownoutWindow, threshold: boThreshold, hold: boHold},
+		flight:         obs.NewFlightRecorder(obs.DefaultFlightRing, obs.DefaultFlightSlowest),
 		inflight:       reg.Gauge("cgra_server_inflight"),
 		shed:           reg.Counter("cgra_server_shed_total"),
 		deadlineShed:   reg.Counter("cgra_server_deadline_shed_total"),

@@ -115,7 +115,7 @@ type batch struct {
 // scalar walk, the cross-check runs there too) and a program that
 // predecodes. nil otherwise.
 func (s *System) laneEngine(ent *entry) *sim.Decoded {
-	if ent == nil || s.inj.Load() != nil || s.Policy.CrossCheck {
+	if ent == nil || s.plan.Load() != nil || s.Policy.CrossCheck {
 		return nil
 	}
 	eng, err := ent.c.Engine()

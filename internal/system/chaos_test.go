@@ -171,3 +171,51 @@ func TestClearFaultsStopsCorruption(t *testing.T) {
 		t.Fatalf("cleared plan still fired: detected=%d injected=%d", st.FaultsDetected, st.FaultsInjected)
 	}
 }
+
+// TestFaultsInjectedSurvivesClear proves cgra_system_faults_injected counts
+// every injection of every plan: clearing a plan keeps its count, and a
+// second plan adds to it instead of starting from zero.
+func TestFaultsInjectedSurvivesClear(t *testing.T) {
+	s := newSystem(t, 1)
+	defer s.Close()
+	if err := s.Register(mustParse(t, dotSrc)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Synthesize("dot"); err != nil {
+		t.Fatal(err)
+	}
+	args := map[string]int32{"n": 8, "s": 0}
+	gauge := s.Metrics().Gauge("cgra_system_faults_injected")
+	armAndRun := func() int64 {
+		t.Helper()
+		if err := s.InjectFaults(fault.Plan{Seed: 5, Faults: []fault.Fault{{Kind: fault.TransientBit, PE: 1}}}); err != nil {
+			t.Fatal(err)
+		}
+		// A transient fires once, at its activation cycle or in the next run.
+		for i := 0; i < 2; i++ {
+			if _, err := s.Invoke("dot", args, dotHost()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s.Stats().FaultsInjected
+	}
+	first := armAndRun()
+	if first < 1 {
+		t.Fatalf("armed plan on a busy PE injected %d faults, want >= 1", first)
+	}
+	s.ClearFaults()
+	for i := 0; i < 3; i++ {
+		if _, err := s.Invoke("dot", args, dotHost()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.Stats().FaultsInjected; got != first {
+		t.Fatalf("after ClearFaults: injected = %d, want the cleared plan's %d", got, first)
+	}
+	if second := armAndRun(); second <= first {
+		t.Fatalf("second plan: injected = %d, want more than the first plan's %d", second, first)
+	}
+	if g := int64(gauge.Value()); g != s.Stats().FaultsInjected {
+		t.Fatalf("cgra_system_faults_injected = %d, Stats().FaultsInjected = %d", g, s.Stats().FaultsInjected)
+	}
+}

@@ -74,7 +74,8 @@ type Stats struct {
 	AMIDARCycles   int64
 	CGRACycles     int64
 	SynthesizedSeq []string
-	// FaultsInjected counts corruption events the armed fault plan applied.
+	// FaultsInjected counts corruption events the armed fault plans applied,
+	// cleared plans included.
 	FaultsInjected int64
 	// FaultsDetected counts CGRA runs rejected by the watchdog, the
 	// simulator or the live-out/heap cross-check.
@@ -103,9 +104,6 @@ func (s *Stats) TotalCycles() int64 { return s.AMIDARCycles + s.CGRACycles }
 // admission control. Configure it before the first invocation; the fields
 // are read concurrently afterwards.
 type ResiliencePolicy struct {
-	// MaxRetries caps the CGRA re-execution attempts per invocation after
-	// a detected fault; the host fallback runs when they are exhausted.
-	MaxRetries int
 	// CompileBudget caps the scheduler's cycle horizon per synthesis
 	// attempt, so a pathological degraded composition cannot stall the
 	// system inside the compiler (0 = the scheduler default).
@@ -122,19 +120,8 @@ type ResiliencePolicy struct {
 	SynthQueue int
 	// WatchdogCycles is the hard upper bound on the simulator cycle budget
 	// per CGRA run (0 = 10M cycles). Kernels with a host profile get a far
-	// tighter per-kernel budget (see WatchdogFactor).
+	// tighter per-kernel budget (see watchdogFactor).
 	WatchdogCycles int64
-	// WatchdogFactor derives the per-kernel cycle budget from the profiled
-	// AMIDAR cost: budget = factor × max observed host cycles, clamped to
-	// [50k, WatchdogCycles]. The accelerator is profitable only well below
-	// host cost, so a run exceeding this is livelocked (0 = 16).
-	WatchdogFactor int64
-	// RetryBackoff is the base delay between recovery re-executions; it
-	// doubles per attempt with jitter, clamped to RetryBackoffMax
-	// (0 = 200µs).
-	RetryBackoff time.Duration
-	// RetryBackoffMax clamps the exponential backoff (0 = 20ms).
-	RetryBackoffMax time.Duration
 	// BreakerThreshold is the consecutive-failure count (synthesis
 	// failures or fault detections) that trips a kernel's circuit breaker
 	// to host-only execution (0 = 5).
@@ -152,19 +139,28 @@ type ResiliencePolicy struct {
 // DefaultResiliencePolicy returns the production defaults.
 func DefaultResiliencePolicy() ResiliencePolicy {
 	return ResiliencePolicy{
-		MaxRetries:       3,
 		CompileBudget:    100_000,
 		CompileDeadline:  10 * time.Second,
 		SynthWorkers:     2,
 		SynthQueue:       16,
 		WatchdogCycles:   10_000_000,
-		WatchdogFactor:   16,
-		RetryBackoff:     200 * time.Microsecond,
-		RetryBackoffMax:  20 * time.Millisecond,
 		BreakerThreshold: 5,
 		BreakerCooldown:  250 * time.Millisecond,
 	}
 }
+
+// The recovery loop's fixed policy: at most maxRetries accelerated
+// re-executions per detected fault, paced by a backoff that starts at
+// retryBackoff and doubles, with jitter, up to retryBackoffMax; then the
+// host fallback. A profiled kernel's watchdog budget is watchdogFactor ×
+// its largest host run: the accelerator is only deployed well below host
+// cost, so a CGRA run past that is livelocked.
+const (
+	maxRetries      = 3
+	retryBackoff    = 200 * time.Microsecond
+	retryBackoffMax = 20 * time.Millisecond
+	watchdogFactor  = 16
+)
 
 // entry is one compiled kernel as installed in the dispatch snapshot. It
 // pins everything an accelerated run needs, so a run started on a stale
@@ -183,7 +179,7 @@ type entry struct {
 	// phys maps the entry's logical PE indices to physical PEs (nil =
 	// identity, i.e. compiled for the undegraded array).
 	phys []int
-	// maxCycles is the per-kernel watchdog budget (see WatchdogFactor).
+	// maxCycles is the per-kernel watchdog budget (see watchdogFactor).
 	maxCycles int64
 	// br is the kernel's circuit breaker (shared across entries).
 	br *breaker
@@ -250,8 +246,8 @@ type System struct {
 	// state is the lock-free dispatch snapshot consulted by every
 	// invocation.
 	state atomic.Pointer[sysState]
-	// inj is the armed fault plan (nil pointer = fault-free hardware).
-	inj atomic.Pointer[fault.Injector]
+	// plan is the armed fault plan (nil pointer = fault-free hardware).
+	plan atomic.Pointer[armedPlan]
 
 	// mu guards the profiling and recovery bookkeeping below plus every
 	// state-snapshot swap. The hot dispatch path (already-synthesized
@@ -381,15 +377,48 @@ func New(comp *arch.Composition, opts pipeline.Options, threshold int64) *System
 // concurrently with invocations.
 func (s *System) Metrics() *obs.Registry { return s.reg }
 
-// InjectFaults arms a deterministic fault plan against the system's CGRA.
-// Must be called before the affected invocations; the plan stays armed for
-// the system's lifetime.
+// armedPlan is an armed fault plan's injector and how many of its
+// injections the system has already added to cgra_system_faults_injected.
+type armedPlan struct {
+	inj     *fault.Injector
+	counted atomic.Int64
+}
+
+// injector is the plan's injector; nil when no plan is armed.
+func (p *armedPlan) injector() *fault.Injector {
+	if p == nil {
+		return nil
+	}
+	return p.inj
+}
+
+// count adds the injections this plan applied since it was last counted to
+// total. Every run on the plan counts after it ends, so an injection is
+// counted once, even by a run that ends after ClearFaults, and total never
+// goes back.
+func (p *armedPlan) count(total *obs.Gauge) {
+	n := p.inj.Injections()
+	for {
+		c := p.counted.Load()
+		if n <= c {
+			return
+		}
+		if p.counted.CompareAndSwap(c, n) {
+			total.Add(float64(n - c))
+			return
+		}
+	}
+}
+
+// InjectFaults arms a deterministic fault plan against the system's CGRA,
+// in place of any armed one. Must be called before the affected
+// invocations; the plan stays armed until ClearFaults.
 func (s *System) InjectFaults(plan fault.Plan) error {
 	inj, err := fault.NewInjector(plan, s.Comp.NumPEs())
 	if err != nil {
 		return fmt.Errorf("system: %v", err)
 	}
-	s.inj.Store(inj)
+	s.plan.Store(&armedPlan{inj: inj})
 	return nil
 }
 
@@ -398,7 +427,7 @@ func (s *System) InjectFaults(plan fault.Plan) error {
 // degraded composition remains the synthesis target); this only stops new
 // corruption, for the recovery phase of a chaos soak.
 func (s *System) ClearFaults() {
-	s.inj.Store(nil)
+	s.plan.Store(nil)
 }
 
 // InvokeHost executes one invocation directly on the AMIDAR host
@@ -520,7 +549,6 @@ func (s *System) InvokeCtx(ctx context.Context, name string, args map[string]int
 	ctx, sp := obs.StartSpanCtx(ctx, "system.invoke")
 	defer sp.Finish()
 	s.ctr.invocations.Add(1)
-	defer func() { s.ctr.faultsInjected.SetInt(s.inj.Load().Injections()) }()
 
 	// The dispatch lookup is the serving-path cache decision: an installed
 	// compiled entry means the request skips the whole tool flow.
@@ -650,11 +678,11 @@ func (s *System) runHost(ctx context.Context, name string, args map[string]int32
 func (s *System) runAccelerated(ctx context.Context, name string, ent *entry, args map[string]int32, host *ir.Host) (*Result, error) {
 	ctx, sp := obs.StartSpanCtx(ctx, "cgra.run")
 	defer sp.Finish()
-	inj := s.inj.Load()
+	plan := s.plan.Load()
 	// Machine attaches the memoized predecoded engine; a live fault plan in
 	// Inject hooks into the same walk.
 	m := ent.c.Machine()
-	m.Inject = inj
+	m.Inject = plan.injector()
 	m.PhysPE = ent.phys
 	m.MaxCycles = ent.maxCycles
 	if m.MaxCycles == 0 {
@@ -662,10 +690,13 @@ func (s *System) runAccelerated(ctx context.Context, name string, ent *entry, ar
 	}
 	scratch := host.Clone()
 	res, err := m.RunCtx(ctx, args, scratch)
+	if plan != nil {
+		plan.count(s.ctr.faultsInjected)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("system: CGRA run of %q: %w", name, err)
 	}
-	if s.Policy.CrossCheck || inj != nil {
+	if s.Policy.CrossCheck || plan != nil {
 		cc := sp.StartChild("crosscheck")
 		defer cc.Finish()
 		ref := ent.ref
@@ -677,13 +708,8 @@ func (s *System) runAccelerated(ctx context.Context, name string, ent *entry, ar
 		if err != nil {
 			return nil, fmt.Errorf("system: cross-check reference of %q: %v", name, err)
 		}
-		for out, want := range refOuts {
-			if got := res.LiveOuts[out]; got != want {
-				return nil, fmt.Errorf("system: cross-check of %q: live-out %s = %d, reference %d", name, out, got, want)
-			}
-		}
-		if !scratch.Equal(refHost) {
-			return nil, fmt.Errorf("system: cross-check of %q: heap contents diverge from reference", name)
+		if err := ir.Compare(refOuts, refHost, res.LiveOuts, scratch); err != nil {
+			return nil, fmt.Errorf("system: cross-check of %q: %w", name, err)
 		}
 	}
 	out := s.accept(host, scratch, res)
@@ -711,7 +737,7 @@ func (s *System) watchdogCap() int64 {
 }
 
 // cycleBudgetLocked derives the per-kernel watchdog budget from the AMIDAR
-// host-cycle profile: WatchdogFactor × the largest observed host run,
+// host-cycle profile: watchdogFactor × the largest observed host run,
 // clamped to [50k, WatchdogCycles]. The accelerator is only deployed when
 // it beats the host by a wide margin, so a CGRA run burning a multiple of
 // the host cost is livelocked and the watchdog converts it into a detected
@@ -722,11 +748,7 @@ func (s *System) cycleBudgetLocked(name string) int64 {
 	if est <= 0 {
 		return cap
 	}
-	factor := s.Policy.WatchdogFactor
-	if factor <= 0 {
-		factor = 16
-	}
-	budget := factor * est
+	budget := watchdogFactor * est
 	const floor = 50_000
 	if budget < floor {
 		budget = floor
@@ -751,23 +773,16 @@ func (s *System) recoverInvocation(ctx context.Context, name string, fault error
 	ctx, sp := obs.StartSpanCtx(ctx, "recover")
 	defer sp.Finish()
 	br := s.breakerFor(name)
-	backoff := s.Policy.RetryBackoff
-	if backoff <= 0 {
-		backoff = 200 * time.Microsecond
-	}
-	maxBackoff := s.Policy.RetryBackoffMax
-	if maxBackoff <= 0 {
-		maxBackoff = 20 * time.Millisecond
-	}
+	backoff := retryBackoff
 	for attempt := 0; ; attempt++ {
 		s.ctr.faultsDetected.Add(1)
 		sp.Event("fault_detected", fault.Error())
 		br.failure(time.Now(), s.breakerThreshold())
-		if attempt >= s.Policy.MaxRetries || sleepCtx(ctx, jitter(backoff)) != nil {
+		if attempt >= maxRetries || sleepCtx(ctx, jitter(backoff)) != nil {
 			break
 		}
-		if backoff *= 2; backoff > maxBackoff {
-			backoff = maxBackoff
+		if backoff *= 2; backoff > retryBackoffMax {
+			backoff = retryBackoffMax
 		}
 		s.mu.Lock()
 		if perm := s.newPermanentFaultsLocked(); len(perm) > 0 {
@@ -850,7 +865,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // masked.
 func (s *System) newPermanentFaultsLocked() []fault.Fault {
 	var out []fault.Fault
-	for _, f := range s.inj.Load().ManifestedPermanent() {
+	for _, f := range s.plan.Load().injector().ManifestedPermanent() {
 		switch f.Kind {
 		case fault.PermanentPE:
 			if !s.deadPEs[f.PE] {

@@ -218,10 +218,10 @@ func TestPerKernelWatchdogBudget(t *testing.T) {
 		t.Errorf("profiled budget = %d, want derived value below the %d cap", ent.maxCycles, cap)
 	}
 	s.mu.Lock()
-	factor := s.Policy.WatchdogFactor * s.hostMaxCycles["dot"]
+	factor := watchdogFactor * s.hostMaxCycles["dot"]
 	s.mu.Unlock()
 	if want := max64(factor, 50_000); ent.maxCycles != want {
-		t.Errorf("budget = %d, want WatchdogFactor×hostMax clamped = %d", ent.maxCycles, want)
+		t.Errorf("budget = %d, want watchdogFactor×hostMax clamped = %d", ent.maxCycles, want)
 	}
 
 	// No profile: the forced synthesis path keeps the global cap.
