@@ -142,10 +142,11 @@ func Holds(op OpCode, a, b int32) bool {
 	return a != b // IFNE
 }
 
-func (op OpCode) valid() bool { return op >= 0 && int(op) < numOpCodes }
+// Valid reports whether op is a defined opcode.
+func (op OpCode) Valid() bool { return op >= 0 && int(op) < numOpCodes }
 
 func (op OpCode) String() string {
-	if op.valid() {
+	if op.Valid() {
 		return opTable[op].name
 	}
 	return fmt.Sprintf("OpCode(%d)", int(op))
@@ -171,15 +172,15 @@ func AllOpCodes() []OpCode {
 }
 
 // IsCompare reports whether op produces a status bit for the C-Box.
-func (op OpCode) IsCompare() bool { return op.valid() && opTable[op].class == classCompare }
+func (op OpCode) IsCompare() bool { return op.Valid() && opTable[op].class == classCompare }
 
 // IsDMA reports whether op accesses host memory via the DMA interface.
-func (op OpCode) IsDMA() bool { return op.valid() && opTable[op].class == classDMA }
+func (op OpCode) IsDMA() bool { return op.Valid() && opTable[op].class == classDMA }
 
 // Verilog returns the ALU case arm that implements op, with WIDTH standing
 // for the data width and DUR for the op's duration on the PE.
 func (op OpCode) Verilog() string {
-	if op.valid() {
+	if op.Valid() {
 		return opTable[op].verilog
 	}
 	return ""

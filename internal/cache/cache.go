@@ -1,8 +1,9 @@
 // Package cache is a persistent, content-addressed store for compiled CGRA
 // artifacts. The key is the stable digest of (canonical kernel IR,
 // composition structure, pipeline options) computed by pipeline.Key; the
-// value is a serialized pipeline.Artifact — the packed context-memory
-// images, C-Box/branch tables and allocation metadata of one compile.
+// value is a pipeline.Artifact — the packed context-memory images,
+// C-Box/branch tables and allocation metadata of one compile — stored on
+// disk in the artifact's fixed binary layout behind a checksummed frame.
 //
 // The store is two-tiered. An in-memory LRU front holds decoded artifacts
 // for hot kernels; behind it an optional on-disk layer persists every entry
@@ -42,6 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -341,14 +343,13 @@ func (s *Store) loadDiskIndex() {
 		idx = append(idx, found{key, fi.Size(), fi.ModTime()})
 	}
 	// Oldest first, so the most recently written entries end up at the
-	// front of the LRU.
-	for i := range idx {
-		for j := i + 1; j < len(idx); j++ {
-			if idx[j].mtime.Before(idx[i].mtime) {
-				idx[i], idx[j] = idx[j], idx[i]
-			}
+	// front of the LRU; the key breaks mtime ties, so the order is stable.
+	slices.SortFunc(idx, func(a, b found) int {
+		if c := a.mtime.Compare(b.mtime); c != 0 {
+			return c
 		}
-	}
+		return strings.Compare(a.key, b.key)
+	})
 	s.mu.Lock()
 	for _, f := range idx {
 		s.disk[f.key] = s.diskLRU.PushFront(&diskEntry{key: f.key, size: f.size})
@@ -416,13 +417,13 @@ func (s *Store) Get(key string) (*pipeline.Artifact, string, bool) {
 // of failing every caller. The memory tier always receives the artifact,
 // so a returned error never means the compile was lost.
 func (s *Store) Put(key string, art *pipeline.Artifact) error {
-	var payload bytes.Buffer
-	if err := pipeline.EncodeArtifact(&payload, art); err != nil {
+	data, err := encodeEntry(art)
+	if err != nil {
 		return fmt.Errorf("cache: encode %s: %v", key, err)
 	}
 	s.insertMem(key, art, time.Now())
 	s.puts.Inc()
-	return s.installFramed(key, encodeEntry(payload.Bytes()))
+	return s.installFramed(key, data)
 }
 
 // installFramed commits one framed entry to the disk tier with the full
@@ -657,12 +658,12 @@ func (s *Store) Export(key string) (data []byte, ok bool) {
 	if art == nil {
 		return nil, false
 	}
-	var payload bytes.Buffer
-	if err := pipeline.EncodeArtifact(&payload, art); err != nil {
+	data, err := encodeEntry(art)
+	if err != nil {
 		return nil, false
 	}
 	s.exports.Inc()
-	return encodeEntry(payload.Bytes()), true
+	return data, true
 }
 
 // Import installs a framed entry received from a peer into both tiers.
@@ -699,14 +700,24 @@ func (s *Store) ImportCtx(ctx context.Context, key string, data []byte) error {
 // wire.
 func Verify(data []byte) error { return verifyEntry(data) }
 
-// encodeEntry frames a gob payload with the magic, version and checksum.
-func encodeEntry(payload []byte) []byte {
-	out := make([]byte, 0, headerSize+len(payload))
-	out = append(out, entryMagic...)
-	out = binary.LittleEndian.AppendUint32(out, FormatVersion)
-	sum := sha256.Sum256(payload)
-	out = append(out, sum[:]...)
-	return append(out, payload...)
+// encodeEntry encodes an artifact straight into a framed entry: the payload
+// is appended after room left for the header, which is filled in after.
+func encodeEntry(art *pipeline.Artifact) ([]byte, error) {
+	data, err := art.AppendBinary(make([]byte, headerSize))
+	if err != nil {
+		return nil, err
+	}
+	return frameEntry(data), nil
+}
+
+// frameEntry fills in the header room at the front of data — magic,
+// version, and the checksum of everything after the header.
+func frameEntry(data []byte) []byte {
+	copy(data, entryMagic)
+	binary.LittleEndian.PutUint32(data[8:12], FormatVersion)
+	sum := sha256.Sum256(data[headerSize:])
+	copy(data[12:headerSize], sum[:])
+	return data
 }
 
 // decodeEntry verifies the frame and decodes the artifact.
@@ -714,7 +725,11 @@ func decodeEntry(data []byte) (*pipeline.Artifact, error) {
 	if err := verifyEntry(data); err != nil {
 		return nil, err
 	}
-	return pipeline.DecodeArtifact(bytes.NewReader(data[headerSize:]))
+	art := &pipeline.Artifact{}
+	if err := art.UnmarshalBinary(data[headerSize:]); err != nil {
+		return nil, err
+	}
+	return art, nil
 }
 
 // verifyEntry checks the frame (magic, version, checksum) without decoding

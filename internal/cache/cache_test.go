@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"cgra/internal/arch"
 	"cgra/internal/pipeline"
@@ -244,5 +245,50 @@ func TestMemoryOnlyStore(t *testing.T) {
 	}
 	if _, src, ok := s.Get(key); !ok || src != SourceMemory {
 		t.Fatalf("want memory hit, got ok=%t src=%q", ok, src)
+	}
+}
+
+// TestStartupIndexEvictsOldest: a store reopened over a directory that
+// exceeds its cap orders the entries by mtime and evicts the oldest,
+// whatever the order of their keys.
+func TestStartupIndexEvictsOldest(t *testing.T) {
+	_, art := compileArtifact(t, "gcd")
+	dir := t.TempDir()
+	s, err := New(Options{Dir: dir, ScrubInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := time.Now().Add(-time.Hour)
+	// Oldest first: "b", then "c", then "a".
+	for i, key := range []string{"b", "c", "a"} {
+		if err := s.Put(key, art); err != nil {
+			t.Fatal(err)
+		}
+		mtime := base.Add(time.Duration(i) * time.Minute)
+		if err := os.Chtimes(s.Path(key), mtime, mtime); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entry := s.DiskBytes() / 3
+	s.Close()
+
+	s, err = New(Options{Dir: dir, ScrubInterval: -1, DiskCapBytes: 2*entry + entry/2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if n := s.DiskEntries(); n != 2 {
+		t.Fatalf("%d entries after reopening under a cap for two", n)
+	}
+	if s.Contains("b") {
+		t.Error("the oldest entry survived the cap")
+	}
+	if _, err := os.Stat(s.Path("b")); !os.IsNotExist(err) {
+		t.Errorf("the oldest entry's file is still there: %v", err)
+	}
+	for _, key := range []string{"a", "c"} {
+		if !s.Contains(key) {
+			t.Errorf("entry %q was evicted instead of the oldest", key)
+		}
 	}
 }

@@ -113,7 +113,9 @@ func TestImportRejectsEveryCorruptionMode(t *testing.T) {
 		{"bad version", func(b []byte) []byte { b[9] = 0x7F; return b }},
 		{"flipped payload bit", func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b }},
 		{"flipped checksum bit", func(b []byte) []byte { b[20] ^= 0x01; return b }},
-		{"valid frame, garbage payload", func(b []byte) []byte { return encodeEntry([]byte("not a gob artifact")) }},
+		{"valid frame, garbage payload", func(b []byte) []byte {
+			return frameEntry(append(make([]byte, headerSize), "not an artifact"...))
+		}},
 		{"empty response", func(b []byte) []byte { return nil }},
 	}
 	for _, tc := range corruptions {

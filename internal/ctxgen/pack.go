@@ -21,23 +21,27 @@ type Bitstream struct {
 	Words [][]uint64
 }
 
-// packer assembles one word LSB-first.
+// packer assembles one word LSB-first into bits, which holds the word's
+// chunks (zeroed) up front.
 type packer struct {
 	bits  []uint64
 	width int
 }
 
+// put appends the low width bits of value (bits past the 64th are zero).
+// Bits past the end of the word are dropped; PackPE then reports the width
+// mismatch.
 func (p *packer) put(value uint64, width int) {
-	if width == 0 {
-		return
-	}
-	for i := 0; i < width; i++ {
-		bitIdx := p.width + i
-		for len(p.bits) <= bitIdx/64 {
-			p.bits = append(p.bits, 0)
+	if width > 0 && p.width >= 0 {
+		if width < 64 {
+			value &= 1<<uint(width) - 1
 		}
-		if value&(1<<uint(i)) != 0 {
-			p.bits[bitIdx/64] |= 1 << uint(bitIdx%64)
+		idx, off := p.width/64, uint(p.width%64)
+		if idx < len(p.bits) {
+			p.bits[idx] |= value << off
+		}
+		if off > 0 && int(off)+width > 64 && idx+1 < len(p.bits) {
+			p.bits[idx+1] |= value >> (64 - off)
 		}
 	}
 	p.width += width
@@ -51,18 +55,25 @@ func (p *packer) putBool(b bool) {
 	p.put(v, 1)
 }
 
-// unpacker reads a word back LSB-first.
+// unpacker reads a word back LSB-first; bits past the word read as zero.
 type unpacker struct {
 	bits []uint64
 	pos  int
 }
 
+// get reads the next width bits (at most 64 of them carry a value).
 func (u *unpacker) get(width int) uint64 {
 	var v uint64
-	for i := 0; i < width; i++ {
-		idx := u.pos + i
-		if idx/64 < len(u.bits) && u.bits[idx/64]&(1<<uint(idx%64)) != 0 {
-			v |= 1 << uint(i)
+	if width > 0 && u.pos >= 0 {
+		idx, off := u.pos/64, uint(u.pos%64)
+		if idx < len(u.bits) {
+			v = u.bits[idx] >> off
+		}
+		if off > 0 && int(off)+width > 64 && idx+1 < len(u.bits) {
+			v |= u.bits[idx+1] << (64 - off)
+		}
+		if width < 64 {
+			v &= 1<<uint(width) - 1
 		}
 	}
 	u.pos += width
@@ -100,10 +111,12 @@ func opIndex(table []arch.OpCode, op arch.OpCode) (uint64, error) {
 func (p *Program) PackPE(pe int) (*Bitstream, error) {
 	f := p.Formats[pe]
 	table := p.opTable(pe)
-	bs := &Bitstream{Width: f.Width()}
+	bs := &Bitstream{Width: f.Width(), Words: make([][]uint64, p.NumCtx)}
+	chunks := bs.chunksPerWord()
+	all := make([]uint64, p.NumCtx*chunks)
 	for cycle := 0; cycle < p.NumCtx; cycle++ {
 		ctx := p.PE[pe][cycle]
-		pk := &packer{}
+		pk := &packer{bits: all[cycle*chunks : (cycle+1)*chunks : (cycle+1)*chunks]}
 		opIdx, err := opIndex(table, ctx.Op)
 		if err != nil {
 			return nil, err
@@ -126,7 +139,7 @@ func (p *Program) PackPE(pe int) (*Bitstream, error) {
 			return nil, fmt.Errorf("ctxgen: PE %d cycle %d packed %d bits, format says %d",
 				pe, cycle, pk.width, bs.Width)
 		}
-		bs.Words = append(bs.Words, pk.bits)
+		bs.Words[cycle] = pk.bits
 	}
 	return bs, nil
 }

@@ -38,6 +38,28 @@ func NewProgram(entry *Kernel, others ...*Kernel) *Program {
 // EntryKernel returns the entry kernel.
 func (p *Program) EntryKernel() *Kernel { return p.Kernels[p.Entry] }
 
+// CallClosure returns the program cut down to its entry and every kernel
+// the entry calls, directly or transitively. Calls to kernels the program
+// lacks stay unresolved, so validating the closure reports them as
+// ValidateProgram on the whole program would; an unknown entry yields a
+// closure without kernels.
+func (p *Program) CallClosure() *Program {
+	c := &Program{Kernels: map[string]*Kernel{}, Entry: p.Entry}
+	var visit func(name string)
+	visit = func(name string) {
+		k := p.Kernels[name]
+		if k == nil || c.Kernels[name] != nil {
+			return
+		}
+		c.Kernels[name] = k
+		for _, callee := range calledKernels(k.Body) {
+			visit(callee)
+		}
+	}
+	visit(p.Entry)
+	return c
+}
+
 // checkCall validates one call site against the callee signature; bind is
 // invoked for each (param, argument) pair after structural checks.
 func checkCall(caller, callee *Kernel, c *Call, bind func(p Param, arg Expr) error) error {

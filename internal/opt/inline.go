@@ -12,7 +12,12 @@ import (
 // temporaries; array parameters are substituted by the caller's arrays.
 // Calls nest (a callee may call further kernels); recursion is rejected by
 // ir.ValidateProgram beforehand and guarded here with a depth limit.
+//
+// Only the entry's call closure is validated and inlined: a kernel the
+// entry never reaches costs nothing, and an invalid one fails only its own
+// compile, so inlining one kernel does not grow with the library around it.
 func Inline(p *ir.Program) (*ir.Kernel, error) {
+	p = p.CallClosure()
 	if err := ir.ValidateProgram(p); err != nil {
 		return nil, fmt.Errorf("opt: %v", err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"cgra/internal/ir"
 	"cgra/internal/irtext"
+	"cgra/internal/workload"
 )
 
 const progSrc = `
@@ -184,5 +185,42 @@ func TestSingleKernelRejectsCalls(t *testing.T) {
 	_, err := irtext.Parse(`kernel main(inout r) { f(r); }`)
 	if err == nil {
 		t.Error("single-kernel parse accepted an unresolvable call")
+	}
+}
+
+// TestInlineValidatesClosure: Inline validates the entry's call closure,
+// not the whole library. A broken kernel nothing calls does not fail fir,
+// but fails its own inlining; inside the closure an unknown callee and
+// recursion are rejected as before.
+func TestInlineValidatesClosure(t *testing.T) {
+	fir := workload.FIR().Kernel
+	broken := ir.NewKernel("broken", []ir.Param{ir.InOut("r")}, ir.Set("r", ir.V("undefined")))
+	lib := map[string]*ir.Kernel{fir.Name: fir, broken.Name: broken}
+	if _, err := Inline(&ir.Program{Kernels: lib, Entry: fir.Name}); err != nil {
+		t.Errorf("an invalid kernel beside fir failed fir: %v", err)
+	}
+	if _, err := Inline(&ir.Program{Kernels: lib, Entry: broken.Name}); err == nil ||
+		!strings.Contains(err.Error(), `variable "undefined" may be read before assignment`) {
+		t.Errorf("the invalid kernel inlined: %v", err)
+	}
+
+	call := func(callee string) *ir.Call { return &ir.Call{Callee: callee, Args: []ir.Expr{ir.V("r")}} }
+	kernel := func(name string, body ...ir.Stmt) *ir.Kernel {
+		return ir.NewKernel(name, []ir.Param{ir.InOut("r")}, body...)
+	}
+	unknown := map[string]*ir.Kernel{"main": kernel("main", call("mid")), "mid": kernel("mid", call("nope"))}
+	_, err := Inline(&ir.Program{Kernels: unknown, Entry: "main"})
+	if want := `opt: kernel mid: call to unknown kernel "nope"`; err == nil || err.Error() != want {
+		t.Errorf("unknown callee in the closure: got %v, want %s", err, want)
+	}
+	recursive := map[string]*ir.Kernel{
+		"main": kernel("main", call("a")),
+		"a":    kernel("a", call("b")),
+		"b":    kernel("b", call("a")),
+	}
+	_, err = Inline(&ir.Program{Kernels: recursive, Entry: "main"})
+	if want := "opt: program: recursive call chain through "; err == nil || !strings.HasPrefix(err.Error(), want) ||
+		!strings.HasSuffix(err.Error(), "(cannot inline)") {
+		t.Errorf("recursion in the closure: got %v, want %s...", err, want)
 	}
 }

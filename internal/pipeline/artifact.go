@@ -15,8 +15,8 @@ package pipeline
 // skeleton the simulator consumes.
 
 import (
+	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/hex"
 	"fmt"
 	"io"
@@ -29,10 +29,10 @@ import (
 	"cgra/internal/sched"
 )
 
-// ArtifactVersion is the structural version of the Artifact type itself.
-// It participates in the cache key, so a layout change silently invalidates
-// old cache entries instead of misdecoding them.
-const ArtifactVersion = 2
+// ArtifactVersion is the version of the Artifact type and of its binary
+// layout (codec.go). It participates in the cache key, so a layout change
+// silently invalidates old cache entries instead of misdecoding them.
+const ArtifactVersion = 3
 
 // Home locates one live-in/live-out local's home RF slot.
 type Home struct {
@@ -188,17 +188,26 @@ func (a *Artifact) Realize() (*Compiled, error) {
 	return c, nil
 }
 
-// EncodeArtifact serializes an artifact with gob (bitstream images use the
-// pinned binary format via their GobEncoder hook).
+// EncodeArtifact writes the artifact's binary encoding (see codec.go).
 func EncodeArtifact(w io.Writer, a *Artifact) error {
-	return gob.NewEncoder(w).Encode(a)
+	buf, err := a.AppendBinary(nil)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(buf)
+	return err
 }
 
-// DecodeArtifact reads one artifact previously written by EncodeArtifact.
+// DecodeArtifact reads one artifact previously written by EncodeArtifact;
+// r must hold nothing after it.
 func DecodeArtifact(r io.Reader) (*Artifact, error) {
-	a := &Artifact{}
-	if err := gob.NewDecoder(r).Decode(a); err != nil {
+	var buf bytes.Buffer
+	if _, err := io.Copy(&buf, r); err != nil {
 		return nil, fmt.Errorf("pipeline: decode artifact: %w", err)
+	}
+	a := &Artifact{}
+	if err := a.UnmarshalBinary(buf.Bytes()); err != nil {
+		return nil, err
 	}
 	return a, nil
 }
@@ -209,10 +218,16 @@ func DecodeArtifact(r io.Reader) (*Artifact, error) {
 // artifact format version. Observability hooks (Obs, Sched.Span,
 // Sched.Explain) do not influence the generated artifact and are excluded.
 func Key(k *ir.Kernel, comp *arch.Composition, o Options) string {
+	return KeyDigest(k, comp.Digest(), o)
+}
+
+// KeyDigest is Key for a caller that already holds the composition's
+// Digest: a long-lived target is digested once, not on every request.
+func KeyDigest(k *ir.Kernel, compDigest string, o Options) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "cgra-artifact v%d ctxgen v%d\n", ArtifactVersion, ctxgen.BitstreamVersion)
 	fmt.Fprintf(h, "kernel %s\n", k.Digest())
-	fmt.Fprintf(h, "comp %s\n", comp.Digest())
+	fmt.Fprintf(h, "comp %s\n", compDigest)
 	backend := o.Backend
 	if backend == "" {
 		backend = o.Sched.Backend

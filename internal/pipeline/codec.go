@@ -1,0 +1,432 @@
+package pipeline
+
+// The artifact codec: the fixed, versioned binary layout of an Artifact,
+// which is the payload of every compiled-kernel cache entry and of every
+// artifact one daemon ships to a peer. An encoding written by one build
+// must decode identically in every build of the same ArtifactVersion, so
+// the layout is pinned by testdata/artifact.golden; a layout change bumps
+// ArtifactVersion (which also re-keys the cache) and regenerates the golden
+// file in the same diff.
+//
+// Layout: the magic "CGAR", then the Artifact's fields in declaration
+// order, each written as
+//
+//	int            zigzag varint (binary.AppendVarint)
+//	bool           one byte, 0 or 1
+//	string         uvarint byte length, then the bytes
+//	slice, map     uvarint element count, then the elements
+//	float64        uvarint of the IEEE-754 bits byte-reversed, so round
+//	               values such as 1.0 or 2.5 take two or three bytes
+//	struct         its fields in declaration order
+//
+// with three fixed orders where Go leaves the order open: a PE's Ops are
+// written in ascending opcode order (opcode, Energy, Duration), Homes in
+// ascending name order (name, PE, Addr), and each context image in
+// ctxgen's pinned bitstream layout. Nothing may follow the last field
+// (CBoxUsage).
+//
+// The decoder treats its input as hostile — a peer's Import hands it bytes
+// off the wire: every count is bounded by the bytes left, so a corrupt
+// entry is an error, never a panic or an allocation the input cannot back.
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/bits"
+	"slices"
+
+	"cgra/internal/arch"
+	"cgra/internal/ctxgen"
+	"cgra/internal/sched"
+)
+
+var artifactMagic = []byte("CGAR")
+
+// maxFieldBits bounds every field of a decoded context format: a field is
+// packed from one uint64, so a wider one is corrupt (and would make
+// unpacking a context word cost as much as the field claims).
+const maxFieldBits = 64
+
+type encoder struct{ buf []byte }
+
+func (e *encoder) int(v int) { e.buf = binary.AppendVarint(e.buf, int64(v)) }
+
+func (e *encoder) count(n int) { e.buf = binary.AppendUvarint(e.buf, uint64(n)) }
+
+func (e *encoder) bool(b bool) {
+	if b {
+		e.buf = append(e.buf, 1)
+	} else {
+		e.buf = append(e.buf, 0)
+	}
+}
+
+func (e *encoder) str(s string) {
+	e.count(len(s))
+	e.buf = append(e.buf, s...)
+}
+
+func (e *encoder) float(f float64) {
+	e.buf = binary.AppendUvarint(e.buf, bits.ReverseBytes64(math.Float64bits(f)))
+}
+
+func (e *encoder) strs(ss []string) {
+	e.count(len(ss))
+	for _, s := range ss {
+		e.str(s)
+	}
+}
+
+// AppendBinary appends the artifact's binary encoding to dst.
+func (a *Artifact) AppendBinary(dst []byte) ([]byte, error) {
+	if a.Comp == nil {
+		return dst, fmt.Errorf("pipeline: artifact %q has no composition", a.Kernel)
+	}
+	e := &encoder{buf: slices.Grow(dst, a.sizeHint())}
+	e.buf = append(e.buf, artifactMagic...)
+	e.int(a.Version)
+	e.str(a.Kernel)
+	if err := e.comp(a.Comp); err != nil {
+		return dst, fmt.Errorf("pipeline: artifact %q: %v", a.Kernel, err)
+	}
+	e.int(a.NumCtx)
+	e.count(len(a.Formats))
+	for _, f := range a.Formats {
+		for _, v := range formatFields(&f) {
+			e.int(*v)
+		}
+	}
+	e.count(len(a.Streams))
+	for pe, s := range a.Streams {
+		if s == nil {
+			return dst, fmt.Errorf("pipeline: artifact %q: PE %d has no image", a.Kernel, pe)
+		}
+		var err error
+		if e.buf, err = s.AppendBinary(e.buf); err != nil {
+			return dst, fmt.Errorf("pipeline: artifact %q: PE %d: %v", a.Kernel, pe, err)
+		}
+	}
+	e.count(len(a.CBox))
+	for _, c := range a.CBox {
+		e.bool(c.Consume)
+		e.int(c.StatusPE)
+		e.bool(c.Recombine)
+		e.int(int(c.Logic))
+		e.int(c.AAddr)
+		e.bool(c.AInv)
+		e.int(c.BAddr)
+		e.bool(c.BInv)
+		e.int(c.WriteAddr)
+		e.bool(c.HasA)
+		e.bool(c.HasB)
+		e.bool(c.OutPEEnable)
+		e.int(c.OutPEAddr)
+		e.bool(c.OutCtrlEnable)
+		e.int(c.OutCtrlAddr)
+		e.bool(c.OutCtrlInv)
+	}
+	e.count(len(a.CCU))
+	for _, c := range a.CCU {
+		e.int(c.Mode)
+		e.int(c.Target)
+	}
+	e.int(a.CBoxWidth)
+	e.int(a.CCUWidth)
+	names := make([]string, 0, len(a.Homes))
+	for name := range a.Homes {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	e.count(len(names))
+	for _, name := range names {
+		e.str(name)
+		e.int(a.Homes[name].PE)
+		e.int(a.Homes[name].Addr)
+	}
+	e.strs(a.LiveIns)
+	e.strs(a.LiveOuts)
+	e.strs(a.Arrays)
+	e.count(len(a.RFUsage))
+	for _, v := range a.RFUsage {
+		e.int(v)
+	}
+	e.int(a.CBoxUsage)
+	return e.buf, nil
+}
+
+func (e *encoder) comp(c *arch.Composition) error {
+	e.str(c.Name)
+	e.int(c.ContextSize)
+	e.int(c.CBoxSlots)
+	e.count(len(c.PEs))
+	for i, pe := range c.PEs {
+		if pe == nil {
+			return fmt.Errorf("PE %d is nil", i)
+		}
+		e.str(pe.Name)
+		e.int(pe.Index)
+		e.int(pe.RegfileSize)
+		ops := make([]arch.OpCode, 0, len(pe.Ops))
+		for op := range pe.Ops {
+			ops = append(ops, op)
+		}
+		slices.Sort(ops)
+		e.count(len(ops))
+		for _, op := range ops {
+			e.int(int(op))
+			e.float(pe.Ops[op].Energy)
+			e.int(pe.Ops[op].Duration)
+		}
+		e.bool(pe.HasDMA)
+		e.count(len(pe.Inputs))
+		for _, in := range pe.Inputs {
+			e.int(in)
+		}
+	}
+	return nil
+}
+
+// sizeHint is a generous estimate of the encoded size, most of which is
+// the context images, so encoding into a fresh buffer allocates it once.
+func (a *Artifact) sizeHint() int {
+	n := 512 + 256*len(a.Comp.PEs) + 32*len(a.CBox) + 8*len(a.CCU)
+	for _, s := range a.Streams {
+		if s != nil {
+			n += 16 + 8*len(s.Words)*((s.Width+63)/64)
+		}
+	}
+	return n
+}
+
+// formatFieldCount is the number of fields of a context format.
+const formatFieldCount = 12
+
+// formatFields lists a context format's fields in declaration order.
+func formatFields(f *ctxgen.PEFormat) [formatFieldCount]*int {
+	return [formatFieldCount]*int{&f.OpBits, &f.AModeBits, &f.AAddrBits, &f.AInputBits,
+		&f.BModeBits, &f.BAddrBits, &f.BInputBits, &f.WriteBits, &f.PredBits,
+		&f.ImmBits, &f.ArrayBits, &f.OutlBits}
+}
+
+// decoder reads the layout back. The first error sticks: every later read
+// returns a zero value, and UnmarshalBinary reports that first error.
+type decoder struct {
+	data []byte
+	err  error
+}
+
+func (d *decoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf(format, args...)
+	}
+}
+
+func (d *decoder) int() int {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(d.data)
+	if n <= 0 {
+		d.fail("bad integer at %d bytes from the end", len(d.data))
+		return 0
+	}
+	d.data = d.data[n:]
+	return int(v)
+}
+
+// count reads an element count and bounds it by the bytes left: each
+// element takes at least each bytes.
+func (d *decoder) count(each int) int {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.data)
+	if n <= 0 {
+		d.fail("bad count at %d bytes from the end", len(d.data))
+		return 0
+	}
+	d.data = d.data[n:]
+	if v > uint64(len(d.data)/each) {
+		d.fail("count %d exceeds the %d bytes left", v, len(d.data))
+		return 0
+	}
+	return int(v)
+}
+
+func (d *decoder) bool() bool {
+	if d.err != nil {
+		return false
+	}
+	if len(d.data) == 0 || d.data[0] > 1 {
+		d.fail("bad bool at %d bytes from the end", len(d.data))
+		return false
+	}
+	b := d.data[0] == 1
+	d.data = d.data[1:]
+	return b
+}
+
+func (d *decoder) str() string {
+	n := d.count(1)
+	if d.err != nil {
+		return ""
+	}
+	s := string(d.data[:n])
+	d.data = d.data[n:]
+	return s
+}
+
+func (d *decoder) float() float64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.data)
+	f := math.Float64frombits(bits.ReverseBytes64(v))
+	if n <= 0 || math.IsNaN(f) || math.IsInf(f, 0) {
+		d.fail("bad float at %d bytes from the end", len(d.data))
+		return 0
+	}
+	d.data = d.data[n:]
+	return f
+}
+
+func (d *decoder) strs() []string {
+	n := d.count(1)
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, n)
+	for i := range out {
+		out[i] = d.str()
+	}
+	return out
+}
+
+// UnmarshalBinary decodes an artifact from data, which must hold exactly
+// one encoding written by AppendBinary.
+func (a *Artifact) UnmarshalBinary(data []byte) error {
+	if len(data) < len(artifactMagic) || string(data[:len(artifactMagic)]) != string(artifactMagic) {
+		return fmt.Errorf("pipeline: decode artifact: bad magic")
+	}
+	d := &decoder{data: data[len(artifactMagic):]}
+	out := Artifact{Version: d.int()}
+	if d.err == nil && out.Version != ArtifactVersion {
+		return fmt.Errorf("pipeline: decode artifact: format version %d, want %d", out.Version, ArtifactVersion)
+	}
+	out.Kernel = d.str()
+	out.Comp = d.comp()
+	out.NumCtx = d.int()
+	if n := d.count(formatFieldCount); n > 0 {
+		out.Formats = make([]ctxgen.PEFormat, n)
+		for i := range out.Formats {
+			for _, v := range formatFields(&out.Formats[i]) {
+				if *v = d.int(); *v < 0 || *v > maxFieldBits {
+					d.fail("PE %d context format field of %d bits", i, *v)
+				}
+			}
+		}
+	}
+	if n := d.count(16); n > 0 {
+		out.Streams = make([]*ctxgen.Bitstream, n)
+		for i := range out.Streams {
+			if d.err != nil {
+				break
+			}
+			out.Streams[i], d.data, d.err = ctxgen.ParseBitstream(d.data)
+		}
+	}
+	if n := d.count(16); n > 0 {
+		out.CBox = make([]ctxgen.CBoxCtx, n)
+		for i := range out.CBox {
+			c := &out.CBox[i]
+			c.Consume = d.bool()
+			c.StatusPE = d.int()
+			c.Recombine = d.bool()
+			c.Logic = sched.CBLogic(d.int())
+			c.AAddr = d.int()
+			c.AInv = d.bool()
+			c.BAddr = d.int()
+			c.BInv = d.bool()
+			c.WriteAddr = d.int()
+			c.HasA = d.bool()
+			c.HasB = d.bool()
+			c.OutPEEnable = d.bool()
+			c.OutPEAddr = d.int()
+			c.OutCtrlEnable = d.bool()
+			c.OutCtrlAddr = d.int()
+			c.OutCtrlInv = d.bool()
+		}
+	}
+	if n := d.count(2); n > 0 {
+		out.CCU = make([]ctxgen.CCUCtx, n)
+		for i := range out.CCU {
+			out.CCU[i] = ctxgen.CCUCtx{Mode: d.int(), Target: d.int()}
+		}
+	}
+	out.CBoxWidth = d.int()
+	out.CCUWidth = d.int()
+	n := d.count(3)
+	out.Homes = make(map[string]Home, n)
+	prev := ""
+	for i := 0; i < n && d.err == nil; i++ {
+		name := d.str()
+		if i > 0 && name <= prev {
+			d.fail("home %q out of order", name)
+		}
+		out.Homes[name] = Home{PE: d.int(), Addr: d.int()}
+		prev = name
+	}
+	out.LiveIns = d.strs()
+	out.LiveOuts = d.strs()
+	out.Arrays = d.strs()
+	if n := d.count(1); n > 0 {
+		out.RFUsage = make([]int, n)
+		for i := range out.RFUsage {
+			out.RFUsage[i] = d.int()
+		}
+	}
+	out.CBoxUsage = d.int()
+	if d.err == nil && len(d.data) > 0 {
+		d.fail("%d trailing bytes", len(d.data))
+	}
+	if d.err != nil {
+		return fmt.Errorf("pipeline: decode artifact: %w", d.err)
+	}
+	*a = out
+	return nil
+}
+
+func (d *decoder) comp() *arch.Composition {
+	c := &arch.Composition{Name: d.str(), ContextSize: d.int(), CBoxSlots: d.int()}
+	n := d.count(6)
+	if n > 0 {
+		c.PEs = make([]*arch.PE, n)
+	}
+	for i := range c.PEs {
+		if d.err != nil {
+			break
+		}
+		pe := &arch.PE{Name: d.str(), Index: d.int(), RegfileSize: d.int()}
+		nops := d.count(3)
+		pe.Ops = make(map[arch.OpCode]arch.OpInfo, nops)
+		prev := arch.OpCode(-1)
+		for j := 0; j < nops && d.err == nil; j++ {
+			op := arch.OpCode(d.int())
+			if !op.Valid() || op <= prev {
+				d.fail("PE %d: opcode %d invalid or out of order", i, int(op))
+			}
+			pe.Ops[op] = arch.OpInfo{Energy: d.float(), Duration: d.int()}
+			prev = op
+		}
+		pe.HasDMA = d.bool()
+		if nin := d.count(1); nin > 0 {
+			pe.Inputs = make([]int, nin)
+			for j := range pe.Inputs {
+				pe.Inputs[j] = d.int()
+			}
+		}
+		c.PEs[i] = pe
+	}
+	return c
+}

@@ -35,7 +35,7 @@ type goldenCase struct {
 
 // libraryGoldenCases are the eleven library workloads and the paper's ADPCM
 // decoder on its 416-sample vector.
-func libraryGoldenCases(t *testing.T) []goldenCase {
+func libraryGoldenCases(t testing.TB) []goldenCase {
 	var out []goldenCase
 	for _, w := range workload.All() {
 		out = append(out, goldenCase{w.Name, w.Kernel, w.Args(w.DefaultSize), w.Host(w.DefaultSize)})

@@ -2,10 +2,12 @@ package system
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"cgra/internal/arch"
 	"cgra/internal/cache"
+	"cgra/internal/irtext"
 	"cgra/internal/pipeline"
 	"cgra/internal/workload"
 )
@@ -140,5 +142,42 @@ func TestSystemCacheCrossCheck(t *testing.T) {
 		if !res.OnCGRA {
 			t.Fatalf("run %d: not accelerated", i)
 		}
+	}
+}
+
+// TestCacheKeyIndependentOfLibrary: what a cache key costs does not grow
+// with the kernels registered beside the one asked about — the system
+// inlines and validates fir's call closure only, and digests its target
+// once, not per key.
+func TestCacheKeyIndependentOfLibrary(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	comp, err := arch.ByName("9 PEs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(registered int) float64 {
+		s := New(comp, pipeline.Defaults(), 1)
+		if err := s.Register(workload.FIR().Kernel); err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < registered; i++ {
+			k, err := irtext.Parse(fmt.Sprintf("kernel pad%d(inout r) { r = r + %d; }", i, i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Register(k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := s.CacheKey("fir"); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, many := allocs(1), allocs(64); one != many {
+		t.Errorf("CacheKey(fir) allocates %v times with 1 kernel registered, %v with 64", one, many)
 	}
 }

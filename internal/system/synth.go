@@ -80,7 +80,9 @@ func (s *System) synthWorker() {
 // runSynthJob compiles one kernel under the deadline (no locks held during
 // the compile) and lands the outcome.
 func (s *System) runSynthJob(job synthJob) {
-	ent, err := s.compileKernel(s.compileCtx(context.Background()), job.name)
+	ctx, cancel := s.compileCtx(context.Background())
+	defer cancel()
+	ent, err := s.compileKernel(ctx, job.name)
 	s.completeSynthJob(job, ent, err)
 }
 

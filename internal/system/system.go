@@ -203,8 +203,10 @@ type sysState struct {
 	compiled map[string]*entry
 	// target is the composition synthesis currently aims at: the full
 	// array, or the degraded composition once permanent faults were
-	// masked.
-	target *arch.Composition
+	// masked. targetDigest is its Digest, computed once where the target
+	// is set, so the cache key of a request costs no re-digest.
+	target       *arch.Composition
+	targetDigest string
 	// phys maps the target's logical PE indices to physical PEs (nil =
 	// identity).
 	phys []int
@@ -212,11 +214,12 @@ type sysState struct {
 
 func (st *sysState) clone() *sysState {
 	return &sysState{
-		gen:      st.gen,
-		kernels:  maps.Clone(st.kernels),
-		compiled: maps.Clone(st.compiled),
-		target:   st.target,
-		phys:     st.phys,
+		gen:          st.gen,
+		kernels:      maps.Clone(st.kernels),
+		compiled:     maps.Clone(st.compiled),
+		target:       st.target,
+		targetDigest: st.targetDigest,
+		phys:         st.phys,
 	}
 }
 
@@ -336,9 +339,10 @@ func New(comp *arch.Composition, opts pipeline.Options, threshold int64) *System
 		reg:           obs.NewRegistry(),
 	}
 	s.state.Store(&sysState{
-		kernels:  map[string]*ir.Kernel{},
-		compiled: map[string]*entry{},
-		target:   comp,
+		kernels:      map[string]*ir.Kernel{},
+		compiled:     map[string]*entry{},
+		target:       comp,
+		targetDigest: comp.Digest(),
 	})
 	s.reg.Help("cgra_system_invocations_total", "kernel invocations through the system")
 	s.reg.Help("cgra_system_runs_total", "executions by engine (amidar host or cgra)")
@@ -901,11 +905,12 @@ func (s *System) degradeLocked(faults []fault.Fault) bool {
 	}
 	cur := s.state.Load()
 	s.state.Store(&sysState{
-		gen:      cur.gen + 1,
-		kernels:  cur.kernels,
-		compiled: map[string]*entry{},
-		target:   d.Comp,
-		phys:     d.PhysOf,
+		gen:          cur.gen + 1,
+		kernels:      cur.kernels,
+		compiled:     map[string]*entry{},
+		target:       d.Comp,
+		targetDigest: d.Comp.Digest(),
+		phys:         d.PhysOf,
 	})
 	return true
 }
@@ -925,7 +930,9 @@ func (s *System) dropCompiledLocked(name string) {
 // invocation being recovered needs the result. The compile still honors
 // the deadline.
 func (s *System) resynthesizeLocked(ctx context.Context, name string) error {
-	ent, err := s.compileKernel(s.compileCtx(ctx), name)
+	ctx, cancel := s.compileCtx(ctx)
+	defer cancel()
+	ent, err := s.compileKernel(ctx, name)
 	if err != nil {
 		return err
 	}
@@ -935,16 +942,14 @@ func (s *System) resynthesizeLocked(ctx context.Context, name string) error {
 }
 
 // compileCtx derives the compile-deadline context for one synthesis
-// attempt. The returned cancel func is leaked deliberately: the deadline
-// firing is the only cancellation path and the timer is short-lived.
-func (s *System) compileCtx(parent context.Context) context.Context {
+// attempt. The caller defers the cancel, so a finished attempt releases its
+// deadline timer at once instead of holding it for the whole deadline.
+func (s *System) compileCtx(parent context.Context) (context.Context, context.CancelFunc) {
 	d := s.Policy.CompileDeadline
 	if d <= 0 {
 		d = 10 * time.Second
 	}
-	ctx, cancel := context.WithTimeout(parent, d)
-	_ = cancel
-	return ctx
+	return context.WithTimeout(parent, d)
 }
 
 // compileKernel runs the tool flow for the kernel (inlining its calls
@@ -974,7 +979,7 @@ func (s *System) compileKernel(ctx context.Context, name string) (ent *entry, er
 	}
 	var key string
 	if s.Cache != nil {
-		key = pipeline.Key(flat, st.target, opts)
+		key = pipeline.KeyDigest(flat, st.targetDigest, opts)
 		if art, src, ok := s.Cache.GetCtx(ctx, key); ok {
 			if c, rerr := art.Realize(); rerr == nil {
 				return &entry{c: c, ref: flat, key: key, cacheSrc: src, phys: st.phys}, nil
@@ -1063,7 +1068,9 @@ func (s *System) SynthesizeCtx(ctx context.Context, name string) (*SynthInfo, er
 		return synthInfo(name, ent, 0), nil
 	}
 	start := time.Now()
-	ent, err := s.compileKernel(s.compileCtx(ctx), name)
+	cctx, cancel := s.compileCtx(ctx)
+	defer cancel()
+	ent, err := s.compileKernel(cctx, name)
 	if err != nil {
 		return nil, err
 	}
@@ -1108,7 +1115,7 @@ func (s *System) CacheKey(name string) (string, error) {
 	if s.Policy.CompileBudget > 0 {
 		opts.Sched.MaxCycles = s.Policy.CompileBudget
 	}
-	return pipeline.Key(flat, st.target, opts), nil
+	return pipeline.KeyDigest(flat, st.targetDigest, opts), nil
 }
 
 // Kernels lists the registered kernel names, sorted.
