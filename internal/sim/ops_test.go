@@ -88,6 +88,65 @@ func TestEvalCompareUnknownOp(t *testing.T) {
 	}
 }
 
+// TestHaltDropsMultiCycleWrites pins what a halt does to writes still in
+// flight: a 2-cycle IMUL and a 2-cycle LOAD issued in the halting context
+// are due after the last cycle, so neither lands in its live-out. The
+// hand-built program has one context, which halts; the load reads an array
+// no store targets, so it would otherwise qualify for an early commit.
+func TestHaltDropsMultiCycleWrites(t *testing.T) {
+	comp, err := arch.ByName("9 PEs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const mulPE, loadPE = 0, 4
+	if comp.PEs[mulPE].Duration(arch.IMUL) != 2 || comp.PEs[loadPE].Duration(arch.LOAD) != 2 {
+		t.Fatalf("%s: IMUL or LOAD is not a 2-cycle op", comp.Name)
+	}
+	prog := oneOpProgram(comp, mulPE, arch.IMUL)
+	prog.PE[mulPE][0].AMode, prog.PE[mulPE][0].BMode = ctxgen.SrcReg, ctxgen.SrcReg
+	prog.PE[loadPE][0] = ctxgen.PECtx{Op: arch.LOAD, WriteEnable: true}
+	prog.Sched.Graph = &cdfg.Graph{
+		Locals: map[string]*cdfg.Local{
+			"x": {Name: "x", LiveIn: true, LiveOut: true},
+			"y": {Name: "y", LiveIn: true, LiveOut: true},
+		},
+		Arrays: []string{"a"},
+	}
+	prog.Sched.Homes = map[string]*sched.Value{"x": {PE: mulPE}, "y": {PE: loadPE}}
+
+	args := map[string]int32{"x": 7, "y": -1}
+	host := func() *ir.Host {
+		h := ir.NewHost()
+		h.Arrays["a"] = []int32{42}
+		return h
+	}
+	check := func(walk string, res *sim.Result, err error) {
+		t.Helper()
+		switch {
+		case err != nil:
+			t.Errorf("%s: %v", walk, err)
+		case res.RunCycles != 1 || !reflect.DeepEqual(res.LiveOuts, args):
+			t.Errorf("%s: %d cycles, live-outs %v; want 1 cycle, %v", walk, res.RunCycles, res.LiveOuts, args)
+		}
+	}
+	res, err := sim.New(prog).Run(args, host())
+	check("plain walk", res, err)
+	m := sim.New(prog)
+	sim.AttachCounters(m)
+	res, err = m.Run(args, host())
+	check("hooked walk", res, err)
+	res, err = sim.New(prog).RefRun(args, host())
+	check("reference interpreter", res, err)
+	eng, err := sim.Predecode(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lanes := eng.RunBatch(context.Background(), 0, []sim.BatchRequest{{Args: args, Host: host()}, {Args: args, Host: host()}})
+	for i, l := range lanes {
+		check(fmt.Sprintf("RunBatch lane %d", i), l.Res, l.Err)
+	}
+}
+
 // everyOpKernel uses every operator cdfg lowers to a PE opcode on operands
 // from v: v[0] and v[1] are the arithmetic operands, v[2..4] shift counts.
 // The compares run both as values (predicated writes) and as a branch.

@@ -41,27 +41,29 @@ type dslot struct {
 	kind int8
 	// Operand A/B: mode (SrcNone/SrcReg/SrcRoute) and flat RF offset. For
 	// SrcRoute the offset is the source PE's presented register (resolved
-	// at decode), which the lane engine reads directly; the scalar path
-	// reads the latched outl via aSrc/bSrc instead.
+	// at decode), so both walks read a route as a plain RF read; aSrc/bSrc
+	// name the source PE for the hooks' route faults and events.
 	aMode, bMode int8
 	aOff, bOff   int32
 	aSrc, bSrc   int32
 	writeEnable  bool
 	predicated   bool
-	// direct marks a write the lane engine may commit straight into the RF
+	// direct marks a write a hook-free walk may commit straight into the RF
 	// during issue instead of deferring to the end-of-cycle ring. For
 	// single-cycle ALU writes the condition is that no later slot of the
 	// same context reads wOff and no ring-committed writer ever targets
 	// wOff. For multi-cycle ALU writes and resolved loads the commit
 	// normally lands dur-1 cycles after issue, so the early commit is
 	// additionally proven unobservable: no context reachable within dur-1
-	// cycles reads wOff (operand or routing output) or writes it (RF
-	// offsets are per-PE, so every condition is checkable at decode time).
+	// cycles reads or writes wOff, and the issuing context does not halt
+	// (a halt drops the commit). RF offsets are per-PE, so every condition
+	// is checkable at decode time.
 	direct bool
 	// resolveLoad marks a LOAD from an array no STORE in the program ever
 	// targets: the loaded value cannot change between issue and commit, so
-	// the lane engine reads the host array at issue and defers only the
-	// cheap register write (the RF commit still lands at the scalar cycle).
+	// a hook-free walk may read the host array at issue. Only such loads
+	// can be direct; the lane walk also resolves the rest at issue and
+	// defers just the register write.
 	resolveLoad bool
 	wOff        int32
 	op          arch.OpCode
@@ -71,13 +73,6 @@ type dslot struct {
 	array  int32
 	dur    int32
 	energy float64
-}
-
-// outlSlot is one predecoded routing-output capture: at this slot's
-// context, PE pe presents rf[off] on its routing output.
-type outlSlot struct {
-	pe  int32
-	off int32
 }
 
 // decHome locates one live-in/live-out in the flat register slab.
@@ -100,25 +95,18 @@ type Decoded struct {
 	rfTotal int
 	cbSlots int
 
-	// slots[slotIdx[c]:slotIdx[c+1]] are context c's non-NOP PE slots in
+	// slots[cmeta[c].lo:cmeta[c].hi] are context c's non-NOP PE slots in
 	// PE order: the issue order, which fixes the order of energy
 	// accumulation and of the issue-phase hook calls.
-	slots   []dslot
-	slotIdx []int32
-	// outls[outlIdx[c]:outlIdx[c+1]] are context c's routing-output
-	// captures.
-	outls   []outlSlot
-	outlIdx []int32
+	slots []dslot
 
 	cbox []ctxgen.CBoxCtx
-	ccu  []ctxgen.CCUCtx
-
-	// Batched-lane metadata (see runlanes.go): per-context phase-activity
-	// flags and the due-cycle ring geometry, resolved once at decode time so
-	// the lane engine can skip inactive phases without re-deriving anything
-	// per cycle.
-	cmeta    []ctxMeta
-	ringSize int // power of two ≥ the longest op duration
+	// cmeta[c] is context c's header: which phases it needs and where the
+	// CCU goes next. Both walks read it instead of the CCU table.
+	cmeta []ctxMeta
+	// Deferred commits wait in a due-cycle ring of ringSize buckets, a
+	// power of two ≥ the longest op duration, indexed by finish&ringMask.
+	ringSize int
 	ringMask int
 
 	// arrays maps DMA array IDs to host array names.
@@ -137,10 +125,10 @@ type Decoded struct {
 	lanePool sync.Pool
 }
 
-// fpend is one pending end-of-cycle commit of the scalar walk: an RF write
-// (possibly squashed) or a DMA transfer completing at the end of cycle.
+// fpend is one deferred end-of-cycle commit of the scalar walk: an RF write
+// (possibly squashed) or a DMA transfer. Its ring bucket encodes the cycle
+// it completes at.
 type fpend struct {
-	cycle   int64
 	pe      int32
 	wOff    int32
 	value   int32
@@ -152,19 +140,22 @@ type fpend struct {
 }
 
 // runState is the reusable mutable state of one scalar run: the flat
-// register slab, condition memory, routing-output scratch, per-PE status
-// slots and the pending-commit buffer. All buffers are sized once and
-// reused across runs via the Decoded's pool.
+// register slab, condition memory, per-PE status slots and the due-cycle
+// commit ring. All buffers are sized once and reused across runs via the
+// Decoded's pool.
 type runState struct {
 	rf   []int32
 	cond []bool
-	outl []int32
 	// statusVal/statusArrive are the bounded per-PE status slots: a
 	// compare finishing at cycle c sets arrive[pe]=c, and the C-Box
 	// consume checks arrival with one lookup instead of a rescan.
 	statusVal    []bool
 	statusArrive []int64
-	pending      []fpend
+	// ring[b] holds, in issue order, the commits due at the one cycle ≡ b
+	// (mod ringSize) within the next ringSize cycles; pendAny counts them
+	// all, so a cycle with nothing outstanding skips the commit phase.
+	ring    [][]fpend
+	pendAny int
 	// hostArr caches the host.Arrays lookups by array ID for this run.
 	hostArr [][]int32
 }
@@ -179,11 +170,13 @@ func (d *Decoded) getState() *runState {
 		rs = &runState{
 			rf:           make([]int32, d.rfTotal),
 			cond:         make([]bool, d.cbSlots),
-			outl:         make([]int32, d.numPE),
 			statusVal:    make([]bool, d.numPE),
 			statusArrive: make([]int64, d.numPE),
-			pending:      make([]fpend, 0, 2*d.numPE+4),
+			ring:         make([][]fpend, d.ringSize),
 			hostArr:      make([][]int32, len(d.arrays)),
+		}
+		for i := range rs.ring {
+			rs.ring[i] = make([]fpend, 0, d.numPE)
 		}
 	}
 	clear(rs.rf)
@@ -191,7 +184,11 @@ func (d *Decoded) getState() *runState {
 	for i := range rs.statusArrive {
 		rs.statusArrive[i] = -1
 	}
-	rs.pending = rs.pending[:0]
+	// A halt or a fault can leave commits behind.
+	for i := range rs.ring {
+		rs.ring[i] = rs.ring[i][:0]
+	}
+	rs.pendAny = 0
 	return rs
 }
 
@@ -223,10 +220,7 @@ func Predecode(prog *ctxgen.Program) (*Decoded, error) {
 		numCtx:  prog.NumCtx,
 		rfOff:   make([]int32, comp.NumPEs()),
 		cbSlots: comp.CBoxSlots,
-		slotIdx: make([]int32, prog.NumCtx+1),
-		outlIdx: make([]int32, prog.NumCtx+1),
 		cbox:    append([]ctxgen.CBoxCtx(nil), prog.CBox...),
-		ccu:     append([]ctxgen.CCUCtx(nil), prog.CCU...),
 		arrays:  append([]string(nil), g.Arrays...),
 	}
 	off := int32(0)
@@ -239,21 +233,19 @@ func Predecode(prog *ctxgen.Program) (*Decoded, error) {
 		return nil, fmt.Errorf("sim: predecode: context tables sized %d/%d/%d PEs/CBox/CCU, want %d/%d",
 			len(prog.PE), len(prog.CBox), len(prog.CCU), d.numPE, d.numCtx)
 	}
+	d.cmeta = make([]ctxMeta, d.numCtx)
 
 	for c := 0; c < d.numCtx; c++ {
-		d.slotIdx[c] = int32(len(d.slots))
-		d.outlIdx[c] = int32(len(d.outls))
+		m := &d.cmeta[c]
+		m.lo = int32(len(d.slots))
 		for pe := 0; pe < d.numPE; pe++ {
 			ctx := &prog.PE[pe][c]
 			if len(prog.PE[pe]) != d.numCtx {
 				return nil, fmt.Errorf("sim: predecode: PE %d stream holds %d contexts, want %d",
 					pe, len(prog.PE[pe]), d.numCtx)
 			}
-			if ctx.OutlEnable {
-				if ctx.OutlAddr < 0 || ctx.OutlAddr >= comp.PEs[pe].RegfileSize {
-					return nil, fmt.Errorf("sim: predecode: PE %d ctx %d outl addr %d out of RF", pe, c, ctx.OutlAddr)
-				}
-				d.outls = append(d.outls, outlSlot{pe: int32(pe), off: d.rfOff[pe] + int32(ctx.OutlAddr)})
+			if ctx.OutlEnable && (ctx.OutlAddr < 0 || ctx.OutlAddr >= comp.PEs[pe].RegfileSize) {
+				return nil, fmt.Errorf("sim: predecode: PE %d ctx %d outl addr %d out of RF", pe, c, ctx.OutlAddr)
 			}
 			if ctx.Op == arch.NOP {
 				continue
@@ -303,9 +295,20 @@ func Predecode(prog *ctxgen.Program) (*Decoded, error) {
 				// The ALU passes CONST's immediate through as operand A.
 				sl.aMode, sl.imm = int8(ctxgen.SrcNone), ctx.Imm
 			}
+			m.hasPred = m.hasPred || sl.predicated
 			d.slots = append(d.slots, sl)
 		}
+		m.hi = int32(len(d.slots))
 		cb := &d.cbox[c]
+		ccu := &prog.CCU[c]
+		m.needCBox = cb.Consume || cb.Recombine
+		m.needCtrl = ccu.Mode == ctxgen.CCUCondJump
+		m.jump = ccu.Mode == ctxgen.CCUJump
+		m.halt = m.jump && ccu.Target == c
+		m.next, m.target = int32(c+1), int32(ccu.Target)
+		if m.jump {
+			m.next = m.target
+		}
 		if cb.OutPEEnable && (cb.OutPEAddr < 0 || cb.OutPEAddr >= d.cbSlots) {
 			return nil, fmt.Errorf("sim: predecode: ctx %d outPE slot %d out of C-Box", c, cb.OutPEAddr)
 		}
@@ -323,8 +326,6 @@ func Predecode(prog *ctxgen.Program) (*Decoded, error) {
 			return nil, fmt.Errorf("sim: predecode: ctx %d C-Box operand slot out of range", c)
 		}
 	}
-	d.slotIdx[d.numCtx] = int32(len(d.slots))
-	d.outlIdx[d.numCtx] = int32(len(d.outls))
 
 	for _, name := range g.LiveIns() {
 		home := s.Homes[name]
@@ -351,26 +352,28 @@ func Predecode(prog *ctxgen.Program) (*Decoded, error) {
 		}
 	}
 	d.transfer = int64(2 * (len(d.liveIns) + len(d.liveOuts)))
-	d.finalizeLaneMeta()
+	d.planCommits()
 	return d, nil
 }
 
-// ctxMeta is the lane engine's per-context phase-activity summary: which
-// per-lane phases context c actually needs, so a batched step touches only
-// live machinery (most contexts use one PE slot and nothing else).
+// ctxMeta is one context's header, read by both walks: which phases the
+// context needs, so a step touches only live machinery (most contexts use
+// one PE slot and nothing else), and where the CCU goes next.
 type ctxMeta struct {
+	lo, hi   int32 // slots[lo:hi] are the context's non-NOP PE slots
 	hasPred  bool  // some slot is predicated: latch the C-Box outPE signal
 	needCtrl bool  // CCU conditionally jumps: latch the branch-select signal
 	needCBox bool  // C-Box consumes or recombines this context
-	halt     bool  // CCUJump to itself: lanes reaching this context finish
-	next     int32 // next CCNT when the CCU is unconditional
+	jump     bool  // CCU jumps unconditionally (the hooked walk reports it)
+	halt     bool  // CCU jumps to this context: the run finishes here
+	next     int32 // next CCNT unless a conditional jump is taken
+	target   int32 // next CCNT when a conditional jump is taken
 }
 
-// finalizeLaneMeta derives the batched-lane metadata: per-context activity
-// flags, the pending-commit ring geometry, load resolvability, and
-// per-slot direct-write eligibility (see dslot.direct and
-// dslot.resolveLoad).
-func (d *Decoded) finalizeLaneMeta() {
+// planCommits derives how each walk commits writes: the due-cycle ring
+// geometry, load resolvability, and per-slot direct-write eligibility (see
+// dslot.direct and dslot.resolveLoad).
+func (d *Decoded) planCommits() {
 	maxDur := int32(1)
 	storeTo := make([]bool, len(d.arrays))
 	for i := range d.slots {
@@ -393,46 +396,30 @@ func (d *Decoded) finalizeLaneMeta() {
 		d.ringSize <<= 1
 	}
 	d.ringMask = d.ringSize - 1
-
-	d.cmeta = make([]ctxMeta, d.numCtx)
-	for c := 0; c < d.numCtx; c++ {
-		m := &d.cmeta[c]
-		cb := &d.cbox[c]
-		ccu := &d.ccu[c]
-		m.needCBox = cb.Consume || cb.Recombine
-		m.needCtrl = ccu.Mode == ctxgen.CCUCondJump
-		m.halt = ccu.Mode == ctxgen.CCUJump && ccu.Target == c
-		m.next = int32(c + 1)
-		if ccu.Mode == ctxgen.CCUJump {
-			m.next = int32(ccu.Target)
-		}
-		for i := d.slotIdx[c]; i < d.slotIdx[c+1]; i++ {
-			if d.slots[i].predicated {
-				m.hasPred = true
-			}
-		}
-	}
 	d.analyzeDirect()
 }
 
-// analyzeDirect decides, per RF-writing slot, whether the lane engine may
+// analyzeDirect decides, per RF-writing slot, whether a hook-free walk may
 // commit the value at issue (dslot.direct) instead of through the
 // end-of-cycle ring. RF offsets are per-PE disjoint, so all hazards are
 // visible statically.
 //
 // A commit moved from cycle T+dur-1 to T is observable only if something
-// touches wOff in the window (T, T+dur-1]: an operand read or routing
-// output presents the old value there, or a competing write creates a
-// commit-order inversion. The window for a dur-cycle op spans the next
-// dur-1 executed contexts, a set reachable from the CCU tables. A write
+// touches wOff in the window (T, T+dur-1]: an operand read sees the old
+// value there, or a competing write creates a commit-order inversion. A
+// routed operand counts as a read of the register its source presents; a
+// routing output no slot reads is never observed. The window for a
+// dur-cycle op spans the next dur-1 executed contexts, a set reachable
+// from the CCU tables. A multi-cycle write issued in a halting context is
+// due after the last cycle and never lands, so it is never direct. A write
 // elsewhere in the same context is impossible (one slot per PE per
-// context), and a later slot of the same context reading wOff via SrcReg
-// must see the pre-commit value, which is checked separately.
+// context), and a later slot of the same context reading wOff must see the
+// pre-commit value, which is checked separately.
 //
 // Competing ring commits to the same offset are ruled out by requiring
 // every deferred-commit writer of wOff (multi-cycle ALU or load) to pass
-// the same test: then all commits to wOff happen at their issue cycles in
-// both engines, and issue order equals scalar commit order.
+// the same test: then all commits to wOff happen at their issue cycles,
+// and issue order equals commit order.
 func (d *Decoded) analyzeDirect() {
 	// Per-context offset touch sets for the window test.
 	readAt := make([]map[int32]bool, d.numCtx)
@@ -441,7 +428,7 @@ func (d *Decoded) analyzeDirect() {
 	for c := 0; c < d.numCtx; c++ {
 		r := map[int32]bool{}
 		w := map[int32]bool{}
-		for i := d.slotIdx[c]; i < d.slotIdx[c+1]; i++ {
+		for i := d.cmeta[c].lo; i < d.cmeta[c].hi; i++ {
 			sl := &d.slots[i]
 			if sl.aMode != int8(ctxgen.SrcNone) {
 				r[sl.aOff] = true // SrcRoute carries its resolved RF offset
@@ -453,22 +440,19 @@ func (d *Decoded) analyzeDirect() {
 				w[sl.wOff] = true
 			}
 		}
-		for _, o := range d.outls[d.outlIdx[c]:d.outlIdx[c+1]] {
-			r[o.off] = true // a routing output is an RF read
-		}
 		readAt[c], writeAt[c] = r, w
 		m := &d.cmeta[c]
 		switch {
 		case m.halt: // terminal: no cycle ever follows
 		case m.needCtrl:
-			succ[c] = []int32{int32(c + 1), int32(d.ccu[c].Target)}
+			succ[c] = []int32{m.next, m.target}
 		default:
 			succ[c] = []int32{m.next}
 		}
 	}
 
 	// windowClear reports whether no context reachable within 1..depth
-	// steps of c touches off. Out-of-range successors are ignored: a lane
+	// steps of c touches off. Out-of-range successors are ignored: a walk
 	// stepping there dies with a CCNT error before any read could happen.
 	windowClear := func(c int, off int32, depth int32) bool {
 		type node struct {
@@ -504,7 +488,7 @@ func (d *Decoded) analyzeDirect() {
 	// eligible: this slot alone could commit at issue.
 	eligible := make([]bool, len(d.slots))
 	for c := 0; c < d.numCtx; c++ {
-		lo, hi := d.slotIdx[c], d.slotIdx[c+1]
+		lo, hi := d.cmeta[c].lo, d.cmeta[c].hi
 		for i := lo; i < hi; i++ {
 			sl := &d.slots[i]
 			isWrite := (sl.kind == slotALU && sl.writeEnable) ||
@@ -514,9 +498,9 @@ func (d *Decoded) analyzeDirect() {
 			}
 			readLater := false
 			for j := i + 1; j < hi; j++ {
-				// Route reads count too: the lane engine reads a routed
-				// operand straight from the RF (resolved offset), and it
-				// must see the pre-commit value like the latched outl does.
+				// Route reads count too: a routed operand is read straight
+				// from the RF (resolved offset), and it must see the
+				// pre-commit value the source presented this cycle.
 				nx := &d.slots[j]
 				if (nx.aMode != int8(ctxgen.SrcNone) && nx.aOff == sl.wOff) ||
 					(nx.bMode != int8(ctxgen.SrcNone) && nx.bOff == sl.wOff) {
@@ -527,7 +511,7 @@ func (d *Decoded) analyzeDirect() {
 			if readLater {
 				continue
 			}
-			if sl.dur > 1 && !windowClear(c, sl.wOff, sl.dur-1) {
+			if sl.dur > 1 && (d.cmeta[c].halt || !windowClear(c, sl.wOff, sl.dur-1)) {
 				continue
 			}
 			eligible[i] = true
@@ -592,8 +576,7 @@ func (d *Decoded) decodeSrc(prog *ctxgen.Program, pe, c int, mode ctxgen.SrcMode
 		}
 		// A routing output presents rf[OutlAddr] of the source PE at this
 		// context, so the route is just an RF read under another name: the
-		// offset is resolved here and the lane engine reads it directly
-		// (the scalar path keeps the latched outl via aSrc/bSrc).
+		// offset is resolved here and both walks read it directly.
 		return int8(ctxgen.SrcRoute), d.rfOff[src] + int32(prog.PE[src][c].OutlAddr), int32(src), nil
 	default:
 		return int8(ctxgen.SrcNone), 0, 0, nil
@@ -610,6 +593,11 @@ func (d *Decoded) Slots() int { return len(d.slots) }
 // the one scalar walk: h carries the machine's Probe, Trace and fault plan
 // (nil on the production path), called where each observed or corrupted
 // value is produced, in issue and commit order.
+//
+// It commits like the lane walk (see the package comment). Routed operands
+// need no routing-output latch: nothing commits between the routing phase
+// and issue except direct writes, which analyzeDirect proves no later read
+// observes, and a hooked run makes none.
 func (d *Decoded) run(ctx context.Context, limit int64, args map[string]int32, host *ir.Host, h *hooks) (*Result, error) {
 	if h != nil {
 		h.inject.BeginRun()
@@ -631,7 +619,7 @@ func (d *Decoded) run(ctx context.Context, limit int64, args map[string]int32, h
 		rs.hostArr[i] = host.Arrays[name]
 	}
 
-	res := &Result{LiveOuts: make(map[string]int32, len(d.liveOuts))}
+	rf := rs.rf
 	energy := 0.0
 	ccnt := 0
 	var cycle int64
@@ -650,43 +638,33 @@ func (d *Decoded) run(ctx context.Context, limit int64, args map[string]int32, h
 		if h != nil {
 			h.tick(cycle, ccnt)
 		}
+		m := &d.cmeta[ccnt]
 		cb := &d.cbox[ccnt]
-		ccu := &d.ccu[ccnt]
 
-		// Phase 1: routing outputs present RF values (pre-commit state).
-		for _, o := range d.outls[d.outlIdx[ccnt]:d.outlIdx[ccnt+1]] {
-			rs.outl[o.pe] = rs.rf[o.off]
-		}
+		// Phase 1 (routing outputs present RF values) has no work: routed
+		// operands carry their resolved RF offset.
 
-		// Phase 2: C-Box combinational outputs.
-		outPE := cb.OutPEEnable && rs.cond[cb.OutPEAddr]
-		outCtrl := false
-		if cb.OutCtrlEnable {
-			outCtrl = rs.cond[cb.OutCtrlAddr] != cb.OutCtrlInv
-		}
+		// Phase 2: C-Box combinational outputs, latched before phase 4
+		// writes condition memory.
+		outPE := m.hasPred && cb.OutPEEnable && rs.cond[cb.OutPEAddr]
+		outCtrl := m.needCtrl && cb.OutCtrlEnable && rs.cond[cb.OutCtrlAddr] != cb.OutCtrlInv
 
 		// Phase 3: issue this context's non-NOP slots.
-		for i := d.slotIdx[ccnt]; i < d.slotIdx[ccnt+1]; i++ {
+		for i := m.lo; i < m.hi; i++ {
 			sl := &d.slots[i]
 			if h != nil {
 				h.issue(sl.pe, sl.op)
 			}
 			a, b := sl.imm, int32(0)
-			switch sl.aMode {
-			case int8(ctxgen.SrcReg):
-				a = rs.rf[sl.aOff]
-			case int8(ctxgen.SrcRoute):
-				a = rs.outl[sl.aSrc]
-				if h != nil {
+			if sl.aMode != int8(ctxgen.SrcNone) {
+				a = rf[sl.aOff]
+				if h != nil && sl.aMode == int8(ctxgen.SrcRoute) {
 					a = h.route(sl.aSrc, sl.pe, a)
 				}
 			}
-			switch sl.bMode {
-			case int8(ctxgen.SrcReg):
-				b = rs.rf[sl.bOff]
-			case int8(ctxgen.SrcRoute):
-				b = rs.outl[sl.bSrc]
-				if h != nil {
+			if sl.bMode != int8(ctxgen.SrcNone) {
+				b = rf[sl.bOff]
+				if h != nil && sl.bMode == int8(ctxgen.SrcRoute) {
 					b = h.route(sl.bSrc, sl.pe, b)
 				}
 			}
@@ -703,39 +681,45 @@ func (d *Decoded) run(ctx context.Context, limit int64, args map[string]int32, h
 				rs.statusVal[sl.pe] = val
 				rs.statusArrive[sl.pe] = finish
 			case slotLoad:
-				if !squash {
-					rs.pending = append(rs.pending, fpend{
-						cycle: finish, pe: sl.pe, wOff: sl.wOff,
-						isDMA: true, dmaLoad: true, array: sl.array, index: a,
-					})
+				if squash {
+					continue
 				}
+				// A direct load (always a resolved one) reads the host at
+				// issue; an out-of-range index faults at commit as usual.
+				if arr := rs.hostArr[sl.array]; h == nil && sl.direct && a >= 0 && int(a) < len(arr) {
+					rf[sl.wOff] = arr[a]
+					continue
+				}
+				rs.enqueue(d, finish, fpend{pe: sl.pe, wOff: sl.wOff, isDMA: true, dmaLoad: true, array: sl.array, index: a})
 			case slotStore:
-				if !squash {
-					if h != nil {
-						b = h.alu(sl.pe, b)
-					}
-					rs.pending = append(rs.pending, fpend{
-						cycle: finish, pe: sl.pe,
-						isDMA: true, array: sl.array, index: a, value: b,
-					})
+				if squash {
+					continue
 				}
+				if h != nil {
+					b = h.alu(sl.pe, b)
+				}
+				rs.enqueue(d, finish, fpend{pe: sl.pe, isDMA: true, array: sl.array, index: a, value: b})
 			default:
 				val := arch.Eval(sl.op, a, b)
 				if h != nil {
 					val = h.alu(sl.pe, val)
 				}
-				if sl.writeEnable {
-					rs.pending = append(rs.pending, fpend{
-						cycle: finish, pe: sl.pe, wOff: sl.wOff,
-						value: val, squash: squash,
-					})
+				switch {
+				case !sl.writeEnable:
+				case h != nil:
+					rs.enqueue(d, finish, fpend{pe: sl.pe, wOff: sl.wOff, value: val, squash: squash})
+				case squash:
+				case sl.direct:
+					rf[sl.wOff] = val
+				default:
+					rs.enqueue(d, finish, fpend{pe: sl.pe, wOff: sl.wOff, value: val})
 				}
 			}
 		}
 
 		// Phase 4: C-Box consumes a status / recombines.
-		condAddr, condVal, condWrite := 0, false, false
-		if cb.Consume || cb.Recombine {
+		condAddr, condVal := 0, false
+		if m.needCBox {
 			var in bool
 			if cb.Consume {
 				if rs.statusArrive[cb.StatusPE] != cycle {
@@ -760,53 +744,53 @@ func (d *Decoded) run(ctx context.Context, limit int64, args map[string]int32, h
 					out = in || (rs.cond[cb.BAddr] != cb.BInv)
 				}
 			}
-			condAddr, condVal, condWrite = cb.WriteAddr, out, true
+			condAddr, condVal = cb.WriteAddr, out
 		}
 
-		// Phase 5: end-of-cycle commits.
-		kept := rs.pending[:0]
-		for pi := range rs.pending {
-			pw := rs.pending[pi]
-			if pw.cycle != cycle {
-				kept = append(kept, pw)
-				continue
-			}
-			if pw.isDMA {
-				arr := rs.hostArr[pw.array]
-				if pw.index < 0 || int(pw.index) >= len(arr) {
-					// Reproduce the host interface's fault verbatim.
-					var err error
+		// Phase 5: end-of-cycle commits due this cycle, in issue order.
+		if rs.pendAny > 0 {
+			bkt := int(cycle) & d.ringMask
+			due := rs.ring[bkt]
+			for pi := range due {
+				pw := &due[pi]
+				if pw.isDMA {
+					arr := rs.hostArr[pw.array]
+					if pw.index < 0 || int(pw.index) >= len(arr) {
+						// Reproduce the host interface's fault verbatim.
+						var err error
+						if pw.dmaLoad {
+							_, err = host.Load(d.arrays[pw.array], pw.index)
+						} else {
+							err = host.Store(d.arrays[pw.array], pw.index, pw.value)
+						}
+						return nil, fmt.Errorf("sim: %v", err)
+					}
 					if pw.dmaLoad {
-						_, err = host.Load(d.arrays[pw.array], pw.index)
+						v := arr[pw.index]
+						if h != nil {
+							v = h.alu(pw.pe, v)
+							h.emit(EvDMALoad, int(pw.pe), int(pw.wOff-d.rfOff[pw.pe]), v)
+						}
+						rf[pw.wOff] = v
 					} else {
-						err = host.Store(d.arrays[pw.array], pw.index, pw.value)
+						arr[pw.index] = pw.value
+						if h != nil {
+							h.emit(EvDMAStore, int(pw.pe), int(pw.index), pw.value)
+						}
 					}
-					return nil, fmt.Errorf("sim: %v", err)
-				}
-				if pw.dmaLoad {
-					v := arr[pw.index]
+				} else if !pw.squash {
 					if h != nil {
-						v = h.alu(pw.pe, v)
-						h.emit(EvDMALoad, int(pw.pe), int(pw.wOff-d.rfOff[pw.pe]), v)
+						pw.value = h.write(pw.pe, int(pw.wOff-d.rfOff[pw.pe]), pw.value)
 					}
-					rs.rf[pw.wOff] = v
-				} else {
-					arr[pw.index] = pw.value
-					if h != nil {
-						h.emit(EvDMAStore, int(pw.pe), int(pw.index), pw.value)
-					}
+					rf[pw.wOff] = pw.value
+				} else if h != nil {
+					h.emit(EvRFSquash, int(pw.pe), int(pw.wOff-d.rfOff[pw.pe]), 0)
 				}
-			} else if !pw.squash {
-				if h != nil {
-					pw.value = h.write(pw.pe, int(pw.wOff-d.rfOff[pw.pe]), pw.value)
-				}
-				rs.rf[pw.wOff] = pw.value
-			} else if h != nil {
-				h.emit(EvRFSquash, int(pw.pe), int(pw.wOff-d.rfOff[pw.pe]), 0)
 			}
+			rs.pendAny -= len(due)
+			rs.ring[bkt] = due[:0]
 		}
-		rs.pending = kept
-		if condWrite {
+		if m.needCBox {
 			rs.cond[condAddr] = condVal
 			if h != nil {
 				v := int32(0)
@@ -818,35 +802,36 @@ func (d *Decoded) run(ctx context.Context, limit int64, args map[string]int32, h
 		}
 
 		// Phase 6: next CCNT.
-		next := ccnt + 1
-		switch ccu.Mode {
-		case ctxgen.CCUJump:
-			if ccu.Target == ccnt {
-				if h != nil {
-					h.emit(EvHalt, 0, 0, 0)
-				}
-				cycle++
-				res.RunCycles = cycle
-				res.Energy = energy
-				res.TransferCycles = d.transfer
-				for _, home := range d.liveOuts {
-					res.LiveOuts[home.name] = rs.rf[home.off]
-				}
-				return res, nil
-			}
-			next = ccu.Target
+		if m.halt {
 			if h != nil {
-				h.emit(EvJumpTaken, 0, 0, int32(next))
+				h.emit(EvHalt, 0, 0, 0)
 			}
-		case ctxgen.CCUCondJump:
-			if outCtrl {
-				next = ccu.Target
-				if h != nil {
-					h.emit(EvJumpTaken, 0, 0, int32(next))
-				}
+			res := &Result{
+				RunCycles:      cycle + 1,
+				TransferCycles: d.transfer,
+				Energy:         energy,
+				LiveOuts:       make(map[string]int32, len(d.liveOuts)),
 			}
+			for _, home := range d.liveOuts {
+				res.LiveOuts[home.name] = rf[home.off]
+			}
+			return res, nil
 		}
-		ccnt = next
+		next := m.next
+		if outCtrl {
+			next = m.target
+		}
+		if h != nil && (m.jump || outCtrl) {
+			h.emit(EvJumpTaken, 0, 0, next)
+		}
+		ccnt = int(next)
 		cycle++
 	}
+}
+
+// enqueue queues p to commit at the end of cycle finish.
+func (rs *runState) enqueue(d *Decoded, finish int64, p fpend) {
+	b := int(finish) & d.ringMask
+	rs.ring[b] = append(rs.ring[b], p)
+	rs.pendAny++
 }

@@ -3,6 +3,7 @@ package sim_test
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -40,7 +41,10 @@ func compileCell(t testing.TB, name string, k *ir.Kernel, comp *arch.Composition
 }
 
 // refCorpus builds every workload kernel x {list, modulo} plus adpcm on
-// each composition, and kgen kernels seeds [0, seeds) on each composition.
+// each composition, kgen kernels seeds [0, seeds) on each composition, and
+// kgen seeds [0, 16) with their counter increments in the post clause on
+// the modulo backend. Pipelined bodies overlap 2-cycle MUL and DMA writes
+// across the back edge, where the direct-commit window test decides.
 func refCorpus(t testing.TB, comps []string, seeds int64) []refCell {
 	t.Helper()
 	const n = 24
@@ -75,6 +79,12 @@ func refCorpus(t testing.TB, comps []string, seeds int64) []refCell {
 			gk := kgen.New(seed, kgen.Config{})
 			name := fmt.Sprintf("%s/kgen%d", cn, seed)
 			add(name, compileCell(t, name, gk.Kernel, comp, pipeline.Defaults()), gk.Args, gk.NewHost)
+		}
+		for seed := int64(0); seed < 16; seed++ {
+			gk := kgen.New(seed, kgen.Config{})
+			gk.Kernel.Body = kgen.IncrementInPost(gk.Kernel.Body)
+			name := fmt.Sprintf("%s/kgen%d/modulo", cn, seed)
+			add(name, compileCell(t, name, gk.Kernel, comp, modulo), gk.Args, gk.NewHost)
 		}
 	}
 	return cells
@@ -231,7 +241,8 @@ type refStats struct{ runs, injected, failed int }
 
 // checkRef runs one cell under each fault plan on the reference
 // interpreter and on the engine, hooked, and requires identical
-// observations; the fault-free plan also runs the engine plain.
+// observations; the fault-free plan also runs the engine plain, to the end
+// and cut short by the watchdog.
 func checkRef(t *testing.T, c refCell, seed int64, st *refStats) {
 	t.Helper()
 	clean := observe(t, c, nil, 0, true, false)
@@ -258,14 +269,26 @@ func checkRef(t *testing.T, c refCell, seed int64, st *refStats) {
 	if d := diffObserved(clean, plain); d != "" {
 		t.Errorf("%s, unhooked: %s", c.name, d)
 	}
+	// The watchdog cuts the plain run mid-flight: the CCNT it reports and
+	// the heap the run leaves behind must match the reference's.
+	if cut := clean.res.RunCycles / 2; cut > 0 {
+		want := observe(t, c, nil, cut, true, false)
+		got := observe(t, c, nil, cut, false, false)
+		if !strings.Contains(want.err, "watchdog") {
+			t.Errorf("%s: reference run cut at cycle %d: error %q", c.name, cut, want.err)
+		}
+		if d := diffObserved(want, got); d != "" {
+			t.Errorf("%s, unhooked, cut at cycle %d: %s", c.name, cut, d)
+		}
+	}
 }
 
 // TestEngineMatchesReference is the reference differential: the one
 // scalar walk, hooked and plain, reproduces the old instrumented
 // interpreter's event stream, Trace calls, injection count, result, error
-// text and heap on every workload kernel x {list, modulo}, adpcm and kgen
-// 0-31 on a regular and an inhomogeneous composition, plus a degraded
-// composition with PhysPE set, each under four fault plans.
+// text and heap on every workload kernel x {list, modulo}, adpcm, kgen 0-31
+// and pipelined kgen 0-15 on a regular and an inhomogeneous composition,
+// plus a degraded composition with PhysPE set, each under four fault plans.
 func TestEngineMatchesReference(t *testing.T) {
 	cells := append(refCorpus(t, []string{"9 PEs", "8 PEs F"}, 32), degradedCell(t))
 	var st refStats

@@ -5,27 +5,22 @@
 // decode (operand multiplexer settings, op identity, duration, energy) is
 // paid once per slot per cycle instead of once per lane.
 //
-// The per-lane cost of a batched cycle is far below the scalar path's:
+// The lane walk commits like the scalar walk (Decoded.run): routed
+// operands are plain RF reads at their predecoded offset, the context
+// header (ctxMeta) gates every phase, writes predecode proves unobservable
+// when early (dslot.direct) land at issue, and the rest wait in a
+// due-cycle ring that an outstanding-entry count skips when empty. On top
+// of that, a batched cycle's per-lane cost is kept small:
 //
 //   - all lane slabs are lane-innermost (rf[off*L+lane], not
 //     rf[lane*rfTotal+off]), so the N lanes touched by one slot share one
 //     or two cache lines instead of N, and every per-slot index is hoisted
 //     out of the lane loop;
-//   - routed operands were resolved to RF offsets at predecode, so the
-//     routing phase vanishes and a route read is an ordinary RF read
-//     (predecode's direct-commit analysis accounts for the changed read
-//     point);
-//   - per-context metadata (ctxMeta, resolved at predecode) lets a step
-//     skip every phase the context doesn't use — most contexts of real
-//     schedules have one PE slot and an idle C-Box;
-//   - writes whose early commit is provably unobservable (dslot.direct:
-//     single-cycle ALU results, and multi-cycle ALU results or resolved
-//     loads with a clear latency window) commit straight into the RF at
-//     issue; only the rest go through a due-cycle ring of 16-byte entries
-//     guarded by a per-lane occupancy bitmask and a global outstanding
-//     count, so ring-free stretches skip the commit phase entirely;
+//   - ring entries are 16 bytes and each lane's buckets sit behind an
+//     occupancy bitmask, so a quiet lane costs one word test per cycle;
 //   - loads from arrays no store ever targets (dslot.resolveLoad) read
-//     the host value at issue and defer only the register write;
+//     the host value at issue even when not direct, and defer only the
+//     register write;
 //   - op evaluation (arch.Eval, arch.Holds) inlines into the slot walk —
 //     no per-lane calls, and no unknown-op path, since Predecode refuses
 //     an op its PE does not implement.
@@ -76,10 +71,10 @@ type BatchResult struct {
 
 const laneSrcNone = int8(ctxgen.SrcNone)
 
-// lpend is one deferred lane commit: 16 bytes against the scalar path's
-// 40-byte fpend, because the ring bucket already encodes the due cycle
-// and squashed writes are simply never enqueued. meta==0 is a plain
-// register write; otherwise it carries the DMA array ID and direction.
+// lpend is one deferred lane commit: 16 bytes against the scalar walk's
+// 24-byte fpend, because no hook ever needs a lane's PE or squashed
+// writes. meta==0 is a plain register write; otherwise it carries the DMA
+// array ID and direction.
 type lpend struct {
 	wOff  int32
 	value int32 // ALU/resolved-load result, or the value a store writes
@@ -327,10 +322,8 @@ func (d *Decoded) stepLanes(ls *laneState, reqs []BatchRequest, out []BatchResul
 		return dst
 	}
 
-	// Phase 1 (routing outputs present RF values) has no lane work: routed
-	// operands carry their resolved RF offset, and predecode's direct-commit
-	// analysis guarantees the register still holds the pre-commit value when
-	// a route reads it here instead of at the scalar path's latch point.
+	// Phase 1 (routing outputs present RF values) has no work in either
+	// walk: routed operands carry their resolved RF offset.
 
 	// Phase 2: latch the C-Box combinational outputs, but only the ones
 	// this context consumes (predication for squash, branch-select for the
@@ -365,7 +358,7 @@ func (d *Decoded) stepLanes(ls *laneState, reqs []BatchRequest, out []BatchResul
 	// cache lines. Energy accumulates per lane in slot order, matching the
 	// scalar path bit for bit; while the group is uniform every lane's sum
 	// is the same chain of additions, so one accumulator stands in for all.
-	for i := d.slotIdx[c]; i < d.slotIdx[c+1]; i++ {
+	for i := m.lo; i < m.hi; i++ {
 		sl := &d.slots[i]
 		aMode, bMode := sl.aMode, sl.bMode
 		aReg, bReg := int(sl.aOff)*L, int(sl.bOff)*L
@@ -663,7 +656,7 @@ func (d *Decoded) stepLanes(ls *laneState, reqs []BatchRequest, out []BatchResul
 		return deaths + len(group), split, 0
 	}
 	if m.needCtrl {
-		tgt, seq := int32(d.ccu[c].Target), int32(c+1)
+		tgt, seq := m.target, m.next
 		first := ls.outCtrl[group[0]]
 		same := true
 		for _, l := range group {

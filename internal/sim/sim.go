@@ -12,6 +12,15 @@
 // one. RunBatch (runlanes.go) steps N hook-free invocations as lanes of the
 // same microprogram.
 //
+// Both walks share one commit model, fixed at predecode. A routed operand
+// is an RF read at the offset its source presents, with no routing latch;
+// each context's header (ctxMeta) says which phases run and where the CCU
+// goes; a write whose early commit is provably unobservable (dslot.direct)
+// lands at issue when no hook is attached; every other commit waits in a
+// due-cycle ring and lands at the end of its cycle, in issue order. With
+// hooks every commit goes through the ring, so events and injected write
+// faults keep their commit cycle and order.
+//
 // Neither walk defines what an opcode computes: both inline arch.Eval and
 // arch.Holds, the op table's definitions. Predecode refuses a program that
 // issues an op its PE does not implement, so no walk has an unknown-op path.
