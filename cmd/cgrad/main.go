@@ -15,12 +15,9 @@
 //
 // Chaos soak mode (-chaos) serves in-process under seeded environment
 // fault injection, drives reference-checked load, then asserts bounded
-// recovery; churn mode (-churn) kills and restarts one node of an
-// in-process cluster under load. All three harnesses live in
-// internal/drill:
+// recovery. Both harnesses live in internal/drill:
 //
 //	cgrad -chaos -seed 1 -clients 4 -iters 16 -metrics-out chaos-metrics.prom
-//	cgrad -churn -churn-nodes 3 -clients 4 -seed 1
 package main
 
 import (
@@ -30,7 +27,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -50,33 +46,24 @@ func main() {
 		deadline    = flag.Duration("deadline", 0, "default per-request deadline (0 = 30s)")
 		unroll      = flag.Int("unroll", 2, "loop unroll factor")
 		batchWindow = flag.Duration("batch-window", 0, "same-artifact /v1/run coalescing: the longest a run queues behind a busy artifact (0 = coalescing off)")
-		advertise   = flag.String("advertise", "", "this node's base URL as peers reach it (enables clustering with -peers)")
-		peers       = flag.String("peers", "", "comma-separated peer base URLs (the same list can be passed to every node)")
-		probeEvery  = flag.Duration("probe-interval", 0, "peer health probe interval (0 = default)")
 
 		loadgen    = flag.Bool("loadgen", false, "run as load generator against -target instead of serving")
 		target     = flag.String("target", "http://127.0.0.1:8080", "daemon base URL (loadgen mode)")
-		clients    = flag.Int("clients", 4, "concurrent clients (loadgen, chaos and churn)")
-		iters      = flag.Int("iters", 0, "run iterations per client (0 = the mode's default: 8 for loadgen and chaos, 30 for churn)")
+		clients    = flag.Int("clients", 4, "concurrent clients (loadgen and chaos)")
+		iters      = flag.Int("iters", 0, "run iterations per client (0 = 8)")
 		expectWarm = flag.Bool("expect-warm", false, "loadgen: fail unless every first compile is served from the cache")
-		seed       = flag.Int64("seed", 1, "loadgen/chaos/churn: RNG seed (deterministic request mix and fault schedule)")
+		seed       = flag.Int64("seed", 1, "loadgen/chaos: RNG seed (deterministic request mix and fault schedule)")
 		slowlog    = flag.Duration("slowlog", 0, "loadgen: log every run slower than this with its trace ID (0 = off)")
 		traceOut   = flag.String("trace-out", "", "loadgen: fetch /debug/traces after the load phase, validate it, and write the Chrome trace JSON here")
 
 		chaosMode  = flag.Bool("chaos", false, "run the chaos soak: serve in-process under fault injection, drive load, assert recovery")
 		metricsOut = flag.String("metrics-out", "", "chaos: write the final metrics dump (Prometheus text) to this file")
-
-		churnMode  = flag.Bool("churn", false, "run the cluster churn harness: N in-process clustered nodes, kill one mid-load, restart it cold, assert peer re-warming")
-		churnNodes = flag.Int("churn-nodes", 3, "churn: cluster size")
 	)
 	flag.Parse()
 
 	comp, err := arch.ByName(*compName)
 	exitOn(err)
 	switch {
-	case *churnMode:
-		exitOn(drill.Churn(drill.ChurnConfig{Comp: comp, Nodes: *churnNodes, Clients: *clients, Iters: *iters, Seed: *seed}, os.Stdout))
-		return
 	case *chaosMode:
 		exitOn(drill.Chaos(drill.ChaosConfig{Comp: comp, Seed: *seed, Clients: *clients, Iters: *iters, MetricsOut: *metricsOut}, os.Stdout))
 		return
@@ -96,9 +83,6 @@ func main() {
 		MaxInFlight:     *maxInFlight,
 		DefaultDeadline: *deadline,
 		BatchWindow:     *batchWindow,
-		Advertise:       *advertise,
-		Peers:           splitPeers(*peers),
-		ProbeInterval:   *probeEvery,
 	})
 	exitOn(err)
 	// Bind synchronously so a bad address fails loudly, before any client
@@ -139,16 +123,4 @@ func cacheDirLabel(dir string) string {
 		return "memory-only"
 	}
 	return dir
-}
-
-// splitPeers parses the -peers flag: comma-separated base URLs, empty
-// entries dropped.
-func splitPeers(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }

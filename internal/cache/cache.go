@@ -151,10 +151,6 @@ type Store struct {
 	scrubQuarantined *obs.Counter
 	scrubErrors      *obs.Counter
 	scrubHeals       *obs.Counter
-
-	exports         *obs.Counter
-	importsOK       *obs.Counter
-	importsRejected *obs.Counter
 }
 
 type memEntry struct {
@@ -213,8 +209,6 @@ func New(o Options) (*Store, error) {
 	reg.Help("cgra_cache_scrub_quarantined_total", "corrupt disk entries the scrubber quarantined")
 	reg.Help("cgra_cache_scrub_errors_total", "disk entries the scrubber could not read")
 	reg.Help("cgra_cache_scrub_heals_total", "degraded-mode exits after a successful probe write")
-	reg.Help("cgra_cache_exports_total", "artifact entries exported to peers")
-	reg.Help("cgra_cache_imports_total", "artifact entries imported from peers, by outcome")
 	s := &Store{
 		fs:       fsys,
 		dir:      o.Dir,
@@ -245,10 +239,6 @@ func New(o Options) (*Store, error) {
 		scrubQuarantined: reg.Counter("cgra_cache_scrub_quarantined_total"),
 		scrubErrors:      reg.Counter("cgra_cache_scrub_errors_total"),
 		scrubHeals:       reg.Counter("cgra_cache_scrub_heals_total"),
-
-		exports:         reg.Counter("cgra_cache_exports_total"),
-		importsOK:       reg.Counter("cgra_cache_imports_total", obs.L("outcome", "ok")),
-		importsRejected: reg.Counter("cgra_cache_imports_total", obs.L("outcome", "rejected")),
 	}
 	if s.dir != "" {
 		s.loadDiskIndex()
@@ -369,7 +359,7 @@ func (s *Store) Get(key string) (*pipeline.Artifact, string, bool) {
 		s.lru.MoveToFront(el)
 		ent := el.Value.(*memEntry)
 		// Copy the pointer under the lock: insertMem may swap ent.art for a
-		// re-Put/Import of the same key concurrently.
+		// re-Put of the same key concurrently.
 		art := ent.art
 		age := time.Since(ent.added)
 		s.mu.Unlock()
@@ -423,18 +413,10 @@ func (s *Store) Put(key string, art *pipeline.Artifact) error {
 	}
 	s.insertMem(key, art, time.Now())
 	s.puts.Inc()
-	return s.installFramed(key, data)
-}
-
-// installFramed commits one framed entry to the disk tier with the full
-// failure ladder (ENOSPC evict-and-retry, degraded-mode trip). The memory
-// tier must already hold the artifact — a returned error never means the
-// entry was lost.
-func (s *Store) installFramed(key string, data []byte) error {
 	if s.dir == "" || s.degraded.Load() {
 		return nil
 	}
-	err := s.commitDisk(key, data)
+	err = s.commitDisk(key, data)
 	if errors.Is(err, syscall.ENOSPC) {
 		// Evict-and-retry: free several times the entry's footprint so a
 		// burst of compiles does not thrash one eviction per write.
@@ -617,88 +599,6 @@ func (s *Store) quarantineKey(key string) {
 	// as a miss and the caller recompiles.
 	_ = s.fs.Rename(path, path+".quarantined")
 }
-
-// Contains reports whether key is present in either tier, without
-// promoting it, reading the disk, or touching the hit/miss counters — the
-// cluster router's cheap "do I already have this" check.
-func (s *Store) Contains(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.mem[key]; ok {
-		return true
-	}
-	_, ok := s.disk[key]
-	return ok
-}
-
-// Export returns the framed entry (magic + version + checksum + payload)
-// for key, ready to serve to a peer. A disk copy is returned verbatim; a
-// memory-only entry is re-framed on the fly. A corrupt disk entry is
-// quarantined (the memory front, if any, still answers) and ok=false
-// makes the peer look elsewhere.
-func (s *Store) Export(key string) (data []byte, ok bool) {
-	// Disk first: the bytes are already framed, and serving them verbatim
-	// means the peer receives exactly what a scrub would verify.
-	if s.dir != "" {
-		if raw, err := s.fs.ReadFile(s.Path(key)); err == nil {
-			if verr := verifyEntry(raw); verr == nil {
-				s.exports.Inc()
-				return raw, true
-			}
-			s.quarantineKey(key)
-		}
-	}
-	s.mu.Lock()
-	el, ok := s.mem[key]
-	var art *pipeline.Artifact
-	if ok {
-		art = el.Value.(*memEntry).art
-	}
-	s.mu.Unlock()
-	if art == nil {
-		return nil, false
-	}
-	data, err := encodeEntry(art)
-	if err != nil {
-		return nil, false
-	}
-	s.exports.Inc()
-	return data, true
-}
-
-// Import installs a framed entry received from a peer into both tiers.
-// The frame is checksum-verified and the payload fully decoded before
-// anything is stored, so a corrupt or malicious response can never poison
-// the cache; the disk commit reuses Put's failure ladder (ENOSPC
-// evict-and-retry, degraded-mode trip).
-func (s *Store) Import(key string, data []byte) error {
-	art, err := decodeEntry(data)
-	if err != nil {
-		s.importsRejected.Inc()
-		return fmt.Errorf("cache: import %s: %w", key, err)
-	}
-	s.insertMem(key, art, time.Now())
-	s.importsOK.Inc()
-	return s.installFramed(key, data)
-}
-
-// ImportCtx is Import inside the request's trace: a "cache.import" span
-// annotated with the entry size.
-func (s *Store) ImportCtx(ctx context.Context, key string, data []byte) error {
-	sp := obs.ContextSpan(ctx).StartChild("cache.import")
-	defer sp.Finish()
-	sp.Set("bytes", int64(len(data)))
-	err := s.Import(key, data)
-	if err != nil {
-		sp.Event("import_rejected", err.Error())
-	}
-	return err
-}
-
-// Verify checks a framed entry (magic, version, checksum) without
-// decoding it — what a peer fetch runs before trusting bytes off the
-// wire.
-func Verify(data []byte) error { return verifyEntry(data) }
 
 // encodeEntry encodes an artifact straight into a framed entry: the payload
 // is appended after room left for the header, which is filled in after.

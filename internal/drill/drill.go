@@ -1,5 +1,5 @@
 // Package drill holds the reference-checked load harnesses behind cgrad's
-// -loadgen, -chaos and -churn modes and cgrasim's -soak. They share one
+// -loadgen and -chaos modes and cgrasim's -soak. They share one
 // case type (Case), one load loop (Load) and one reference check
 // (ir.Compare, through Case.Check): every reply of every drill answers to
 // the reference interpreter the same way. The drills differ only in what
@@ -14,7 +14,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cgra/internal/adpcm"
@@ -173,9 +172,6 @@ type Load struct {
 	RoundRobin bool
 	// Sender returns worker g's transport.
 	Sender func(worker int) Sender
-	// Until, when set, keeps every worker running past Iters until it
-	// reports true.
-	Until func() bool
 	// Deadline, when positive, bounds each run. A run that outlives it by
 	// hangSlack, or a load phase still running after Iters such spans plus
 	// a minute, is a hang.
@@ -184,12 +180,7 @@ type Load struct {
 	// slow to Log as it happens, with its trace ID.
 	SlowLog time.Duration
 	Log     io.Writer
-
-	runs atomic.Int64
 }
-
-// Runs is how many runs have completed so far; safe to call during Run.
-func (l *Load) Runs() int64 { return l.runs.Load() }
 
 // Report is what one load phase saw.
 type Report struct {
@@ -252,7 +243,7 @@ func (l *Load) Run() *Report {
 			defer wg.Done()
 			send := l.Sender(g)
 			rng := rand.New(rand.NewSource(l.Seed + int64(g)))
-			for i := 0; i < l.Iters || (l.Until != nil && !l.Until()); i++ {
+			for i := 0; i < l.Iters; i++ {
 				c := l.Cases[(g+i)%len(l.Cases)]
 				if !l.RoundRobin {
 					c = l.Cases[rng.Intn(len(l.Cases))]
@@ -272,7 +263,6 @@ func (l *Load) Run() *Report {
 				mu.Lock()
 				r.record(l, c, rep, err, mismatch, elapsed)
 				mu.Unlock()
-				l.runs.Add(1)
 			}
 		}()
 	}

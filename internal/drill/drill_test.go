@@ -176,18 +176,6 @@ func TestChaos(t *testing.T) {
 	}
 }
 
-// TestChurn runs the churn drill at CI's size; Churn itself enforces the
-// cluster contract.
-func TestChurn(t *testing.T) {
-	var out bytes.Buffer
-	if err := Churn(ChurnConfig{Comp: comp9(t), Nodes: 3, Clients: 4, Iters: 30, Seed: 1}, &out); err != nil {
-		t.Fatalf("churn: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "cgrad: churn: PASS") {
-		t.Errorf("no PASS line:\n%s", out.String())
-	}
-}
-
 // TestSoak runs the documented soak recipe — fir, 8 streams × 50, a
 // permanent fault on PE 4 and a transient one on PE 1, both PEs busy in
 // fir's schedule — and asserts the faults were injected, detected and

@@ -1,45 +1,26 @@
 package kgen
 
 import (
-	"fmt"
 	"testing"
 
 	"cgra/internal/arch"
-	"cgra/internal/ir"
 	"cgra/internal/pipeline"
 )
 
+// TestDebugSeed35 compiles generated kernel 35 with zero-value pipeline
+// options onto the inhomogeneous 8-PE composition F — the only cell that
+// runs those options there — and holds the result to the interpreter.
 func TestDebugSeed35(t *testing.T) {
 	gk := New(35, Config{})
-	var dump func(stmts []ir.Stmt, ind string)
-	dump = func(stmts []ir.Stmt, ind string) {
-		for _, s := range stmts {
-			switch s := s.(type) {
-			case *ir.Assign:
-				fmt.Printf("%s%s = %s\n", ind, s.Name, s.Value)
-			case *ir.Store:
-				fmt.Printf("%s%s[%s] = %s\n", ind, s.Array, s.Index, s.Value)
-			case *ir.If:
-				fmt.Printf("%sif %s {\n", ind, s.Cond)
-				dump(s.Then, ind+"  ")
-				fmt.Printf("%s} else {\n", ind)
-				dump(s.Else, ind+"  ")
-				fmt.Printf("%s}\n", ind)
-			case *ir.For:
-				fmt.Printf("%sfor %s=%s; %s {\n", ind, s.Init.Name, s.Init.Value, s.Cond)
-				dump(s.Body, ind+"  ")
-				fmt.Printf("%s}\n", ind)
-			}
-		}
+	comp, err := arch.IrregularComposition("F", 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	dump(gk.Kernel.Body, "")
-	fmt.Println("args:", gk.Args)
-	fmt.Println("m0:", gk.NewHost().Arrays["m0"])
-	comp, _ := arch.IrregularComposition("F", 1)
 	c, err := pipeline.Compile(gk.Kernel, comp, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = pipeline.CheckAgainstInterpreter(gk.Kernel, c, gk.Args, gk.NewHost())
-	fmt.Println("check:", err)
+	if _, err := pipeline.CheckAgainstInterpreter(gk.Kernel, c, gk.Args, gk.NewHost()); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -1,12 +1,11 @@
 package pipeline
 
 // The artifact codec: the fixed, versioned binary layout of an Artifact,
-// which is the payload of every compiled-kernel cache entry and of every
-// artifact one daemon ships to a peer. An encoding written by one build
-// must decode identically in every build of the same ArtifactVersion, so
-// the layout is pinned by testdata/artifact.golden; a layout change bumps
-// ArtifactVersion (which also re-keys the cache) and regenerates the golden
-// file in the same diff.
+// which is the payload of every compiled-kernel cache entry. An encoding
+// written by one build must decode identically in every build of the same
+// ArtifactVersion, so the layout is pinned by testdata/artifact.golden; a
+// layout change bumps ArtifactVersion (which also re-keys the cache) and
+// regenerates the golden file in the same diff.
 //
 // Layout: the magic "CGAR", then the Artifact's fields in declaration
 // order, each written as
@@ -25,9 +24,10 @@ package pipeline
 // ctxgen's pinned bitstream layout. Nothing may follow the last field
 // (CBoxUsage).
 //
-// The decoder treats its input as hostile — a peer's Import hands it bytes
-// off the wire: every count is bounded by the bytes left, so a corrupt
-// entry is an error, never a panic or an allocation the input cannot back.
+// The decoder treats its input as hostile — a cache directory is outside
+// the program, and anything may have written it: every count is bounded by
+// the bytes left, so a corrupt entry is an error, never a panic or an
+// allocation the input cannot back.
 
 import (
 	"encoding/binary"

@@ -23,23 +23,15 @@ const (
 	defaultRetryBudget = 64
 )
 
-// Client talks to a cgrad daemon — or a cluster of them. It retries
-// transient failures — 429, 502/503, and transport errors — with
-// exponential backoff and jitter, honoring the server's Retry-After hints
-// (delta-seconds, HTTP-date, or the precise X-Retry-After-Ms), bounded by
-// a per-client retry budget, and never past the caller's context
-// deadline. With multiple endpoints (Bases) the client is sticky to one
-// daemon until it fails, then fails over to the next — a crashed node
-// costs each client one failed attempt, not an outage. The zero retry
-// configuration is production-safe; set MaxAttempts to 1 for single-shot
-// semantics.
+// Client talks to a cgrad daemon. It retries transient failures — 429,
+// 502/503, and transport errors — with exponential backoff and jitter,
+// honoring the server's Retry-After hints (delta-seconds, HTTP-date, or the
+// precise X-Retry-After-Ms), bounded by a per-client retry budget, and
+// never past the caller's context deadline. The zero retry configuration
+// is production-safe; set MaxAttempts to 1 for single-shot semantics.
 type Client struct {
 	// Base is the daemon's base URL, e.g. "http://127.0.0.1:8080".
 	Base string
-	// Bases, when non-empty, is the cluster endpoint set and takes
-	// precedence over Base. The client pins to one endpoint and rotates to
-	// the next on transport errors and retryable statuses.
-	Bases []string
 	// HTTP is the transport (nil = http.DefaultClient).
 	HTTP *http.Client
 	// MaxAttempts bounds tries per call: 0 = 4, 1 = no retries.
@@ -54,49 +46,10 @@ type Client struct {
 	RetryBudget int64
 
 	retriesUsed atomic.Int64
-	// cursor indexes the pinned endpoint in Bases (advanced on failure;
-	// reads wrap modulo len(Bases)).
-	cursor atomic.Int64
 }
 
 // NewClient returns a client for the daemon at base.
 func NewClient(base string) *Client { return &Client{Base: base} }
-
-// NewMultiClient returns a failover client over a set of cluster
-// endpoints. Start spreads initial stickiness: clients constructed with
-// different start values pin to different endpoints, so a fleet of
-// callers load-spreads without a balancer.
-func NewMultiClient(start int, bases ...string) *Client {
-	c := &Client{Bases: bases}
-	if len(bases) > 0 {
-		c.cursor.Store(int64(start % len(bases)))
-	}
-	return c
-}
-
-// endpoints is the effective endpoint list.
-func (c *Client) endpoints() []string {
-	if len(c.Bases) > 0 {
-		return c.Bases
-	}
-	return []string{c.Base}
-}
-
-// base returns the currently pinned endpoint (single-shot helpers like
-// Health and Ready probe this one).
-func (c *Client) base() string {
-	eps := c.endpoints()
-	return eps[int(c.cursor.Load())%len(eps)]
-}
-
-// failover advances the endpoint cursor past the endpoint at idx.
-// CompareAndSwap keeps concurrent callers from leapfrogging healthy
-// endpoints: only the first failure observation moves the pin.
-func (c *Client) failover(idx int64) {
-	if len(c.Bases) > 1 {
-		c.cursor.CompareAndSwap(idx, idx+1)
-	}
-}
 
 func (c *Client) httpClient() *http.Client {
 	if c.HTTP != nil {
@@ -154,7 +107,7 @@ func (c *Client) Health(ctx context.Context) error {
 // probe must not retry itself ready); when the daemon answers 503 the
 // report is still returned alongside the *APIError so callers can see why.
 func (c *Client) Ready(ctx context.Context) (*ReadyResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base()+"/readyz", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/readyz", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -227,18 +180,12 @@ func (c *Client) do(ctx context.Context, method, path string, deadlineMS int64, 
 	traceID := callTraceID(ctx)
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		idx := c.cursor.Load()
-		eps := c.endpoints()
-		base := eps[int(idx)%len(eps)]
 		var retryAfter time.Duration
-		done, err := c.attempt(ctx, base, method, path, deadlineMS, traceID, payload, out, &retryAfter)
+		done, err := c.attempt(ctx, method, path, deadlineMS, traceID, payload, out, &retryAfter)
 		if done {
 			return err
 		}
 		lastErr = err
-		// Transient failure: rotate off this endpoint before the retry so
-		// a dead or overloaded node is not asked twice.
-		c.failover(idx)
 		if attempt+1 >= maxAttempts || !c.spendRetry() {
 			return lastErr
 		}
@@ -265,12 +212,12 @@ func (c *Client) do(ctx context.Context, method, path string, deadlineMS int64, 
 // attempt runs a single HTTP exchange. done=true means the result is
 // final (success or non-retryable failure); done=false means err is
 // transient and the retry loop decides what happens next.
-func (c *Client) attempt(ctx context.Context, base, method, path string, deadlineMS int64, traceID string, payload []byte, out any, retryAfter *time.Duration) (done bool, err error) {
+func (c *Client) attempt(ctx context.Context, method, path string, deadlineMS int64, traceID string, payload []byte, out any, retryAfter *time.Duration) (done bool, err error) {
 	var body io.Reader
 	if payload != nil {
 		body = bytes.NewReader(payload)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, base+path, body)
+	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, body)
 	if err != nil {
 		return true, err
 	}

@@ -218,3 +218,64 @@ func TestClientDoesNotRetryFinalErrors(t *testing.T) {
 		t.Fatalf("%d requests, want 1 (404 is final)", n)
 	}
 }
+
+// TestParseRetryAfterForms covers every Retry-After shape a client can
+// meet: the precise millisecond header, RFC 9110 delta-seconds, an
+// HTTP-date (proxies and load balancers emit these), and garbage.
+func TestParseRetryAfterForms(t *testing.T) {
+	mk := func(kv ...string) http.Header {
+		h := http.Header{}
+		for i := 0; i+1 < len(kv); i += 2 {
+			h.Set(kv[i], kv[i+1])
+		}
+		return h
+	}
+
+	if d := parseRetryAfter(mk("Retry-After", "2")); d != 2*time.Second {
+		t.Fatalf("delta-seconds: %v, want 2s", d)
+	}
+	if d := parseRetryAfter(mk(retryAfterMSHeader, "1500", "Retry-After", "10")); d != 1500*time.Millisecond {
+		t.Fatalf("ms header should win: %v, want 1.5s", d)
+	}
+
+	// HTTP-date in the future: the hint is the remaining wait. The format
+	// has one-second resolution, so accept anything in (2s, 5s].
+	future := time.Now().Add(5 * time.Second).UTC().Format(http.TimeFormat)
+	if d := parseRetryAfter(mk("Retry-After", future)); d <= 2*time.Second || d > 5*time.Second {
+		t.Fatalf("future HTTP-date: %v, want (2s, 5s]", d)
+	}
+	// A date in the past means "retry now".
+	past := time.Now().Add(-time.Minute).UTC().Format(http.TimeFormat)
+	if d := parseRetryAfter(mk("Retry-After", past)); d != 0 {
+		t.Fatalf("past HTTP-date: %v, want 0", d)
+	}
+	if d := parseRetryAfter(mk("Retry-After", "soon-ish")); d != 0 {
+		t.Fatalf("garbage: %v, want 0", d)
+	}
+	if d := parseRetryAfter(mk()); d != 0 {
+		t.Fatalf("absent: %v, want 0", d)
+	}
+}
+
+// TestClientRetryHonorsHTTPDateRetryAfter: a 503 carrying an HTTP-date
+// Retry-After delays the retry like a delta-seconds hint would.
+func TestClientRetryHonorsHTTPDateRetryAfter(t *testing.T) {
+	date := time.Now().Add(1500 * time.Millisecond).UTC().Format(http.TimeFormat)
+	f := &flaky{steps: []func(http.ResponseWriter){func(w http.ResponseWriter) {
+		w.Header().Set("Retry-After", date)
+		w.WriteHeader(http.StatusServiceUnavailable)
+		fmt.Fprintln(w, `{"error":"overloaded"}`)
+	}}}
+	c := newFlakyClient(t, f)
+	c.Backoff = time.Millisecond // the server's date must dominate the wait
+	if _, err := c.Kernels(context.Background()); err != nil {
+		t.Fatalf("retry did not recover: %v", err)
+	}
+	if f.callCount() != 2 {
+		t.Fatalf("calls = %d, want 2", f.callCount())
+	}
+	// The formatted date has second resolution: at least ~0.5s must remain.
+	if gap := f.gap(0); gap < 300*time.Millisecond {
+		t.Fatalf("retried after %v, before the HTTP-date Retry-After", gap)
+	}
+}

@@ -40,7 +40,6 @@ import (
 	"cgra/internal/arch"
 	"cgra/internal/cache"
 	"cgra/internal/chaos"
-	"cgra/internal/cluster"
 	"cgra/internal/ir"
 	"cgra/internal/irtext"
 	"cgra/internal/obs"
@@ -81,18 +80,6 @@ type Config struct {
 	// last trigger (0 = 2s).
 	BrownoutThreshold int
 	BrownoutHold      time.Duration
-	// Advertise is this node's base URL as peers reach it (e.g.
-	// "http://10.0.0.3:8080"). Together with a non-empty Peers list it
-	// turns the daemon into a cluster member: compiles route to their
-	// consistent-hash owner shard and artifacts replicate peer-to-peer.
-	Advertise string
-	// Peers is the static seed list of peer base URLs (entries equal to
-	// Advertise are ignored, so every node can receive the same list).
-	Peers []string
-	// ProbeInterval paces peer health probes (0 = cluster default);
-	// ProbeTimeout bounds one probe (0 = cluster default).
-	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
 }
 
 // Server serves the compile-and-execute API over one system.System.
@@ -114,10 +101,9 @@ type Server struct {
 	draining atomic.Bool
 	httpSrv  *http.Server
 
-	est     *svcEstimator
-	bo      *brownout
-	flight  *obs.FlightRecorder
-	cluster *clusterState
+	est    *svcEstimator
+	bo     *brownout
+	flight *obs.FlightRecorder
 
 	inflight       *obs.Gauge
 	shed           *obs.Counter
@@ -196,17 +182,12 @@ func New(cfg Config) (*Server, error) {
 		brownoutServes: reg.Counter("cgra_server_brownout_serves_total"),
 		latency:        reg.Histogram("cgra_server_request_seconds", requestLatencyBuckets),
 	}
-	if cfg.Advertise != "" && len(cfg.Peers) > 0 {
-		s.cluster = newClusterState(cfg, reg)
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/compile", s.instrument("compile", s.handleCompile))
 	mux.HandleFunc("/v1/run", s.instrument("run", func(w http.ResponseWriter, r *http.Request) int {
 		return s.handleRun(w, r, false)
 	}))
 	mux.HandleFunc("/v1/kernels", s.instrument("kernels", s.handleKernels))
-	mux.HandleFunc("/v1/artifact/", s.instrument("artifact", s.handleArtifact))
-	mux.HandleFunc("/v1/peerz", s.handlePeers)
 	mux.Handle("/metrics", reg)
 	mux.HandleFunc("/healthz", s.handleHealth)
 	mux.HandleFunc("/readyz", s.handleReady)
@@ -257,32 +238,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if s.httpSrv != nil {
 		err = s.httpSrv.Shutdown(ctx)
 	}
-	if s.cluster != nil {
-		s.cluster.m.Close()
-	}
 	s.sys.Quiesce()
 	s.sys.Close()
 	s.store.Close()
 	return err
 }
 
-// Abort kills the server without draining: every open connection is
-// closed mid-flight and nothing is quiesced gracefully. This is the churn
-// harness's stand-in for SIGKILL — from a client's point of view the node
-// just vanished.
-func (s *Server) Abort() {
-	if s.httpSrv != nil {
-		_ = s.httpSrv.Close()
-	}
-	if s.cluster != nil {
-		s.cluster.m.Close()
-	}
-	s.sys.Close()
-	s.store.Close()
-}
-
 // requestTraceID adopts the caller's X-Trace-Id (so traces of one logical
-// request compose across retries and across nodes) or mints a fresh one.
+// request compose across retries and across services) or mints a fresh one.
 func requestTraceID(r *http.Request) obs.TraceID {
 	if v := r.Header.Get(traceIDHeader); v != "" {
 		if id, err := obs.ParseTraceID(v); err == nil && !id.IsZero() {
@@ -422,16 +385,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) int {
 	}
 	s.mu.Unlock()
 
-	installed := s.sys.Synthesized(k.Name)
 	start := time.Now()
-	// Clustered nodes try the fleet first: fetch the artifact from its
-	// consistent-hash owner (forwarding the compile there when nobody
-	// holds it yet), so one compile warms every replica. A forwarded
-	// request never re-routes — the sender already decided we own it.
-	fromPeer := false
-	if s.cluster != nil && !installed && r.Header.Get(forwardedHeader) == "" {
-		fromPeer = s.clusterWarm(ctx, k.Name, req.Source)
-	}
 	info, err := s.sys.SynthesizeCtx(ctx, k.Name)
 	if err != nil {
 		if system.ErrIsDeadline(err) {
@@ -440,12 +394,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, r, http.StatusUnprocessableEntity, codeCompileFailed, err.Error())
 	}
 	src := info.CacheSource
-	switch {
-	case installed:
-		src = "installed"
-	case fromPeer:
-		src = "peer"
-	case src == "":
+	if src == "" {
 		src = "compile"
 	}
 	rsp := obs.ContextSpan(r.Context()).StartChild("respond")
@@ -546,12 +495,6 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	if resp.OpenBreakers == nil {
 		resp.OpenBreakers = []string{}
 	}
-	// Peer health is advisory: a node whose peers are all dead still
-	// serves (it compiles everything locally), but operators and load
-	// balancers can see the fleet shrinking.
-	if s.cluster != nil {
-		resp.Peers = s.cluster.m.Snapshot()
-	}
 	resp.Ready = !resp.Draining && !resp.Brownout
 	code := http.StatusOK
 	if !resp.Ready {
@@ -646,8 +589,6 @@ type ReadyResponse struct {
 	Brownout          bool     `json:"brownout"`
 	CacheDiskDegraded bool     `json:"cache_disk_degraded"`
 	OpenBreakers      []string `json:"open_breakers"`
-	// Peers reports the probed cluster membership (clustered nodes only).
-	Peers []cluster.PeerStatus `json:"peers,omitempty"`
 }
 
 // errorResponse is the JSON error envelope. Code is a stable

@@ -132,6 +132,62 @@ func TestCompileAndRunOverHTTP(t *testing.T) {
 	}
 }
 
+// TestConcurrentCompilesReportOneCompile: two concurrent compiles of one
+// new kernel run the tool flow once, and exactly one of them says so; the
+// other reports the entry it found installed.
+func TestConcurrentCompilesReportOneCompile(t *testing.T) {
+	s, c, cleanup := newTestServer(t, "")
+	defer cleanup()
+	// Hold the first compile until both requests have entered synthesis, so
+	// the second queues behind it instead of arriving after it.
+	bothSynthesizing := func() bool {
+		n := 0
+		for _, tr := range s.Flight().InFlight() {
+			spans := map[string]*obs.SpanExport{}
+			spanNames(tr.Export().Root, spans)
+			if spans["system.synthesize"] != nil {
+				n++
+			}
+		}
+		return n == 2
+	}
+	s.System().CompileHook = func(ctx context.Context, kernel string) error {
+		for !bothSynthesizing() {
+			select {
+			case <-ctx.Done():
+				return ctx.Err()
+			case <-time.After(time.Millisecond):
+			}
+		}
+		return nil
+	}
+	source := irtext.Print(workload.GCD().Kernel)
+	resps := make([]*CompileResponse, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range resps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resps[i], errs[i] = c.Compile(context.Background(), source, 0)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	sources := map[string]int{}
+	for _, r := range resps {
+		sources[r.Source]++
+		if r.Cached != (r.Source != "compile") {
+			t.Errorf("source %q reported cached=%t", r.Source, r.Cached)
+		}
+	}
+	if sources["compile"] != 1 || sources["installed"] != 1 {
+		t.Fatalf("sources %v, want one \"compile\" and one \"installed\"", sources)
+	}
+}
+
 func TestCompileConflictOnDifferentSource(t *testing.T) {
 	_, c, cleanup := newTestServer(t, "")
 	defer cleanup()

@@ -145,10 +145,46 @@ func TestSystemCacheCrossCheck(t *testing.T) {
 	}
 }
 
-// TestCacheKeyIndependentOfLibrary: what a cache key costs does not grow
-// with the kernels registered beside the one asked about — the system
-// inlines and validates fir's call closure only, and digests its target
-// once, not per key.
+// TestResynthesizeReportsInstalled: a synthesis that finds the kernel
+// already installed says so, instead of repeating the source of the call
+// that installed it — the fresh compile ran once.
+func TestResynthesizeReportsInstalled(t *testing.T) {
+	comp, err := arch.ByName("9 PEs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := cache.New(cache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(comp, pipeline.Defaults(), 1)
+	s.Cache = store
+	if err := s.Register(workload.FIR().Kernel); err != nil {
+		t.Fatal(err)
+	}
+	first, err := s.SynthesizeCtx(context.Background(), "fir")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.CacheSource != "" {
+		t.Fatalf("first synthesis came from %q, want a fresh compile", first.CacheSource)
+	}
+	second, err := s.SynthesizeCtx(context.Background(), "fir")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.CacheSource != "installed" {
+		t.Fatalf("second synthesis came from %q, want \"installed\"", second.CacheSource)
+	}
+	if second.Key != first.Key {
+		t.Fatalf("installed entry reports key %s, compile stored %s", second.Key, first.Key)
+	}
+}
+
+// TestCacheKeyIndependentOfLibrary: what the cache key that compileKernel
+// derives costs does not grow with the kernels registered beside the one
+// asked about — the system inlines and validates fir's call closure only,
+// and digests its target once, not per key.
 func TestCacheKeyIndependentOfLibrary(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")
@@ -158,7 +194,12 @@ func TestCacheKeyIndependentOfLibrary(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := func(registered int) float64 {
+		store, err := cache.New(cache.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		s := New(comp, pipeline.Defaults(), 1)
+		s.Cache = store
 		if err := s.Register(workload.FIR().Kernel); err != nil {
 			t.Fatal(err)
 		}
@@ -171,13 +212,14 @@ func TestCacheKeyIndependentOfLibrary(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		st := s.state.Load()
 		return testing.AllocsPerRun(20, func() {
-			if _, err := s.CacheKey("fir"); err != nil {
-				t.Fatal(err)
+			if _, _, key, err := s.cacheKey(st, "fir"); err != nil || key == "" {
+				t.Fatalf("cacheKey(fir) = %q, %v", key, err)
 			}
 		})
 	}
 	if one, many := allocs(1), allocs(64); one != many {
-		t.Errorf("CacheKey(fir) allocates %v times with 1 kernel registered, %v with 64", one, many)
+		t.Errorf("cacheKey(fir) allocates %v times with 1 kernel registered, %v with 64", one, many)
 	}
 }

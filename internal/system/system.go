@@ -966,20 +966,13 @@ func (s *System) compileKernel(ctx context.Context, name string) (ent *entry, er
 		}
 	}()
 	st := s.state.Load()
-	prog := &ir.Program{Kernels: st.kernels, Entry: name}
 	inl := obs.ContextSpan(ctx).StartChild("inline")
-	flat, err := opt.Inline(prog)
+	flat, opts, key, err := s.cacheKey(st, name)
 	inl.Finish()
 	if err != nil {
-		return nil, fmt.Errorf("system: inline %q: %v", name, err)
+		return nil, err
 	}
-	opts := s.Opts
-	if s.Policy.CompileBudget > 0 {
-		opts.Sched.MaxCycles = s.Policy.CompileBudget
-	}
-	var key string
 	if s.Cache != nil {
-		key = pipeline.KeyDigest(flat, st.targetDigest, opts)
 		if art, src, ok := s.Cache.GetCtx(ctx, key); ok {
 			if c, rerr := art.Realize(); rerr == nil {
 				return &entry{c: c, ref: flat, key: key, cacheSrc: src, phys: st.phys}, nil
@@ -1013,6 +1006,24 @@ func (s *System) compileKernel(ctx context.Context, name string) (ent *entry, er
 	return &entry{c: c, ref: flat, key: key, phys: st.phys}, nil
 }
 
+// cacheKey inlines the named kernel against the snapshot's library and
+// derives the options its compile runs with and, when a cache is attached,
+// the content-addressed artifact key ("" otherwise).
+func (s *System) cacheKey(st *sysState, name string) (flat *ir.Kernel, opts pipeline.Options, key string, err error) {
+	flat, err = opt.Inline(&ir.Program{Kernels: st.kernels, Entry: name})
+	if err != nil {
+		return nil, opts, "", fmt.Errorf("system: inline %q: %v", name, err)
+	}
+	opts = s.Opts
+	if s.Policy.CompileBudget > 0 {
+		opts.Sched.MaxCycles = s.Policy.CompileBudget
+	}
+	if s.Cache != nil {
+		key = pipeline.KeyDigest(flat, st.targetDigest, opts)
+	}
+	return flat, opts, key, nil
+}
+
 // installLocked patches the dispatch snapshot with a freshly compiled
 // kernel.
 func (s *System) installLocked(name string, ent *entry) {
@@ -1033,8 +1044,9 @@ type SynthInfo struct {
 	Kernel string
 	// Key is the content-addressed cache key ("" when no cache is attached).
 	Key string
-	// CacheSource is where the compiled kernel came from: "memory", "disk",
-	// or "" for a fresh compile.
+	// CacheSource is where the compiled kernel came from: "memory" or
+	// "disk" (cache tiers), "installed" when it was already synthesized
+	// before this call, or "" for a fresh compile.
 	CacheSource string
 	// Contexts and MaxRF are the mapping's resource footprint.
 	Contexts int
@@ -1054,7 +1066,8 @@ func (s *System) Synthesize(name string) error {
 // SynthesizeCtx is Synthesize under a caller deadline, reporting where the
 // compiled kernel came from (cache tier or fresh compile) and its resource
 // footprint. Re-synthesizing an already-compiled kernel is a no-op that
-// reports the installed entry.
+// reports the installed entry with source "installed" — also when the call
+// waited for a concurrent synthesis of the same kernel to land.
 func (s *System) SynthesizeCtx(ctx context.Context, name string) (*SynthInfo, error) {
 	ctx, sp := obs.StartSpanCtx(ctx, "system.synthesize")
 	defer sp.Finish()
@@ -1065,7 +1078,9 @@ func (s *System) SynthesizeCtx(ctx context.Context, name string) (*SynthInfo, er
 	}
 	if ent := s.state.Load().compiled[name]; ent != nil {
 		sp.Annotate("source", "installed")
-		return synthInfo(name, ent, 0), nil
+		info := synthInfo(name, ent, 0)
+		info.CacheSource = "installed"
+		return info, nil
 	}
 	start := time.Now()
 	cctx, cancel := s.compileCtx(ctx)
@@ -1092,30 +1107,6 @@ func synthInfo(name string, ent *entry, elapsed time.Duration) *SynthInfo {
 // Kernel returns the registered kernel of that name, or nil.
 func (s *System) Kernel(name string) *ir.Kernel {
 	return s.state.Load().kernels[name]
-}
-
-// CacheKey computes the content-addressed artifact key a compile of the
-// named kernel would produce — the same inline + pipeline.Key derivation
-// compileKernel runs — without compiling. The cluster router uses it to
-// decide which shard owns the kernel before any work happens. An already
-// installed kernel answers from its entry.
-func (s *System) CacheKey(name string) (string, error) {
-	st := s.state.Load()
-	if ent := st.compiled[name]; ent != nil && ent.key != "" {
-		return ent.key, nil
-	}
-	if st.kernels[name] == nil {
-		return "", fmt.Errorf("system: unknown kernel %q", name)
-	}
-	flat, err := opt.Inline(&ir.Program{Kernels: st.kernels, Entry: name})
-	if err != nil {
-		return "", fmt.Errorf("system: inline %q: %v", name, err)
-	}
-	opts := s.Opts
-	if s.Policy.CompileBudget > 0 {
-		opts.Sched.MaxCycles = s.Policy.CompileBudget
-	}
-	return pipeline.KeyDigest(flat, st.targetDigest, opts), nil
 }
 
 // Kernels lists the registered kernel names, sorted.
