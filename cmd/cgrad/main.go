@@ -41,9 +41,7 @@ func main() {
 		addr        = flag.String("addr", ":8080", "listen address")
 		compName    = flag.String("comp", "9 PEs", "composition from the architecture library")
 		cacheDir    = flag.String("cache-dir", "", "persistent artifact cache directory (empty = memory-only)")
-		cacheMem    = flag.Int("cache-mem", 0, "in-memory cache entries (0 = default)")
 		maxInFlight = flag.Int("max-inflight", 0, "max concurrently served requests (0 = default)")
-		deadline    = flag.Duration("deadline", 0, "default per-request deadline (0 = 30s)")
 		unroll      = flag.Int("unroll", 2, "loop unroll factor")
 		batchWindow = flag.Duration("batch-window", 0, "same-artifact /v1/run coalescing: the longest a run queues behind a busy artifact (0 = coalescing off)")
 
@@ -76,13 +74,11 @@ func main() {
 	opts := pipeline.Defaults()
 	opts.UnrollFactor = *unroll
 	srv, err := server.New(server.Config{
-		Comp:            comp,
-		Opts:            opts,
-		CacheDir:        *cacheDir,
-		CacheMem:        *cacheMem,
-		MaxInFlight:     *maxInFlight,
-		DefaultDeadline: *deadline,
-		BatchWindow:     *batchWindow,
+		Comp:        comp,
+		Opts:        opts,
+		CacheDir:    *cacheDir,
+		MaxInFlight: *maxInFlight,
+		BatchWindow: *batchWindow,
 	})
 	exitOn(err)
 	// Bind synchronously so a bad address fails loudly, before any client

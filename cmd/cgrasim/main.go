@@ -62,10 +62,6 @@ func main() {
 	vcdPath := flag.String("vcd", "", "write a VCD waveform of the run to this file")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the deterministic fault plan")
 	maxCycles := flag.Int64("max-cycles", 0, "watchdog cycle budget per CGRA run (0 = default)")
-	compileDeadline := flag.Duration("compile-deadline", 0, "wall-clock deadline per synthesis attempt (0 = policy default, 10s)")
-	synthWorkers := flag.Int("synth-workers", 0, "background synthesis worker pool size (0 = default, 2)")
-	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive failures that trip a kernel's circuit breaker (0 = default, 5)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 0, "open-breaker cool-down before a half-open probe (0 = default, 250ms)")
 	soak := flag.Int("soak", 0, "drive N concurrent invocation streams through the online-synthesis system")
 	soakIters := flag.Int("soak-iters", 50, "invocations per soak stream")
 	metricsPath := flag.String("metrics", "", "write compile + simulation metrics to this file")
@@ -145,27 +141,9 @@ func main() {
 		explainLog = sched.NewExplainLog()
 		opts.Sched.Explain = explainLog
 	}
-	// tunePolicy applies the service knobs to an online-synthesis system.
-	tunePolicy := func(s *system.System) {
-		if *maxCycles > 0 {
-			s.Policy.WatchdogCycles = *maxCycles
-		}
-		if *compileDeadline > 0 {
-			s.Policy.CompileDeadline = *compileDeadline
-		}
-		if *synthWorkers > 0 {
-			s.Policy.SynthWorkers = *synthWorkers
-		}
-		if *breakerThreshold > 0 {
-			s.Policy.BreakerThreshold = *breakerThreshold
-		}
-		if *breakerCooldown > 0 {
-			s.Policy.BreakerCooldown = *breakerCooldown
-		}
-	}
 	if *soak > 0 {
 		err := runSoak(k, comp, opts, scalars, host, faultSpecs, *faultSeed,
-			*soak, *soakIters, tunePolicy, explainLog, *serveAddr, *metricsPath, *metricsFormat)
+			*soak, *soakIters, *maxCycles, explainLog, *serveAddr, *metricsPath, *metricsFormat)
 		if err != nil {
 			fatal(err)
 		}
@@ -181,7 +159,7 @@ func main() {
 		defer shutdownMetrics(srv)
 	}
 	if len(faultSpecs) > 0 {
-		if err := runResilient(k, comp, opts, scalars, host, faultSpecs, *faultSeed, tunePolicy); err != nil {
+		if err := runResilient(k, comp, opts, scalars, host, faultSpecs, *faultSeed, *maxCycles); err != nil {
 			fatal(err)
 		}
 		return
@@ -344,7 +322,7 @@ func writeMetrics(path, format string, reg *obs.Registry) error {
 // re-synthesis or host fallback) and still deliver the fault-free result.
 func runResilient(k *ir.Kernel, comp *arch.Composition, opts pipeline.Options,
 	scalars map[string]int32, host *ir.Host, specs []string, seed int64,
-	tunePolicy func(*system.System)) error {
+	maxCycles int64) error {
 	faults, err := fault.ParseSpecs(specs)
 	if err != nil {
 		return err
@@ -355,9 +333,8 @@ func runResilient(k *ir.Kernel, comp *arch.Composition, opts pipeline.Options,
 		return err
 	}
 
-	s := system.New(comp, opts, 1)
+	s := newSystem(comp, opts, maxCycles)
 	defer s.Close()
-	tunePolicy(s)
 	if err := s.Register(k); err != nil {
 		return err
 	}
@@ -405,7 +382,7 @@ func runResilient(k *ir.Kernel, comp *arch.Composition, opts pipeline.Options,
 // scheduler's explain log and the metrics afterwards, pass or fail.
 func runSoak(k *ir.Kernel, comp *arch.Composition, opts pipeline.Options,
 	scalars map[string]int32, host *ir.Host, specs []string, seed int64,
-	streams, iters int, tunePolicy func(*system.System),
+	streams, iters int, maxCycles int64,
 	explainLog *sched.ExplainLog, serveAddr, metricsPath, metricsFormat string) error {
 	faults, err := fault.ParseSpecs(specs)
 	if err != nil {
@@ -415,9 +392,8 @@ func runSoak(k *ir.Kernel, comp *arch.Composition, opts pipeline.Options,
 	if err != nil {
 		return err
 	}
-	s := system.New(comp, opts, 1)
+	s := newSystem(comp, opts, maxCycles)
 	defer s.Close()
-	tunePolicy(s)
 	if err := s.Register(k); err != nil {
 		return err
 	}
@@ -441,6 +417,17 @@ func runSoak(k *ir.Kernel, comp *arch.Composition, opts pipeline.Options,
 		fmt.Printf("wrote metrics to %s\n", metricsPath)
 	}
 	return soakErr
+}
+
+// newSystem builds the online-synthesis system the fault and soak paths
+// drive, at threshold 1, with -max-cycles (0 = the default) as its
+// watchdog cap.
+func newSystem(comp *arch.Composition, opts pipeline.Options, maxCycles int64) *system.System {
+	s := system.New(comp, opts, 1)
+	if maxCycles > 0 {
+		s.WatchdogCycles = maxCycles
+	}
+	return s
 }
 
 func report(ctx int, run, xfer int64, energy float64, outs map[string]int32, host *ir.Host) {

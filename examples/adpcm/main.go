@@ -1,7 +1,7 @@
 // The paper's headline experiment (§VI): decode a 416-sample ADPCM stream
 // on the CGRA, compare against pure-AMIDAR execution, and report the
-// speedup. Mirrors the synthesis flow of Fig. 1: profile, detect the hot
-// sequence, synthesize, execute on the accelerator.
+// speedup. Profiling and the hot-sequence decision of Fig. 1 are shown by
+// examples/onlinesynthesis; here the decoder is synthesized outright.
 //
 //	go run ./examples/adpcm
 package main
@@ -26,22 +26,16 @@ func main() {
 	}
 	kernel := adpcm.Kernel()
 
-	// Step 1 (Fig. 1): the profiler observes execution on the host and
-	// flags the decoder as hot.
-	profiler := amidar.NewProfiler(100_000)
-	baseline, err := profiler.Observe(amidar.Invocation{
-		Kernel: kernel,
-		Args:   adpcm.Args(adpcm.NumSamples, adpcm.State{}),
-		Host:   adpcm.NewHost(codes, adpcm.NumSamples),
-	})
+	// The baseline: the decode on the AMIDAR host.
+	baseline, err := amidar.Execute(kernel, amidar.DefaultCostModel(),
+		adpcm.Args(adpcm.NumSamples, adpcm.State{}), adpcm.NewHost(codes, adpcm.NumSamples))
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("AMIDAR execution: %d cycles (paper: 926 k)\n", baseline.Cycles)
-	fmt.Printf("profiler verdict: hot kernels = %v\n\n", profiler.HotKernels())
+	fmt.Printf("AMIDAR execution: %d cycles (paper: 926 k)\n\n", baseline.Cycles)
 
-	// Step 2: synthesize for each evaluated composition and execute the
-	// decode on the CGRA simulator.
+	// Synthesize for each evaluated composition and execute the decode on
+	// the CGRA simulator.
 	comps, err := arch.EvaluatedCompositions(2)
 	if err != nil {
 		log.Fatal(err)

@@ -1,5 +1,7 @@
 // Package amidar models the host processor of the paper's test environment
-// (§III): the AMIDAR Java-bytecode processor with its hardware profiler.
+// (§III): the AMIDAR Java-bytecode processor. Its hardware profiler is
+// modelled by package system, which accumulates these cycle counts per
+// kernel and synthesizes a kernel once its weight crosses the threshold.
 //
 // Substitution note (see DESIGN.md §2): we do not re-implement a Java
 // bytecode machine. AMIDAR breaks each bytecode into tokens distributed to
@@ -13,7 +15,6 @@ package amidar
 
 import (
 	"fmt"
-	"sort"
 
 	"cgra/internal/ir"
 )
@@ -86,88 +87,4 @@ func ExecuteProgram(k *ir.Kernel, library map[string]*ir.Kernel, cm CostModel, a
 		return nil, fmt.Errorf("amidar: %v", err)
 	}
 	return &Result{Cycles: cm.Cycles(st), Stats: *st, LiveOuts: outs}, nil
-}
-
-// --- profiler ---
-
-// Invocation is one profiled kernel execution request.
-type Invocation struct {
-	Kernel *ir.Kernel
-	Args   map[string]int32
-	Host   *ir.Host
-}
-
-// ProfileEntry summarizes one kernel's observed execution weight.
-type ProfileEntry struct {
-	Name string
-	// Invocations counts how often the sequence ran.
-	Invocations int64
-	// Cycles is the total AMIDAR cycle weight observed.
-	Cycles int64
-	// Hot marks sequences above the synthesis threshold.
-	Hot bool
-}
-
-// Profiler stands in for the AMIDAR hardware profiler (§III, [17]): it
-// observes executed code sequences and flags those whose accumulated cycle
-// weight exceeds a threshold, triggering CGRA synthesis (Fig. 1, first box).
-type Profiler struct {
-	Cost CostModel
-	// Threshold is the cycle weight above which a sequence is flagged.
-	Threshold int64
-
-	entries map[string]*ProfileEntry
-}
-
-// NewProfiler creates a profiler with the given synthesis threshold.
-func NewProfiler(threshold int64) *Profiler {
-	return &Profiler{
-		Cost:      DefaultCostModel(),
-		Threshold: threshold,
-		entries:   map[string]*ProfileEntry{},
-	}
-}
-
-// Observe executes one invocation under profiling and accumulates its
-// weight. It returns the invocation's baseline result.
-func (p *Profiler) Observe(inv Invocation) (*Result, error) {
-	res, err := Execute(inv.Kernel, p.Cost, inv.Args, inv.Host)
-	if err != nil {
-		return nil, err
-	}
-	e := p.entries[inv.Kernel.Name]
-	if e == nil {
-		e = &ProfileEntry{Name: inv.Kernel.Name}
-		p.entries[inv.Kernel.Name] = e
-	}
-	e.Invocations++
-	e.Cycles += res.Cycles
-	e.Hot = e.Cycles >= p.Threshold
-	return res, nil
-}
-
-// Report lists all observed sequences, hottest first.
-func (p *Profiler) Report() []ProfileEntry {
-	out := make([]ProfileEntry, 0, len(p.entries))
-	for _, e := range p.entries {
-		out = append(out, *e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Cycles != out[j].Cycles {
-			return out[i].Cycles > out[j].Cycles
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}
-
-// HotKernels returns the names of sequences flagged for synthesis.
-func (p *Profiler) HotKernels() []string {
-	var out []string
-	for _, e := range p.Report() {
-		if e.Hot {
-			out = append(out, e.Name)
-		}
-	}
-	return out
 }

@@ -48,33 +48,6 @@ func TestExecuteReturnsLiveOuts(t *testing.T) {
 	}
 }
 
-func TestProfilerFlagsHotKernels(t *testing.T) {
-	p := NewProfiler(5000)
-	hot := workload.DotProduct()
-	cold := mustParse(t, `kernel tiny(in x, inout r) { r = x + 1; }`)
-
-	// The dot product runs many times; the tiny kernel once.
-	for i := 0; i < 20; i++ {
-		if _, err := p.Observe(Invocation{Kernel: hot.Kernel, Args: hot.Args(64), Host: hot.Host(64)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := p.Observe(Invocation{Kernel: cold, Args: map[string]int32{"x": 1, "r": 0}, Host: ir.NewHost()}); err != nil {
-		t.Fatal(err)
-	}
-	hots := p.HotKernels()
-	if len(hots) != 1 || hots[0] != "dot" {
-		t.Errorf("hot kernels = %v, want [dot]", hots)
-	}
-	rep := p.Report()
-	if len(rep) != 2 || rep[0].Name != "dot" {
-		t.Errorf("report order wrong: %+v", rep)
-	}
-	if rep[0].Invocations != 20 {
-		t.Errorf("invocations = %d", rep[0].Invocations)
-	}
-}
-
 func TestCostModelMonotonic(t *testing.T) {
 	// More work must never cost fewer cycles.
 	small := workload.FIR()

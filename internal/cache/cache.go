@@ -70,8 +70,12 @@ const (
 	SourceDisk   = "disk"
 )
 
-// DefaultDiskCap bounds the disk tier when Options.DiskCapBytes is 0.
-const DefaultDiskCap = 1 << 30 // 1 GiB
+// A store keeps at most memEntries artifacts in its memory front and
+// evicts least-recently-used disk entries past diskCap bytes.
+const (
+	memEntries = 128
+	diskCap    = 1 << 30 // 1 GiB
+)
 
 // defaultScrubInterval paces the background scrubber when
 // Options.ScrubInterval is 0.
@@ -87,16 +91,11 @@ type Options struct {
 	// Dir is the on-disk layer's directory ("" = memory-only). Created if
 	// missing.
 	Dir string
-	// MemEntries bounds the in-memory LRU front (0 = 128 entries).
-	MemEntries int
 	// Registry receives the cache metrics (nil = private registry).
 	Registry *obs.Registry
 	// FS is the filesystem the disk layer runs on (nil = the real OS).
 	// The chaos injector plugs in here.
 	FS chaos.FS
-	// DiskCapBytes bounds the disk tier; least-recently-used entries are
-	// evicted past it (0 = DefaultDiskCap, negative = unbounded).
-	DiskCapBytes int64
 	// ScrubInterval paces the background scrubber's periodic rescan
 	// (0 = one minute, negative = no scrubber goroutine; ScrubNow remains
 	// available). Ignored for memory-only stores.
@@ -171,18 +170,14 @@ var hitAgeBuckets = []float64{0.001, 0.01, 0.1, 1, 10, 60, 600, 3600, 86400}
 // New opens (creating directories as needed) a store. Stores with a disk
 // layer start a scrubber goroutine (unless disabled); call Close to stop
 // it.
-func New(o Options) (*Store, error) {
+func New(o Options) (*Store, error) { return open(o, memEntries, diskCap) }
+
+// open is New with the memory front's entry cap and the disk tier's byte
+// cap given; tests shrink them.
+func open(o Options, capEntries int, capBytes int64) (*Store, error) {
 	reg := o.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
-	}
-	capEntries := o.MemEntries
-	if capEntries <= 0 {
-		capEntries = 128
-	}
-	capBytes := o.DiskCapBytes
-	if capBytes == 0 {
-		capBytes = DefaultDiskCap
 	}
 	fsys := o.FS
 	if fsys == nil {
@@ -533,9 +528,6 @@ func (s *Store) dropDiskLocked(key string) {
 // enforceDiskCapLocked evicts least-recently-used disk entries until the
 // byte cap is respected.
 func (s *Store) enforceDiskCapLocked() {
-	if s.capBytes < 0 {
-		return
-	}
 	for s.diskBytes > s.capBytes && s.diskLRU.Len() > 0 {
 		tail := s.diskLRU.Back()
 		key := tail.Value.(*diskEntry).key

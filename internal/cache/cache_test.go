@@ -37,7 +37,7 @@ func compileArtifact(t *testing.T, workloadName string) (string, *pipeline.Artif
 }
 
 func TestMemoryHitAndMiss(t *testing.T) {
-	s, err := New(Options{MemEntries: 4})
+	s, err := New(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestMemoryHitAndMiss(t *testing.T) {
 // TestLRUEvictionOrder proves the memory front evicts strictly
 // least-recently-used entries, and that a Get refreshes recency.
 func TestLRUEvictionOrder(t *testing.T) {
-	s, err := New(Options{MemEntries: 3})
+	s, err := open(Options{}, 3, diskCap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestCorruptEntryQuarantined(t *testing.T) {
 	for name, corrupt := range corruptions {
 		t.Run(strings.ReplaceAll(name, " ", "_"), func(t *testing.T) {
 			dir := t.TempDir()
-			s, err := New(Options{Dir: dir, MemEntries: 2})
+			s, err := New(Options{Dir: dir})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -194,7 +194,7 @@ func TestCorruptEntryQuarantined(t *testing.T) {
 // -race by CI) across both tiers.
 func TestConcurrentGetPut(t *testing.T) {
 	dir := t.TempDir()
-	s, err := New(Options{Dir: dir, MemEntries: 4})
+	s, err := open(Options{Dir: dir}, 4, diskCap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestStartupIndexEvictsOldest(t *testing.T) {
 	entry := s.DiskBytes() / 3
 	s.Close()
 
-	s, err = New(Options{Dir: dir, ScrubInterval: -1, DiskCapBytes: 2*entry + entry/2})
+	s, err = open(Options{Dir: dir, ScrubInterval: -1}, memEntries, 2*entry+entry/2)
 	if err != nil {
 		t.Fatal(err)
 	}

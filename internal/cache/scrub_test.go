@@ -164,7 +164,8 @@ func TestDiskCapEvictsLRU(t *testing.T) {
 	}
 	// Cap the tier at 3 entries; keep the memory front tiny so disk reads
 	// actually happen.
-	s := newDiskStore(t, dir, Options{MemEntries: 1, DiskCapBytes: 3 * entrySize})
+	s := newDiskStore(t, dir, Options{})
+	s.cap, s.capBytes = 1, 3*entrySize
 	keys := []string{"k1", "k2", "k3"}
 	for _, k := range keys {
 		if err := s.Put(k, art); err != nil {
@@ -319,7 +320,8 @@ func TestCommitIsFsyncedBeforeRename(t *testing.T) {
 // `go test -race` must stay silent, and nothing deadlocks.
 func TestScrubRaceWithTraffic(t *testing.T) {
 	key, art := compileArtifact(t, "gcd")
-	s := newDiskStore(t, t.TempDir(), Options{MemEntries: 4})
+	s := newDiskStore(t, t.TempDir(), Options{})
+	s.cap = 4
 	if err := s.Put(key, art); err != nil {
 		t.Fatal(err)
 	}

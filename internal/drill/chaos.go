@@ -99,8 +99,6 @@ func Chaos(cfg ChaosConfig, out io.Writer) error {
 	}
 	sys := srv.System()
 	sys.CompileHook = inj.CompileHook()
-	// Short cooldown so tripped breakers re-probe quickly in recovery.
-	sys.Policy.BreakerCooldown = 100 * time.Millisecond
 	// Hardware chaos on top of environment chaos: a transient bit flip the
 	// detection/retry machinery must absorb without corrupting results.
 	if err := sys.InjectFaults(fault.Plan{Seed: cfg.Seed, Faults: []fault.Fault{{Kind: fault.TransientBit, PE: 1}}}); err != nil {

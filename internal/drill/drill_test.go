@@ -185,8 +185,6 @@ func TestChaos(t *testing.T) {
 func TestSoak(t *testing.T) {
 	s := system.New(comp9(t), pipeline.Defaults(), 1)
 	defer s.Close()
-	s.Policy.BreakerCooldown = 50 * time.Millisecond
-	s.Policy.CompileDeadline = 5 * time.Second
 	c := workloadCase(t, "fir")
 	if err := s.Register(c.Kernel); err != nil {
 		t.Fatal(err)

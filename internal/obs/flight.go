@@ -27,10 +27,11 @@ import (
 	"time"
 )
 
-// Flight recorder defaults.
+// A flight recorder keeps the last flightRing completed traces and the
+// flightSlowest slowest per endpoint.
 const (
-	DefaultFlightRing    = 256
-	DefaultFlightSlowest = 8
+	flightRing    = 256
+	flightSlowest = 8
 )
 
 // FlightRecorder holds recent and slowest traces in bounded memory. Safe
@@ -46,16 +47,13 @@ type FlightRecorder struct {
 	slowK    int
 }
 
-// NewFlightRecorder builds a recorder keeping the last ringSize completed
-// traces (0 = 256) and the slowestPerEndpoint slowest traces per endpoint
-// (0 = 8).
-func NewFlightRecorder(ringSize, slowestPerEndpoint int) *FlightRecorder {
-	if ringSize <= 0 {
-		ringSize = DefaultFlightRing
-	}
-	if slowestPerEndpoint <= 0 {
-		slowestPerEndpoint = DefaultFlightSlowest
-	}
+// NewFlightRecorder builds a recorder keeping the last 256 completed
+// traces and the 8 slowest traces per endpoint.
+func NewFlightRecorder() *FlightRecorder { return newFlightRecorder(flightRing, flightSlowest) }
+
+// newFlightRecorder is NewFlightRecorder with the bounds given; tests
+// shrink them.
+func newFlightRecorder(ringSize, slowestPerEndpoint int) *FlightRecorder {
 	return &FlightRecorder{
 		ring:     make([]*Trace, 0, ringSize),
 		inflight: map[TraceID]*Trace{},

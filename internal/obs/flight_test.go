@@ -19,7 +19,7 @@ func mkTrace(fr *FlightRecorder, endpoint string, d time.Duration, status int) *
 }
 
 func TestFlightRingWrapDropsOldest(t *testing.T) {
-	fr := NewFlightRecorder(4, 2)
+	fr := newFlightRecorder(4, 2)
 	var ids []string
 	for i := 0; i < 6; i++ {
 		tr := mkTrace(fr, "run", time.Duration(i+1)*time.Millisecond, 200)
@@ -50,7 +50,7 @@ func TestFlightRingWrapDropsOldest(t *testing.T) {
 }
 
 func TestFlightSlowestReservoir(t *testing.T) {
-	fr := NewFlightRecorder(64, 3)
+	fr := newFlightRecorder(64, 3)
 	durations := []time.Duration{5, 1, 9, 3, 7, 2} // ms
 	var traces []*Trace
 	for _, d := range durations {
@@ -74,7 +74,7 @@ func TestFlightSlowestReservoir(t *testing.T) {
 	}
 	// A trace present only in a reservoir (evicted from a tiny ring) is
 	// still retrievable by ID.
-	fr2 := NewFlightRecorder(1, 2)
+	fr2 := newFlightRecorder(1, 2)
 	slowTr := mkTrace(fr2, "run", 50*time.Millisecond, 200)
 	mkTrace(fr2, "run", time.Millisecond, 200) // wraps the 1-slot ring
 	if got := fr2.Get(slowTr.ID.String()); got != slowTr {
@@ -83,7 +83,7 @@ func TestFlightSlowestReservoir(t *testing.T) {
 }
 
 func TestFlightInFlightExport(t *testing.T) {
-	fr := NewFlightRecorder(8, 2)
+	fr := newFlightRecorder(8, 2)
 	tr := NewTrace(NewTraceID(), "run", "server.run")
 	fr.Begin(tr)
 	sp := tr.Root.StartChild("admission")
@@ -120,7 +120,7 @@ func TestFlightInFlightExport(t *testing.T) {
 }
 
 func TestChromeTraceExport(t *testing.T) {
-	fr := NewFlightRecorder(8, 2)
+	fr := newFlightRecorder(8, 2)
 	tr := NewTrace(NewTraceID(), "run", "server.run")
 	fr.Begin(tr)
 	adm := tr.Root.StartChild("admission")
@@ -193,7 +193,7 @@ func TestChromeTraceExport(t *testing.T) {
 }
 
 func TestFlightHTTPHandlers(t *testing.T) {
-	fr := NewFlightRecorder(8, 2)
+	fr := newFlightRecorder(8, 2)
 	slow := mkTrace(fr, "run", 20*time.Millisecond, 200)
 	mkTrace(fr, "run", time.Millisecond, 200)
 	mkTrace(fr, "compile", 2*time.Millisecond, 200)

@@ -215,7 +215,10 @@ func DecodeArtifact(r io.Reader) (*Artifact, error) {
 // Key computes the content-addressed cache key of one compilation: the
 // hex-encoded SHA-256 over the canonical kernel digest, the structural
 // composition digest, every semantics-affecting pipeline option, and the
-// artifact format version. Observability hooks (Obs, Sched.Span,
+// artifact format version. The options are hashed as the compile runs with
+// them (backend resolved, unroll forced to 1 under modulo, a zero
+// Sched.MaxCycles as sched.DefaultMaxCycles), so two spellings of one
+// compile share a key. Observability hooks (Obs, Sched.Span,
 // Sched.Explain) do not influence the generated artifact and are excluded.
 func Key(k *ir.Kernel, comp *arch.Composition, o Options) string {
 	return KeyDigest(k, comp.Digest(), o)
@@ -228,15 +231,21 @@ func KeyDigest(k *ir.Kernel, compDigest string, o Options) string {
 	fmt.Fprintf(h, "cgra-artifact v%d ctxgen v%d\n", ArtifactVersion, ctxgen.BitstreamVersion)
 	fmt.Fprintf(h, "kernel %s\n", k.Digest())
 	fmt.Fprintf(h, "comp %s\n", compDigest)
+	// Options resolveBackend rejects (auto, an unknown backend) compile
+	// nothing and are hashed as given.
+	if r, err := resolveBackend(o); err == nil {
+		o = r
+	}
 	backend := o.Backend
 	if backend == "" {
 		backend = o.Sched.Backend
 	}
-	if backend == "" {
-		backend = sched.BackendList
+	maxCycles := o.Sched.MaxCycles
+	if maxCycles == 0 {
+		maxCycles = sched.DefaultMaxCycles
 	}
 	fmt.Fprintf(h, "opts backend=%s unroll=%d cse=%t constfold=%t branchallifs=%t noattr=%t nofuse=%t maxcycles=%d\n",
 		backend, o.UnrollFactor, o.CSE, o.ConstFold, o.Build.BranchAllIfs,
-		o.Sched.NoAttraction, o.Sched.NoFusing, o.Sched.MaxCycles)
+		o.Sched.NoAttraction, o.Sched.NoFusing, maxCycles)
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -11,6 +11,7 @@ import (
 
 	"cgra/internal/arch"
 	"cgra/internal/ir"
+	"cgra/internal/sched"
 	"cgra/internal/workload"
 )
 
@@ -359,5 +360,53 @@ func TestKeyStableAndDiscriminating(t *testing.T) {
 			t.Errorf("%s collides with %s", what, prev)
 		}
 		seen[k] = what
+	}
+}
+
+// TestKeyHashesResolvedOptions: options that compile to the same artifact
+// share a key. The modulo backend forces unroll 1, and a zero
+// Sched.MaxCycles schedules with sched.DefaultMaxCycles.
+func TestKeyHashesResolvedOptions(t *testing.T) {
+	comp, err := arch.ByName("9 PEs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := workload.ByName("dot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	modulo := Defaults()
+	modulo.Backend = sched.BackendModulo
+	moduloU1 := modulo
+	moduloU1.UnrollFactor = 1
+	horizon := Defaults()
+	horizon.Sched.MaxCycles = sched.DefaultMaxCycles
+	for _, c := range []struct {
+		what string
+		a, b Options
+	}{
+		{"modulo unroll 2 vs 1", modulo, moduloU1},
+		{"MaxCycles 0 vs default", Defaults(), horizon},
+	} {
+		if ka, kb := Key(w.Kernel, comp, c.a), Key(w.Kernel, comp, c.b); ka != kb {
+			t.Errorf("%s: keys differ (%s vs %s)", c.what, ka, kb)
+		}
+		arts := make([][]byte, 2)
+		for i, o := range []Options{c.a, c.b} {
+			cc, err := Compile(w.Kernel, comp, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := cc.Artifact()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if arts[i], err = a.AppendBinary(nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(arts[0], arts[1]) {
+			t.Errorf("%s: artifacts differ, so the keys must too", c.what)
+		}
 	}
 }

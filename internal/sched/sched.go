@@ -40,7 +40,7 @@ func RunCtx(ctx context.Context, g *cdfg.Graph, comp *arch.Composition, opts Opt
 		return nil, fmt.Errorf("sched: composition %s is not fully connected; values could strand", comp.Name)
 	}
 	if opts.MaxCycles == 0 {
-		opts.MaxCycles = 100000
+		opts.MaxCycles = DefaultMaxCycles
 	}
 	s := newScheduler(ctx, g, comp, rt, opts, pipeline)
 	place := opts.Span.StartChild("place")

@@ -347,6 +347,9 @@ func (s *Schedule) MaxRFUsage() []int {
 	return peak
 }
 
+// DefaultMaxCycles is the schedule horizon of Options with MaxCycles 0.
+const DefaultMaxCycles = 100_000
+
 // Options tunes the scheduler; the zero value is the paper's configuration.
 type Options struct {
 	// Backend selects the scheduling strategy by name ("" = "list"). See
@@ -358,7 +361,7 @@ type Options struct {
 	// NoFusing disables pWRITE fusing (ablation A2); reads stay fused
 	// (the machine has no other way to access operands).
 	NoFusing bool
-	// MaxCycles aborts pathological schedules (default 100000).
+	// MaxCycles aborts pathological schedules (0 = DefaultMaxCycles).
 	MaxCycles int
 	// Span, when non-nil, receives scheduling sub-phase timings (place,
 	// verify) and result-size metrics as children/metrics.

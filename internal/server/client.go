@@ -15,12 +15,17 @@ import (
 	"cgra/internal/obs"
 )
 
-// Retry defaults; zero-valued Client fields fall back to these.
+// The retry policy. A call tries up to defaultMaxAttempts times unless
+// MaxAttempts says otherwise. The delay before retry i is
+// retryBackoff·2^i, capped at retryBackoffMax and jittered into [d/2, d).
+// A client spends at most defaultRetryCap retries (not first attempts)
+// over its lifetime, so a dying daemon cannot trap a whole fleet of
+// callers in retry loops.
 const (
 	defaultMaxAttempts = 4
-	defaultBackoff     = 25 * time.Millisecond
-	defaultBackoffMax  = time.Second
-	defaultRetryBudget = 64
+	defaultRetryCap    = 64
+	retryBackoff       = 25 * time.Millisecond
+	retryBackoffMax    = time.Second
 )
 
 // Client talks to a cgrad daemon. It retries transient failures — 429,
@@ -36,15 +41,10 @@ type Client struct {
 	HTTP *http.Client
 	// MaxAttempts bounds tries per call: 0 = 4, 1 = no retries.
 	MaxAttempts int
-	// Backoff is the delay before the first retry (0 = 25ms); it doubles
-	// per retry up to BackoffMax (0 = 1s) and is jittered into [d/2, d).
-	Backoff    time.Duration
-	BackoffMax time.Duration
-	// RetryBudget caps retries (not first attempts) across this client's
-	// lifetime, so a dying daemon cannot trap a whole fleet of callers in
-	// retry loops: 0 = 64, negative = unlimited.
-	RetryBudget int64
 
+	// retryCap is the lifetime retry cap (0 = defaultRetryCap);
+	// only tests lower it.
+	retryCap    int64
 	retriesUsed atomic.Int64
 }
 
@@ -189,7 +189,7 @@ func (c *Client) do(ctx context.Context, method, path string, deadlineMS int64, 
 		if attempt+1 >= maxAttempts || !c.spendRetry() {
 			return lastErr
 		}
-		delay := c.backoffDelay(attempt)
+		delay := backoffDelay(attempt)
 		if retryAfter > delay {
 			delay = retryAfter
 		}
@@ -275,36 +275,24 @@ func retryableStatus(status int) bool {
 	return false
 }
 
-// spendRetry takes one unit of the client-lifetime retry budget.
+// spendRetry takes one unit of the client-lifetime retry cap.
 func (c *Client) spendRetry() bool {
-	if c.RetryBudget < 0 {
-		return true
-	}
-	budget := c.RetryBudget
+	budget := c.retryCap
 	if budget == 0 {
-		budget = defaultRetryBudget
+		budget = defaultRetryCap
 	}
 	return c.retriesUsed.Add(1) <= budget
 }
 
-// backoffDelay is the exponential schedule with jitter: base*2^attempt
-// capped at max, then jittered into [d/2, d) so synchronized clients
-// don't re-stampede the daemon on the same tick.
-func (c *Client) backoffDelay(attempt int) time.Duration {
-	d := c.Backoff
-	if d <= 0 {
-		d = defaultBackoff
-	}
-	max := c.BackoffMax
-	if max <= 0 {
-		max = defaultBackoffMax
-	}
-	for i := 0; i < attempt && d < max; i++ {
+// backoffDelay is the exponential schedule with jitter: retryBackoff·2^attempt
+// capped at retryBackoffMax, then jittered into [d/2, d) so synchronized
+// clients don't re-stampede the daemon on the same tick.
+func backoffDelay(attempt int) time.Duration {
+	d := retryBackoff
+	for i := 0; i < attempt && d < retryBackoffMax; i++ {
 		d *= 2
 	}
-	if d > max {
-		d = max
-	}
+	d = min(d, retryBackoffMax)
 	return d/2 + time.Duration(rand.Int63n(int64(d/2)))
 }
 

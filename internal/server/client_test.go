@@ -78,7 +78,6 @@ func newFlakyClient(t *testing.T, f *flaky) *Client {
 func TestClientRetryHonorsRetryAfter(t *testing.T) {
 	f := &flaky{steps: []func(http.ResponseWriter){shedStep(http.StatusTooManyRequests, 40*time.Millisecond)}}
 	c := newFlakyClient(t, f)
-	c.Backoff = time.Millisecond // so the server's hint dominates the wait
 	names, err := c.Kernels(context.Background())
 	if err != nil {
 		t.Fatalf("retry did not recover: %v", err)
@@ -101,7 +100,6 @@ func TestClientRetryHonorsRetryAfter(t *testing.T) {
 func TestClientRetries503(t *testing.T) {
 	f := &flaky{steps: []func(http.ResponseWriter){shedStep(http.StatusServiceUnavailable, time.Millisecond)}}
 	c := newFlakyClient(t, f)
-	c.Backoff = time.Millisecond
 	if _, err := c.Kernels(context.Background()); err != nil {
 		t.Fatalf("retry did not recover from 503: %v", err)
 	}
@@ -110,17 +108,16 @@ func TestClientRetries503(t *testing.T) {
 	}
 }
 
-// TestClientRetryBudgetExhaustion proves the client-lifetime retry budget
+// TestClientRetryCapExhaustion proves the client-lifetime retry cap
 // stops the retry loop even when attempts remain.
-func TestClientRetryBudgetExhaustion(t *testing.T) {
+func TestClientRetryCapExhaustion(t *testing.T) {
 	f := &flaky{}
 	for i := 0; i < 32; i++ {
 		f.steps = append(f.steps, shedStep(http.StatusTooManyRequests, time.Millisecond))
 	}
 	c := newFlakyClient(t, f)
-	c.Backoff = time.Millisecond
 	c.MaxAttempts = 10
-	c.RetryBudget = 2
+	c.retryCap = 2
 	_, err := c.Kernels(context.Background())
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Code != http.StatusTooManyRequests {
@@ -141,25 +138,23 @@ func TestClientRetryBudgetExhaustion(t *testing.T) {
 // TestClientBackoffJitterBounds proves retry delays land in the jitter
 // window [d/2, d) of the exponential schedule instead of synchronizing.
 func TestClientBackoffJitterBounds(t *testing.T) {
-	const base = 80 * time.Millisecond
 	f := &flaky{steps: []func(http.ResponseWriter){
 		// No Retry-After hint: the client falls back to its own schedule.
 		errStep(http.StatusTooManyRequests, codeOverloaded, "overloaded"),
 		errStep(http.StatusTooManyRequests, codeOverloaded, "overloaded"),
 	}}
 	c := newFlakyClient(t, f)
-	c.Backoff = base
-	c.BackoffMax = base // flat schedule: both waits drawn from [base/2, base)
 	if _, err := c.Kernels(context.Background()); err != nil {
 		t.Fatalf("retries did not recover: %v", err)
 	}
 	for i := 0; i < 2; i++ {
+		d := retryBackoff << i // retry i waits in [d/2, d)
 		gap := f.gap(i)
-		if gap < base/2 {
-			t.Fatalf("retry %d fired after %v, before the %v jitter floor", i, gap, base/2)
+		if gap < d/2 {
+			t.Fatalf("retry %d fired after %v, before the %v jitter floor", i, gap, d/2)
 		}
-		if gap > base+150*time.Millisecond {
-			t.Fatalf("retry %d fired after %v, way past the %v jitter ceiling", i, gap, base)
+		if gap > d+150*time.Millisecond {
+			t.Fatalf("retry %d fired after %v, way past the %v jitter ceiling", i, gap, d)
 		}
 	}
 }
@@ -193,7 +188,6 @@ func TestClientRetriesTransportTimeout(t *testing.T) {
 	}}
 	c := newFlakyClient(t, f)
 	c.HTTP = &http.Client{Timeout: 50 * time.Millisecond}
-	c.Backoff = time.Millisecond
 	if _, err := c.Kernels(context.Background()); err != nil {
 		t.Fatalf("transport-timeout retry did not recover: %v", err)
 	}
@@ -267,7 +261,6 @@ func TestClientRetryHonorsHTTPDateRetryAfter(t *testing.T) {
 		fmt.Fprintln(w, `{"error":"overloaded"}`)
 	}}}
 	c := newFlakyClient(t, f)
-	c.Backoff = time.Millisecond // the server's date must dominate the wait
 	if _, err := c.Kernels(context.Background()); err != nil {
 		t.Fatalf("retry did not recover: %v", err)
 	}

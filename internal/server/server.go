@@ -56,8 +56,6 @@ type Config struct {
 	// CacheDir is the persistent artifact cache directory ("" = memory-only
 	// cache).
 	CacheDir string
-	// CacheMem bounds the in-memory cache front (0 = default).
-	CacheMem int
 	// CacheFS is the filesystem the cache persists through (nil = the real
 	// OS). Tests and the chaos soak pass a fault-injecting chaos.Injector.
 	CacheFS chaos.FS
@@ -67,29 +65,21 @@ type Config struct {
 	// MaxInFlight bounds concurrently served requests; excess requests are
 	// shed with 429 (0 = 32).
 	MaxInFlight int
-	// DefaultDeadline applies to requests that carry none (0 = 30s).
-	DefaultDeadline time.Duration
 	// BatchWindow enables same-artifact coalescing on /v1/run: a request
 	// that finds its installed artifact at GOMAXPROCS runs in flight queues
 	// with the rest of the backlog and runs as a data-parallel lane of one
 	// engine pass. The window is the longest it queues; below the limit a
 	// request runs at once (0 = batching off).
 	BatchWindow time.Duration
-	// BrownoutThreshold arms brownout mode when that many requests are shed
-	// inside brownoutWindow (0 = 4); BrownoutHold keeps it armed after the
-	// last trigger (0 = 2s).
-	BrownoutThreshold int
-	BrownoutHold      time.Duration
 }
 
 // Server serves the compile-and-execute API over one system.System.
 type Server struct {
-	sys      *system.System
-	store    *cache.Store
-	reg      *obs.Registry
-	mux      *http.ServeMux
-	sem      chan struct{}
-	deadline time.Duration
+	sys   *system.System
+	store *cache.Store
+	reg   *obs.Registry
+	mux   *http.ServeMux
+	sem   chan struct{}
 
 	// digests pins each registered kernel name to the digest of the source
 	// it was registered with, so a re-registration under the same name with
@@ -113,9 +103,15 @@ type Server struct {
 	latency        *obs.Histogram
 }
 
-// brownoutWindow is the span over which BrownoutThreshold sheds arm
-// brownout mode.
-const brownoutWindow = time.Second
+// Brownout arms when brownoutThreshold requests are shed inside
+// brownoutWindow, and stays armed for brownoutHold after the last trigger.
+// A request that carries no deadline runs under defaultDeadline.
+const (
+	brownoutThreshold = 4
+	brownoutWindow    = time.Second
+	brownoutHold      = 2 * time.Second
+	defaultDeadline   = 30 * time.Second
+)
 
 // requestLatencyBuckets spans sub-millisecond cache hits to multi-second
 // cold compiles.
@@ -130,10 +126,6 @@ func New(cfg Config) (*Server, error) {
 	if maxInFlight <= 0 {
 		maxInFlight = 32
 	}
-	deadline := cfg.DefaultDeadline
-	if deadline <= 0 {
-		deadline = 30 * time.Second
-	}
 	// Threshold 1: a served daemon compiles on request (or first profiled
 	// run), it does not wait for a hot-loop profile.
 	sys := system.New(cfg.Comp, cfg.Opts, 1)
@@ -141,7 +133,6 @@ func New(cfg Config) (*Server, error) {
 	reg := sys.Metrics()
 	store, err := cache.New(cache.Options{
 		Dir:           cfg.CacheDir,
-		MemEntries:    cfg.CacheMem,
 		Registry:      reg,
 		FS:            cfg.CacheFS,
 		ScrubInterval: cfg.CacheScrubInterval,
@@ -150,14 +141,6 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	sys.Cache = store
-	boThreshold := cfg.BrownoutThreshold
-	if boThreshold <= 0 {
-		boThreshold = 4
-	}
-	boHold := cfg.BrownoutHold
-	if boHold <= 0 {
-		boHold = 2 * time.Second
-	}
 	reg.Help("cgra_server_requests_total", "API requests by endpoint and status code")
 	reg.Help("cgra_server_request_seconds", "API request latency")
 	reg.Help("cgra_server_inflight", "API requests currently being served")
@@ -170,11 +153,10 @@ func New(cfg Config) (*Server, error) {
 		store:          store,
 		reg:            reg,
 		sem:            make(chan struct{}, maxInFlight),
-		deadline:       deadline,
 		digests:        map[string]string{},
 		est:            newSvcEstimator(),
-		bo:             &brownout{window: brownoutWindow, threshold: boThreshold, hold: boHold},
-		flight:         obs.NewFlightRecorder(obs.DefaultFlightRing, obs.DefaultFlightSlowest),
+		bo:             &brownout{window: brownoutWindow, threshold: brownoutThreshold, hold: brownoutHold},
+		flight:         obs.NewFlightRecorder(),
 		inflight:       reg.Gauge("cgra_server_inflight"),
 		shed:           reg.Counter("cgra_server_shed_total"),
 		deadlineShed:   reg.Counter("cgra_server_deadline_shed_total"),
@@ -337,9 +319,9 @@ func (s *Server) instrument(endpoint string, h func(http.ResponseWriter, *http.R
 
 // requestCtx is the one place a request's deadline is derived: the body's
 // deadline_ms, else the announced X-Deadline-Ms header admission already
-// shed on, else the server default.
+// shed on, else defaultDeadline.
 func (s *Server) requestCtx(r *http.Request, deadlineMS int64) (context.Context, context.CancelFunc) {
-	d := s.deadline
+	d := defaultDeadline
 	if deadlineMS > 0 {
 		d = time.Duration(deadlineMS) * time.Millisecond
 	} else if dl := clientDeadline(r); dl > 0 {

@@ -565,12 +565,12 @@ func TestDeadlineAwareShedding(t *testing.T) {
 func TestBrownoutServesRunDegraded(t *testing.T) {
 	cfg := testConfig(t, "")
 	cfg.MaxInFlight = 1
-	cfg.BrownoutThreshold = 1
-	cfg.BrownoutHold = time.Minute
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.bo.threshold = 1
+	s.bo.hold = time.Minute
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Shutdown(context.Background())

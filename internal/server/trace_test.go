@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"cgra/internal/obs"
 	"cgra/internal/workload"
@@ -187,7 +186,6 @@ func TestTraceIDPropagatesThroughRetryStorm(t *testing.T) {
 	defer front.Close()
 
 	c := NewClient(front.URL)
-	c.Backoff = time.Millisecond // retry almost immediately
 	w, err := workload.ByName("dot")
 	if err != nil {
 		t.Fatal(err)

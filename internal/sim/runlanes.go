@@ -189,7 +189,7 @@ func (d *Decoded) RunBatch(ctx context.Context, limit int64, reqs []BatchRequest
 		return out
 	}
 	if limit <= 0 {
-		limit = 500_000_000
+		limit = defaultMaxCycles
 	}
 	ls := d.getLaneState(n)
 	defer d.putLaneState(ls)

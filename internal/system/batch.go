@@ -115,7 +115,7 @@ type batch struct {
 // scalar walk, the cross-check runs there too) and a program that
 // predecodes. nil otherwise.
 func (s *System) laneEngine(ent *entry) *sim.Decoded {
-	if ent == nil || s.plan.Load() != nil || s.Policy.CrossCheck {
+	if ent == nil || s.plan.Load() != nil || s.crossCheck {
 		return nil
 	}
 	eng, err := ent.c.Engine()
@@ -283,7 +283,7 @@ func (s *System) InvokeBatch(ctx context.Context, name string, reqs []BatchReque
 	outs := make([]BatchOutcome, len(reqs))
 	ent := s.state.Load().compiled[name]
 	eng := s.laneEngine(ent)
-	if eng == nil || !ent.br.allow(time.Now(), s.breakerCooldown()) {
+	if eng == nil || !ent.br.allow(time.Now(), breakerCooldown) {
 		for i, r := range reqs {
 			outs[i].Res, outs[i].Err = s.InvokeCtx(ctx, name, r.Args, r.Host)
 		}
@@ -304,15 +304,11 @@ func (s *System) enginePass(ctx context.Context, ent *entry, eng *sim.Decoded, r
 	ctx, sp := obs.StartSpanCtx(ctx, "cgra.run_batch")
 	defer sp.Finish()
 	sp.Set("lanes", int64(len(reqs)))
-	limit := ent.maxCycles
-	if limit == 0 {
-		limit = s.watchdogCap()
-	}
 	scratch = make([]BatchRequest, len(reqs))
 	for i, r := range reqs {
 		scratch[i] = BatchRequest{Args: r.Args, Host: r.Host.Clone()}
 	}
-	return scratch, eng.RunBatch(ctx, limit, scratch)
+	return scratch, eng.RunBatch(ctx, ent.maxCycles, scratch)
 }
 
 // settle is the second half, per lane: accept the run into the caller's

@@ -120,7 +120,7 @@ func TestSystemCacheCrossCheck(t *testing.T) {
 		}
 		s := New(comp, pipeline.Defaults(), 1)
 		s.Cache = store
-		s.Policy.CrossCheck = true
+		s.crossCheck = true
 		if err := s.Register(w.Kernel); err != nil {
 			t.Fatal(err)
 		}
@@ -178,6 +178,37 @@ func TestResynthesizeReportsInstalled(t *testing.T) {
 	}
 	if second.Key != first.Key {
 		t.Fatalf("installed entry reports key %s, compile stored %s", second.Key, first.Key)
+	}
+}
+
+// TestServedKeyGolden pins the key the system serves dot under on "9 PEs"
+// with the default options. A changed key turns every cache directory on
+// disk cold, so it must change only on purpose (an ArtifactVersion bump).
+func TestServedKeyGolden(t *testing.T) {
+	comp, err := arch.ByName("9 PEs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := cache.New(cache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(comp, pipeline.Defaults(), 1)
+	s.Cache = store
+	w, err := workload.ByName("dot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Register(w.Kernel); err != nil {
+		t.Fatal(err)
+	}
+	info, err := s.SynthesizeCtx(context.Background(), "dot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "01d0cc2092d5fdb39e951f572374287f8067a4dadf68bf5e735006969fcfd0ac"
+	if info.Key != want {
+		t.Errorf("served key of dot @ 9 PEs = %s, want %s", info.Key, want)
 	}
 }
 

@@ -42,7 +42,7 @@ func TestCompileHookErrorFailsSynthesis(t *testing.T) {
 func TestCompileHookLagRespectsDeadline(t *testing.T) {
 	s := newSystem(t, 1)
 	defer s.Close()
-	s.Policy.CompileDeadline = 10 * time.Millisecond
+	s.compileDeadline = 10 * time.Millisecond
 	inj := chaos.New(chaos.Plan{CompileLagEvery: 1, CompileLag: 5 * time.Second}, nil, nil)
 	s.CompileHook = inj.CompileHook()
 	if err := s.Register(mustParse(t, dotSrc)); err != nil {
@@ -100,8 +100,6 @@ func TestInvokeHostBypassesAccelerator(t *testing.T) {
 func TestOpenBreakersTripAndRecover(t *testing.T) {
 	s := newSystem(t, 1)
 	defer s.Close()
-	s.Policy.BreakerThreshold = 2
-	s.Policy.BreakerCooldown = time.Millisecond
 	inj := chaos.New(chaos.Plan{CompileErrEvery: 1}, nil, nil)
 	s.CompileHook = inj.CompileHook()
 	if err := s.Register(mustParse(t, dotSrc)); err != nil {

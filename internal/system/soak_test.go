@@ -27,7 +27,6 @@ func TestSoakConcurrentFaulty(t *testing.T) {
 	s := newSystem(t, 10_000)
 	defer s.Close()
 	s.Opts.Sched.Explain = sched.NewExplainLog()
-	s.Policy.BreakerCooldown = 20 * time.Millisecond
 	for _, src := range []string{
 		dotSrc,
 		`kernel scale(array a, in n, in f) { i = 0; while (i < n) { a[i] = a[i] * f; i = i + 1; } }`,
@@ -161,16 +160,21 @@ func TestSoakConcurrentFaulty(t *testing.T) {
 func TestBreakerOpensAndRecovers(t *testing.T) {
 	s := newSystem(t, 1)
 	defer s.Close()
-	s.Policy.CompileBudget = 1 // every synthesis attempt fails in the scheduler
-	s.Policy.BreakerThreshold = 2
-	s.Policy.BreakerCooldown = 50 * time.Millisecond
+	// Every synthesis attempt fails until the compiler is fixed.
+	var fixed atomic.Bool
+	s.CompileHook = func(context.Context, string) error {
+		if fixed.Load() {
+			return nil
+		}
+		return errors.New("compiler down")
+	}
 	if err := s.Register(mustParse(t, dotSrc)); err != nil {
 		t.Fatal(err)
 	}
 	invoke := func(i int) *Result { return invokeDot(t, s, i) }
 
-	// Two failed synthesis attempts trip the breaker.
-	for i := 0; i < 2; i++ {
+	// breakerThreshold failed synthesis attempts trip the breaker.
+	for i := 0; i < breakerThreshold; i++ {
 		res := invoke(i)
 		if !res.Synthesized {
 			t.Fatalf("attempt %d: synthesis not enqueued (breaker %s)", i, s.BreakerState("dot"))
@@ -178,10 +182,10 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 		s.Quiesce()
 	}
 	if got := s.BreakerState("dot"); got != "open" {
-		t.Fatalf("breaker after %d failures = %q, want open", 2, got)
+		t.Fatalf("breaker after %d failures = %q, want open", breakerThreshold, got)
 	}
 	// Open: invocations are shed to the host, no synthesis admitted.
-	res := invoke(2)
+	res := invoke(breakerThreshold)
 	if res.Synthesized || res.OnCGRA {
 		t.Fatalf("open breaker admitted work: %+v", res)
 	}
@@ -189,10 +193,10 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 		t.Errorf("breaker shed must not count as queue shed: %+v", st)
 	}
 
-	// Cool down, fix the compiler budget, and let the half-open probe in.
-	time.Sleep(s.Policy.BreakerCooldown + 20*time.Millisecond)
-	s.Policy.CompileBudget = 100_000
-	res = invoke(3)
+	// Cool down, fix the compiler, and let the half-open probe in.
+	time.Sleep(breakerCooldown + 20*time.Millisecond)
+	fixed.Store(true)
+	res = invoke(breakerThreshold + 1)
 	if !res.Synthesized {
 		t.Fatalf("half-open probe not admitted (breaker %s)", s.BreakerState("dot"))
 	}
@@ -203,7 +207,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	if !s.Synthesized("dot") {
 		t.Fatal("kernel not installed after probe synthesis")
 	}
-	if res := invoke(4); !res.OnCGRA {
+	if res := invoke(breakerThreshold + 2); !res.OnCGRA {
 		t.Error("closed breaker did not serve from the CGRA")
 	}
 
@@ -230,7 +234,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 func TestSynthDeadlineCounted(t *testing.T) {
 	s := newSystem(t, 1)
 	defer s.Close()
-	s.Policy.CompileDeadline = time.Nanosecond
+	s.compileDeadline = time.Nanosecond
 	if err := s.Register(mustParse(t, dotSrc)); err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +258,7 @@ func TestSynthDeadlineCounted(t *testing.T) {
 		t.Error("deadline job result not exported")
 	}
 
-	s.Policy.CompileDeadline = 10 * time.Second
+	s.compileDeadline = compileDeadline
 	invokeDot(t, s, 1)
 	s.Quiesce()
 	if !s.Synthesized("dot") {
@@ -307,8 +311,8 @@ func slowKernelSrc(stmts int) string {
 func TestQueueShedding(t *testing.T) {
 	s := newSystem(t, 1)
 	defer s.Close()
-	s.Policy.SynthWorkers = 1
-	s.Policy.SynthQueue = 1
+	s.synthWorkers = 1
+	s.synthQueue = 1
 	s.Opts.UnrollFactor = 8
 	for _, src := range []string{
 		slowKernelSrc(100),

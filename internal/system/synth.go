@@ -23,20 +23,11 @@ type synthJob struct {
 	gen  uint64
 }
 
-// startPool lazily starts the workers on first use, sized by the policy in
-// effect at that moment.
+// startPool lazily starts the workers on first use.
 func (s *System) startPool() {
 	s.poolOnce.Do(func() {
-		workers := s.Policy.SynthWorkers
-		if workers <= 0 {
-			workers = 2
-		}
-		depth := s.Policy.SynthQueue
-		if depth <= 0 {
-			depth = 16
-		}
-		s.queue = make(chan synthJob, depth)
-		for i := 0; i < workers; i++ {
+		s.queue = make(chan synthJob, s.synthQueue)
+		for i := 0; i < s.synthWorkers; i++ {
 			go s.synthWorker()
 		}
 	})
@@ -107,10 +98,10 @@ func (s *System) completeSynthJob(job synthJob, ent *entry, err error) {
 	case ErrIsDeadline(err):
 		result = "deadline"
 		s.ctr.deadlineHits.Add(1)
-		br.failure(time.Now(), s.breakerThreshold())
+		br.failure(time.Now(), breakerThreshold)
 	default:
 		result = "error"
-		br.failure(time.Now(), s.breakerThreshold())
+		br.failure(time.Now(), breakerThreshold)
 	}
 	s.reg.Counter("cgra_synth_jobs_total", obs.L("result", result)).Add(1)
 }

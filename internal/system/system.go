@@ -100,54 +100,23 @@ type Stats struct {
 // TotalCycles is the cycles actually spent (host + accelerator).
 func (s *Stats) TotalCycles() int64 { return s.AMIDARCycles + s.CGRACycles }
 
-// ResiliencePolicy tunes fault detection, recovery and the service-level
-// admission control. Configure it before the first invocation; the fields
-// are read concurrently afterwards.
-type ResiliencePolicy struct {
-	// CompileBudget caps the scheduler's cycle horizon per synthesis
-	// attempt, so a pathological degraded composition cannot stall the
-	// system inside the compiler (0 = the scheduler default).
-	CompileBudget int
-	// CompileDeadline bounds the wall time of one synthesis attempt; an
-	// expired deadline cancels the compile cooperatively (the scheduler
-	// checks it every time step) and counts as a synthesis failure
-	// (0 = 10s).
-	CompileDeadline time.Duration
-	// SynthWorkers sizes the background synthesis worker pool (0 = 2).
-	SynthWorkers int
-	// SynthQueue bounds the synthesis queue; requests beyond it are shed
-	// and re-admitted by a later profiled host run (0 = 16).
-	SynthQueue int
-	// WatchdogCycles is the hard upper bound on the simulator cycle budget
-	// per CGRA run (0 = 10M cycles). Kernels with a host profile get a far
-	// tighter per-kernel budget (see watchdogFactor).
-	WatchdogCycles int64
-	// BreakerThreshold is the consecutive-failure count (synthesis
-	// failures or fault detections) that trips a kernel's circuit breaker
-	// to host-only execution (0 = 5).
-	BreakerThreshold int
-	// BreakerCooldown is how long a tripped breaker stays open before a
-	// half-open probe is admitted (0 = 250ms).
-	BreakerCooldown time.Duration
-	// CrossCheck verifies every CGRA run's live-outs and heap effects
-	// against the reference interpreter. It is forced on while a fault
-	// plan is armed; enabling it without faults turns the system into a
-	// self-checking (lock-step) configuration.
-	CrossCheck bool
-}
-
-// DefaultResiliencePolicy returns the production defaults.
-func DefaultResiliencePolicy() ResiliencePolicy {
-	return ResiliencePolicy{
-		CompileBudget:    100_000,
-		CompileDeadline:  10 * time.Second,
-		SynthWorkers:     2,
-		SynthQueue:       16,
-		WatchdogCycles:   10_000_000,
-		BreakerThreshold: 5,
-		BreakerCooldown:  250 * time.Millisecond,
-	}
-}
+// The service policy. One synthesis attempt runs under compileDeadline: an
+// expired deadline cancels the compile cooperatively (the scheduler checks
+// it every time step) and counts as a synthesis failure. synthWorkers
+// compile in the background behind a queue of synthQueue; requests beyond
+// it are shed and re-admitted by a later profiled host run.
+// breakerThreshold consecutive failures (synthesis failures or fault
+// detections) trip a kernel's circuit breaker to host-only execution, and
+// a tripped breaker admits a half-open probe after breakerCooldown.
+// watchdogCap is what New sets System.WatchdogCycles to.
+const (
+	compileDeadline  = 10 * time.Second
+	synthWorkers     = 2
+	synthQueue       = 16
+	breakerThreshold = 5
+	breakerCooldown  = 250 * time.Millisecond
+	watchdogCap      = 10_000_000
+)
 
 // The recovery loop's fixed policy: at most maxRetries accelerated
 // re-executions per detected fault, paced by a backoff that starts at
@@ -231,10 +200,11 @@ type System struct {
 	// Threshold is the accumulated host-cycle weight that triggers
 	// synthesis of a sequence.
 	Threshold int64
-	// Cost prices host execution (default: the calibrated model).
-	Cost amidar.CostModel
-	// Policy tunes fault detection, recovery and admission control.
-	Policy ResiliencePolicy
+	// WatchdogCycles is the hard upper bound on the simulator cycle budget
+	// per CGRA run (New sets 10M). Kernels with a host profile get a far
+	// tighter per-kernel budget (see watchdogFactor). Configure it before
+	// the first invocation.
+	WatchdogCycles int64
 	// Cache, when non-nil, is consulted before every synthesis and receives
 	// every fresh compile's artifact. Configure it before the first
 	// invocation.
@@ -251,6 +221,14 @@ type System struct {
 	state atomic.Pointer[sysState]
 	// plan is the armed fault plan (nil pointer = fault-free hardware).
 	plan atomic.Pointer[armedPlan]
+
+	// New sets the first three to the policy constants and leaves
+	// crossCheck off; only tests change them, before the first invocation.
+	// crossCheck checks every CGRA run against the reference interpreter,
+	// as an armed fault plan does.
+	compileDeadline          time.Duration
+	synthWorkers, synthQueue int
+	crossCheck               bool
 
 	// mu guards the profiling and recovery bookkeeping below plus every
 	// state-snapshot swap. The hot dispatch path (already-synthesized
@@ -322,21 +300,23 @@ func New(comp *arch.Composition, opts pipeline.Options, threshold int64) *System
 		opts.Sched.Backend = ""
 	}
 	s := &System{
-		Comp:          comp,
-		Opts:          opts,
-		Threshold:     threshold,
-		Cost:          amidar.DefaultCostModel(),
-		Policy:        DefaultResiliencePolicy(),
-		weights:       map[string]int64{},
-		hostRuns:      map[string]int64{},
-		hostMaxCycles: map[string]int64{},
-		hostOnly:      map[string]bool{},
-		pendingSynth:  map[string]bool{},
-		breakers:      map[string]*breaker{},
-		deadPEs:       map[int]bool{},
-		deadLinks:     map[[2]int]bool{},
-		stop:          make(chan struct{}),
-		reg:           obs.NewRegistry(),
+		Comp:            comp,
+		Opts:            opts,
+		Threshold:       threshold,
+		WatchdogCycles:  watchdogCap,
+		compileDeadline: compileDeadline,
+		synthWorkers:    synthWorkers,
+		synthQueue:      synthQueue,
+		weights:         map[string]int64{},
+		hostRuns:        map[string]int64{},
+		hostMaxCycles:   map[string]int64{},
+		hostOnly:        map[string]bool{},
+		pendingSynth:    map[string]bool{},
+		breakers:        map[string]*breaker{},
+		deadPEs:         map[int]bool{},
+		deadLinks:       map[[2]int]bool{},
+		stop:            make(chan struct{}),
+		reg:             obs.NewRegistry(),
 	}
 	s.state.Store(&sysState{
 		kernels:      map[string]*ir.Kernel{},
@@ -461,7 +441,7 @@ func (s *System) execHost(ctx context.Context, name string, args map[string]int3
 	}
 	sp := obs.ContextSpan(ctx).StartChild("engine")
 	sp.Annotate("path", "host")
-	base, err := amidar.ExecuteProgram(k, kernels, s.Cost, args, host)
+	base, err := amidar.ExecuteProgram(k, kernels, amidar.DefaultCostModel(), args, host)
 	sp.Finish()
 	if err != nil {
 		return nil, fmt.Errorf("system: AMIDAR run of %q: %v", name, err)
@@ -569,7 +549,7 @@ func (s *System) InvokeCtx(ctx context.Context, name string, args map[string]int
 	switch {
 	case ent == nil:
 		return s.runHost(ctx, name, args, host, !s.isHostOnly(name))
-	case !ent.br.allow(time.Now(), s.breakerCooldown()):
+	case !ent.br.allow(time.Now(), breakerCooldown):
 		// Breaker open: shed to the host without profiling (the kernel
 		// is already synthesized; re-synthesis is not what it needs).
 		sp.Event("breaker_open_shed", "breaker open: serving on host")
@@ -594,20 +574,6 @@ func (s *System) isHostOnly(name string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.hostOnly[name]
-}
-
-func (s *System) breakerCooldown() time.Duration {
-	if d := s.Policy.BreakerCooldown; d > 0 {
-		return d
-	}
-	return 250 * time.Millisecond
-}
-
-func (s *System) breakerThreshold() int {
-	if n := s.Policy.BreakerThreshold; n > 0 {
-		return n
-	}
-	return 5
 }
 
 // breakerFor returns (creating on demand) the named kernel's breaker.
@@ -663,7 +629,7 @@ func (s *System) runHost(ctx context.Context, name string, args map[string]int32
 		return result, nil
 	}
 	br := s.breakerForLocked(name)
-	if !br.allow(time.Now(), s.breakerCooldown()) {
+	if !br.allow(time.Now(), breakerCooldown) {
 		return result, nil
 	}
 	if s.enqueueSynthLocked(name) {
@@ -689,9 +655,6 @@ func (s *System) runAccelerated(ctx context.Context, name string, ent *entry, ar
 	m.Inject = plan.injector()
 	m.PhysPE = ent.phys
 	m.MaxCycles = ent.maxCycles
-	if m.MaxCycles == 0 {
-		m.MaxCycles = s.watchdogCap()
-	}
 	scratch := host.Clone()
 	res, err := m.RunCtx(ctx, args, scratch)
 	if plan != nil {
@@ -700,7 +663,7 @@ func (s *System) runAccelerated(ctx context.Context, name string, ent *entry, ar
 	if err != nil {
 		return nil, fmt.Errorf("system: CGRA run of %q: %w", name, err)
 	}
-	if s.Policy.CrossCheck || plan != nil {
+	if s.crossCheck || plan != nil {
 		cc := sp.StartChild("crosscheck")
 		defer cc.Finish()
 		ref := ent.ref
@@ -733,13 +696,6 @@ func (s *System) accept(host, scratch *ir.Host, res *sim.Result) *Result {
 	return &Result{LiveOuts: res.LiveOuts, Cycles: cycles, OnCGRA: true}
 }
 
-func (s *System) watchdogCap() int64 {
-	if c := s.Policy.WatchdogCycles; c > 0 {
-		return c
-	}
-	return 10_000_000
-}
-
 // cycleBudgetLocked derives the per-kernel watchdog budget from the AMIDAR
 // host-cycle profile: watchdogFactor × the largest observed host run,
 // clamped to [50k, WatchdogCycles]. The accelerator is only deployed when
@@ -747,7 +703,7 @@ func (s *System) watchdogCap() int64 {
 // the host cost is livelocked and the watchdog converts it into a detected
 // fault quickly — instead of burning the global 10M-cycle default.
 func (s *System) cycleBudgetLocked(name string) int64 {
-	cap := s.watchdogCap()
+	cap := s.WatchdogCycles
 	est := s.hostMaxCycles[name]
 	if est <= 0 {
 		return cap
@@ -781,7 +737,7 @@ func (s *System) recoverInvocation(ctx context.Context, name string, fault error
 	for attempt := 0; ; attempt++ {
 		s.ctr.faultsDetected.Add(1)
 		sp.Event("fault_detected", fault.Error())
-		br.failure(time.Now(), s.breakerThreshold())
+		br.failure(time.Now(), breakerThreshold)
 		if attempt >= maxRetries || sleepCtx(ctx, jitter(backoff)) != nil {
 			break
 		}
@@ -814,7 +770,7 @@ func (s *System) recoverInvocation(ctx context.Context, name string, fault error
 		if ent == nil {
 			break
 		}
-		if !br.allow(time.Now(), s.breakerCooldown()) {
+		if !br.allow(time.Now(), breakerCooldown) {
 			break
 		}
 		s.ctr.retries.Add(1)
@@ -945,11 +901,7 @@ func (s *System) resynthesizeLocked(ctx context.Context, name string) error {
 // attempt. The caller defers the cancel, so a finished attempt releases its
 // deadline timer at once instead of holding it for the whole deadline.
 func (s *System) compileCtx(parent context.Context) (context.Context, context.CancelFunc) {
-	d := s.Policy.CompileDeadline
-	if d <= 0 {
-		d = 10 * time.Second
-	}
-	return context.WithTimeout(parent, d)
+	return context.WithTimeout(parent, s.compileDeadline)
 }
 
 // compileKernel runs the tool flow for the kernel (inlining its calls
@@ -1015,9 +967,6 @@ func (s *System) cacheKey(st *sysState, name string) (flat *ir.Kernel, opts pipe
 		return nil, opts, "", fmt.Errorf("system: inline %q: %v", name, err)
 	}
 	opts = s.Opts
-	if s.Policy.CompileBudget > 0 {
-		opts.Sched.MaxCycles = s.Policy.CompileBudget
-	}
 	if s.Cache != nil {
 		key = pipeline.KeyDigest(flat, st.targetDigest, opts)
 	}

@@ -213,7 +213,7 @@ func TestPerKernelWatchdogBudget(t *testing.T) {
 	if ent == nil {
 		t.Fatal("dot not synthesized")
 	}
-	cap := s.watchdogCap()
+	cap := s.WatchdogCycles
 	if ent.maxCycles <= 0 || ent.maxCycles >= cap {
 		t.Errorf("profiled budget = %d, want derived value below the %d cap", ent.maxCycles, cap)
 	}
@@ -233,8 +233,8 @@ func TestPerKernelWatchdogBudget(t *testing.T) {
 	if err := s2.Synthesize("dot"); err != nil {
 		t.Fatal(err)
 	}
-	if got := s2.state.Load().compiled["dot"].maxCycles; got != s2.watchdogCap() {
-		t.Errorf("unprofiled budget = %d, want the %d cap", got, s2.watchdogCap())
+	if got := s2.state.Load().compiled["dot"].maxCycles; got != s2.WatchdogCycles {
+		t.Errorf("unprofiled budget = %d, want the %d cap", got, s2.WatchdogCycles)
 	}
 }
 
