@@ -33,7 +33,6 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -80,13 +79,6 @@ type Server struct {
 	reg   *obs.Registry
 	mux   *http.ServeMux
 	sem   chan struct{}
-
-	// digests pins each registered kernel name to the digest of the source
-	// it was registered with, so a re-registration under the same name with
-	// different code is rejected (409) instead of silently serving stale
-	// compiled state.
-	mu      sync.Mutex
-	digests map[string]string
 
 	draining atomic.Bool
 	httpSrv  *http.Server
@@ -153,7 +145,6 @@ func New(cfg Config) (*Server, error) {
 		store:          store,
 		reg:            reg,
 		sem:            make(chan struct{}, maxInFlight),
-		digests:        map[string]string{},
 		est:            newSvcEstimator(),
 		bo:             &brownout{window: brownoutWindow, threshold: brownoutThreshold, hold: brownoutHold},
 		flight:         obs.NewFlightRecorder(),
@@ -348,25 +339,11 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) int {
 	ctx, cancel := s.requestCtx(r, req.DeadlineMS)
 	defer cancel()
 
-	// Register under the digest lock: the same source re-registers as a
-	// no-op, different source under a taken name conflicts.
-	s.mu.Lock()
-	digest := k.Digest()
-	if prev, ok := s.digests[k.Name]; ok {
-		if prev != digest {
-			s.mu.Unlock()
-			return writeError(w, r, http.StatusConflict, codeConflict,
-				fmt.Sprintf("kernel %q already registered with different source", k.Name))
-		}
-	} else {
-		if err := s.sys.Register(k); err != nil {
-			s.mu.Unlock()
-			return writeError(w, r, http.StatusConflict, codeConflict, err.Error())
-		}
-		s.digests[k.Name] = digest
+	// The same source re-registers as a no-op; the one error Register
+	// returns is system.ErrConflict, different source under a taken name.
+	if err := s.sys.Register(k); err != nil {
+		return writeError(w, r, http.StatusConflict, codeConflict, err.Error())
 	}
-	s.mu.Unlock()
-
 	start := time.Now()
 	info, err := s.sys.SynthesizeCtx(ctx, k.Name)
 	if err != nil {
@@ -473,9 +450,6 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 		Brownout:          s.BrownoutActive(),
 		CacheDiskDegraded: s.store.Degraded(),
 		OpenBreakers:      s.sys.OpenBreakers(),
-	}
-	if resp.OpenBreakers == nil {
-		resp.OpenBreakers = []string{}
 	}
 	resp.Ready = !resp.Draining && !resp.Brownout
 	code := http.StatusOK

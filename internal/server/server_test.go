@@ -188,6 +188,46 @@ func TestConcurrentCompilesReportOneCompile(t *testing.T) {
 	}
 }
 
+// TestNothingWaitsBehindColdCompile: while one kernel's cold compile is
+// held, readiness answers 200 and a warm compile of another kernel answers
+// with source "installed", each within a bound far below the compile
+// deadline.
+func TestNothingWaitsBehindColdCompile(t *testing.T) {
+	s, c, cleanup := newTestServer(t, "")
+	defer cleanup()
+	compileWorkload(t, c, "gcd")
+	entered, release := make(chan struct{}), make(chan struct{})
+	s.System().CompileHook = func(ctx context.Context, kernel string) error {
+		if kernel != "fir" {
+			return nil
+		}
+		close(entered)
+		select {
+		case <-release:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	defer close(release)
+	go func() { _, _ = c.Compile(context.Background(), irtext.Print(workload.FIR().Kernel), 0) }()
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the cold compile never started")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if rr, err := c.Ready(ctx); err != nil || !rr.Ready {
+		t.Fatalf("readyz during a cold compile: %+v, %v; want 200", rr, err)
+	}
+	resp, err := c.Compile(ctx, irtext.Print(workload.GCD().Kernel), 0)
+	if err != nil || resp.Source != "installed" {
+		t.Fatalf("warm compile during a cold compile: %+v, %v; want source installed", resp, err)
+	}
+}
+
 func TestCompileConflictOnDifferentSource(t *testing.T) {
 	_, c, cleanup := newTestServer(t, "")
 	defer cleanup()

@@ -8,8 +8,9 @@ import (
 
 // TestConcurrentInvocations drives a system from several goroutines while
 // another goroutine scrapes Stats and the metrics registry. Run under
-// -race this verifies the locking discipline: invocations serialize on the
-// system lock, metric reads go through atomics only.
+// -race this verifies the locking discipline: invocations read the
+// dispatch snapshot and the kernel's record without the system lock,
+// metric reads go through atomics only.
 func TestConcurrentInvocations(t *testing.T) {
 	s := newSystem(t, 15_000)
 	if err := s.Register(mustParse(t, dotSrc)); err != nil {

@@ -217,9 +217,7 @@ func TestPerKernelWatchdogBudget(t *testing.T) {
 	if ent.maxCycles <= 0 || ent.maxCycles >= cap {
 		t.Errorf("profiled budget = %d, want derived value below the %d cap", ent.maxCycles, cap)
 	}
-	s.mu.Lock()
-	factor := watchdogFactor * s.hostMaxCycles["dot"]
-	s.mu.Unlock()
+	factor := watchdogFactor * s.state.Load().kernels["dot"].hostMax.Load()
 	if want := max64(factor, 50_000); ent.maxCycles != want {
 		t.Errorf("budget = %d, want watchdogFactor×hostMax clamped = %d", ent.maxCycles, want)
 	}
