@@ -222,7 +222,7 @@ func (t *Trace) Export() *TraceExport {
 	}
 	base := t.Start()
 	return &TraceExport{
-		ID:         t.ID.String(),
+		ID:         t.IDString(),
 		Endpoint:   t.Endpoint,
 		Status:     t.Status(),
 		Complete:   t.Done(),
@@ -291,9 +291,9 @@ func WriteChromeTrace(w io.Writer, traces []*Trace) error {
 			Ph:   "M",
 			Pid:  1,
 			Tid:  tid,
-			Args: map[string]any{"name": t.Endpoint + " " + t.ID.String()},
+			Args: map[string]any{"name": t.Endpoint + " " + t.IDString()},
 		})
-		rootArgs := map[string]any{"trace_id": t.ID.String(), "complete": t.Done()}
+		rootArgs := map[string]any{"trace_id": t.IDString(), "complete": t.Done()}
 		if st := t.Status(); st != 0 {
 			rootArgs["status"] = st
 		}

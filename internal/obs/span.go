@@ -55,11 +55,15 @@ func StartSpan(name string) *Span {
 }
 
 // StartChild opens a child span under s (nil on a nil receiver).
-func (s *Span) StartChild(name string) *Span {
+func (s *Span) StartChild(name string) *Span { return s.StartChildAt(name, time.Now()) }
+
+// StartChildAt opens a child span under s whose clock started at t: a
+// phase that was already running when its span could be opened.
+func (s *Span) StartChildAt(name string, t time.Time) *Span {
 	if s == nil {
 		return nil
 	}
-	c := StartSpan(name)
+	c := &Span{Name: name, start: t}
 	s.mu.Lock()
 	s.children = append(s.children, c)
 	s.mu.Unlock()

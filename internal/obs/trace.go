@@ -66,6 +66,9 @@ type Trace struct {
 	Endpoint string
 	Root     *Span
 
+	// hex is ID rendered once, for the header, the exemplar and the body.
+	hex string
+
 	mu     sync.Mutex
 	status int
 	done   bool
@@ -73,8 +76,11 @@ type Trace struct {
 
 // NewTrace opens a trace: the root span starts immediately.
 func NewTrace(id TraceID, endpoint, rootName string) *Trace {
-	return &Trace{ID: id, Endpoint: endpoint, Root: StartSpan(rootName)}
+	return &Trace{ID: id, Endpoint: endpoint, Root: StartSpan(rootName), hex: id.String()}
 }
+
+// IDString returns the trace's ID as 32 hex digits.
+func (t *Trace) IDString() string { return t.hex }
 
 // Finish closes the trace with a status code (an HTTP status for server
 // traces). Finishing twice keeps the first status.

@@ -80,7 +80,8 @@ func (c *Client) Run(ctx context.Context, kernel string, args map[string]int32, 
 // deadline).
 func (c *Client) RunReq(ctx context.Context, req RunRequest) (*RunResponse, error) {
 	var resp RunResponse
-	if err := c.post(ctx, "/v1/run", req.DeadlineMS, req, &resp); err != nil {
+	payload, _ := req.MarshalJSON() // the run-body encoder has no failure
+	if err := c.do(ctx, http.MethodPost, "/v1/run", req.DeadlineMS, payload, resp.UnmarshalJSON); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -157,18 +158,24 @@ func (c *Client) post(ctx context.Context, path string, deadlineMS int64, body, 
 	if err != nil {
 		return err
 	}
-	return c.do(ctx, http.MethodPost, path, deadlineMS, payload, out)
+	return c.do(ctx, http.MethodPost, path, deadlineMS, payload, jsonInto(out))
 }
 
 func (c *Client) get(ctx context.Context, path string, out any) error {
-	return c.do(ctx, http.MethodGet, path, 0, nil, out)
+	return c.do(ctx, http.MethodGet, path, 0, nil, jsonInto(out))
+}
+
+// jsonInto decodes a success body into out with encoding/json.
+func jsonInto(out any) func([]byte) error {
+	return func(data []byte) error { return json.Unmarshal(data, out) }
 }
 
 // do runs one request through the retry loop. The request is rebuilt from
 // payload on every attempt (a consumed body cannot be replayed), and each
 // attempt re-announces the remaining deadline so the server's admission
-// control sheds honestly.
-func (c *Client) do(ctx context.Context, method, path string, deadlineMS int64, payload []byte, out any) error {
+// control sheds honestly. decode reads a success body; the bytes it is
+// given are reused once it returns.
+func (c *Client) do(ctx context.Context, method, path string, deadlineMS int64, payload []byte, decode func([]byte) error) error {
 	maxAttempts := c.MaxAttempts
 	if maxAttempts <= 0 {
 		maxAttempts = defaultMaxAttempts
@@ -181,7 +188,7 @@ func (c *Client) do(ctx context.Context, method, path string, deadlineMS int64, 
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		var retryAfter time.Duration
-		done, err := c.attempt(ctx, method, path, deadlineMS, traceID, payload, out, &retryAfter)
+		done, err := c.attempt(ctx, method, path, deadlineMS, traceID, payload, decode, &retryAfter)
 		if done {
 			return err
 		}
@@ -212,7 +219,7 @@ func (c *Client) do(ctx context.Context, method, path string, deadlineMS int64, 
 // attempt runs a single HTTP exchange. done=true means the result is
 // final (success or non-retryable failure); done=false means err is
 // transient and the retry loop decides what happens next.
-func (c *Client) attempt(ctx context.Context, method, path string, deadlineMS int64, traceID string, payload []byte, out any, retryAfter *time.Duration) (done bool, err error) {
+func (c *Client) attempt(ctx context.Context, method, path string, deadlineMS int64, traceID string, payload []byte, decode func([]byte) error, retryAfter *time.Duration) (done bool, err error) {
 	var body io.Reader
 	if payload != nil {
 		body = bytes.NewReader(payload)
@@ -238,15 +245,16 @@ func (c *Client) attempt(ctx context.Context, method, path string, deadlineMS in
 		return ctx.Err() != nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	// The body is read into a pooled buffer: decode and the error path
+	// below copy out what they keep.
+	rc := getCodec()
+	defer rc.release()
+	data, err := rc.readAll(resp.Body)
 	if err != nil {
 		return ctx.Err() != nil, err
 	}
 	if resp.StatusCode/100 == 2 {
-		if out == nil {
-			return true, nil
-		}
-		return true, json.Unmarshal(data, out)
+		return true, decode(data)
 	}
 	apiErr := &APIError{Code: resp.StatusCode, Message: string(data), TraceID: resp.Header.Get(traceIDHeader)}
 	var e errorResponse
@@ -302,7 +310,7 @@ func backoffDelay(attempt int) time.Duration {
 // attempt of one call under the same identity.
 func callTraceID(ctx context.Context) string {
 	if t := obs.TraceFrom(ctx); t != nil {
-		return t.ID.String()
+		return t.IDString()
 	}
 	return obs.NewTraceID().String()
 }

@@ -33,6 +33,7 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -237,26 +238,35 @@ func requestTraceID(r *http.Request) obs.TraceID {
 // with the final status as a tail-bucket exemplar on the latency
 // histogram.
 func (s *Server) instrument(endpoint string, h func(http.ResponseWriter, *http.Request) int) http.HandlerFunc {
+	// requests resolves each status code's cgra_server_requests_total
+	// series once: int → *obs.Counter.
+	var requests sync.Map
 	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
 		tr := obs.NewTrace(requestTraceID(r), endpoint, "server."+endpoint)
+		start := tr.Start()
 		r = r.WithContext(obs.WithTrace(r.Context(), tr))
-		w.Header().Set(traceIDHeader, tr.ID.String())
+		w.Header().Set(traceIDHeader, tr.IDString())
 		s.flight.Begin(tr)
 		// admission covers everything between arrival and the handler
-		// getting the request: shed checks plus the semaphore acquisition.
-		adm := tr.Root.StartChild("admission")
+		// getting the request: trace set-up, shed checks and the semaphore
+		// acquisition.
+		adm := tr.Root.StartChildAt("admission", start)
 		code := http.StatusOK
 		admitted := false
 		defer func() {
-			s.latency.ObserveTraced(time.Since(start).Seconds(), tr.ID.String())
+			elapsed := time.Since(start)
+			s.latency.ObserveTraced(elapsed.Seconds(), tr.IDString())
 			if admitted {
 				// Only admitted requests feed the service-time EWMA: sheds
 				// complete in microseconds and would talk the estimate down.
-				s.est.observe(endpoint, time.Since(start))
+				s.est.observe(endpoint, elapsed)
 			}
-			s.reg.Counter("cgra_server_requests_total",
-				obs.L("endpoint", endpoint), obs.L("code", strconv.Itoa(code))).Inc()
+			ctr, ok := requests.Load(code)
+			if !ok {
+				ctr, _ = requests.LoadOrStore(code, s.reg.Counter("cgra_server_requests_total",
+					obs.L("endpoint", endpoint), obs.L("code", strconv.Itoa(code))))
+			}
+			ctr.(*obs.Counter).Inc()
 			s.flight.End(tr, code)
 		}()
 		if s.draining.Load() {
@@ -378,8 +388,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request, brownout bool
 		return writeError(w, r, http.StatusMethodNotAllowed, codeBadMethod, "POST required")
 	}
 	dec := obs.ContextSpan(r.Context()).StartChild("decode")
+	// One pooled codec reads the body and writes the response. The decoded
+	// request holds no pointer into it: keys and names are copied out, and
+	// the arrays are fresh slices.
+	c := getCodec()
+	defer c.release()
 	var req RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := c.readRunRequest(r.Body, &req); err != nil {
 		dec.Finish()
 		return writeError(w, r, http.StatusBadRequest, codeBadRequest, "bad request body: "+err.Error())
 	}
@@ -403,11 +418,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request, brownout bool
 		}
 		return writeError(w, r, http.StatusUnprocessableEntity, codeRunFailed, err.Error())
 	}
-	// The response carries every host array back: on small kernels the
-	// JSON encode rivals the execution itself, so it gets its own span.
+	// The response carries every host array back, encoded into the
+	// codec's buffer, which held the request body until now.
 	rsp := obs.ContextSpan(r.Context()).StartChild("respond")
 	defer rsp.Finish()
-	return writeJSON(w, http.StatusOK, RunResponse{
+	c.buf = append(c.appendRunResponse(c.buf[:0], &RunResponse{
 		LiveOuts:   res.LiveOuts,
 		Arrays:     req.Arrays,
 		Cycles:     res.Cycles,
@@ -416,7 +431,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request, brownout bool
 		Batched:    res.Lanes > 0,
 		BatchLanes: res.Lanes,
 		TraceID:    traceIDOf(r),
-	})
+	}), '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(c.buf) // as in writeJSON: the status is sent, a failed write is the client gone
+	return http.StatusOK
 }
 
 func (s *Server) handleKernels(w http.ResponseWriter, r *http.Request) int {
@@ -470,7 +489,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) int {
 // request, e.g. direct handler tests).
 func traceIDOf(r *http.Request) string {
 	if t := obs.TraceFrom(r.Context()); t != nil {
-		return t.ID.String()
+		return t.IDString()
 	}
 	return ""
 }
@@ -506,7 +525,8 @@ type CompileResponse struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// RunRequest is the body of POST /v1/run.
+// RunRequest is the body of POST /v1/run. Its tags name the wire keys;
+// codec.go reads and writes them (MarshalJSON, UnmarshalJSON).
 type RunRequest struct {
 	Kernel     string             `json:"kernel"`
 	Args       map[string]int32   `json:"args,omitempty"`
@@ -514,7 +534,8 @@ type RunRequest struct {
 	DeadlineMS int64              `json:"deadline_ms,omitempty"`
 }
 
-// RunResponse reports one execution.
+// RunResponse reports one execution. Its tags name the wire keys;
+// codec.go reads and writes them (MarshalJSON, UnmarshalJSON).
 type RunResponse struct {
 	LiveOuts map[string]int32 `json:"live_outs"`
 	// Arrays returns the heap state after the run (DMA write-back included).

@@ -704,3 +704,67 @@ func TestCacheDiskFailureBrownsOut(t *testing.T) {
 		t.Fatalf("readiness does not report the degraded cache disk: %+v", rr)
 	}
 }
+
+// TestRunBodyContract pins which /v1/run bodies the daemon accepts, and
+// what it makes of them, through the HTTP handler: the request-body wire
+// contract every decoder of a run body must keep.
+func TestRunBodyContract(t *testing.T) {
+	s, c, cleanup := newTestServer(t, "")
+	defer cleanup()
+	compileWorkload(t, c, "dot")
+	// dot computes s = a·b over the first n elements: 1·3 + 2·4 = 11.
+	const arrays = `"arrays":{"a":[1,2],"b":[3,4]}`
+	cases := []struct {
+		name   string
+		body   string
+		status int
+		code   string // error code, for a non-200 status
+		s      int32  // live-out s, for a 200
+		echo   string // a fragment the 200 body must carry
+	}{
+		{"empty body", ``, 400, codeBadRequest, 0, ""},
+		{"truncated object", `{"kernel":"dot","args":{"n":2`, 400, codeBadRequest, 0, ""},
+		{"fraction", `{"kernel":"dot","args":{"n":1.5},` + arrays + `}`, 400, codeBadRequest, 0, ""},
+		{"exponent", `{"kernel":"dot","args":{"n":1e3},` + arrays + `}`, 400, codeBadRequest, 0, ""},
+		{"int32 overflow", `{"kernel":"dot","args":{"n":4294967296},` + arrays + `}`, 400, codeBadRequest, 0, ""},
+		{"args array", `{"kernel":"dot","args":[],` + arrays + `}`, 400, codeBadRequest, 0, ""},
+		{"numeric kernel", `{"kernel":5,"args":{"n":2,"s":0},` + arrays + `}`, 400, codeBadRequest, 0, ""},
+		{"syntax error in unknown field", `{"kernel":"dot","x":[1,}],"args":{"n":2,"s":0},` + arrays + `}`, 400, codeBadRequest, 0, ""},
+		{"null body", `null`, 404, codeUnknownKernel, 0, ""},
+		{"plain", `{"kernel":"dot","args":{"n":2,"s":0},` + arrays + `}`, 200, "", 11, ""},
+		{"case-folded keys", `{"KERNEL":"dot","Args":{"n":2,"s":0},"ARRAYS":{"a":[1,2],"b":[3,4]}}`, 200, "", 11, ""},
+		{"unknown fields", `{"x":{"y":[1,"z",null,true,{}]},"kernel":"dot","w":-1.5e3,"args":{"n":2,"s":0},` + arrays + `}`, 200, "", 11, ""},
+		{"surrounding whitespace", " \r\n\t{\"kernel\":\"dot\",\"args\":{\"n\":2,\"s\":0}," + arrays + "}\n\t ", 200, "", 11, ""},
+		{"trailing bytes", `{"kernel":"dot","args":{"n":2,"s":0},` + arrays + `}}garbage{`, 200, "", 11, ""},
+		{"duplicate args merge", `{"kernel":"dot","args":{"n":2},"args":{"s":7},` + arrays + `}`, 200, "", 11, ""},
+		{"unread null array", `{"kernel":"dot","args":{"n":2,"s":0},"arrays":{"a":[1,2],"b":[3,4],"unused":null}}`, 200, "", 11, `"unused":null`},
+		{"null arrays at n 0", `{"kernel":"dot","args":{"n":0,"s":0},"arrays":{"a":null,"b":null}}`, 200, "", 0, `"arrays":{"a":null,"b":null}`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", strings.NewReader(tc.body)))
+			body := rec.Body.String()
+			if rec.Code != tc.status {
+				t.Fatalf("status %d, want %d: %s", rec.Code, tc.status, body)
+			}
+			if tc.status != http.StatusOK {
+				var e errorResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Code != tc.code {
+					t.Fatalf("error code %q (%v), want %q: %s", e.Code, err, tc.code, body)
+				}
+				return
+			}
+			var resp RunResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("response: %v: %s", err, body)
+			}
+			if resp.LiveOuts["s"] != tc.s {
+				t.Fatalf("s = %d, want %d: %s", resp.LiveOuts["s"], tc.s, body)
+			}
+			if !strings.Contains(body, tc.echo) {
+				t.Fatalf("response lacks %s: %s", tc.echo, body)
+			}
+		})
+	}
+}
