@@ -1,9 +1,6 @@
 package arch
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // MaxDMAPEs is the architectural limit on PEs with a DMA interface
 // (paper §IV-A1: "up to four PEs can feature a DMA interface").
@@ -92,18 +89,6 @@ func (c *Composition) DMAPEs() []int {
 	return out
 }
 
-// FanOut returns the indices of PEs that can read from PE src (the reverse
-// of the Inputs relation), ascending.
-func (c *Composition) FanOut(src int) []int {
-	var out []int
-	for _, pe := range c.PEs {
-		if pe.CanReadFrom(src) {
-			out = append(out, pe.Index)
-		}
-	}
-	return out
-}
-
 // Degree returns the total connectivity of PE i (inputs + distinct readers).
 // The scheduler uses it to break attraction ties: better-connected PEs make
 // later routing easier (§V-G).
@@ -186,22 +171,6 @@ func (c *Composition) Validate() error {
 	return nil
 }
 
-// OpSpectrum returns the union of operations over all PEs, sorted.
-func (c *Composition) OpSpectrum() []OpCode {
-	set := map[OpCode]bool{}
-	for _, pe := range c.PEs {
-		for op := range pe.Ops {
-			set[op] = true
-		}
-	}
-	out := make([]OpCode, 0, len(set))
-	for op := range set {
-		out = append(out, op)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // MaxRegfileSize returns the largest RF among the PEs.
 func (c *Composition) MaxRegfileSize() int {
 	m := 0
@@ -232,16 +201,4 @@ func (c *Composition) Clone() *Composition {
 		n.PEs = append(n.PEs, cp)
 	}
 	return n
-}
-
-// SetMulDuration sets the multiplier latency on every PE implementing IMUL:
-// 2 models the paper's block multiplier, 1 the single-cycle multiplier
-// variant of Table III.
-func (c *Composition) SetMulDuration(d int) {
-	for _, pe := range c.PEs {
-		if info, ok := pe.Ops[IMUL]; ok {
-			info.Duration = d
-			pe.Ops[IMUL] = info
-		}
-	}
 }

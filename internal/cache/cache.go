@@ -1,14 +1,19 @@
 // Package cache is a persistent, content-addressed store for compiled CGRA
 // artifacts. The key is the stable digest of (canonical kernel IR,
 // composition structure, pipeline options) computed by pipeline.Key; the
-// value is a pipeline.Artifact — the packed context-memory images,
-// C-Box/branch tables and allocation metadata of one compile — stored on
-// disk in the artifact's fixed binary layout behind a checksummed frame.
+// value is a pipeline.Artifact — the versioned ctxgen.Program of one
+// compile: contexts, C-Box/branch tables and allocation metadata — stored
+// on disk in the artifact's fixed binary layout (context images packed)
+// behind a checksummed frame.
 //
-// The store is two-tiered. An in-memory LRU front holds decoded artifacts
-// for hot kernels; behind it an optional on-disk layer persists every entry
-// across process restarts, so a restarted daemon serves its kernels without
-// recompiling.
+// The store is two-tiered. An in-memory LRU front holds artifacts for hot
+// kernels; it shares their programs with the compiles that put them and
+// with every kernel realized from them, and copies nothing (nothing
+// writes a program once generated). Behind it an optional on-disk layer
+// persists every entry across process restarts, so a restarted daemon
+// serves its kernels without recompiling. An entry that does not decode —
+// corrupt, or not a runnable program for its composition — is quarantined
+// and reported as a miss.
 //
 // The disk layer is crash-safe and self-healing:
 //

@@ -52,7 +52,7 @@ func TestMemoryHitAndMiss(t *testing.T) {
 	if !ok || src != SourceMemory {
 		t.Fatalf("want memory hit, got ok=%t src=%q", ok, src)
 	}
-	if got.Kernel != art.Kernel || got.NumCtx != art.NumCtx {
+	if got != art {
 		t.Fatal("memory tier returned a different artifact")
 	}
 }
@@ -215,7 +215,7 @@ func TestConcurrentGetPut(t *testing.T) {
 						t.Error(err)
 						return
 					}
-				} else if a, _, ok := s.Get(k); ok && a.Kernel != art.Kernel {
+				} else if a, _, ok := s.Get(k); ok && a.Program.Kernel != art.Program.Kernel {
 					t.Error("concurrent Get returned foreign artifact")
 					return
 				}

@@ -111,24 +111,44 @@ func (f PEFormat) Width() int {
 		f.WriteBits + f.PredBits + f.ImmBits + f.ArrayBits + f.OutlBits
 }
 
+// Home locates one live-in/live-out local's home RF slot.
+type Home struct {
+	PE   int
+	Addr int
+}
+
 // Program is the complete configuration of a composition for one kernel:
-// what the paper's context generator emits and the hardware executes.
+// what the paper's context generator emits and the hardware executes. It
+// is self-contained — nothing in it points back into the compiler's graph
+// or schedule — and nothing writes it after Generate, so a compiled
+// kernel, its cache entry and every kernel realized from that entry share
+// one Program.
 type Program struct {
-	Sched *sched.Schedule
-	Alloc *alloc.Result
+	// Kernel is the kernel name.
+	Kernel string
+	// Comp is the composition the program configures.
+	Comp *arch.Composition
 	// NumCtx is the number of contexts (Table I's "used contexts").
 	NumCtx int
+	// Formats gives each PE's minimized context layout.
+	Formats []PEFormat
 	// PE[pe][cycle] is the decoded context stream.
 	PE [][]PECtx
 	// CBox[cycle] is the C-Box context stream.
 	CBox []CBoxCtx
 	// CCU[cycle] is the jump table.
 	CCU []CCUCtx
-	// Formats gives each PE's minimized context layout; CBoxWidth and
-	// CCUWidth the corresponding control-word widths.
-	Formats   []PEFormat
-	CBoxWidth int
-	CCUWidth  int
+	// CBoxWidth and CCUWidth are the control-word widths.
+	CBoxWidth, CCUWidth int
+	// Homes maps each live-in/live-out local to its home RF slot.
+	Homes map[string]Home
+	// LiveIns and LiveOuts list the locals in transfer order.
+	LiveIns, LiveOuts []string
+	// Arrays is the array table: the array parameters in DMA-index order.
+	Arrays []string
+	// Alloc holds the allocation results (per-PE RF usage, condition
+	// memory slots).
+	Alloc *alloc.Result
 }
 
 // TotalContextBits returns the total context storage this program needs.
@@ -167,12 +187,20 @@ func GenerateSpan(s *sched.Schedule, span *obs.Span) (*Program, error) {
 			n, s.Comp.ContextSize)
 	}
 	p := &Program{
-		Sched:  s,
-		Alloc:  res,
-		NumCtx: n,
-		PE:     make([][]PECtx, s.Comp.NumPEs()),
-		CBox:   make([]CBoxCtx, n),
-		CCU:    make([]CCUCtx, n),
+		Kernel:   s.Graph.KernelName,
+		Comp:     s.Comp,
+		NumCtx:   n,
+		PE:       make([][]PECtx, s.Comp.NumPEs()),
+		CBox:     make([]CBoxCtx, n),
+		CCU:      make([]CCUCtx, n),
+		Homes:    make(map[string]Home, len(s.Homes)),
+		LiveIns:  s.Graph.LiveIns(),
+		LiveOuts: s.Graph.LiveOuts(),
+		Arrays:   append([]string(nil), s.Graph.Arrays...),
+		Alloc:    res,
+	}
+	for name, v := range s.Homes {
+		p.Homes[name] = Home{PE: v.PE, Addr: v.Addr}
 	}
 	for pe := range p.PE {
 		p.PE[pe] = make([]PECtx, n)
@@ -268,7 +296,7 @@ func GenerateSpan(s *sched.Schedule, span *obs.Span) (*Program, error) {
 		ctx.OutCtrlAddr = j.Slot.Phys
 		ctx.OutCtrlInv = j.Invert
 	}
-	p.computeFormats(res)
+	p.computeFormats()
 	es.Set("contexts", int64(n))
 	es.Set("context_bits", int64(p.TotalContextBits()))
 	return p, nil
@@ -284,7 +312,7 @@ func (p *Program) encodeSrc(op *sched.Op, src sched.Src, mode *SrcMode, addr, in
 	case sched.SrcRoute:
 		*mode = SrcRoute
 		idx := -1
-		for i, in := range p.Sched.Comp.PEs[op.PE].Inputs {
+		for i, in := range p.Comp.PEs[op.PE].Inputs {
 			if in == src.FromPE {
 				idx = i
 			}
@@ -301,8 +329,8 @@ func (p *Program) encodeSrc(op *sched.Op, src sched.Src, mode *SrcMode, addr, in
 // computeFormats derives the minimized per-PE context layouts: address
 // fields sized by actual RF usage, input selectors by neighbour count,
 // immediate and DMA fields only where the PE uses them (§IV-B bit-masks).
-func (p *Program) computeFormats(res *alloc.Result) {
-	comp := p.Sched.Comp
+func (p *Program) computeFormats() {
+	comp, res := p.Comp, p.Alloc
 	p.Formats = make([]PEFormat, comp.NumPEs())
 	for i, pe := range comp.PEs {
 		f := &p.Formats[i]
@@ -318,7 +346,7 @@ func (p *Program) computeFormats(res *alloc.Result) {
 			f.ImmBits = 32
 		}
 		if pe.HasDMA {
-			f.ArrayBits = bitsFor(len(p.Sched.Graph.Arrays))
+			f.ArrayBits = bitsFor(len(p.Arrays))
 		}
 		f.OutlBits = 1 + addrBits
 	}
@@ -327,7 +355,6 @@ func (p *Program) computeFormats(res *alloc.Result) {
 	p.CBoxWidth = bitsFor(comp.NumPEs()) + 2 + 2 + (slotBits+1)*2 + 1 + slotBits +
 		(1 + slotBits) + (1 + slotBits + 1)
 	p.CCUWidth = 2 + bitsFor(p.NumCtx)
-	_ = res
 }
 
 // bitsFor returns ceil(log2(n)) with a minimum of 1.

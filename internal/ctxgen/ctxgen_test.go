@@ -10,10 +10,10 @@ import (
 	"cgra/internal/sched"
 )
 
-func generate(t *testing.T, src string, comp *arch.Composition) *Program {
+// schedule builds and schedules src on comp.
+func schedule(t *testing.T, src string, comp *arch.Composition) *sched.Schedule {
 	t.Helper()
-	k := mustParse(t, src)
-	g, err := cdfg.Build(k, cdfg.BuildOptions{})
+	g, err := cdfg.Build(mustParse(t, src), cdfg.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,12 @@ func generate(t *testing.T, src string, comp *arch.Composition) *Program {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Generate(s)
+	return s
+}
+
+func generate(t *testing.T, src string, comp *arch.Composition) *Program {
+	t.Helper()
+	p, err := Generate(schedule(t, src, comp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,9 +54,13 @@ kernel k(array a, in n, inout s) {
 }`
 
 func TestGenerateShape(t *testing.T) {
-	p := generate(t, loopSrc, mesh(t, 4))
-	if p.NumCtx != p.Sched.Length {
-		t.Errorf("NumCtx %d != schedule length %d", p.NumCtx, p.Sched.Length)
+	s := schedule(t, loopSrc, mesh(t, 4))
+	p, err := Generate(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.NumCtx != s.Length {
+		t.Errorf("NumCtx %d != schedule length %d", p.NumCtx, s.Length)
 	}
 	if len(p.PE) != 4 {
 		t.Fatalf("PE streams = %d", len(p.PE))
@@ -67,7 +76,11 @@ func TestGenerateShape(t *testing.T) {
 }
 
 func TestGenerateOpsMatchSchedule(t *testing.T) {
-	p := generate(t, loopSrc, mesh(t, 4))
+	s := schedule(t, loopSrc, mesh(t, 4))
+	p, err := Generate(s)
+	if err != nil {
+		t.Fatal(err)
+	}
 	count := 0
 	for pe := range p.PE {
 		for _, ctx := range p.PE[pe] {
@@ -76,15 +89,19 @@ func TestGenerateOpsMatchSchedule(t *testing.T) {
 			}
 		}
 	}
-	if count != len(p.Sched.Ops) {
-		t.Errorf("context ops %d != scheduled ops %d", count, len(p.Sched.Ops))
+	if count != len(s.Ops) {
+		t.Errorf("context ops %d != scheduled ops %d", count, len(s.Ops))
 	}
 }
 
 func TestGenerateRoutingOutputs(t *testing.T) {
-	p := generate(t, loopSrc, mesh(t, 4))
+	s := schedule(t, loopSrc, mesh(t, 4))
+	p, err := Generate(s)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Every SrcRoute read must have the source PE presenting the value.
-	for _, op := range p.Sched.Ops {
+	for _, op := range s.Ops {
 		for _, src := range []sched.Src{op.A, op.B} {
 			if src.Kind != sched.SrcRoute {
 				continue
@@ -104,7 +121,7 @@ func TestGenerateRoutingOutputs(t *testing.T) {
 			} else {
 				input = ctx.BInput
 			}
-			if got := p.Sched.Comp.PEs[op.PE].Inputs[input]; got != src.FromPE {
+			if got := p.Comp.PEs[op.PE].Inputs[input]; got != src.FromPE {
 				t.Errorf("route input %d resolves to PE %d, want %d", input, got, src.FromPE)
 			}
 		}
@@ -189,16 +206,7 @@ func TestGenerateBitMaskMinimization(t *testing.T) {
 func TestGenerateRejectsOverlongSchedule(t *testing.T) {
 	comp := mesh(t, 4)
 	comp.ContextSize = 4 // absurdly small
-	k := mustParse(t, loopSrc)
-	g, err := cdfg.Build(k, cdfg.BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := sched.Run(g, comp, sched.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Generate(s); err == nil {
+	if _, err := Generate(schedule(t, loopSrc, comp)); err == nil {
 		t.Error("schedule longer than the context memory accepted")
 	}
 }
@@ -245,33 +253,8 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 				t.Errorf("PE %d ctx %d: outl addr differs", pe, cyc)
 			}
 		}
-		if bs.TotalBits() != bs.Width*p.NumCtx {
-			t.Error("TotalBits wrong")
-		}
-	}
-}
-
-func TestBitstreamDump(t *testing.T) {
-	p := generate(t, `kernel k(in x, inout r) { r = x + 1; }`, mesh(t, 4))
-	bs, err := p.PackPE(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dump := bs.Dump(3)
-	lines := 0
-	for _, ch := range dump {
-		if ch == '\n' {
-			lines++
-		}
-	}
-	if lines < 3 {
-		t.Errorf("dump too short:\n%s", dump)
-	}
-	for _, ch := range dump {
-		if ch != '0' && ch != '1' && ch != '\n' && ch != '.' && ch != ' ' &&
-			(ch < '0' || ch > '9') && ch != '(' && ch != ')' && ch != 'm' && ch != 'o' && ch != 'r' && ch != 'e' {
-			t.Errorf("unexpected character %q in dump", ch)
-			break
+		if bs.Width != p.Formats[pe].Width() {
+			t.Errorf("PE %d: %d-bit words, format says %d", pe, bs.Width, p.Formats[pe].Width())
 		}
 	}
 }

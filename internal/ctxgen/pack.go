@@ -3,7 +3,6 @@ package ctxgen
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"cgra/internal/arch"
 )
@@ -87,9 +86,9 @@ func (u *unpacker) getBool() bool { return u.get(1) != 0 }
 // indices of the generated ALU Verilog (vgen) and keeps the op field within
 // the minimized width even for PEs with sparse operation sets.
 func (p *Program) opTable(pe int) []arch.OpCode {
-	ops := make([]arch.OpCode, 0, len(p.Sched.Comp.PEs[pe].Ops)+1)
+	ops := make([]arch.OpCode, 0, len(p.Comp.PEs[pe].Ops)+1)
 	ops = append(ops, arch.NOP)
-	for op := range p.Sched.Comp.PEs[pe].Ops {
+	for op := range p.Comp.PEs[pe].Ops {
 		if op != arch.NOP {
 			ops = append(ops, op)
 		}
@@ -107,15 +106,16 @@ func opIndex(table []arch.OpCode, op arch.OpCode) (uint64, error) {
 	return 0, fmt.Errorf("ctxgen: op %v not in PE's table", op)
 }
 
-// PackPE encodes one PE's context stream with its minimized format.
+// PackPE encodes one PE's context stream with its minimized format: one
+// word per context the stream holds.
 func (p *Program) PackPE(pe int) (*Bitstream, error) {
 	f := p.Formats[pe]
 	table := p.opTable(pe)
-	bs := &Bitstream{Width: f.Width(), Words: make([][]uint64, p.NumCtx)}
+	stream := p.PE[pe]
+	bs := &Bitstream{Width: f.Width(), Words: make([][]uint64, len(stream))}
 	chunks := bs.chunksPerWord()
-	all := make([]uint64, p.NumCtx*chunks)
-	for cycle := 0; cycle < p.NumCtx; cycle++ {
-		ctx := p.PE[pe][cycle]
+	all := make([]uint64, len(stream)*chunks)
+	for cycle, ctx := range stream {
 		pk := &packer{bits: all[cycle*chunks : (cycle+1)*chunks : (cycle+1)*chunks]}
 		opIdx, err := opIndex(table, ctx.Op)
 		if err != nil {
@@ -177,30 +177,3 @@ func (p *Program) UnpackPE(pe int, bs *Bitstream) ([]PECtx, error) {
 	}
 	return out, nil
 }
-
-// BitstreamDump renders a bitstream like the paper's Fig. 10 context dump:
-// one binary word per line, MSB first.
-func (b *Bitstream) Dump(maxWords int) string {
-	var sb strings.Builder
-	n := len(b.Words)
-	if maxWords > 0 && n > maxWords {
-		n = maxWords
-	}
-	for i := 0; i < n; i++ {
-		for bit := b.Width - 1; bit >= 0; bit-- {
-			if b.Words[i][bit/64]&(1<<uint(bit%64)) != 0 {
-				sb.WriteByte('1')
-			} else {
-				sb.WriteByte('0')
-			}
-		}
-		sb.WriteByte('\n')
-	}
-	if n < len(b.Words) {
-		fmt.Fprintf(&sb, "... (%d more)\n", len(b.Words)-n)
-	}
-	return sb.String()
-}
-
-// TotalBits returns the stream's total storage requirement.
-func (b *Bitstream) TotalBits() int { return b.Width * len(b.Words) }

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"sync"
 	"time"
 )
@@ -198,15 +196,6 @@ func (s *Span) Children() []*Span {
 	return append([]*Span(nil), s.children...)
 }
 
-// Timed runs fn inside a child span and returns the child (finished).
-// On a nil receiver fn still runs, with a nil span.
-func (s *Span) Timed(name string, fn func(*Span)) *Span {
-	c := s.StartChild(name)
-	defer c.Finish()
-	fn(c)
-	return c
-}
-
 // Walk visits the span and every descendant depth-first. The path is the
 // slash-joined chain of names from (and including) the root.
 func (s *Span) Walk(fn func(path string, sp *Span)) {
@@ -220,34 +209,6 @@ func (s *Span) walk(path string, fn func(string, *Span)) {
 	fn(path, s)
 	for _, c := range s.Children() {
 		c.walk(path+"/"+c.Name, fn)
-	}
-}
-
-// WriteText renders the span tree as an indented report:
-//
-//	compile                       3.1ms
-//	  unroll                      0.2ms  stmts=41
-//	  cdfg                        0.4ms  nodes=172 blocks=12
-func (s *Span) WriteText(w io.Writer) {
-	if s == nil {
-		return
-	}
-	s.writeText(w, 0)
-}
-
-func (s *Span) writeText(w io.Writer, depth int) {
-	indent := ""
-	for i := 0; i < depth; i++ {
-		indent += "  "
-	}
-	line := fmt.Sprintf("%s%-*s %10.3fms", indent, 28-2*depth, s.Name,
-		float64(s.Duration().Microseconds())/1000)
-	for _, m := range s.Metrics() {
-		line += fmt.Sprintf("  %s=%d", m.Name, m.Value)
-	}
-	fmt.Fprintln(w, line)
-	for _, c := range s.Children() {
-		c.writeText(w, depth+1)
 	}
 }
 

@@ -178,9 +178,4 @@ func TestNilSpanIsNoOp(t *testing.T) {
 	if s.Duration() != 0 || s.Done() || s.Metrics() != nil || s.Attrs() != nil || s.Events() != nil || s.Children() != nil {
 		t.Fatal("nil span leaked state")
 	}
-	ran := false
-	s.Timed("t", func(sp *Span) { ran = true })
-	if !ran {
-		t.Fatal("Timed on nil span skipped fn")
-	}
 }

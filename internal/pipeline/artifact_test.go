@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"reflect"
 	"testing"
 
 	"cgra/internal/arch"
+	"cgra/internal/ctxgen"
 	"cgra/internal/ir"
 	"cgra/internal/sched"
 	"cgra/internal/workload"
@@ -60,10 +62,29 @@ func TestArtifactRoundTrip(t *testing.T) {
 				t.Fatalf("%s: decode: %v", name, err)
 			}
 			// Every field must survive, including one the codec does not
-			// know yet: a field added to Artifact or anything it holds
-			// fails here until codec.go writes it.
-			if d := firstDiff("Artifact", reflect.ValueOf(art), reflect.ValueOf(dec)); d != "" {
+			// know yet: a field added to Artifact, Program or anything they
+			// hold fails here until codec.go writes it. The contexts are
+			// compared as packed images: a field of a disabled path (the
+			// value's address encodeSrc leaves in a routed operand's AAddr)
+			// does not survive packing.
+			if d := firstDiff("Artifact", reflect.ValueOf(withoutContexts(art)), reflect.ValueOf(withoutContexts(dec))); d != "" {
 				t.Fatalf("%s: decoded artifact differs from the encoded one at %s", name, d)
+			}
+			if len(dec.Program.PE) != len(art.Program.PE) {
+				t.Fatalf("%s: decoded %d PE streams, encoded %d", name, len(dec.Program.PE), len(art.Program.PE))
+			}
+			for pe := range art.Program.PE {
+				want, err := art.Program.PackPE(pe)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := dec.Program.PackPE(pe)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got.Equal(want) {
+					t.Fatalf("%s: PE %d packs to another image after the round trip", name, pe)
+				}
 			}
 			rc, err := dec.Realize()
 			if err != nil {
@@ -98,6 +119,14 @@ func TestArtifactRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// withoutContexts returns a copy of a whose program has no PE streams.
+func withoutContexts(a *Artifact) *Artifact {
+	c, p := *a, *a.Program
+	p.PE = nil
+	c.Program = &p
+	return &c
 }
 
 // firstDiff compares a and b like reflect.DeepEqual, except that a nil and
@@ -285,6 +314,11 @@ func FuzzDecodeArtifact(f *testing.F) {
 	})
 }
 
+// TestArtifactRealizeRejectsSkew: an artifact that is not a runnable
+// program of this build is refused on its way from a cache to a realized
+// kernel — by Realize for another version, by the encoder when there is
+// nothing to encode, and by the decoder when the tables do not fit the
+// composition.
 func TestArtifactRealizeRejectsSkew(t *testing.T) {
 	comp, err := arch.ByName("9 PEs")
 	if err != nil {
@@ -298,25 +332,49 @@ func TestArtifactRealizeRejectsSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := func() *Artifact {
-		a, err := c.Artifact()
+	// refusal realizes a in memory, then encodes, decodes and realizes it,
+	// and names the first step that refuses it ("" if none does).
+	refusal := func(a *Artifact) string {
+		if _, err := a.Realize(); err != nil {
+			return "realize"
+		}
+		var buf bytes.Buffer
+		if err := EncodeArtifact(&buf, a); err != nil {
+			return "encode"
+		}
+		dec, err := DecodeArtifact(&buf)
 		if err != nil {
-			t.Fatal(err)
+			return "decode"
 		}
-		return a
+		if _, err := dec.Realize(); err != nil {
+			return "realize"
+		}
+		return ""
 	}
-	for name, mutate := range map[string]func(*Artifact){
-		"future version":  func(a *Artifact) { a.Version = ArtifactVersion + 1 },
-		"nil composition": func(a *Artifact) { a.Comp = nil },
-		"missing stream":  func(a *Artifact) { a.Streams = a.Streams[:len(a.Streams)-1] },
-		"table mismatch":  func(a *Artifact) { a.CBox = a.CBox[:0] },
-		"home range":      func(a *Artifact) { a.Homes["bad"] = Home{PE: 999} },
+	for name, tc := range map[string]struct {
+		mutate    func(*Artifact)
+		refusedBy string
+	}{
+		"future version":   {func(a *Artifact) { a.Version = ArtifactVersion + 1 }, "realize"},
+		"nil composition":  {func(a *Artifact) { a.Program.Comp = nil }, "encode"},
+		"missing PE image": {func(a *Artifact) { a.Program.PE = a.Program.PE[:len(a.Program.PE)-1] }, "decode"},
+		"table mismatch":   {func(a *Artifact) { a.Program.CBox = a.Program.CBox[:0] }, "decode"},
+		"home range": {func(a *Artifact) {
+			a.Program.Homes = maps.Clone(a.Program.Homes)
+			a.Program.Homes["bad"] = ctxgen.Home{PE: 999}
+		}, "decode"},
 	} {
-		a := fresh()
-		mutate(a)
-		if _, err := a.Realize(); err == nil {
-			t.Errorf("%s: Realize accepted a damaged artifact", name)
+		// Damage a copy: the compiled program is shared and must stay
+		// intact for the next case.
+		p := *c.Program
+		a := &Artifact{Version: ArtifactVersion, Program: &p}
+		tc.mutate(a)
+		if got := refusal(a); got != tc.refusedBy {
+			t.Errorf("%s: refused by %q, want %q", name, got, tc.refusedBy)
 		}
+	}
+	if got := refusal(&Artifact{Version: ArtifactVersion, Program: c.Program}); got != "" {
+		t.Errorf("the undamaged artifact is refused by %s", got)
 	}
 }
 

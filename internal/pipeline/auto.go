@@ -35,7 +35,7 @@ func exportModulo(reg *obs.Registry, s *sched.Schedule) {
 
 // AutoReport documents one auto-backend selection.
 type AutoReport struct {
-	// Selected is the backend whose result CompileAuto returned.
+	// Selected is the backend whose result CompileAutoCtx returned.
 	Selected string
 	// ListCycles and ModuloCycles are the verified end-to-end run cycles of
 	// each arm on the representative inputs (-1 when that arm failed).
@@ -71,18 +71,13 @@ func compileAndVerify(ctx context.Context, k *ir.Kernel, comp *arch.Composition,
 	return autoArm{c: c, cycles: res.Sim.RunCycles}
 }
 
-// CompileAuto implements the "auto" backend: both backends compile in
+// CompileAutoCtx implements the "auto" backend: both backends compile in
 // parallel, each result runs on the representative inputs and is checked
 // against the reference interpreter, and the fewer verified cycles win.
 // List wins ties and is the fallback for any modulo failure; if the list
 // arm itself fails, a verified modulo result still serves. The host is
-// cloned per run, so the caller's heap stays untouched.
-func CompileAuto(k *ir.Kernel, comp *arch.Composition, o Options,
-	args map[string]int32, host *ir.Host) (*Compiled, *AutoReport, error) {
-	return CompileAutoCtx(context.Background(), k, comp, o, args, host)
-}
-
-// CompileAutoCtx is CompileAuto honoring a context.
+// cloned per run, so the caller's heap stays untouched. The context
+// bounds both compiles.
 func CompileAutoCtx(ctx context.Context, k *ir.Kernel, comp *arch.Composition, o Options,
 	args map[string]int32, host *ir.Host) (*Compiled, *AutoReport, error) {
 	lo, mo := o, o

@@ -7,8 +7,9 @@ package pipeline
 // layout change bumps ArtifactVersion (which also re-keys the cache) and
 // regenerates the golden file in the same diff.
 //
-// Layout: the magic "CGAR", then the Artifact's fields in declaration
-// order, each written as
+// Layout: the magic "CGAR", the Artifact's Version, then its Program's
+// fields in declaration order (Kernel through Alloc's RFUsage and
+// CBoxUsage), each written as
 //
 //	int            zigzag varint (binary.AppendVarint)
 //	bool           one byte, 0 or 1
@@ -18,16 +19,20 @@ package pipeline
 //	               values such as 1.0 or 2.5 take two or three bytes
 //	struct         its fields in declaration order
 //
-// with three fixed orders where Go leaves the order open: a PE's Ops are
-// written in ascending opcode order (opcode, Energy, Duration), Homes in
-// ascending name order (name, PE, Addr), and each context image in
-// ctxgen's pinned bitstream layout. Nothing may follow the last field
-// (CBoxUsage).
+// with three fixed forms: a PE's Ops are written in ascending opcode order
+// (opcode, Energy, Duration), Homes in ascending name order (name, PE,
+// Addr), and each PE's context stream as its image — packed with the PE's
+// minimized format at encode time — in ctxgen's pinned bitstream layout.
+// Nothing may follow the last field (CBoxUsage).
 //
 // The decoder treats its input as hostile — a cache directory is outside
 // the program, and anything may have written it: every count is bounded by
 // the bytes left, so a corrupt entry is an error, never a panic or an
-// allocation the input cannot back.
+// allocation the input cannot back. It also refuses a well-formed encoding
+// that does not describe a runnable program for its composition (an
+// invalid composition, tables or images sized for another array or
+// another context count, a home off the array), so a decoded artifact
+// always unpacks and realizes.
 
 import (
 	"encoding/binary"
@@ -36,6 +41,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"cgra/internal/alloc"
 	"cgra/internal/arch"
 	"cgra/internal/ctxgen"
 	"cgra/internal/sched"
@@ -78,37 +84,39 @@ func (e *encoder) strs(ss []string) {
 	}
 }
 
-// AppendBinary appends the artifact's binary encoding to dst.
+// AppendBinary appends the artifact's binary encoding to dst, packing each
+// PE's context image on the way.
 func (a *Artifact) AppendBinary(dst []byte) ([]byte, error) {
-	if a.Comp == nil {
-		return dst, fmt.Errorf("pipeline: artifact %q has no composition", a.Kernel)
+	p := a.Program
+	if p == nil || p.Comp == nil {
+		return dst, fmt.Errorf("pipeline: artifact has no program or composition")
 	}
-	e := &encoder{buf: slices.Grow(dst, a.sizeHint())}
+	e := &encoder{buf: slices.Grow(dst, sizeHint(p))}
 	e.buf = append(e.buf, artifactMagic...)
 	e.int(a.Version)
-	e.str(a.Kernel)
-	if err := e.comp(a.Comp); err != nil {
-		return dst, fmt.Errorf("pipeline: artifact %q: %v", a.Kernel, err)
+	e.str(p.Kernel)
+	if err := e.comp(p.Comp); err != nil {
+		return dst, fmt.Errorf("pipeline: artifact %q: %v", p.Kernel, err)
 	}
-	e.int(a.NumCtx)
-	e.count(len(a.Formats))
-	for _, f := range a.Formats {
+	e.int(p.NumCtx)
+	e.count(len(p.Formats))
+	for _, f := range p.Formats {
 		for _, v := range formatFields(&f) {
 			e.int(*v)
 		}
 	}
-	e.count(len(a.Streams))
-	for pe, s := range a.Streams {
-		if s == nil {
-			return dst, fmt.Errorf("pipeline: artifact %q: PE %d has no image", a.Kernel, pe)
+	e.count(len(p.PE))
+	for pe := range p.PE {
+		bs, err := p.PackPE(pe)
+		if err == nil {
+			e.buf, err = bs.AppendBinary(e.buf)
 		}
-		var err error
-		if e.buf, err = s.AppendBinary(e.buf); err != nil {
-			return dst, fmt.Errorf("pipeline: artifact %q: PE %d: %v", a.Kernel, pe, err)
+		if err != nil {
+			return dst, fmt.Errorf("pipeline: artifact %q: PE %d: %v", p.Kernel, pe, err)
 		}
 	}
-	e.count(len(a.CBox))
-	for _, c := range a.CBox {
+	e.count(len(p.CBox))
+	for _, c := range p.CBox {
 		e.bool(c.Consume)
 		e.int(c.StatusPE)
 		e.bool(c.Recombine)
@@ -126,32 +134,32 @@ func (a *Artifact) AppendBinary(dst []byte) ([]byte, error) {
 		e.int(c.OutCtrlAddr)
 		e.bool(c.OutCtrlInv)
 	}
-	e.count(len(a.CCU))
-	for _, c := range a.CCU {
+	e.count(len(p.CCU))
+	for _, c := range p.CCU {
 		e.int(c.Mode)
 		e.int(c.Target)
 	}
-	e.int(a.CBoxWidth)
-	e.int(a.CCUWidth)
-	names := make([]string, 0, len(a.Homes))
-	for name := range a.Homes {
+	e.int(p.CBoxWidth)
+	e.int(p.CCUWidth)
+	names := make([]string, 0, len(p.Homes))
+	for name := range p.Homes {
 		names = append(names, name)
 	}
 	slices.Sort(names)
 	e.count(len(names))
 	for _, name := range names {
 		e.str(name)
-		e.int(a.Homes[name].PE)
-		e.int(a.Homes[name].Addr)
+		e.int(p.Homes[name].PE)
+		e.int(p.Homes[name].Addr)
 	}
-	e.strs(a.LiveIns)
-	e.strs(a.LiveOuts)
-	e.strs(a.Arrays)
-	e.count(len(a.RFUsage))
-	for _, v := range a.RFUsage {
+	e.strs(p.LiveIns)
+	e.strs(p.LiveOuts)
+	e.strs(p.Arrays)
+	e.count(len(p.Alloc.RFUsage))
+	for _, v := range p.Alloc.RFUsage {
 		e.int(v)
 	}
-	e.int(a.CBoxUsage)
+	e.int(p.Alloc.CBoxUsage)
 	return e.buf, nil
 }
 
@@ -189,12 +197,10 @@ func (e *encoder) comp(c *arch.Composition) error {
 
 // sizeHint is a generous estimate of the encoded size, most of which is
 // the context images, so encoding into a fresh buffer allocates it once.
-func (a *Artifact) sizeHint() int {
-	n := 512 + 256*len(a.Comp.PEs) + 32*len(a.CBox) + 8*len(a.CCU)
-	for _, s := range a.Streams {
-		if s != nil {
-			n += 16 + 8*len(s.Words)*((s.Width+63)/64)
-		}
+func sizeHint(p *ctxgen.Program) int {
+	n := 512 + 256*len(p.Comp.PEs) + 32*len(p.CBox) + 8*len(p.CCU)
+	for pe, stream := range p.PE {
+		n += 16 + 8*len(stream)*((p.Formats[pe].Width()+63)/64)
 	}
 	return n
 }
@@ -304,42 +310,41 @@ func (d *decoder) strs() []string {
 }
 
 // UnmarshalBinary decodes an artifact from data, which must hold exactly
-// one encoding written by AppendBinary.
+// one encoding written by AppendBinary of a runnable program.
 func (a *Artifact) UnmarshalBinary(data []byte) error {
 	if len(data) < len(artifactMagic) || string(data[:len(artifactMagic)]) != string(artifactMagic) {
 		return fmt.Errorf("pipeline: decode artifact: bad magic")
 	}
 	d := &decoder{data: data[len(artifactMagic):]}
-	out := Artifact{Version: d.int()}
-	if d.err == nil && out.Version != ArtifactVersion {
-		return fmt.Errorf("pipeline: decode artifact: format version %d, want %d", out.Version, ArtifactVersion)
+	version := d.int()
+	if d.err == nil && version != ArtifactVersion {
+		return fmt.Errorf("pipeline: decode artifact: format version %d, want %d", version, ArtifactVersion)
 	}
-	out.Kernel = d.str()
-	out.Comp = d.comp()
-	out.NumCtx = d.int()
+	p := &ctxgen.Program{Kernel: d.str(), Comp: d.comp(), NumCtx: d.int()}
 	if n := d.count(formatFieldCount); n > 0 {
-		out.Formats = make([]ctxgen.PEFormat, n)
-		for i := range out.Formats {
-			for _, v := range formatFields(&out.Formats[i]) {
+		p.Formats = make([]ctxgen.PEFormat, n)
+		for i := range p.Formats {
+			for _, v := range formatFields(&p.Formats[i]) {
 				if *v = d.int(); *v < 0 || *v > maxFieldBits {
 					d.fail("PE %d context format field of %d bits", i, *v)
 				}
 			}
 		}
 	}
+	var images []*ctxgen.Bitstream
 	if n := d.count(16); n > 0 {
-		out.Streams = make([]*ctxgen.Bitstream, n)
-		for i := range out.Streams {
+		images = make([]*ctxgen.Bitstream, n)
+		for i := range images {
 			if d.err != nil {
 				break
 			}
-			out.Streams[i], d.data, d.err = ctxgen.ParseBitstream(d.data)
+			images[i], d.data, d.err = ctxgen.ParseBitstream(d.data)
 		}
 	}
 	if n := d.count(16); n > 0 {
-		out.CBox = make([]ctxgen.CBoxCtx, n)
-		for i := range out.CBox {
-			c := &out.CBox[i]
+		p.CBox = make([]ctxgen.CBoxCtx, n)
+		for i := range p.CBox {
+			c := &p.CBox[i]
 			c.Consume = d.bool()
 			c.StatusPE = d.int()
 			c.Recombine = d.bool()
@@ -359,41 +364,80 @@ func (a *Artifact) UnmarshalBinary(data []byte) error {
 		}
 	}
 	if n := d.count(2); n > 0 {
-		out.CCU = make([]ctxgen.CCUCtx, n)
-		for i := range out.CCU {
-			out.CCU[i] = ctxgen.CCUCtx{Mode: d.int(), Target: d.int()}
+		p.CCU = make([]ctxgen.CCUCtx, n)
+		for i := range p.CCU {
+			p.CCU[i] = ctxgen.CCUCtx{Mode: d.int(), Target: d.int()}
 		}
 	}
-	out.CBoxWidth = d.int()
-	out.CCUWidth = d.int()
+	p.CBoxWidth = d.int()
+	p.CCUWidth = d.int()
 	n := d.count(3)
-	out.Homes = make(map[string]Home, n)
+	p.Homes = make(map[string]ctxgen.Home, n)
 	prev := ""
 	for i := 0; i < n && d.err == nil; i++ {
 		name := d.str()
 		if i > 0 && name <= prev {
 			d.fail("home %q out of order", name)
 		}
-		out.Homes[name] = Home{PE: d.int(), Addr: d.int()}
+		p.Homes[name] = ctxgen.Home{PE: d.int(), Addr: d.int()}
 		prev = name
 	}
-	out.LiveIns = d.strs()
-	out.LiveOuts = d.strs()
-	out.Arrays = d.strs()
+	p.LiveIns = d.strs()
+	p.LiveOuts = d.strs()
+	p.Arrays = d.strs()
+	p.Alloc = &alloc.Result{}
 	if n := d.count(1); n > 0 {
-		out.RFUsage = make([]int, n)
-		for i := range out.RFUsage {
-			out.RFUsage[i] = d.int()
+		p.Alloc.RFUsage = make([]int, n)
+		for i := range p.Alloc.RFUsage {
+			p.Alloc.RFUsage[i] = d.int()
 		}
 	}
-	out.CBoxUsage = d.int()
+	p.Alloc.CBoxUsage = d.int()
 	if d.err == nil && len(d.data) > 0 {
 		d.fail("%d trailing bytes", len(d.data))
+	}
+	if d.err == nil {
+		d.err = unpack(p, images)
 	}
 	if d.err != nil {
 		return fmt.Errorf("pipeline: decode artifact: %w", d.err)
 	}
-	*a = out
+	*a = Artifact{Version: version, Program: p}
+	return nil
+}
+
+// unpack checks that a decoded program fits its composition — a valid
+// composition, one format, image and RF usage per PE, control tables and
+// images of NumCtx contexts, every home on the array — and unpacks the
+// images into p.PE.
+func unpack(p *ctxgen.Program, images []*ctxgen.Bitstream) error {
+	if err := p.Comp.Validate(); err != nil {
+		return err
+	}
+	n := p.Comp.NumPEs()
+	if len(images) != n || len(p.Formats) != n || len(p.Alloc.RFUsage) != n {
+		return fmt.Errorf("%d images, %d formats and %d RF usages for %d PEs",
+			len(images), len(p.Formats), len(p.Alloc.RFUsage), n)
+	}
+	if len(p.CBox) != p.NumCtx || len(p.CCU) != p.NumCtx {
+		return fmt.Errorf("control tables hold %d/%d entries, want %d", len(p.CBox), len(p.CCU), p.NumCtx)
+	}
+	for name, h := range p.Homes {
+		if h.PE < 0 || h.PE >= n {
+			return fmt.Errorf("home of %q on PE %d out of range", name, h.PE)
+		}
+	}
+	p.PE = make([][]ctxgen.PECtx, n)
+	for pe, bs := range images {
+		if len(bs.Words) != p.NumCtx {
+			return fmt.Errorf("PE %d image holds %d contexts, want %d", pe, len(bs.Words), p.NumCtx)
+		}
+		ctxs, err := p.UnpackPE(pe, bs)
+		if err != nil {
+			return err
+		}
+		p.PE[pe] = ctxs
+	}
 	return nil
 }
 

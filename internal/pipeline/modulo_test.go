@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"testing"
 
 	"cgra/internal/arch"
@@ -176,7 +177,7 @@ func TestAutoNeverSlowerThanList(t *testing.T) {
 	for _, w := range workload.All() {
 		t.Run(w.Name, func(t *testing.T) {
 			args, host := w.Args(w.DefaultSize), w.Host(w.DefaultSize)
-			c, rep, err := CompileAuto(w.Kernel, comp, Defaults(), args, host)
+			c, rep, err := CompileAutoCtx(context.Background(), w.Kernel, comp, Defaults(), args, host)
 			if err != nil {
 				t.Fatalf("auto: %v", err)
 			}
@@ -217,7 +218,7 @@ func TestAutoSelectsModulo(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, rep, err := CompileAuto(w.Kernel, comp, Defaults(), w.Args(w.DefaultSize), w.Host(w.DefaultSize))
+			_, rep, err := CompileAutoCtx(context.Background(), w.Kernel, comp, Defaults(), w.Args(w.DefaultSize), w.Host(w.DefaultSize))
 			if err != nil {
 				t.Fatalf("auto: %v", err)
 			}

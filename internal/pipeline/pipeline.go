@@ -32,7 +32,7 @@ type Options struct {
 	// Backend selects the scheduling strategy: "list" (default), "modulo"
 	// (software-pipeline eligible innermost loops, forces UnrollFactor 1 so
 	// counter steps stay +1), or "auto" (compile both, install whichever
-	// verifies faster — only via CompileAuto, which needs representative
+	// verifies faster — only via CompileAutoCtx, which needs representative
 	// inputs). Takes precedence over Sched.Backend when non-empty.
 	Backend string
 	// UnrollFactor partially unrolls innermost loops (0/1 = off).
@@ -60,7 +60,7 @@ func Defaults() Options {
 
 // BackendAuto selects per kernel: both backends compile and run on
 // representative inputs, the faster verified result wins (list on ties and
-// on any modulo failure). Only CompileAuto implements it; a plain Compile
+// on any modulo failure). Only CompileAutoCtx implements it; a plain Compile
 // has no inputs to verify with and rejects it.
 const BackendAuto = "auto"
 
@@ -93,7 +93,7 @@ func resolveBackend(o Options) (Options, error) {
 		return o, err
 	}
 	if name == BackendAuto {
-		return o, fmt.Errorf("pipeline: the auto backend needs representative inputs; use CompileAuto")
+		return o, fmt.Errorf("pipeline: the auto backend needs representative inputs; use CompileAutoCtx")
 	}
 	o.Backend = name
 	o.Sched.Backend = name

@@ -100,37 +100,6 @@ func (t *Table) FullyConnected() bool {
 	return true
 }
 
-// Diameter returns the largest finite pairwise distance.
-func (t *Table) Diameter() int {
-	d := 0
-	for i := 0; i < t.n; i++ {
-		for j := 0; j < t.n; j++ {
-			if t.dist[i][j] < Inf && t.dist[i][j] > d {
-				d = t.dist[i][j]
-			}
-		}
-	}
-	return d
-}
-
-// MeanDistance returns the average finite pairwise distance over distinct
-// pairs; a cheap proxy for how communication-friendly an interconnect is.
-func (t *Table) MeanDistance() float64 {
-	sum, cnt := 0, 0
-	for i := 0; i < t.n; i++ {
-		for j := 0; j < t.n; j++ {
-			if i != j && t.dist[i][j] < Inf {
-				sum += t.dist[i][j]
-				cnt++
-			}
-		}
-	}
-	if cnt == 0 {
-		return 0
-	}
-	return float64(sum) / float64(cnt)
-}
-
 // NearestFrom returns the PE in candidates with the smallest distance from
 // src (ties to the lower index), or -1 when none is reachable.
 func (t *Table) NearestFrom(src int, candidates []int) int {

@@ -30,8 +30,14 @@ func TestMeshDistances(t *testing.T) {
 	if !tab.FullyConnected() {
 		t.Error("mesh should be fully connected")
 	}
-	if d := tab.Diameter(); d != 4 {
-		t.Errorf("3x3 mesh diameter = %d, want 4", d)
+	diameter := 0
+	for a := 0; a < 9; a++ {
+		for b := 0; b < 9; b++ {
+			diameter = max(diameter, tab.Dist(a, b))
+		}
+	}
+	if diameter != 4 {
+		t.Errorf("3x3 mesh diameter = %d, want 4", diameter)
 	}
 }
 
@@ -76,10 +82,21 @@ func TestIrregularDistances(t *testing.T) {
 	if !tb.FullyConnected() || !td.FullyConnected() {
 		t.Fatal("evaluated compositions must be fully connected")
 	}
-	if tb.MeanDistance() <= td.MeanDistance() {
-		t.Errorf("mean distance B (%.2f) should exceed D (%.2f)",
-			tb.MeanDistance(), td.MeanDistance())
+	if mb, md := meanDistance(tb, b.NumPEs()), meanDistance(td, d.NumPEs()); mb <= md {
+		t.Errorf("mean distance B (%.2f) should exceed D (%.2f)", mb, md)
 	}
+}
+
+// meanDistance averages the distance over distinct pairs of a fully
+// connected n-PE table.
+func meanDistance(tab *Table, n int) float64 {
+	sum := 0
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			sum += tab.Dist(a, b)
+		}
+	}
+	return float64(sum) / float64(n*(n-1))
 }
 
 func TestUnreachable(t *testing.T) {

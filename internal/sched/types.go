@@ -323,30 +323,6 @@ type Stats struct {
 	ModuloBacktracks int
 }
 
-// OpsAt returns the operations issued at the given cycle.
-func (s *Schedule) OpsAt(cycle int) []*Op {
-	var out []*Op
-	for _, op := range s.Ops {
-		if op.Cycle == cycle {
-			out = append(out, op)
-		}
-	}
-	return out
-}
-
-// MaxRFUsage returns, per PE, the peak number of simultaneously live RF
-// entries after allocation (the paper's "Max. RF entries" is the maximum
-// over PEs). It is valid only after allocation assigned addresses.
-func (s *Schedule) MaxRFUsage() []int {
-	peak := make([]int, s.Comp.NumPEs())
-	for _, v := range s.Values {
-		if v.Addr >= peak[v.PE] {
-			peak[v.PE] = v.Addr + 1
-		}
-	}
-	return peak
-}
-
 // DefaultMaxCycles is the schedule horizon of Options with MaxCycles 0.
 const DefaultMaxCycles = 100_000
 

@@ -33,7 +33,7 @@ type Counters struct {
 // Probe/Trace consumers.
 func AttachCounters(m *Machine) *Counters {
 	c := &Counters{
-		numPE: m.prog.Sched.Comp.NumPEs(),
+		numPE: m.prog.Comp.NumPEs(),
 		limit: m.MaxCycles,
 		links: map[[2]int]int64{},
 	}

@@ -9,12 +9,10 @@ import (
 	"testing"
 
 	"cgra/internal/arch"
-	"cgra/internal/cdfg"
 	"cgra/internal/ctxgen"
 	"cgra/internal/ir"
 	"cgra/internal/irtext"
 	"cgra/internal/pipeline"
-	"cgra/internal/sched"
 	"cgra/internal/sim"
 )
 
@@ -22,7 +20,7 @@ import (
 // PE pe and halts.
 func oneOpProgram(comp *arch.Composition, pe int, op arch.OpCode) *ctxgen.Program {
 	p := &ctxgen.Program{
-		Sched:  &sched.Schedule{Comp: comp, Graph: &cdfg.Graph{}, Length: 1},
+		Comp:   comp,
 		NumCtx: 1,
 		PE:     make([][]ctxgen.PECtx, comp.NumPEs()),
 		CBox:   make([]ctxgen.CBoxCtx, 1),
@@ -105,14 +103,10 @@ func TestHaltDropsMultiCycleWrites(t *testing.T) {
 	prog := oneOpProgram(comp, mulPE, arch.IMUL)
 	prog.PE[mulPE][0].AMode, prog.PE[mulPE][0].BMode = ctxgen.SrcReg, ctxgen.SrcReg
 	prog.PE[loadPE][0] = ctxgen.PECtx{Op: arch.LOAD, WriteEnable: true}
-	prog.Sched.Graph = &cdfg.Graph{
-		Locals: map[string]*cdfg.Local{
-			"x": {Name: "x", LiveIn: true, LiveOut: true},
-			"y": {Name: "y", LiveIn: true, LiveOut: true},
-		},
-		Arrays: []string{"a"},
-	}
-	prog.Sched.Homes = map[string]*sched.Value{"x": {PE: mulPE}, "y": {PE: loadPE}}
+	prog.LiveIns = []string{"x", "y"}
+	prog.LiveOuts = []string{"x", "y"}
+	prog.Arrays = []string{"a"}
+	prog.Homes = map[string]ctxgen.Home{"x": {PE: mulPE}, "y": {PE: loadPE}}
 
 	args := map[string]int32{"x": 7, "y": -1}
 	host := func() *ir.Host {

@@ -209,19 +209,17 @@ func (d *Decoded) putState(rs *runState) {
 // out-of-range address) is an error, and a machine running the program
 // fails with it.
 func Predecode(prog *ctxgen.Program) (*Decoded, error) {
-	if prog == nil || prog.Sched == nil || prog.Sched.Comp == nil || prog.Sched.Graph == nil {
+	if prog == nil || prog.Comp == nil {
 		return nil, fmt.Errorf("sim: predecode: incomplete program")
 	}
-	s := prog.Sched
-	comp := s.Comp
-	g := s.Graph
+	comp := prog.Comp
 	d := &Decoded{
 		numPE:   comp.NumPEs(),
 		numCtx:  prog.NumCtx,
 		rfOff:   make([]int32, comp.NumPEs()),
 		cbSlots: comp.CBoxSlots,
 		cbox:    append([]ctxgen.CBoxCtx(nil), prog.CBox...),
-		arrays:  append([]string(nil), g.Arrays...),
+		arrays:  append([]string(nil), prog.Arrays...),
 	}
 	off := int32(0)
 	for i, pe := range comp.PEs {
@@ -327,16 +325,16 @@ func Predecode(prog *ctxgen.Program) (*Decoded, error) {
 		}
 	}
 
-	for _, name := range g.LiveIns() {
-		home := s.Homes[name]
-		if home == nil {
+	for _, name := range prog.LiveIns {
+		home, ok := prog.Homes[name]
+		if !ok {
 			return nil, fmt.Errorf("sim: predecode: no home for live-in %q", name)
 		}
 		d.liveIns = append(d.liveIns, decHome{name: name, off: d.homeOff(home.PE, home.Addr)})
 	}
-	for _, name := range g.LiveOuts() {
-		home := s.Homes[name]
-		if home == nil {
+	for _, name := range prog.LiveOuts {
+		home, ok := prog.Homes[name]
+		if !ok {
 			return nil, fmt.Errorf("sim: predecode: no home for live-out %q", name)
 		}
 		d.liveOuts = append(d.liveOuts, decHome{name: name, off: d.homeOff(home.PE, home.Addr)})
@@ -559,7 +557,7 @@ func (d *Decoded) homeOff(pe, addr int) int32 {
 // routed read is checked against the source PE's routing output of the
 // same context, so the walk never needs an outl-valid bit.
 func (d *Decoded) decodeSrc(prog *ctxgen.Program, pe, c int, mode ctxgen.SrcMode, addr, input int) (int8, int32, int32, error) {
-	comp := prog.Sched.Comp
+	comp := prog.Comp
 	switch mode {
 	case ctxgen.SrcReg:
 		if addr < 0 || addr >= comp.PEs[pe].RegfileSize {
@@ -582,12 +580,6 @@ func (d *Decoded) decodeSrc(prog *ctxgen.Program, pe, c int, mode ctxgen.SrcMode
 		return int8(ctxgen.SrcNone), 0, 0, nil
 	}
 }
-
-// NumCtx returns the number of contexts of the decoded program.
-func (d *Decoded) NumCtx() int { return d.numCtx }
-
-// Slots returns the total number of predecoded non-NOP PE slots.
-func (d *Decoded) Slots() int { return len(d.slots) }
 
 // run executes the decoded program with zero allocations per cycle. It is
 // the one scalar walk: h carries the machine's Probe, Trace and fault plan

@@ -28,9 +28,7 @@ type pendingWrite struct {
 
 func (m *Machine) refRun(ctx context.Context, args map[string]int32, host *ir.Host) (*Result, error) {
 	prog := m.prog
-	s := prog.Sched
-	comp := s.Comp
-	g := s.Graph
+	comp := prog.Comp
 	limit := m.MaxCycles
 	if limit == 0 {
 		limit = 500_000_000
@@ -53,14 +51,14 @@ func (m *Machine) refRun(ctx context.Context, args map[string]int32, host *ir.Ho
 
 	// Invocation: transfer live-ins into their home RF slots (2 cycles
 	// per variable via the token network, §IV-A3).
-	liveIns := g.LiveIns()
+	liveIns := prog.LiveIns
 	for _, name := range liveIns {
 		v, ok := args[name]
 		if !ok {
 			return nil, fmt.Errorf("sim: missing live-in %q", name)
 		}
-		home := s.Homes[name]
-		if home == nil {
+		home, ok := prog.Homes[name]
+		if !ok {
 			return nil, fmt.Errorf("sim: no home for live-in %q", name)
 		}
 		rf[home.PE][home.Addr] = v
@@ -175,7 +173,7 @@ func (m *Machine) refRun(ctx context.Context, args map[string]int32, host *ir.Ho
 				statusArrive[pe] = finish
 			case ctx.Op == arch.LOAD:
 				if !squash {
-					arr := g.Arrays[ctx.Array]
+					arr := prog.Arrays[ctx.Array]
 					pending = append(pending, pendingWrite{
 						cycle: finish, pe: pe, addr: ctx.WriteAddr,
 						isDMA: true, dmaLoad: true, array: arr, index: a,
@@ -187,7 +185,7 @@ func (m *Machine) refRun(ctx context.Context, args map[string]int32, host *ir.Ho
 						m.emit(Event{Cycle: cycle, CCNT: ccnt, Kind: EvFault, PE: pe, Value: cv})
 						b = cv
 					}
-					arr := g.Arrays[ctx.Array]
+					arr := prog.Arrays[ctx.Array]
 					pending = append(pending, pendingWrite{
 						cycle: finish, pe: pe,
 						isDMA: true, array: arr, index: a, value: b,
@@ -318,10 +316,10 @@ func (m *Machine) refRun(ctx context.Context, args map[string]int32, host *ir.Ho
 		cycle++
 	}
 done:
-	res.TransferCycles = int64(2 * (len(liveIns) + len(g.LiveOuts())))
-	for _, name := range g.LiveOuts() {
-		home := s.Homes[name]
-		if home == nil {
+	res.TransferCycles = int64(2 * (len(liveIns) + len(prog.LiveOuts)))
+	for _, name := range prog.LiveOuts {
+		home, ok := prog.Homes[name]
+		if !ok {
 			return nil, fmt.Errorf("sim: no home for live-out %q", name)
 		}
 		res.LiveOuts[name] = rf[home.PE][home.Addr]

@@ -58,7 +58,7 @@ func refCorpus(t testing.TB, comps []string, seeds int64) []refCell {
 	modulo.Backend = sched.BackendModulo
 	var cells []refCell
 	add := func(name string, c *pipeline.Compiled, args map[string]int32, host func() *ir.Host) {
-		cells = append(cells, refCell{name: name, prog: c.Program, args: args, host: host, numPhys: c.Program.Sched.Comp.NumPEs()})
+		cells = append(cells, refCell{name: name, prog: c.Program, args: args, host: host, numPhys: c.Program.Comp.NumPEs()})
 	}
 	for _, cn := range comps {
 		comp, err := arch.ByName(cn)
@@ -135,9 +135,9 @@ func refPlans(c refCell, seed int64) []*fault.Plan {
 			switch {
 			case src >= 0 || ctx.Op == arch.NOP:
 			case ctx.AMode == ctxgen.SrcRoute:
-				src, dst = c.prog.Sched.Comp.PEs[pe].Inputs[ctx.AInput], pe
+				src, dst = c.prog.Comp.PEs[pe].Inputs[ctx.AInput], pe
 			case ctx.BMode == ctxgen.SrcRoute:
-				src, dst = c.prog.Sched.Comp.PEs[pe].Inputs[ctx.BInput], pe
+				src, dst = c.prog.Comp.PEs[pe].Inputs[ctx.BInput], pe
 			}
 		}
 		if issued > most {
@@ -145,8 +145,8 @@ func refPlans(c refCell, seed int64) []*fault.Plan {
 		}
 	}
 	home := busiest
-	if outs := c.prog.Sched.Graph.LiveOuts(); len(outs) > 0 {
-		home = c.prog.Sched.Homes[outs[0]].PE
+	if outs := c.prog.LiveOuts; len(outs) > 0 {
+		home = c.prog.Homes[outs[0]].PE
 	}
 	plan := func(f ...fault.Fault) *fault.Plan { return &fault.Plan{Seed: seed, Window: 48, Faults: f} }
 	plans := []*fault.Plan{

@@ -23,10 +23,8 @@ import (
 
 // Virtex-7 XC7VX690T resource totals.
 const (
-	DeviceLUTs   = 433200
-	DeviceLUTRAM = 174200
-	DeviceDSPs   = 3600
-	DeviceBRAMs  = 1470
+	DeviceDSPs  = 3600
+	DeviceBRAMs = 1470
 )
 
 // Report is the estimated synthesis result for one composition.

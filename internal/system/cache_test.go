@@ -1,14 +1,20 @@
 package system
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 
 	"cgra/internal/arch"
 	"cgra/internal/cache"
+	"cgra/internal/ctxgen"
+	"cgra/internal/fault"
 	"cgra/internal/irtext"
 	"cgra/internal/pipeline"
+	"cgra/internal/sim"
 	"cgra/internal/workload"
 )
 
@@ -253,4 +259,156 @@ func TestCacheKeyIndependentOfLibrary(t *testing.T) {
 	if one, many := allocs(1), allocs(64); one != many {
 		t.Errorf("cacheKey(fir) allocates %v times with 1 kernel registered, %v with 64", one, many)
 	}
+}
+
+// TestSharedProgramNeverWritten: the installed kernel, the cache's memory
+// front and every kernel realized from it hold one ctxgen.Program, so no
+// run may write it. The kernel runs concurrently plain, with counters
+// attached, through the system under a transient fault plan that goes
+// through recovery, and realized from its memory-front artifact; the
+// artifact's encoding and a deep copy of the Program taken beforehand
+// must both still match afterwards.
+func TestSharedProgramNeverWritten(t *testing.T) {
+	comp, err := arch.ByName("9 PEs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := cache.New(cache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(comp, pipeline.Defaults(), 1)
+	s.Cache = store
+	if err := s.Register(mustParse(t, dotSrc)); err != nil {
+		t.Fatal(err)
+	}
+	info, err := s.SynthesizeCtx(context.Background(), "dot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	installed := s.state.Load().compiled["dot"].c
+	art, src, ok := store.Get(info.Key)
+	if !ok || src != cache.SourceMemory {
+		t.Fatalf("cache lookup: ok=%t source %q, want a memory hit", ok, src)
+	}
+	if art.Program != installed.Program {
+		t.Fatal("the memory front holds a copy of the installed program, not the program itself")
+	}
+	realized, err := art.Realize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	encoded, err := art.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := deepCopy(reflect.ValueOf(art.Program)).Interface().(*ctxgen.Program)
+
+	// The fault lands on the PE that issues the most operations.
+	busiest, most := 0, -1
+	for pe, stream := range installed.Program.PE {
+		n := 0
+		for _, ctx := range stream {
+			if ctx.Op != arch.NOP {
+				n++
+			}
+		}
+		if n > most {
+			busiest, most = pe, n
+		}
+	}
+	if err := s.InjectFaults(fault.Plan{Seed: 5, Window: 32, Faults: []fault.Fault{{Kind: fault.TransientBit, PE: busiest}}}); err != nil {
+		t.Fatal(err)
+	}
+	args := map[string]int32{"n": 8, "s": 0}
+	const want = 1*8 + 2*7 + 3*6 + 4*5 + 5*4 + 6*3 + 7*2 + 8*1
+	check := func(walk string, outs map[string]int32, err error) {
+		if err != nil {
+			t.Errorf("%s: %v", walk, err)
+		} else if outs["s"] != want {
+			t.Errorf("%s: s = %d, want %d", walk, outs["s"], want)
+		}
+	}
+	liveOuts := func(res *sim.Result, err error) (map[string]int32, error) {
+		if err != nil {
+			return nil, err
+		}
+		return res.LiveOuts, nil
+	}
+	runs := map[string]func() (map[string]int32, error){
+		"plain": func() (map[string]int32, error) { return liveOuts(installed.Run(args, dotHost())) },
+		"counters": func() (map[string]int32, error) {
+			m := installed.Machine()
+			sim.AttachCounters(m)
+			return liveOuts(m.Run(args, dotHost()))
+		},
+		"faulted": func() (map[string]int32, error) {
+			res, err := s.Invoke("dot", args, dotHost())
+			if err != nil {
+				return nil, err
+			}
+			return res.LiveOuts, nil
+		},
+		"realized": func() (map[string]int32, error) { return liveOuts(realized.Run(args, dotHost())) },
+	}
+	var wg sync.WaitGroup
+	for walk, run := range runs {
+		for range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range 8 {
+					outs, err := run()
+					check(walk, outs, err)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	if st := s.Stats(); st.FaultsDetected == 0 || st.Retries == 0 {
+		t.Errorf("the fault plan never went through recovery: %d faults detected, %d retries", st.FaultsDetected, st.Retries)
+	}
+
+	after, err := art.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, encoded) {
+		t.Error("the shared program encodes differently after the runs")
+	}
+	if !reflect.DeepEqual(before, art.Program) {
+		t.Error("the shared program changed during the runs")
+	}
+}
+
+// deepCopy copies v and everything it points to.
+func deepCopy(v reflect.Value) reflect.Value {
+	out := reflect.New(v.Type()).Elem()
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			out.Set(deepCopy(v.Elem()).Addr())
+		}
+	case reflect.Struct:
+		for i := range v.NumField() {
+			out.Field(i).Set(deepCopy(v.Field(i)))
+		}
+	case reflect.Slice:
+		if !v.IsNil() {
+			out.Set(reflect.MakeSlice(v.Type(), v.Len(), v.Len()))
+			for i := range v.Len() {
+				out.Index(i).Set(deepCopy(v.Index(i)))
+			}
+		}
+	case reflect.Map:
+		if !v.IsNil() {
+			out.Set(reflect.MakeMapWithSize(v.Type(), v.Len()))
+			for it := v.MapRange(); it.Next(); {
+				out.SetMapIndex(it.Key(), deepCopy(it.Value()))
+			}
+		}
+	default:
+		out.Set(v)
+	}
+	return out
 }

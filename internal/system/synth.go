@@ -251,9 +251,12 @@ func (s *System) compileKernel(ctx context.Context, st *sysState, name string) (
 			if c, rerr := art.Realize(); rerr == nil {
 				return &entry{c: c, ref: flat, key: key, cacheSrc: src, phys: st.phys}, nil
 			}
-			// A stored artifact that no longer realizes (version skew across
-			// a binary upgrade) falls through to a fresh compile, which
-			// overwrites the entry.
+			// A stored entry skewed by a binary upgrade (another version,
+			// tables that do not fit its composition) never gets here: the
+			// cache refuses it at decode, quarantines it and reports a miss,
+			// so it is recompiled below. Realize itself refuses only an
+			// artifact of another version or without a program; that, too,
+			// falls through to a fresh compile, which overwrites the entry.
 		}
 	}
 	if hook := s.CompileHook; hook != nil {
