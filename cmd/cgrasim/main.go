@@ -196,14 +196,6 @@ func main() {
 		explainLog.Export(reg)
 	}
 	metricsWanted := *metricsPath != "" || *serveAddr != ""
-	if *verify && *vcdPath == "" && *maxCycles == 0 && !metricsWanted && tr == nil {
-		res, err := pipeline.CheckAgainstInterpreter(k, c, scalars, host)
-		if err != nil {
-			fatal(fmt.Errorf("differential check failed: %v", err))
-		}
-		report(c.UsedContexts(), res.Sim.RunCycles, res.Sim.TransferCycles, res.Sim.Energy, res.Sim.LiveOuts, host)
-		return
-	}
 	var ref *drill.Case
 	if *verify {
 		if ref, err = drill.NewCase(k, scalars, host); err != nil {

@@ -1,10 +1,10 @@
 // Package cache is a persistent, content-addressed store for compiled CGRA
 // artifacts. The key is the stable digest of (canonical kernel IR,
 // composition structure, pipeline options) computed by pipeline.Key; the
-// value is a pipeline.Artifact — the versioned ctxgen.Program of one
-// compile: contexts, C-Box/branch tables and allocation metadata — stored
-// on disk in the artifact's fixed binary layout (context images packed)
-// behind a checksummed frame.
+// value is a pipeline.Artifact — the ctxgen.Program of one compile:
+// contexts, C-Box/branch tables and allocation metadata — stored on disk
+// in the artifact's fixed binary layout (pipeline.ArtifactVersion, context
+// images packed, formats derived at decode) behind a checksummed frame.
 //
 // The store is two-tiered. An in-memory LRU front holds artifacts for hot
 // kernels; it shares their programs with the compiles that put them and

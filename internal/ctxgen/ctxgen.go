@@ -130,7 +130,9 @@ type Program struct {
 	Comp *arch.Composition
 	// NumCtx is the number of contexts (Table I's "used contexts").
 	NumCtx int
-	// Formats gives each PE's minimized context layout.
+	// Formats gives each PE's minimized context layout. It and the
+	// control-word widths below are derived from Comp, Alloc, Arrays and
+	// NumCtx (computeFormats), so only the images they size are stored.
 	Formats []PEFormat
 	// PE[pe][cycle] is the decoded context stream.
 	PE [][]PECtx
@@ -329,6 +331,8 @@ func (p *Program) encodeSrc(op *sched.Op, src sched.Src, mode *SrcMode, addr, in
 // computeFormats derives the minimized per-PE context layouts: address
 // fields sized by actual RF usage, input selectors by neighbour count,
 // immediate and DMA fields only where the PE uses them (§IV-B bit-masks).
+// Generate and ReadImages both call it, so a decoded program has the
+// layouts its images were packed with.
 func (p *Program) computeFormats() {
 	comp, res := p.Comp, p.Alloc
 	p.Formats = make([]PEFormat, comp.NumPEs())

@@ -222,14 +222,14 @@ func TestGenerateHaltIsSelfJump(t *testing.T) {
 func TestPackUnpackRoundTrip(t *testing.T) {
 	p := generate(t, loopSrc, mesh(t, 4))
 	for pe := 0; pe < 4; pe++ {
-		bs, err := p.PackPE(pe)
+		words, err := p.packPE(pe)
 		if err != nil {
 			t.Fatalf("pack PE %d: %v", pe, err)
 		}
-		if len(bs.Words) != p.NumCtx {
-			t.Fatalf("PE %d: %d words, want %d", pe, len(bs.Words), p.NumCtx)
+		if want := p.NumCtx * p.chunksPerWord(pe); len(words) != want {
+			t.Fatalf("PE %d: %d chunks, want %d", pe, len(words), want)
 		}
-		back, err := p.UnpackPE(pe, bs)
+		back, err := p.unpackPE(pe, words)
 		if err != nil {
 			t.Fatalf("unpack PE %d: %v", pe, err)
 		}
@@ -252,9 +252,6 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 			if got.OutlEnable && got.OutlAddr != want.OutlAddr {
 				t.Errorf("PE %d ctx %d: outl addr differs", pe, cyc)
 			}
-		}
-		if bs.Width != p.Formats[pe].Width() {
-			t.Errorf("PE %d: %d-bit words, format says %d", pe, bs.Width, p.Formats[pe].Width())
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package ctxgen
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -12,13 +13,12 @@ import (
 // writes into the context memories (Fig. 10 shows them as raw bits).
 // Packing and unpacking round-trip, which the tests use to prove the
 // minimized widths are sufficient.
-
-// Bitstream is one context memory's image: one word per context, each
-// Width bits wide, stored in little chunks of 64 bits.
-type Bitstream struct {
-	Width int
-	Words [][]uint64
-}
+//
+// A PE's image is its context memory: NumCtx words of Formats[pe].Width()
+// bits, each stored LSB-first in ceil(width/64) 64-bit chunks. The images
+// carry no header of their own: the formats that size them are derived
+// from the rest of the Program (computeFormats), so AppendImages writes
+// the chunks alone and ReadImages re-derives the formats before reading.
 
 // packer assembles one word LSB-first into bits, which holds the word's
 // chunks (zeroed) up front.
@@ -28,7 +28,7 @@ type packer struct {
 }
 
 // put appends the low width bits of value (bits past the 64th are zero).
-// Bits past the end of the word are dropped; PackPE then reports the width
+// Bits past the end of the word are dropped; packPE then reports the width
 // mismatch.
 func (p *packer) put(value uint64, width int) {
 	if width > 0 && p.width >= 0 {
@@ -106,17 +106,20 @@ func opIndex(table []arch.OpCode, op arch.OpCode) (uint64, error) {
 	return 0, fmt.Errorf("ctxgen: op %v not in PE's table", op)
 }
 
-// PackPE encodes one PE's context stream with its minimized format: one
-// word per context the stream holds.
-func (p *Program) PackPE(pe int) (*Bitstream, error) {
+// chunksPerWord is the number of 64-bit chunks backing one word of PE
+// pe's context memory.
+func (p *Program) chunksPerWord(pe int) int { return (p.Formats[pe].Width() + 63) / 64 }
+
+// packPE encodes one PE's context stream with its minimized format: the
+// words of its contexts, one after another.
+func (p *Program) packPE(pe int) ([]uint64, error) {
 	f := p.Formats[pe]
 	table := p.opTable(pe)
 	stream := p.PE[pe]
-	bs := &Bitstream{Width: f.Width(), Words: make([][]uint64, len(stream))}
-	chunks := bs.chunksPerWord()
-	all := make([]uint64, len(stream)*chunks)
+	chunks := p.chunksPerWord(pe)
+	words := make([]uint64, len(stream)*chunks)
 	for cycle, ctx := range stream {
-		pk := &packer{bits: all[cycle*chunks : (cycle+1)*chunks : (cycle+1)*chunks]}
+		pk := &packer{bits: words[cycle*chunks : (cycle+1)*chunks : (cycle+1)*chunks]}
 		opIdx, err := opIndex(table, ctx.Op)
 		if err != nil {
 			return nil, err
@@ -135,29 +138,26 @@ func (p *Program) PackPE(pe int) (*Bitstream, error) {
 		pk.put(uint64(ctx.Array), f.ArrayBits)
 		pk.putBool(ctx.OutlEnable)
 		pk.put(uint64(ctx.OutlAddr), f.OutlBits-1)
-		if pk.width != bs.Width {
+		if pk.width != f.Width() {
 			return nil, fmt.Errorf("ctxgen: PE %d cycle %d packed %d bits, format says %d",
-				pe, cycle, pk.width, bs.Width)
+				pe, cycle, pk.width, f.Width())
 		}
-		bs.Words[cycle] = pk.bits
 	}
-	return bs, nil
+	return words, nil
 }
 
-// UnpackPE decodes a packed stream back into contexts (for verification).
-func (p *Program) UnpackPE(pe int, bs *Bitstream) ([]PECtx, error) {
+// unpackPE decodes words packed by packPE back into contexts.
+func (p *Program) unpackPE(pe int, words []uint64) ([]PECtx, error) {
 	f := p.Formats[pe]
-	if bs.Width != f.Width() {
-		return nil, fmt.Errorf("ctxgen: width mismatch %d vs %d", bs.Width, f.Width())
-	}
 	table := p.opTable(pe)
-	out := make([]PECtx, len(bs.Words))
-	for i, w := range bs.Words {
-		u := &unpacker{bits: w}
-		var c PECtx
+	chunks := p.chunksPerWord(pe)
+	out := make([]PECtx, len(words)/chunks)
+	for i := range out {
+		u := &unpacker{bits: words[i*chunks : (i+1)*chunks]}
+		c := &out[i]
 		idx := u.get(f.OpBits)
-		if int(idx) >= len(table) {
-			return nil, fmt.Errorf("ctxgen: op index %d outside PE's table", idx)
+		if idx >= uint64(len(table)) {
+			return nil, fmt.Errorf("ctxgen: PE %d context %d: op index %d outside PE's table", pe, i, idx)
 		}
 		c.Op = table[idx]
 		c.AMode = SrcMode(u.get(f.AModeBits))
@@ -173,7 +173,58 @@ func (p *Program) UnpackPE(pe int, bs *Bitstream) ([]PECtx, error) {
 		c.Array = int(u.get(f.ArrayBits))
 		c.OutlEnable = u.getBool()
 		c.OutlAddr = int(u.get(f.OutlBits - 1))
-		out[i] = c
 	}
 	return out, nil
+}
+
+// AppendImages packs each PE's context stream with its minimized format
+// and appends the words to dst as 64-bit little-endian chunks, PE by PE.
+func (p *Program) AppendImages(dst []byte) ([]byte, error) {
+	for pe := range p.PE {
+		words, err := p.packPE(pe)
+		if err != nil {
+			return dst, err
+		}
+		for _, c := range words {
+			dst = binary.LittleEndian.AppendUint64(dst, c)
+		}
+	}
+	return dst, nil
+}
+
+// ReadImages is AppendImages' inverse for a Program whose composition,
+// allocation, array table and context count are set: it derives the
+// formats (and control widths) from them as Generate does, reads one image
+// of NumCtx words per PE of the composition from the front of data into
+// p.PE and returns the bytes after the images. The composition must be
+// valid; a context count or an allocation that does not fit it, or an
+// image that is short or holds an op the PE lacks, is an error.
+func (p *Program) ReadImages(data []byte) ([]byte, error) {
+	n := p.Comp.NumPEs()
+	if p.Alloc == nil || len(p.Alloc.RFUsage) != n {
+		return nil, fmt.Errorf("ctxgen: allocation does not hold one RF usage per PE of %d", n)
+	}
+	p.computeFormats()
+	chunks := 0
+	for pe := range n {
+		chunks += p.chunksPerWord(pe)
+	}
+	if p.NumCtx < 0 || chunks == 0 || p.NumCtx > len(data)/8/chunks {
+		return nil, fmt.Errorf("ctxgen: %d contexts of %d chunks each exceed the %d bytes left",
+			p.NumCtx, chunks, len(data))
+	}
+	all := make([]uint64, p.NumCtx*chunks)
+	for i := range all {
+		all[i] = binary.LittleEndian.Uint64(data[8*i:])
+	}
+	p.PE = make([][]PECtx, n)
+	for pe := range p.PE {
+		size := p.NumCtx * p.chunksPerWord(pe)
+		ctxs, err := p.unpackPE(pe, all[:size])
+		if err != nil {
+			return nil, err
+		}
+		p.PE[pe], all = ctxs, all[size:]
+	}
+	return data[8*p.NumCtx*chunks:], nil
 }

@@ -2,16 +2,16 @@ package pipeline
 
 // Artifact is the serializable form of a compiled kernel: its
 // ctxgen.Program — the per-PE contexts, the C-Box and CCU (branch) tables,
-// the live-in/live-out homes and the allocation metadata — under the
-// ArtifactVersion it was built with, and none of the compiler's
-// intermediate structures (CDFG, schedule, span tree). It is what the
-// paper's tool flow would flash into the context memories, plus the
-// host-interface tables.
+// the live-in/live-out homes and the allocation metadata — and none of the
+// compiler's intermediate structures (CDFG, schedule, span tree). It is
+// what the paper's tool flow would flash into the context memories, plus
+// the host-interface tables.
 //
 // Artifacts are the value type of the compiled-kernel cache
 // (internal/cache). Compiled.Artifact() wraps the compiled Program without
-// copying it; the codec (codec.go) packs the context images at encode time
-// and checks and unpacks them at decode time; Artifact.Realize() returns a
+// copying it; the codec (codec.go) writes it under ArtifactVersion, packing
+// the context images, and at decode time checks the program, derives its
+// context formats and unpacks the images; Artifact.Realize() returns a
 // runnable *Compiled around the same Program, which executes (Run/RunCtx)
 // and reports sizes (UsedContexts, MaxRFEntries) but carries no Kernel,
 // Graph, Schedule or Trace.
@@ -29,15 +29,14 @@ import (
 	"cgra/internal/sched"
 )
 
-// ArtifactVersion is the version of the Artifact type and of its binary
-// layout (codec.go). It participates in the cache key, so a layout change
-// silently invalidates old cache entries instead of misdecoding them.
-const ArtifactVersion = 3
+// ArtifactVersion is the version of the artifact's binary layout
+// (codec.go). It exists only on the wire and in the cache key, so a layout
+// change silently invalidates old cache entries instead of misdecoding
+// them; an Artifact in memory is always current.
+const ArtifactVersion = 4
 
 // Artifact is a self-contained, serializable compiled kernel.
 type Artifact struct {
-	// Version is the ArtifactVersion the artifact was built with.
-	Version int
 	// Program is the kernel's configuration. It embeds its composition in
 	// full, so a realized artifact is executable with no library lookup
 	// (degraded and explored compositions have no library name). It is
@@ -47,16 +46,13 @@ type Artifact struct {
 
 // Artifact wraps the compiled program as a serializable artifact.
 func (c *Compiled) Artifact() (*Artifact, error) {
-	return &Artifact{Version: ArtifactVersion, Program: c.Program}, nil
+	return &Artifact{Program: c.Program}, nil
 }
 
 // Realize returns a runnable Compiled around the artifact's program, with
 // its engine predecoded. The returned Compiled has no post-optimization
 // Kernel, Graph, Schedule or compile Trace.
 func (a *Artifact) Realize() (*Compiled, error) {
-	if a.Version != ArtifactVersion {
-		return nil, fmt.Errorf("pipeline: artifact version %d, want %d", a.Version, ArtifactVersion)
-	}
 	if a.Program == nil {
 		return nil, fmt.Errorf("pipeline: artifact holds no program")
 	}
@@ -109,7 +105,7 @@ func Key(k *ir.Kernel, comp *arch.Composition, o Options) string {
 // Digest: a long-lived target is digested once, not on every request.
 func KeyDigest(k *ir.Kernel, compDigest string, o Options) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "cgra-artifact v%d ctxgen v%d\n", ArtifactVersion, ctxgen.BitstreamVersion)
+	fmt.Fprintf(h, "cgra-artifact v%d\n", ArtifactVersion)
 	fmt.Fprintf(h, "kernel %s\n", k.Digest())
 	fmt.Fprintf(h, "comp %s\n", compDigest)
 	// Options resolveBackend rejects (auto, an unknown backend) compile

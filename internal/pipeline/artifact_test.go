@@ -8,6 +8,7 @@ import (
 	"maps"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cgra/internal/arch"
@@ -63,28 +64,25 @@ func TestArtifactRoundTrip(t *testing.T) {
 			}
 			// Every field must survive, including one the codec does not
 			// know yet: a field added to Artifact, Program or anything they
-			// hold fails here until codec.go writes it. The contexts are
-			// compared as packed images: a field of a disabled path (the
-			// value's address encodeSrc leaves in a routed operand's AAddr)
-			// does not survive packing.
+			// hold fails here until codec.go writes or derives it (the
+			// formats and control widths are derived at decode, and must
+			// equal the compiled ones). The contexts are compared as packed
+			// images: a field of a disabled path (the value's address
+			// encodeSrc leaves in a routed operand's AAddr) does not survive
+			// packing.
 			if d := firstDiff("Artifact", reflect.ValueOf(withoutContexts(art)), reflect.ValueOf(withoutContexts(dec))); d != "" {
 				t.Fatalf("%s: decoded artifact differs from the encoded one at %s", name, d)
 			}
-			if len(dec.Program.PE) != len(art.Program.PE) {
-				t.Fatalf("%s: decoded %d PE streams, encoded %d", name, len(dec.Program.PE), len(art.Program.PE))
+			want, err := art.Program.AppendImages(nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for pe := range art.Program.PE {
-				want, err := art.Program.PackPE(pe)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := dec.Program.PackPE(pe)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !got.Equal(want) {
-					t.Fatalf("%s: PE %d packs to another image after the round trip", name, pe)
-				}
+			got, err := dec.Program.AppendImages(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(dec.Program.PE) != len(art.Program.PE) || !bytes.Equal(got, want) {
+				t.Fatalf("%s: the %d PE streams pack to other images after the round trip", name, len(art.Program.PE))
 			}
 			rc, err := dec.Realize()
 			if err != nil {
@@ -245,14 +243,32 @@ func TestArtifactGolden(t *testing.T) {
 }
 
 // TestDecodeArtifactRejectsCorruption: every truncation, a trailing byte,
-// a bad magic, another version and a count the input cannot back are
+// a bad magic, another version, a count the input cannot back and a
+// program whose images or allocation do not fit its composition are
 // errors.
 func TestDecodeArtifactRejectsCorruption(t *testing.T) {
 	comp, err := arch.ByName("9 PEs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := encodedArtifact(t, workload.GCD().Kernel, comp)
+	c, err := Compile(workload.GCD().Kernel, comp, Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// encoded returns the encoding of the compiled program after mutate
+	// damages a copy of it.
+	encoded := func(mutate func(p *ctxgen.Program)) []byte {
+		p := *c.Program
+		alloc := *p.Alloc
+		p.Alloc = &alloc
+		mutate(&p)
+		data, err := (&Artifact{Program: &p}).AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	good := encoded(func(*ctxgen.Program) {})
 	decode := func(data []byte) error { return new(Artifact).UnmarshalBinary(data) }
 	if err := decode(good); err != nil {
 		t.Fatal(err)
@@ -271,6 +287,17 @@ func TestDecodeArtifactRejectsCorruption(t *testing.T) {
 		"bad magic":     append([]byte("XXXX"), good[len(artifactMagic):]...),
 		"other version": append(header(ArtifactVersion+1), body...),
 		"huge count":    binary.AppendUvarint(header(ArtifactVersion), 1<<40),
+		// The control tables back NumCtx, but the images hold one context.
+		"contexts beyond the images": encoded(func(p *ctxgen.Program) {
+			p.PE = slices.Clone(p.PE)
+			for pe := range p.PE {
+				p.PE[pe] = p.PE[pe][:1]
+			}
+		}),
+		"image count": encoded(func(p *ctxgen.Program) { p.PE = p.PE[:len(p.PE)-1] }),
+		"RF-usage count": encoded(func(p *ctxgen.Program) {
+			p.Alloc.RFUsage = p.Alloc.RFUsage[:len(p.Alloc.RFUsage)-1]
+		}),
 	} {
 		if decode(data) == nil {
 			t.Errorf("%s: decode accepted corrupt input", name)
@@ -316,9 +343,10 @@ func FuzzDecodeArtifact(f *testing.F) {
 
 // TestArtifactRealizeRejectsSkew: an artifact that is not a runnable
 // program of this build is refused on its way from a cache to a realized
-// kernel — by Realize for another version, by the encoder when there is
-// nothing to encode, and by the decoder when the tables do not fit the
-// composition.
+// kernel — by the encoder when there is nothing to encode, and by the
+// decoder when the tables do not fit the composition. (An encoding of
+// another ArtifactVersion is refused by the decoder too; see
+// TestDecodeArtifactRejectsCorruption.)
 func TestArtifactRealizeRejectsSkew(t *testing.T) {
 	comp, err := arch.ByName("9 PEs")
 	if err != nil {
@@ -355,7 +383,6 @@ func TestArtifactRealizeRejectsSkew(t *testing.T) {
 		mutate    func(*Artifact)
 		refusedBy string
 	}{
-		"future version":   {func(a *Artifact) { a.Version = ArtifactVersion + 1 }, "realize"},
 		"nil composition":  {func(a *Artifact) { a.Program.Comp = nil }, "encode"},
 		"missing PE image": {func(a *Artifact) { a.Program.PE = a.Program.PE[:len(a.Program.PE)-1] }, "decode"},
 		"table mismatch":   {func(a *Artifact) { a.Program.CBox = a.Program.CBox[:0] }, "decode"},
@@ -367,13 +394,13 @@ func TestArtifactRealizeRejectsSkew(t *testing.T) {
 		// Damage a copy: the compiled program is shared and must stay
 		// intact for the next case.
 		p := *c.Program
-		a := &Artifact{Version: ArtifactVersion, Program: &p}
+		a := &Artifact{Program: &p}
 		tc.mutate(a)
 		if got := refusal(a); got != tc.refusedBy {
 			t.Errorf("%s: refused by %q, want %q", name, got, tc.refusedBy)
 		}
 	}
-	if got := refusal(&Artifact{Version: ArtifactVersion, Program: c.Program}); got != "" {
+	if got := refusal(&Artifact{Program: c.Program}); got != "" {
 		t.Errorf("the undamaged artifact is refused by %s", got)
 	}
 }

@@ -7,9 +7,10 @@ package pipeline
 // layout change bumps ArtifactVersion (which also re-keys the cache) and
 // regenerates the golden file in the same diff.
 //
-// Layout: the magic "CGAR", the Artifact's Version, then its Program's
-// fields in declaration order (Kernel through Alloc's RFUsage and
-// CBoxUsage), each written as
+// Layout: the magic "CGAR", ArtifactVersion, then the Program's fields in
+// declaration order (Kernel through Alloc's RFUsage and CBoxUsage) except
+// the ones ctxgen derives (Formats, CBoxWidth, CCUWidth) and the context
+// streams, which come last. Each field is written as
 //
 //	int            zigzag varint (binary.AppendVarint)
 //	bool           one byte, 0 or 1
@@ -19,11 +20,13 @@ package pipeline
 //	               values such as 1.0 or 2.5 take two or three bytes
 //	struct         its fields in declaration order
 //
-// with three fixed forms: a PE's Ops are written in ascending opcode order
-// (opcode, Energy, Duration), Homes in ascending name order (name, PE,
-// Addr), and each PE's context stream as its image — packed with the PE's
-// minimized format at encode time — in ctxgen's pinned bitstream layout.
-// Nothing may follow the last field (CBoxUsage).
+// with two fixed forms: a PE's Ops are written in ascending opcode order
+// (opcode, Energy, Duration) and Homes in ascending name order (name, PE,
+// Addr). Last come the number of PE context streams and their images:
+// NumCtx words per PE, packed with the PE's minimized format and written
+// by ctxgen.Program.AppendImages. The decoder derives the formats from the
+// fields before them (ctxgen.Program.ReadImages), so they are not stored.
+// Nothing may follow the images.
 //
 // The decoder treats its input as hostile — a cache directory is outside
 // the program, and anything may have written it: every count is bounded by
@@ -48,11 +51,6 @@ import (
 )
 
 var artifactMagic = []byte("CGAR")
-
-// maxFieldBits bounds every field of a decoded context format: a field is
-// packed from one uint64, so a wider one is corrupt (and would make
-// unpacking a context word cost as much as the field claims).
-const maxFieldBits = 64
 
 type encoder struct{ buf []byte }
 
@@ -93,28 +91,12 @@ func (a *Artifact) AppendBinary(dst []byte) ([]byte, error) {
 	}
 	e := &encoder{buf: slices.Grow(dst, sizeHint(p))}
 	e.buf = append(e.buf, artifactMagic...)
-	e.int(a.Version)
+	e.int(ArtifactVersion)
 	e.str(p.Kernel)
 	if err := e.comp(p.Comp); err != nil {
 		return dst, fmt.Errorf("pipeline: artifact %q: %v", p.Kernel, err)
 	}
 	e.int(p.NumCtx)
-	e.count(len(p.Formats))
-	for _, f := range p.Formats {
-		for _, v := range formatFields(&f) {
-			e.int(*v)
-		}
-	}
-	e.count(len(p.PE))
-	for pe := range p.PE {
-		bs, err := p.PackPE(pe)
-		if err == nil {
-			e.buf, err = bs.AppendBinary(e.buf)
-		}
-		if err != nil {
-			return dst, fmt.Errorf("pipeline: artifact %q: PE %d: %v", p.Kernel, pe, err)
-		}
-	}
 	e.count(len(p.CBox))
 	for _, c := range p.CBox {
 		e.bool(c.Consume)
@@ -139,8 +121,6 @@ func (a *Artifact) AppendBinary(dst []byte) ([]byte, error) {
 		e.int(c.Mode)
 		e.int(c.Target)
 	}
-	e.int(p.CBoxWidth)
-	e.int(p.CCUWidth)
 	names := make([]string, 0, len(p.Homes))
 	for name := range p.Homes {
 		names = append(names, name)
@@ -160,7 +140,12 @@ func (a *Artifact) AppendBinary(dst []byte) ([]byte, error) {
 		e.int(v)
 	}
 	e.int(p.Alloc.CBoxUsage)
-	return e.buf, nil
+	e.count(len(p.PE))
+	buf, err := p.AppendImages(e.buf)
+	if err != nil {
+		return dst, fmt.Errorf("pipeline: artifact %q: %v", p.Kernel, err)
+	}
+	return buf, nil
 }
 
 func (e *encoder) comp(c *arch.Composition) error {
@@ -200,19 +185,9 @@ func (e *encoder) comp(c *arch.Composition) error {
 func sizeHint(p *ctxgen.Program) int {
 	n := 512 + 256*len(p.Comp.PEs) + 32*len(p.CBox) + 8*len(p.CCU)
 	for pe, stream := range p.PE {
-		n += 16 + 8*len(stream)*((p.Formats[pe].Width()+63)/64)
+		n += 8 * len(stream) * ((p.Formats[pe].Width() + 63) / 64)
 	}
 	return n
-}
-
-// formatFieldCount is the number of fields of a context format.
-const formatFieldCount = 12
-
-// formatFields lists a context format's fields in declaration order.
-func formatFields(f *ctxgen.PEFormat) [formatFieldCount]*int {
-	return [formatFieldCount]*int{&f.OpBits, &f.AModeBits, &f.AAddrBits, &f.AInputBits,
-		&f.BModeBits, &f.BAddrBits, &f.BInputBits, &f.WriteBits, &f.PredBits,
-		&f.ImmBits, &f.ArrayBits, &f.OutlBits}
 }
 
 // decoder reads the layout back. The first error sticks: every later read
@@ -321,26 +296,6 @@ func (a *Artifact) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("pipeline: decode artifact: format version %d, want %d", version, ArtifactVersion)
 	}
 	p := &ctxgen.Program{Kernel: d.str(), Comp: d.comp(), NumCtx: d.int()}
-	if n := d.count(formatFieldCount); n > 0 {
-		p.Formats = make([]ctxgen.PEFormat, n)
-		for i := range p.Formats {
-			for _, v := range formatFields(&p.Formats[i]) {
-				if *v = d.int(); *v < 0 || *v > maxFieldBits {
-					d.fail("PE %d context format field of %d bits", i, *v)
-				}
-			}
-		}
-	}
-	var images []*ctxgen.Bitstream
-	if n := d.count(16); n > 0 {
-		images = make([]*ctxgen.Bitstream, n)
-		for i := range images {
-			if d.err != nil {
-				break
-			}
-			images[i], d.data, d.err = ctxgen.ParseBitstream(d.data)
-		}
-	}
 	if n := d.count(16); n > 0 {
 		p.CBox = make([]ctxgen.CBoxCtx, n)
 		for i := range p.CBox {
@@ -369,8 +324,6 @@ func (a *Artifact) UnmarshalBinary(data []byte) error {
 			p.CCU[i] = ctxgen.CCUCtx{Mode: d.int(), Target: d.int()}
 		}
 	}
-	p.CBoxWidth = d.int()
-	p.CCUWidth = d.int()
 	n := d.count(3)
 	p.Homes = make(map[string]ctxgen.Home, n)
 	prev := ""
@@ -393,31 +346,34 @@ func (a *Artifact) UnmarshalBinary(data []byte) error {
 		}
 	}
 	p.Alloc.CBoxUsage = d.int()
-	if d.err == nil && len(d.data) > 0 {
-		d.fail("%d trailing bytes", len(d.data))
+	images := d.count(1)
+	if d.err == nil {
+		d.err = fits(p, images)
 	}
 	if d.err == nil {
-		d.err = unpack(p, images)
+		d.data, d.err = p.ReadImages(d.data)
+	}
+	if d.err == nil && len(d.data) > 0 {
+		d.fail("%d trailing bytes", len(d.data))
 	}
 	if d.err != nil {
 		return fmt.Errorf("pipeline: decode artifact: %w", d.err)
 	}
-	*a = Artifact{Version: version, Program: p}
+	*a = Artifact{Program: p}
 	return nil
 }
 
-// unpack checks that a decoded program fits its composition — a valid
-// composition, one format, image and RF usage per PE, control tables and
-// images of NumCtx contexts, every home on the array — and unpacks the
-// images into p.PE.
-func unpack(p *ctxgen.Program, images []*ctxgen.Bitstream) error {
+// fits checks that a decoded program fits its composition — a valid
+// composition, one image per PE, control tables of NumCtx contexts, every
+// home on the array — before ReadImages checks the allocation and derives
+// the formats from them.
+func fits(p *ctxgen.Program, images int) error {
 	if err := p.Comp.Validate(); err != nil {
 		return err
 	}
 	n := p.Comp.NumPEs()
-	if len(images) != n || len(p.Formats) != n || len(p.Alloc.RFUsage) != n {
-		return fmt.Errorf("%d images, %d formats and %d RF usages for %d PEs",
-			len(images), len(p.Formats), len(p.Alloc.RFUsage), n)
+	if images != n {
+		return fmt.Errorf("%d images for %d PEs", images, n)
 	}
 	if len(p.CBox) != p.NumCtx || len(p.CCU) != p.NumCtx {
 		return fmt.Errorf("control tables hold %d/%d entries, want %d", len(p.CBox), len(p.CCU), p.NumCtx)
@@ -426,17 +382,6 @@ func unpack(p *ctxgen.Program, images []*ctxgen.Bitstream) error {
 		if h.PE < 0 || h.PE >= n {
 			return fmt.Errorf("home of %q on PE %d out of range", name, h.PE)
 		}
-	}
-	p.PE = make([][]ctxgen.PECtx, n)
-	for pe, bs := range images {
-		if len(bs.Words) != p.NumCtx {
-			return fmt.Errorf("PE %d image holds %d contexts, want %d", pe, len(bs.Words), p.NumCtx)
-		}
-		ctxs, err := p.UnpackPE(pe, bs)
-		if err != nil {
-			return err
-		}
-		p.PE[pe] = ctxs
 	}
 	return nil
 }

@@ -212,7 +212,7 @@ func TestServedKeyGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "01d0cc2092d5fdb39e951f572374287f8067a4dadf68bf5e735006969fcfd0ac"
+	const want = "16ba2cd2a4cf673ae17d9a42133d50d20b0bb9fd70302600fc8d392a09f9cab0"
 	if info.Key != want {
 		t.Errorf("served key of dot @ 9 PEs = %s, want %s", info.Key, want)
 	}
