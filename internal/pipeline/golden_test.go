@@ -17,8 +17,9 @@ import (
 )
 
 // goldenFile pins what both scheduler backends build for a fixed set of
-// cells: one line per cell with the sha256 of the generated contexts and
-// the verified cycle count. A change that means to alter schedules
+// cells: one line per cell with the sha256 of the generated contexts, the
+// verified cycle count and the scheduler's Stats counters (which the
+// contexts alone do not pin). A change that means to alter schedules
 // regenerates it (go test ./internal/pipeline -run TestScheduleGolden
 // -update-golden) and the diff of this file is what gets reviewed; a change
 // that means to alter only speed must leave it untouched.
@@ -61,8 +62,8 @@ func generatedGoldenCases(n int, postClause bool) []goldenCase {
 }
 
 // goldenOutcome compiles one cell and renders what it built: the contexts'
-// digest and the cycle count of a run checked against the interpreter, or
-// the reason there is none.
+// digest, the cycle count of a run checked against the interpreter and the
+// schedule's Stats, or the reason there is none.
 func goldenOutcome(c goldenCase, comp *arch.Composition, backend string) string {
 	o := Defaults()
 	o.Backend = backend
@@ -77,7 +78,10 @@ func goldenOutcome(c goldenCase, comp *arch.Composition, backend string) string 
 	h := sha256.New()
 	p := out.Program
 	fmt.Fprint(h, p.NumCtx, p.PE, p.CBox, p.CCU)
-	return fmt.Sprintf("%x %d", h.Sum(nil), res.Sim.TotalCycles())
+	st := out.Schedule.Stats
+	return fmt.Sprintf("%x %d copies=%d consts=%d fused=%d unfused=%d cbox=%d nodes=%d pipelined=%d",
+		h.Sum(nil), res.Sim.TotalCycles(), st.CopiesInserted, st.ConstsMaterialized,
+		st.FusedPWrites, st.UnfusedPWrites, st.CBoxOps, st.Nodes, st.PipelinedLoops)
 }
 
 // TestScheduleGolden recomputes every cell of the golden file: the 12
