@@ -473,7 +473,6 @@ func (s *scheduler) emitNode(n *cdfg.Node, p, t, dur int, srcs []Src, predSlot *
 	if len(srcs) > 1 {
 		op.B = srcs[1]
 	}
-	s.commitSrcs(srcs, t)
 	if predSlot != nil {
 		op.PredSlot = predSlot
 		s.gatePred(t, predSlot)
@@ -499,9 +498,8 @@ func (s *scheduler) emitNode(n *cdfg.Node, p, t, dur int, srcs []Src, predSlot *
 			st.val = v
 		}
 	}
-	s.markBusy(p, t, dur)
 	s.issued(n, t, finish)
-	s.sch.Ops = append(s.sch.Ops, op)
+	s.emit(op)
 	s.sch.Stats.Nodes++
 	if n.IsCompare() {
 		// The status bit reaches the C-Box in the op's final cycle.
@@ -577,35 +575,26 @@ func (s *scheduler) schedPWrite(n *cdfg.Node, t int) error {
 		}
 		predSlot = slot
 	}
-	srcs := s.argSrcs[:0]
+	var src Src
 	if code == arch.MOVE {
-		src, ok := s.operandAccessible(arg, p, t)
-		if !ok {
+		var ok bool
+		if src, ok = s.operandAccessible(arg, p, t); !ok {
 			s.reject(n, t, RejectRouting)
 			s.provisionOperand(arg, p, false)
 			return nil
 		}
-		srcs = append(srcs, src)
-		s.argSrcs = srcs
-	}
-	finish := t + dur - 1
-	op := &Op{
-		PE: p, Cycle: t, Dur: dur, Code: code, Node: n,
-		Dest: home, PredSlot: predSlot, Imm: arg.Const,
-	}
-	if len(srcs) > 0 {
-		op.A = srcs[0]
-		s.commitSrcs(srcs, t)
 	}
 	if predSlot != nil {
 		s.gatePred(t, predSlot)
 	}
-	s.markBusy(p, t, dur)
 	s.st(n).val = home
-	s.issued(n, t, finish)
+	s.issued(n, t, t+dur-1)
 	l := s.local(n.Local)
 	l.copies, l.fusedProd = nil, nil
-	s.sch.Ops = append(s.sch.Ops, op)
+	s.emit(&Op{
+		PE: p, Cycle: t, Dur: dur, Code: code, Node: n,
+		A: src, Dest: home, PredSlot: predSlot, Imm: arg.Const,
+	})
 	s.sch.Stats.Nodes++
 	s.sch.Stats.UnfusedPWrites++
 	s.bumpAttraction(n, p)
@@ -632,20 +621,6 @@ func (s *scheduler) pickHomePE(arg cdfg.Operand) int {
 		}
 	}
 	return best
-}
-
-// commitSrcs records register/route reads for lifetime analysis and reserves
-// routing outputs.
-func (s *scheduler) commitSrcs(srcs []Src, t int) {
-	for _, src := range srcs {
-		switch src.Kind {
-		case SrcReg:
-			src.Val.Uses = append(src.Val.Uses, t)
-		case SrcRoute:
-			src.Val.Uses = append(src.Val.Uses, t)
-			s.reserveOutl(src.FromPE, t, src.Val)
-		}
-	}
 }
 
 // bumpAttraction raises the attraction of n's value consumers toward every
@@ -837,45 +812,45 @@ func (s *scheduler) provisionOperand(a cdfg.Operand, p int, force bool) {
 		if !s.supports(hop, arch.MOVE) {
 			return // cannot route through this PE; give up this path
 		}
-		e := maxInt(ready, s.safeFloor)
-		for {
-			e = s.earliestFree(hop, e, 1)
-			if s.outlAvailable(prev.PE, e, prev) {
-				break
-			}
-			e++
-		}
-		dst := s.newValue(hop, e)
-		s.registerCopy(a, dst)
-		op := &Op{
-			PE: hop, Cycle: e, Dur: 1, Code: arch.MOVE,
-			A:    Src{Kind: SrcRoute, Val: prev, FromPE: prev.PE},
-			Dest: dst,
-		}
-		prev.Uses = append(prev.Uses, e)
-		s.reserveOutl(prev.PE, e, prev)
-		s.markBusy(hop, e, 1)
-		s.sch.Ops = append(s.sch.Ops, op)
-		s.sch.Stats.CopiesInserted++
-		prev = dst
-		ready = e + 1
+		prev = s.copyHop(prev, hop, maxInt(ready, s.safeFloor))
+		s.registerCopy(a, prev)
+		ready = prev.Def + 1
 	}
+}
+
+// copyHop emits one MOVE of prev onto its neighbour hop, in the first cycle
+// from ready where hop is free and prev's routing output can carry prev,
+// and returns the copy.
+func (s *scheduler) copyHop(prev *Value, hop, ready int) *Value {
+	e := ready
+	for {
+		e = s.earliestFree(hop, e, 1)
+		if s.outlAvailable(prev.PE, e, prev) {
+			break
+		}
+		e++
+	}
+	dst := s.newValue(hop, e)
+	s.emit(&Op{
+		PE: hop, Cycle: e, Dur: 1, Code: arch.MOVE,
+		A:    Src{Kind: SrcRoute, Val: prev, FromPE: prev.PE},
+		Dest: dst,
+	})
+	s.sch.Stats.CopiesInserted++
+	return dst
 }
 
 // materializeConst emits CONST #val on PE p at cycle e and registers the
 // copy for reuse, in place of an older one on the same PE.
 func (s *scheduler) materializeConst(val int32, p, e int) *Value {
 	v := s.newValue(p, e)
-	v.IsConst = true
-	v.ConstVal = val
 	v.Pinned = true
 	list := s.consts[val]
 	if i := slices.IndexFunc(list, func(o *Value) bool { return o.PE == p }); i >= 0 {
 		list = slices.Delete(list, i, i+1)
 	}
 	s.consts[val] = append(list, v)
-	s.markBusy(p, e, 1)
-	s.sch.Ops = append(s.sch.Ops, &Op{PE: p, Cycle: e, Dur: 1, Code: arch.CONST, Imm: val, Dest: v})
+	s.emit(&Op{PE: p, Cycle: e, Dur: 1, Code: arch.CONST, Imm: val, Dest: v})
 	s.sch.Stats.ConstsMaterialized++
 	return v
 }
@@ -885,8 +860,6 @@ func (s *scheduler) materializeConst(val int32, p, e int) *Value {
 func (s *scheduler) registerCopy(a cdfg.Operand, v *Value) {
 	switch a.Kind {
 	case cdfg.FromConst:
-		v.IsConst = true
-		v.ConstVal = a.Const
 		v.Pinned = true
 		s.consts[a.Const] = addCopy(s.consts[a.Const], v)
 	case cdfg.FromLocal:

@@ -88,23 +88,11 @@ func (s *scheduler) emitCompare(n *cdfg.Node, pe, t int) error {
 	if at(s.cboxBusy, t) {
 		return fmt.Errorf("cbox busy at %d", t)
 	}
-	out := role.Expr.slot
-	op := &CBoxOp{
-		Cycle:    t,
-		Kind:     CBConsume,
-		StatusPE: pe,
-		Logic:    role.Logic,
-		Write:    out,
-	}
+	op := &CBoxOp{Cycle: t, Kind: CBConsume, StatusPE: pe, Logic: role.Logic, Write: role.Expr.slot}
 	if role.Stored != nil {
-		a := role.Stored.slot
-		op.A = a
-		a.Uses = append(a.Uses, t)
+		op.A = role.Stored.slot
 	}
-	out.Writes = append(out.Writes, t)
-	s.cboxBusy = put(s.cboxBusy, t, true)
-	s.sch.CBox = append(s.sch.CBox, op)
-	s.sch.Stats.CBoxOps++
+	s.emitCBox(op)
 	role.Expr.ready = t + 1
 	s.processPending()
 	return nil
@@ -162,21 +150,12 @@ func (s *scheduler) placeComb(pc *pendingComb) bool {
 		}
 		t := s.freeCBoxCycle(maxInt(earliest, s.safeFloor))
 		out := s.preds[p.ID].slot
-		condSlot := cond.slot
-		var op *CBoxOp
 		if parentSlot == nil {
 			// parent nil, negate true: out = !cond
-			op = &CBoxOp{Cycle: t, Kind: CBRecombine, Logic: CBPass, A: condSlot, InvA: p.Negate, Write: out}
-			condSlot.Uses = append(condSlot.Uses, t)
+			s.emitCBox(&CBoxOp{Cycle: t, Kind: CBRecombine, Logic: CBPass, A: cond.slot, InvA: p.Negate, Write: out})
 		} else {
-			op = &CBoxOp{Cycle: t, Kind: CBRecombine, Logic: CBAnd, A: parentSlot, B: condSlot, InvB: p.Negate, Write: out}
-			parentSlot.Uses = append(parentSlot.Uses, t)
-			condSlot.Uses = append(condSlot.Uses, t)
+			s.emitCBox(&CBoxOp{Cycle: t, Kind: CBRecombine, Logic: CBAnd, A: parentSlot, B: cond.slot, InvB: p.Negate, Write: out})
 		}
-		out.Writes = append(out.Writes, t)
-		s.cboxBusy = put(s.cboxBusy, t, true)
-		s.sch.CBox = append(s.sch.CBox, op)
-		s.sch.Stats.CBoxOps++
 		s.preds[p.ID].ready = t + 1
 		return true
 	}
@@ -184,16 +163,24 @@ func (s *scheduler) placeComb(pc *pendingComb) bool {
 		return false
 	}
 	t := s.freeCBoxCycle(maxInt(maxInt(pc.x.ready, pc.y.ready), s.safeFloor))
-	a, b, out := pc.x.slot, pc.y.slot, pc.out.slot
-	op := &CBoxOp{Cycle: t, Kind: CBRecombine, Logic: pc.logic, A: a, B: b, Write: out}
-	a.Uses = append(a.Uses, t)
-	b.Uses = append(b.Uses, t)
-	out.Writes = append(out.Writes, t)
-	s.cboxBusy = put(s.cboxBusy, t, true)
-	s.sch.CBox = append(s.sch.CBox, op)
-	s.sch.Stats.CBoxOps++
+	s.emitCBox(&CBoxOp{Cycle: t, Kind: CBRecombine, Logic: pc.logic, A: pc.x.slot, B: pc.y.slot, Write: pc.out.slot})
 	pc.out.ready = t + 1
 	return true
+}
+
+// emitCBox appends op to the C-Box program, the only writer of
+// Schedule.CBox: it records the reads of slots A and B and the write of
+// Write, and takes the C-Box for op's cycle.
+func (s *scheduler) emitCBox(op *CBoxOp) {
+	for _, sl := range []*Slot{op.A, op.B} {
+		if sl != nil {
+			sl.Uses = append(sl.Uses, op.Cycle)
+		}
+	}
+	op.Write.Writes = append(op.Write.Writes, op.Cycle)
+	s.cboxBusy = put(s.cboxBusy, op.Cycle, true)
+	s.sch.CBox = append(s.sch.CBox, op)
+	s.sch.Stats.CBoxOps++
 }
 
 func (s *scheduler) freeCBoxCycle(from int) int {

@@ -31,17 +31,22 @@ import (
 // expansion is needed). All instance ops carry Node == nil; the CDFG nodes
 // are covered exactly once by the sequential fallback, keeping the verifier's
 // coverage rule intact.
+//
+// The realization writes the schedule only through the list scheduler's
+// writers: emit for every PE op, copyHop for every routing MOVE, emitCBox for
+// the guard and pass-counter consumes and jump for every CCU entry. Its setup
+// code needs three helpers on top: pipeSetup places one trip-count, guard or
+// pass-counter op, pipeCopyTo copies a value to (or next to) a PE, and
+// pipeResident makes an invariant constant or local resident on a PE.
 
 // pipeArg is one analyzed operand of a body operation.
 type pipeArg struct {
 	// producer ≥ 0 indexes the body op whose value is read, at iteration
-	// distance dist. producer < 0 marks an invariant operand.
+	// distance dist. producer < 0 marks an invariant operand inv: a
+	// constant or a loop-invariant local.
 	producer int
 	dist     int
-	// Invariant operands: a constant, or a loop-invariant local.
-	konst bool
-	cval  int32
-	local string
+	inv      cdfg.Operand
 }
 
 // pipeOp is one body operation after pWRITE merging.
@@ -58,7 +63,6 @@ type pipeOp struct {
 
 // pipePlan is an analyzed, pipeline-eligible loop.
 type pipePlan struct {
-	r    *cdfg.Region
 	body *cdfg.Block
 	ops  []pipeOp
 	// ctr is the counter local; bound the invariant exit bound; inclusive
@@ -234,7 +238,7 @@ func (s *scheduler) analyzePipeline(r *cdfg.Region) (*pipePlan, string) {
 		}
 	}
 
-	plan := &pipePlan{r: r, body: body, ctr: ctr, bound: bound, inclusive: cmp.Op == arch.IFLE}
+	plan := &pipePlan{body: body, ctr: ctr, bound: bound, inclusive: cmp.Op == arch.IFLE}
 	if reason := s.extractOps(plan, writes); reason != "" {
 		return nil, reason
 	}
@@ -361,14 +365,14 @@ func (s *scheduler) extractOps(plan *pipePlan, writes map[string][]*cdfg.Node) s
 			case cdfg.FromNode:
 				resolved = append(resolved, pipeArg{producer: nodeToOp[a.Node]})
 			case cdfg.FromConst:
-				resolved = append(resolved, pipeArg{producer: -1, konst: true, cval: a.Const})
+				resolved = append(resolved, pipeArg{producer: -1, inv: a})
 			case cdfg.FromLocal:
 				if len(a.Version) == 1 {
 					resolved = append(resolved, pipeArg{producer: nodeToOp[a.Version[0]]})
 				} else if ws := writes[a.Local]; len(ws) == 1 {
 					resolved = append(resolved, pipeArg{producer: nodeToOp[ws[0]], dist: 1})
 				} else {
-					resolved = append(resolved, pipeArg{producer: -1, local: a.Local})
+					resolved = append(resolved, pipeArg{producer: -1, inv: a})
 				}
 			}
 		}
@@ -476,17 +480,14 @@ func (s *scheduler) realizePipeline(r *cdfg.Region, plan *pipePlan, sol *modsche
 
 	// --- SETUP: K = (bound - ctr0) + inc - (S-1); guard K >= 1 ---
 	setupMax := start // last finish among setup emissions
+	rfSrc := func(v *Value) Src { return Src{Kind: SrcReg, Val: v} }
 
-	boundVal, boundReady, err := s.pipeSetupOperand(plan.bound, workPE, start)
-	if err != nil {
-		return 0, false, err
-	}
-	ctrVal, ctrReady := s.pipeTempOnPE(ctrHome, workPE, start, &setupMax)
-	tv, tFin := s.pipeSetupOp(workPE, arch.ISUB,
-		Src{Kind: SrcReg, Val: boundVal}, Src{Kind: SrcReg, Val: ctrVal},
+	boundVal, boundReady := s.pipeResident(plan.bound, workPE, start, &setupMax)
+	ctrVal, ctrReady := s.pipeCopyTo(ctrHome, workPE, maxInt(ctrHome.Def+1, start), 1, &setupMax, nil)
+	tOp, tFin := s.pipeSetup(workPE, arch.ISUB, rfSrc(boundVal), rfSrc(ctrVal),
 		maxInt(maxInt(boundReady, ctrReady), start), nil)
 	setupMax = maxInt(setupMax, tFin)
-	kv, kReady := tv, tFin+1
+	kv, kReady := tOp.Dest, tFin+1
 	adj := S - 1
 	if plan.inclusive {
 		adj--
@@ -498,80 +499,55 @@ func (s *scheduler) realizePipeline(r *cdfg.Region, plan *pipePlan, sol *modsche
 			code = arch.IADD
 			c = int32(-adj)
 		}
-		cv, cReady := s.pipeConstOnPE(c, workPE, start, &setupMax)
-		var fin int
-		kv, fin = s.pipeSetupOp(workPE, code,
-			Src{Kind: SrcReg, Val: tv}, Src{Kind: SrcReg, Val: cv},
-			maxInt(kReady, cReady), nil)
+		cv, cReady := s.pipeResident(cdfg.Operand{Kind: cdfg.FromConst, Const: c}, workPE, start, &setupMax)
+		kOp, fin := s.pipeSetup(workPE, code, rfSrc(kv), rfSrc(cv), maxInt(kReady, cReady), nil)
 		setupMax = maxInt(setupMax, fin)
-		kReady = fin + 1
+		kv, kReady = kOp.Dest, fin+1
 	}
+	one := cdfg.Operand{Kind: cdfg.FromConst, Const: 1}
 
 	// Guard: IFGE(K, 1) — pipeline iff at least S iterations remain.
-	oneW, oneWReady := s.pipeConstOnPE(1, workPE, start, &setupMax)
-	guardOp, guardFin := s.pipeSetupCompare(workPE, arch.IFGE,
-		Src{Kind: SrcReg, Val: kv}, Src{Kind: SrcReg, Val: oneW},
-		maxInt(kReady, oneWReady))
+	oneW, oneWReady := s.pipeResident(one, workPE, start, &setupMax)
+	guardOp, guardFin := s.pipeSetup(workPE, arch.IFGE, rfSrc(kv), rfSrc(oneW), maxInt(kReady, oneWReady), nil)
 	setupMax = maxInt(setupMax, guardFin)
 	guardSlot := s.newSlot()
-	s.sch.CBox = append(s.sch.CBox, &CBoxOp{
-		Cycle: guardFin, Kind: CBConsume, StatusPE: guardOp.PE, Logic: CBPass, Write: guardSlot,
-	})
-	guardSlot.Writes = append(guardSlot.Writes, guardFin)
-	s.cboxBusy = put(s.cboxBusy, guardFin, true)
-	s.sch.Stats.CBoxOps++
+	s.emitCBox(&CBoxOp{Cycle: guardFin, Kind: CBConsume, StatusPE: guardOp.PE, Logic: CBPass, Write: guardSlot})
 
 	// Pass counter k on SubPE, initialized to K; the kernel decrements it
 	// and jumps back while the pre-decrement value exceeds 1.
-	kInit, kInitReady := s.pipeTempOnPE(kv, sol.SubPE, maxInt(kReady-1, start), &setupMax)
-	_ = kInitReady
+	kInit, kInitReady := s.pipeCopyTo(kv, sol.SubPE, kReady, 1, &setupMax, nil)
 	kVal := s.newValue(sol.SubPE, 0)
 	kVal.Pinned = true
-	var kSrc Src
-	if kInit.PE == sol.SubPE {
-		kSrc = Src{Kind: SrcReg, Val: kInit}
-	} else {
+	kSrc := rfSrc(kInit)
+	if kInit.PE != sol.SubPE {
 		kSrc = Src{Kind: SrcRoute, Val: kInit, FromPE: kInit.PE}
 	}
-	_, kFin := s.pipeSetupOp(sol.SubPE, arch.MOVE, kSrc, Src{}, maxInt(kInit.Def+1, start), kVal)
+	_, kFin := s.pipeSetup(sol.SubPE, arch.MOVE, kSrc, Src{}, kInitReady, kVal)
 	setupMax = maxInt(setupMax, kFin)
 	kVal.Def = kFin
 
 	// Control constants, resident on the control PEs.
-	oneSub, _ := s.pipeConstOnPE(1, sol.SubPE, start, &setupMax)
-	oneCmp, _ := s.pipeConstOnPE(1, sol.CmpPE, start, &setupMax)
+	oneSub, _ := s.pipeResident(one, sol.SubPE, start, &setupMax)
+	oneCmp, _ := s.pipeResident(one, sol.CmpPE, start, &setupMax)
 
 	// Invariant operands of the body, resident on each op's solved PE.
 	invSrc := make([][]*Value, len(plan.ops))
 	for i, m := range plan.ops {
 		invSrc[i] = make([]*Value, len(m.args))
 		for ai, a := range m.args {
-			if a.producer >= 0 {
-				continue
+			if a.producer < 0 {
+				invSrc[i][ai], _ = s.pipeResident(a.inv, sol.PE[i], start, &setupMax)
 			}
-			var v *Value
-			if a.konst {
-				v, _ = s.pipeConstOnPE(a.cval, sol.PE[i], start, &setupMax)
-			} else {
-				v = s.pipeLocalOnPE(a.local, sol.PE[i], start, &setupMax)
-			}
-			invSrc[i][ai] = v
 		}
 	}
 
 	// Guard jump: to the sequential fallback when K < 1. All setup ops
 	// must have finished by the jump context — on the fallback path the
 	// pipeline's contexts never execute, so no busy tail may cross it.
-	jt := maxInt(setupMax, guardFin+1)
-	for s.sch.CCU[jt] != nil {
-		jt++
-	}
-	guardJump := &CCUOp{Cycle: jt, Slot: guardSlot, Invert: true}
-	guardSlot.Uses = append(guardSlot.Uses, jt)
-	s.sch.CCU[jt] = guardJump
+	guardJump := s.jump(&CCUOp{Cycle: maxInt(setupMax, guardFin+1), Slot: guardSlot, Invert: true})
 
 	// --- layout ---
-	P0 := jt + 1
+	P0 := guardJump.Cycle + 1
 	K0 := P0 + (S-1)*II
 	E0 := K0 + II
 
@@ -602,35 +578,26 @@ func (s *scheduler) realizePipeline(r *cdfg.Region, plan *pipePlan, sol *modsche
 
 	// --- instance emission ---
 	lastFinish := K0 + II - 1
-	emit := func(i, flat int, kernel bool) {
+	place := func(i, flat int, kernel bool) {
 		m := sol.Ops[i]
 		pe := sol.PE[i]
-		var srcs []Src
-		code := arch.MOVE
-		var imm int32
-		array := 0
+		op := &Op{PE: pe, Cycle: flat, Dur: m.Dur, Code: arch.MOVE, Dest: vals[i]}
 		if i < nOrig {
 			po := plan.ops[i]
-			code, imm, array = po.code, po.imm, po.array
-			for ai := range po.args {
-				if po.args[ai].producer >= 0 {
-					srcs = append(srcs, routeSrc(vals, sol, feeds[i][ai], pe))
+			op.Code, op.Imm, op.Array = po.code, po.imm, po.array
+			var srcs [2]Src
+			for ai, a := range po.args {
+				if a.producer >= 0 {
+					srcs[ai] = routeSrc(vals, sol, feeds[i][ai], pe)
 				} else {
-					srcs = append(srcs, Src{Kind: SrcReg, Val: invSrc[i][ai]})
+					srcs[ai] = rfSrc(invSrc[i][ai])
 				}
 			}
+			op.A, op.B = srcs[0], srcs[1]
 		} else {
-			srcs = append(srcs, routeSrc(vals, sol, feeds[i][0], pe))
+			op.A = routeSrc(vals, sol, feeds[i][0], pe)
 		}
-		op := &Op{PE: pe, Cycle: flat, Dur: m.Dur, Code: code, Dest: vals[i], Imm: imm, Array: array}
-		if len(srcs) > 0 {
-			op.A = srcs[0]
-		}
-		if len(srcs) > 1 {
-			op.B = srcs[1]
-		}
-		s.commitSrcs(srcs, flat)
-		s.markBusy(pe, flat, m.Dur)
+		s.emit(op)
 		if kernel {
 			// A kernel op whose busy tail crosses the II boundary also
 			// occupies the wrapped slots of the next pass.
@@ -641,7 +608,6 @@ func (s *scheduler) realizePipeline(r *cdfg.Region, plan *pipePlan, sol *modsche
 				}
 			}
 		}
-		s.sch.Ops = append(s.sch.Ops, op)
 		if flat+m.Dur-1 > lastFinish {
 			lastFinish = flat + m.Dur - 1
 		}
@@ -649,62 +615,41 @@ func (s *scheduler) realizePipeline(r *cdfg.Region, plan *pipePlan, sol *modsche
 	for i := range sol.Ops {
 		k, m := sol.Time[i]/II, sol.Time[i]%II
 		for p := k; p <= S-2; p++ {
-			emit(i, P0+p*II+m, false)
+			place(i, P0+p*II+m, false)
 		}
-		emit(i, K0+m, true)
+		place(i, K0+m, true)
 		for e := 0; e < k; e++ {
-			emit(i, E0+e*II+m, false)
+			place(i, E0+e*II+m, false)
 		}
 	}
 
 	// --- loop control: k decrement, exit compare, conditional back-jump ---
-	m0 := sol.CtrlSlot
-	subDur := s.duration(sol.SubPE, arch.ISUB)
-	cmpDur := s.duration(sol.CmpPE, arch.IFGT)
-	ksub := &Op{
-		PE: sol.SubPE, Cycle: K0 + m0, Dur: subDur, Code: arch.ISUB,
-		A: Src{Kind: SrcReg, Val: kVal}, B: Src{Kind: SrcReg, Val: oneSub}, Dest: kVal,
-	}
-	s.commitSrcs([]Src{ksub.A, ksub.B}, K0+m0)
-	s.markBusy(sol.SubPE, K0+m0, subDur)
-	s.sch.Ops = append(s.sch.Ops, ksub)
+	kc := K0 + sol.CtrlSlot
+	s.emit(&Op{
+		PE: sol.SubPE, Cycle: kc, Dur: s.duration(sol.SubPE, arch.ISUB), Code: arch.ISUB,
+		A: rfSrc(kVal), B: rfSrc(oneSub), Dest: kVal,
+	})
 	// The compare reads the pre-decrement k over the routing network (the
 	// RF presents the old value while it is being overwritten): the jump
 	// back is taken while k > 1, giving exactly K kernel passes.
-	kcmp := &Op{
-		PE: sol.CmpPE, Cycle: K0 + m0, Dur: cmpDur, Code: arch.IFGT,
-		A: Src{Kind: SrcRoute, Val: kVal, FromPE: sol.SubPE},
-		B: Src{Kind: SrcReg, Val: oneCmp},
-	}
-	s.commitSrcs([]Src{kcmp.A, kcmp.B}, K0+m0)
-	s.markBusy(sol.CmpPE, K0+m0, cmpDur)
-	s.sch.Ops = append(s.sch.Ops, kcmp)
-	cmpFin := K0 + m0 + cmpDur - 1
-	condSlot := s.newSlot()
-	s.sch.CBox = append(s.sch.CBox, &CBoxOp{
-		Cycle: cmpFin, Kind: CBConsume, StatusPE: sol.CmpPE, Logic: CBPass, Write: condSlot,
+	cmpDur := s.duration(sol.CmpPE, arch.IFGT)
+	s.emit(&Op{
+		PE: sol.CmpPE, Cycle: kc, Dur: cmpDur, Code: arch.IFGT,
+		A: Src{Kind: SrcRoute, Val: kVal, FromPE: sol.SubPE}, B: rfSrc(oneCmp),
 	})
-	condSlot.Writes = append(condSlot.Writes, cmpFin)
-	s.cboxBusy = put(s.cboxBusy, cmpFin, true)
-	s.sch.Stats.CBoxOps++
+	condSlot := s.newSlot()
+	s.emitCBox(&CBoxOp{Cycle: kc + cmpDur - 1, Kind: CBConsume, StatusPE: sol.CmpPE, Logic: CBPass, Write: condSlot})
 	bjc := K0 + II - 1
 	if s.sch.CCU[bjc] != nil {
 		return 0, false, fmt.Errorf("sched: pipelined back-jump cycle %d already used", bjc)
 	}
-	s.sch.CCU[bjc] = &CCUOp{Cycle: bjc, Slot: condSlot, Target: K0}
-	condSlot.Uses = append(condSlot.Uses, bjc)
+	s.jump(&CCUOp{Cycle: bjc, Slot: condSlot, Target: K0})
 
 	// --- exit jump over the sequential fallback ---
-	pipeEnd := E0 + (S-1)*II
-	jc := maxInt(pipeEnd-1, lastFinish)
-	for s.sch.CCU[jc] != nil {
-		jc++
-	}
-	exitJump := &CCUOp{Cycle: jc, Uncond: true}
-	s.sch.CCU[jc] = exitJump
+	exitJump := s.jump(&CCUOp{Cycle: maxInt(E0+(S-1)*II-1, lastFinish), Uncond: true})
 
 	// --- sequential fallback (also realizes every CDFG node once) ---
-	seqStart := jc + 1
+	seqStart := exitJump.Cycle + 1
 	guardJump.Target = seqStart
 	s.safeFloor = seqStart
 	seqEnd, err := s.loop(r, seqStart)
@@ -788,198 +733,89 @@ func resolveFeeds(plan *pipePlan, sol *modsched.Solution) ([][]int, error) {
 
 // --- setup emission helpers ---
 
-// pipeSetupOp places one setup operation on pe at the earliest cycle ≥ minT
-// where the PE is free and any routed operand's source port is available.
-// dest nil creates a fresh value. Returns the op and its finish cycle.
-func (s *scheduler) pipeSetupOp(pe int, code arch.OpCode, a, b Src, minT int, dest *Value) (*Value, int) {
+// pipeSetup places one setup operation on pe at the earliest cycle ≥ minT
+// where the PE is free and any routed operand's source port is available; a
+// compare also needs the C-Box free in its last cycle, when its status
+// arrives. A non-compare with dest nil writes a fresh value. Returns the op
+// and its finish cycle.
+func (s *scheduler) pipeSetup(pe int, code arch.OpCode, a, b Src, minT int, dest *Value) (*Op, int) {
 	dur := s.duration(pe, code)
+	routedOK := func(src Src, t int) bool {
+		return src.Kind != SrcRoute || s.outlAvailable(src.FromPE, t, src.Val)
+	}
 	t := minT
 	for {
 		t = s.earliestFree(pe, t, dur)
-		if routedOK(s, a, t) && routedOK(s, b, t) {
+		if (!code.IsCompare() || !at(s.cboxBusy, t+dur-1)) && routedOK(a, t) && routedOK(b, t) {
 			break
 		}
 		t++
 	}
 	fin := t + dur - 1
-	if dest == nil {
+	if dest == nil && !code.IsCompare() {
 		dest = s.newValue(pe, fin)
 	}
 	op := &Op{PE: pe, Cycle: t, Dur: dur, Code: code, A: a, B: b, Dest: dest}
-	var srcs []Src
-	if a.Kind != SrcNone {
-		srcs = append(srcs, a)
-	}
-	if b.Kind != SrcNone {
-		srcs = append(srcs, b)
-	}
-	s.commitSrcs(srcs, t)
-	s.markBusy(pe, t, dur)
-	s.sch.Ops = append(s.sch.Ops, op)
-	return dest, fin
+	s.emit(op)
+	return op, fin
 }
 
-// pipeSetupCompare places a compare whose status must land in a free C-Box
-// cycle at its finish.
-func (s *scheduler) pipeSetupCompare(pe int, code arch.OpCode, a, b Src, minT int) (*Op, int) {
-	dur := s.duration(pe, code)
-	t := minT
-	for {
-		t = s.earliestFree(pe, t, dur)
-		if !at(s.cboxBusy, t+dur-1) && routedOK(s, a, t) && routedOK(s, b, t) {
-			break
-		}
-		t++
-	}
-	op := &Op{PE: pe, Cycle: t, Dur: dur, Code: code, A: a, B: b}
-	s.commitSrcs([]Src{a, b}, t)
-	s.markBusy(pe, t, dur)
-	s.sch.Ops = append(s.sch.Ops, op)
-	return op, t + dur - 1
-}
-
-func routedOK(s *scheduler, src Src, t int) bool {
-	return src.Kind != SrcRoute || s.outlAvailable(src.FromPE, t, src.Val)
-}
-
-// pipeTempOnPE returns a value holding v's contents readable on pe (same PE
-// or one hop away), inserting anonymous MOVE hops when farther. Temporaries
-// are not registered for reuse: values like the counter's snapshot go stale
-// the moment the loop body runs.
-func (s *scheduler) pipeTempOnPE(v *Value, pe, floor int, setupMax *int) (*Value, int) {
-	ready := maxInt(v.Def+1, floor)
-	if s.rt.Dist(v.PE, pe) <= 1 {
+// pipeCopyTo copies v along a shortest path, from cycle ready on, until it
+// is within reach hops of pe, and returns the last copy and the cycle it is
+// readable from. With reg nil the copies are temporaries, never reused (a
+// snapshot like the counter's goes stale once the body runs); otherwise each
+// is pinned and registered as an instance of reg.
+func (s *scheduler) pipeCopyTo(v *Value, pe, ready, reach int, setupMax *int, reg *cdfg.Operand) (*Value, int) {
+	if s.rt.Dist(v.PE, pe) <= reach {
 		return v, ready
 	}
 	path, err := s.rt.Path(v.PE, pe)
 	if err != nil {
 		return v, ready // unreachable: FullyConnected rules this out
 	}
-	prev := v
-	for _, hop := range path[1 : len(path)-1] {
-		prev, ready = s.pipeHop(prev, hop, ready, setupMax, nil)
+	for _, hop := range path[1 : len(path)-reach] {
+		v = s.copyHop(v, hop, ready)
+		if reg != nil {
+			v.Pinned = true
+			s.registerCopy(*reg, v)
+		}
+		*setupMax = maxInt(*setupMax, v.Def)
+		ready = v.Def + 1
 	}
-	return prev, ready
+	return v, ready
 }
 
-// pipeHop emits one MOVE copying prev onto hop; reg non-nil registers the
-// copy for reuse (invariant locals and constants).
-func (s *scheduler) pipeHop(prev *Value, hop, minT int, setupMax *int, reg *cdfg.Operand) (*Value, int) {
-	t := minT
-	for {
-		t = s.earliestFree(hop, t, 1)
-		if s.outlAvailable(prev.PE, t, prev) {
-			break
-		}
-		t++
+// pipeResident returns a pinned instance of the invariant operand o (a
+// constant or a local) resident on pe, and the cycle it is readable from:
+// an instance already there, a CONST materialized there, or a copy of the
+// nearest instance (the oldest among equally near, so a local's home before
+// its copies). A constant no instance of which exists is materialized on the
+// CONST-capable PE nearest pe first.
+func (s *scheduler) pipeResident(o cdfg.Operand, pe, floor int, setupMax *int) (*Value, int) {
+	if o.Kind == cdfg.FromLocal {
+		s.homeValue(o.Local, pe)
 	}
-	dst := s.newValue(hop, t)
-	if reg != nil {
-		dst.Pinned = true
-		s.registerCopy(*reg, dst)
-	}
-	op := &Op{
-		PE: hop, Cycle: t, Dur: 1, Code: arch.MOVE,
-		A:    Src{Kind: SrcRoute, Val: prev, FromPE: prev.PE},
-		Dest: dst,
-	}
-	prev.Uses = append(prev.Uses, t)
-	s.reserveOutl(prev.PE, t, prev)
-	s.markBusy(hop, t, 1)
-	s.sch.Ops = append(s.sch.Ops, op)
-	s.sch.Stats.CopiesInserted++
-	if t > *setupMax {
-		*setupMax = t
-	}
-	return dst, t + 1
-}
-
-// pipeConstOnPE returns a pinned constant value resident on pe, reusing
-// registered copies, materializing a CONST when the PE supports it, and
-// otherwise copying from the nearest materialization point (the oldest one
-// among equally near).
-func (s *scheduler) pipeConstOnPE(c int32, pe, floor int, setupMax *int) (*Value, int) {
-	if v := onPE(s.consts[c], pe); v != nil {
-		return v, maxInt(v.Def+1, floor)
-	}
-	if s.supports(pe, arch.CONST) {
-		e := s.earliestFree(pe, floor, 1)
-		v := s.materializeConst(c, pe, e)
-		if e > *setupMax {
-			*setupMax = e
-		}
-		return v, e + 1
-	}
-	// Materialize on the nearest CONST-capable PE, then hop over.
 	var best *Value
-	for _, v := range s.consts[c] {
+	for _, v := range s.sourcesOf(o) {
 		if best == nil || s.rt.Dist(v.PE, pe) < s.rt.Dist(best.PE, pe) {
 			best = v
 		}
 	}
-	if best == nil {
-		src := s.rt.NearestFrom(pe, s.supp[arch.CONST])
-		e := s.earliestFree(src, floor, 1)
-		best = s.materializeConst(c, src, e)
-		if e > *setupMax {
-			*setupMax = e
+	if best != nil && best.PE == pe {
+		return best, maxInt(best.Def+1, floor)
+	}
+	if o.Kind == cdfg.FromConst {
+		src := -1
+		if s.supports(pe, arch.CONST) {
+			src = pe
+		} else if best == nil {
+			src = s.rt.NearestFrom(pe, s.supp[arch.CONST])
+		}
+		if src >= 0 {
+			e := s.earliestFree(src, floor, 1)
+			best = s.materializeConst(o.Const, src, e)
+			*setupMax = maxInt(*setupMax, e)
 		}
 	}
-	reg := cdfg.Operand{Kind: cdfg.FromConst, Const: c}
-	return s.pipeResidentChain(best, pe, maxInt(best.Def+1, floor), setupMax, &reg)
-}
-
-// pipeLocalOnPE returns a pinned, dist-0 copy of an invariant local on pe,
-// made from the nearest instance (the home, then the oldest copy, among
-// equally near).
-func (s *scheduler) pipeLocalOnPE(name string, pe, floor int, setupMax *int) *Value {
-	home := s.homeValue(name, pe)
-	if home.PE == pe {
-		return home
-	}
-	copies := s.local(name).copies
-	if v := onPE(copies, pe); v != nil {
-		return v
-	}
-	best := home
-	for _, v := range copies {
-		if s.rt.Dist(v.PE, pe) < s.rt.Dist(best.PE, pe) {
-			best = v
-		}
-	}
-	reg := cdfg.Operand{Kind: cdfg.FromLocal, Local: name}
-	v, _ := s.pipeResidentChain(best, pe, maxInt(best.Def+1, floor), setupMax, &reg)
-	return v
-}
-
-// pipeResidentChain copies src all the way onto pe (distance 0), registering
-// every hop for reuse.
-func (s *scheduler) pipeResidentChain(src *Value, pe, ready int, setupMax *int, reg *cdfg.Operand) (*Value, int) {
-	if src.PE == pe {
-		return src, ready
-	}
-	path, err := s.rt.Path(src.PE, pe)
-	if err != nil {
-		return src, ready
-	}
-	prev := src
-	for _, hop := range path[1:] {
-		prev, ready = s.pipeHop(prev, hop, ready, setupMax, reg)
-	}
-	return prev, ready
-}
-
-// pipeSetupOperand resolves the loop bound (a constant or an invariant
-// local) into a value readable on pe during setup.
-func (s *scheduler) pipeSetupOperand(o cdfg.Operand, pe, floor int) (*Value, int, error) {
-	var setupMax int
-	switch o.Kind {
-	case cdfg.FromConst:
-		v, ready := s.pipeConstOnPE(o.Const, pe, floor, &setupMax)
-		return v, ready, nil
-	case cdfg.FromLocal:
-		v := s.pipeLocalOnPE(o.Local, pe, floor, &setupMax)
-		return v, maxInt(v.Def+1, floor), nil
-	}
-	return nil, 0, fmt.Errorf("sched: pipelined bound operand %v unsupported", o)
+	return s.pipeCopyTo(best, pe, maxInt(best.Def+1, floor), 0, setupMax, &o)
 }

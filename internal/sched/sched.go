@@ -60,11 +60,9 @@ func RunCtx(ctx context.Context, g *cdfg.Graph, comp *arch.Composition, opts Opt
 	}
 	// Halt context: the CCNT jumps to the last entry and stays locked
 	// (§IV-A3). Realized as a self-jump.
-	for s.sch.CCU[end] != nil {
-		end++
-	}
-	s.sch.CCU[end] = &CCUOp{Cycle: end, Uncond: true, Target: end}
-	s.sch.Length = end + 1
+	halt := s.jump(&CCUOp{Cycle: end, Uncond: true})
+	halt.Target = halt.Cycle
+	s.sch.Length = halt.Cycle + 1
 	sort.SliceStable(s.sch.Ops, func(i, j int) bool {
 		a, b := s.sch.Ops[i], s.sch.Ops[j]
 		if a.Cycle != b.Cycle {
@@ -228,27 +226,16 @@ func (s *scheduler) loop(r *cdfg.Region, start int) (int, error) {
 	if cont == nil || cont.ready < 0 {
 		return 0, fmt.Errorf("loop region %d: condition slot not computed", r.ID)
 	}
-	contSlot := cont.slot
-	j := maxInt(hdrEnd-1, cont.ready)
-	j = maxInt(j, hdrStart)
-	for s.sch.CCU[j] != nil {
-		j++
-	}
-	exitJump := &CCUOp{Cycle: j, Slot: contSlot, Invert: true} // jump when NOT continue
-	contSlot.Uses = append(contSlot.Uses, j)
-	s.sch.CCU[j] = exitJump
+	j := maxInt(maxInt(hdrEnd-1, cont.ready), hdrStart)
+	exitJump := s.jump(&CCUOp{Cycle: j, Slot: cont.slot, Invert: true}) // jump when NOT continue
 
-	bodyStart := j + 1
+	bodyStart := exitJump.Cycle + 1
 	s.safeFloor = bodyStart
 	bodyEnd, err := s.region(r.Body, bodyStart)
 	if err != nil {
 		return 0, err
 	}
-	bj := maxInt(bodyEnd-1, bodyStart)
-	for s.sch.CCU[bj] != nil {
-		bj++
-	}
-	s.sch.CCU[bj] = &CCUOp{Cycle: bj, Uncond: true, Target: hdrStart}
+	bj := s.jump(&CCUOp{Cycle: maxInt(bodyEnd-1, bodyStart), Uncond: true, Target: hdrStart}).Cycle
 	exit := bj + 1
 	exitJump.Target = exit
 
@@ -280,17 +267,10 @@ func (s *scheduler) branchedIf(r *cdfg.Region, start int) (int, error) {
 	if cond == nil || cond.ready < 0 {
 		return 0, fmt.Errorf("if region %d: condition slot not computed", r.ID)
 	}
-	slot := cond.slot
-	j := maxInt(condEnd-1, cond.ready)
-	j = maxInt(j, start)
-	for s.sch.CCU[j] != nil {
-		j++
-	}
-	condJump := &CCUOp{Cycle: j, Slot: slot, Invert: true}
-	slot.Uses = append(slot.Uses, j)
-	s.sch.CCU[j] = condJump
+	j := maxInt(maxInt(condEnd-1, cond.ready), start)
+	condJump := s.jump(&CCUOp{Cycle: j, Slot: cond.slot, Invert: true})
 
-	thenStart := j + 1
+	thenStart := condJump.Cycle + 1
 	s.safeFloor = thenStart
 	thenEnd, err := s.region(r.Then, thenStart)
 	if err != nil {
@@ -302,13 +282,8 @@ func (s *scheduler) branchedIf(r *cdfg.Region, start int) (int, error) {
 	s.purgeCopiesFrom(thenStart)
 	end := thenEnd
 	if r.Else != nil {
-		j2 := maxInt(thenEnd-1, thenStart)
-		for s.sch.CCU[j2] != nil {
-			j2++
-		}
-		skipElse := &CCUOp{Cycle: j2, Uncond: true}
-		s.sch.CCU[j2] = skipElse
-		elseStart := j2 + 1
+		skipElse := s.jump(&CCUOp{Cycle: maxInt(thenEnd-1, thenStart), Uncond: true})
+		elseStart := skipElse.Cycle + 1
 		condJump.Target = elseStart
 		s.safeFloor = elseStart
 		elseEnd, err := s.region(r.Else, elseStart)
@@ -322,7 +297,6 @@ func (s *scheduler) branchedIf(r *cdfg.Region, start int) (int, error) {
 		condJump.Target = maxInt(thenEnd, thenStart)
 		end = condJump.Target
 	}
-	s.sch.CondRanges = append(s.sch.CondRanges, [2]int{thenStart, end - 1})
 	s.safeFloor = end
 	return end, nil
 }
@@ -359,6 +333,41 @@ func (s *scheduler) purgeCopiesFrom(cycle int) {
 }
 
 // --- resource helpers ---
+
+// emit appends op to the schedule, the only writer of Schedule.Ops: it
+// records the operand reads and marks op.PE busy for op.Dur cycles.
+func (s *scheduler) emit(op *Op) {
+	s.commitSrc(op.A, op.Cycle)
+	s.commitSrc(op.B, op.Cycle)
+	s.markBusy(op.PE, op.Cycle, op.Dur)
+	s.sch.Ops = append(s.sch.Ops, op)
+}
+
+// commitSrc records a register or route read of src at cycle t for lifetime
+// analysis; a routed read also reserves the source's routing output.
+func (s *scheduler) commitSrc(src Src, t int) {
+	if src.Kind == SrcNone {
+		return
+	}
+	src.Val.Uses = append(src.Val.Uses, t)
+	if src.Kind == SrcRoute {
+		s.reserveOutl(src.FromPE, t, src.Val)
+	}
+}
+
+// jump places j in the first cycle from j.Cycle that holds no jump and
+// records a conditional jump's slot read. It is the only writer of
+// Schedule.CCU; the placed jump is returned for its cycle.
+func (s *scheduler) jump(j *CCUOp) *CCUOp {
+	for s.sch.CCU[j.Cycle] != nil {
+		j.Cycle++
+	}
+	if j.Slot != nil {
+		j.Slot.Uses = append(j.Slot.Uses, j.Cycle)
+	}
+	s.sch.CCU[j.Cycle] = j
+	return j
+}
 
 func (s *scheduler) ensureCycle(pe, cycle int) {
 	s.busy[pe] = grown(s.busy[pe], cycle)

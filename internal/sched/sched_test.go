@@ -194,9 +194,6 @@ kernel k(in n, in c, inout s) {
 		s = 0 - 1;
 	}
 }`, mesh4(t), Options{})
-	if len(s.CondRanges) != 1 {
-		t.Fatalf("cond ranges = %d, want 1", len(s.CondRanges))
-	}
 	// Expect at least: conditional jump into arms, jump over else.
 	conds, unconds := 0, 0
 	for _, j := range s.CCU {

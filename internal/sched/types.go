@@ -80,9 +80,6 @@ type Value struct {
 	Local string
 	// IsHome marks the authoritative home slot of Local.
 	IsHome bool
-	// IsConst marks materialized constants (free to replicate, §V-D).
-	IsConst  bool
-	ConstVal int32
 	// Pinned values live for the whole run (home slots, constants).
 	Pinned bool
 	// Addr is the physical RF entry, set by the allocator (-1 before).
@@ -274,10 +271,6 @@ type Schedule struct {
 	// LoopRanges records each loop's [headerStart, backJumpCycle] context
 	// range, innermost first, for lifetime extension.
 	LoopRanges [][2]int
-	// CondRanges records each conditionally executed context range
-	// (branched-if arms): values defined inside must not be assumed live
-	// afterwards. Recorded for allocation sanity checks.
-	CondRanges [][2]int
 	// Pipelined records every loop the modulo backend software-pipelined,
 	// with its II search diagnostics (empty under the list backend).
 	Pipelined []PipelinedLoop

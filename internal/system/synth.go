@@ -255,8 +255,9 @@ func (s *System) compileKernel(ctx context.Context, st *sysState, name string) (
 			// tables that do not fit its composition) never gets here: the
 			// cache refuses it at decode, quarantines it and reports a miss,
 			// so it is recompiled below. Realize itself refuses only an
-			// artifact of another version or without a program; that, too,
-			// falls through to a fresh compile, which overwrites the entry.
+			// artifact without a program, which decode never returns; that,
+			// too, would fall through to a fresh compile, which overwrites
+			// the entry.
 		}
 	}
 	if hook := s.CompileHook; hook != nil {
