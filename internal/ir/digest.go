@@ -3,8 +3,7 @@ package ir
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"io"
+	"strconv"
 )
 
 // Digest returns a stable content hash of the kernel: the hex-encoded
@@ -16,72 +15,85 @@ import (
 // The canonical form is tag-prefixed and fully parenthesized, so distinct
 // trees cannot collide by concatenation (e.g. `a=1; b=2` vs `a=12`).
 func (k *Kernel) Digest() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "kernel %q %d\n", k.Name, len(k.Params))
+	b := make([]byte, 0, 1024)
+	b = strconv.AppendQuote(append(b, "kernel "...), k.Name)
+	b = appendInt(b, " ", int64(len(k.Params)))
 	for _, p := range k.Params {
-		fmt.Fprintf(h, "param %q %d\n", p.Name, int(p.Kind))
+		b = strconv.AppendQuote(append(b, "param "...), p.Name)
+		b = appendInt(b, " ", int64(p.Kind))
 	}
-	digestStmts(h, k.Body)
-	return hex.EncodeToString(h.Sum(nil))
+	b = digestStmts(b, k.Body)
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
-func digestStmts(w io.Writer, stmts []Stmt) {
-	fmt.Fprintf(w, "block %d\n", len(stmts))
+// appendQuoted appends one line: tag, then s Go-quoted, then a newline.
+func appendQuoted(b []byte, tag, s string) []byte {
+	return append(strconv.AppendQuote(append(b, tag...), s), '\n')
+}
+
+// appendInt appends one line: tag, then n in decimal, then a newline.
+func appendInt(b []byte, tag string, n int64) []byte {
+	return append(strconv.AppendInt(append(b, tag...), n, 10), '\n')
+}
+
+func digestStmts(b []byte, stmts []Stmt) []byte {
+	b = appendInt(b, "block ", int64(len(stmts)))
 	for _, s := range stmts {
 		switch s := s.(type) {
 		case *Assign:
-			fmt.Fprintf(w, "assign %q\n", s.Name)
-			digestExpr(w, s.Value)
+			b = appendQuoted(b, "assign ", s.Name)
+			b = digestExpr(b, s.Value)
 		case *Store:
-			fmt.Fprintf(w, "store %q\n", s.Array)
-			digestExpr(w, s.Index)
-			digestExpr(w, s.Value)
+			b = appendQuoted(b, "store ", s.Array)
+			b = digestExpr(b, s.Index)
+			b = digestExpr(b, s.Value)
 		case *If:
-			io.WriteString(w, "if\n")
-			digestExpr(w, s.Cond)
-			digestStmts(w, s.Then)
-			digestStmts(w, s.Else)
+			b = append(b, "if\n"...)
+			b = digestExpr(b, s.Cond)
+			b = digestStmts(b, s.Then)
+			b = digestStmts(b, s.Else)
 		case *While:
-			io.WriteString(w, "while\n")
-			digestExpr(w, s.Cond)
-			digestStmts(w, s.Body)
+			b = append(b, "while\n"...)
+			b = digestExpr(b, s.Cond)
+			b = digestStmts(b, s.Body)
 		case *For:
-			io.WriteString(w, "for\n")
+			b = append(b, "for\n"...)
 			if s.Init != nil {
-				fmt.Fprintf(w, "init %q\n", s.Init.Name)
-				digestExpr(w, s.Init.Value)
+				b = appendQuoted(b, "init ", s.Init.Name)
+				b = digestExpr(b, s.Init.Value)
 			}
-			digestExpr(w, s.Cond)
+			b = digestExpr(b, s.Cond)
 			if s.Post != nil {
-				fmt.Fprintf(w, "post %q\n", s.Post.Name)
-				digestExpr(w, s.Post.Value)
+				b = appendQuoted(b, "post ", s.Post.Name)
+				b = digestExpr(b, s.Post.Value)
 			}
-			digestStmts(w, s.Body)
+			b = digestStmts(b, s.Body)
+		case *Call:
+			// Only the node type: the cache keys a kernel after inlining,
+			// which leaves no calls.
+			b = append(b, "stmt *ir.Call\n"...)
 		default:
-			fmt.Fprintf(w, "stmt %T\n", s)
+			b = append(b, "stmt <nil>\n"...)
 		}
 	}
+	return b
 }
 
-func digestExpr(w io.Writer, e Expr) {
+func digestExpr(b []byte, e Expr) []byte {
 	switch e := e.(type) {
 	case *Const:
-		fmt.Fprintf(w, "const %d\n", e.Value)
+		return appendInt(b, "const ", int64(e.Value))
 	case *VarRef:
-		fmt.Fprintf(w, "var %q\n", e.Name)
+		return appendQuoted(b, "var ", e.Name)
 	case *Load:
-		fmt.Fprintf(w, "load %q\n", e.Array)
-		digestExpr(w, e.Index)
+		return digestExpr(appendQuoted(b, "load ", e.Array), e.Index)
 	case *Bin:
-		fmt.Fprintf(w, "bin %d\n", int(e.Op))
-		digestExpr(w, e.X)
-		digestExpr(w, e.Y)
+		b = appendInt(b, "bin ", int64(e.Op))
+		return digestExpr(digestExpr(b, e.X), e.Y)
 	case *Un:
-		fmt.Fprintf(w, "un %d\n", int(e.Op))
-		digestExpr(w, e.X)
-	case nil:
-		io.WriteString(w, "nil\n")
+		return digestExpr(appendInt(b, "un ", int64(e.Op)), e.X)
 	default:
-		fmt.Fprintf(w, "expr %T\n", e)
+		return append(b, "nil\n"...)
 	}
 }
