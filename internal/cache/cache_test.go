@@ -36,6 +36,18 @@ func compileArtifact(t *testing.T, workloadName string) (string, *pipeline.Artif
 	return pipeline.Key(w.Kernel, comp, pipeline.Defaults()), a
 }
 
+// mustPut stores an artifact and waits for its disk commit, for a test
+// that reads the disk tier next.
+func mustPut(t *testing.T, s *Store, key string, art *pipeline.Artifact) {
+	t.Helper()
+	if err := s.Put(key, art); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMemoryHitAndMiss(t *testing.T) {
 	s, err := New(Options{})
 	if err != nil {
@@ -106,9 +118,7 @@ func TestDiskPersistenceAcrossStores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.Put(key, art); err != nil {
-		t.Fatal(err)
-	}
+	mustPut(t, s1, key, art)
 	// A fresh store over the same directory (a restarted daemon) must
 	// serve the artifact from disk, then from memory.
 	s2, err := New(Options{Dir: dir})
@@ -150,9 +160,7 @@ func TestCorruptEntryQuarantined(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Put(key, art); err != nil {
-				t.Fatal(err)
-			}
+			mustPut(t, s, key, art)
 			path := s.Path(key)
 			data, err := os.ReadFile(path)
 			if err != nil {
@@ -176,9 +184,7 @@ func TestCorruptEntryQuarantined(t *testing.T) {
 				t.Fatal("corrupt entry still in place")
 			}
 			// Recovery: a recompile reinstalls and the entry serves again.
-			if err := s2.Put(key, art); err != nil {
-				t.Fatal(err)
-			}
+			mustPut(t, s2, key, art)
 			s3, err := New(Options{Dir: dir})
 			if err != nil {
 				t.Fatal(err)
@@ -223,6 +229,9 @@ func TestConcurrentGetPut(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	// Every key was Put at least once; all must now be servable.
 	for _, k := range keys {
 		if _, _, ok := s.Get(k); !ok {
@@ -264,9 +273,7 @@ func TestStartupIndexEvictsOldest(t *testing.T) {
 	base := time.Now().Add(-time.Hour)
 	// Oldest first: "b", then "c", then "a".
 	for i, key := range []string{"b", "c", "a"} {
-		if err := s.Put(key, art); err != nil {
-			t.Fatal(err)
-		}
+		mustPut(t, s, key, art)
 		mtime := base.Add(time.Duration(i) * time.Minute)
 		if err := os.Chtimes(s.Path(key), mtime, mtime); err != nil {
 			t.Fatal(err)

@@ -37,14 +37,15 @@ func (r ScrubReport) String() string {
 	return fmt.Sprintf("scrub: %d clean, %d quarantined, %d io-errors", r.Checked, r.Quarantined, r.IOErrors)
 }
 
-// ScrubNow runs one synchronous scrubber pass over the disk tier. Safe to
-// call concurrently with Get/Put; memory-only stores report an empty
-// (clean) pass.
+// ScrubNow waits for every queued disk commit, then runs one synchronous
+// scrubber pass over the disk tier. Safe to call concurrently with
+// Get/Put; memory-only stores report an empty (clean) pass.
 func (s *Store) ScrubNow() ScrubReport {
 	var rep ScrubReport
 	if s.dir == "" {
 		return rep
 	}
+	s.settle()
 	s.scrubRuns.Inc()
 
 	// Walk the directory rather than the index: the scrubber is also the
@@ -108,12 +109,11 @@ func (s *Store) ScrubNow() ScrubReport {
 	return rep
 }
 
-// probeDisk checks whether the disk accepts a full durable commit again: a
-// small probe entry is written through the same path as a real commit,
-// then removed.
+// probeDisk checks whether the disk accepts a commit again: a small probe
+// entry is written through the same path as a real commit, then removed.
 func (s *Store) probeDisk() bool {
 	const probeKey = "scrub-probe"
-	if err := s.commitDisk(probeKey, []byte("cgra-cache-probe")); err != nil {
+	if err := s.writeEntry(probeKey, []byte("cgra-cache-probe")); err != nil {
 		return false
 	}
 	_ = s.fs.Remove(s.Path(probeKey))

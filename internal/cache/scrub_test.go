@@ -37,26 +37,20 @@ func TestScrubRepairsEachCorruptionMode(t *testing.T) {
 		"torn_commit": func(t *testing.T, dir string) *Store {
 			inj := chaos.New(chaos.Plan{Seed: 11, TornWriteEvery: 1}, nil, nil)
 			s := newDiskStore(t, dir, Options{FS: inj})
-			if err := s.Put(key, art); err != nil {
-				t.Fatal(err)
-			}
+			mustPut(t, s, key, art)
 			inj.Disarm()
 			return s
 		},
 		"bit_rot": func(t *testing.T, dir string) *Store {
 			inj := chaos.New(chaos.Plan{Seed: 11, BitRotEvery: 1}, nil, nil)
 			s := newDiskStore(t, dir, Options{FS: inj})
-			if err := s.Put(key, art); err != nil {
-				t.Fatal(err)
-			}
+			mustPut(t, s, key, art)
 			inj.Disarm()
 			return s
 		},
 		"truncated": func(t *testing.T, dir string) *Store {
 			s := newDiskStore(t, dir, Options{})
-			if err := s.Put(key, art); err != nil {
-				t.Fatal(err)
-			}
+			mustPut(t, s, key, art)
 			data, err := os.ReadFile(s.Path(key))
 			if err != nil {
 				t.Fatal(err)
@@ -68,9 +62,7 @@ func TestScrubRepairsEachCorruptionMode(t *testing.T) {
 		},
 		"bad_magic": func(t *testing.T, dir string) *Store {
 			s := newDiskStore(t, dir, Options{})
-			if err := s.Put(key, art); err != nil {
-				t.Fatal(err)
-			}
+			mustPut(t, s, key, art)
 			data, err := os.ReadFile(s.Path(key))
 			if err != nil {
 				t.Fatal(err)
@@ -99,9 +91,7 @@ func TestScrubRepairsEachCorruptionMode(t *testing.T) {
 			}
 			// A recompile (Put) reinstalls; the next pass is clean and a
 			// fresh store serves the entry from disk.
-			if err := s.Put(key, art); err != nil {
-				t.Fatal(err)
-			}
+			mustPut(t, s, key, art)
 			if rep := s.ScrubNow(); !rep.Clean() || rep.Checked != 1 {
 				t.Fatalf("post-repair pass not clean: %s", rep)
 			}
@@ -119,9 +109,7 @@ func TestScrubReconcilesIndex(t *testing.T) {
 	dir := t.TempDir()
 	key, art := compileArtifact(t, "gcd")
 	seed := newDiskStore(t, dir, Options{})
-	if err := seed.Put(key, art); err != nil {
-		t.Fatal(err)
-	}
+	mustPut(t, seed, key, art)
 	// A second store over the same dir, then mutate the dir directly.
 	s := newDiskStore(t, dir, Options{})
 	if s.DiskEntries() != 1 {
@@ -137,9 +125,7 @@ func TestScrubReconcilesIndex(t *testing.T) {
 		t.Fatalf("index still holds %d entries after file vanished", s.DiskEntries())
 	}
 	// Reinstall behind the store's back (what another writer would do).
-	if err := seed.Put(key, art); err != nil {
-		t.Fatal(err)
-	}
+	mustPut(t, seed, key, art)
 	if rep := s.ScrubNow(); rep.Checked != 1 {
 		t.Fatalf("scrub checked %d entries after reinstall, want 1", rep.Checked)
 	}
@@ -155,9 +141,7 @@ func TestDiskCapEvictsLRU(t *testing.T) {
 	dir := t.TempDir()
 	_, art := compileArtifact(t, "gcd")
 	probe := newDiskStore(t, t.TempDir(), Options{})
-	if err := probe.Put("size-probe", art); err != nil {
-		t.Fatal(err)
-	}
+	mustPut(t, probe, "size-probe", art)
 	entrySize := probe.DiskBytes()
 	if entrySize <= 0 {
 		t.Fatal("size probe failed")
@@ -168,9 +152,7 @@ func TestDiskCapEvictsLRU(t *testing.T) {
 	s.cap, s.capBytes = 1, 3*entrySize
 	keys := []string{"k1", "k2", "k3"}
 	for _, k := range keys {
-		if err := s.Put(k, art); err != nil {
-			t.Fatal(err)
-		}
+		mustPut(t, s, k, art)
 	}
 	if s.DiskEntries() != 3 {
 		t.Fatalf("disk holds %d entries, want 3", s.DiskEntries())
@@ -179,9 +161,7 @@ func TestDiskCapEvictsLRU(t *testing.T) {
 	if _, _, ok := s.Get("k1"); !ok {
 		t.Fatal("k1 not servable")
 	}
-	if err := s.Put("k4", art); err != nil {
-		t.Fatal(err)
-	}
+	mustPut(t, s, "k4", art)
 	if s.DiskBytes() > 3*entrySize {
 		t.Fatalf("disk tier over cap: %d > %d", s.DiskBytes(), 3*entrySize)
 	}
@@ -206,8 +186,11 @@ func TestENOSPCDegradesAndScrubHeals(t *testing.T) {
 	inj := chaos.New(chaos.Plan{ENOSPCEvery: 1}, nil, reg)
 	s := newDiskStore(t, dir, Options{FS: inj, Registry: reg})
 
-	if err := s.Put(key, art); err == nil {
-		t.Fatal("Put on a full disk should report the install failure")
+	if err := s.Put(key, art); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err == nil {
+		t.Fatal("Flush after a Put on a full disk should report the install failure")
 	}
 	if !s.Degraded() {
 		t.Fatal("store not degraded after persistent ENOSPC")
@@ -220,9 +203,7 @@ func TestENOSPCDegradesAndScrubHeals(t *testing.T) {
 		t.Fatalf("memory tier lost the artifact (ok=%t src=%q)", ok, src)
 	}
 	// Degraded mode skips disk writes entirely (no error, no file).
-	if err := s.Put(key+"2", art); err != nil {
-		t.Fatalf("degraded Put must be memory-only and silent: %v", err)
-	}
+	mustPut(t, s, key+"2", art)
 	if _, err := os.Stat(s.Path(key + "2")); !os.IsNotExist(err) {
 		t.Fatal("degraded store still wrote to disk")
 	}
@@ -240,9 +221,7 @@ func TestENOSPCDegradesAndScrubHeals(t *testing.T) {
 		t.Fatal("heal not counted in cgra_cache_scrub_heals_total")
 	}
 	// Writes reach the disk again.
-	if err := s.Put(key, art); err != nil {
-		t.Fatalf("post-heal Put: %v", err)
-	}
+	mustPut(t, s, key, art)
 	if _, err := os.Stat(s.Path(key)); err != nil {
 		t.Fatalf("post-heal entry not on disk: %v", err)
 	}
@@ -262,47 +241,22 @@ func TestStartupRemovesStaleTempFiles(t *testing.T) {
 	}
 }
 
-// syncRecorder wraps an FS and records the operation order of one commit,
-// so the test can assert the crash-safe protocol: temp write, temp fsync,
-// rename, directory fsync — in that order.
-type syncRecorder struct {
-	chaos.FS
-	ops []string
-}
-
-func (r *syncRecorder) WriteFile(path string, data []byte, perm uint32) error {
-	r.ops = append(r.ops, "write:"+filepath.Base(path))
-	return r.FS.WriteFile(path, data, perm)
-}
-
-func (r *syncRecorder) Sync(path string) error {
-	r.ops = append(r.ops, "sync:"+filepath.Base(path))
-	return r.FS.Sync(path)
-}
-
-func (r *syncRecorder) Rename(oldPath, newPath string) error {
-	r.ops = append(r.ops, "rename:"+filepath.Base(newPath))
-	return r.FS.Rename(oldPath, newPath)
-}
-
 // TestCommitIsFsyncedBeforeRename pins the durability order of the disk
 // commit: the temp file must be fsynced before the rename installs it, and
 // the parent directory after — the fix for the crash window where a rename
-// could persist while its data had not.
+// could persist while its data had not. Entries queued together share one
+// directory fsync, after the last of their renames.
 func TestCommitIsFsyncedBeforeRename(t *testing.T) {
 	dir := t.TempDir()
 	key, art := compileArtifact(t, "gcd")
-	rec := &syncRecorder{FS: chaos.OS}
-	s := newDiskStore(t, dir, Options{FS: rec})
+	s, fs := newGatedStore(t, dir, Options{})
 	if err := s.Put(key, art); err != nil {
 		t.Fatal(err)
 	}
-	var got []string
-	for _, op := range rec.ops {
-		if strings.Contains(op, ".tmp-") {
-			op = op[:strings.Index(op, ".tmp-")] + ".tmp"
-		}
-		got = append(got, op)
+	<-fs.held
+	fs.pass <- struct{}{}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	want := []string{
 		"write:" + key + ".art.tmp",
@@ -310,8 +264,31 @@ func TestCommitIsFsyncedBeforeRename(t *testing.T) {
 		"rename:" + key + ".art",
 		"sync:" + filepath.Base(dir),
 	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
+	if got := fs.trace(); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("commit protocol order:\n got %v\nwant %v", got, want)
+	}
+
+	// Hold k1's commit so k2 and k3 queue behind it as one batch.
+	if err := s.Put("k1", art); err != nil {
+		t.Fatal(err)
+	}
+	<-fs.held
+	for _, k := range []string{"k2", "k3"} {
+		if err := s.Put(k, art); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs.open()
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want = []string{
+		"write:k1.art.tmp", "sync:k1.art.tmp", "rename:k1.art", "sync:" + filepath.Base(dir),
+		"write:k2.art.tmp", "sync:k2.art.tmp", "rename:k2.art",
+		"write:k3.art.tmp", "sync:k3.art.tmp", "rename:k3.art", "sync:" + filepath.Base(dir),
+	}
+	if got := fs.trace(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("group commit order:\n got %v\nwant %v", got, want)
 	}
 }
 

@@ -18,6 +18,18 @@ import (
 	"cgra/internal/workload"
 )
 
+// newStore opens an artifact cache (memory-only for dir "") that is closed
+// when the test ends.
+func newStore(t *testing.T, dir string) *cache.Store {
+	t.Helper()
+	store, err := cache.New(cache.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(store.Close)
+	return store
+}
+
 // TestSystemServesFromCache proves the synthesis path consults the artifact
 // cache: a second system sharing the cache directory serves the kernel from
 // disk without recompiling, and the realized kernel executes correctly.
@@ -32,12 +44,8 @@ func TestSystemServesFromCache(t *testing.T) {
 	}
 	dir := t.TempDir()
 	newSys := func() *System {
-		store, err := cache.New(cache.Options{Dir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
 		s := New(comp, pipeline.Defaults(), 1)
-		s.Cache = store
+		s.Cache = newStore(t, dir)
 		if err := s.Register(w.Kernel); err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +71,9 @@ func TestSystemServesFromCache(t *testing.T) {
 		t.Fatal("first system did not accelerate")
 	}
 
-	// A restarted daemon: fresh system, same cache directory.
+	// A restarted daemon: the first one's store is closed, as its
+	// shutdown does, and a fresh system opens the same cache directory.
+	s1.Cache.Close()
 	s2 := newSys()
 	info2, err := s2.SynthesizeCtx(context.Background(), "gcd")
 	if err != nil {
@@ -120,12 +130,8 @@ func TestSystemCacheCrossCheck(t *testing.T) {
 	}
 	dir := t.TempDir()
 	for i := 0; i < 2; i++ {
-		store, err := cache.New(cache.Options{Dir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
 		s := New(comp, pipeline.Defaults(), 1)
-		s.Cache = store
+		s.Cache = newStore(t, dir)
 		s.crossCheck = true
 		if err := s.Register(w.Kernel); err != nil {
 			t.Fatal(err)
@@ -148,6 +154,7 @@ func TestSystemCacheCrossCheck(t *testing.T) {
 		if !res.OnCGRA {
 			t.Fatalf("run %d: not accelerated", i)
 		}
+		s.Cache.Close() // the restart before the next run
 	}
 }
 
@@ -159,12 +166,8 @@ func TestResynthesizeReportsInstalled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := cache.New(cache.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := New(comp, pipeline.Defaults(), 1)
-	s.Cache = store
+	s.Cache = newStore(t, "")
 	if err := s.Register(workload.FIR().Kernel); err != nil {
 		t.Fatal(err)
 	}
@@ -195,12 +198,8 @@ func TestServedKeyGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := cache.New(cache.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := New(comp, pipeline.Defaults(), 1)
-	s.Cache = store
+	s.Cache = newStore(t, "")
 	w, err := workload.ByName("dot")
 	if err != nil {
 		t.Fatal(err)
@@ -231,12 +230,8 @@ func TestCacheKeyIndependentOfLibrary(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := func(registered int) float64 {
-		store, err := cache.New(cache.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
 		s := New(comp, pipeline.Defaults(), 1)
-		s.Cache = store
+		s.Cache = newStore(t, "")
 		if err := s.Register(workload.FIR().Kernel); err != nil {
 			t.Fatal(err)
 		}
@@ -273,10 +268,7 @@ func TestSharedProgramNeverWritten(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := cache.New(cache.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := newStore(t, "")
 	s := New(comp, pipeline.Defaults(), 1)
 	s.Cache = store
 	if err := s.Register(mustParse(t, dotSrc)); err != nil {

@@ -276,9 +276,9 @@ func (s *System) compileKernel(ctx context.Context, st *sysState, name string) (
 	_, _ = c.Engine()
 	if s.Cache != nil {
 		if art, aerr := c.Artifact(); aerr == nil {
-			// A cache write failure (disk full, permissions) must not fail
-			// the synthesis: the compiled entry is good.
-			_ = s.Cache.PutCtx(ctx, key, art)
+			// The disk commit runs behind the request: a cache write
+			// failure (disk full, permissions) cannot fail the synthesis.
+			s.Cache.PutCtx(ctx, key, art)
 		}
 	}
 	return &entry{c: c, ref: flat, key: key, phys: st.phys}, nil
