@@ -204,8 +204,9 @@ func (s *Server) Serve(ln net.Listener) error {
 
 // Shutdown drains the daemon: new requests are rejected (readyz reports
 // draining, admission returns 503), in-flight requests run to completion
-// within ctx, then the synthesis pool is quiesced and closed and the
-// cache's background scrubber is stopped.
+// within ctx, then the synthesis pool is quiesced and closed, and the
+// cache's queued disk commits are made durable before its background
+// scrubber is stopped.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	var err error
