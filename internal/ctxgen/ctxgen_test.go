@@ -110,12 +110,12 @@ func TestGenerateRoutingOutputs(t *testing.T) {
 			if !srcCtx.OutlEnable {
 				t.Errorf("op at c%d: source PE %d outl not enabled", op.Cycle, src.FromPE)
 			}
-			if srcCtx.OutlAddr != src.Val.Addr {
+			if int(srcCtx.OutlAddr) != src.Val.Addr {
 				t.Errorf("op at c%d: outl addr %d != value addr %d", op.Cycle, srcCtx.OutlAddr, src.Val.Addr)
 			}
 			// The route input index must point back at the source.
 			ctx := p.PE[op.PE][op.Cycle]
-			var input int
+			var input int32
 			if op.A == src {
 				input = ctx.AInput
 			} else {

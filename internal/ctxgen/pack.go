@@ -3,6 +3,7 @@ package ctxgen
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 
 	"cgra/internal/arch"
@@ -161,18 +162,18 @@ func (p *Program) unpackPE(pe int, words []uint64) ([]PECtx, error) {
 		}
 		c.Op = table[idx]
 		c.AMode = SrcMode(u.get(f.AModeBits))
-		c.AAddr = int(u.get(f.AAddrBits))
-		c.AInput = int(u.get(f.AInputBits))
+		c.AAddr = int32(u.get(f.AAddrBits))
+		c.AInput = int32(u.get(f.AInputBits))
 		c.BMode = SrcMode(u.get(f.BModeBits))
-		c.BAddr = int(u.get(f.BAddrBits))
-		c.BInput = int(u.get(f.BInputBits))
+		c.BAddr = int32(u.get(f.BAddrBits))
+		c.BInput = int32(u.get(f.BInputBits))
 		c.WriteEnable = u.getBool()
-		c.WriteAddr = int(u.get(f.WriteBits - 1))
+		c.WriteAddr = int32(u.get(f.WriteBits - 1))
 		c.Predicated = u.getBool()
 		c.Imm = int32(uint32(u.get(f.ImmBits)))
-		c.Array = int(u.get(f.ArrayBits))
+		c.Array = int32(u.get(f.ArrayBits))
 		c.OutlEnable = u.getBool()
-		c.OutlAddr = int(u.get(f.OutlBits - 1))
+		c.OutlAddr = int32(u.get(f.OutlBits - 1))
 	}
 	return out, nil
 }
@@ -203,6 +204,12 @@ func (p *Program) ReadImages(data []byte) ([]byte, error) {
 	n := p.Comp.NumPEs()
 	if p.Alloc == nil || len(p.Alloc.RFUsage) != n {
 		return nil, fmt.Errorf("ctxgen: allocation does not hold one RF usage per PE of %d", n)
+	}
+	for pe, used := range p.Alloc.RFUsage {
+		// The address fields are sized by the usage and decoded into int32.
+		if used < 0 || used > math.MaxInt32 {
+			return nil, fmt.Errorf("ctxgen: PE %d uses %d RF entries", pe, used)
+		}
 	}
 	p.computeFormats()
 	chunks := 0

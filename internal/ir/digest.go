@@ -70,9 +70,14 @@ func digestStmts(b []byte, stmts []Stmt) []byte {
 			}
 			b = digestStmts(b, s.Body)
 		case *Call:
-			// Only the node type: the cache keys a kernel after inlining,
-			// which leaves no calls.
-			b = append(b, "stmt *ir.Call\n"...)
+			// The cache keys a kernel after inlining, which leaves no
+			// calls, but a registered source keeps them: two kernels that
+			// differ only in a call are different sources.
+			b = appendQuoted(b, "call ", s.Callee)
+			b = appendInt(b, "args ", int64(len(s.Args)))
+			for _, a := range s.Args {
+				b = digestExpr(b, a)
+			}
 		default:
 			b = append(b, "stmt <nil>\n"...)
 		}

@@ -19,16 +19,24 @@ func statements(n int) string {
 	return b.String()
 }
 
-// lexBytes is the least number of heap bytes one lexAll of src allocates,
-// over a few tries (a concurrent allocation can only add to a try).
+// lexBytes is the least number of heap bytes lexing all of src allocates,
+// over a few tries (a concurrent allocation can only add to a try). It
+// runs the token loop the parser pulls from.
 func lexBytes(t *testing.T, src string) uint64 {
 	t.Helper()
 	best := ^uint64(0)
 	for try := 0; try < 3; try++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := lexAll(src); err != nil {
-			t.Fatal(err)
+		l := newLexer(src)
+		for {
+			tok, err := l.next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tok.kind == tokEOF {
+				break
+			}
 		}
 		runtime.ReadMemStats(&after)
 		if d := after.TotalAlloc - before.TotalAlloc; d < best {

@@ -23,17 +23,13 @@ import (
 //	            (<<|>>|>>>) (+|-) (*) with unary - ~ ! and primaries
 //	            int, ident, ident[expr], (expr) .
 func Parse(src string) (*ir.Kernel, error) {
-	toks, err := lexAll(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := newParser(src)
 	k, err := p.kernel()
-	if err != nil {
-		return nil, err
+	if err == nil && p.cur().kind != tokEOF {
+		err = p.errf("trailing input after kernel body: %s", p.cur())
 	}
-	if p.cur().kind != tokEOF {
-		return nil, p.errf("trailing input after kernel body: %s", p.cur())
+	if err := p.finish(err); err != nil {
+		return nil, err
 	}
 	if err := ir.Validate(k); err != nil {
 		return nil, fmt.Errorf("kernel %s: %v", k.Name, err)
@@ -45,25 +41,24 @@ func Parse(src string) (*ir.Kernel, error) {
 // kernel is the program entry. Calls between the kernels are resolved and
 // validated (ir.ValidateProgram).
 func ParseProgram(src string) (*ir.Program, error) {
-	toks, err := lexAll(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := newParser(src)
 	var prog *ir.Program
 	for p.cur().kind != tokEOF {
 		k, err := p.kernel()
 		if err != nil {
-			return nil, err
+			return nil, p.finish(err)
 		}
 		if prog == nil {
 			prog = ir.NewProgram(k)
 		} else {
 			if _, dup := prog.Kernels[k.Name]; dup {
-				return nil, fmt.Errorf("duplicate kernel %q", k.Name)
+				return nil, p.finish(fmt.Errorf("duplicate kernel %q", k.Name))
 			}
 			prog.Kernels[k.Name] = k
 		}
+	}
+	if err := p.finish(nil); err != nil {
+		return nil, err
 	}
 	if prog == nil {
 		return nil, fmt.Errorf("no kernels in source")
@@ -74,13 +69,54 @@ func ParseProgram(src string) (*ir.Program, error) {
 	return prog, nil
 }
 
+// parser is a recursive-descent parser over a token stream it pulls from
+// the lexer one token at a time: it looks one token ahead (cur) and never
+// backtracks, so no token slice is ever built.
 type parser struct {
-	toks []token
-	pos  int
+	lex *lexer
+	tok token
+	// lexErr is the lexer's first error. The stream then ends: cur is an
+	// end-of-input token from there on.
+	lexErr error
 }
 
-func (p *parser) cur() token  { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
+func newParser(src string) *parser {
+	p := &parser{lex: newLexer(src)}
+	p.advance()
+	return p
+}
+
+// cur is the current token.
+func (p *parser) cur() token { return p.tok }
+
+// advance moves to the next token.
+func (p *parser) advance() {
+	if p.lexErr != nil {
+		return
+	}
+	t, err := p.lex.next()
+	if err != nil {
+		p.lexErr = err
+		t = token{kind: tokEOF, line: p.lex.line, col: p.lex.col}
+	}
+	p.tok = t
+}
+
+// finish settles how a parse that stopped with err (nil if it completed)
+// ends. A lexical error anywhere in the source wins over a parse error, as
+// if the whole source had been lexed first: on a parse error the rest of
+// the source is lexed to find one.
+func (p *parser) finish(err error) error {
+	if err != nil {
+		for p.lexErr == nil && p.tok.kind != tokEOF {
+			p.advance()
+		}
+	}
+	if p.lexErr != nil {
+		return p.lexErr
+	}
+	return err
+}
 
 func (p *parser) errf(format string, args ...interface{}) error {
 	t := p.cur()
@@ -92,14 +128,14 @@ func (p *parser) expectPunct(s string) error {
 	if t.kind != tokPunct || t.text != s {
 		return p.errf("expected %q, found %s", s, t)
 	}
-	p.pos++
+	p.advance()
 	return nil
 }
 
 func (p *parser) acceptPunct(s string) bool {
 	t := p.cur()
 	if t.kind == tokPunct && t.text == s {
-		p.pos++
+		p.advance()
 		return true
 	}
 	return false
@@ -110,14 +146,14 @@ func (p *parser) expectIdent() (string, error) {
 	if t.kind != tokIdent {
 		return "", p.errf("expected identifier, found %s", t)
 	}
-	p.pos++
+	p.advance()
 	return t.text, nil
 }
 
 func (p *parser) acceptKeyword(kw string) bool {
 	t := p.cur()
 	if t.kind == tokIdent && t.text == kw {
-		p.pos++
+		p.advance()
 		return true
 	}
 	return false
@@ -173,7 +209,7 @@ func (p *parser) param() (ir.Param, error) {
 	default:
 		return ir.Param{}, p.errf("unknown parameter kind %q (want in, inout or array)", t.text)
 	}
-	p.pos++
+	p.advance()
 	name, err := p.expectIdent()
 	if err != nil {
 		return ir.Param{}, err
@@ -208,7 +244,7 @@ func (p *parser) stmt() (ir.Stmt, error) {
 	case "if":
 		return p.ifStmt()
 	case "while":
-		p.pos++
+		p.advance()
 		if err := p.expectPunct("("); err != nil {
 			return nil, err
 		}
@@ -225,7 +261,7 @@ func (p *parser) stmt() (ir.Stmt, error) {
 		}
 		return &ir.While{Cond: cond, Body: body}, nil
 	case "for":
-		p.pos++
+		p.advance()
 		if err := p.expectPunct("("); err != nil {
 			return nil, err
 		}
@@ -258,7 +294,7 @@ func (p *parser) stmt() (ir.Stmt, error) {
 	default:
 		// assignment, array store, or kernel call
 		name := t.text
-		p.pos++
+		p.advance()
 		if p.acceptPunct("(") {
 			var args []ir.Expr
 			if !p.acceptPunct(")") {
@@ -331,7 +367,7 @@ func (p *parser) assign() (*ir.Assign, error) {
 }
 
 func (p *parser) ifStmt() (ir.Stmt, error) {
-	p.pos++ // "if"
+	p.advance() // "if"
 	if err := p.expectPunct("("); err != nil {
 		return nil, err
 	}
@@ -395,7 +431,7 @@ func (p *parser) binary(level int) (ir.Expr, error) {
 		matched := false
 		for _, cand := range binLevels[level] {
 			if p.cur().kind == tokPunct && p.cur().text == cand.text {
-				p.pos++
+				p.advance()
 				right, err := p.binary(level + 1)
 				if err != nil {
 					return nil, err
@@ -416,7 +452,7 @@ func (p *parser) unary() (ir.Expr, error) {
 	if t.kind == tokPunct {
 		switch t.text {
 		case "-":
-			p.pos++
+			p.advance()
 			x, err := p.unary()
 			if err != nil {
 				return nil, err
@@ -427,14 +463,14 @@ func (p *parser) unary() (ir.Expr, error) {
 			}
 			return &ir.Un{Op: ir.OpNeg, X: x}, nil
 		case "~":
-			p.pos++
+			p.advance()
 			x, err := p.unary()
 			if err != nil {
 				return nil, err
 			}
 			return &ir.Un{Op: ir.OpNot, X: x}, nil
 		case "!":
-			p.pos++
+			p.advance()
 			x, err := p.unary()
 			if err != nil {
 				return nil, err
@@ -449,10 +485,10 @@ func (p *parser) primary() (ir.Expr, error) {
 	t := p.cur()
 	switch {
 	case t.kind == tokInt:
-		p.pos++
+		p.advance()
 		return &ir.Const{Value: t.val}, nil
 	case t.kind == tokIdent:
-		p.pos++
+		p.advance()
 		if p.acceptPunct("[") {
 			idx, err := p.expr()
 			if err != nil {
@@ -465,7 +501,7 @@ func (p *parser) primary() (ir.Expr, error) {
 		}
 		return &ir.VarRef{Name: t.text}, nil
 	case t.kind == tokPunct && t.text == "(":
-		p.pos++
+		p.advance()
 		e, err := p.expr()
 		if err != nil {
 			return nil, err

@@ -186,6 +186,10 @@ func TestParseErrors(t *testing.T) {
 		{"unterminated-comment", `kernel k(inout r) { /* r = 1; }`, "unterminated"},
 		{"bad-char", `kernel k(inout r) { r = 1 $ 2; }`, "unexpected character"},
 		{"div-unsupported", `kernel k(inout r) { r = 4 / 2; }`, ""},
+		// A lexical error anywhere wins over a parse error before it.
+		{"parse-then-comment", "kernel k(out r) {}\n\n/* never closed", "3:15: unterminated block comment"},
+		{"parse-then-literal", "kernel k(inout r) { r = ; }\nr = 99999999999;", "2:5: bad integer literal"},
+		{"lex-after-kernel", "kernel k(inout r) { r = 1; }\n$", "2:1: unexpected character"},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.src)

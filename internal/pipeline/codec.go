@@ -100,20 +100,20 @@ func (a *Artifact) AppendBinary(dst []byte) ([]byte, error) {
 	e.count(len(p.CBox))
 	for _, c := range p.CBox {
 		e.bool(c.Consume)
-		e.int(c.StatusPE)
+		e.int(int(c.StatusPE))
 		e.bool(c.Recombine)
 		e.int(int(c.Logic))
-		e.int(c.AAddr)
+		e.int(int(c.AAddr))
 		e.bool(c.AInv)
-		e.int(c.BAddr)
+		e.int(int(c.BAddr))
 		e.bool(c.BInv)
-		e.int(c.WriteAddr)
+		e.int(int(c.WriteAddr))
 		e.bool(c.HasA)
 		e.bool(c.HasB)
 		e.bool(c.OutPEEnable)
-		e.int(c.OutPEAddr)
+		e.int(int(c.OutPEAddr))
 		e.bool(c.OutCtrlEnable)
-		e.int(c.OutCtrlAddr)
+		e.int(int(c.OutCtrlAddr))
 		e.bool(c.OutCtrlInv)
 	}
 	e.count(len(p.CCU))
@@ -216,6 +216,17 @@ func (d *decoder) int() int {
 	return int(v)
 }
 
+// int32 reads an integer that must fit a 32-bit context field; a wider
+// one is an error, not a wrapped value.
+func (d *decoder) int32() int32 {
+	v := d.int()
+	if v != int(int32(v)) {
+		d.fail("integer %d does not fit 32 bits", v)
+		return 0
+	}
+	return int32(v)
+}
+
 // count reads an element count and bounds it by the bytes left: each
 // element takes at least each bytes.
 func (d *decoder) count(each int) int {
@@ -301,20 +312,20 @@ func (a *Artifact) UnmarshalBinary(data []byte) error {
 		for i := range p.CBox {
 			c := &p.CBox[i]
 			c.Consume = d.bool()
-			c.StatusPE = d.int()
+			c.StatusPE = d.int32()
 			c.Recombine = d.bool()
 			c.Logic = sched.CBLogic(d.int())
-			c.AAddr = d.int()
+			c.AAddr = d.int32()
 			c.AInv = d.bool()
-			c.BAddr = d.int()
+			c.BAddr = d.int32()
 			c.BInv = d.bool()
-			c.WriteAddr = d.int()
+			c.WriteAddr = d.int32()
 			c.HasA = d.bool()
 			c.HasB = d.bool()
 			c.OutPEEnable = d.bool()
-			c.OutPEAddr = d.int()
+			c.OutPEAddr = d.int32()
 			c.OutCtrlEnable = d.bool()
-			c.OutCtrlAddr = d.int()
+			c.OutCtrlAddr = d.int32()
 			c.OutCtrlInv = d.bool()
 		}
 	}

@@ -149,11 +149,11 @@ func (m *Machine) refRun(ctx context.Context, args map[string]int32, host *ir.Ho
 					return 0, nil
 				}
 			}
-			a, err := fetch(ctx.AMode, ctx.AAddr, ctx.AInput)
+			a, err := fetch(ctx.AMode, int(ctx.AAddr), int(ctx.AInput))
 			if err != nil {
 				return nil, err
 			}
-			b, err := fetch(ctx.BMode, ctx.BAddr, ctx.BInput)
+			b, err := fetch(ctx.BMode, int(ctx.BAddr), int(ctx.BInput))
 			if err != nil {
 				return nil, err
 			}
@@ -175,7 +175,7 @@ func (m *Machine) refRun(ctx context.Context, args map[string]int32, host *ir.Ho
 				if !squash {
 					arr := prog.Arrays[ctx.Array]
 					pending = append(pending, pendingWrite{
-						cycle: finish, pe: pe, addr: ctx.WriteAddr,
+						cycle: finish, pe: pe, addr: int(ctx.WriteAddr),
 						isDMA: true, dmaLoad: true, array: arr, index: a,
 					})
 				}
@@ -202,7 +202,7 @@ func (m *Machine) refRun(ctx context.Context, args map[string]int32, host *ir.Ho
 				}
 				if ctx.WriteEnable {
 					pending = append(pending, pendingWrite{
-						cycle: finish, pe: pe, addr: ctx.WriteAddr,
+						cycle: finish, pe: pe, addr: int(ctx.WriteAddr),
 						value: val, squash: squash,
 					})
 				}
@@ -244,7 +244,7 @@ func (m *Machine) refRun(ctx context.Context, args map[string]int32, host *ir.Ho
 			condWrite = &struct {
 				addr int
 				val  bool
-			}{cbox.WriteAddr, out}
+			}{int(cbox.WriteAddr), out}
 		}
 
 		// Phase 5: end-of-cycle commits (RF writes, DMA completions).

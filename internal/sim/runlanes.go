@@ -330,7 +330,7 @@ func (d *Decoded) stepLanes(ls *laneState, reqs []BatchRequest, out []BatchResul
 	// CCU). The latch must happen before phase 4 writes condition memory.
 	if m.hasPred {
 		if cb.OutPEEnable {
-			base := cb.OutPEAddr * L
+			base := int(cb.OutPEAddr) * L
 			for _, l := range group {
 				ls.outPE[l] = ls.cond[base+int(l)]
 			}
@@ -342,7 +342,7 @@ func (d *Decoded) stepLanes(ls *laneState, reqs []BatchRequest, out []BatchResul
 	}
 	if m.needCtrl {
 		if cb.OutCtrlEnable {
-			base, inv := cb.OutCtrlAddr*L, cb.OutCtrlInv
+			base, inv := int(cb.OutCtrlAddr)*L, cb.OutCtrlInv
 			for _, l := range group {
 				ls.outCtrl[l] = ls.cond[base+int(l)] != inv
 			}
@@ -531,8 +531,8 @@ func (d *Decoded) stepLanes(ls *laneState, reqs []BatchRequest, out []BatchResul
 	// only read by this phase and the (already latched) phase-2 outputs,
 	// so the write lands immediately.
 	if m.needCBox {
-		stIdx := cb.StatusPE * L
-		aIdx, bIdx, wIdx := cb.AAddr*L, cb.BAddr*L, cb.WriteAddr*L
+		stIdx := int(cb.StatusPE) * L
+		aIdx, bIdx, wIdx := int(cb.AAddr)*L, int(cb.BAddr)*L, int(cb.WriteAddr)*L
 		for _, l := range group {
 			li := int(l)
 			var in bool

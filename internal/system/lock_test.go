@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cgra/internal/ir"
+	"cgra/internal/irtext"
 )
 
 // returnsWithin runs f and fails the test unless it returns within a bound
@@ -85,6 +86,27 @@ func TestRegisterSameSourceIsNoop(t *testing.T) {
 	err := s.Register(mustParse(t, `kernel dot(inout s) { s = 1; }`))
 	if !errors.Is(err, ErrConflict) {
 		t.Fatalf("different source under a taken name: got %v, want ErrConflict", err)
+	}
+	// A call's target and arguments are source too.
+	caller := func(body string) *ir.Kernel {
+		prog, err := irtext.ParseProgram(`kernel caller(inout s) { ` + body + ` }
+			kernel f(inout x, in y) { x = x + y; }
+			kernel g(inout x, in y) { x = x - y; }`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog.EntryKernel()
+	}
+	if err := s.Register(caller(`f(s, 1);`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Register(caller(`f(s, 1);`)); err != nil {
+		t.Fatalf("re-registering the same call: %v", err)
+	}
+	for _, body := range []string{`g(s, 1);`, `f(s, 2);`} {
+		if err := s.Register(caller(body)); !errors.Is(err, ErrConflict) {
+			t.Fatalf("caller { %s } under a taken name: got %v, want ErrConflict", body, err)
+		}
 	}
 }
 
