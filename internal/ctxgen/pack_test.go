@@ -3,6 +3,9 @@ package ctxgen
 import (
 	"math/rand"
 	"testing"
+
+	"cgra/internal/alloc"
+	"cgra/internal/arch"
 )
 
 // TestPackerFieldsCrossChunks packs random fields of 0–64 bits, many of
@@ -41,5 +44,23 @@ func TestPackerFieldsCrossChunks(t *testing.T) {
 			}
 			pos += w
 		}
+	}
+}
+
+// TestReadImagesRefusesWideRF: an allocation whose RF usage sizes address
+// fields past 31 bits is refused, since the decoded fields are int32 and
+// would wrap. The images themselves would be long enough.
+func TestReadImagesRefusesWideRF(t *testing.T) {
+	comp, err := arch.HomogeneousMesh(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &Program{Comp: comp, NumCtx: 1, Alloc: &alloc.Result{RFUsage: []int{1 << 40, 1, 1, 1}}}
+	if _, err := p.ReadImages(make([]byte, 4096)); err == nil {
+		t.Fatal("ReadImages accepted an RF usage of 2^40")
+	}
+	p.Alloc.RFUsage[0] = 1
+	if _, err := p.ReadImages(make([]byte, 4096)); err != nil {
+		t.Fatalf("the same images with an RF usage of 1: %v", err)
 	}
 }

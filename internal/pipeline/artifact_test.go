@@ -303,6 +303,11 @@ func TestDecodeArtifactRejectsCorruption(t *testing.T) {
 			t.Errorf("%s: decode accepted corrupt input", name)
 		}
 	}
+	// The C-Box fields are int32 too: a wider value is refused, not wrapped.
+	d := &decoder{data: binary.AppendVarint(nil, 1<<40)}
+	if d.int32(); d.err == nil {
+		t.Error("decoder took a 41-bit integer for a 32-bit C-Box field")
+	}
 }
 
 // FuzzDecodeArtifact feeds arbitrary bytes to the artifact decoder, seeded
