@@ -2,8 +2,10 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -343,7 +345,7 @@ func TestEngineLanesWatchdog(t *testing.T) {
 	outs := eng.RunBatch(context.Background(), 3, reqs)
 	for i, o := range outs {
 		var we *sim.WatchdogError
-		if !errorsAs(o.Err, &we) {
+		if !errors.As(o.Err, &we) {
 			t.Fatalf("lane %d: want WatchdogError, got %v", i, o.Err)
 		}
 		if we.Limit != 3 {
@@ -365,6 +367,60 @@ func TestEngineLanesCancellation(t *testing.T) {
 	outs := eng.RunBatch(ctx, 0, []sim.BatchRequest{{Args: tc.args, Host: tc.host.Clone()}})
 	if outs[0].Err == nil {
 		t.Fatal("cancelled batch returned a result")
+	}
+}
+
+// checkedOnce is a context that turns Canceled once it has been checked:
+// its first Err reports nil, every later one context.Canceled.
+type checkedOnce struct {
+	context.Context
+	checks int
+}
+
+func (c *checkedOnce) Err() error {
+	if c.checks++; c.checks > 1 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestEngineCancellation asserts the scalar walk checks its context at
+// cycle 0 and at every multiple of 8192 cycles: a context cancelled before
+// the run fails it with a wrapped context.Canceled, and one that turns
+// Canceled after the first check stops an adpcm run at cycle 8192 exactly,
+// although the block-stepped walk checks only between blocks.
+func TestEngineCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	tc := engineCases(t)[0]
+	if _, err := tc.c.Machine().RunCtx(ctx, tc.args, tc.host.Clone()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("run under a cancelled context: %v, want context.Canceled", err)
+	}
+
+	comp, err := arch.ByName("9 PEs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Compile(adpcm.Kernel(), comp, Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var enc adpcm.State
+	codes, err := adpcm.Encode(adpcm.GenerateSamples(adpcm.NumSamples), &enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	args, host := adpcm.Args(adpcm.NumSamples, adpcm.State{}), adpcm.NewHost(codes, adpcm.NumSamples)
+	full, err := c.Run(args, host.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.RunCycles <= 8192 {
+		t.Fatalf("adpcm runs %d cycles, too few to reach a second check", full.RunCycles)
+	}
+	_, err = c.Machine().RunCtx(&checkedOnce{Context: context.Background()}, args, host.Clone())
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "run cancelled at cycle 8192") {
+		t.Fatalf("run cancelled after its first check: %v, want cancellation at cycle 8192", err)
 	}
 }
 
@@ -428,27 +484,10 @@ func TestEngineWatchdog(t *testing.T) {
 	m.MaxCycles = 3
 	_, err := m.Run(tc.args, tc.host.Clone())
 	var we *sim.WatchdogError
-	if !errorsAs(err, &we) {
+	if !errors.As(err, &we) {
 		t.Fatalf("want WatchdogError, got %v", err)
 	}
 	if we.Limit != 3 {
 		t.Fatalf("watchdog limit %d, want 3", we.Limit)
 	}
-}
-
-// errorsAs avoids importing errors just for one assertion helper.
-func errorsAs(err error, target *(*sim.WatchdogError)) bool {
-	for err != nil {
-		if we, ok := err.(*sim.WatchdogError); ok {
-			*target = we
-			return true
-		}
-		type unwrapper interface{ Unwrap() error }
-		u, ok := err.(unwrapper)
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }

@@ -28,30 +28,17 @@ const (
 	EvRouteRead
 )
 
+var eventNames = [...]string{
+	EvRFWrite: "rf-write", EvRFSquash: "rf-squash", EvCondWrite: "cond-write",
+	EvJumpTaken: "jump", EvDMALoad: "dma-load", EvDMAStore: "dma-store",
+	EvHalt: "halt", EvFault: "fault", EvIssue: "issue", EvRouteRead: "route-read",
+}
+
 func (k EventKind) String() string {
-	switch k {
-	case EvRFWrite:
-		return "rf-write"
-	case EvRFSquash:
-		return "rf-squash"
-	case EvCondWrite:
-		return "cond-write"
-	case EvJumpTaken:
-		return "jump"
-	case EvDMALoad:
-		return "dma-load"
-	case EvDMAStore:
-		return "dma-store"
-	case EvHalt:
-		return "halt"
-	case EvFault:
-		return "fault"
-	case EvIssue:
-		return "issue"
-	case EvRouteRead:
-		return "route-read"
+	if k < 0 || int(k) >= len(eventNames) {
+		return "?"
 	}
-	return "?"
+	return eventNames[k]
 }
 
 // Event is one observable state change during simulation. The Probe hook on

@@ -6,9 +6,9 @@ import (
 )
 
 // hooks is the instrumentation of one scalar run: the machine's Probe,
-// Trace and fault plan, called by Decoded.run exactly where the state they
-// observe or corrupt changes. The production path passes nil, so every
-// call site costs one untaken branch.
+// Trace and fault plan, called by the hooked walk (Decoded.run) exactly
+// where the state they observe or corrupt changes. A run without them
+// takes the production walk, which has no hook sites at all.
 type hooks struct {
 	probe  func(Event)
 	trace  func(cycle int64, ccnt int)
