@@ -34,11 +34,8 @@ type Counters struct {
 func AttachCounters(m *Machine) *Counters {
 	c := &Counters{
 		numPE: m.prog.Comp.NumPEs(),
-		limit: m.MaxCycles,
+		limit: cycleLimit(m.MaxCycles),
 		links: map[[2]int]int64{},
-	}
-	if c.limit == 0 {
-		c.limit = defaultMaxCycles
 	}
 	c.issues = make([]int64, c.numPE)
 	c.rfHigh = make([]int, c.numPE)

@@ -13,6 +13,7 @@ import (
 	"cgra/internal/ir"
 	"cgra/internal/irtext"
 	"cgra/internal/pipeline"
+	"cgra/internal/sched"
 	"cgra/internal/sim"
 )
 
@@ -265,5 +266,151 @@ func TestEveryOperatorEveryWalk(t *testing.T) {
 			res, err = sim.New(c.Program).RefRun(args(i), h)
 			check("reference interpreter", res, err, h)
 		}
+	}
+}
+
+// cboxWordProgram hand-builds a six-context program on comp around one
+// C-Box word under test. Contexts 0 and 1 store the live-ins xa and xb
+// (each compared != 0 on PE 0) in condition slots 1 and 2; context 2 issues
+// the same compare on xs, so a status of PE 0 arrives, and runs word, whose
+// operands name slots 1 and 2 and which writes slot 3. Context 3 observes
+// slot 3 twice: as outPE, predicating p = 1 on PE 1, and as an inverted
+// outCtrl, jumping to context 5 (j = 2) when the slot is false and falling
+// through to context 4 (j = 1) when it is true. Contexts 4 and 5 halt.
+func cboxWordProgram(comp *arch.Composition, word ctxgen.CBoxCtx) *ctxgen.Program {
+	const slotA, slotB, slotW = 1, 2, 3
+	p := &ctxgen.Program{
+		Comp:   comp,
+		NumCtx: 6,
+		PE:     make([][]ctxgen.PECtx, comp.NumPEs()),
+		CBox:   make([]ctxgen.CBoxCtx, 6),
+		CCU: []ctxgen.CCUCtx{{}, {}, {},
+			{Mode: ctxgen.CCUCondJump, Target: 5},
+			{Mode: ctxgen.CCUJump, Target: 4},
+			{Mode: ctxgen.CCUJump, Target: 5}},
+		LiveIns:  []string{"xa", "xb", "xs"},
+		LiveOuts: []string{"p", "j"},
+		Homes: map[string]ctxgen.Home{
+			"xa": {PE: 0, Addr: 0}, "xb": {PE: 0, Addr: 1}, "xs": {PE: 0, Addr: 2},
+			"p": {PE: 1}, "j": {PE: 2},
+		},
+	}
+	for i := range p.PE {
+		p.PE[i] = make([]ctxgen.PECtx, p.NumCtx)
+	}
+	for c := 0; c < 3; c++ {
+		p.PE[0][c] = ctxgen.PECtx{Op: arch.IFNE, AMode: ctxgen.SrcReg, AAddr: int32(c)}
+	}
+	p.CBox[0] = ctxgen.CBoxCtx{Consume: true, WriteAddr: slotA}
+	p.CBox[1] = ctxgen.CBoxCtx{Consume: true, WriteAddr: slotB}
+	word.AAddr, word.BAddr, word.WriteAddr = slotA, slotB, slotW
+	p.CBox[2] = word
+	p.PE[1][3] = ctxgen.PECtx{Op: arch.CONST, Imm: 1, WriteEnable: true, Predicated: true}
+	p.CBox[3] = ctxgen.CBoxCtx{OutPEEnable: true, OutPEAddr: slotW, OutCtrlEnable: true, OutCtrlAddr: slotW, OutCtrlInv: true}
+	p.PE[2][4] = ctxgen.PECtx{Op: arch.CONST, Imm: 1, WriteEnable: true}
+	p.PE[2][5] = ctxgen.PECtx{Op: arch.CONST, Imm: 2, WriteEnable: true}
+	return p
+}
+
+// TestEveryCBoxWordEveryWalk runs every C-Box word Predecode accepts — a
+// consume, a recombine or both; every HasA/HasB and AInv/BInv; pass, AND
+// and OR — on every value of the status and the two slots it can read,
+// through the plain walk, the hooked walk with counters attached, RunBatch
+// with one divergent lane per value and the reference interpreter. All
+// must agree, so the decoded word keeps the reference interpreter's
+// precedence, including on words the scheduler never emits and only a
+// decoded artifact can carry. A consume of a status that never arrives
+// must fail every walk with the reference's error, and a logic value
+// outside pass, AND and OR is refused at predecode.
+func TestEveryCBoxWordEveryWalk(t *testing.T) {
+	comp, err := arch.ByName("9 PEs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := comp.PEs[0].Duration(arch.IFNE); d != 1 {
+		t.Fatalf("%s: IFNE takes %d cycles on PE 0, want 1", comp.Name, d)
+	}
+	outcome := func(res *sim.Result, err error) string {
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		return fmt.Sprintf("p=%d j=%d, %d cycles, energy %g", res.LiveOuts["p"], res.LiveOuts["j"], res.RunCycles, res.Energy)
+	}
+	var args []map[string]int32
+	for v := int32(0); v < 8; v++ {
+		args = append(args, map[string]int32{"xa": v & 1, "xb": v >> 1 & 1, "xs": v >> 2})
+	}
+	// walks runs prog with args on every walk and returns each outcome,
+	// the reference interpreter's first.
+	walks := func(prog *ctxgen.Program) [][4]string {
+		eng, err := sim.Predecode(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs := make([]sim.BatchRequest, len(args))
+		for i := range args {
+			reqs[i] = sim.BatchRequest{Args: args[i], Host: ir.NewHost()}
+		}
+		lanes := eng.RunBatch(context.Background(), 0, reqs)
+		out := make([][4]string, len(args))
+		for i, a := range args {
+			out[i][0] = outcome(sim.New(prog).RefRun(a, ir.NewHost()))
+			out[i][1] = outcome(sim.New(prog).Run(a, ir.NewHost()))
+			m := sim.New(prog)
+			sim.AttachCounters(m)
+			out[i][2] = outcome(m.Run(a, ir.NewHost()))
+			out[i][3] = outcome(lanes[i].Res, lanes[i].Err)
+		}
+		return out
+	}
+	names := [4]string{"reference interpreter", "plain walk", "hooked walk", "RunBatch lane"}
+
+	seen := map[string]bool{}
+	for _, mode := range [][2]bool{{true, false}, {false, true}, {true, true}} {
+		for bits := 0; bits < 16; bits++ {
+			for _, logic := range []sched.CBLogic{sched.CBPass, sched.CBAnd, sched.CBOr} {
+				word := ctxgen.CBoxCtx{
+					Consume: mode[0], Recombine: mode[1], Logic: logic,
+					HasA: bits&1 != 0, HasB: bits&2 != 0, AInv: bits&4 != 0, BInv: bits&8 != 0,
+				}
+				for i, got := range walks(cboxWordProgram(comp, word)) {
+					seen[got[0]] = true
+					for w := 1; w < len(got); w++ {
+						if got[w] != got[0] {
+							t.Errorf("word %+v, %v: %s gives %s, %s gives %s", word, args[i], names[w], got[w], names[0], got[0])
+						}
+					}
+				}
+			}
+		}
+	}
+	// Both observations must see both values, else the check above is vacuous.
+	for _, want := range []string{"p=1 j=1", "p=0 j=2"} {
+		found := false
+		for got := range seen {
+			found = found || strings.HasPrefix(got, want)
+		}
+		if !found {
+			t.Errorf("no run ended with %s; outcomes: %v", want, seen)
+		}
+	}
+
+	missing := cboxWordProgram(comp, ctxgen.CBoxCtx{Consume: true, StatusPE: 3})
+	const wantErr = "error: sim: ctx 2 consumes missing status of PE 3"
+	for i, got := range walks(missing) {
+		for w, g := range got {
+			if g != wantErr {
+				t.Errorf("missing status, %v: %s gives %s, want %s", args[i], names[w], g, wantErr)
+			}
+		}
+	}
+
+	undefined := cboxWordProgram(comp, ctxgen.CBoxCtx{Recombine: true, HasA: true, HasB: true, Logic: sched.CBOr + 1})
+	_, err = sim.Predecode(undefined)
+	if err == nil || !strings.Contains(err.Error(), "C-Box logic") {
+		t.Errorf("Predecode of an undefined C-Box logic: %v", err)
+	}
+	if _, runErr := sim.New(undefined).Run(args[0], ir.NewHost()); err != nil && (runErr == nil || runErr.Error() != err.Error()) {
+		t.Errorf("Machine.Run of an undefined C-Box logic: error %v, want %v", runErr, err)
 	}
 }

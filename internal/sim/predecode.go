@@ -100,7 +100,9 @@ type Decoded struct {
 	// accumulation and of the issue-phase hook calls.
 	slots []dslot
 
-	cbox []ctxgen.CBoxCtx
+	// cbox[c] is context c's decoded C-Box word, read when
+	// cmeta[c].needCBox.
+	cbox []cboxWord
 	// cmeta[c] is context c's header: which phases it needs and where the
 	// CCU goes next. Every walk reads it instead of the CCU table.
 	cmeta []ctxMeta
@@ -139,18 +141,22 @@ type fpend struct {
 	index   int32
 }
 
-// runState is the reusable mutable state of one scalar run: the flat
-// register slab, condition memory, per-PE status slots and the due-cycle
-// commit ring. All buffers are sized once and reused across runs via the
-// Decoded's pool.
-type runState struct {
-	rf   []int32
-	cond []bool
-	// statusVal/statusArrive are the bounded per-PE status slots: a
-	// compare finishing at cycle c sets arrive[pe]=c, and the C-Box
-	// consume checks arrival with one lookup instead of a rescan.
-	statusVal    []bool
+// condState is what the C-Box reads, lane-innermost at the run's stride (1
+// for a scalar run). cond holds the cbSlots condition slots and after them
+// one status line per PE, so an operand is one index whichever it names. A
+// compare finishing at cycle c sets its line and statusArrive[pe]=c, so a
+// consume checks arrival with one lookup instead of a rescan.
+type condState struct {
+	cond         []bool
 	statusArrive []int64
+}
+
+// runState is the reusable mutable state of one scalar run: the flat
+// register slab, the C-Box state and the due-cycle commit ring. All
+// buffers are sized once and reused across runs via the Decoded's pool.
+type runState struct {
+	rf []int32
+	condState
 	// ring[b] holds, in issue order, the commits due at the one cycle ≡ b
 	// (mod ringSize) within the next ringSize cycles; pendAny counts them
 	// all, so a cycle with nothing outstanding skips the commit phase.
@@ -168,12 +174,13 @@ func (d *Decoded) getState() *runState {
 	}
 	if rs == nil {
 		rs = &runState{
-			rf:           make([]int32, d.rfTotal),
-			cond:         make([]bool, d.cbSlots),
-			statusVal:    make([]bool, d.numPE),
-			statusArrive: make([]int64, d.numPE),
-			ring:         make([][]fpend, d.ringSize),
-			hostArr:      make([][]int32, len(d.arrays)),
+			rf: make([]int32, d.rfTotal),
+			condState: condState{
+				cond:         make([]bool, d.cbSlots+d.numPE),
+				statusArrive: make([]int64, d.numPE),
+			},
+			ring:    make([][]fpend, d.ringSize),
+			hostArr: make([][]int32, len(d.arrays)),
 		}
 		for i := range rs.ring {
 			rs.ring[i] = make([]fpend, 0, d.numPE)
@@ -213,14 +220,13 @@ func Predecode(prog *ctxgen.Program) (*Decoded, error) {
 		return nil, fmt.Errorf("sim: predecode: incomplete program")
 	}
 	comp := prog.Comp
-	// The program is immutable after Generate, so the C-Box stream and the
-	// array table are shared, not copied.
+	// The program is immutable after Generate, so the array table is
+	// shared, not copied.
 	d := &Decoded{
 		numPE:   comp.NumPEs(),
 		numCtx:  prog.NumCtx,
 		rfOff:   make([]int32, comp.NumPEs()),
 		cbSlots: comp.CBoxSlots,
-		cbox:    prog.CBox,
 		arrays:  prog.Arrays,
 	}
 	off := int32(0)
@@ -248,6 +254,7 @@ func Predecode(prog *ctxgen.Program) (*Decoded, error) {
 	}
 	d.slots = make([]dslot, 0, work)
 	d.cmeta = make([]ctxMeta, d.numCtx)
+	d.cbox = make([]cboxWord, d.numCtx)
 
 	for c := 0; c < d.numCtx; c++ {
 		m := &d.cmeta[c]
@@ -310,7 +317,7 @@ func Predecode(prog *ctxgen.Program) (*Decoded, error) {
 			d.slots = append(d.slots, sl)
 		}
 		m.hi = int32(len(d.slots))
-		cb := &d.cbox[c]
+		cb := &prog.CBox[c]
 		ccu := &prog.CCU[c]
 		m.needCBox = cb.Consume || cb.Recombine
 		m.needCtrl = ccu.Mode == ctxgen.CCUCondJump
@@ -343,6 +350,12 @@ func Predecode(prog *ctxgen.Program) (*Decoded, error) {
 		if (cb.HasA && (cb.AAddr < 0 || cb.AAddr >= cbSlots)) ||
 			(cb.HasB && (cb.BAddr < 0 || cb.BAddr >= cbSlots)) {
 			return nil, fmt.Errorf("sim: predecode: ctx %d C-Box operand slot out of range", c)
+		}
+		if cb.Logic != sched.CBPass && cb.Logic != sched.CBAnd && cb.Logic != sched.CBOr {
+			return nil, fmt.Errorf("sim: predecode: ctx %d C-Box logic %d undefined", c, cb.Logic)
+		}
+		if m.needCBox {
+			d.cbox[c] = d.decodeCBox(cb)
 		}
 	}
 
@@ -398,6 +411,59 @@ type ctxMeta struct {
 	needCBox bool  // C-Box consumes or recombines this context
 	jump     bool  // CCU jumps unconditionally (the hooked walk reports it)
 	halt     bool  // CCU jumps to this context: the run finishes here
+}
+
+// cboxWord is a C-Box word that consumes or recombines, resolved once by
+// decodeCBox into the one shape every walk evaluates (cboxWord.eval): a
+// first operand, an optional second one joined by AND or OR, and the slot
+// written. Operands index condState.cond.
+type cboxWord struct {
+	status     int32 // PE whose status a consume checks for arrival; -1: none
+	a          int32 // first operand: a condition slot or a status line; -1: false
+	b          int32 // second operand, a condition slot; -1: none
+	write      int32 // condition slot written
+	aInv, bInv bool
+	or         bool // join the operands with OR, else AND
+}
+
+// decodeCBox resolves cb. A consumed status is the first operand even when
+// the word also recombines; the second operand is slot A after a consumed
+// status and slot B when two stored conditions recombine; a pass has none.
+func (d *Decoded) decodeCBox(cb *ctxgen.CBoxCtx) cboxWord {
+	w := cboxWord{status: -1, a: -1, b: -1, write: cb.WriteAddr, or: cb.Logic == sched.CBOr}
+	if cb.Consume {
+		w.status, w.a = cb.StatusPE, int32(d.cbSlots)+cb.StatusPE
+	} else if cb.HasA {
+		w.a, w.aInv = cb.AAddr, cb.AInv
+	}
+	switch {
+	case cb.Logic == sched.CBPass:
+	case cb.Consume && cb.HasA:
+		w.b, w.bInv = cb.AAddr, cb.AInv
+	case cb.Recombine && cb.HasB:
+		w.b, w.bInv = cb.BAddr, cb.BInv
+	}
+	return w
+}
+
+// eval is phase 4 of w at cycle for one lane of cs, whose slabs have the
+// given stride (a scalar run passes 1 and lane 0): the condition w writes,
+// and ok false when the status it consumes did not arrive this cycle. A
+// second operand equal to w.or decides the join (false under AND, true
+// under OR); otherwise the first operand does.
+func (w *cboxWord) eval(cs *condState, stride, lane int, cycle int64) (v, ok bool) {
+	ok = w.status < 0 || cs.statusArrive[int(w.status)*stride+lane] == cycle
+	v = w.a >= 0 && cs.cond[int(w.a)*stride+lane] != w.aInv
+	if w.b >= 0 && (cs.cond[int(w.b)*stride+lane] != w.bInv) == w.or {
+		v = w.or
+	}
+	return v, ok
+}
+
+// missingStatus is the error of a run whose context c consumes a status
+// that did not arrive this cycle.
+func (d *Decoded) missingStatus(c int) error {
+	return fmt.Errorf("sim: ctx %d consumes missing status of PE %d", c, d.cbox[c].status)
 }
 
 // planCommits derives how each walk commits writes: the due-cycle ring
@@ -608,25 +674,27 @@ func (d *Decoded) decodeSrc(prog *ctxgen.Program, pe, c int, mode ctxgen.SrcMode
 	}
 }
 
-// begin starts a scalar run: the live-ins go into their home slots, and the
-// host arrays are resolved once; a nil entry (absent or empty array) falls
-// back to the host interface on access for the exact fault.
-func (d *Decoded) begin(rs *runState, args map[string]int32, host *ir.Host) error {
+// begin binds a run's live-ins into their home slots of rf and resolves
+// its host arrays into hostArr, both at lane of slabs with the given
+// stride (a scalar run passes 1 and lane 0). A nil array entry (absent or
+// empty) falls back to the host interface on access for the exact fault.
+func (d *Decoded) begin(rf []int32, hostArr [][]int32, stride, lane int, args map[string]int32, host *ir.Host) error {
 	for _, home := range d.liveIns {
 		v, ok := args[home.name]
 		if !ok {
 			return fmt.Errorf("sim: missing live-in %q", home.name)
 		}
-		rs.rf[home.off] = v
+		rf[int(home.off)*stride+lane] = v
 	}
 	for i, name := range d.arrays {
-		rs.hostArr[i] = host.Arrays[name]
+		hostArr[i*stride+lane] = host.Arrays[name]
 	}
 	return nil
 }
 
-// result reports a run that halted after cycles cycles.
-func (d *Decoded) result(rf []int32, cycles int64, energy float64) *Result {
+// result reports a run that halted after cycles cycles, its live-outs read
+// at lane of rf with the given stride.
+func (d *Decoded) result(rf []int32, stride, lane int, cycles int64, energy float64) *Result {
 	res := &Result{
 		RunCycles:      cycles,
 		TransferCycles: d.transfer,
@@ -634,50 +702,19 @@ func (d *Decoded) result(rf []int32, cycles int64, energy float64) *Result {
 		LiveOuts:       make(map[string]int32, len(d.liveOuts)),
 	}
 	for _, home := range d.liveOuts {
-		res.LiveOuts[home.name] = rf[home.off]
+		res.LiveOuts[home.name] = rf[int(home.off)*stride+lane]
 	}
 	return res
 }
 
-// cboxOut is phase 4 of context c at cycle: the condition its C-Box
-// consumes or recombines into slot cb.WriteAddr.
-func (rs *runState) cboxOut(cb *ctxgen.CBoxCtx, c int, cycle int64) (bool, error) {
-	var in, with bool
-	if cb.Consume {
-		if rs.statusArrive[cb.StatusPE] != cycle {
-			return false, fmt.Errorf("sim: ctx %d consumes missing status of PE %d", c, cb.StatusPE)
-		}
-		in = rs.statusVal[cb.StatusPE]
-	} else if cb.HasA {
-		in = rs.cond[cb.AAddr] != cb.AInv
-	}
-	// The second operand: slot A after a consumed status, slot B when two
-	// stored conditions recombine.
-	switch {
-	case cb.Consume && cb.HasA:
-		with = rs.cond[cb.AAddr] != cb.AInv
-	case cb.Recombine && cb.HasB:
-		with = rs.cond[cb.BAddr] != cb.BInv
-	default:
-		return in, nil
-	}
-	switch cb.Logic {
-	case sched.CBAnd:
-		return in && with, nil
-	case sched.CBOr:
-		return in || with, nil
-	}
-	return in, nil
-}
-
-// dmaFault is the error of a DMA commit whose index is out of its array's
-// range: the host interface's fault, reproduced verbatim.
-func (d *Decoded) dmaFault(host *ir.Host, pw *fpend) error {
+// dmaFault is the error of a DMA transfer whose index is out of its
+// array's range: the host interface's fault, reproduced verbatim.
+func (d *Decoded) dmaFault(host *ir.Host, array, index, value int32, load bool) error {
 	var err error
-	if pw.dmaLoad {
-		_, err = host.Load(d.arrays[pw.array], pw.index)
+	if load {
+		_, err = host.Load(d.arrays[array], index)
 	} else {
-		err = host.Store(d.arrays[pw.array], pw.index, pw.value)
+		err = host.Store(d.arrays[array], index, value)
 	}
 	return fmt.Errorf("sim: %v", err)
 }
@@ -692,7 +729,7 @@ func (d *Decoded) dmaFault(host *ir.Host, pw *fpend) error {
 func (d *Decoded) runPlain(ctx context.Context, limit int64, args map[string]int32, host *ir.Host) (*Result, error) {
 	rs := d.getState()
 	defer d.putState(rs)
-	if err := d.begin(rs, args, host); err != nil {
+	if err := d.begin(rs.rf, rs.hostArr, 1, 0, args, host); err != nil {
 		return nil, err
 	}
 	rf, cond, slots, cmeta := rs.rf, rs.cond, d.slots, d.cmeta
@@ -738,7 +775,7 @@ func (d *Decoded) runPlain(ctx context.Context, limit int64, args map[string]int
 				finish := cycle + int64(sl.dur) - 1
 				energy += sl.energy
 				if sl.kind == slotCompare {
-					rs.statusVal[sl.pe] = arch.Holds(sl.op, a, b)
+					cond[d.cbSlots+int(sl.pe)] = arch.Holds(sl.op, a, b)
 					rs.statusArrive[sl.pe] = finish
 					continue
 				}
@@ -772,12 +809,12 @@ func (d *Decoded) runPlain(ctx context.Context, limit int64, args map[string]int
 			// touch only registers and the heap, so the write need not
 			// wait for them.
 			if m.needCBox {
-				cb := &d.cbox[c]
-				v, err := rs.cboxOut(cb, c, cycle)
-				if err != nil {
-					return nil, err
+				w := &d.cbox[c]
+				v, ok := w.eval(&rs.condState, 1, 0, cycle)
+				if !ok {
+					return nil, d.missingStatus(c)
 				}
-				cond[cb.WriteAddr] = v
+				cond[w.write] = v
 			}
 
 			// Phase 5: end-of-cycle commits due this cycle, in issue order.
@@ -789,7 +826,7 @@ func (d *Decoded) runPlain(ctx context.Context, limit int64, args map[string]int
 					case !pw.isDMA:
 						rf[pw.wOff] = pw.value
 					case pw.index < 0 || int(pw.index) >= len(rs.hostArr[pw.array]):
-						return nil, d.dmaFault(host, pw)
+						return nil, d.dmaFault(host, pw.array, pw.index, pw.value, pw.dmaLoad)
 					case pw.dmaLoad:
 						rf[pw.wOff] = rs.hostArr[pw.array][pw.index]
 					default:
@@ -805,7 +842,7 @@ func (d *Decoded) runPlain(ctx context.Context, limit int64, args map[string]int
 		// Phase 6: next CCNT, decided by the block's last context.
 		m := &cmeta[last]
 		if m.halt {
-			return d.result(rf, cycle, energy), nil
+			return d.result(rf, 1, 0, cycle, energy), nil
 		}
 		ccnt = int(m.next)
 		if outCtrl {
@@ -823,7 +860,7 @@ func (d *Decoded) run(ctx context.Context, limit int64, args map[string]int32, h
 	h.inject.BeginRun()
 	rs := d.getState()
 	defer d.putState(rs)
-	if err := d.begin(rs, args, host); err != nil {
+	if err := d.begin(rs.rf, rs.hostArr, 1, 0, args, host); err != nil {
 		return nil, err
 	}
 	rf := rs.rf
@@ -873,7 +910,7 @@ func (d *Decoded) run(ctx context.Context, limit int64, args map[string]int32, h
 
 			switch sl.kind {
 			case slotCompare:
-				rs.statusVal[sl.pe] = h.status(sl.pe, arch.Holds(sl.op, a, b))
+				rs.cond[d.cbSlots+int(sl.pe)] = h.status(sl.pe, arch.Holds(sl.op, a, b))
 				rs.statusArrive[sl.pe] = finish
 			case slotLoad:
 				if !squash {
@@ -892,11 +929,10 @@ func (d *Decoded) run(ctx context.Context, limit int64, args map[string]int32, h
 		}
 
 		// Phase 4: C-Box consumes a status / recombines.
-		condVal := false
+		var condVal, ok bool
 		if m.needCBox {
-			var err error
-			if condVal, err = rs.cboxOut(&d.cbox[ccnt], ccnt, cycle); err != nil {
-				return nil, err
+			if condVal, ok = d.cbox[ccnt].eval(&rs.condState, 1, 0, cycle); !ok {
+				return nil, d.missingStatus(ccnt)
 			}
 		}
 
@@ -909,7 +945,7 @@ func (d *Decoded) run(ctx context.Context, limit int64, args map[string]int32, h
 				addr := int(pw.wOff - d.rfOff[pw.pe])
 				switch {
 				case pw.isDMA && (pw.index < 0 || int(pw.index) >= len(rs.hostArr[pw.array])):
-					return nil, d.dmaFault(host, pw)
+					return nil, d.dmaFault(host, pw.array, pw.index, pw.value, pw.dmaLoad)
 				case pw.isDMA && pw.dmaLoad:
 					v := h.alu(pw.pe, rs.hostArr[pw.array][pw.index])
 					h.emit(EvDMALoad, int(pw.pe), addr, v)
@@ -927,7 +963,7 @@ func (d *Decoded) run(ctx context.Context, limit int64, args map[string]int32, h
 			rs.ring[bkt] = due[:0]
 		}
 		if m.needCBox {
-			addr := d.cbox[ccnt].WriteAddr
+			addr := d.cbox[ccnt].write
 			rs.cond[addr] = condVal
 			v := int32(0)
 			if condVal {
@@ -939,7 +975,7 @@ func (d *Decoded) run(ctx context.Context, limit int64, args map[string]int32, h
 		// Phase 6: next CCNT.
 		if m.halt {
 			h.emit(EvHalt, 0, 0, 0)
-			return d.result(rf, cycle+1, energy), nil
+			return d.result(rf, 1, 0, cycle+1, energy), nil
 		}
 		next := m.next
 		if outCtrl {

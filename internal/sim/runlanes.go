@@ -5,12 +5,17 @@
 // decode (operand multiplexer settings, op identity, duration, energy) is
 // paid once per slot per cycle instead of once per lane.
 //
-// The lane walk commits like the scalar walk (Decoded.run): routed
-// operands are plain RF reads at their predecoded offset, the context
-// header (ctxMeta) gates every phase, writes predecode proves unobservable
-// when early (dslot.direct) land at issue, and the rest wait in a
-// due-cycle ring that an outstanding-entry count skips when empty. On top
-// of that, a batched cycle's per-lane cost is kept small:
+// The lane walk commits like the scalar walks: routed operands are plain
+// RF reads at their predecoded offset, the context header (ctxMeta) gates
+// every phase and names the C-Box slots phase 2 latches, writes predecode
+// proves unobservable when early (dslot.direct) land at issue, and the
+// rest wait in a due-cycle ring that an outstanding-entry count skips when
+// empty. What is not per-slot work it shares with them rather than copies:
+// each takes a slab stride and a lane, which the scalar walks pass as 1
+// and 0 — the decoded C-Box word's evaluation (cboxWord.eval), live-in
+// binding (begin), the halt result (result) and the host-fault text
+// (dmaFault). Only the issue loops are the lane walk's own, specialised so
+// a batched cycle's per-lane cost is kept small:
 //
 //   - all lane slabs are lane-innermost (rf[off*L+lane], not
 //     rf[lane*rfTotal+off]), so the N lanes touched by one slot share one
@@ -21,9 +26,10 @@
 //   - loads from arrays no store ever targets (dslot.resolveLoad) read
 //     the host value at issue even when not direct, and defer only the
 //     register write;
-//   - op evaluation (arch.Eval, arch.Holds) inlines into the slot walk —
-//     no per-lane calls, and no unknown-op path, since Predecode refuses
-//     an op its PE does not implement.
+//   - op evaluation (arch.Eval, arch.Holds) inlines into the slot walk, as
+//     the C-Box evaluation does into phase 4 — no per-lane calls, and no
+//     unknown-op path, since Predecode refuses an op its PE does not
+//     implement.
 //
 // Control flow is allowed to diverge: lanes advance their own CCNT. While
 // every lane shares a context — the server's same-artifact coalescing
@@ -51,7 +57,6 @@ import (
 	"cgra/internal/arch"
 	"cgra/internal/ctxgen"
 	"cgra/internal/ir"
-	"cgra/internal/sched"
 )
 
 // BatchRequest is one lane of a batched run: the live-in arguments and the
@@ -89,35 +94,31 @@ const (
 
 // laneState is the reusable mutable state of one batched run. All slabs
 // are lane-innermost with stride L == lanes: lane l's view of RF offset o
-// is rf[o*L+l], of PE p's status statusVal[p*L+l], of C-Box slot s
-// cond[s*L+l]. Only the commit ring is lane-major (pend[l*ringSize+bkt]),
-// since a drain walks one lane's bucket.
+// is rf[o*L+l], of C-Box slot s cond[s*L+l], of PE p's status line
+// cond[(cbSlots+p)*L+l]. Only the commit ring is lane-major
+// (pend[l*ringSize+bkt]), since a drain walks one lane's bucket.
 type laneState struct {
 	lanes int // provisioned lane capacity == slab stride
 
-	rf           []int32   // rfTotal × lanes
-	cond         []bool    // cbSlots × lanes
-	statusVal    []bool    // numPE × lanes
-	statusArrive []int64   // numPE × lanes
-	hostArr      [][]int32 // arrays × lanes
-	pend         [][]lpend // lanes × ringSize due-cycle buckets
-	pendMask     []uint64  // per-lane bucket-occupancy bits (ringSize ≤ 64)
-	pendAny      int       // outstanding ring entries across all lanes
-	energyU      float64   // uniform-mode accumulator (== every lane's sum)
-	energy       []float64
-	ccnt         []int32
-	outPE        []bool
-	outCtrl      []bool
-	dead         []bool
-	active       []int32
-	scratch      []int32 // mid-step group compaction buffer
+	rf []int32 // rfTotal × lanes
+	condState
+	hostArr  [][]int32 // arrays × lanes
+	pend     [][]lpend // lanes × ringSize due-cycle buckets
+	pendMask []uint64  // per-lane bucket-occupancy bits (ringSize ≤ 64)
+	pendAny  int       // outstanding ring entries across all lanes
+	energyU  float64   // uniform-mode accumulator (== every lane's sum)
+	energy   []float64
+	ccnt     []int32
+	outPE    []bool
+	outCtrl  []bool
+	dead     []bool
+	active   []int32
+	scratch  []int32 // mid-step group compaction buffer
 }
 
 // getLaneState draws a laneState with capacity for n lanes from the pool,
 // reset exactly like a scalar runState: registers and condition memory
-// zeroed, status arrivals cleared, commit buckets emptied. statusVal is
-// intentionally not cleared — status reads are gated by the arrival
-// cycle, mirroring the scalar path.
+// zeroed, status arrivals cleared, commit buckets emptied.
 func (d *Decoded) getLaneState(n int) *laneState {
 	ls, _ := d.lanePool.Get().(*laneState)
 	if ls == nil || ls.lanes < n {
@@ -126,21 +127,22 @@ func (d *Decoded) getLaneState(n int) *laneState {
 			grown = 2 * ls.lanes
 		}
 		ls = &laneState{
-			lanes:        grown,
-			rf:           make([]int32, d.rfTotal*grown),
-			cond:         make([]bool, d.cbSlots*grown),
-			statusVal:    make([]bool, d.numPE*grown),
-			statusArrive: make([]int64, d.numPE*grown),
-			hostArr:      make([][]int32, len(d.arrays)*grown),
-			pend:         make([][]lpend, grown*d.ringSize),
-			pendMask:     make([]uint64, grown),
-			energy:       make([]float64, grown),
-			ccnt:         make([]int32, grown),
-			outPE:        make([]bool, grown),
-			outCtrl:      make([]bool, grown),
-			dead:         make([]bool, grown),
-			active:       make([]int32, 0, grown),
-			scratch:      make([]int32, 0, grown),
+			lanes: grown,
+			rf:    make([]int32, d.rfTotal*grown),
+			condState: condState{
+				cond:         make([]bool, (d.cbSlots+d.numPE)*grown),
+				statusArrive: make([]int64, d.numPE*grown),
+			},
+			hostArr:  make([][]int32, len(d.arrays)*grown),
+			pend:     make([][]lpend, grown*d.ringSize),
+			pendMask: make([]uint64, grown),
+			energy:   make([]float64, grown),
+			ccnt:     make([]int32, grown),
+			outPE:    make([]bool, grown),
+			outCtrl:  make([]bool, grown),
+			dead:     make([]bool, grown),
+			active:   make([]int32, 0, grown),
+			scratch:  make([]int32, 0, grown),
 		}
 		for i := range ls.pend {
 			ls.pend[i] = make([]lpend, 0, 4)
@@ -177,43 +179,27 @@ func (d *Decoded) putLaneState(ls *laneState) {
 
 // RunBatch executes the decoded program once per request as data-parallel
 // lanes sharing one slot-dispatch walk. It has the same watchdog and
-// cancellation semantics as the scalar fast path — limit bounds every
-// lane's cycle count (0 means the scalar default of 500M), and ctx is
-// checked on the same cycle cadence — and each lane's entry in the result
-// slice carries either that lane's Result or that lane's error; one lane's
-// fault never poisons its siblings.
+// cancellation semantics as the scalar walks — limit bounds every lane's
+// cycle count (zero or negative means 500M, as for Machine.MaxCycles), and
+// ctx is checked on the same cycle cadence — and each lane's entry in the
+// result slice carries either that lane's Result or that lane's error; one
+// lane's fault never poisons its siblings.
 func (d *Decoded) RunBatch(ctx context.Context, limit int64, reqs []BatchRequest) []BatchResult {
 	out := make([]BatchResult, len(reqs))
 	n := len(reqs)
 	if n == 0 {
 		return out
 	}
-	if limit <= 0 {
-		limit = defaultMaxCycles
-	}
+	limit = cycleLimit(limit)
 	ls := d.getLaneState(n)
 	defer d.putLaneState(ls)
 	L := ls.lanes
 
 	active := ls.active[:0]
 	for l := 0; l < n; l++ {
-		failed := false
-		for _, h := range d.liveIns {
-			v, ok := reqs[l].Args[h.name]
-			if !ok {
-				out[l].Err = fmt.Errorf("sim: missing live-in %q", h.name)
-				failed = true
-				break
-			}
-			ls.rf[int(h.off)*L+l] = v
+		if out[l].Err = d.begin(ls.rf, ls.hostArr, L, l, reqs[l].Args, reqs[l].Host); out[l].Err == nil {
+			active = append(active, int32(l))
 		}
-		if failed {
-			continue
-		}
-		for i, name := range d.arrays {
-			ls.hostArr[i*L+l] = reqs[l].Host.Arrays[name]
-		}
-		active = append(active, int32(l))
 	}
 
 	// While uniform, every active lane shares one CCNT (held here, never
@@ -302,7 +288,6 @@ func (d *Decoded) stepLanes(ls *laneState, reqs []BatchRequest, out []BatchResul
 		return len(group), false, 0
 	}
 	m := &d.cmeta[c]
-	cb := &d.cbox[c]
 	L := ls.lanes
 	ring := d.ringSize
 	maskable := ring <= 64
@@ -329,27 +314,15 @@ func (d *Decoded) stepLanes(ls *laneState, reqs []BatchRequest, out []BatchResul
 	// this context consumes (predication for squash, branch-select for the
 	// CCU). The latch must happen before phase 4 writes condition memory.
 	if m.hasPred {
-		if cb.OutPEEnable {
-			base := int(cb.OutPEAddr) * L
-			for _, l := range group {
-				ls.outPE[l] = ls.cond[base+int(l)]
-			}
-		} else {
-			for _, l := range group {
-				ls.outPE[l] = false
-			}
+		base := int(m.outPE) * L
+		for _, l := range group {
+			ls.outPE[l] = m.outPE >= 0 && ls.cond[base+int(l)]
 		}
 	}
 	if m.needCtrl {
-		if cb.OutCtrlEnable {
-			base, inv := int(cb.OutCtrlAddr)*L, cb.OutCtrlInv
-			for _, l := range group {
-				ls.outCtrl[l] = ls.cond[base+int(l)] != inv
-			}
-		} else {
-			for _, l := range group {
-				ls.outCtrl[l] = false
-			}
+		base := int(m.outCtrl) * L
+		for _, l := range group {
+			ls.outCtrl[l] = m.outCtrl >= 0 && ls.cond[base+int(l)] != m.ctrlInv
 		}
 	}
 
@@ -377,7 +350,7 @@ func (d *Decoded) stepLanes(ls *laneState, reqs []BatchRequest, out []BatchResul
 
 		switch sl.kind {
 		case slotCompare:
-			stIdx := int(sl.pe) * L
+			stIdx, valIdx := int(sl.pe)*L, (d.cbSlots+int(sl.pe))*L
 			for _, l := range group {
 				li := int(l)
 				var a, b int32
@@ -387,7 +360,7 @@ func (d *Decoded) stepLanes(ls *laneState, reqs []BatchRequest, out []BatchResul
 				if bMode != laneSrcNone {
 					b = rf[bReg+li]
 				}
-				ls.statusVal[stIdx+li] = arch.Holds(op, a, b)
+				ls.cond[valIdx+li] = arch.Holds(op, a, b)
 				ls.statusArrive[stIdx+li] = finish
 			}
 		case slotLoad:
@@ -407,9 +380,7 @@ func (d *Decoded) stepLanes(ls *laneState, reqs []BatchRequest, out []BatchResul
 					}
 					arr := ls.hostArr[arrBase+li]
 					if a < 0 || int(a) >= len(arr) {
-						// Reproduce the host interface's fault verbatim.
-						_, err := reqs[l].Host.Load(d.arrays[sl.array], a)
-						out[l].Err = fmt.Errorf("sim: %v", err)
+						out[l].Err = d.dmaFault(reqs[l].Host, sl.array, a, 0, true)
 						ls.dead[l] = true
 						deaths++
 						died = true
@@ -431,8 +402,7 @@ func (d *Decoded) stepLanes(ls *laneState, reqs []BatchRequest, out []BatchResul
 					if resolve {
 						arr := ls.hostArr[arrBase+li]
 						if a < 0 || int(a) >= len(arr) {
-							_, err := reqs[l].Host.Load(d.arrays[sl.array], a)
-							out[l].Err = fmt.Errorf("sim: %v", err)
+							out[l].Err = d.dmaFault(reqs[l].Host, sl.array, a, 0, true)
 							ls.dead[l] = true
 							deaths++
 							died = true
@@ -531,39 +501,18 @@ func (d *Decoded) stepLanes(ls *laneState, reqs []BatchRequest, out []BatchResul
 	// only read by this phase and the (already latched) phase-2 outputs,
 	// so the write lands immediately.
 	if m.needCBox {
-		stIdx := int(cb.StatusPE) * L
-		aIdx, bIdx, wIdx := int(cb.AAddr)*L, int(cb.BAddr)*L, int(cb.WriteAddr)*L
+		w := &d.cbox[c]
+		wIdx := int(w.write) * L
 		for _, l := range group {
-			li := int(l)
-			var in bool
-			if cb.Consume {
-				if ls.statusArrive[stIdx+li] != cycle {
-					out[l].Err = fmt.Errorf("sim: ctx %d consumes missing status of PE %d", c, cb.StatusPE)
-					ls.dead[l] = true
-					deaths++
-					died = true
-					continue
-				}
-				in = ls.statusVal[stIdx+li]
-			} else if cb.HasA {
-				in = ls.cond[aIdx+li] != cb.AInv
+			v, ok := w.eval(&ls.condState, L, int(l), cycle)
+			if !ok {
+				out[l].Err = d.missingStatus(c)
+				ls.dead[l] = true
+				deaths++
+				died = true
+				continue
 			}
-			v := in
-			switch cb.Logic {
-			case sched.CBAnd:
-				if cb.Consume && cb.HasA {
-					v = in && (ls.cond[aIdx+li] != cb.AInv)
-				} else if cb.Recombine && cb.HasB {
-					v = in && (ls.cond[bIdx+li] != cb.BInv)
-				}
-			case sched.CBOr:
-				if cb.Consume && cb.HasA {
-					v = in || (ls.cond[aIdx+li] != cb.AInv)
-				} else if cb.Recombine && cb.HasB {
-					v = in || (ls.cond[bIdx+li] != cb.BInv)
-				}
-			}
-			ls.cond[wIdx+li] = v
+			ls.cond[wIdx+int(l)] = v
 		}
 		if died {
 			group = compactLive(group)
@@ -604,14 +553,7 @@ func (d *Decoded) stepLanes(ls *laneState, reqs []BatchRequest, out []BatchResul
 				load := pw.meta&lpLoad != 0
 				arr := ls.hostArr[arrID*L+li]
 				if pw.index < 0 || int(pw.index) >= len(arr) {
-					// Reproduce the host interface's fault verbatim.
-					var err error
-					if load {
-						_, err = reqs[l].Host.Load(d.arrays[arrID], pw.index)
-					} else {
-						err = reqs[l].Host.Store(d.arrays[arrID], pw.index, pw.value)
-					}
-					out[l].Err = fmt.Errorf("sim: %v", err)
+					out[l].Err = d.dmaFault(reqs[l].Host, int32(arrID), pw.index, pw.value, load)
 					ls.dead[l] = true
 					deaths++
 					died = true
@@ -636,21 +578,11 @@ func (d *Decoded) stepLanes(ls *laneState, reqs []BatchRequest, out []BatchResul
 	// Phase 6: next CCNT, or halt the whole group at a terminal context.
 	if m.halt {
 		for _, l := range group {
-			li := int(l)
 			e := ls.energy[l]
 			if uniform {
 				e = ls.energyU
 			}
-			res := &Result{
-				RunCycles:      cycle + 1,
-				TransferCycles: d.transfer,
-				Energy:         e,
-				LiveOuts:       make(map[string]int32, len(d.liveOuts)),
-			}
-			for _, h := range d.liveOuts {
-				res.LiveOuts[h.name] = rf[int(h.off)*L+li]
-			}
-			out[l].Res = res
+			out[l].Res = d.result(rf, L, int(l), cycle+1, e)
 			ls.dead[l] = true
 		}
 		return deaths + len(group), split, 0

@@ -28,6 +28,12 @@
 // No walk defines what an opcode computes: each inlines arch.Eval and
 // arch.Holds, the op table's definitions. Predecode refuses a program that
 // issues an op its PE does not implement, so no walk has an unknown-op path.
+// Nor does a walk define the C-Box: Predecode decodes each context's word
+// once into a cboxWord (first operand, an optional second joined by AND or
+// OR, the slot written), settling there that a consume takes precedence
+// over a recombine and that a pass has no second operand; every walk
+// evaluates it through the one inlined cboxWord.eval and reads its phase-2
+// latches from ctxMeta.
 //
 // The simulator is the ground truth for the reproduction: every kernel's
 // CGRA run is checked against the IR interpreter's results.
@@ -78,7 +84,7 @@ func (r *Result) TotalCycles() int64 { return r.RunCycles + r.TransferCycles }
 // Machine executes one program.
 type Machine struct {
 	prog *ctxgen.Program
-	// MaxCycles bounds the run (default 500M).
+	// MaxCycles bounds the run; zero or negative means 500M.
 	MaxCycles int64
 	// Trace, when non-nil, receives one line per cycle (debugging).
 	Trace func(cycle int64, ccnt int)
@@ -98,8 +104,14 @@ type Machine struct {
 	Engine *Decoded
 }
 
-// defaultMaxCycles is the cycle budget of a machine with MaxCycles 0.
-const defaultMaxCycles = 500_000_000
+// cycleLimit is the cycle budget a run gets from limit: limit itself, or
+// 500M when limit is zero or negative.
+func cycleLimit(limit int64) int64 {
+	if limit <= 0 {
+		return 500_000_000
+	}
+	return limit
+}
 
 // New creates a machine for a program.
 func New(prog *ctxgen.Program) *Machine { return &Machine{prog: prog} }
@@ -155,10 +167,7 @@ func (m *Machine) run(ctx context.Context, args map[string]int32, host *ir.Host,
 		}
 		m.Engine = d
 	}
-	limit := m.MaxCycles
-	if limit == 0 {
-		limit = defaultMaxCycles
-	}
+	limit := cycleLimit(m.MaxCycles)
 	if h == nil {
 		return m.Engine.runPlain(ctx, limit, args, host)
 	}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -84,6 +86,46 @@ kernel k(inout r) {
 	m.MaxCycles = 1000
 	if _, err := m.Run(map[string]int32{"r": 0}, ir.NewHost()); err == nil {
 		t.Error("non-terminating loop did not hit the cycle limit")
+	}
+}
+
+// TestNegativeBudgetMeansDefault pins one cycle-budget rule for every walk:
+// a zero or negative budget means the 500M default, so a short kernel with
+// a negative Machine.MaxCycles or RunBatch limit completes instead of
+// failing its watchdog at cycle 0.
+func TestNegativeBudgetMeansDefault(t *testing.T) {
+	_, p := compile(t, `
+kernel k(in n, inout r) {
+	r = 0;
+	for (i = 0; i < n; i = i + 1) { r = r + i; }
+}`, mesh(t, 4))
+	args := map[string]int32{"n": 5, "r": 0}
+	check := func(walk string, res *Result, err error) {
+		t.Helper()
+		switch {
+		case err != nil:
+			t.Errorf("%s with budget -1: %v", walk, err)
+		case res.LiveOuts["r"] != 10:
+			t.Errorf("%s with budget -1: r = %d, want 10", walk, res.LiveOuts["r"])
+		}
+	}
+	m := New(p)
+	m.MaxCycles = -1
+	res, err := m.Run(args, ir.NewHost())
+	check("plain walk", res, err)
+
+	m = New(p)
+	m.MaxCycles = -1
+	AttachCounters(m)
+	res, err = m.Run(args, ir.NewHost())
+	check("hooked walk", res, err)
+
+	eng, err := Predecode(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, l := range eng.RunBatch(context.Background(), -1, []BatchRequest{{Args: args, Host: ir.NewHost()}}) {
+		check(fmt.Sprintf("RunBatch lane %d", i), l.Res, l.Err)
 	}
 }
 
