@@ -30,16 +30,16 @@ func TestBuildStraightLine(t *testing.T) {
 		t.Fatalf("got %d nodes, want 3:\n%s", len(nodes), g)
 	}
 	pw := nodes[2]
-	if pw.Kind != KPWrite || pw.Local != "r" {
+	if pw.Kind != KPWrite || pw.Local.Name != "r" {
 		t.Fatalf("last node is %s, want pwrite r", pw)
 	}
 	if pw.AliasOf == nil || pw.AliasOf.Op != arch.IADD {
 		t.Error("unpredicated pwrite should alias its producer")
 	}
-	if !g.Locals["r"].LiveOut || !g.Locals["r"].LiveIn {
+	if !g.Local("r").LiveOut || !g.Local("r").LiveIn {
 		t.Error("inout param should be live-in and live-out")
 	}
-	if g.Locals["x"].LiveOut {
+	if g.Local("x").LiveOut {
 		t.Error("in param must not be live-out")
 	}
 }
@@ -74,7 +74,7 @@ kernel k(in x, inout r) {
 	// Both pwrites of r are predicated with no alias.
 	var pwrites []*Node
 	for _, n := range g.AllNodes() {
-		if n.Kind == KPWrite && n.Local == "r" {
+		if n.Kind == KPWrite && n.Local.Name == "r" {
 			pwrites = append(pwrites, n)
 		}
 	}
@@ -111,7 +111,7 @@ kernel k(in x, inout r) {
 	}
 	writers := 0
 	for _, p := range add.Prereqs {
-		if p.Kind == KPWrite && p.Local == "v" {
+		if p.Kind == KPWrite && p.Local.Name == "v" {
 			writers++
 		}
 	}
@@ -337,7 +337,7 @@ func TestBuildBoolMaterialization(t *testing.T) {
 func TestBuildDeadPWriteRemoval(t *testing.T) {
 	g := build(t, `kernel k(in x, inout r) { dead = x + 1; r = x; }`)
 	for _, n := range g.AllNodes() {
-		if n.Kind == KPWrite && n.Local == "dead" {
+		if n.Kind == KPWrite && n.Local.Name == "dead" {
 			t.Errorf("dead pwrite survived: %s", n)
 		}
 	}
@@ -348,7 +348,7 @@ func TestBuildWARWeakEdge(t *testing.T) {
 	var pwX *Node
 	var add *Node
 	for _, n := range g.AllNodes() {
-		if n.Kind == KPWrite && n.Local == "x" {
+		if n.Kind == KPWrite && n.Local.Name == "x" {
 			pwX = n
 		}
 		if n.Kind == KOp && n.Op == arch.IADD {
@@ -373,7 +373,7 @@ func TestBuildWAWEdge(t *testing.T) {
 	g := build(t, `kernel k(inout x) { x = 1; x = 2; }`)
 	var pws []*Node
 	for _, n := range g.AllNodes() {
-		if n.Kind == KPWrite && n.Local == "x" {
+		if n.Kind == KPWrite && n.Local.Name == "x" {
 			pws = append(pws, n)
 		}
 	}

@@ -64,12 +64,13 @@ const (
 type Operand struct {
 	Kind  OperandKind
 	Node  *Node  // FromNode
-	Local string // FromLocal
+	Local *Local // FromLocal
 	Const int32  // FromConst
 	// Version lists the pWRITE nodes that must have committed before this
 	// FromLocal operand is read (read-after-write ordering). Multiple
 	// entries occur after predicated if/else arms that both wrote the
-	// local: the reader waits for every potential writer.
+	// local: the reader waits for every potential writer. Operands may
+	// share one list: it is never modified in place.
 	Version []*Node
 }
 
@@ -78,7 +79,7 @@ func (o Operand) String() string {
 	case FromNode:
 		return fmt.Sprintf("n%d", o.Node.ID)
 	case FromLocal:
-		return "%" + o.Local
+		return "%" + o.Local.Name
 	case FromConst:
 		return fmt.Sprintf("#%d", o.Const)
 	}
@@ -99,7 +100,7 @@ type Node struct {
 	// Array is the array parameter index of LOAD/STORE ops.
 	Array int
 	// Local is the target variable of a KPWrite.
-	Local string
+	Local *Local
 	// Pred is the path predicate under which this node's effect commits
 	// (nil = unconditional). Only pWRITEs and DMA operations are
 	// squashed; all other predicated nodes execute speculatively.
@@ -144,7 +145,7 @@ func (n *Node) String() string {
 	fmt.Fprintf(&b, "n%d: ", n.ID)
 	switch n.Kind {
 	case KPWrite:
-		fmt.Fprintf(&b, "pwrite %%%s", n.Local)
+		fmt.Fprintf(&b, "pwrite %%%s", n.Local.Name)
 	default:
 		fmt.Fprintf(&b, "%v", n.Op)
 		if n.Op == arch.CONST {

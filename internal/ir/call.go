@@ -104,15 +104,10 @@ func ValidateProgram(p *Program) error {
 		return fmt.Errorf("program: unknown entry kernel %q", p.Entry)
 	}
 	for _, k := range p.Kernels {
-		v := &validator{kernel: k, defined: map[string]bool{}, program: p}
-		seen := map[string]bool{}
+		v := newValidator(k, p)
 		for _, prm := range k.Params {
-			if seen[prm.Name] {
+			if !v.param(prm) {
 				return fmt.Errorf("kernel %s: duplicate parameter %q", k.Name, prm.Name)
-			}
-			seen[prm.Name] = true
-			if prm.Kind != ArrayRef {
-				v.defined[prm.Name] = true
 			}
 		}
 		if err := v.stmts(k.Body); err != nil {

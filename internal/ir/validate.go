@@ -7,31 +7,96 @@ import "fmt"
 // accesses name array parameters, array names are never used as scalars, and
 // shift amounts are plain expressions. It returns the first violation found.
 func Validate(k *Kernel) error {
-	v := &validator{kernel: k, defined: map[string]bool{}}
-	seen := map[string]bool{}
+	v := newValidator(k, nil)
 	for _, p := range k.Params {
 		if p.Name == "" {
 			return fmt.Errorf("kernel %s: parameter with empty name", k.Name)
 		}
-		if seen[p.Name] {
+		if !v.param(p) {
 			return fmt.Errorf("kernel %s: duplicate parameter %q", k.Name, p.Name)
-		}
-		seen[p.Name] = true
-		if p.Kind != ArrayRef {
-			v.defined[p.Name] = true
 		}
 	}
 	return v.stmts(k.Body)
 }
 
+// validator tracks definite assignment by number: each name gets a dense
+// id on first sight, and the set of definitely assigned ids is a flag per
+// id plus a log of the ids added to it, in order. A branch or loop undoes
+// its body's additions by truncating the log instead of copying the set.
 type validator struct {
 	kernel *Kernel
-	// defined tracks scalars guaranteed to be assigned on every path that
-	// reaches the current statement.
-	defined map[string]bool
 	// program resolves calls; nil for single-kernel validation, where
 	// calls are rejected (they must be inlined first).
 	program *Program
+
+	ids  map[string]int32
+	vars []validVar // by id
+	// added lists the defined ids in the order they became defined.
+	added []int32
+	// thenAdded stacks, for every if whose else arm is being checked, the
+	// ids its then arm defined.
+	thenAdded []int32
+	ifSeq     int32
+}
+
+type validVar struct {
+	// defined says the scalar is assigned on every path that reaches the
+	// current statement.
+	defined bool
+	// stamp is the ifSeq of the last if join that found the variable
+	// defined by its then arm.
+	stamp int32
+}
+
+func newValidator(k *Kernel, p *Program) *validator {
+	n := 2*len(k.Params) + 16
+	return &validator{
+		kernel:  k,
+		program: p,
+		ids:     make(map[string]int32, n),
+		vars:    make([]validVar, 0, n),
+		added:   make([]int32, 0, n),
+	}
+}
+
+// param numbers parameter p, defining it when it is a scalar, and reports
+// false when a parameter of that name was numbered already.
+func (v *validator) param(p Param) bool {
+	if _, dup := v.ids[p.Name]; dup {
+		return false
+	}
+	if p.Kind == ArrayRef {
+		v.id(p.Name)
+	} else {
+		v.define(p.Name)
+	}
+	return true
+}
+
+// id returns name's number, assigning the next one on first sight.
+func (v *validator) id(name string) int32 {
+	id, ok := v.ids[name]
+	if !ok {
+		id = int32(len(v.vars))
+		v.ids[name] = id
+		v.vars = append(v.vars, validVar{})
+	}
+	return id
+}
+
+func (v *validator) define(name string) {
+	if id := v.id(name); !v.vars[id].defined {
+		v.vars[id].defined = true
+		v.added = append(v.added, id)
+	}
+}
+
+// undo forgets every definition logged after the first mark entries.
+func (v *validator) undo(mark int) {
+	for _, id := range v.added[mark:] {
+		v.vars[id].defined = false
+	}
+	v.added = v.added[:mark]
 }
 
 func (v *validator) stmts(stmts []Stmt) error {
@@ -52,7 +117,7 @@ func (v *validator) stmt(s Stmt) error {
 		if err := v.expr(s.Value); err != nil {
 			return err
 		}
-		v.defined[s.Name] = true
+		v.define(s.Name)
 		return nil
 	case *Store:
 		if !v.kernel.IsArray(s.Array) {
@@ -67,41 +132,45 @@ func (v *validator) stmt(s Stmt) error {
 			return err
 		}
 		// Variables assigned in only one arm are not definitely assigned
-		// afterwards; track the intersection.
-		base := v.snapshot()
+		// afterwards: keep what the else arm added only where the then
+		// arm added it too.
+		mark := len(v.added)
 		if err := v.stmts(s.Then); err != nil {
 			return err
 		}
-		afterThen := v.snapshot()
-		v.defined = base
+		base := len(v.thenAdded)
+		v.thenAdded = append(v.thenAdded, v.added[mark:]...)
+		v.undo(mark)
 		if err := v.stmts(s.Else); err != nil {
 			return err
 		}
-		for name := range v.defined {
-			if !afterThen[name] {
-				delete(v.defined, name)
+		v.ifSeq++
+		for _, id := range v.thenAdded[base:] {
+			v.vars[id].stamp = v.ifSeq
+		}
+		v.thenAdded = v.thenAdded[:base]
+		kept := v.added[:mark]
+		for _, id := range v.added[mark:] {
+			if v.vars[id].stamp == v.ifSeq {
+				kept = append(kept, id)
+			} else {
+				v.vars[id].defined = false
 			}
 		}
-		for name := range afterThen {
-			if base[name] {
-				v.defined[name] = true
-			}
-		}
+		v.added = kept
 		return nil
 	case *While:
 		if err := v.expr(s.Cond); err != nil {
 			return err
 		}
 		// The body may execute zero times: validate it against the current
-		// definitions but discard additions afterwards.
-		base := v.snapshot()
+		// definitions but discard additions afterwards. The condition was
+		// validated against the entry set, the stricter check.
+		mark := len(v.added)
 		if err := v.stmts(s.Body); err != nil {
 			return err
 		}
-		// The condition must also be valid against body-end definitions;
-		// it was validated against the superset-free entry set already,
-		// which is the stricter check, so nothing more to do.
-		v.defined = base
+		v.undo(mark)
 		return nil
 	case *For:
 		if s.Init != nil {
@@ -112,7 +181,7 @@ func (v *validator) stmt(s Stmt) error {
 		if err := v.expr(s.Cond); err != nil {
 			return err
 		}
-		base := v.snapshot()
+		mark := len(v.added)
 		if err := v.stmts(s.Body); err != nil {
 			return err
 		}
@@ -121,7 +190,7 @@ func (v *validator) stmt(s Stmt) error {
 				return err
 			}
 		}
-		v.defined = base
+		v.undo(mark)
 		return nil
 	case *Call:
 		if v.program == nil {
@@ -138,7 +207,7 @@ func (v *validator) stmt(s Stmt) error {
 				if err := v.expr(arg); err != nil {
 					return err
 				}
-				v.defined[arg.(*VarRef).Name] = true
+				v.define(arg.(*VarRef).Name)
 			}
 			return nil
 		})
@@ -149,14 +218,6 @@ func (v *validator) stmt(s Stmt) error {
 	}
 }
 
-func (v *validator) snapshot() map[string]bool {
-	m := make(map[string]bool, len(v.defined))
-	for k, val := range v.defined {
-		m[k] = val
-	}
-	return m
-}
-
 func (v *validator) expr(e Expr) error {
 	switch e := e.(type) {
 	case *Const:
@@ -165,7 +226,7 @@ func (v *validator) expr(e Expr) error {
 		if v.kernel.IsArray(e.Name) {
 			return fmt.Errorf("array parameter %q used as scalar", e.Name)
 		}
-		if !v.defined[e.Name] {
+		if id, ok := v.ids[e.Name]; !ok || !v.vars[id].defined {
 			return fmt.Errorf("variable %q may be read before assignment", e.Name)
 		}
 		return nil

@@ -242,3 +242,33 @@ func renameExpr(e ir.Expr, scalars, arrays map[string]string) ir.Expr {
 		return e
 	}
 }
+
+// assignedIn lists the variables stmts assign, in program order (repeats
+// included).
+func assignedIn(stmts []ir.Stmt) []string {
+	var out []string
+	var walk func([]ir.Stmt)
+	walk = func(ss []ir.Stmt) {
+		for _, s := range ss {
+			switch s := s.(type) {
+			case *ir.Assign:
+				out = append(out, s.Name)
+			case *ir.If:
+				walk(s.Then)
+				walk(s.Else)
+			case *ir.While:
+				walk(s.Body)
+			case *ir.For:
+				if s.Init != nil {
+					out = append(out, s.Init.Name)
+				}
+				if s.Post != nil {
+					out = append(out, s.Post.Name)
+				}
+				walk(s.Body)
+			}
+		}
+	}
+	walk(stmts)
+	return out
+}

@@ -266,12 +266,60 @@ func isInnermost(stmts []ir.Stmt) bool {
 // Expressions containing array loads are never reused (stores may have
 // intervened), and control-flow boundaries clear the table conservatively.
 func CSE(k *ir.Kernel) *ir.Kernel {
-	c := &cseState{avail: map[string]string{}}
+	c := &cseState{ids: map[string]int32{}, exprs: map[cseKey]int32{}}
 	return &ir.Kernel{Name: k.Name, Params: k.Params, Body: c.stmts(k.Body)}
 }
 
+// cseKey is the structure of one pure expression: a constant, a variable
+// number, or an operator over its operands' expression numbers. Equal keys
+// mean structurally equal expressions.
+type cseKey struct {
+	kind uint8 // keyConst, keyVar, keyBin or keyUn
+	op   uint8 // the ir.BinOp or ir.UnOp of keyBin and keyUn
+	x, y int32 // the constant, the variable, or the operands
+}
+
+const (
+	keyConst uint8 = iota
+	keyVar
+	keyBin
+	keyUn
+)
+
+// cseState numbers every variable and every pure expression of the kernel
+// once (hash-consing), and keeps the table of available expressions as a
+// slice indexed by expression number. A branch arm or loop body edits the
+// table in place and logs what it overwrote; the table is restored from the
+// log when the arm or body ends.
 type cseState struct {
-	avail map[string]string // canonical expr -> variable holding it
+	ids   map[string]int32 // variable name -> number
+	vars  []cseVar         // by variable number
+	exprs map[cseKey]int32 // structure -> expression number
+	// avail[e] holds expression e's holder: the variable number plus one,
+	// 0 when no variable holds it. An entry stamped with an epoch below
+	// floor was made outside the loop body being rewritten and is not
+	// visible inside it.
+	avail []availEntry
+	epoch int32
+	floor int32
+	// log records overwritten avail entries while depth > 0.
+	log   []availUndo
+	depth int
+}
+
+// cseVar is one variable: its name, the expressions that read it and the
+// expressions it has been made the holder of. Invalidating the variable
+// visits only those.
+type cseVar struct {
+	name       string
+	uses, held []int32
+}
+
+type availEntry struct{ holder, epoch int32 }
+
+type availUndo struct {
+	expr int32
+	prev availEntry
 }
 
 func (c *cseState) stmts(stmts []ir.Stmt) []ir.Stmt {
@@ -279,56 +327,48 @@ func (c *cseState) stmts(stmts []ir.Stmt) []ir.Stmt {
 	for _, s := range stmts {
 		switch s := s.(type) {
 		case *ir.Assign:
+			x := c.varID(s.Name)
 			val := s.Value
-			key, pure := exprKey(val)
+			key, pure := c.number(val)
 			if pure {
-				if holder, ok := c.avail[key]; ok && holder != s.Name {
-					val = &ir.VarRef{Name: holder}
+				if h := c.holder(key); h >= 0 && h != x {
+					val = &ir.VarRef{Name: c.vars[h].name}
 				}
 			}
-			c.invalidate(s.Name)
+			c.invalidate(x)
 			out = append(out, &ir.Assign{Name: s.Name, Value: val})
 			if pure && !mentions(val, s.Name) {
-				c.avail[key] = s.Name
+				c.set(key, availEntry{holder: x + 1, epoch: c.epoch})
+				c.vars[x].held = append(c.vars[x].held, key)
 			}
 		case *ir.Store:
 			out = append(out, s)
 		case *ir.If:
-			// Arms see a copy of the table; afterwards drop entries
-			// whose holder or operands may have changed.
-			saved := c.snapshot()
-			thenC := &cseState{avail: c.snapshot()}
-			thenOut := thenC.stmts(s.Then)
-			elseC := &cseState{avail: c.snapshot()}
-			elseOut := elseC.stmts(s.Else)
-			c.avail = saved
-			for _, name := range assignedIn(s.Then) {
-				c.invalidate(name)
-			}
-			for _, name := range assignedIn(s.Else) {
-				c.invalidate(name)
-			}
+			// Each arm starts from the table before the if; afterwards
+			// drop entries whose holder or operands may have changed.
+			mark := c.open()
+			thenOut := c.stmts(s.Then)
+			c.restore(mark)
+			mark = c.open()
+			elseOut := c.stmts(s.Else)
+			c.restore(mark)
+			c.invalidateAssigned(s.Then)
+			c.invalidateAssigned(s.Else)
 			out = append(out, &ir.If{Cond: s.Cond, Then: thenOut, Else: elseOut})
 		case *ir.While:
 			// The loop body may invalidate values before the
 			// condition re-evaluates: clear around it.
-			bodyC := &cseState{avail: map[string]string{}}
-			bodyOut := bodyC.stmts(s.Body)
-			for _, name := range assignedIn(s.Body) {
-				c.invalidate(name)
-			}
+			bodyOut := c.loopBody(s.Body)
+			c.invalidateAssigned(s.Body)
 			out = append(out, &ir.While{Cond: s.Cond, Body: bodyOut})
 		case *ir.For:
-			bodyC := &cseState{avail: map[string]string{}}
-			bodyOut := bodyC.stmts(s.Body)
-			for _, name := range assignedIn(s.Body) {
-				c.invalidate(name)
-			}
+			bodyOut := c.loopBody(s.Body)
+			c.invalidateAssigned(s.Body)
 			if s.Init != nil {
-				c.invalidate(s.Init.Name)
+				c.invalidate(c.varID(s.Init.Name))
 			}
 			if s.Post != nil {
-				c.invalidate(s.Post.Name)
+				c.invalidate(c.varID(s.Post.Name))
 			}
 			out = append(out, &ir.For{Init: s.Init, Cond: s.Cond, Post: s.Post, Body: bodyOut})
 		default:
@@ -338,57 +378,153 @@ func (c *cseState) stmts(stmts []ir.Stmt) []ir.Stmt {
 	return out
 }
 
-func (c *cseState) snapshot() map[string]string {
-	m := make(map[string]string, len(c.avail))
-	for k, v := range c.avail {
-		m[k] = v
-	}
-	return m
+// loopBody rewrites a loop body against an empty table: a new epoch hides
+// every entry made before it, and the log restores what the body overwrote.
+func (c *cseState) loopBody(body []ir.Stmt) []ir.Stmt {
+	floor := c.floor
+	c.epoch++
+	c.floor = c.epoch
+	mark := c.open()
+	out := c.stmts(body)
+	c.restore(mark)
+	c.floor = floor
+	return out
 }
 
-// invalidate drops entries computed from or held in the named variable.
-func (c *cseState) invalidate(name string) {
-	for key, holder := range c.avail {
-		if holder == name || keyMentions(key, name) {
-			delete(c.avail, key)
+// open starts logging table edits and returns the log position to restore.
+func (c *cseState) open() int {
+	c.depth++
+	return len(c.log)
+}
+
+// restore undoes every table edit logged since mark.
+func (c *cseState) restore(mark int) {
+	for i := len(c.log) - 1; i >= mark; i-- {
+		c.avail[c.log[i].expr] = c.log[i].prev
+	}
+	c.log = c.log[:mark]
+	c.depth--
+}
+
+func (c *cseState) set(e int32, a availEntry) {
+	if c.depth > 0 {
+		c.log = append(c.log, availUndo{e, c.avail[e]})
+	}
+	c.avail[e] = a
+}
+
+// holder returns the number of the variable holding expression e, or -1.
+func (c *cseState) holder(e int32) int32 {
+	if a := c.avail[e]; a.holder > 0 && a.epoch >= c.floor {
+		return a.holder - 1
+	}
+	return -1
+}
+
+// invalidate drops entries computed from or held in variable x.
+func (c *cseState) invalidate(x int32) {
+	for _, e := range c.vars[x].uses {
+		if c.avail[e].holder > 0 {
+			c.set(e, availEntry{})
+		}
+	}
+	for _, e := range c.vars[x].held {
+		if c.avail[e].holder == x+1 {
+			c.set(e, availEntry{})
 		}
 	}
 }
 
-// exprKey returns a canonical string for a pure expression (no loads) and
-// whether the expression is pure.
-func exprKey(e ir.Expr) (string, bool) {
+// invalidateAssigned invalidates every variable stmts may assign.
+func (c *cseState) invalidateAssigned(stmts []ir.Stmt) {
+	for _, s := range stmts {
+		switch s := s.(type) {
+		case *ir.Assign:
+			c.invalidate(c.varID(s.Name))
+		case *ir.If:
+			c.invalidateAssigned(s.Then)
+			c.invalidateAssigned(s.Else)
+		case *ir.While:
+			c.invalidateAssigned(s.Body)
+		case *ir.For:
+			if s.Init != nil {
+				c.invalidate(c.varID(s.Init.Name))
+			}
+			if s.Post != nil {
+				c.invalidate(c.varID(s.Post.Name))
+			}
+			c.invalidateAssigned(s.Body)
+		}
+	}
+}
+
+// varID returns the number of the named variable, assigning the next one on
+// first sight.
+func (c *cseState) varID(name string) int32 {
+	x, ok := c.ids[name]
+	if !ok {
+		x = int32(len(c.vars))
+		c.ids[name] = x
+		c.vars = append(c.vars, cseVar{name: name})
+	}
+	return x
+}
+
+// number returns the expression number of a pure expression (no loads, no
+// short-circuit connectives) and whether the expression is pure.
+func (c *cseState) number(e ir.Expr) (int32, bool) {
+	var k cseKey
 	switch e := e.(type) {
 	case *ir.Const:
-		return fmt.Sprintf("#%d", e.Value), true
+		k = cseKey{kind: keyConst, x: e.Value}
 	case *ir.VarRef:
-		return "%" + e.Name + "%", true
+		k = cseKey{kind: keyVar, x: c.varID(e.Name)}
 	case *ir.Bin:
-		kx, okx := exprKey(e.X)
-		ky, oky := exprKey(e.Y)
-		if !okx || !oky || e.Op.IsLogical() {
-			return "", false
+		if e.Op.IsLogical() {
+			return 0, false
 		}
-		return fmt.Sprintf("(%s %v %s)", kx, e.Op, ky), true
+		x, ok := c.number(e.X)
+		if !ok {
+			return 0, false
+		}
+		y, ok := c.number(e.Y)
+		if !ok {
+			return 0, false
+		}
+		k = cseKey{kind: keyBin, op: uint8(e.Op), x: x, y: y}
 	case *ir.Un:
-		kx, okx := exprKey(e.X)
-		if !okx {
-			return "", false
+		x, ok := c.number(e.X)
+		if !ok {
+			return 0, false
 		}
-		return fmt.Sprintf("(%v %s)", e.Op, kx), true
+		k = cseKey{kind: keyUn, op: uint8(e.Op), x: x}
 	default:
-		return "", false
+		return 0, false
 	}
+	n, ok := c.exprs[k]
+	if !ok {
+		n = int32(len(c.avail))
+		c.exprs[k] = n
+		c.avail = append(c.avail, availEntry{})
+		c.indexUses(e, n)
+	}
+	return n, true
 }
 
-func keyMentions(key, name string) bool {
-	needle := "%" + name + "%"
-	for i := 0; i+len(needle) <= len(key); i++ {
-		if key[i:i+len(needle)] == needle {
-			return true
+// indexUses adds expression n to the use list of every variable e reads.
+func (c *cseState) indexUses(e ir.Expr, n int32) {
+	switch e := e.(type) {
+	case *ir.VarRef:
+		v := &c.vars[c.ids[e.Name]]
+		if len(v.uses) == 0 || v.uses[len(v.uses)-1] != n {
+			v.uses = append(v.uses, n)
 		}
+	case *ir.Bin:
+		c.indexUses(e.X, n)
+		c.indexUses(e.Y, n)
+	case *ir.Un:
+		c.indexUses(e.X, n)
 	}
-	return false
 }
 
 func mentions(e ir.Expr, name string) bool {
@@ -404,32 +540,4 @@ func mentions(e ir.Expr, name string) bool {
 	default:
 		return false
 	}
-}
-
-func assignedIn(stmts []ir.Stmt) []string {
-	var out []string
-	var walk func([]ir.Stmt)
-	walk = func(ss []ir.Stmt) {
-		for _, s := range ss {
-			switch s := s.(type) {
-			case *ir.Assign:
-				out = append(out, s.Name)
-			case *ir.If:
-				walk(s.Then)
-				walk(s.Else)
-			case *ir.While:
-				walk(s.Body)
-			case *ir.For:
-				if s.Init != nil {
-					out = append(out, s.Init.Name)
-				}
-				if s.Post != nil {
-					out = append(out, s.Post.Name)
-				}
-				walk(s.Body)
-			}
-		}
-	}
-	walk(stmts)
-	return out
 }

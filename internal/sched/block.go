@@ -293,9 +293,9 @@ func (s *scheduler) weakOK(n *cdfg.Node, t int) bool {
 // later overwrite of the slot would otherwise feed them the wrong value.
 // self (the overwriting node) is exempt: it reads the slot in the cycle it
 // overwrites it, which the register file permits.
-func (s *scheduler) consumersIssuedBy(local string, cycle int, self *cdfg.Node) bool {
-	l := s.locals[local]
-	if l == nil || l.fusedProd == nil {
+func (s *scheduler) consumersIssuedBy(local *cdfg.Local, cycle int, self *cdfg.Node) bool {
+	l := s.local(local)
+	if l.fusedProd == nil {
 		return true
 	}
 	for _, c := range s.st(l.fusedProd).consumers {
@@ -331,7 +331,7 @@ func (s *scheduler) stallReason(n *cdfg.Node, t int) string {
 	if n.Kind == cdfg.KPWrite {
 		if home := s.home(n.Local); home != nil {
 			if !s.consumersIssuedBy(n.Local, t, n) {
-				return fmt.Sprintf("consumers of fused producer of %q pending", n.Local)
+				return fmt.Sprintf("consumers of fused producer of %q pending", n.Local.Name)
 			}
 			if _, ok := s.operandAccessible(n.Args[0], home.PE, t); !ok {
 				return fmt.Sprintf("operand %v inaccessible on home PE %d", n.Args[0], home.PE)
@@ -555,7 +555,7 @@ func (s *scheduler) schedPWrite(n *cdfg.Node, t int) error {
 		code = arch.CONST
 	}
 	if !s.supports(p, code) {
-		return fmt.Errorf("home PE %d of %q lacks %v", p, n.Local, code)
+		return fmt.Errorf("home PE %d of %q lacks %v", p, n.Local.Name, code)
 	}
 	dur := s.duration(p, code)
 	if !s.peFree(p, t, dur) {
@@ -863,7 +863,7 @@ func (s *scheduler) registerCopy(a cdfg.Operand, v *Value) {
 		v.Pinned = true
 		s.consts[a.Const] = addCopy(s.consts[a.Const], v)
 	case cdfg.FromLocal:
-		v.Local = a.Local
+		v.Local = a.Local.Name
 		l := s.local(a.Local)
 		l.copies = addCopy(l.copies, v)
 	case cdfg.FromNode:

@@ -54,7 +54,7 @@ type pipeOp struct {
 	node  *cdfg.Node
 	code  arch.OpCode
 	args  []pipeArg
-	local string // non-empty: the op commits this local's home slot
+	local *cdfg.Local // non-nil: the op commits this local's home slot
 	dur   int
 	cand  []int
 	array int
@@ -67,7 +67,7 @@ type pipePlan struct {
 	ops  []pipeOp
 	// ctr is the counter local; bound the invariant exit bound; inclusive
 	// distinguishes IFLE (i <= b) from IFLT (i < b).
-	ctr       string
+	ctr       *cdfg.Local
 	bound     cdfg.Operand
 	inclusive bool
 }
@@ -170,14 +170,14 @@ func (s *scheduler) analyzePipeline(r *cdfg.Region) (*pipePlan, string) {
 	for _, n := range body.Nodes {
 		inBody[n] = true
 	}
-	writes := map[string][]*cdfg.Node{}
+	writes := make([][]*cdfg.Node, len(s.locals)) // by Local.ID
 	for _, n := range body.Nodes {
 		if n.Pred != nil {
 			return nil, "predicated operation in body"
 		}
 		switch n.Kind {
 		case cdfg.KPWrite:
-			writes[n.Local] = append(writes[n.Local], n)
+			writes[n.Local.ID] = append(writes[n.Local.ID], n)
 		case cdfg.KOp:
 			if n.Op == arch.STORE {
 				return nil, "STORE in body"
@@ -201,14 +201,14 @@ func (s *scheduler) analyzePipeline(r *cdfg.Region) (*pipePlan, string) {
 		}
 	}
 	for _, n := range body.Nodes {
-		if n.Kind == cdfg.KPWrite && len(writes[n.Local]) > 1 {
-			return nil, fmt.Sprintf("local %q written more than once per iteration", n.Local)
+		if n.Kind == cdfg.KPWrite && len(writes[n.Local.ID]) > 1 {
+			return nil, fmt.Sprintf("local %q written more than once per iteration", n.Local.Name)
 		}
 	}
-	if bound.Kind == cdfg.FromLocal && len(writes[bound.Local]) > 0 {
+	if bound.Kind == cdfg.FromLocal && len(writes[bound.Local.ID]) > 0 {
 		return nil, "exit bound is written inside the loop"
 	}
-	ctrWs := writes[ctr]
+	ctrWs := writes[ctr.ID]
 	if len(ctrWs) != 1 {
 		return nil, "counter is not written exactly once per iteration"
 	}
@@ -246,7 +246,7 @@ func (s *scheduler) analyzePipeline(r *cdfg.Region) (*pipePlan, string) {
 }
 
 // ctrStepIsOne reports whether pWRITE w advances ctr by exactly +1.
-func ctrStepIsOne(w *cdfg.Node, ctr string) bool {
+func ctrStepIsOne(w *cdfg.Node, ctr *cdfg.Local) bool {
 	n := w.AliasOf
 	if n == nil || n.Op != arch.IADD || len(n.Args) != 2 {
 		return false
@@ -279,7 +279,7 @@ func argImplies(n, p *cdfg.Node) bool {
 
 // extractOps merges pWRITEs into their producers where the home PE allows it
 // and builds the pipeOp list. A non-empty return is a reject reason.
-func (s *scheduler) extractOps(plan *pipePlan, writes map[string][]*cdfg.Node) string {
+func (s *scheduler) extractOps(plan *pipePlan, writes [][]*cdfg.Node) string {
 	body := plan.body
 	// Ensure every written local has a home before candidate sets are
 	// pinned to it (the list scheduler would assign the same way on first
@@ -324,7 +324,7 @@ func (s *scheduler) extractOps(plan *pipePlan, writes map[string][]*cdfg.Node) s
 				imm = n.Args[0].Const
 			}
 			if !s.supports(home.PE, code) {
-				return fmt.Sprintf("home PE %d of %q lacks %v", home.PE, n.Local, code)
+				return fmt.Sprintf("home PE %d of %q lacks %v", home.PE, n.Local.Name, code)
 			}
 			op := pipeOp{
 				node: n, code: code, local: n.Local, imm: imm,
@@ -369,7 +369,7 @@ func (s *scheduler) extractOps(plan *pipePlan, writes map[string][]*cdfg.Node) s
 			case cdfg.FromLocal:
 				if len(a.Version) == 1 {
 					resolved = append(resolved, pipeArg{producer: nodeToOp[a.Version[0]]})
-				} else if ws := writes[a.Local]; len(ws) == 1 {
+				} else if ws := writes[a.Local.ID]; len(ws) == 1 {
 					resolved = append(resolved, pipeArg{producer: nodeToOp[ws[0]], dist: 1})
 				} else {
 					resolved = append(resolved, pipeArg{producer: -1, inv: a})
@@ -555,11 +555,11 @@ func (s *scheduler) realizePipeline(r *cdfg.Region, plan *pipePlan, sol *modsche
 	nOrig := len(plan.ops)
 	vals := make([]*Value, len(sol.Ops))
 	for i := range sol.Ops {
-		if i < nOrig && plan.ops[i].local != "" {
+		if i < nOrig && plan.ops[i].local != nil {
 			home := s.home(plan.ops[i].local)
 			if home.PE != sol.PE[i] {
 				return 0, false, fmt.Errorf("sched: pipelined op %d placed on PE %d, home of %q on PE %d",
-					i, sol.PE[i], plan.ops[i].local, home.PE)
+					i, sol.PE[i], plan.ops[i].local.Name, home.PE)
 			}
 			vals[i] = home
 			continue

@@ -53,10 +53,16 @@ func RunCtx(ctx context.Context, g *cdfg.Graph, comp *arch.Composition, opts Opt
 	// invocation protocol has a transfer target even for unused
 	// parameters.
 	for _, name := range g.LiveIns() {
-		s.homeValue(name, 0)
+		s.homeValue(g.Local(name), 0)
 	}
 	for _, name := range g.LiveOuts() {
-		s.homeValue(name, 0)
+		s.homeValue(g.Local(name), 0)
+	}
+	s.sch.Homes = make(map[string]*Value, len(g.Locals))
+	for i, l := range g.Locals {
+		if home := s.locals[i].home; home != nil {
+			s.sch.Homes[l.Name] = home
+		}
 	}
 	// Halt context: the CCNT jumps to the last entry and stays locked
 	// (§IV-A3). Realized as a self-jump.
@@ -128,8 +134,8 @@ type scheduler struct {
 	// each PE and opcode, and the scheduling state of every node, local,
 	// constant and predicate.
 	peTables
-	nodes  []nodeState // by Node.ID
-	locals map[string]*localState
+	nodes  []nodeState        // by Node.ID
+	locals []localState       // by Local.ID
 	consts map[int32][]*Value // materialized constants, ascending value ID
 	preds  []predState        // by Pred.ID
 	conds  map[*cdfg.CondExpr]*condState
@@ -150,6 +156,7 @@ type scheduler struct {
 	// is all zero between uses (by Node.ID: list lengths before an arena
 	// is cut into them).
 	counts  []int
+	blkBuf  []*cdfg.Block
 	srcBuf  []*Value
 	argSrcs []Src
 	depBuf  []*cdfg.Node
@@ -304,14 +311,14 @@ func (s *scheduler) branchedIf(r *cdfg.Region, start int) (int, error) {
 // purgeWrittenCopies invalidates copies of every local that is written
 // anywhere inside region r (loop-carried staleness).
 func (s *scheduler) purgeWrittenCopies(r *cdfg.Region) {
-	for _, b := range r.Blocks() {
+	s.blkBuf = r.AppendBlocks(s.blkBuf[:0])
+	for _, b := range s.blkBuf {
 		for _, n := range b.Nodes {
 			if n.Kind != cdfg.KPWrite {
 				continue
 			}
-			if l := s.locals[n.Local]; l != nil {
-				l.copies, l.fusedProd = nil, nil
-			}
+			l := s.local(n.Local)
+			l.copies, l.fusedProd = nil, nil
 		}
 	}
 }
@@ -319,7 +326,8 @@ func (s *scheduler) purgeWrittenCopies(r *cdfg.Region) {
 // purgeCopiesFrom drops every copy (local, constant or node copy) defined at
 // or after the given cycle.
 func (s *scheduler) purgeCopiesFrom(cycle int) {
-	for _, l := range s.locals {
+	for i := range s.locals {
+		l := &s.locals[i]
 		l.copies = definedBefore(l.copies, cycle)
 	}
 	for c, list := range s.consts {
@@ -422,20 +430,19 @@ func (s *scheduler) newSlot() *Slot {
 	return sl
 }
 
-// homeValue returns (creating on demand) the home slot of a local on the
+// homeValue returns (creating on demand) the home slot of local l on the
 // given preferred PE. Once assigned, the home never moves (§V-D: "a write
 // must ultimately be done on its assigned PE").
-func (s *scheduler) homeValue(name string, preferPE int) *Value {
-	l := s.local(name)
-	if l.home != nil {
-		return l.home
+func (s *scheduler) homeValue(l *cdfg.Local, preferPE int) *Value {
+	st := s.local(l)
+	if st.home != nil {
+		return st.home
 	}
 	v := s.newValue(preferPE, -1)
-	v.Local = name
+	v.Local = l.Name
 	v.IsHome = true
 	v.Pinned = true
-	l.home = v
-	s.sch.Homes[name] = v
+	st.home = v
 	return v
 }
 
