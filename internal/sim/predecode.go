@@ -100,8 +100,8 @@ type Decoded struct {
 	// accumulation and of the issue-phase hook calls.
 	slots []dslot
 
-	// cbox[c] is context c's decoded C-Box word, read when
-	// cmeta[c].needCBox.
+	// cbox holds the decoded C-Box words of the contexts that consume or
+	// recombine, in context order; cmeta[c].cbox indexes it.
 	cbox []cboxWord
 	// cmeta[c] is context c's header: which phases it needs and where the
 	// CCU goes next. Every walk reads it instead of the CCU table.
@@ -254,7 +254,13 @@ func Predecode(prog *ctxgen.Program) (*Decoded, error) {
 	}
 	d.slots = make([]dslot, 0, work)
 	d.cmeta = make([]ctxMeta, d.numCtx)
-	d.cbox = make([]cboxWord, d.numCtx)
+	nCBox := 0
+	for c := range prog.CBox {
+		if prog.CBox[c].Consume || prog.CBox[c].Recombine {
+			nCBox++
+		}
+	}
+	d.cbox = make([]cboxWord, 0, nCBox)
 
 	for c := 0; c < d.numCtx; c++ {
 		m := &d.cmeta[c]
@@ -319,7 +325,7 @@ func Predecode(prog *ctxgen.Program) (*Decoded, error) {
 		m.hi = int32(len(d.slots))
 		cb := &prog.CBox[c]
 		ccu := &prog.CCU[c]
-		m.needCBox = cb.Consume || cb.Recombine
+		m.cbox = -1
 		m.needCtrl = ccu.Mode == ctxgen.CCUCondJump
 		m.jump = ccu.Mode == ctxgen.CCUJump
 		m.halt = m.jump && ccu.Target == c
@@ -354,8 +360,9 @@ func Predecode(prog *ctxgen.Program) (*Decoded, error) {
 		if cb.Logic != sched.CBPass && cb.Logic != sched.CBAnd && cb.Logic != sched.CBOr {
 			return nil, fmt.Errorf("sim: predecode: ctx %d C-Box logic %d undefined", c, cb.Logic)
 		}
-		if m.needCBox {
-			d.cbox[c] = d.decodeCBox(cb)
+		if cb.Consume || cb.Recombine {
+			m.cbox = int32(len(d.cbox))
+			d.cbox = append(d.cbox, d.decodeCBox(cb))
 		}
 	}
 
@@ -405,10 +412,10 @@ type ctxMeta struct {
 	end      int32 // first context from here that jumps, branches, halts or is the last
 	outPE    int32 // C-Box slot phase 2 latches as outPE; -1: the signal is false
 	outCtrl  int32 // C-Box slot phase 2 latches as the branch select; -1: false
+	cbox     int32 // the context's word in Decoded.cbox; -1: no consume or recombine
 	ctrlInv  bool  // invert the branch select
 	hasPred  bool  // some slot is predicated: latch the C-Box outPE signal
 	needCtrl bool  // CCU conditionally jumps: latch the branch-select signal
-	needCBox bool  // C-Box consumes or recombines this context
 	jump     bool  // CCU jumps unconditionally (the hooked walk reports it)
 	halt     bool  // CCU jumps to this context: the run finishes here
 }
@@ -463,7 +470,7 @@ func (w *cboxWord) eval(cs *condState, stride, lane int, cycle int64) (v, ok boo
 // missingStatus is the error of a run whose context c consumes a status
 // that did not arrive this cycle.
 func (d *Decoded) missingStatus(c int) error {
-	return fmt.Errorf("sim: ctx %d consumes missing status of PE %d", c, d.cbox[c].status)
+	return fmt.Errorf("sim: ctx %d consumes missing status of PE %d", c, d.cbox[d.cmeta[c].cbox].status)
 }
 
 // planCommits derives how each walk commits writes: the due-cycle ring
@@ -808,8 +815,8 @@ func (d *Decoded) runPlain(ctx context.Context, limit int64, args map[string]int
 			// Phase 4: the C-Box writes condition memory. Phase 5's commits
 			// touch only registers and the heap, so the write need not
 			// wait for them.
-			if m.needCBox {
-				w := &d.cbox[c]
+			if m.cbox >= 0 {
+				w := &d.cbox[m.cbox]
 				v, ok := w.eval(&rs.condState, 1, 0, cycle)
 				if !ok {
 					return nil, d.missingStatus(c)
@@ -930,8 +937,8 @@ func (d *Decoded) run(ctx context.Context, limit int64, args map[string]int32, h
 
 		// Phase 4: C-Box consumes a status / recombines.
 		var condVal, ok bool
-		if m.needCBox {
-			if condVal, ok = d.cbox[ccnt].eval(&rs.condState, 1, 0, cycle); !ok {
+		if m.cbox >= 0 {
+			if condVal, ok = d.cbox[m.cbox].eval(&rs.condState, 1, 0, cycle); !ok {
 				return nil, d.missingStatus(ccnt)
 			}
 		}
@@ -962,8 +969,8 @@ func (d *Decoded) run(ctx context.Context, limit int64, args map[string]int32, h
 			rs.pendAny -= len(due)
 			rs.ring[bkt] = due[:0]
 		}
-		if m.needCBox {
-			addr := d.cbox[ccnt].write
+		if m.cbox >= 0 {
+			addr := d.cbox[m.cbox].write
 			rs.cond[addr] = condVal
 			v := int32(0)
 			if condVal {

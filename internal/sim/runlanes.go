@@ -500,8 +500,8 @@ func (d *Decoded) stepLanes(ls *laneState, reqs []BatchRequest, out []BatchResul
 	// Phase 4: C-Box consumes a status / recombines. Condition memory is
 	// only read by this phase and the (already latched) phase-2 outputs,
 	// so the write lands immediately.
-	if m.needCBox {
-		w := &d.cbox[c]
+	if m.cbox >= 0 {
+		w := &d.cbox[m.cbox]
 		wIdx := int(w.write) * L
 		for _, l := range group {
 			v, ok := w.eval(&ls.condState, L, int(l), cycle)
