@@ -2,6 +2,7 @@ package arch
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 )
 
@@ -218,6 +219,33 @@ func TestValidateRejects(t *testing.T) {
 	c.PEs[2].Ops[IADD] = OpInfo{Energy: 1, Duration: 0}
 	if err := c.Validate(); err == nil {
 		t.Error("zero-duration op accepted")
+	}
+}
+
+// TestValidateInputMessages pins the input-list errors word for word,
+// including a duplicate that is not adjacent, and accepts two PEs listing
+// the same input.
+func TestValidateInputMessages(t *testing.T) {
+	for _, c := range []struct {
+		inputs []int
+		want   string
+	}{
+		{[]int{0, 2, 9}, "composition 4 PEs: PE 1 input 9 out of range"},
+		{[]int{0, 1}, "composition 4 PEs: PE 1 has a self-loop input"},
+		{[]int{0, 2, 3, 2}, "composition 4 PEs: PE 1 lists input 2 twice"},
+		{[]int{0, 2, 3}, ""},
+	} {
+		comp, err := HomogeneousMesh(4, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		comp.Name = "4 PEs"
+		comp.PEs[1].Inputs = c.inputs
+		comp.PEs[3].Inputs = []int{0, 2}
+		err = comp.Validate()
+		if got := fmt.Sprint(err); (c.want == "" && err != nil) || (c.want != "" && got != c.want) {
+			t.Errorf("inputs %v: %v, want %q", c.inputs, err, c.want)
+		}
 	}
 }
 
