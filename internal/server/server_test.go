@@ -678,7 +678,10 @@ func TestCacheDiskFailureBrownsOut(t *testing.T) {
 
 	// The compile succeeds even though its cache install hits ENOSPC...
 	compileWorkload(t, c, "gcd")
-	// ...and the store is now memory-only degraded, which arms brownout.
+	// ...and once the write-behind commit has run (its ENOSPC is the
+	// error Flush returns), the store is memory-only degraded, which arms
+	// brownout.
+	_ = s.Cache().Flush()
 	if !s.Cache().Degraded() {
 		t.Fatal("store not degraded after ENOSPC install")
 	}
