@@ -6,8 +6,9 @@
 package alloc
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"cgra/internal/sched"
 )
@@ -32,29 +33,45 @@ func (r *Result) MaxRF() int {
 	return m
 }
 
+// interval is the lifetime of a value or of a condition slot, whichever
+// is set; assign gives it its address.
 type interval struct {
 	start, end int
-	assign     func(addr int)
+	val        *sched.Value
+	slot       *sched.Slot
+}
+
+func (iv *interval) assign(addr int) {
+	if iv.val != nil {
+		iv.val.Addr = addr
+	} else {
+		iv.slot.Phys = addr
+	}
 }
 
 // Allocate assigns addresses in place (Value.Addr, Slot.Phys) and verifies
 // the composition's RF and condition-memory capacities.
 func Allocate(s *sched.Schedule) (*Result, error) {
-	res := &Result{RFUsage: make([]int, s.Comp.NumPEs())}
+	numPEs := s.Comp.NumPEs()
+	res := &Result{RFUsage: make([]int, numPEs)}
 
-	// Register files, one left-edge pass per PE.
-	perPE := make([][]interval, s.Comp.NumPEs())
+	// Register files, one left-edge pass per PE. The per-PE interval
+	// lists are cut from one arena.
+	counts := make([]int, numPEs)
 	for _, v := range s.Values {
-		v := v
-		var iv interval
-		if v.Pinned {
-			// Home slots and constants live for the whole run.
-			iv = interval{start: -1, end: s.Length}
-		} else {
-			end := extendUses(v.Def, v.Uses, s.LoopRanges)
-			iv = interval{start: v.Def, end: end}
+		counts[v.PE]++
+	}
+	perPE := make([][]interval, numPEs)
+	arena := make([]interval, len(s.Values))
+	for pe, n := range counts {
+		perPE[pe], arena = arena[:0:n], arena[n:]
+	}
+	for _, v := range s.Values {
+		// Pinned values, home slots and constants, live for the whole run.
+		iv := interval{start: -1, end: s.Length, val: v}
+		if !v.Pinned {
+			iv.start, iv.end = v.Def, extendUses(v.Def, v.Uses, s.LoopRanges)
 		}
-		iv.assign = func(addr int) { v.Addr = addr }
 		perPE[v.PE] = append(perPE[v.PE], iv)
 	}
 	for pe, ivs := range perPE {
@@ -67,9 +84,8 @@ func Allocate(s *sched.Schedule) (*Result, error) {
 	}
 
 	// C-Box condition memory.
-	var slotIvs []interval
+	slotIvs := make([]interval, 0, len(s.Slots))
 	for _, sl := range s.Slots {
-		sl := sl
 		if len(sl.Writes) == 0 {
 			// A planned but never computed slot (dead condition):
 			// no physical space needed.
@@ -82,11 +98,8 @@ func Allocate(s *sched.Schedule) (*Result, error) {
 				start = w
 			}
 		}
-		end := extendUses(start, append(append([]int(nil), sl.Uses...), sl.Writes...), s.LoopRanges)
-		slotIvs = append(slotIvs, interval{
-			start: start, end: end,
-			assign: func(addr int) { sl.Phys = addr },
-		})
+		end := extendToLoops(start, lastUse(lastUse(start, sl.Uses), sl.Writes), s.LoopRanges)
+		slotIvs = append(slotIvs, interval{start: start, end: end, slot: sl})
 	}
 	res.CBoxUsage = leftEdge(slotIvs)
 	if res.CBoxUsage > s.Comp.CBoxSlots {
@@ -100,12 +113,20 @@ func Allocate(s *sched.Schedule) (*Result, error) {
 // given use cycles, extending uses inside loops the definition precedes to
 // the loop end (iterating to a fixed point for nested loops).
 func extendUses(def int, uses []int, loops [][2]int) int {
-	end := def
+	return extendToLoops(def, lastUse(def, uses), loops)
+}
+
+// lastUse returns the latest of end and the cycles in uses.
+func lastUse(end int, uses []int) int {
 	for _, u := range uses {
-		if u > end {
-			end = u
-		}
+		end = max(end, u)
 	}
+	return end
+}
+
+// extendToLoops extends a lifetime from def to end over every loop the
+// definition precedes and the lifetime reaches into.
+func extendToLoops(def, end int, loops [][2]int) int {
 	for changed := true; changed; {
 		changed = false
 		for _, lr := range loops {
@@ -125,14 +146,15 @@ func extendUses(def int, uses []int, loops [][2]int) int {
 // be overwritten by a value defined at t: reads see the register state from
 // before the end-of-cycle write.
 func leftEdge(ivs []interval) int {
-	sort.SliceStable(ivs, func(i, j int) bool {
-		if ivs[i].start != ivs[j].start {
-			return ivs[i].start < ivs[j].start
+	slices.SortStableFunc(ivs, func(a, b interval) int {
+		if a.start != b.start {
+			return cmp.Compare(a.start, b.start)
 		}
-		return ivs[i].end < ivs[j].end
+		return cmp.Compare(a.end, b.end)
 	})
 	var regEnd []int // last occupied cycle per register
-	for _, iv := range ivs {
+	for i := range ivs {
+		iv := &ivs[i]
 		placed := false
 		for r := range regEnd {
 			if regEnd[r] <= iv.start {

@@ -178,11 +178,16 @@ func TestLeftEdgeProperty(t *testing.T) {
 			start := int(b % 50)
 			end := start + int(b/8)%20
 			ivs[i] = iv{s: start, e: end}
-			idx := i
-			intervals[i] = interval{start: start, end: end,
-				assign: func(r int) { ivs[idx].reg = r }}
+			intervals[i] = interval{start: start, end: end, val: &sched.Value{}}
+		}
+		vals := make([]*sched.Value, len(intervals))
+		for i := range intervals {
+			vals[i] = intervals[i].val
 		}
 		used := leftEdge(intervals)
+		for i, v := range vals {
+			ivs[i].reg = v.Addr
+		}
 		// No overlap within a register.
 		byReg := map[int][]iv{}
 		for _, v := range ivs {
