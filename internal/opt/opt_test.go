@@ -282,6 +282,42 @@ kernel k(in a, in n, inout r) {
 	assertEquivalent(t, k, c, map[string]int32{"a": 3, "n": 4, "r": 0}, nil)
 }
 
+// TestCSEAcrossJoins pins what the value table keeps across an if, a while
+// and a for: an expression survives the join only when no arm or body
+// assigns its holder or an operand. Each kernel ends in y = a + b (or
+// i + a); reuse says whether CSE may turn it into a read of x, and every
+// rewrite is run against the original.
+func TestCSEAcrossJoins(t *testing.T) {
+	cases := []struct {
+		name  string
+		body  string
+		reuse bool
+	}{
+		{"arms write neither", `x = a + b; if (c > 0) { r = 1; } else { r = 2; } y = a + b;`, true},
+		{"then arm writes an operand", `x = a + b; if (c > 0) { a = 7; } else { r = 2; } y = a + b;`, false},
+		{"else arm writes an operand", `x = a + b; if (c > 0) { r = 1; } else { a = 7; } y = a + b;`, false},
+		{"else arm writes the holder", `x = a + b; if (c > 0) { r = 1; } else { x = 7; } y = a + b;`, false},
+		{"nested if in the else arm writes an operand", `x = a + b; if (c > 0) { r = 1; } else { if (n > 0) { b = 3; } } y = a + b;`, false},
+		{"arm reuses and rewrites the value", `x = a + b; if (c > 0) { z = a + b; b = z + 1; } y = a + b;`, false},
+		{"while body leaves the operands", `x = a + b; i = 0; while (i < n) { r = r + 1; i = i + 1; } y = a + b;`, true},
+		{"while body writes an operand", `x = a + b; i = 0; while (i < n) { b = b + 1; i = i + 1; } y = a + b;`, false},
+		{"for post writes an operand", `i = 0; x = i + a; for (i = 0; i < n; i = i + 1) { r = r + 1; } y = i + a;`, false},
+	}
+	for _, tc := range cases {
+		k := mustParse(t, "kernel k(in a, in b, in c, in n, inout r) { r = 0; "+tc.body+" r = r + x + y; }")
+		out := CSE(k)
+		y := out.Body[len(out.Body)-2].(*ir.Assign)
+		if _, reused := y.Value.(*ir.VarRef); reused != tc.reuse {
+			t.Errorf("%s: y = %s, want reuse %v", tc.name, y.Value, tc.reuse)
+		}
+		for _, c := range []int32{0, 1} {
+			for _, n := range []int32{0, 2} {
+				assertEquivalent(t, k, out, map[string]int32{"a": 5, "b": 9, "c": c, "n": n, "r": 0}, nil)
+			}
+		}
+	}
+}
+
 func TestApplyValidates(t *testing.T) {
 	k := mustParse(t, `kernel k(in a, inout r) { r = a * 2 + a * 2; }`)
 	out, err := Apply(k, Options{UnrollFactor: 2, CSE: true, ConstFold: true})
