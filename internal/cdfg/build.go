@@ -170,9 +170,10 @@ type builder struct {
 	armDepth int
 	armSeq   int
 
-	// Nodes, locals and one-writer defs lists are cut from slabs: a graph
-	// lives and dies as a whole.
+	// Nodes, their operands, locals and one-writer defs lists are cut from
+	// slabs: a graph lives and dies as a whole.
 	nodeSlab   []Node
+	argSlab    []Operand
 	localSlab  []Local
 	writerSlab []*Node
 
@@ -283,9 +284,23 @@ func (b *builder) newRegion(kind RegionKind) *Region {
 	return r
 }
 
+// newArgs copies a node's operands into the operand slab, so the caller's
+// variadic list stays on its stack. The copy's capacity is clipped: an
+// append to one node's operands cannot overwrite the next node's. Chunks
+// hold 32 operands, a 1792-byte size class; chunks doubling from a smaller
+// first one, as nodeSlab's do, left as much of the last one unused.
+func (b *builder) newArgs(args []Operand) []Operand {
+	if len(b.argSlab)+len(args) > cap(b.argSlab) {
+		b.argSlab = make([]Operand, 0, 32)
+	}
+	i := len(b.argSlab)
+	b.argSlab = append(b.argSlab, args...)
+	return b.argSlab[i:len(b.argSlab):len(b.argSlab)]
+}
+
 func (b *builder) newNode(kind Kind, op arch.OpCode, args ...Operand) *Node {
 	n := slabNew(&b.nodeSlab, 128)
-	*n = Node{ID: b.g.nextNode, Kind: kind, Op: op, Args: args, Pred: b.pred}
+	*n = Node{ID: b.g.nextNode, Kind: kind, Op: op, Args: b.newArgs(args), Pred: b.pred}
 	b.g.nextNode++
 	for _, a := range args {
 		if a.Kind == FromLocal {

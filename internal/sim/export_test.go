@@ -2,7 +2,10 @@ package sim
 
 import (
 	"context"
+	"slices"
 
+	"cgra/internal/arch"
+	"cgra/internal/ctxgen"
 	"cgra/internal/ir"
 )
 
@@ -11,4 +14,94 @@ import (
 // external differential tests.
 func (m *Machine) RefRun(args map[string]int32, host *ir.Host) (*Result, error) {
 	return m.refRun(context.Background(), args, host)
+}
+
+// Slot shapes, for the slab layout tests.
+const (
+	ShapeALU     = shapeALU
+	ShapeCompare = shapeCompare
+	ShapePredALU = shapePredALU
+	ShapeLoad    = shapeLoad
+	ShapeOther   = shapeOther
+)
+
+// SlotLayout is one decoded slot as the slab layout tests see it.
+type SlotLayout struct {
+	PE, Ctx          int
+	Op               arch.OpCode
+	AMode, BMode     ctxgen.SrcMode
+	AOff, BOff, WOff int32
+	Shape            int
+}
+
+// Layout returns d's slots in issue order, its register count and the
+// values of its constant words.
+func Layout(d *Decoded) (slots []SlotLayout, rfTotal int, consts []int32) {
+	for c := range d.cmeta {
+		for i := d.cmeta[c].lo; i < d.cmeta[c].hi; i++ {
+			sl := &d.slots[i]
+			slots = append(slots, SlotLayout{
+				PE: int(sl.pe), Ctx: c, Op: sl.op,
+				AMode: ctxgen.SrcMode(sl.aMode), BMode: ctxgen.SrcMode(sl.bMode),
+				AOff: sl.aOff, BOff: sl.bOff, WOff: sl.wOff,
+				Shape: int(sl.shape),
+			})
+		}
+	}
+	return slots, d.rfTotal, d.consts
+}
+
+// LeftSlab returns a copy of the scalar slab the last run returned to d's
+// ready slot, as that run left it, or nil when the slot is empty.
+func LeftSlab(d *Decoded) []int32 {
+	if rs := d.ready.Load(); rs != nil {
+		return slices.Clone(rs.rf)
+	}
+	return nil
+}
+
+// ScribbleSlab overwrites every word of the ready slot's scalar slab and
+// reports whether the slot held a state.
+func ScribbleSlab(d *Decoded) bool {
+	rs := d.ready.Load()
+	if rs == nil {
+		return false
+	}
+	for i := range rs.rf {
+		rs.rf[i] = -12345
+	}
+	return true
+}
+
+// DrawnSlab draws a run state the way a run does and returns a copy of
+// its slab before putting the state back.
+func DrawnSlab(d *Decoded) []int32 {
+	rs := d.getState()
+	defer d.putState(rs)
+	return slices.Clone(rs.rf)
+}
+
+// DrawnLaneSlab draws an n-lane state the way RunBatch does and returns a
+// copy of its slab and the slab's lane stride, scribbling over every word
+// before putting the state back so the next draw must reset it.
+func DrawnLaneSlab(d *Decoded, n int) ([]int32, int) {
+	ls := d.getLaneState(n)
+	defer d.putLaneState(ls)
+	rf := slices.Clone(ls.rf)
+	for i := range ls.rf {
+		ls.rf[i] = -12345
+	}
+	return rf, ls.lanes
+}
+
+// LeftLaneSlab returns a copy of the slab of a lane state pooled by an
+// earlier batch, as that batch left it, and its lane stride; nil when the
+// pool holds none.
+func LeftLaneSlab(d *Decoded) ([]int32, int) {
+	ls, _ := d.lanePool.Get().(*laneState)
+	if ls == nil {
+		return nil, 0
+	}
+	defer d.lanePool.Put(ls)
+	return slices.Clone(ls.rf), ls.lanes
 }

@@ -32,16 +32,31 @@ const (
 	slotStore
 )
 
+// slot shapes: which issue path a hook-free walk takes (dslot.shape). The
+// first four run with no further per-slot test; shapeOther keeps the
+// general path, which tests kind, predication and the commit route.
+const (
+	shapeALU     = iota // unpredicated direct ALU write, CONST included
+	shapeCompare        // compare: sets the PE's status line
+	shapePredALU        // predicated direct ALU write
+	shapeLoad           // unpredicated direct load
+	shapeOther          // ring-bound writes, stores, other loads, discarded results
+)
+
 // dslot is one predecoded non-NOP PE context slot. All addresses are
 // pre-resolved: RF reads/writes are flat offsets into the run state's
 // single register slab, routed reads name the source PE directly, and the
 // op's duration and energy are looked up at decode time.
 type dslot struct {
-	pe   int32
-	kind int8
-	// Operand A/B: mode (SrcNone/SrcReg/SrcRoute) and flat RF offset. For
+	pe    int32
+	kind  int8
+	shape int8
+	// Operand A/B: mode (SrcNone/SrcReg/SrcRoute) and flat slab offset,
+	// read unconditionally by every walk. SrcNone points at the slab's zero
+	// word and CONST's A at its constant word (see Decoded.consts). For
 	// SrcRoute the offset is the source PE's presented register (resolved
-	// at decode), so every walk reads a route as a plain RF read; aSrc/bSrc
+	// at decode), so every walk reads a route as a plain RF read; the
+	// hooked walk tests the mode only to call its route hook, and aSrc/bSrc
 	// name the source PE for the hooks' route faults and events.
 	aMode, bMode int8
 	aOff, bOff   int32
@@ -65,11 +80,11 @@ type dslot struct {
 	// can be direct; the lane walk also resolves the rest at issue and
 	// defers just the register write.
 	resolveLoad bool
-	wOff        int32
-	op          arch.OpCode
-	// imm is operand A when A names no source: CONST's immediate, 0 for
-	// every other op (see arch.Eval).
-	imm    int32
+	// wOff is the register a write lands in, always below rfTotal: a slot
+	// that writes nothing keeps its PE's first register, so no write can
+	// reach the zero or constant words.
+	wOff   int32
+	op     arch.OpCode
 	array  int32
 	dur    int32
 	energy float64
@@ -89,10 +104,14 @@ type decHome struct {
 type Decoded struct {
 	numPE  int
 	numCtx int
-	// rfOff[pe] is PE pe's base offset into the flat register slab of
-	// rfTotal words.
+	// rfOff[pe] is PE pe's base offset into the flat register slab. The
+	// slab holds the rfTotal registers, then a zero word (offset rfTotal)
+	// every SrcNone operand reads, then one word per CONST slot holding
+	// its immediate: consts[k] at rfTotal+1+k. A run clears the registers
+	// and re-seeds the constants; no write targets either kind of word.
 	rfOff   []int32
 	rfTotal int
+	consts  []int32
 	cbSlots int
 
 	// slots[cmeta[c].lo:cmeta[c].hi] are context c's non-NOP PE slots in
@@ -174,7 +193,7 @@ func (d *Decoded) getState() *runState {
 	}
 	if rs == nil {
 		rs = &runState{
-			rf: make([]int32, d.rfTotal),
+			rf: make([]int32, d.slabLen()),
 			condState: condState{
 				cond:         make([]bool, d.cbSlots+d.numPE),
 				statusArrive: make([]int64, d.numPE),
@@ -186,7 +205,8 @@ func (d *Decoded) getState() *runState {
 			rs.ring[i] = make([]fpend, 0, d.numPE)
 		}
 	}
-	clear(rs.rf)
+	clear(rs.rf[:d.rfTotal+1])
+	copy(rs.rf[d.rfTotal+1:], d.consts)
 	clear(rs.cond)
 	for i := range rs.statusArrive {
 		rs.statusArrive[i] = -1
@@ -198,6 +218,10 @@ func (d *Decoded) getState() *runState {
 	rs.pendAny = 0
 	return rs
 }
+
+// slabLen is the length of a scalar register slab: the registers, the zero
+// word and the constant words.
+func (d *Decoded) slabLen() int { return d.rfTotal + 1 + len(d.consts) }
 
 func (d *Decoded) putState(rs *runState) {
 	for i := range rs.hostArr {
@@ -239,8 +263,9 @@ func Predecode(prog *ctxgen.Program) (*Decoded, error) {
 		return nil, fmt.Errorf("sim: predecode: context tables sized %d/%d/%d PEs/CBox/CCU, want %d/%d",
 			len(prog.PE), len(prog.CBox), len(prog.CCU), d.numPE, d.numCtx)
 	}
-	// Size the slot slab once: most (PE, context) words are NOPs.
-	work := 0
+	// Size the slot slab and the constant words once: most (PE, context)
+	// words are NOPs.
+	work, nConst := 0, 0
 	for pe, stream := range prog.PE {
 		if len(stream) != d.numCtx {
 			return nil, fmt.Errorf("sim: predecode: PE %d stream holds %d contexts, want %d",
@@ -250,9 +275,13 @@ func Predecode(prog *ctxgen.Program) (*Decoded, error) {
 			if stream[c].Op != arch.NOP {
 				work++
 			}
+			if stream[c].Op == arch.CONST {
+				nConst++
+			}
 		}
 	}
 	d.slots = make([]dslot, 0, work)
+	d.consts = make([]int32, 0, nConst)
 	d.cmeta = make([]ctxMeta, d.numCtx)
 	nCBox := 0
 	for c := range prog.CBox {
@@ -283,7 +312,7 @@ func Predecode(prog *ctxgen.Program) (*Decoded, error) {
 				array:       ctx.Array,
 				predicated:  ctx.Predicated,
 				writeEnable: ctx.WriteEnable,
-				wOff:        d.rfOff[pe] + ctx.WriteAddr,
+				wOff:        d.rfOff[pe],
 				dur:         int32(comp.PEs[pe].Duration(ctx.Op)),
 				energy:      comp.PEs[pe].Energy(ctx.Op),
 			}
@@ -305,6 +334,7 @@ func Predecode(prog *ctxgen.Program) (*Decoded, error) {
 				if ctx.WriteAddr < 0 || int(ctx.WriteAddr) >= rfSize {
 					return nil, fmt.Errorf("sim: predecode: PE %d ctx %d write addr %d out of RF", pe, c, ctx.WriteAddr)
 				}
+				sl.wOff += ctx.WriteAddr
 			}
 			var err error
 			sl.aMode, sl.aOff, sl.aSrc, err = d.decodeSrc(prog, pe, c, ctx.AMode, ctx.AAddr, ctx.AInput)
@@ -316,8 +346,10 @@ func Predecode(prog *ctxgen.Program) (*Decoded, error) {
 				return nil, err
 			}
 			if ctx.Op == arch.CONST {
-				// The ALU passes CONST's immediate through as operand A.
-				sl.aMode, sl.imm = int8(ctxgen.SrcNone), ctx.Imm
+				// The ALU passes CONST's immediate through as operand A,
+				// read from the slot's own constant word.
+				sl.aMode, sl.aOff = int8(ctxgen.SrcNone), int32(d.rfTotal+1+len(d.consts))
+				d.consts = append(d.consts, ctx.Imm)
 			}
 			m.hasPred = m.hasPred || sl.predicated
 			d.slots = append(d.slots, sl)
@@ -530,9 +562,9 @@ func (d *Decoded) analyzeDirect() {
 	touches := func(c int32, off int32) bool {
 		for i := d.cmeta[c].lo; i < d.cmeta[c].hi; i++ {
 			sl := &d.slots[i]
-			// SrcRoute carries its resolved RF offset.
-			reads := (sl.aMode != int8(ctxgen.SrcNone) && sl.aOff == off) ||
-				(sl.bMode != int8(ctxgen.SrcNone) && sl.bOff == off)
+			// SrcRoute carries its resolved RF offset; SrcNone and CONST
+			// operands read words above the registers, which off never is.
+			reads := sl.aOff == off || sl.bOff == off
 			writes := sl.wOff == off && (sl.kind == slotLoad ||
 				((sl.kind == slotALU || sl.kind == slotCompare) && sl.writeEnable))
 			if reads || writes {
@@ -600,8 +632,7 @@ func (d *Decoded) analyzeDirect() {
 				// from the RF (resolved offset), and it must see the
 				// pre-commit value the source presented this cycle.
 				nx := &d.slots[j]
-				if (nx.aMode != int8(ctxgen.SrcNone) && nx.aOff == sl.wOff) ||
-					(nx.bMode != int8(ctxgen.SrcNone) && nx.bOff == sl.wOff) {
+				if nx.aOff == sl.wOff || nx.bOff == sl.wOff {
 					readLater = true
 					break
 				}
@@ -633,7 +664,24 @@ func (d *Decoded) analyzeDirect() {
 		if sl.direct && ringBound[sl.wOff] {
 			sl.direct = false
 		}
+		sl.shape = slotShape(sl)
 	}
+}
+
+// slotShape is the issue path a hook-free walk takes for sl, once its
+// commit route is settled.
+func slotShape(sl *dslot) int8 {
+	switch {
+	case sl.kind == slotCompare:
+		return shapeCompare
+	case sl.kind == slotALU && sl.writeEnable && sl.direct && sl.predicated:
+		return shapePredALU
+	case sl.kind == slotALU && sl.writeEnable && sl.direct:
+		return shapeALU
+	case sl.kind == slotLoad && sl.direct && !sl.predicated:
+		return shapeLoad
+	}
+	return shapeOther
 }
 
 // homeOff resolves a (PE, addr) home to its flat slab offset, or -1 when
@@ -677,7 +725,7 @@ func (d *Decoded) decodeSrc(prog *ctxgen.Program, pe, c int, mode ctxgen.SrcMode
 		// offset is resolved here and every walk reads it directly.
 		return int8(ctxgen.SrcRoute), d.rfOff[src] + prog.PE[src][c].OutlAddr, int32(src), nil
 	default:
-		return int8(ctxgen.SrcNone), 0, 0, nil
+		return int8(ctxgen.SrcNone), int32(d.rfTotal), 0, nil
 	}
 }
 
@@ -769,45 +817,50 @@ func (d *Decoded) runPlain(ctx context.Context, limit int64, args map[string]int
 				outCtrl = cond[m.outCtrl] != m.ctrlInv
 			}
 
-			// Phase 3: issue.
+			// Phase 3: issue. Operands read the slab unconditionally (zero
+			// and constant words stand in for absent sources), and the slot's
+			// shape picks the path: the first four test nothing further.
 			for i := m.lo; i < m.hi; i++ {
 				sl := &slots[i]
-				a, b := sl.imm, int32(0)
-				if sl.aMode != int8(ctxgen.SrcNone) {
-					a = rf[sl.aOff]
-				}
-				if sl.bMode != int8(ctxgen.SrcNone) {
-					b = rf[sl.bOff]
-				}
-				finish := cycle + int64(sl.dur) - 1
 				energy += sl.energy
-				if sl.kind == slotCompare {
-					cond[d.cbSlots+int(sl.pe)] = arch.Holds(sl.op, a, b)
-					rs.statusArrive[sl.pe] = finish
-					continue
-				}
-				if sl.predicated && !outPE {
-					continue // squashed: nothing commits
-				}
-				switch sl.kind {
-				case slotLoad:
-					// A direct load (always a resolved one) reads the host
-					// at issue; an out-of-range index faults at commit.
-					if arr := rs.hostArr[sl.array]; sl.direct && a >= 0 && int(a) < len(arr) {
+				switch sl.shape {
+				case shapeALU:
+					rf[sl.wOff] = arch.Eval(sl.op, rf[sl.aOff], rf[sl.bOff])
+				case shapeCompare:
+					cond[d.cbSlots+int(sl.pe)] = arch.Holds(sl.op, rf[sl.aOff], rf[sl.bOff])
+					rs.statusArrive[sl.pe] = cycle + int64(sl.dur) - 1
+				case shapePredALU:
+					if outPE {
+						rf[sl.wOff] = arch.Eval(sl.op, rf[sl.aOff], rf[sl.bOff])
+					}
+				case shapeLoad:
+					// A direct load (always a resolved one) reads the host at
+					// issue; an out-of-range index faults at commit.
+					if a, arr := rf[sl.aOff], rs.hostArr[sl.array]; a >= 0 && int(a) < len(arr) {
 						rf[sl.wOff] = arr[a]
-						continue
-					}
-					rs.enqueue(d, finish, fpend{pe: sl.pe, wOff: sl.wOff, isDMA: true, dmaLoad: true, array: sl.array, index: a})
-				case slotStore:
-					rs.enqueue(d, finish, fpend{pe: sl.pe, isDMA: true, array: sl.array, index: a, value: b})
-				default:
-					if !sl.writeEnable {
-						continue
-					}
-					if val := arch.Eval(sl.op, a, b); sl.direct {
-						rf[sl.wOff] = val
 					} else {
-						rs.enqueue(d, finish, fpend{pe: sl.pe, wOff: sl.wOff, value: val})
+						rs.enqueue(d, cycle+int64(sl.dur)-1, fpend{pe: sl.pe, wOff: sl.wOff, isDMA: true, dmaLoad: true, array: sl.array, index: a})
+					}
+				default:
+					if sl.predicated && !outPE {
+						continue // squashed: nothing commits
+					}
+					a, b := rf[sl.aOff], rf[sl.bOff]
+					finish := cycle + int64(sl.dur) - 1
+					switch sl.kind {
+					case slotLoad:
+						if arr := rs.hostArr[sl.array]; sl.direct && a >= 0 && int(a) < len(arr) {
+							rf[sl.wOff] = arr[a]
+							continue
+						}
+						rs.enqueue(d, finish, fpend{pe: sl.pe, wOff: sl.wOff, isDMA: true, dmaLoad: true, array: sl.array, index: a})
+					case slotStore:
+						rs.enqueue(d, finish, fpend{pe: sl.pe, isDMA: true, array: sl.array, index: a, value: b})
+					default:
+						// Direct ALU writes have their own shapes.
+						if sl.writeEnable {
+							rs.enqueue(d, finish, fpend{pe: sl.pe, wOff: sl.wOff, value: arch.Eval(sl.op, a, b)})
+						}
 					}
 				}
 			}
@@ -898,18 +951,12 @@ func (d *Decoded) run(ctx context.Context, limit int64, args map[string]int32, h
 		for i := m.lo; i < m.hi; i++ {
 			sl := &d.slots[i]
 			h.issue(sl.pe, sl.op)
-			a, b := sl.imm, int32(0)
-			if sl.aMode != int8(ctxgen.SrcNone) {
-				a = rf[sl.aOff]
-				if sl.aMode == int8(ctxgen.SrcRoute) {
-					a = h.route(sl.aSrc, sl.pe, a)
-				}
+			a, b := rf[sl.aOff], rf[sl.bOff]
+			if sl.aMode == int8(ctxgen.SrcRoute) {
+				a = h.route(sl.aSrc, sl.pe, a)
 			}
-			if sl.bMode != int8(ctxgen.SrcNone) {
-				b = rf[sl.bOff]
-				if sl.bMode == int8(ctxgen.SrcRoute) {
-					b = h.route(sl.bSrc, sl.pe, b)
-				}
+			if sl.bMode == int8(ctxgen.SrcRoute) {
+				b = h.route(sl.bSrc, sl.pe, b)
 			}
 			finish := cycle + int64(sl.dur) - 1
 			squash := sl.predicated && !outPE

@@ -21,6 +21,10 @@
 //     rf[lane*rfTotal+off]), so the N lanes touched by one slot share one
 //     or two cache lines instead of N, and every per-slot index is hoisted
 //     out of the lane loop;
+//   - the zero and constant words are rows of L lanes, so operands are
+//     read without a mode test, and while a group is a contiguous lane
+//     range the direct-ALU and compare shapes loop over row subslices with
+//     no index arithmetic or bounds check;
 //   - ring entries are 16 bytes and each lane's buckets sit behind an
 //     occupancy bitmask, so a quiet lane costs one word test per cycle;
 //   - loads from arrays no store ever targets (dslot.resolveLoad) read
@@ -55,7 +59,6 @@ import (
 	"fmt"
 
 	"cgra/internal/arch"
-	"cgra/internal/ctxgen"
 	"cgra/internal/ir"
 )
 
@@ -73,8 +76,6 @@ type BatchResult struct {
 	Res *Result
 	Err error
 }
-
-const laneSrcNone = int8(ctxgen.SrcNone)
 
 // lpend is one deferred lane commit: 16 bytes against the scalar walk's
 // 24-byte fpend, because no hook ever needs a lane's PE or squashed
@@ -100,7 +101,7 @@ const (
 type laneState struct {
 	lanes int // provisioned lane capacity == slab stride
 
-	rf []int32 // rfTotal × lanes
+	rf []int32 // slabLen × lanes: register, zero and constant rows
 	condState
 	hostArr  [][]int32 // arrays × lanes
 	pend     [][]lpend // lanes × ringSize due-cycle buckets
@@ -118,7 +119,8 @@ type laneState struct {
 
 // getLaneState draws a laneState with capacity for n lanes from the pool,
 // reset exactly like a scalar runState: registers and condition memory
-// zeroed, status arrivals cleared, commit buckets emptied.
+// zeroed, constant rows re-seeded, status arrivals cleared, commit buckets
+// emptied.
 func (d *Decoded) getLaneState(n int) *laneState {
 	ls, _ := d.lanePool.Get().(*laneState)
 	if ls == nil || ls.lanes < n {
@@ -128,7 +130,7 @@ func (d *Decoded) getLaneState(n int) *laneState {
 		}
 		ls = &laneState{
 			lanes: grown,
-			rf:    make([]int32, d.rfTotal*grown),
+			rf:    make([]int32, d.slabLen()*grown),
 			condState: condState{
 				cond:         make([]bool, (d.cbSlots+d.numPE)*grown),
 				statusArrive: make([]int64, d.numPE*grown),
@@ -149,8 +151,17 @@ func (d *Decoded) getLaneState(n int) *laneState {
 		}
 	}
 	// Slabs are lane-innermost, so a partial reset would be strided;
-	// clearing the whole slab is a handful of KB and runs once per batch.
-	clear(ls.rf)
+	// clearing every register row is a handful of KB and runs once per
+	// batch. The zero row is cleared with them; each constant row is its
+	// immediate in every lane.
+	L := ls.lanes
+	clear(ls.rf[:(d.rfTotal+1)*L])
+	for k, v := range d.consts {
+		row := ls.rf[(d.rfTotal+1+k)*L:][:L]
+		for i := range row {
+			row[i] = v
+		}
+	}
 	clear(ls.cond)
 	for i := range ls.statusArrive {
 		ls.statusArrive[i] = -1
@@ -269,6 +280,13 @@ func (d *Decoded) RunBatch(ctx context.Context, limit int64, reqs []BatchRequest
 	return out
 }
 
+// laneRange returns group's first lane and whether group is the contiguous
+// lane range starting there. Groups are ascending, as active is.
+func laneRange(group []int32) (g0 int, contig bool) {
+	g0 = int(group[0])
+	return g0, int(group[len(group)-1])-g0 == len(group)-1
+}
+
 // stepLanes executes one cycle of context c for every lane in group. Lanes
 // that halt, fault, or consume a missing status are marked dead and their
 // BatchResult is filled in. It returns how many lanes died this step (so
@@ -331,14 +349,17 @@ func (d *Decoded) stepLanes(ls *laneState, reqs []BatchRequest, out []BatchResul
 	// cache lines. Energy accumulates per lane in slot order, matching the
 	// scalar path bit for bit; while the group is uniform every lane's sum
 	// is the same chain of additions, so one accumulator stands in for all.
+	// Operands read their slab rows unconditionally (zero and constant rows
+	// stand in for absent sources). While the group is a contiguous lane
+	// range g0..g0+len-1 — every uniform batch until a lane dies — the
+	// direct-ALU and compare shapes run over row subslices with no per-lane
+	// index arithmetic or bounds check.
+	g0, contig := laneRange(group)
 	for i := m.lo; i < m.hi; i++ {
 		sl := &d.slots[i]
-		aMode, bMode := sl.aMode, sl.bMode
 		aReg, bReg := int(sl.aOff)*L, int(sl.bOff)*L
 		op := sl.op
 		finish := cycle + int64(sl.dur) - 1
-		bkt := int(finish) & d.ringMask
-		bit := uint64(1) << uint(bkt) // 0 beyond 64 buckets: mask unused then
 		if uniform {
 			ls.energyU += sl.energy
 		} else {
@@ -348,54 +369,89 @@ func (d *Decoded) stepLanes(ls *laneState, reqs []BatchRequest, out []BatchResul
 			}
 		}
 
-		switch sl.kind {
-		case slotCompare:
-			stIdx, valIdx := int(sl.pe)*L, (d.cbSlots+int(sl.pe))*L
-			for _, l := range group {
-				li := int(l)
-				var a, b int32
-				if aMode != laneSrcNone {
-					a = rf[aReg+li]
-				}
-				if bMode != laneSrcNone {
-					b = rf[bReg+li]
-				}
-				ls.cond[valIdx+li] = arch.Holds(op, a, b)
-				ls.statusArrive[stIdx+li] = finish
-			}
-		case slotLoad:
-			pred := sl.predicated
-			resolve := sl.resolveLoad
-			direct := sl.direct
-			arrBase := int(sl.array) * L
+		switch sl.shape {
+		case shapeALU:
 			wIdx := int(sl.wOff) * L
-			if resolve && direct && !pred {
-				// The common fir/dot shape: a coefficient or sample fetch
-				// from a read-only array, committed at issue.
-				for _, l := range group {
-					li := int(l)
-					var a int32
-					if aMode != laneSrcNone {
-						a = rf[aReg+li]
-					}
-					arr := ls.hostArr[arrBase+li]
-					if a < 0 || int(a) >= len(arr) {
-						out[l].Err = d.dmaFault(reqs[l].Host, sl.array, a, 0, true)
-						ls.dead[l] = true
-						deaths++
-						died = true
-						continue
-					}
-					rf[wIdx+li] = arr[a]
+			if contig {
+				dst := rf[wIdx+g0 : wIdx+g0+len(group)]
+				as, bs := rf[aReg+g0:][:len(dst)], rf[bReg+g0:][:len(dst)]
+				for j := range dst {
+					dst[j] = arch.Eval(op, as[j], bs[j])
 				}
 			} else {
+				for _, l := range group {
+					li := int(l)
+					rf[wIdx+li] = arch.Eval(op, rf[aReg+li], rf[bReg+li])
+				}
+			}
+		case shapePredALU:
+			wIdx := int(sl.wOff) * L
+			if contig {
+				dst := rf[wIdx+g0 : wIdx+g0+len(group)]
+				as, bs := rf[aReg+g0:][:len(dst)], rf[bReg+g0:][:len(dst)]
+				pred := ls.outPE[g0:][:len(dst)]
+				for j := range dst {
+					if pred[j] {
+						dst[j] = arch.Eval(op, as[j], bs[j])
+					}
+				}
+			} else {
+				for _, l := range group {
+					if li := int(l); ls.outPE[l] {
+						rf[wIdx+li] = arch.Eval(op, rf[aReg+li], rf[bReg+li])
+					}
+				}
+			}
+		case shapeCompare:
+			stIdx, valIdx := int(sl.pe)*L, (d.cbSlots+int(sl.pe))*L
+			if contig {
+				val := ls.cond[valIdx+g0 : valIdx+g0+len(group)]
+				as, bs := rf[aReg+g0:][:len(val)], rf[bReg+g0:][:len(val)]
+				arrive := ls.statusArrive[stIdx+g0:][:len(val)]
+				for j := range val {
+					val[j] = arch.Holds(op, as[j], bs[j])
+					arrive[j] = finish
+				}
+			} else {
+				for _, l := range group {
+					li := int(l)
+					ls.cond[valIdx+li] = arch.Holds(op, rf[aReg+li], rf[bReg+li])
+					ls.statusArrive[stIdx+li] = finish
+				}
+			}
+		case shapeLoad:
+			// The common fir/dot shape: a coefficient or sample fetch from a
+			// read-only array, committed at issue.
+			arrBase := int(sl.array) * L
+			wIdx := int(sl.wOff) * L
+			for _, l := range group {
+				li := int(l)
+				a := rf[aReg+li]
+				arr := ls.hostArr[arrBase+li]
+				if a < 0 || int(a) >= len(arr) {
+					out[l].Err = d.dmaFault(reqs[l].Host, sl.array, a, 0, true)
+					ls.dead[l] = true
+					deaths++
+					died = true
+					continue
+				}
+				rf[wIdx+li] = arr[a]
+			}
+		default:
+			// Ring-bound writes, stores, non-direct or predicated loads.
+			bkt := int(finish) & d.ringMask
+			bit := uint64(1) << uint(bkt) // 0 beyond 64 buckets: mask unused then
+			pred := sl.predicated
+			switch sl.kind {
+			case slotLoad:
+				resolve := sl.resolveLoad
+				direct := sl.direct
+				arrBase := int(sl.array) * L
+				wIdx := int(sl.wOff) * L
 				dmaMeta := sl.array<<2 | lpLoad | lpDMA
 				for _, l := range group {
 					li := int(l)
-					var a int32
-					if aMode != laneSrcNone {
-						a = rf[aReg+li]
-					}
+					a := rf[aReg+li]
 					if pred && !ls.outPE[l] {
 						continue
 					}
@@ -423,69 +479,31 @@ func (d *Decoded) stepLanes(ls *laneState, reqs []BatchRequest, out []BatchResul
 						ls.pendAny++
 					}
 				}
-			}
-		case slotStore:
-			pred := sl.predicated
-			dmaMeta := sl.array<<2 | lpDMA
-			for _, l := range group {
-				li := int(l)
-				var a, b int32
-				if aMode != laneSrcNone {
-					a = rf[aReg+li]
-				}
-				if bMode != laneSrcNone {
-					b = rf[bReg+li]
-				}
-				if pred && !ls.outPE[l] {
-					continue
-				}
-				pb := li*ring + bkt
-				ls.pend[pb] = append(ls.pend[pb], lpend{index: a, value: b, meta: dmaMeta})
-				ls.pendMask[li] |= bit
-				ls.pendAny++
-			}
-		default: // slotALU
-			if !sl.writeEnable {
-				continue // energy accounted; the result is discarded
-			}
-			pred := sl.predicated
-			direct := sl.direct
-			wIdx := int(sl.wOff) * L
-			imm := sl.imm
-			if direct && !pred {
-				for _, l := range group {
-					li := int(l)
-					a, b := imm, int32(0)
-					if aMode != laneSrcNone {
-						a = rf[aReg+li]
-					}
-					if bMode != laneSrcNone {
-						b = rf[bReg+li]
-					}
-					rf[wIdx+li] = arch.Eval(op, a, b)
-				}
-			} else {
+			case slotStore:
+				dmaMeta := sl.array<<2 | lpDMA
 				for _, l := range group {
 					li := int(l)
 					if pred && !ls.outPE[l] {
 						continue
 					}
-					a, b := imm, int32(0)
-					if aMode != laneSrcNone {
-						a = rf[aReg+li]
+					pb := li*ring + bkt
+					ls.pend[pb] = append(ls.pend[pb], lpend{index: rf[aReg+li], value: rf[bReg+li], meta: dmaMeta})
+					ls.pendMask[li] |= bit
+					ls.pendAny++
+				}
+			default: // slotALU: direct writes have their own shapes
+				if !sl.writeEnable {
+					continue // energy accounted; the result is discarded
+				}
+				for _, l := range group {
+					li := int(l)
+					if pred && !ls.outPE[l] {
+						continue
 					}
-					if bMode != laneSrcNone {
-						b = rf[bReg+li]
-					}
-					v := arch.Eval(op, a, b)
-					if direct {
-						rf[wIdx+li] = v
-					} else {
-						pb := li*ring + bkt
-						ls.pend[pb] = append(ls.pend[pb], lpend{wOff: sl.wOff, value: v})
-						ls.pendMask[li] |= bit
-						ls.pendAny++
-					}
+					pb := li*ring + bkt
+					ls.pend[pb] = append(ls.pend[pb], lpend{wOff: sl.wOff, value: arch.Eval(op, rf[aReg+li], rf[bReg+li])})
+					ls.pendMask[li] |= bit
+					ls.pendAny++
 				}
 			}
 		}
@@ -494,6 +512,7 @@ func (d *Decoded) stepLanes(ls *laneState, reqs []BatchRequest, out []BatchResul
 			if len(group) == 0 {
 				return deaths, split, 0
 			}
+			g0, contig = laneRange(group)
 		}
 	}
 

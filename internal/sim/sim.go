@@ -25,6 +25,14 @@
 // hooked walk sends every commit through the ring, so events and injected
 // write faults keep their commit cycle and order.
 //
+// Every walk reads both operands of a slot without testing their modes:
+// Predecode points an absent operand at a zero word and a CONST's
+// immediate at a constant word, both kept in the register slab above the
+// registers, where no write lands. The hook-free walks also dispatch on a
+// shape fixed at predecode (dslot.shape): unpredicated and predicated
+// direct ALU writes, compares and unpredicated direct loads run with no
+// further test, and only the rest take the general path.
+//
 // No walk defines what an opcode computes: each inlines arch.Eval and
 // arch.Holds, the op table's definitions. Predecode refuses a program that
 // issues an op its PE does not implement, so no walk has an unknown-op path.
