@@ -4,13 +4,16 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cgra/internal/arch"
+	"cgra/internal/ctxgen"
 	"cgra/internal/ir"
 	"cgra/internal/irtext"
 	"cgra/internal/pipeline"
 	"cgra/internal/sim"
+	"cgra/internal/workload"
 )
 
 // faultKernel reads a, which nothing stores (resolved loads, which fault
@@ -56,8 +59,10 @@ func (lc laneCase) inputs() (map[string]int32, *ir.Host) {
 
 // TestLanesFaultAtEveryPosition faults the first, a middle and the last of
 // nine lanes, each at a different cycle, once in a batch that stays uniform
-// and once in a batch that diverges before the first fault. The faults
-// take the group from a contiguous lane range to scattered lanes mid-step.
+// and once in a batch that diverges before the first fault. In the uniform
+// batch the first fault ends the lane walk mid-loop, and the other lanes
+// finish on the production walk with their commits still in flight; in
+// the divergent batch the first split does, and the faults land there.
 // Every lane must match its scalar run: a surviving lane on cycles,
 // energy, live-outs and heap, a faulting lane on its error.
 func TestLanesFaultAtEveryPosition(t *testing.T) {
@@ -149,6 +154,151 @@ func checkLaneFaults(t *testing.T, c *pipeline.Compiled, lanes []laneCase, diver
 			t.Errorf("lane %d: %+v, want %+v", l, o.Res, w.res)
 		case !reqs[l].Host.Equal(w.host):
 			t.Errorf("lane %d: heap differs from the scalar run's", l)
+		}
+	}
+}
+
+// handOffProgram hand-builds a six-context program on comp whose lanes
+// split at context 2 on xs, after a condition stored at context 1 and
+// before a status that arrives at context 3 is consumed. Context 0 stores
+// xs != 0 in slot 2 and context 1 xa != 0 in slot 1. Context 2 issues
+// xb != 0 on PE 2, a 2-cycle compare, and branches on slot 2: to context 4
+// when it is true, else to context 3. Contexts 3 and 4 each consume PE 2's
+// status into slot 3 and write p (1 or 2) predicated on slot 1; context 5
+// writes q = 1 predicated on slot 3 and halts.
+func handOffProgram(comp *arch.Composition) *ctxgen.Program {
+	p := &ctxgen.Program{
+		Comp:   comp,
+		NumCtx: 6,
+		PE:     make([][]ctxgen.PECtx, comp.NumPEs()),
+		CBox: []ctxgen.CBoxCtx{
+			{Consume: true, StatusPE: 1, WriteAddr: 2},
+			{Consume: true, StatusPE: 0, WriteAddr: 1},
+			{OutCtrlEnable: true, OutCtrlAddr: 2},
+			{Consume: true, StatusPE: 2, WriteAddr: 3, OutPEEnable: true, OutPEAddr: 1},
+			{Consume: true, StatusPE: 2, WriteAddr: 3, OutPEEnable: true, OutPEAddr: 1},
+			{OutPEEnable: true, OutPEAddr: 3},
+		},
+		CCU: []ctxgen.CCUCtx{{}, {},
+			{Mode: ctxgen.CCUCondJump, Target: 4},
+			{Mode: ctxgen.CCUJump, Target: 5},
+			{Mode: ctxgen.CCUJump, Target: 5},
+			{Mode: ctxgen.CCUJump, Target: 5}},
+		LiveIns:  []string{"xa", "xb", "xs"},
+		LiveOuts: []string{"p", "q"},
+		Homes: map[string]ctxgen.Home{
+			"xa": {PE: 0}, "xs": {PE: 1}, "xb": {PE: 2}, "p": {PE: 3}, "q": {PE: 4},
+		},
+	}
+	for i := range p.PE {
+		p.PE[i] = make([]ctxgen.PECtx, p.NumCtx)
+	}
+	p.PE[1][0] = ctxgen.PECtx{Op: arch.IFNE, AMode: ctxgen.SrcReg}
+	p.PE[0][1] = ctxgen.PECtx{Op: arch.IFNE, AMode: ctxgen.SrcReg}
+	p.PE[2][2] = ctxgen.PECtx{Op: arch.IFNE, AMode: ctxgen.SrcReg}
+	p.PE[3][3] = ctxgen.PECtx{Op: arch.CONST, Imm: 1, WriteEnable: true, Predicated: true}
+	p.PE[3][4] = ctxgen.PECtx{Op: arch.CONST, Imm: 2, WriteEnable: true, Predicated: true}
+	p.PE[4][5] = ctxgen.PECtx{Op: arch.CONST, Imm: 1, WriteEnable: true, Predicated: true}
+	return p
+}
+
+// TestLanesHandOffMovesConditionState splits a batch of eight lanes, one
+// per value of xa, xb and xs, at a branch between a condition the batch
+// stored and its use, and between a compare's issue and its status's
+// arrival (handOffProgram). Every lane must leave the lane walk with its
+// condition memory and status arrivals and match its scalar runs. No
+// composition the repository names has a multi-cycle compare, so PE 2's
+// IFNE is made to take two cycles.
+func TestLanesHandOffMovesConditionState(t *testing.T) {
+	comp, err := arch.ByName("9 PEs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := comp.PEs[2].Ops[arch.IFNE]
+	info.Duration = 2
+	comp.PEs[2].Ops[arch.IFNE] = info
+	prog := handOffProgram(comp)
+	eng, err := sim.Predecode(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outcome := func(res *sim.Result, err error) string {
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		return fmt.Sprintf("p=%d q=%d, %d cycles, energy %g", res.LiveOuts["p"], res.LiveOuts["q"], res.RunCycles, res.Energy)
+	}
+	var reqs []sim.BatchRequest
+	for v := int32(0); v < 8; v++ {
+		reqs = append(reqs, sim.BatchRequest{Args: map[string]int32{"xa": v & 1, "xb": v >> 1 & 1, "xs": v >> 2}, Host: ir.NewHost()})
+	}
+	seen := map[string]bool{}
+	for l, o := range eng.RunBatch(context.Background(), 0, reqs) {
+		want := outcome(sim.New(prog).RefRun(reqs[l].Args, ir.NewHost()))
+		pq, _, _ := strings.Cut(want, ",")
+		seen[pq] = true
+		if got := outcome(sim.New(prog).Run(reqs[l].Args, ir.NewHost())); got != want {
+			t.Errorf("%v: plain walk gives %s, reference %s", reqs[l].Args, got, want)
+		}
+		if got := outcome(o.Res, o.Err); got != want {
+			t.Errorf("%v: RunBatch lane gives %s, reference %s", reqs[l].Args, got, want)
+		}
+	}
+	// p is 0 when xa is 0 and else 1 or 2 as xs picks, q is xb: all six
+	// endings must show, else a lost condition or status could go unseen.
+	for _, p := range []string{"p=0 q=0", "p=0 q=1", "p=1 q=0", "p=1 q=1", "p=2 q=0", "p=2 q=1"} {
+		if !seen[p] {
+			t.Errorf("no lane ends with %s: %v", p, seen)
+		}
+	}
+}
+
+// BenchmarkRunBatch runs 16-lane batches on 9 PEs, one sub-benchmark per
+// input mix and kernel. "identical" lanes all take the kernel's default
+// inputs, as the sim_engine workload's run16 arm does, and stay on the
+// lane walk to the halt. "divergent" lanes take sizes mixed around the
+// default (gcd varies its operands), so they split at their first
+// data-dependent branch and finish on the production walk. Each batch
+// runs on fresh clones of the lanes' heaps, cloned inside the timer.
+func BenchmarkRunBatch(b *testing.B) {
+	comp, err := arch.ByName("9 PEs")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, mix := range []string{"identical", "divergent"} {
+		for _, name := range []string{"gcd", "bsort", "fir", "bitcount", "matmul", "crc8"} {
+			w, err := workload.ByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			eng, err := compileCell(b, name, w.Kernel, comp, pipeline.Defaults()).Engine()
+			if err != nil {
+				b.Fatal(err)
+			}
+			reqs := make([]sim.BatchRequest, 16)
+			hosts := make([]*ir.Host, len(reqs))
+			for l := range reqs {
+				size := w.DefaultSize
+				if mix == "divergent" {
+					size = max(3, w.DefaultSize+l%7-2)
+				}
+				reqs[l].Args, hosts[l] = w.Args(size), w.Host(size)
+				if mix == "divergent" && name == "gcd" {
+					reqs[l].Args = map[string]int32{"a": int32(1071 + 13*l), "b": int32(462 + 7*l)}
+				}
+			}
+			b.Run(mix+"/"+name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for l := range reqs {
+						reqs[l].Host = hosts[l].Clone()
+					}
+					for _, o := range eng.RunBatch(context.Background(), 0, reqs) {
+						if o.Err != nil {
+							b.Fatal(o.Err)
+						}
+					}
+				}
+			})
 		}
 	}
 }

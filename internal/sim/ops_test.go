@@ -177,8 +177,10 @@ kernel everyop(array v, array out, inout s) {
 // TestEveryOperatorEveryWalk runs every lowered operator on edge operands
 // (INT_MIN, INT_MAX, shift counts 31, 32 and -1) through every way a
 // program executes: the plain walk, the hooked walk with counters
-// attached, RunBatch with three lanes on different inputs, and the
-// reference interpreter. All must equal ir.Interp on live-outs and heap.
+// attached, RunBatch with three lanes on different inputs (which leave the
+// lane walk at their first split), RunBatch with two identical lanes
+// (which run on the lane walk to the halt), and the reference interpreter.
+// All must equal ir.Interp on live-outs and heap.
 func TestEveryOperatorEveryWalk(t *testing.T) {
 	k, err := irtext.Parse(everyOpKernel)
 	if err != nil {
@@ -262,6 +264,11 @@ func TestEveryOperatorEveryWalk(t *testing.T) {
 
 			check("RunBatch lane", lanes[i].Res, lanes[i].Err, reqs[i].Host)
 
+			same := []sim.BatchRequest{{Args: args(i), Host: host(i)}, {Args: args(i), Host: host(i)}}
+			for l, o := range eng.RunBatch(context.Background(), 0, same) {
+				check(fmt.Sprintf("RunBatch identical lane %d", l), o.Res, o.Err, same[l].Host)
+			}
+
 			h = host(i)
 			res, err = sim.New(c.Program).RefRun(args(i), h)
 			check("reference interpreter", res, err, h)
@@ -316,7 +323,9 @@ func cboxWordProgram(comp *arch.Composition, word ctxgen.CBoxCtx) *ctxgen.Progra
 // consume, a recombine or both; every HasA/HasB and AInv/BInv; pass, AND
 // and OR — on every value of the status and the two slots it can read,
 // through the plain walk, the hooked walk with counters attached, RunBatch
-// with one divergent lane per value and the reference interpreter. All
+// with one divergent lane per value, RunBatch with two identical lanes per
+// value (which stay on the lane walk to the halt) and the reference
+// interpreter. All
 // must agree, so the decoded word keeps the reference interpreter's
 // precedence, including on words the scheduler never emits and only a
 // decoded artifact can carry. A consume of a status that never arrives
@@ -342,7 +351,7 @@ func TestEveryCBoxWordEveryWalk(t *testing.T) {
 	}
 	// walks runs prog with args on every walk and returns each outcome,
 	// the reference interpreter's first.
-	walks := func(prog *ctxgen.Program) [][4]string {
+	walks := func(prog *ctxgen.Program) [][5]string {
 		eng, err := sim.Predecode(prog)
 		if err != nil {
 			t.Fatal(err)
@@ -352,7 +361,7 @@ func TestEveryCBoxWordEveryWalk(t *testing.T) {
 			reqs[i] = sim.BatchRequest{Args: args[i], Host: ir.NewHost()}
 		}
 		lanes := eng.RunBatch(context.Background(), 0, reqs)
-		out := make([][4]string, len(args))
+		out := make([][5]string, len(args))
 		for i, a := range args {
 			out[i][0] = outcome(sim.New(prog).RefRun(a, ir.NewHost()))
 			out[i][1] = outcome(sim.New(prog).Run(a, ir.NewHost()))
@@ -360,10 +369,15 @@ func TestEveryCBoxWordEveryWalk(t *testing.T) {
 			sim.AttachCounters(m)
 			out[i][2] = outcome(m.Run(a, ir.NewHost()))
 			out[i][3] = outcome(lanes[i].Res, lanes[i].Err)
+			same := eng.RunBatch(context.Background(), 0, []sim.BatchRequest{{Args: a, Host: ir.NewHost()}, {Args: a, Host: ir.NewHost()}})
+			out[i][4] = outcome(same[0].Res, same[0].Err)
+			if o := outcome(same[1].Res, same[1].Err); o != out[i][4] {
+				out[i][4] += "; lane 1: " + o
+			}
 		}
 		return out
 	}
-	names := [4]string{"reference interpreter", "plain walk", "hooked walk", "RunBatch lane"}
+	names := [5]string{"reference interpreter", "plain walk", "hooked walk", "RunBatch lane", "RunBatch identical lanes"}
 
 	seen := map[string]bool{}
 	for _, mode := range [][2]bool{{true, false}, {false, true}, {true, true}} {

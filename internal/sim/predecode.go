@@ -15,6 +15,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -135,6 +136,10 @@ type Decoded struct {
 	liveIns  []decHome
 	liveOuts []decHome
 	transfer int64
+	// used lists, ascending, the registers some slot reads or writes or a
+	// live-in or live-out lives in: all of a lane's slab that the lane walk
+	// moves when it hands the lane to the production walk (runlanes.go).
+	used []int32
 
 	pool sync.Pool
 	// ready is a single-slot fast cache in front of pool: sync.Pool may be
@@ -423,6 +428,7 @@ func Predecode(prog *ctxgen.Program) (*Decoded, error) {
 		}
 	}
 	d.transfer = int64(2 * (len(d.liveIns) + len(d.liveOuts)))
+	d.listUsed()
 	for c := d.numCtx - 1; c >= 0; c-- {
 		m := &d.cmeta[c]
 		m.end = int32(c)
@@ -432,6 +438,38 @@ func Predecode(prog *ctxgen.Program) (*Decoded, error) {
 	}
 	d.planCommits()
 	return d, nil
+}
+
+// listUsed fills d.used from a bitmap of the registers the slots and homes
+// name. Absent and CONST operands read the words above the registers.
+func (d *Decoded) listUsed() {
+	seen := make([]uint64, (d.rfTotal+63)/64)
+	mark := func(off int32) {
+		if int(off) < d.rfTotal {
+			seen[off>>6] |= 1 << (off & 63)
+		}
+	}
+	for i := range d.slots {
+		mark(d.slots[i].aOff)
+		mark(d.slots[i].bOff)
+		mark(d.slots[i].wOff)
+	}
+	for _, h := range d.liveIns {
+		mark(h.off)
+	}
+	for _, h := range d.liveOuts {
+		mark(h.off)
+	}
+	n := 0
+	for _, w := range seen {
+		n += bits.OnesCount64(w)
+	}
+	d.used = make([]int32, 0, n)
+	for i, w := range seen {
+		for ; w != 0; w &= w - 1 {
+			d.used = append(d.used, int32(i*64+bits.TrailingZeros64(w)))
+		}
+	}
 }
 
 // ctxMeta is one context's header, read by every walk: which phases the
@@ -776,21 +814,26 @@ func (d *Decoded) dmaFault(host *ir.Host, array, index, value int32, load bool) 
 
 // runPlain is the production walk (see the package comment): run without
 // hooks, one straight-line block of contexts per dispatch, with zero
-// allocations per cycle. The watchdog, cancellation and CCNT checks run
-// once per block; a block is cut at the cycle budget and at every multiple
-// of ctxCheckInterval, so they fire at the cycle and CCNT a per-cycle walk
-// reports. Each context runs phases 2-5 in CCNT order as in run, energy
-// added slot by slot, and the CCU decides after the block's last context.
+// allocations per cycle. It binds the live-ins and walks from context 0.
 func (d *Decoded) runPlain(ctx context.Context, limit int64, args map[string]int32, host *ir.Host) (*Result, error) {
 	rs := d.getState()
 	defer d.putState(rs)
 	if err := d.begin(rs.rf, rs.hostArr, 1, 0, args, host); err != nil {
 		return nil, err
 	}
+	return d.walk(ctx, limit, rs, host, 0, 0, 0)
+}
+
+// walk is the production walk's loop: it runs rs from context ccnt at
+// cycle, energy being the sum so far, to the halt or the first error. A
+// run starts it at 0, 0, 0; the lane walk starts it where a lane leaves
+// the batch. The watchdog, cancellation and CCNT checks run once per
+// block; a block is cut at the cycle budget and at every multiple of
+// ctxCheckInterval, so they fire at the cycle and CCNT a per-cycle walk
+// reports. Each context runs phases 2-5 in CCNT order as in run, energy
+// added slot by slot, and the CCU decides after the block's last context.
+func (d *Decoded) walk(ctx context.Context, limit int64, rs *runState, host *ir.Host, ccnt int, cycle int64, energy float64) (*Result, error) {
 	rf, cond, slots, cmeta := rs.rf, rs.cond, d.slots, d.cmeta
-	energy := 0.0
-	ccnt := 0
-	var cycle int64
 	for {
 		if cycle >= limit {
 			return nil, &WatchdogError{Limit: limit, CCNT: ccnt}

@@ -1,9 +1,21 @@
 // Batched execution lanes: one predecoded microprogram walk amortized
 // across N independent requests for the same artifact. Each lane carries
-// its own register slab, condition memory, status slots, pending commits
-// and context counter, laid out struct-of-arrays so the shared per-slot
-// decode (operand multiplexer settings, op identity, duration, energy) is
-// paid once per slot per cycle instead of once per lane.
+// its own register slab, condition memory, status slots and pending
+// commits, laid out struct-of-arrays so the shared per-slot decode
+// (operand offsets, op identity, duration, energy) is paid once per slot
+// per cycle instead of once per lane.
+//
+// The lanes step together or not at all. The batch has one context
+// counter and one energy sum, and it stays in the lane walk while every
+// lane is live and every conditional branch agrees — the server's
+// same-artifact coalescing case, and every batch before its first
+// data-dependent branch. At the end of the first cycle in which a lane
+// faulted or the branch select disagreed (or before cycle 0, when a lane's
+// live-ins did not bind), resume hands each surviving lane to the
+// production walk (Decoded.walk), which finishes it alone from the next
+// cycle at that lane's own successor, with the batch's energy so far. A
+// divergent lane so runs the same code a solo run does; the lane walk
+// itself has no per-lane context counter, energy or liveness.
 //
 // The lane walk commits like the scalar walks: routed operands are plain
 // RF reads at their predecoded offset, the context header (ctxMeta) gates
@@ -19,12 +31,11 @@
 //
 //   - all lane slabs are lane-innermost (rf[off*L+lane], not
 //     rf[lane*rfTotal+off]), so the N lanes touched by one slot share one
-//     or two cache lines instead of N, and every per-slot index is hoisted
-//     out of the lane loop;
+//     or two cache lines instead of N, and every issue loop runs over row
+//     subslices (rf[off*L:][:n]), so the shaped ones do no index
+//     arithmetic and no bounds check per lane;
 //   - the zero and constant words are rows of L lanes, so operands are
-//     read without a mode test, and while a group is a contiguous lane
-//     range the direct-ALU and compare shapes loop over row subslices with
-//     no index arithmetic or bounds check;
+//     read without a mode test;
 //   - ring entries are 16 bytes and each lane's buckets sit behind an
 //     occupancy bitmask, so a quiet lane costs one word test per cycle;
 //   - loads from arrays no store ever targets (dslot.resolveLoad) read
@@ -35,28 +46,18 @@
 //     unknown-op path, since Predecode refuses an op its PE does not
 //     implement.
 //
-// Control flow is allowed to diverge: lanes advance their own CCNT. While
-// every lane shares a context — the server's same-artifact coalescing
-// case, and every batch before its first data-dependent branch — the whole
-// batch steps as one group, a single accumulator stands in for every
-// lane's identical energy sum, and no lane's CCNT is ever written; the
-// first data-dependent branch that splits the group materializes the
-// per-lane state and drops the run into per-group stepping, walking
-// maximal runs of active lanes sharing a context. Lanes fail and finish
-// independently: a finished or faulted lane is compacted out of the
-// active set and stops costing anything, so one short gcd lane never
-// stalls a long fir lane.
-//
-// Results are byte-identical to N scalar runs: per-lane energy accumulates
-// in slot order (the uniform accumulator performs the same additions in
-// the same order from the same zero), commits settle in the scalar order,
-// and the watchdog and cancellation checks fire on the same global cycle
-// counter a scalar run would have used.
+// Results are byte-identical to N scalar runs: the batch's energy
+// accumulates in slot order (the same additions in the same order from the
+// same zero as each lane's scalar run), commits settle in the scalar order,
+// a lane that faults keeps its first error and commits nothing more, and
+// the watchdog and cancellation checks fire on the same cycle counter a
+// scalar run would have used.
 package sim
 
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"cgra/internal/arch"
 	"cgra/internal/ir"
@@ -107,14 +108,8 @@ type laneState struct {
 	pend     [][]lpend // lanes × ringSize due-cycle buckets
 	pendMask []uint64  // per-lane bucket-occupancy bits (ringSize ≤ 64)
 	pendAny  int       // outstanding ring entries across all lanes
-	energyU  float64   // uniform-mode accumulator (== every lane's sum)
-	energy   []float64
-	ccnt     []int32
 	outPE    []bool
 	outCtrl  []bool
-	dead     []bool
-	active   []int32
-	scratch  []int32 // mid-step group compaction buffer
 }
 
 // getLaneState draws a laneState with capacity for n lanes from the pool,
@@ -138,13 +133,8 @@ func (d *Decoded) getLaneState(n int) *laneState {
 			hostArr:  make([][]int32, len(d.arrays)*grown),
 			pend:     make([][]lpend, grown*d.ringSize),
 			pendMask: make([]uint64, grown),
-			energy:   make([]float64, grown),
-			ccnt:     make([]int32, grown),
 			outPE:    make([]bool, grown),
 			outCtrl:  make([]bool, grown),
-			dead:     make([]bool, grown),
-			active:   make([]int32, 0, grown),
-			scratch:  make([]int32, 0, grown),
 		}
 		for i := range ls.pend {
 			ls.pend[i] = make([]lpend, 0, 4)
@@ -169,14 +159,8 @@ func (d *Decoded) getLaneState(n int) *laneState {
 	for i := 0; i < n*d.ringSize; i++ {
 		ls.pend[i] = ls.pend[i][:0]
 	}
+	clear(ls.pendMask[:n])
 	ls.pendAny = 0
-	ls.energyU = 0
-	for i := 0; i < n; i++ {
-		ls.pendMask[i] = 0
-		ls.energy[i] = 0
-		ls.ccnt[i] = 0
-		ls.dead[i] = false
-	}
 	return ls
 }
 
@@ -184,7 +168,6 @@ func (d *Decoded) putLaneState(ls *laneState) {
 	for i := range ls.hostArr {
 		ls.hostArr[i] = nil // do not pin host heaps beyond the run
 	}
-	ls.active = ls.active[:0]
 	d.lanePool.Put(ls)
 }
 
@@ -197,133 +180,134 @@ func (d *Decoded) putLaneState(ls *laneState) {
 // lane's fault never poisons its siblings.
 func (d *Decoded) RunBatch(ctx context.Context, limit int64, reqs []BatchRequest) []BatchResult {
 	out := make([]BatchResult, len(reqs))
-	n := len(reqs)
-	if n == 0 {
+	if len(reqs) == 0 {
 		return out
 	}
 	limit = cycleLimit(limit)
-	ls := d.getLaneState(n)
+	ls := d.getLaneState(len(reqs))
 	defer d.putLaneState(ls)
 	L := ls.lanes
 
-	active := ls.active[:0]
-	for l := 0; l < n; l++ {
-		if out[l].Err = d.begin(ls.rf, ls.hostArr, L, l, reqs[l].Args, reqs[l].Host); out[l].Err == nil {
-			active = append(active, int32(l))
+	bound := true
+	for l := range reqs {
+		out[l].Err = d.begin(ls.rf, ls.hostArr, L, l, reqs[l].Args, reqs[l].Host)
+		bound = bound && out[l].Err == nil
+	}
+	if !bound {
+		d.resume(ctx, limit, ls, reqs, out, 0, 0, 0, 0)
+		return out
+	}
+	c := 0
+	energy := 0.0
+	for cycle := int64(0); ; cycle++ {
+		var err error
+		switch {
+		case cycle >= limit:
+			err = &WatchdogError{Limit: limit, CCNT: c}
+		case cycle&(ctxCheckInterval-1) == 0 && ctx.Err() != nil:
+			err = fmt.Errorf("sim: run cancelled at cycle %d: %w", cycle, ctx.Err())
+		case c < 0 || c >= d.numCtx:
+			err = fmt.Errorf("sim: CCNT %d out of range", c)
+		}
+		if err != nil {
+			// The batch shares its counter and cycle: every lane fails alike.
+			for l := range out {
+				out[l].Err = err
+			}
+			return out
+		}
+		m := &d.cmeta[c]
+		var split bool
+		energy, split = d.stepLanes(ls, reqs, out, c, cycle, energy)
+		if m.halt {
+			for l := range out {
+				if out[l].Err == nil {
+					out[l].Res = d.result(ls.rf, L, l, cycle+1, energy)
+				}
+			}
+			return out
+		}
+		seq, tgt := m.next, m.next
+		if m.needCtrl {
+			tgt = m.target
+			split = split || slices.Contains(ls.outCtrl[1:len(out)], !ls.outCtrl[0])
+		}
+		if split {
+			d.resume(ctx, limit, ls, reqs, out, seq, tgt, cycle+1, energy)
+			return out
+		}
+		c = int(seq)
+		if ls.outCtrl[0] {
+			c = int(tgt)
 		}
 	}
-
-	// While uniform, every active lane shares one CCNT (held here, never
-	// written per lane) and the batch steps as a single group with no scan.
-	// The first data-dependent branch that splits the group drops the run
-	// into per-group stepping for good (re-convergence is possible but rare
-	// and never worth detecting).
-	uniform := true
-	cUni := int32(0)
-	var cycle int64
-	for len(active) > 0 {
-		if cycle >= limit {
-			for _, l := range active {
-				cc := int(ls.ccnt[l])
-				if uniform {
-					cc = int(cUni)
-				}
-				out[l].Err = &WatchdogError{Limit: limit, CCNT: cc}
-			}
-			break
-		}
-		if cycle&(ctxCheckInterval-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				for _, l := range active {
-					out[l].Err = fmt.Errorf("sim: run cancelled at cycle %d: %w", cycle, err)
-				}
-				break
-			}
-		}
-		deaths := 0
-		if uniform {
-			dd, split, next := d.stepLanes(ls, reqs, out, active, int(cUni), cycle, true)
-			deaths = dd
-			if split {
-				uniform = false
-			} else {
-				cUni = next
-			}
-		} else {
-			// Step maximal runs of consecutive active lanes sharing a
-			// CCNT. Grouping is pure amortization — per-lane state keeps
-			// lanes independent — so no sorting is needed.
-			for gi := 0; gi < len(active); {
-				c := ls.ccnt[active[gi]]
-				ge := gi + 1
-				for ge < len(active) && ls.ccnt[active[ge]] == c {
-					ge++
-				}
-				dd, _, _ := d.stepLanes(ls, reqs, out, active[gi:ge], int(c), cycle, false)
-				deaths += dd
-				gi = ge
-			}
-		}
-		cycle++
-		if deaths > 0 {
-			// Compact finished/faulted lanes out of the active set,
-			// keeping lane order stable so groups stay maximal.
-			kept := active[:0]
-			for _, l := range active {
-				if !ls.dead[l] {
-					kept = append(kept, l)
-				}
-			}
-			active = kept
-		}
-	}
-	return out
 }
 
-// laneRange returns group's first lane and whether group is the contiguous
-// lane range starting there. Groups are ascending, as active is.
-func laneRange(group []int32) (g0 int, contig bool) {
-	g0 = int(group[0])
-	return g0, int(group[len(group)-1])-g0 == len(group)-1
-}
-
-// stepLanes executes one cycle of context c for every lane in group. Lanes
-// that halt, fault, or consume a missing status are marked dead and their
-// BatchResult is filled in. It returns how many lanes died this step (so
-// the caller compacts only when needed), whether a conditional branch sent
-// group members different ways, and the group's shared next context when
-// it did not split. In uniform mode per-lane CCNT and energy are not
-// maintained — the caller holds the shared CCNT and ls.energyU holds the
-// (identical) energy sum — and both are materialized for every lane the
-// moment the group splits. Lane deaths mid-step compact the working group
-// so the hot loops never test a per-lane dead flag.
-func (d *Decoded) stepLanes(ls *laneState, reqs []BatchRequest, out []BatchResult, group []int32, c int, cycle int64, uniform bool) (deaths int, split bool, next int32) {
-	if c < 0 || c >= d.numCtx {
-		for _, l := range group {
-			out[l].Err = fmt.Errorf("sim: CCNT %d out of range", c)
-			ls.dead[l] = true
-		}
-		return len(group), false, 0
-	}
-	m := &d.cmeta[c]
+// resume hands every lane without an error to the production walk, which
+// runs it alone from cycle on, at tgt when the lane's latched branch
+// select is true and at seq otherwise, with energy as its sum so far. It
+// moves what the walk reads of the lane: the registers some slot or home
+// touches (Decoded.used), condition memory with the status lines and their
+// arrivals, the array bindings, and the pending commits, bucket by bucket
+// in issue order.
+func (d *Decoded) resume(ctx context.Context, limit int64, ls *laneState, reqs []BatchRequest, out []BatchResult, seq, tgt int32, cycle int64, energy float64) {
 	L := ls.lanes
-	ring := d.ringSize
-	maskable := ring <= 64
-	rf := ls.rf
-	died := false
-	// compactLive filters dead lanes out of the working group. The scratch
-	// buffer is reused; filtering from scratch into itself only shrinks it.
-	compactLive := func(g []int32) []int32 {
-		dst := ls.scratch[:0]
-		for _, l := range g {
-			if !ls.dead[l] {
-				dst = append(dst, l)
-			}
+	for l := range out {
+		if out[l].Err != nil {
+			continue
 		}
-		ls.scratch = dst[:0:cap(dst)]
-		died = false
-		return dst
+		rs := d.getState()
+		for _, off := range d.used {
+			rs.rf[off] = ls.rf[int(off)*L+l]
+		}
+		for s := range rs.cond {
+			rs.cond[s] = ls.cond[s*L+l]
+		}
+		for p := range rs.statusArrive {
+			rs.statusArrive[p] = ls.statusArrive[p*L+l]
+		}
+		for a := range rs.hostArr {
+			rs.hostArr[a] = ls.hostArr[a*L+l]
+		}
+		for b, bucket := range ls.pend[l*d.ringSize:][:d.ringSize] {
+			for _, p := range bucket {
+				f := fpend{wOff: p.wOff, value: p.value, index: p.index}
+				if p.meta != 0 {
+					f.isDMA, f.dmaLoad, f.array = true, p.meta&lpLoad != 0, p.meta>>2
+				}
+				rs.ring[b] = append(rs.ring[b], f)
+			}
+			rs.pendAny += len(bucket)
+		}
+		c := seq
+		if ls.outCtrl[l] {
+			c = tgt
+		}
+		out[l].Res, out[l].Err = d.walk(ctx, limit, rs, reqs[l].Host, int(c), cycle, energy)
+		d.putState(rs)
 	}
+}
+
+// push queues p in lane j's ring bucket bkt, whose occupancy bit is bit.
+func (ls *laneState) push(ring, j, bkt int, bit uint64, p lpend) {
+	pb := j*ring + bkt
+	ls.pend[pb] = append(ls.pend[pb], p)
+	ls.pendMask[j] |= bit
+	ls.pendAny++
+}
+
+// stepLanes executes one cycle of context c for the lanes [0, len(out)),
+// adding each issued slot's energy to energy in slot order, and returns
+// the sum and whether a lane faulted. A faulting lane's BatchResult takes
+// its first error; the lane rides out the rest of the cycle, but phase 5
+// commits nothing for it. Phase 2 leaves each lane's branch select in
+// ls.outCtrl for the caller.
+func (d *Decoded) stepLanes(ls *laneState, reqs []BatchRequest, out []BatchResult, c int, cycle int64, energy float64) (float64, bool) {
+	m := &d.cmeta[c]
+	L, n := ls.lanes, len(out)
+	ring := d.ringSize
+	rf := ls.rf
+	faulted := false
 
 	// Phase 1 (routing outputs present RF values) has no work in either
 	// walk: routed operands carry their resolved RF offset.
@@ -332,187 +316,111 @@ func (d *Decoded) stepLanes(ls *laneState, reqs []BatchRequest, out []BatchResul
 	// this context consumes (predication for squash, branch-select for the
 	// CCU). The latch must happen before phase 4 writes condition memory.
 	if m.hasPred {
-		base := int(m.outPE) * L
-		for _, l := range group {
-			ls.outPE[l] = m.outPE >= 0 && ls.cond[base+int(l)]
+		if pred := ls.outPE[:n]; m.outPE >= 0 {
+			copy(pred, ls.cond[int(m.outPE)*L:][:n])
+		} else {
+			clear(pred)
 		}
 	}
 	if m.needCtrl {
-		base := int(m.outCtrl) * L
-		for _, l := range group {
-			ls.outCtrl[l] = m.outCtrl >= 0 && ls.cond[base+int(l)] != m.ctrlInv
+		if sel := ls.outCtrl[:n]; m.outCtrl >= 0 {
+			src := ls.cond[int(m.outCtrl)*L:][:len(sel)]
+			for j := range sel {
+				sel[j] = src[j] != m.ctrlInv
+			}
+		} else {
+			clear(sel)
 		}
 	}
 
 	// Phase 3: issue this context's non-NOP slots, lanes innermost so the
 	// slot decode is shared and each operand's lane values sit on adjacent
-	// cache lines. Energy accumulates per lane in slot order, matching the
-	// scalar path bit for bit; while the group is uniform every lane's sum
-	// is the same chain of additions, so one accumulator stands in for all.
-	// Operands read their slab rows unconditionally (zero and constant rows
-	// stand in for absent sources). While the group is a contiguous lane
-	// range g0..g0+len-1 — every uniform batch until a lane dies — the
-	// direct-ALU and compare shapes run over row subslices with no per-lane
-	// index arithmetic or bounds check.
-	g0, contig := laneRange(group)
+	// cache lines. Operands read their slab rows unconditionally (zero and
+	// constant rows stand in for absent sources).
 	for i := m.lo; i < m.hi; i++ {
 		sl := &d.slots[i]
-		aReg, bReg := int(sl.aOff)*L, int(sl.bOff)*L
+		energy += sl.energy
 		op := sl.op
+		as, bs := rf[int(sl.aOff)*L:][:n], rf[int(sl.bOff)*L:][:n]
 		finish := cycle + int64(sl.dur) - 1
-		if uniform {
-			ls.energyU += sl.energy
-		} else {
-			en := sl.energy
-			for _, l := range group {
-				ls.energy[l] += en
-			}
-		}
 
 		switch sl.shape {
 		case shapeALU:
-			wIdx := int(sl.wOff) * L
-			if contig {
-				dst := rf[wIdx+g0 : wIdx+g0+len(group)]
-				as, bs := rf[aReg+g0:][:len(dst)], rf[bReg+g0:][:len(dst)]
-				for j := range dst {
-					dst[j] = arch.Eval(op, as[j], bs[j])
-				}
-			} else {
-				for _, l := range group {
-					li := int(l)
-					rf[wIdx+li] = arch.Eval(op, rf[aReg+li], rf[bReg+li])
-				}
+			dst := rf[int(sl.wOff)*L:][:n]
+			for j := range dst {
+				dst[j] = arch.Eval(op, as[j], bs[j])
 			}
 		case shapePredALU:
-			wIdx := int(sl.wOff) * L
-			if contig {
-				dst := rf[wIdx+g0 : wIdx+g0+len(group)]
-				as, bs := rf[aReg+g0:][:len(dst)], rf[bReg+g0:][:len(dst)]
-				pred := ls.outPE[g0:][:len(dst)]
-				for j := range dst {
-					if pred[j] {
-						dst[j] = arch.Eval(op, as[j], bs[j])
-					}
-				}
-			} else {
-				for _, l := range group {
-					if li := int(l); ls.outPE[l] {
-						rf[wIdx+li] = arch.Eval(op, rf[aReg+li], rf[bReg+li])
-					}
+			dst := rf[int(sl.wOff)*L:][:n]
+			pred := ls.outPE[:n]
+			for j := range dst {
+				if pred[j] {
+					dst[j] = arch.Eval(op, as[j], bs[j])
 				}
 			}
 		case shapeCompare:
-			stIdx, valIdx := int(sl.pe)*L, (d.cbSlots+int(sl.pe))*L
-			if contig {
-				val := ls.cond[valIdx+g0 : valIdx+g0+len(group)]
-				as, bs := rf[aReg+g0:][:len(val)], rf[bReg+g0:][:len(val)]
-				arrive := ls.statusArrive[stIdx+g0:][:len(val)]
-				for j := range val {
-					val[j] = arch.Holds(op, as[j], bs[j])
-					arrive[j] = finish
-				}
-			} else {
-				for _, l := range group {
-					li := int(l)
-					ls.cond[valIdx+li] = arch.Holds(op, rf[aReg+li], rf[bReg+li])
-					ls.statusArrive[stIdx+li] = finish
-				}
+			val := ls.cond[(d.cbSlots+int(sl.pe))*L:][:n]
+			arrive := ls.statusArrive[int(sl.pe)*L:][:n]
+			for j := range val {
+				val[j] = arch.Holds(op, as[j], bs[j])
+				arrive[j] = finish
 			}
 		case shapeLoad:
 			// The common fir/dot shape: a coefficient or sample fetch from a
 			// read-only array, committed at issue.
-			arrBase := int(sl.array) * L
-			wIdx := int(sl.wOff) * L
-			for _, l := range group {
-				li := int(l)
-				a := rf[aReg+li]
-				arr := ls.hostArr[arrBase+li]
-				if a < 0 || int(a) >= len(arr) {
-					out[l].Err = d.dmaFault(reqs[l].Host, sl.array, a, 0, true)
-					ls.dead[l] = true
-					deaths++
-					died = true
-					continue
+			dst := rf[int(sl.wOff)*L:][:n]
+			for j, arr := range ls.hostArr[int(sl.array)*L:][:n] {
+				if a := as[j]; a >= 0 && int(a) < len(arr) {
+					dst[j] = arr[a]
+				} else if out[j].Err == nil {
+					out[j].Err = d.dmaFault(reqs[j].Host, sl.array, a, 0, true)
+					faulted = true
 				}
-				rf[wIdx+li] = arr[a]
 			}
 		default:
 			// Ring-bound writes, stores, non-direct or predicated loads.
 			bkt := int(finish) & d.ringMask
 			bit := uint64(1) << uint(bkt) // 0 beyond 64 buckets: mask unused then
-			pred := sl.predicated
+			pred := ls.outPE[:n]
+			squash := sl.predicated
 			switch sl.kind {
 			case slotLoad:
-				resolve := sl.resolveLoad
-				direct := sl.direct
-				arrBase := int(sl.array) * L
-				wIdx := int(sl.wOff) * L
+				dst := rf[int(sl.wOff)*L:][:n]
+				arrs := ls.hostArr[int(sl.array)*L:][:n]
 				dmaMeta := sl.array<<2 | lpLoad | lpDMA
-				for _, l := range group {
-					li := int(l)
-					a := rf[aReg+li]
-					if pred && !ls.outPE[l] {
-						continue
-					}
-					if resolve {
-						arr := ls.hostArr[arrBase+li]
-						if a < 0 || int(a) >= len(arr) {
-							out[l].Err = d.dmaFault(reqs[l].Host, sl.array, a, 0, true)
-							ls.dead[l] = true
-							deaths++
-							died = true
-							continue
+				for j, a := range as {
+					switch {
+					case squash && !pred[j]:
+					case !sl.resolveLoad:
+						ls.push(ring, j, bkt, bit, lpend{wOff: sl.wOff, index: a, meta: dmaMeta})
+					case a < 0 || int(a) >= len(arrs[j]):
+						if out[j].Err == nil {
+							out[j].Err = d.dmaFault(reqs[j].Host, sl.array, a, 0, true)
+							faulted = true
 						}
-						if direct {
-							rf[wIdx+li] = arr[a]
-						} else {
-							pb := li*ring + bkt
-							ls.pend[pb] = append(ls.pend[pb], lpend{wOff: sl.wOff, value: arr[a]})
-							ls.pendMask[li] |= bit
-							ls.pendAny++
-						}
-					} else {
-						pb := li*ring + bkt
-						ls.pend[pb] = append(ls.pend[pb], lpend{wOff: sl.wOff, index: a, meta: dmaMeta})
-						ls.pendMask[li] |= bit
-						ls.pendAny++
+					case sl.direct:
+						dst[j] = arrs[j][a]
+					default:
+						ls.push(ring, j, bkt, bit, lpend{wOff: sl.wOff, value: arrs[j][a]})
 					}
 				}
 			case slotStore:
 				dmaMeta := sl.array<<2 | lpDMA
-				for _, l := range group {
-					li := int(l)
-					if pred && !ls.outPE[l] {
-						continue
+				for j, a := range as {
+					if !squash || pred[j] {
+						ls.push(ring, j, bkt, bit, lpend{index: a, value: bs[j], meta: dmaMeta})
 					}
-					pb := li*ring + bkt
-					ls.pend[pb] = append(ls.pend[pb], lpend{index: rf[aReg+li], value: rf[bReg+li], meta: dmaMeta})
-					ls.pendMask[li] |= bit
-					ls.pendAny++
 				}
 			default: // slotALU: direct writes have their own shapes
 				if !sl.writeEnable {
 					continue // energy accounted; the result is discarded
 				}
-				for _, l := range group {
-					li := int(l)
-					if pred && !ls.outPE[l] {
-						continue
+				for j, a := range as {
+					if !squash || pred[j] {
+						ls.push(ring, j, bkt, bit, lpend{wOff: sl.wOff, value: arch.Eval(op, a, bs[j])})
 					}
-					pb := li*ring + bkt
-					ls.pend[pb] = append(ls.pend[pb], lpend{wOff: sl.wOff, value: arch.Eval(op, rf[aReg+li], rf[bReg+li])})
-					ls.pendMask[li] |= bit
-					ls.pendAny++
 				}
 			}
-		}
-		if died {
-			group = compactLive(group)
-			if len(group) == 0 {
-				return deaths, split, 0
-			}
-			g0, contig = laneRange(group)
 		}
 	}
 
@@ -521,23 +429,14 @@ func (d *Decoded) stepLanes(ls *laneState, reqs []BatchRequest, out []BatchResul
 	// so the write lands immediately.
 	if m.cbox >= 0 {
 		w := &d.cbox[m.cbox]
-		wIdx := int(w.write) * L
-		for _, l := range group {
-			v, ok := w.eval(&ls.condState, L, int(l), cycle)
-			if !ok {
-				out[l].Err = d.missingStatus(c)
-				ls.dead[l] = true
-				deaths++
-				died = true
-				continue
+		dst := ls.cond[int(w.write)*L:][:n]
+		for j := range dst {
+			v, ok := w.eval(&ls.condState, L, j, cycle)
+			if !ok && out[j].Err == nil {
+				out[j].Err = d.missingStatus(c)
+				faulted = true
 			}
-			ls.cond[wIdx+int(l)] = v
-		}
-		if died {
-			group = compactLive(group)
-			if len(group) == 0 {
-				return deaths, split, 0
-			}
+			dst[j] = v
 		}
 	}
 
@@ -548,108 +447,42 @@ func (d *Decoded) stepLanes(ls *laneState, reqs []BatchRequest, out []BatchResul
 	if ls.pendAny > 0 {
 		bkt := int(cycle) & d.ringMask
 		bit := uint64(1) << uint(bkt)
-		for _, l := range group {
-			li := int(l)
+		maskable := ring <= 64
+		for j := 0; j < n; j++ {
 			if maskable {
-				if ls.pendMask[li]&bit == 0 {
+				if ls.pendMask[j]&bit == 0 {
 					continue
 				}
-				ls.pendMask[li] &^= bit
+				ls.pendMask[j] &^= bit
 			}
-			pb := li*ring + bkt
+			pb := j*ring + bkt
 			bucket := ls.pend[pb]
-			if len(bucket) == 0 {
-				continue
-			}
+			ls.pend[pb] = bucket[:0]
 			ls.pendAny -= len(bucket)
+			if out[j].Err != nil {
+				continue // a lane that faulted this cycle commits nothing
+			}
 			for pi := range bucket {
 				pw := &bucket[pi]
 				if pw.meta == 0 {
-					rf[int(pw.wOff)*L+li] = pw.value
+					rf[int(pw.wOff)*L+j] = pw.value
 					continue
 				}
 				arrID := int(pw.meta >> 2)
 				load := pw.meta&lpLoad != 0
-				arr := ls.hostArr[arrID*L+li]
+				arr := ls.hostArr[arrID*L+j]
 				if pw.index < 0 || int(pw.index) >= len(arr) {
-					out[l].Err = d.dmaFault(reqs[l].Host, int32(arrID), pw.index, pw.value, load)
-					ls.dead[l] = true
-					deaths++
-					died = true
+					out[j].Err = d.dmaFault(reqs[j].Host, int32(arrID), pw.index, pw.value, load)
+					faulted = true
 					break
 				}
 				if load {
-					rf[int(pw.wOff)*L+li] = arr[pw.index]
+					rf[int(pw.wOff)*L+j] = arr[pw.index]
 				} else {
 					arr[pw.index] = pw.value
 				}
 			}
-			ls.pend[pb] = bucket[:0]
-		}
-		if died {
-			group = compactLive(group)
-			if len(group) == 0 {
-				return deaths, split, 0
-			}
 		}
 	}
-
-	// Phase 6: next CCNT, or halt the whole group at a terminal context.
-	if m.halt {
-		for _, l := range group {
-			e := ls.energy[l]
-			if uniform {
-				e = ls.energyU
-			}
-			out[l].Res = d.result(rf, L, int(l), cycle+1, e)
-			ls.dead[l] = true
-		}
-		return deaths + len(group), split, 0
-	}
-	if m.needCtrl {
-		tgt, seq := m.target, m.next
-		first := ls.outCtrl[group[0]]
-		same := true
-		for _, l := range group {
-			if ls.outCtrl[l] != first {
-				same = false
-				break
-			}
-		}
-		if same {
-			if first {
-				next = tgt
-			} else {
-				next = seq
-			}
-			if !uniform {
-				for _, l := range group {
-					ls.ccnt[l] = next
-				}
-			}
-			return deaths, false, next
-		}
-		// The group splits: materialize the per-lane CCNT and energy the
-		// divergent path keeps from here on.
-		if uniform {
-			for _, l := range group {
-				ls.energy[l] = ls.energyU
-			}
-		}
-		for _, l := range group {
-			if ls.outCtrl[l] {
-				ls.ccnt[l] = tgt
-			} else {
-				ls.ccnt[l] = seq
-			}
-		}
-		return deaths, true, 0
-	}
-	next = m.next
-	if !uniform {
-		for _, l := range group {
-			ls.ccnt[l] = next
-		}
-	}
-	return deaths, false, next
+	return energy, faulted
 }

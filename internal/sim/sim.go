@@ -10,11 +10,13 @@
 // block of contexts (ctxMeta.end) per dispatch; a run with Probe, Trace or
 // a fault plan takes Decoded.run, stepping one context per cycle and
 // calling its hooks (hooks.go) where a value is observed or corrupted;
-// RunBatch (runlanes.go) steps N hook-free invocations as lanes. The two
-// scalar walks are separate copies on purpose: nil-tested hook sites cost
-// the plain walk about half its block-stepping gain, and a generic walk
-// calls no-op hooks through a dictionary (EXPERIMENTS.md, "Block-stepped
-// walk").
+// RunBatch (runlanes.go) steps N hook-free invocations as lanes while they
+// agree, and hands each lane to runPlain's loop (Decoded.walk) at the
+// first fault or disagreeing branch, so a divergent lane finishes on the
+// production walk. The two scalar walks are separate copies on purpose:
+// nil-tested hook sites cost the plain walk about half its block-stepping
+// gain, and a generic walk calls no-op hooks through a dictionary
+// (EXPERIMENTS.md, "Block-stepped walk").
 //
 // All walks share one commit model, fixed at predecode. A routed operand
 // is an RF read at the offset its source presents, with no routing latch;
