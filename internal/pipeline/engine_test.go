@@ -384,19 +384,10 @@ func (c *checkedOnce) Err() error {
 	return nil
 }
 
-// TestEngineCancellation asserts the scalar walk checks its context at
-// cycle 0 and at every multiple of 8192 cycles: a context cancelled before
-// the run fails it with a wrapped context.Canceled, and one that turns
-// Canceled after the first check stops an adpcm run at cycle 8192 exactly,
-// although the block-stepped walk checks only between blocks.
-func TestEngineCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	tc := engineCases(t)[0]
-	if _, err := tc.c.Machine().RunCtx(ctx, tc.args, tc.host.Clone()); !errors.Is(err, context.Canceled) {
-		t.Fatalf("run under a cancelled context: %v, want context.Canceled", err)
-	}
-
+// longAdpcm compiles adpcm on "9 PEs" with inputs that run past the
+// second cancellation check at cycle 8192.
+func longAdpcm(t *testing.T) (*Compiled, map[string]int32, *ir.Host) {
+	t.Helper()
 	comp, err := arch.ByName("9 PEs")
 	if err != nil {
 		t.Fatal(err)
@@ -418,9 +409,52 @@ func TestEngineCancellation(t *testing.T) {
 	if full.RunCycles <= 8192 {
 		t.Fatalf("adpcm runs %d cycles, too few to reach a second check", full.RunCycles)
 	}
-	_, err = c.Machine().RunCtx(&checkedOnce{Context: context.Background()}, args, host.Clone())
+	return c, args, host
+}
+
+// TestEngineCancellation asserts the scalar walk checks its context at
+// cycle 0 and at every multiple of 8192 cycles: a context cancelled before
+// the run fails it with a wrapped context.Canceled, and one that turns
+// Canceled after the first check stops an adpcm run at cycle 8192 exactly,
+// although the block-stepped walk checks only between blocks.
+func TestEngineCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	tc := engineCases(t)[0]
+	if _, err := tc.c.Machine().RunCtx(ctx, tc.args, tc.host.Clone()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("run under a cancelled context: %v, want context.Canceled", err)
+	}
+
+	c, args, host := longAdpcm(t)
+	_, err := c.Machine().RunCtx(&checkedOnce{Context: context.Background()}, args, host.Clone())
 	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "run cancelled at cycle 8192") {
 		t.Fatalf("run cancelled after its first check: %v, want cancellation at cycle 8192", err)
+	}
+}
+
+// TestEngineLanesCancellationCadence is TestEngineCancellation for
+// RunBatch: a context that turns Canceled after its first check stops a
+// batch of identical adpcm lanes at cycle 8192, every lane with the scalar
+// walk's error text, although the lane walk too checks only between
+// blocks.
+func TestEngineLanesCancellationCadence(t *testing.T) {
+	c, args, host := longAdpcm(t)
+	_, want := c.Machine().RunCtx(&checkedOnce{Context: context.Background()}, args, host.Clone())
+	if want == nil || !strings.Contains(want.Error(), "run cancelled at cycle 8192") {
+		t.Fatalf("scalar run cancelled after its first check: %v, want cancellation at cycle 8192", want)
+	}
+	eng, err := c.Engine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]sim.BatchRequest, 3)
+	for l := range reqs {
+		reqs[l] = sim.BatchRequest{Args: args, Host: host.Clone()}
+	}
+	for l, o := range eng.RunBatch(&checkedOnce{Context: context.Background()}, 0, reqs) {
+		if !errors.Is(o.Err, context.Canceled) || o.Err.Error() != want.Error() {
+			t.Errorf("lane %d: %v, want %v", l, o.Err, want)
+		}
 	}
 }
 

@@ -105,3 +105,15 @@ func LeftLaneSlab(d *Decoded) ([]int32, int) {
 	defer d.lanePool.Put(ls)
 	return slices.Clone(ls.rf), ls.lanes
 }
+
+// Used returns the registers d lists as used: all a drawn state clears.
+func Used(d *Decoded) []int32 { return d.used }
+
+// Homes returns the slab offsets of d's live-ins and live-outs.
+func Homes(d *Decoded) []int32 {
+	var offs []int32
+	for _, h := range append(slices.Clone(d.liveIns), d.liveOuts...) {
+		offs = append(offs, h.off)
+	}
+	return offs
+}

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -16,10 +17,11 @@ import (
 	"cgra/internal/workload"
 )
 
-// faultKernel reads a, which nothing stores (resolved loads, which fault
-// at issue in the lane walk), and reads and writes b (loads and stores
-// that fault at commit), branching on the data it reads. p and q are
-// independent work the scheduler packs into the contexts of the loads.
+// faultKernel reads a, which nothing stores (resolved loads, read from the
+// host at issue), and reads and writes b (loads and stores through the
+// commit ring), branching on the data it reads; an access out of range
+// faults at its commit on every walk. p and q are independent work the
+// scheduler packs into the contexts of the loads.
 const faultKernel = `
 kernel lanefault(array a, array b, in n, in t, inout s, inout p, inout q) {
 	s = 0;
@@ -249,6 +251,50 @@ func TestLanesHandOffMovesConditionState(t *testing.T) {
 	for _, p := range []string{"p=0 q=0", "p=0 q=1", "p=1 q=0", "p=1 q=1", "p=2 q=0", "p=2 q=1"} {
 		if !seen[p] {
 			t.Errorf("no lane ends with %s: %v", p, seen)
+		}
+	}
+}
+
+// TestLanesWatchdogEveryCut cuts batches of three identical lanes at every
+// cycle of watchdogCells' runs. The lane walk, like the plain walk, checks
+// the watchdog once per straight-line block and cuts blocks at the budget;
+// wherever the budget ends, every lane must fail with the plain run's
+// WatchdogError (the same Limit and CCNT) and leave its heap as the plain
+// run left it, and the full-length budget must give the plain run's result.
+func TestLanesWatchdogEveryCut(t *testing.T) {
+	for _, c := range watchdogCells(t) {
+		eng, err := sim.Predecode(c.prog)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		full, err := sim.New(c.prog).Run(c.args, c.host())
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for cut := int64(1); cut <= full.RunCycles; cut++ {
+			m := sim.New(c.prog)
+			m.Engine, m.MaxCycles = eng, cut
+			host := c.host()
+			want, wantErr := m.Run(c.args, host)
+			var wd *sim.WatchdogError
+			if cut < full.RunCycles && !errors.As(wantErr, &wd) {
+				t.Fatalf("%s: plain run cut at cycle %d: error %v", c.name, cut, wantErr)
+			}
+			reqs := make([]sim.BatchRequest, 3)
+			for l := range reqs {
+				reqs[l] = sim.BatchRequest{Args: c.args, Host: c.host()}
+			}
+			for l, o := range eng.RunBatch(context.Background(), cut, reqs) {
+				var got *sim.WatchdogError
+				switch {
+				case wd != nil && (!errors.As(o.Err, &got) || *got != *wd):
+					t.Errorf("%s, cut at cycle %d, lane %d: error %v, want %v", c.name, cut, l, o.Err, wd)
+				case wd == nil && (o.Err != nil || !reflect.DeepEqual(o.Res, want)):
+					t.Errorf("%s, cut at cycle %d, lane %d: %+v, %v; want %+v", c.name, cut, l, o.Res, o.Err, want)
+				case !reqs[l].Host.Equal(host):
+					t.Errorf("%s, cut at cycle %d, lane %d: heap differs from the plain run's", c.name, cut, l)
+				}
+			}
 		}
 	}
 }

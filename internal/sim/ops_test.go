@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -91,7 +92,10 @@ func TestEvalCompareUnknownOp(t *testing.T) {
 // flight: a 2-cycle IMUL and a 2-cycle LOAD issued in the halting context
 // are due after the last cycle, so neither lands in its live-out. The
 // hand-built program has one context, which halts; the load reads an array
-// no store targets, so it would otherwise qualify for an early commit.
+// no store targets, so it would otherwise qualify for an early commit. It
+// runs once on a one-element array and once on an empty one: an index out
+// of range faults at the load's commit, so the halt drops the fault too,
+// on every walk.
 func TestHaltDropsMultiCycleWrites(t *testing.T) {
 	comp, err := arch.ByName("9 PEs")
 	if err != nil {
@@ -108,37 +112,39 @@ func TestHaltDropsMultiCycleWrites(t *testing.T) {
 	prog.LiveOuts = []string{"x", "y"}
 	prog.Arrays = []string{"a"}
 	prog.Homes = map[string]ctxgen.Home{"x": {PE: mulPE}, "y": {PE: loadPE}}
-
-	args := map[string]int32{"x": 7, "y": -1}
-	host := func() *ir.Host {
-		h := ir.NewHost()
-		h.Arrays["a"] = []int32{42}
-		return h
-	}
-	check := func(walk string, res *sim.Result, err error) {
-		t.Helper()
-		switch {
-		case err != nil:
-			t.Errorf("%s: %v", walk, err)
-		case res.RunCycles != 1 || !reflect.DeepEqual(res.LiveOuts, args):
-			t.Errorf("%s: %d cycles, live-outs %v; want 1 cycle, %v", walk, res.RunCycles, res.LiveOuts, args)
-		}
-	}
-	res, err := sim.New(prog).Run(args, host())
-	check("plain walk", res, err)
-	m := sim.New(prog)
-	sim.AttachCounters(m)
-	res, err = m.Run(args, host())
-	check("hooked walk", res, err)
-	res, err = sim.New(prog).RefRun(args, host())
-	check("reference interpreter", res, err)
 	eng, err := sim.Predecode(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lanes := eng.RunBatch(context.Background(), 0, []sim.BatchRequest{{Args: args, Host: host()}, {Args: args, Host: host()}})
-	for i, l := range lanes {
-		check(fmt.Sprintf("RunBatch lane %d", i), l.Res, l.Err)
+
+	args := map[string]int32{"x": 7, "y": -1}
+	for _, a := range [][]int32{{42}, {}} {
+		host := func() *ir.Host {
+			h := ir.NewHost()
+			h.Arrays["a"] = slices.Clone(a)
+			return h
+		}
+		check := func(walk string, res *sim.Result, err error) {
+			t.Helper()
+			switch {
+			case err != nil:
+				t.Errorf("a=%v, %s: %v", a, walk, err)
+			case res.RunCycles != 1 || !reflect.DeepEqual(res.LiveOuts, args):
+				t.Errorf("a=%v, %s: %d cycles, live-outs %v; want 1 cycle, %v", a, walk, res.RunCycles, res.LiveOuts, args)
+			}
+		}
+		res, err := sim.New(prog).Run(args, host())
+		check("plain walk", res, err)
+		m := sim.New(prog)
+		sim.AttachCounters(m)
+		res, err = m.Run(args, host())
+		check("hooked walk", res, err)
+		res, err = sim.New(prog).RefRun(args, host())
+		check("reference interpreter", res, err)
+		lanes := eng.RunBatch(context.Background(), 0, []sim.BatchRequest{{Args: args, Host: host()}, {Args: args, Host: host()}})
+		for i, l := range lanes {
+			check(fmt.Sprintf("RunBatch lane %d", i), l.Res, l.Err)
+		}
 	}
 }
 

@@ -108,8 +108,9 @@ type Decoded struct {
 	// rfOff[pe] is PE pe's base offset into the flat register slab. The
 	// slab holds the rfTotal registers, then a zero word (offset rfTotal)
 	// every SrcNone operand reads, then one word per CONST slot holding
-	// its immediate: consts[k] at rfTotal+1+k. A run clears the registers
-	// and re-seeds the constants; no write targets either kind of word.
+	// its immediate: consts[k] at rfTotal+1+k. A run clears the used
+	// registers and the zero word and re-seeds the constants; no write
+	// targets either kind of word.
 	rfOff   []int32
 	rfTotal int
 	consts  []int32
@@ -137,8 +138,9 @@ type Decoded struct {
 	liveOuts []decHome
 	transfer int64
 	// used lists, ascending, the registers some slot reads or writes or a
-	// live-in or live-out lives in: all of a lane's slab that the lane walk
-	// moves when it hands the lane to the production walk (runlanes.go).
+	// live-in or live-out lives in: the only registers any walk reads, so
+	// all that a drawn state clears and all of a lane's slab that the lane
+	// walk moves when it hands the lane to the production walk.
 	used []int32
 
 	pool sync.Pool
@@ -165,11 +167,13 @@ type fpend struct {
 	index   int32
 }
 
-// condState is what the C-Box reads, lane-innermost at the run's stride (1
-// for a scalar run). cond holds the cbSlots condition slots and after them
-// one status line per PE, so an operand is one index whichever it names. A
-// compare finishing at cycle c sets its line and statusArrive[pe]=c, so a
-// consume checks arrival with one lookup instead of a rescan.
+// condState is what the C-Box reads. cond, lane-innermost at the run's
+// stride (1 for a scalar run), holds the cbSlots condition slots and after
+// them one status line per PE, so an operand is one index whichever it
+// names. A compare finishing at cycle c sets its line and
+// statusArrive[pe]=c, so a consume checks arrival with one lookup instead
+// of a rescan. statusArrive has one entry per PE even in a batch: its
+// lanes issue every compare in the same cycle.
 type condState struct {
 	cond         []bool
 	statusArrive []int64
@@ -210,7 +214,12 @@ func (d *Decoded) getState() *runState {
 			rs.ring[i] = make([]fpend, 0, d.numPE)
 		}
 	}
-	clear(rs.rf[:d.rfTotal+1])
+	// No walk reads a register outside d.used, so only those and the zero
+	// word need clearing.
+	for _, off := range d.used {
+		rs.rf[off] = 0
+	}
+	rs.rf[d.rfTotal] = 0
 	copy(rs.rf[d.rfTotal+1:], d.consts)
 	clear(rs.cond)
 	for i := range rs.statusArrive {
@@ -299,6 +308,7 @@ func Predecode(prog *ctxgen.Program) (*Decoded, error) {
 	for c := 0; c < d.numCtx; c++ {
 		m := &d.cmeta[c]
 		m.lo = int32(len(d.slots))
+		hasPred := false // some slot is predicated: latch the C-Box outPE signal
 		for pe := 0; pe < d.numPE; pe++ {
 			ctx := &prog.PE[pe][c]
 			rfSize := comp.PEs[pe].RegfileSize
@@ -356,7 +366,7 @@ func Predecode(prog *ctxgen.Program) (*Decoded, error) {
 				sl.aMode, sl.aOff = int8(ctxgen.SrcNone), int32(d.rfTotal+1+len(d.consts))
 				d.consts = append(d.consts, ctx.Imm)
 			}
-			m.hasPred = m.hasPred || sl.predicated
+			hasPred = hasPred || sl.predicated
 			d.slots = append(d.slots, sl)
 		}
 		m.hi = int32(len(d.slots))
@@ -371,7 +381,7 @@ func Predecode(prog *ctxgen.Program) (*Decoded, error) {
 			m.next = m.target
 		}
 		m.outPE, m.outCtrl = -1, -1
-		if m.hasPred && cb.OutPEEnable {
+		if hasPred && cb.OutPEEnable {
 			m.outPE = cb.OutPEAddr
 		}
 		if m.needCtrl && cb.OutCtrlEnable {
@@ -484,7 +494,6 @@ type ctxMeta struct {
 	outCtrl  int32 // C-Box slot phase 2 latches as the branch select; -1: false
 	cbox     int32 // the context's word in Decoded.cbox; -1: no consume or recombine
 	ctrlInv  bool  // invert the branch select
-	hasPred  bool  // some slot is predicated: latch the C-Box outPE signal
 	needCtrl bool  // CCU conditionally jumps: latch the branch-select signal
 	jump     bool  // CCU jumps unconditionally (the hooked walk reports it)
 	halt     bool  // CCU jumps to this context: the run finishes here
@@ -523,18 +532,41 @@ func (d *Decoded) decodeCBox(cb *ctxgen.CBoxCtx) cboxWord {
 	return w
 }
 
-// eval is phase 4 of w at cycle for one lane of cs, whose slabs have the
-// given stride (a scalar run passes 1 and lane 0): the condition w writes,
-// and ok false when the status it consumes did not arrive this cycle. A
-// second operand equal to w.or decides the join (false under AND, true
-// under OR); otherwise the first operand does.
-func (w *cboxWord) eval(cs *condState, stride, lane int, cycle int64) (v, ok bool) {
-	ok = w.status < 0 || cs.statusArrive[int(w.status)*stride+lane] == cycle
-	v = w.a >= 0 && cs.cond[int(w.a)*stride+lane] != w.aInv
-	if w.b >= 0 && (cs.cond[int(w.b)*stride+lane] != w.bInv) == w.or {
+// eval is phase 4 of w at cycle on a scalar run's condition state cs: the
+// condition w writes, and ok false when the status it consumes did not
+// arrive this cycle. A second operand equal to w.or decides the join
+// (false under AND, true under OR); otherwise the first operand does.
+func (w *cboxWord) eval(cs *condState, cycle int64) (v, ok bool) {
+	ok = w.status < 0 || cs.statusArrive[w.status] == cycle
+	v = w.a >= 0 && cs.cond[w.a] != w.aInv
+	if w.b >= 0 && (cs.cond[w.b] != w.bInv) == w.or {
 		v = w.or
 	}
 	return v, ok
+}
+
+// rows is eval's join over the lanes of a batch: dst[j] is the condition w
+// writes for the lane whose first operand is a[j] and second b[j]. The
+// caller passes a row of false for an absent operand and checks the
+// status arrival itself. dst may be a or b: each lane reads both operands
+// before its write.
+func (w *cboxWord) rows(dst, a, b []bool) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	aInv, bInv := w.aInv, w.bInv
+	switch {
+	case w.b < 0:
+		for j := range dst {
+			dst[j] = a[j] != aInv
+		}
+	case w.or:
+		for j := range dst {
+			dst[j] = a[j] != aInv || b[j] != bInv
+		}
+	default:
+		for j := range dst {
+			dst[j] = a[j] != aInv && b[j] != bInv
+		}
+	}
 }
 
 // missingStatus is the error of a run whose context c consumes a status
@@ -913,7 +945,7 @@ func (d *Decoded) walk(ctx context.Context, limit int64, rs *runState, host *ir.
 			// wait for them.
 			if m.cbox >= 0 {
 				w := &d.cbox[m.cbox]
-				v, ok := w.eval(&rs.condState, 1, 0, cycle)
+				v, ok := w.eval(&rs.condState, cycle)
 				if !ok {
 					return nil, d.missingStatus(c)
 				}
@@ -1028,7 +1060,7 @@ func (d *Decoded) run(ctx context.Context, limit int64, args map[string]int32, h
 		// Phase 4: C-Box consumes a status / recombines.
 		var condVal, ok bool
 		if m.cbox >= 0 {
-			if condVal, ok = d.cbox[m.cbox].eval(&rs.condState, 1, 0, cycle); !ok {
+			if condVal, ok = d.cbox[m.cbox].eval(&rs.condState, cycle); !ok {
 				return nil, d.missingStatus(ccnt)
 			}
 		}

@@ -301,15 +301,11 @@ func TestEngineMatchesReference(t *testing.T) {
 	}
 }
 
-// TestPlainWatchdogEveryCut cuts the plain run at every cycle from 1 to
-// its full length. The block-stepped walk checks the watchdog once per
-// straight-line block and cuts blocks at the budget, so a budget may end
-// inside a block, at its last context or on a jump; wherever it ends, the
-// CCNT the WatchdogError reports and the partial heap must match the
-// reference interpreter's (the full-length budget completes on both).
-// Cells: gcd, dot and prefix on a regular and an inhomogeneous
-// composition, plus a loop the modulo scheduler pipelined.
-func TestPlainWatchdogEveryCut(t *testing.T) {
+// watchdogCells are the cells the watchdog is cut on at every cycle: gcd,
+// dot and prefix on a regular and an inhomogeneous composition, plus a
+// loop the modulo scheduler pipelined.
+func watchdogCells(t *testing.T) []refCell {
+	t.Helper()
 	var cells []refCell
 	add := func(name string, c *pipeline.Compiled, args map[string]int32, host func() *ir.Host) {
 		cells = append(cells, refCell{name: name, prog: c.Program, args: args, host: host, numPhys: c.Program.Comp.NumPEs()})
@@ -346,7 +342,17 @@ func TestPlainWatchdogEveryCut(t *testing.T) {
 	if len(cells) == library {
 		t.Fatal("no kgen seed below 16 compiles to a pipelined loop")
 	}
+	return cells
+}
 
+// TestPlainWatchdogEveryCut cuts the plain run at every cycle from 1 to
+// its full length. The block-stepped walk checks the watchdog once per
+// straight-line block and cuts blocks at the budget, so a budget may end
+// inside a block, at its last context or on a jump; wherever it ends, the
+// CCNT the WatchdogError reports and the partial heap must match the
+// reference interpreter's (the full-length budget completes on both).
+func TestPlainWatchdogEveryCut(t *testing.T) {
+	cells := watchdogCells(t)
 	cuts := int64(0)
 	for _, c := range cells {
 		full := observe(t, c, nil, 0, true, false)

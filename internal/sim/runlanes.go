@@ -1,6 +1,6 @@
 // Batched execution lanes: one predecoded microprogram walk amortized
 // across N independent requests for the same artifact. Each lane carries
-// its own register slab, condition memory, status slots and pending
+// its own register slab, condition memory, status lines and pending
 // commits, laid out struct-of-arrays so the shared per-slot decode
 // (operand offsets, op identity, duration, energy) is paid once per slot
 // per cycle instead of once per lane.
@@ -14,8 +14,12 @@
 // live-ins did not bind), resume hands each surviving lane to the
 // production walk (Decoded.walk), which finishes it alone from the next
 // cycle at that lane's own successor, with the batch's energy so far. A
-// divergent lane so runs the same code a solo run does; the lane walk
-// itself has no per-lane context counter, energy or liveness.
+// divergent lane so runs the same code a solo run does. Like that walk,
+// the lane walk steps a straight-line block of contexts (ctxMeta.end) per
+// dispatch, cut at the cycle budget and at every multiple of
+// ctxCheckInterval, and checks the watchdog, cancellation and CCNT once
+// per block; a lane fault ends the block after the faulting cycle, and
+// branch agreement is checked at the block's last context.
 //
 // The lane walk commits like the scalar walks: routed operands are plain
 // RF reads at their predecoded offset, the context header (ctxMeta) gates
@@ -24,27 +28,26 @@
 // rest wait in a due-cycle ring that an outstanding-entry count skips when
 // empty. What is not per-slot work it shares with them rather than copies:
 // each takes a slab stride and a lane, which the scalar walks pass as 1
-// and 0 — the decoded C-Box word's evaluation (cboxWord.eval), live-in
-// binding (begin), the halt result (result) and the host-fault text
-// (dmaFault). Only the issue loops are the lane walk's own, specialised so
-// a batched cycle's per-lane cost is kept small:
+// and 0 — live-in binding (begin), the halt result (result) and the
+// host-fault text (dmaFault). Only the issue loops are the lane walk's
+// own, specialised so a batched cycle's per-lane cost is kept small:
 //
 //   - all lane slabs are lane-innermost (rf[off*L+lane], not
 //     rf[lane*rfTotal+off]), so the N lanes touched by one slot share one
 //     or two cache lines instead of N, and every issue loop runs over row
-//     subslices (rf[off*L:][:n]), so the shaped ones do no index
-//     arithmetic and no bounds check per lane;
+//     subslices (rf[off*L:][:n]), with no per-lane index arithmetic;
 //   - the zero and constant words are rows of L lanes, so operands are
 //     read without a mode test;
-//   - ring entries are 16 bytes and each lane's buckets sit behind an
-//     occupancy bitmask, so a quiet lane costs one word test per cycle;
+//   - a slot's opcode picks one loop over its lanes (aluRow, holdsRow),
+//     whose arch.Eval or arch.Holds call has a constant opcode the
+//     compiler folds, so the op table still defines every op; a predicated
+//     write evaluates the row, then selects by outPE; phase 4 joins the
+//     C-Box operand rows (cboxWord.rows);
+//   - ring entries are 16 bytes and the batch's buckets sit behind one
+//     occupancy bitmask, so a cycle with nothing due costs one word test;
 //   - loads from arrays no store ever targets (dslot.resolveLoad) read
 //     the host value at issue even when not direct, and defer only the
-//     register write;
-//   - op evaluation (arch.Eval, arch.Holds) inlines into the slot walk, as
-//     the C-Box evaluation does into phase 4 — no per-lane calls, and no
-//     unknown-op path, since Predecode refuses an op its PE does not
-//     implement.
+//     register write; out of range, they fault at commit.
 //
 // Results are byte-identical to N scalar runs: the batch's energy
 // accumulates in slot order (the same additions in the same order from the
@@ -98,24 +101,26 @@ const (
 // are lane-innermost with stride L == lanes: lane l's view of RF offset o
 // is rf[o*L+l], of C-Box slot s cond[s*L+l], of PE p's status line
 // cond[(cbSlots+p)*L+l]. Only the commit ring is lane-major
-// (pend[l*ringSize+bkt]), since a drain walks one lane's bucket.
+// (pend[l*ringSize+bkt]), since a drain walks one lane's bucket, and the
+// status arrivals are the batch's, since its lanes issue together.
 type laneState struct {
 	lanes int // provisioned lane capacity == slab stride
 
 	rf []int32 // slabLen × lanes: register, zero and constant rows
 	condState
-	hostArr  [][]int32 // arrays × lanes
-	pend     [][]lpend // lanes × ringSize due-cycle buckets
-	pendMask []uint64  // per-lane bucket-occupancy bits (ringSize ≤ 64)
-	pendAny  int       // outstanding ring entries across all lanes
-	outPE    []bool
-	outCtrl  []bool
+	hostArr [][]int32 // arrays × lanes
+	pend    [][]lpend // lanes × ringSize due-cycle buckets
+	due     uint64    // bucket-occupancy bits over all lanes (ringSize ≤ 64)
+	pendAny int       // outstanding ring entries across all lanes
+	outCtrl []bool    // each lane's latched branch select
+	vals    []int32   // a row of ALU results on their way to a select or the ring
+	never   []bool    // a row of false: an absent outPE or C-Box operand
 }
 
 // getLaneState draws a laneState with capacity for n lanes from the pool,
-// reset exactly like a scalar runState: registers and condition memory
-// zeroed, constant rows re-seeded, status arrivals cleared, commit buckets
-// emptied.
+// reset exactly like a scalar runState: the used register rows and the
+// zero row cleared, constant rows re-seeded, condition memory zeroed,
+// status arrivals cleared, commit buckets emptied.
 func (d *Decoded) getLaneState(n int) *laneState {
 	ls, _ := d.lanePool.Get().(*laneState)
 	if ls == nil || ls.lanes < n {
@@ -128,24 +133,26 @@ func (d *Decoded) getLaneState(n int) *laneState {
 			rf:    make([]int32, d.slabLen()*grown),
 			condState: condState{
 				cond:         make([]bool, (d.cbSlots+d.numPE)*grown),
-				statusArrive: make([]int64, d.numPE*grown),
+				statusArrive: make([]int64, d.numPE),
 			},
-			hostArr:  make([][]int32, len(d.arrays)*grown),
-			pend:     make([][]lpend, grown*d.ringSize),
-			pendMask: make([]uint64, grown),
-			outPE:    make([]bool, grown),
-			outCtrl:  make([]bool, grown),
+			hostArr: make([][]int32, len(d.arrays)*grown),
+			pend:    make([][]lpend, grown*d.ringSize),
+			outCtrl: make([]bool, grown),
+			vals:    make([]int32, grown),
+			never:   make([]bool, grown),
 		}
 		for i := range ls.pend {
 			ls.pend[i] = make([]lpend, 0, 4)
 		}
 	}
-	// Slabs are lane-innermost, so a partial reset would be strided;
-	// clearing every register row is a handful of KB and runs once per
-	// batch. The zero row is cleared with them; each constant row is its
+	// No walk reads a register row outside Decoded.used, so only those
+	// rows and the zero row need clearing; each constant row is its
 	// immediate in every lane.
 	L := ls.lanes
-	clear(ls.rf[:(d.rfTotal+1)*L])
+	for _, off := range d.used {
+		clear(ls.rf[int(off)*L:][:L])
+	}
+	clear(ls.rf[d.rfTotal*L:][:L])
 	for k, v := range d.consts {
 		row := ls.rf[(d.rfTotal+1+k)*L:][:L]
 		for i := range row {
@@ -159,8 +166,7 @@ func (d *Decoded) getLaneState(n int) *laneState {
 	for i := 0; i < n*d.ringSize; i++ {
 		ls.pend[i] = ls.pend[i][:0]
 	}
-	clear(ls.pendMask[:n])
-	ls.pendAny = 0
+	ls.due, ls.pendAny = 0, 0
 	return ls
 }
 
@@ -197,17 +203,17 @@ func (d *Decoded) RunBatch(ctx context.Context, limit int64, reqs []BatchRequest
 		d.resume(ctx, limit, ls, reqs, out, 0, 0, 0, 0)
 		return out
 	}
-	c := 0
+	ccnt := 0
 	energy := 0.0
-	for cycle := int64(0); ; cycle++ {
+	for cycle := int64(0); ; {
 		var err error
 		switch {
 		case cycle >= limit:
-			err = &WatchdogError{Limit: limit, CCNT: c}
+			err = &WatchdogError{Limit: limit, CCNT: ccnt}
 		case cycle&(ctxCheckInterval-1) == 0 && ctx.Err() != nil:
 			err = fmt.Errorf("sim: run cancelled at cycle %d: %w", cycle, ctx.Err())
-		case c < 0 || c >= d.numCtx:
-			err = fmt.Errorf("sim: CCNT %d out of range", c)
+		case ccnt < 0 || ccnt >= d.numCtx:
+			err = fmt.Errorf("sim: CCNT %d out of range", ccnt)
 		}
 		if err != nil {
 			// The batch shares its counter and cycle: every lane fails alike.
@@ -216,13 +222,17 @@ func (d *Decoded) RunBatch(ctx context.Context, limit int64, reqs []BatchRequest
 			}
 			return out
 		}
-		m := &d.cmeta[c]
+		last := int(d.cmeta[ccnt].end)
+		if n := min(limit-cycle, ctxCheckInterval-cycle&(ctxCheckInterval-1)); int64(last-ccnt) >= n {
+			last = ccnt + int(n) - 1
+		}
 		var split bool
-		energy, split = d.stepLanes(ls, reqs, out, c, cycle, energy)
+		last, cycle, energy, split = d.stepLanes(ls, reqs, out, ccnt, last, cycle, energy)
+		m := &d.cmeta[last]
 		if m.halt {
 			for l := range out {
 				if out[l].Err == nil {
-					out[l].Res = d.result(ls.rf, L, l, cycle+1, energy)
+					out[l].Res = d.result(ls.rf, L, l, cycle, energy)
 				}
 			}
 			return out
@@ -233,12 +243,12 @@ func (d *Decoded) RunBatch(ctx context.Context, limit int64, reqs []BatchRequest
 			split = split || slices.Contains(ls.outCtrl[1:len(out)], !ls.outCtrl[0])
 		}
 		if split {
-			d.resume(ctx, limit, ls, reqs, out, seq, tgt, cycle+1, energy)
+			d.resume(ctx, limit, ls, reqs, out, seq, tgt, cycle, energy)
 			return out
 		}
-		c = int(seq)
+		ccnt = int(seq)
 		if ls.outCtrl[0] {
-			c = int(tgt)
+			ccnt = int(tgt)
 		}
 	}
 }
@@ -263,9 +273,7 @@ func (d *Decoded) resume(ctx context.Context, limit int64, ls *laneState, reqs [
 		for s := range rs.cond {
 			rs.cond[s] = ls.cond[s*L+l]
 		}
-		for p := range rs.statusArrive {
-			rs.statusArrive[p] = ls.statusArrive[p*L+l]
-		}
+		copy(rs.statusArrive, ls.statusArrive)
 		for a := range rs.hostArr {
 			rs.hostArr[a] = ls.hostArr[a*L+l]
 		}
@@ -288,201 +296,287 @@ func (d *Decoded) resume(ctx context.Context, limit int64, ls *laneState, reqs [
 	}
 }
 
-// push queues p in lane j's ring bucket bkt, whose occupancy bit is bit.
-func (ls *laneState) push(ring, j, bkt int, bit uint64, p lpend) {
-	pb := j*ring + bkt
+// push queues p to commit at the end of cycle finish in lane j's ring.
+func (ls *laneState) push(d *Decoded, j int, finish int64, p lpend) {
+	bkt := int(finish) & d.ringMask
+	pb := j*d.ringSize + bkt
 	ls.pend[pb] = append(ls.pend[pb], p)
-	ls.pendMask[j] |= bit
+	ls.due |= 1 << uint(bkt) // 0 beyond 64 buckets: the mask is unused then
 	ls.pendAny++
 }
 
-// stepLanes executes one cycle of context c for the lanes [0, len(out)),
-// adding each issued slot's energy to energy in slot order, and returns
-// the sum and whether a lane faulted. A faulting lane's BatchResult takes
-// its first error; the lane rides out the rest of the cycle, but phase 5
-// commits nothing for it. Phase 2 leaves each lane's branch select in
-// ls.outCtrl for the caller.
-func (d *Decoded) stepLanes(ls *laneState, reqs []BatchRequest, out []BatchResult, c int, cycle int64, energy float64) (float64, bool) {
-	m := &d.cmeta[c]
+// stepLanes executes contexts first..last of a straight-line block, one
+// cycle each from cycle on, for the lanes [0, len(out)), adding each
+// issued slot's energy to energy in slot order. It stops early at the end
+// of a cycle in which a lane faulted, and returns the last context it ran,
+// the next cycle, the energy sum and whether a lane faulted. A faulting
+// lane's BatchResult takes its first error; the lane rides out the rest of
+// the cycle, but phase 5 commits nothing for it. Phase 2 leaves each
+// lane's branch select in ls.outCtrl for the caller.
+func (d *Decoded) stepLanes(ls *laneState, reqs []BatchRequest, out []BatchResult, first, last int, cycle int64, energy float64) (int, int64, float64, bool) {
 	L, n := ls.lanes, len(out)
-	ring := d.ringSize
 	rf := ls.rf
 	faulted := false
+	for c := first; c <= last; c++ {
+		m := &d.cmeta[c]
 
-	// Phase 1 (routing outputs present RF values) has no work in either
-	// walk: routed operands carry their resolved RF offset.
+		// Phase 1 (routing outputs present RF values) has no work in any
+		// walk: routed operands carry their resolved RF offset.
 
-	// Phase 2: latch the C-Box combinational outputs, but only the ones
-	// this context consumes (predication for squash, branch-select for the
-	// CCU). The latch must happen before phase 4 writes condition memory.
-	if m.hasPred {
-		if pred := ls.outPE[:n]; m.outPE >= 0 {
-			copy(pred, ls.cond[int(m.outPE)*L:][:n])
-		} else {
-			clear(pred)
+		// Phase 2: the C-Box combinational outputs this context consumes.
+		// Predication reads the outPE slot's row in place: only phase 4
+		// writes a condition slot. The branch select is latched, since
+		// the caller reads it after phase 4.
+		pred := ls.never[:n]
+		if m.outPE >= 0 {
+			pred = ls.cond[int(m.outPE)*L:][:n]
 		}
-	}
-	if m.needCtrl {
-		if sel := ls.outCtrl[:n]; m.outCtrl >= 0 {
-			src := ls.cond[int(m.outCtrl)*L:][:len(sel)]
-			for j := range sel {
-				sel[j] = src[j] != m.ctrlInv
+		if m.needCtrl {
+			if sel := ls.outCtrl[:n]; m.outCtrl >= 0 {
+				src := ls.cond[int(m.outCtrl)*L:][:len(sel)]
+				for j := range sel {
+					sel[j] = src[j] != m.ctrlInv
+				}
+			} else {
+				clear(sel)
 			}
-		} else {
-			clear(sel)
 		}
-	}
 
-	// Phase 3: issue this context's non-NOP slots, lanes innermost so the
-	// slot decode is shared and each operand's lane values sit on adjacent
-	// cache lines. Operands read their slab rows unconditionally (zero and
-	// constant rows stand in for absent sources).
-	for i := m.lo; i < m.hi; i++ {
-		sl := &d.slots[i]
-		energy += sl.energy
-		op := sl.op
-		as, bs := rf[int(sl.aOff)*L:][:n], rf[int(sl.bOff)*L:][:n]
-		finish := cycle + int64(sl.dur) - 1
+		// Phase 3: issue this context's non-NOP slots, each as one loop
+		// over its lanes, so the slot decode is shared and each operand's
+		// lane values sit on adjacent cache lines. Operands read their slab
+		// rows unconditionally (zero and constant rows stand in for absent
+		// sources).
+		for i := m.lo; i < m.hi; i++ {
+			sl := &d.slots[i]
+			energy += sl.energy
+			as, bs := rf[int(sl.aOff)*L:][:n], rf[int(sl.bOff)*L:][:n]
+			finish := cycle + int64(sl.dur) - 1
 
-		switch sl.shape {
-		case shapeALU:
-			dst := rf[int(sl.wOff)*L:][:n]
-			for j := range dst {
-				dst[j] = arch.Eval(op, as[j], bs[j])
-			}
-		case shapePredALU:
-			dst := rf[int(sl.wOff)*L:][:n]
-			pred := ls.outPE[:n]
-			for j := range dst {
-				if pred[j] {
-					dst[j] = arch.Eval(op, as[j], bs[j])
-				}
-			}
-		case shapeCompare:
-			val := ls.cond[(d.cbSlots+int(sl.pe))*L:][:n]
-			arrive := ls.statusArrive[int(sl.pe)*L:][:n]
-			for j := range val {
-				val[j] = arch.Holds(op, as[j], bs[j])
-				arrive[j] = finish
-			}
-		case shapeLoad:
-			// The common fir/dot shape: a coefficient or sample fetch from a
-			// read-only array, committed at issue.
-			dst := rf[int(sl.wOff)*L:][:n]
-			for j, arr := range ls.hostArr[int(sl.array)*L:][:n] {
-				if a := as[j]; a >= 0 && int(a) < len(arr) {
-					dst[j] = arr[a]
-				} else if out[j].Err == nil {
-					out[j].Err = d.dmaFault(reqs[j].Host, sl.array, a, 0, true)
-					faulted = true
-				}
-			}
-		default:
-			// Ring-bound writes, stores, non-direct or predicated loads.
-			bkt := int(finish) & d.ringMask
-			bit := uint64(1) << uint(bkt) // 0 beyond 64 buckets: mask unused then
-			pred := ls.outPE[:n]
-			squash := sl.predicated
-			switch sl.kind {
-			case slotLoad:
+			switch sl.shape {
+			case shapeALU:
+				aluRow(sl.op, rf[int(sl.wOff)*L:][:n], as, bs)
+			case shapePredALU:
+				vals := ls.vals[:n]
+				aluRow(sl.op, vals, as, bs)
 				dst := rf[int(sl.wOff)*L:][:n]
-				arrs := ls.hostArr[int(sl.array)*L:][:n]
+				for j, p := range pred {
+					if p {
+						dst[j] = vals[j]
+					}
+				}
+			case shapeCompare:
+				holdsRow(sl.op, ls.cond[(d.cbSlots+int(sl.pe))*L:][:n], as, bs)
+				ls.statusArrive[sl.pe] = finish
+			case shapeLoad:
+				// The common fir/dot shape: a coefficient or sample fetch from
+				// a read-only array, committed at issue; an index out of range
+				// faults at commit.
+				dst := rf[int(sl.wOff)*L:][:n]
 				dmaMeta := sl.array<<2 | lpLoad | lpDMA
-				for j, a := range as {
-					switch {
-					case squash && !pred[j]:
-					case !sl.resolveLoad:
-						ls.push(ring, j, bkt, bit, lpend{wOff: sl.wOff, index: a, meta: dmaMeta})
-					case a < 0 || int(a) >= len(arrs[j]):
-						if out[j].Err == nil {
-							out[j].Err = d.dmaFault(reqs[j].Host, sl.array, a, 0, true)
-							faulted = true
+				for j, arr := range ls.hostArr[int(sl.array)*L:][:n] {
+					if a := as[j]; a >= 0 && int(a) < len(arr) {
+						dst[j] = arr[a]
+					} else {
+						ls.push(d, j, finish, lpend{wOff: sl.wOff, index: a, meta: dmaMeta})
+					}
+				}
+			default:
+				// Ring-bound writes, stores, non-direct or predicated loads.
+				squash := sl.predicated
+				switch sl.kind {
+				case slotLoad:
+					dst := rf[int(sl.wOff)*L:][:n]
+					arrs := ls.hostArr[int(sl.array)*L:][:n]
+					dmaMeta := sl.array<<2 | lpLoad | lpDMA
+					for j, a := range as {
+						switch {
+						case squash && !pred[j]:
+						case !sl.resolveLoad || a < 0 || int(a) >= len(arrs[j]):
+							ls.push(d, j, finish, lpend{wOff: sl.wOff, index: a, meta: dmaMeta})
+						case sl.direct:
+							dst[j] = arrs[j][a]
+						default:
+							ls.push(d, j, finish, lpend{wOff: sl.wOff, value: arrs[j][a]})
 						}
-					case sl.direct:
-						dst[j] = arrs[j][a]
-					default:
-						ls.push(ring, j, bkt, bit, lpend{wOff: sl.wOff, value: arrs[j][a]})
 					}
-				}
-			case slotStore:
-				dmaMeta := sl.array<<2 | lpDMA
-				for j, a := range as {
-					if !squash || pred[j] {
-						ls.push(ring, j, bkt, bit, lpend{index: a, value: bs[j], meta: dmaMeta})
+				case slotStore:
+					dmaMeta := sl.array<<2 | lpDMA
+					for j, a := range as {
+						if !squash || pred[j] {
+							ls.push(d, j, finish, lpend{index: a, value: bs[j], meta: dmaMeta})
+						}
 					}
-				}
-			default: // slotALU: direct writes have their own shapes
-				if !sl.writeEnable {
-					continue // energy accounted; the result is discarded
-				}
-				for j, a := range as {
-					if !squash || pred[j] {
-						ls.push(ring, j, bkt, bit, lpend{wOff: sl.wOff, value: arch.Eval(op, a, bs[j])})
+				default: // slotALU: direct writes have their own shapes
+					if !sl.writeEnable {
+						continue // energy accounted; the result is discarded
+					}
+					vals := ls.vals[:n]
+					aluRow(sl.op, vals, as, bs)
+					for j, v := range vals {
+						if !squash || pred[j] {
+							ls.push(d, j, finish, lpend{wOff: sl.wOff, value: v})
+						}
 					}
 				}
 			}
 		}
-	}
 
-	// Phase 4: C-Box consumes a status / recombines. Condition memory is
-	// only read by this phase and the (already latched) phase-2 outputs,
-	// so the write lands immediately.
-	if m.cbox >= 0 {
-		w := &d.cbox[m.cbox]
-		dst := ls.cond[int(w.write)*L:][:n]
-		for j := range dst {
-			v, ok := w.eval(&ls.condState, L, j, cycle)
-			if !ok && out[j].Err == nil {
-				out[j].Err = d.missingStatus(c)
-				faulted = true
+		// Phase 4: C-Box consumes a status / recombines. Condition memory is
+		// only read by this phase and the (already latched) phase-2
+		// outputs, so the write lands immediately.
+		if m.cbox >= 0 {
+			w := &d.cbox[m.cbox]
+			if w.status >= 0 && ls.statusArrive[w.status] != cycle {
+				for j := range out {
+					if out[j].Err == nil {
+						out[j].Err = d.missingStatus(c)
+						faulted = true
+					}
+				}
 			}
-			dst[j] = v
+			a, b := ls.never[:n], ls.never[:n]
+			if w.a >= 0 {
+				a = ls.cond[int(w.a)*L:][:n]
+			}
+			if w.b >= 0 {
+				b = ls.cond[int(w.b)*L:][:n]
+			}
+			w.rows(ls.cond[int(w.write)*L:][:n], a, b)
 		}
-	}
 
-	// Phase 5: end-of-cycle commits — drain this cycle's due bucket. The
-	// global outstanding count makes ring-free stretches one integer test,
-	// and the occupancy bitmask keeps quiet lanes at a single word test
-	// (direct writes never enter the ring).
-	if ls.pendAny > 0 {
+		// Phase 5: end-of-cycle commits — drain this cycle's due bucket. The
+		// outstanding count and the occupancy bitmask make a cycle with
+		// nothing due one test (direct writes never enter the ring).
 		bkt := int(cycle) & d.ringMask
-		bit := uint64(1) << uint(bkt)
-		maskable := ring <= 64
-		for j := 0; j < n; j++ {
-			if maskable {
-				if ls.pendMask[j]&bit == 0 {
+		if bit := uint64(1) << uint(bkt); ls.pendAny > 0 && (ls.due&bit != 0 || d.ringSize > 64) {
+			ls.due &^= bit
+			for j := 0; j < n; j++ {
+				pb := j*d.ringSize + bkt
+				bucket := ls.pend[pb]
+				if len(bucket) == 0 {
 					continue
 				}
-				ls.pendMask[j] &^= bit
-			}
-			pb := j*ring + bkt
-			bucket := ls.pend[pb]
-			ls.pend[pb] = bucket[:0]
-			ls.pendAny -= len(bucket)
-			if out[j].Err != nil {
-				continue // a lane that faulted this cycle commits nothing
-			}
-			for pi := range bucket {
-				pw := &bucket[pi]
-				if pw.meta == 0 {
-					rf[int(pw.wOff)*L+j] = pw.value
-					continue
+				ls.pend[pb] = bucket[:0]
+				ls.pendAny -= len(bucket)
+				if out[j].Err != nil {
+					continue // a lane that faulted this cycle commits nothing
 				}
-				arrID := int(pw.meta >> 2)
-				load := pw.meta&lpLoad != 0
-				arr := ls.hostArr[arrID*L+j]
-				if pw.index < 0 || int(pw.index) >= len(arr) {
-					out[j].Err = d.dmaFault(reqs[j].Host, int32(arrID), pw.index, pw.value, load)
-					faulted = true
-					break
-				}
-				if load {
-					rf[int(pw.wOff)*L+j] = arr[pw.index]
-				} else {
-					arr[pw.index] = pw.value
+				for pi := range bucket {
+					pw := &bucket[pi]
+					if pw.meta == 0 {
+						rf[int(pw.wOff)*L+j] = pw.value
+						continue
+					}
+					arrID := int(pw.meta >> 2)
+					load := pw.meta&lpLoad != 0
+					arr := ls.hostArr[arrID*L+j]
+					if pw.index < 0 || int(pw.index) >= len(arr) {
+						out[j].Err = d.dmaFault(reqs[j].Host, int32(arrID), pw.index, pw.value, load)
+						faulted = true
+						break
+					}
+					if load {
+						rf[int(pw.wOff)*L+j] = arr[pw.index]
+					} else {
+						arr[pw.index] = pw.value
+					}
 				}
 			}
 		}
+		cycle++
+		if faulted {
+			return c, cycle, energy, true
+		}
 	}
-	return energy, faulted
+	return last, cycle, energy, false
+}
+
+// aluRow sets dst[j] to op on a[j] and b[j] for every lane j. Each opcode
+// has its own loop, whose constant-opcode call of the op table's Eval the
+// compiler inlines and folds to the one operation.
+func aluRow(op arch.OpCode, dst, a, b []int32) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	switch op {
+	case arch.IADD:
+		for j := range dst {
+			dst[j] = arch.Eval(arch.IADD, a[j], b[j])
+		}
+	case arch.ISUB:
+		for j := range dst {
+			dst[j] = arch.Eval(arch.ISUB, a[j], b[j])
+		}
+	case arch.IMUL:
+		for j := range dst {
+			dst[j] = arch.Eval(arch.IMUL, a[j], b[j])
+		}
+	case arch.IAND:
+		for j := range dst {
+			dst[j] = arch.Eval(arch.IAND, a[j], b[j])
+		}
+	case arch.IOR:
+		for j := range dst {
+			dst[j] = arch.Eval(arch.IOR, a[j], b[j])
+		}
+	case arch.IXOR:
+		for j := range dst {
+			dst[j] = arch.Eval(arch.IXOR, a[j], b[j])
+		}
+	case arch.ISHL:
+		for j := range dst {
+			dst[j] = arch.Eval(arch.ISHL, a[j], b[j])
+		}
+	case arch.ISHR:
+		for j := range dst {
+			dst[j] = arch.Eval(arch.ISHR, a[j], b[j])
+		}
+	case arch.IUSHR:
+		for j := range dst {
+			dst[j] = arch.Eval(arch.IUSHR, a[j], b[j])
+		}
+	case arch.INEG:
+		for j := range dst {
+			dst[j] = arch.Eval(arch.INEG, a[j], b[j])
+		}
+	case arch.INOT:
+		for j := range dst {
+			dst[j] = arch.Eval(arch.INOT, a[j], b[j])
+		}
+	default: // MOVE and CONST pass a through
+		for j := range dst {
+			dst[j] = arch.Eval(arch.MOVE, a[j], b[j])
+		}
+	}
+}
+
+// holdsRow sets dst[j] to the status compare op sends for a[j] and b[j],
+// one loop per opcode as in aluRow.
+func holdsRow(op arch.OpCode, dst []bool, a, b []int32) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	switch op {
+	case arch.IFLT:
+		for j := range dst {
+			dst[j] = arch.Holds(arch.IFLT, a[j], b[j])
+		}
+	case arch.IFLE:
+		for j := range dst {
+			dst[j] = arch.Holds(arch.IFLE, a[j], b[j])
+		}
+	case arch.IFGT:
+		for j := range dst {
+			dst[j] = arch.Holds(arch.IFGT, a[j], b[j])
+		}
+	case arch.IFGE:
+		for j := range dst {
+			dst[j] = arch.Holds(arch.IFGE, a[j], b[j])
+		}
+	case arch.IFEQ:
+		for j := range dst {
+			dst[j] = arch.Holds(arch.IFEQ, a[j], b[j])
+		}
+	default: // IFNE
+		for j := range dst {
+			dst[j] = arch.Holds(arch.IFNE, a[j], b[j])
+		}
+	}
 }

@@ -10,10 +10,11 @@
 // block of contexts (ctxMeta.end) per dispatch; a run with Probe, Trace or
 // a fault plan takes Decoded.run, stepping one context per cycle and
 // calling its hooks (hooks.go) where a value is observed or corrupted;
-// RunBatch (runlanes.go) steps N hook-free invocations as lanes while they
-// agree, and hands each lane to runPlain's loop (Decoded.walk) at the
-// first fault or disagreeing branch, so a divergent lane finishes on the
-// production walk. The two scalar walks are separate copies on purpose:
+// RunBatch (runlanes.go) steps N hook-free invocations as lanes, a block
+// per dispatch and each slot as one loop over its lanes, while they agree,
+// and hands each lane to runPlain's loop (Decoded.walk) at the first fault
+// or disagreeing branch, so a divergent lane finishes on the production
+// walk. The two scalar walks are separate copies on purpose:
 // nil-tested hook sites cost the plain walk about half its block-stepping
 // gain, and a generic walk calls no-op hooks through a dictionary
 // (EXPERIMENTS.md, "Block-stepped walk").
@@ -41,8 +42,9 @@
 // Nor does a walk define the C-Box: Predecode decodes each context's word
 // once into a cboxWord (first operand, an optional second joined by AND or
 // OR, the slot written), settling there that a consume takes precedence
-// over a recombine and that a pass has no second operand; every walk
-// evaluates it through the one inlined cboxWord.eval and reads its phase-2
+// over a recombine and that a pass has no second operand; the scalar walks
+// evaluate it through the one inlined cboxWord.eval, the lane walk over
+// rows through cboxWord.rows beside it, and every walk reads its phase-2
 // latches from ctxMeta.
 //
 // The simulator is the ground truth for the reproduction: every kernel's

@@ -2,6 +2,8 @@ package sim_test
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"testing"
 
 	"cgra/internal/adpcm"
@@ -110,8 +112,8 @@ func TestSlabLayout(t *testing.T) {
 }
 
 // checkWords checks the zero and constant rows of a slab with the given
-// lane stride, and with registers set every register row is zero.
-func checkWords(t *testing.T, what string, rf []int32, stride, rfTotal int, consts []int32, registers bool) {
+// lane stride, and that every register row in used is zero.
+func checkWords(t *testing.T, what string, rf []int32, stride, rfTotal int, consts []int32, used []int32) {
 	t.Helper()
 	if want := (rfTotal + 1 + len(consts)) * stride; len(rf) != want {
 		t.Fatalf("%s: slab holds %d words, want %d", what, len(rf), want)
@@ -122,7 +124,7 @@ func checkWords(t *testing.T, what string, rf []int32, stride, rfTotal int, cons
 		switch {
 		case w > rfTotal:
 			want = consts[w-rfTotal-1]
-		case w < rfTotal && !registers:
+		case w < rfTotal && !slices.Contains(used, int32(w)):
 			continue
 		}
 		for l, v := range row(w) {
@@ -136,8 +138,10 @@ func checkWords(t *testing.T, what string, rf []int32, stride, rfTotal int, cons
 
 // TestSlabWordsSurviveRuns runs each kernel plain, hooked and as lanes and
 // checks that no walk wrote the zero or a constant word, and that drawing
-// a pooled state for the next run clears its registers and restores both
-// kinds of word, even after they were overwritten.
+// a pooled state for the next run clears the registers it uses and
+// restores both kinds of word, even after they were overwritten. Registers
+// outside Decoded.used are never read (TestUsedCoversSlab), so a draw
+// leaves them as they were.
 func TestSlabWordsSurviveRuns(t *testing.T) {
 	comp, err := arch.ByName("9 PEs")
 	if err != nil {
@@ -146,20 +150,21 @@ func TestSlabWordsSurviveRuns(t *testing.T) {
 	for _, sc := range slabCases(t, comp) {
 		eng := engineOf(t, sc.c)
 		_, rfTotal, consts := sim.Layout(eng)
+		used := sim.Used(eng)
 		m := sc.c.Machine()
 		if _, err := m.Run(sc.args, sc.host()); err != nil {
 			t.Fatalf("%s: %v", sc.name, err)
 		}
-		checkWords(t, sc.name+" after a plain run", sim.LeftSlab(eng), 1, rfTotal, consts, false)
+		checkWords(t, sc.name+" after a plain run", sim.LeftSlab(eng), 1, rfTotal, consts, nil)
 		m.Probe = func(sim.Event) {}
 		if _, err := m.Run(sc.args, sc.host()); err != nil {
 			t.Fatalf("%s: hooked: %v", sc.name, err)
 		}
-		checkWords(t, sc.name+" after a hooked run", sim.LeftSlab(eng), 1, rfTotal, consts, false)
+		checkWords(t, sc.name+" after a hooked run", sim.LeftSlab(eng), 1, rfTotal, consts, nil)
 		if !sim.ScribbleSlab(eng) {
 			t.Fatalf("%s: no run state in the ready slot", sc.name)
 		}
-		checkWords(t, sc.name+" drawn after a scribble", sim.DrawnSlab(eng), 1, rfTotal, consts, true)
+		checkWords(t, sc.name+" drawn after a scribble", sim.DrawnSlab(eng), 1, rfTotal, consts, used)
 
 		reqs := []sim.BatchRequest{{Args: sc.args, Host: sc.host()}, {Args: sc.args, Host: sc.host()}, {Args: sc.args, Host: sc.host()}}
 		for i, o := range eng.RunBatch(context.Background(), 0, reqs) {
@@ -169,12 +174,41 @@ func TestSlabWordsSurviveRuns(t *testing.T) {
 		}
 		// A pool may drop its item (always possible under the race detector).
 		if rf, stride := sim.LeftLaneSlab(eng); rf != nil {
-			checkWords(t, sc.name+" after a batch", rf, stride, rfTotal, consts, false)
+			checkWords(t, sc.name+" after a batch", rf, stride, rfTotal, consts, nil)
 		}
 		rf, stride := sim.DrawnLaneSlab(eng, 3)
-		checkWords(t, sc.name+" lanes drawn", rf, stride, rfTotal, consts, true)
+		checkWords(t, sc.name+" lanes drawn", rf, stride, rfTotal, consts, used)
 		rf, stride = sim.DrawnLaneSlab(eng, 3)
-		checkWords(t, sc.name+" lanes drawn after a scribble", rf, stride, rfTotal, consts, true)
+		checkWords(t, sc.name+" lanes drawn after a scribble", rf, stride, rfTotal, consts, used)
+	}
+}
+
+// TestUsedCoversSlab checks the invariant that lets a drawn state clear
+// only the registers in Decoded.used: on every refCorpus cell, each slot's
+// operands and write offset and each live-in and live-out home is in used
+// or lies above the registers, on the zero or a constant word.
+func TestUsedCoversSlab(t *testing.T) {
+	for _, c := range refCorpus(t, []string{"9 PEs", "8 PEs F"}, 32) {
+		d, err := sim.Predecode(c.prog)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		slots, rfTotal, _ := sim.Layout(d)
+		used := sim.Used(d)
+		check := func(what string, off int32) {
+			if _, ok := slices.BinarySearch(used, off); !ok && off < int32(rfTotal) {
+				t.Errorf("%s: %s names register %d, which is not in used", c.name, what, off)
+			}
+		}
+		for _, s := range slots {
+			at := fmt.Sprintf("PE %d ctx %d", s.PE, s.Ctx)
+			check(at+" operand A", s.AOff)
+			check(at+" operand B", s.BOff)
+			check(at+" write", s.WOff)
+		}
+		for _, off := range sim.Homes(d) {
+			check("a home", off)
+		}
 	}
 }
 
