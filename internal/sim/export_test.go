@@ -73,37 +73,31 @@ func ScribbleSlab(d *Decoded) bool {
 	return true
 }
 
-// DrawnSlab draws a run state the way a run does and returns a copy of
-// its slab before putting the state back.
-func DrawnSlab(d *Decoded) []int32 {
-	rs := d.getState()
+// DrawnSlab draws an n-lane state the way a run does (n is 1 for a scalar
+// run) and returns a copy of its slab and the slab's lane stride,
+// scribbling over every word before putting the state back so the next
+// draw must reset it.
+func DrawnSlab(d *Decoded, n int) ([]int32, int) {
+	rs := d.getState(n)
 	defer d.putState(rs)
-	return slices.Clone(rs.rf)
-}
-
-// DrawnLaneSlab draws an n-lane state the way RunBatch does and returns a
-// copy of its slab and the slab's lane stride, scribbling over every word
-// before putting the state back so the next draw must reset it.
-func DrawnLaneSlab(d *Decoded, n int) ([]int32, int) {
-	ls := d.getLaneState(n)
-	defer d.putLaneState(ls)
-	rf := slices.Clone(ls.rf)
-	for i := range ls.rf {
-		ls.rf[i] = -12345
+	rf := slices.Clone(rs.rf)
+	for i := range rs.rf {
+		rs.rf[i] = -12345
 	}
-	return rf, ls.lanes
+	return rf, rs.lanes
 }
 
-// LeftLaneSlab returns a copy of the slab of a lane state pooled by an
-// earlier batch, as that batch left it, and its lane stride; nil when the
-// pool holds none.
+// LeftLaneSlab returns a copy of the slab of a state the pool holds, as
+// the run that put it there left it, and its lane stride; nil when the
+// pool holds none. A batch puts its state there when the ready slot is
+// full, as it is after a scalar run.
 func LeftLaneSlab(d *Decoded) ([]int32, int) {
-	ls, _ := d.lanePool.Get().(*laneState)
-	if ls == nil {
+	rs, _ := d.pool.Get().(*runState)
+	if rs == nil {
 		return nil, 0
 	}
-	defer d.lanePool.Put(ls)
-	return slices.Clone(ls.rf), ls.lanes
+	defer d.pool.Put(rs)
+	return slices.Clone(rs.rf), rs.lanes
 }
 
 // Used returns the registers d lists as used: all a drawn state clears.

@@ -8,7 +8,8 @@
 // artifact instead of once per simulated cycle.
 //
 // The decoded form is shared and immutable; mutable per-run scratch lives
-// in a pooled runState so concurrent runs of the same kernel reuse fixed
+// in a pooled runState, one type for every walk (a scalar run is a
+// one-lane state), so concurrent runs of the same kernel reuse fixed
 // buffers instead of reallocating them.
 package sim
 
@@ -113,6 +114,9 @@ type Decoded struct {
 	// targets either kind of word.
 	rfOff   []int32
 	rfTotal int
+	// regPE[off] is the PE whose registers hold offset off: the hooked
+	// walk names a commit's PE by it (see pend).
+	regPE   []int32
 	consts  []int32
 	cbSlots int
 
@@ -149,78 +153,123 @@ type Decoded struct {
 	// full state allocation per run. The slot survives GC, so after the
 	// first run a sequential caller never allocates again.
 	ready atomic.Pointer[runState]
-	// lanePool recycles the batched-run lane slabs (see runlanes.go).
-	lanePool sync.Pool
 }
 
-// fpend is one deferred end-of-cycle commit of the scalar walk: an RF write
-// (possibly squashed) or a DMA transfer. Its ring bucket encodes the cycle
-// it completes at.
-type fpend struct {
-	pe      int32
-	wOff    int32
-	value   int32
-	squash  bool
-	isDMA   bool
-	dmaLoad bool
-	array   int32
-	index   int32
+// pend is one deferred end-of-cycle commit, the same 16 bytes on every
+// walk: a register write, a squashed one, or a DMA transfer. Its ring
+// bucket encodes the cycle it completes at. A plain register write has
+// meta 0, and only the hooked walk queues squashed writes. No entry names
+// its PE: the hooked walk, the only one to report it, recovers it from
+// wOff (Decoded.regPE), since a write lands in its own PE's registers and
+// a store carries its slot's wOff, which Predecode keeps there too.
+type pend struct {
+	wOff  int32
+	value int32 // ALU/resolved-load result, or the value a store writes
+	index int32 // DMA array index
+	meta  int32 // array<<3 | pendSquash | pendLoad | pendDMA
 }
 
-// condState is what the C-Box reads. cond, lane-innermost at the run's
-// stride (1 for a scalar run), holds the cbSlots condition slots and after
-// them one status line per PE, so an operand is one index whichever it
-// names. A compare finishing at cycle c sets its line and
-// statusArrive[pe]=c, so a consume checks arrival with one lookup instead
-// of a rescan. statusArrive has one entry per PE even in a batch: its
-// lanes issue every compare in the same cycle.
-type condState struct {
+const (
+	pendDMA    = int32(1) // a DMA transfer of array meta>>3
+	pendLoad   = int32(2) // the transfer is a load, else a store
+	pendSquash = int32(4) // a register write predication squashed
+)
+
+// dma is the meta of the DMA transfer sl queues.
+func (sl *dslot) dma() int32 {
+	if sl.kind == slotLoad {
+		return sl.array<<3 | pendLoad | pendDMA
+	}
+	return sl.array<<3 | pendDMA
+}
+
+// runState is the reusable mutable state of one run: the register slab,
+// the C-Box state, the host array bindings and the due-cycle commit ring.
+// A scalar run is a one-lane state. The slabs are lane-innermost at stride
+// lanes: lane l's view of RF offset o is rf[o*lanes+l], of C-Box slot s
+// cond[s*lanes+l], of array a hostArr[a*lanes+l]. Only the ring is
+// lane-major (ring[l*ringSize+b]), since a drain walks one lane's bucket.
+// The buffers keep the capacity of the most lanes they were drawn for and
+// are reused across runs via the Decoded's pool.
+type runState struct {
+	lanes int
+	rf    []int32 // slabLen × lanes: register, zero and constant rows
+	// cond, what the C-Box reads, holds the cbSlots condition slots and
+	// after them one status line per PE, so an operand is one index
+	// whichever it names. A compare finishing at cycle c sets its line and
+	// statusArrive[pe]=c, so a consume checks arrival with one lookup
+	// instead of a rescan. statusArrive has one entry per PE even in a
+	// batch: its lanes issue every compare in the same cycle.
 	cond         []bool
 	statusArrive []int64
-}
-
-// runState is the reusable mutable state of one scalar run: the flat
-// register slab, the C-Box state and the due-cycle commit ring. All
-// buffers are sized once and reused across runs via the Decoded's pool.
-type runState struct {
-	rf []int32
-	condState
-	// ring[b] holds, in issue order, the commits due at the one cycle ≡ b
-	// (mod ringSize) within the next ringSize cycles; pendAny counts them
-	// all, so a cycle with nothing outstanding skips the commit phase.
-	ring    [][]fpend
+	hostArr      [][]int32
+	// ring[l*ringSize+b] holds, in issue order, lane l's commits due at
+	// the one cycle ≡ b (mod ringSize) within the next ringSize cycles;
+	// pendAny counts them all, so a cycle with nothing outstanding skips
+	// the commit phase, and due marks the buckets some lane fills
+	// (ringSize ≤ 64), so a batched cycle with nothing due is one test.
+	ring    [][]pend
 	pendAny int
-	// hostArr caches the host.Arrays lookups by array ID for this run.
-	hostArr [][]int32
+	due     uint64
+	// The lane walk's rows: each lane's latched branch select, ALU results
+	// on their way to a select or the ring, and a row of false for an
+	// absent outPE or C-Box operand.
+	outCtrl, never []bool
+	vals           []int32
 }
 
-// getState draws a reset runState from the ready slot or the pool.
-func (d *Decoded) getState() *runState {
-	rs := d.ready.Swap(nil)
+// getState draws a run state for n lanes, replacing one with room for
+// fewer, and resets it: the used registers and the zero word cleared and
+// the constant words re-seeded in each lane, condition memory zeroed,
+// status arrivals cleared and the commit buckets emptied. A scalar run
+// (n == 1) draws from the ready slot, then the pool; a batch from the pool
+// only, so the scalar state its hand-off draws while the batch holds its
+// own comes from the ready slot: the pool keeps an item per P, out of
+// reach of a goroutine that moved to another P during the batch.
+func (d *Decoded) getState(n int) *runState {
+	var rs *runState
+	if n == 1 {
+		rs = d.ready.Swap(nil)
+	}
 	if rs == nil {
 		rs, _ = d.pool.Get().(*runState)
 	}
-	if rs == nil {
+	if rs == nil || cap(rs.never) < n {
+		grown := n
+		if rs != nil {
+			grown = max(n, 2*cap(rs.never))
+		}
 		rs = &runState{
-			rf: make([]int32, d.slabLen()),
-			condState: condState{
-				cond:         make([]bool, d.cbSlots+d.numPE),
-				statusArrive: make([]int64, d.numPE),
-			},
-			ring:    make([][]fpend, d.ringSize),
-			hostArr: make([][]int32, len(d.arrays)),
+			rf:           make([]int32, d.slabLen()*grown),
+			cond:         make([]bool, (d.cbSlots+d.numPE)*grown),
+			statusArrive: make([]int64, d.numPE),
+			hostArr:      make([][]int32, len(d.arrays)*grown),
+			ring:         make([][]pend, d.ringSize*grown),
+			outCtrl:      make([]bool, grown),
+			vals:         make([]int32, grown),
+			never:        make([]bool, grown),
 		}
 		for i := range rs.ring {
-			rs.ring[i] = make([]fpend, 0, d.numPE)
+			rs.ring[i] = make([]pend, 0, d.numPE)
 		}
 	}
+	rs.lanes = n
+	rs.rf = rs.rf[:d.slabLen()*n]
+	rs.cond = rs.cond[:(d.cbSlots+d.numPE)*n]
+	rs.hostArr = rs.hostArr[:len(d.arrays)*n]
+	rs.ring = rs.ring[:d.ringSize*n]
+	rs.outCtrl, rs.vals, rs.never = rs.outCtrl[:n], rs.vals[:n], rs.never[:n]
 	// No walk reads a register outside d.used, so only those and the zero
-	// word need clearing.
-	for _, off := range d.used {
-		rs.rf[off] = 0
+	// word need clearing in each lane, and the constant words re-seeding.
+	for l := range n {
+		for _, off := range d.used {
+			rs.rf[int(off)*n+l] = 0
+		}
+		rs.rf[d.rfTotal*n+l] = 0
+		for k, v := range d.consts {
+			rs.rf[(d.rfTotal+1+k)*n+l] = v
+		}
 	}
-	rs.rf[d.rfTotal] = 0
-	copy(rs.rf[d.rfTotal+1:], d.consts)
 	clear(rs.cond)
 	for i := range rs.statusArrive {
 		rs.statusArrive[i] = -1
@@ -229,7 +278,7 @@ func (d *Decoded) getState() *runState {
 	for i := range rs.ring {
 		rs.ring[i] = rs.ring[i][:0]
 	}
-	rs.pendAny = 0
+	rs.pendAny, rs.due = 0, 0
 	return rs
 }
 
@@ -245,6 +294,35 @@ func (d *Decoded) putState(rs *runState) {
 		return
 	}
 	d.pool.Put(rs)
+}
+
+// enqueue queues p to commit at the end of cycle finish in lane j's ring.
+func (rs *runState) enqueue(d *Decoded, j int, finish int64, p pend) {
+	b := int(finish) & d.ringMask
+	rs.ring[j*d.ringSize+b] = append(rs.ring[j*d.ringSize+b], p)
+	rs.due |= 1 << uint(b) // 0 beyond 64 buckets: the mask is unused then
+	rs.pendAny++
+}
+
+// blockEnd checks, before the block that starts at ccnt on cycle, the
+// watchdog, cancellation and the CCNT range, in that order, and returns
+// the block's last context: ctxMeta.end, cut at the cycle budget and at
+// the next multiple of ctxCheckInterval, so the checks fire at the cycle
+// and CCNT a per-cycle walk reports.
+func (d *Decoded) blockEnd(ctx context.Context, limit, cycle int64, ccnt int) (int, error) {
+	switch {
+	case cycle >= limit:
+		return 0, &WatchdogError{Limit: limit, CCNT: ccnt}
+	case cycle&(ctxCheckInterval-1) == 0 && ctx.Err() != nil:
+		return 0, fmt.Errorf("sim: run cancelled at cycle %d: %w", cycle, ctx.Err())
+	case ccnt < 0 || ccnt >= d.numCtx:
+		return 0, fmt.Errorf("sim: CCNT %d out of range", ccnt)
+	}
+	last := int(d.cmeta[ccnt].end)
+	if n := min(limit-cycle, ctxCheckInterval-cycle&(ctxCheckInterval-1)); int64(last-ccnt) >= n {
+		last = ccnt + int(n) - 1
+	}
+	return last, nil
 }
 
 // Predecode compiles a program into its execution engine. It is
@@ -273,6 +351,12 @@ func Predecode(prog *ctxgen.Program) (*Decoded, error) {
 		off += int32(pe.RegfileSize)
 	}
 	d.rfTotal = int(off)
+	d.regPE = make([]int32, d.rfTotal)
+	for pe := range d.numPE {
+		for r := range comp.PEs[pe].RegfileSize {
+			d.regPE[int(d.rfOff[pe])+r] = int32(pe)
+		}
+	}
 	if len(prog.PE) != d.numPE || len(prog.CBox) != d.numCtx || len(prog.CCU) != d.numCtx {
 		return nil, fmt.Errorf("sim: predecode: context tables sized %d/%d/%d PEs/CBox/CCU, want %d/%d",
 			len(prog.PE), len(prog.CBox), len(prog.CCU), d.numPE, d.numCtx)
@@ -502,7 +586,7 @@ type ctxMeta struct {
 // cboxWord is a C-Box word that consumes or recombines, resolved once by
 // decodeCBox into the one shape every walk evaluates (cboxWord.eval): a
 // first operand, an optional second one joined by AND or OR, and the slot
-// written. Operands index condState.cond.
+// written. Operands index runState.cond.
 type cboxWord struct {
 	status     int32 // PE whose status a consume checks for arrival; -1: none
 	a          int32 // first operand: a condition slot or a status line; -1: false
@@ -532,14 +616,14 @@ func (d *Decoded) decodeCBox(cb *ctxgen.CBoxCtx) cboxWord {
 	return w
 }
 
-// eval is phase 4 of w at cycle on a scalar run's condition state cs: the
-// condition w writes, and ok false when the status it consumes did not
-// arrive this cycle. A second operand equal to w.or decides the join
-// (false under AND, true under OR); otherwise the first operand does.
-func (w *cboxWord) eval(cs *condState, cycle int64) (v, ok bool) {
-	ok = w.status < 0 || cs.statusArrive[w.status] == cycle
-	v = w.a >= 0 && cs.cond[w.a] != w.aInv
-	if w.b >= 0 && (cs.cond[w.b] != w.bInv) == w.or {
+// eval is phase 4 of w at cycle on a scalar run state rs: the condition w
+// writes, and ok false when the status it consumes did not arrive this
+// cycle. A second operand equal to w.or decides the join (false under AND,
+// true under OR); otherwise the first operand does.
+func (w *cboxWord) eval(rs *runState, cycle int64) (v, ok bool) {
+	ok = w.status < 0 || rs.statusArrive[w.status] == cycle
+	v = w.a >= 0 && rs.cond[w.a] != w.aInv
+	if w.b >= 0 && (rs.cond[w.b] != w.bInv) == w.or {
 		v = w.or
 	}
 	return v, ok
@@ -848,7 +932,7 @@ func (d *Decoded) dmaFault(host *ir.Host, array, index, value int32, load bool) 
 // hooks, one straight-line block of contexts per dispatch, with zero
 // allocations per cycle. It binds the live-ins and walks from context 0.
 func (d *Decoded) runPlain(ctx context.Context, limit int64, args map[string]int32, host *ir.Host) (*Result, error) {
-	rs := d.getState()
+	rs := d.getState(1)
 	defer d.putState(rs)
 	if err := d.begin(rs.rf, rs.hostArr, 1, 0, args, host); err != nil {
 		return nil, err
@@ -860,27 +944,15 @@ func (d *Decoded) runPlain(ctx context.Context, limit int64, args map[string]int
 // cycle, energy being the sum so far, to the halt or the first error. A
 // run starts it at 0, 0, 0; the lane walk starts it where a lane leaves
 // the batch. The watchdog, cancellation and CCNT checks run once per
-// block; a block is cut at the cycle budget and at every multiple of
-// ctxCheckInterval, so they fire at the cycle and CCNT a per-cycle walk
-// reports. Each context runs phases 2-5 in CCNT order as in run, energy
-// added slot by slot, and the CCU decides after the block's last context.
+// block (blockEnd). Each context runs phases 2-5 in CCNT order as in run,
+// energy added slot by slot, and the CCU decides after the block's last
+// context.
 func (d *Decoded) walk(ctx context.Context, limit int64, rs *runState, host *ir.Host, ccnt int, cycle int64, energy float64) (*Result, error) {
 	rf, cond, slots, cmeta := rs.rf, rs.cond, d.slots, d.cmeta
 	for {
-		if cycle >= limit {
-			return nil, &WatchdogError{Limit: limit, CCNT: ccnt}
-		}
-		if cycle&(ctxCheckInterval-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("sim: run cancelled at cycle %d: %w", cycle, err)
-			}
-		}
-		if ccnt < 0 || ccnt >= d.numCtx {
-			return nil, fmt.Errorf("sim: CCNT %d out of range", ccnt)
-		}
-		last := int(cmeta[ccnt].end)
-		if n := min(limit-cycle, ctxCheckInterval-cycle&(ctxCheckInterval-1)); int64(last-ccnt) >= n {
-			last = ccnt + int(n) - 1
+		last, err := d.blockEnd(ctx, limit, cycle, ccnt)
+		if err != nil {
+			return nil, err
 		}
 		outCtrl := false
 		for c := ccnt; c <= last; c++ {
@@ -914,7 +986,7 @@ func (d *Decoded) walk(ctx context.Context, limit int64, rs *runState, host *ir.
 					if a, arr := rf[sl.aOff], rs.hostArr[sl.array]; a >= 0 && int(a) < len(arr) {
 						rf[sl.wOff] = arr[a]
 					} else {
-						rs.enqueue(d, cycle+int64(sl.dur)-1, fpend{pe: sl.pe, wOff: sl.wOff, isDMA: true, dmaLoad: true, array: sl.array, index: a})
+						rs.enqueue(d, 0, cycle+int64(sl.dur)-1, pend{wOff: sl.wOff, index: a, meta: sl.dma()})
 					}
 				default:
 					if sl.predicated && !outPE {
@@ -928,13 +1000,13 @@ func (d *Decoded) walk(ctx context.Context, limit int64, rs *runState, host *ir.
 							rf[sl.wOff] = arr[a]
 							continue
 						}
-						rs.enqueue(d, finish, fpend{pe: sl.pe, wOff: sl.wOff, isDMA: true, dmaLoad: true, array: sl.array, index: a})
+						rs.enqueue(d, 0, finish, pend{wOff: sl.wOff, index: a, meta: sl.dma()})
 					case slotStore:
-						rs.enqueue(d, finish, fpend{pe: sl.pe, isDMA: true, array: sl.array, index: a, value: b})
+						rs.enqueue(d, 0, finish, pend{wOff: sl.wOff, index: a, value: b, meta: sl.dma()})
 					default:
 						// Direct ALU writes have their own shapes.
 						if sl.writeEnable {
-							rs.enqueue(d, finish, fpend{pe: sl.pe, wOff: sl.wOff, value: arch.Eval(sl.op, a, b)})
+							rs.enqueue(d, 0, finish, pend{wOff: sl.wOff, value: arch.Eval(sl.op, a, b)})
 						}
 					}
 				}
@@ -945,27 +1017,29 @@ func (d *Decoded) walk(ctx context.Context, limit int64, rs *runState, host *ir.
 			// wait for them.
 			if m.cbox >= 0 {
 				w := &d.cbox[m.cbox]
-				v, ok := w.eval(&rs.condState, cycle)
+				v, ok := w.eval(rs, cycle)
 				if !ok {
 					return nil, d.missingStatus(c)
 				}
 				cond[w.write] = v
 			}
 
-			// Phase 5: end-of-cycle commits due this cycle, in issue order.
+			// Phase 5: end-of-cycle commits due this cycle, in issue order,
+			// inline: a call per cycle slows ring-bound kernels (EXPERIMENTS
+			// "One run state").
 			if rs.pendAny > 0 {
 				bkt := int(cycle) & d.ringMask
 				due := rs.ring[bkt]
 				for pi := range due {
 					switch pw := &due[pi]; {
-					case !pw.isDMA:
+					case pw.meta == 0:
 						rf[pw.wOff] = pw.value
-					case pw.index < 0 || int(pw.index) >= len(rs.hostArr[pw.array]):
-						return nil, d.dmaFault(host, pw.array, pw.index, pw.value, pw.dmaLoad)
-					case pw.dmaLoad:
-						rf[pw.wOff] = rs.hostArr[pw.array][pw.index]
+					case pw.index < 0 || int(pw.index) >= len(rs.hostArr[pw.meta>>3]):
+						return nil, d.dmaFault(host, pw.meta>>3, pw.index, pw.value, pw.meta&pendLoad != 0)
+					case pw.meta&pendLoad != 0:
+						rf[pw.wOff] = rs.hostArr[pw.meta>>3][pw.index]
 					default:
-						rs.hostArr[pw.array][pw.index] = pw.value
+						rs.hostArr[pw.meta>>3][pw.index] = pw.value
 					}
 				}
 				rs.pendAny -= len(due)
@@ -990,10 +1064,12 @@ func (d *Decoded) walk(ctx context.Context, limit int64, rs *runState, host *ir.
 // steps one context per cycle and calls h where each observed or corrupted
 // value is produced, in issue and commit order. Every commit goes through
 // the ring, squashed ones included, so events and injected write faults
-// keep their commit cycle and order.
+// keep their commit cycle and order; its own drain emits them, naming the
+// PE it recovers from each entry's register (regPE). Like the other walks,
+// it makes the watchdog, cancellation and CCNT checks once per block.
 func (d *Decoded) run(ctx context.Context, limit int64, args map[string]int32, host *ir.Host, h *hooks) (*Result, error) {
 	h.inject.BeginRun()
-	rs := d.getState()
+	rs := d.getState(1)
 	defer d.putState(rs)
 	if err := d.begin(rs.rf, rs.hostArr, 1, 0, args, host); err != nil {
 		return nil, err
@@ -1003,124 +1079,117 @@ func (d *Decoded) run(ctx context.Context, limit int64, args map[string]int32, h
 	ccnt := 0
 	var cycle int64
 	for {
-		if cycle >= limit {
-			return nil, &WatchdogError{Limit: limit, CCNT: ccnt}
+		last, err := d.blockEnd(ctx, limit, cycle, ccnt)
+		if err != nil {
+			return nil, err
 		}
-		if cycle&(ctxCheckInterval-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("sim: run cancelled at cycle %d: %w", cycle, err)
-			}
-		}
-		if ccnt < 0 || ccnt >= d.numCtx {
-			return nil, fmt.Errorf("sim: CCNT %d out of range", ccnt)
-		}
-		h.tick(cycle, ccnt)
-		m := &d.cmeta[ccnt]
+		for range last - ccnt + 1 { // only the last context can jump
+			h.tick(cycle, ccnt)
+			m := &d.cmeta[ccnt]
 
-		// Phase 2: C-Box combinational outputs, latched before phase 4
-		// writes condition memory.
-		outPE := m.outPE >= 0 && rs.cond[m.outPE]
-		outCtrl := m.outCtrl >= 0 && rs.cond[m.outCtrl] != m.ctrlInv
+			// Phase 2: C-Box combinational outputs, latched before phase 4
+			// writes condition memory.
+			outPE := m.outPE >= 0 && rs.cond[m.outPE]
+			outCtrl := m.outCtrl >= 0 && rs.cond[m.outCtrl] != m.ctrlInv
 
-		// Phase 3: issue this context's non-NOP slots.
-		for i := m.lo; i < m.hi; i++ {
-			sl := &d.slots[i]
-			h.issue(sl.pe, sl.op)
-			a, b := rf[sl.aOff], rf[sl.bOff]
-			if sl.aMode == int8(ctxgen.SrcRoute) {
-				a = h.route(sl.aSrc, sl.pe, a)
-			}
-			if sl.bMode == int8(ctxgen.SrcRoute) {
-				b = h.route(sl.bSrc, sl.pe, b)
-			}
-			finish := cycle + int64(sl.dur) - 1
-			squash := sl.predicated && !outPE
-			energy += sl.energy
-
-			switch sl.kind {
-			case slotCompare:
-				rs.cond[d.cbSlots+int(sl.pe)] = h.status(sl.pe, arch.Holds(sl.op, a, b))
-				rs.statusArrive[sl.pe] = finish
-			case slotLoad:
-				if !squash {
-					rs.enqueue(d, finish, fpend{pe: sl.pe, wOff: sl.wOff, isDMA: true, dmaLoad: true, array: sl.array, index: a})
+			// Phase 3: issue this context's non-NOP slots.
+			for i := m.lo; i < m.hi; i++ {
+				sl := &d.slots[i]
+				h.issue(sl.pe, sl.op)
+				a, b := rf[sl.aOff], rf[sl.bOff]
+				if sl.aMode == int8(ctxgen.SrcRoute) {
+					a = h.route(sl.aSrc, sl.pe, a)
 				}
-			case slotStore:
-				if !squash {
-					rs.enqueue(d, finish, fpend{pe: sl.pe, isDMA: true, array: sl.array, index: a, value: h.alu(sl.pe, b)})
+				if sl.bMode == int8(ctxgen.SrcRoute) {
+					b = h.route(sl.bSrc, sl.pe, b)
 				}
-			default:
-				val := h.alu(sl.pe, arch.Eval(sl.op, a, b))
-				if sl.writeEnable {
-					rs.enqueue(d, finish, fpend{pe: sl.pe, wOff: sl.wOff, value: val, squash: squash})
-				}
-			}
-		}
+				finish := cycle + int64(sl.dur) - 1
+				squash := sl.predicated && !outPE
+				energy += sl.energy
 
-		// Phase 4: C-Box consumes a status / recombines.
-		var condVal, ok bool
-		if m.cbox >= 0 {
-			if condVal, ok = d.cbox[m.cbox].eval(&rs.condState, cycle); !ok {
-				return nil, d.missingStatus(ccnt)
-			}
-		}
-
-		// Phase 5: end-of-cycle commits due this cycle, in issue order.
-		if rs.pendAny > 0 {
-			bkt := int(cycle) & d.ringMask
-			due := rs.ring[bkt]
-			for pi := range due {
-				pw := &due[pi]
-				addr := int(pw.wOff - d.rfOff[pw.pe])
-				switch {
-				case pw.isDMA && (pw.index < 0 || int(pw.index) >= len(rs.hostArr[pw.array])):
-					return nil, d.dmaFault(host, pw.array, pw.index, pw.value, pw.dmaLoad)
-				case pw.isDMA && pw.dmaLoad:
-					v := h.alu(pw.pe, rs.hostArr[pw.array][pw.index])
-					h.emit(EvDMALoad, int(pw.pe), addr, v)
-					rf[pw.wOff] = v
-				case pw.isDMA:
-					rs.hostArr[pw.array][pw.index] = pw.value
-					h.emit(EvDMAStore, int(pw.pe), int(pw.index), pw.value)
-				case pw.squash:
-					h.emit(EvRFSquash, int(pw.pe), addr, 0)
+				switch sl.kind {
+				case slotCompare:
+					rs.cond[d.cbSlots+int(sl.pe)] = h.status(sl.pe, arch.Holds(sl.op, a, b))
+					rs.statusArrive[sl.pe] = finish
+				case slotLoad:
+					if !squash {
+						rs.enqueue(d, 0, finish, pend{wOff: sl.wOff, index: a, meta: sl.dma()})
+					}
+				case slotStore:
+					if !squash {
+						rs.enqueue(d, 0, finish, pend{wOff: sl.wOff, index: a, value: h.alu(sl.pe, b), meta: sl.dma()})
+					}
 				default:
-					rf[pw.wOff] = h.write(pw.pe, addr, pw.value)
+					val := h.alu(sl.pe, arch.Eval(sl.op, a, b))
+					if sl.writeEnable {
+						p := pend{wOff: sl.wOff, value: val}
+						if squash {
+							p.meta = pendSquash
+						}
+						rs.enqueue(d, 0, finish, p)
+					}
 				}
 			}
-			rs.pendAny -= len(due)
-			rs.ring[bkt] = due[:0]
-		}
-		if m.cbox >= 0 {
-			addr := d.cbox[m.cbox].write
-			rs.cond[addr] = condVal
-			v := int32(0)
-			if condVal {
-				v = 1
+
+			// Phase 4: C-Box consumes a status / recombines.
+			var condVal, ok bool
+			if m.cbox >= 0 {
+				if condVal, ok = d.cbox[m.cbox].eval(rs, cycle); !ok {
+					return nil, d.missingStatus(ccnt)
+				}
 			}
-			h.emit(EvCondWrite, 0, int(addr), v)
-		}
 
-		// Phase 6: next CCNT.
-		if m.halt {
-			h.emit(EvHalt, 0, 0, 0)
-			return d.result(rf, 1, 0, cycle+1, energy), nil
+			// Phase 5: end-of-cycle commits due this cycle, in issue order.
+			if rs.pendAny > 0 {
+				bkt := int(cycle) & d.ringMask
+				due := rs.ring[bkt]
+				for pi := range due {
+					pw := &due[pi]
+					pe := d.regPE[pw.wOff]
+					addr := int(pw.wOff - d.rfOff[pe])
+					switch array, dma := pw.meta>>3, pw.meta&pendDMA != 0; {
+					case dma && (pw.index < 0 || int(pw.index) >= len(rs.hostArr[array])):
+						return nil, d.dmaFault(host, array, pw.index, pw.value, pw.meta&pendLoad != 0)
+					case dma && pw.meta&pendLoad != 0:
+						v := h.alu(pe, rs.hostArr[array][pw.index])
+						h.emit(EvDMALoad, int(pe), addr, v)
+						rf[pw.wOff] = v
+					case dma:
+						rs.hostArr[array][pw.index] = pw.value
+						h.emit(EvDMAStore, int(pe), int(pw.index), pw.value)
+					case pw.meta&pendSquash != 0:
+						h.emit(EvRFSquash, int(pe), addr, 0)
+					default:
+						rf[pw.wOff] = h.write(pe, addr, pw.value)
+					}
+				}
+				rs.pendAny -= len(due)
+				rs.ring[bkt] = due[:0]
+			}
+			if m.cbox >= 0 {
+				addr := d.cbox[m.cbox].write
+				rs.cond[addr] = condVal
+				v := int32(0)
+				if condVal {
+					v = 1
+				}
+				h.emit(EvCondWrite, 0, int(addr), v)
+			}
+
+			// Phase 6: next CCNT.
+			if m.halt {
+				h.emit(EvHalt, 0, 0, 0)
+				return d.result(rf, 1, 0, cycle+1, energy), nil
+			}
+			next := m.next
+			if outCtrl {
+				next = m.target
+			}
+			if m.jump || outCtrl {
+				h.emit(EvJumpTaken, 0, 0, next)
+			}
+			ccnt = int(next)
+			cycle++
 		}
-		next := m.next
-		if outCtrl {
-			next = m.target
-		}
-		if m.jump || outCtrl {
-			h.emit(EvJumpTaken, 0, 0, next)
-		}
-		ccnt = int(next)
-		cycle++
 	}
-}
-
-// enqueue queues p to commit at the end of cycle finish.
-func (rs *runState) enqueue(d *Decoded, finish int64, p fpend) {
-	b := int(finish) & d.ringMask
-	rs.ring[b] = append(rs.ring[b], p)
-	rs.pendAny++
 }

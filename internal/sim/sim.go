@@ -19,14 +19,16 @@
 // gain, and a generic walk calls no-op hooks through a dictionary
 // (EXPERIMENTS.md, "Block-stepped walk").
 //
-// All walks share one commit model, fixed at predecode. A routed operand
-// is an RF read at the offset its source presents, with no routing latch;
-// each context's header (ctxMeta) says which phases run and where the CCU
-// goes; a write whose early commit is provably unobservable (dslot.direct)
-// lands at issue on a hook-free walk; every other commit waits in a
-// due-cycle ring and lands at the end of its cycle, in issue order. The
-// hooked walk sends every commit through the ring, so events and injected
-// write faults keep their commit cycle and order.
+// All walks run on one state type (runState, of which a scalar run is the
+// one-lane form) and share one commit model, fixed at predecode. A routed
+// operand is an RF read at the offset its source presents, with no routing
+// latch; each context's header (ctxMeta) says which phases run and where
+// the CCU goes; a write whose early commit is provably unobservable
+// (dslot.direct) lands at issue on a hook-free walk; every other commit
+// waits as the same 16-byte record (pend) in a due-cycle ring and lands at
+// the end of its cycle, in issue order. The hooked walk sends every commit
+// through the ring, so events and injected write faults keep their commit
+// cycle and order.
 //
 // Every walk reads both operands of a slot without testing their modes:
 // Predecode points an absent operand at a zero word and a CONST's

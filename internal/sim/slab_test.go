@@ -164,7 +164,8 @@ func TestSlabWordsSurviveRuns(t *testing.T) {
 		if !sim.ScribbleSlab(eng) {
 			t.Fatalf("%s: no run state in the ready slot", sc.name)
 		}
-		checkWords(t, sc.name+" drawn after a scribble", sim.DrawnSlab(eng), 1, rfTotal, consts, used)
+		rf, stride := sim.DrawnSlab(eng, 1)
+		checkWords(t, sc.name+" drawn after a scribble", rf, stride, rfTotal, consts, used)
 
 		reqs := []sim.BatchRequest{{Args: sc.args, Host: sc.host()}, {Args: sc.args, Host: sc.host()}, {Args: sc.args, Host: sc.host()}}
 		for i, o := range eng.RunBatch(context.Background(), 0, reqs) {
@@ -176,9 +177,9 @@ func TestSlabWordsSurviveRuns(t *testing.T) {
 		if rf, stride := sim.LeftLaneSlab(eng); rf != nil {
 			checkWords(t, sc.name+" after a batch", rf, stride, rfTotal, consts, nil)
 		}
-		rf, stride := sim.DrawnLaneSlab(eng, 3)
+		rf, stride = sim.DrawnSlab(eng, 3)
 		checkWords(t, sc.name+" lanes drawn", rf, stride, rfTotal, consts, used)
-		rf, stride = sim.DrawnLaneSlab(eng, 3)
+		rf, stride = sim.DrawnSlab(eng, 3)
 		checkWords(t, sc.name+" lanes drawn after a scribble", rf, stride, rfTotal, consts, used)
 	}
 }
