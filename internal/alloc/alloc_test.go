@@ -146,17 +146,28 @@ func TestExtendUses(t *testing.T) {
 		want int
 	}{
 		{0, []int{3}, 3},          // no loop involvement
-		{0, []int{12}, 30},        // reaches into inner -> extends to inner end, then outer
+		{0, []int{12}, 31},        // reaches into inner -> past inner's back jump, then outer's
 		{11, []int{12}, 12},       // defined and used inside: no extension
-		{6, []int{12}, 20},        // defined in outer, used in inner: extend to inner end
+		{6, []int{12}, 21},        // defined in outer, used in inner: past inner's back jump
 		{0, nil, 0},               // dead value
 		{25, []int{26, 28}, 28},   // inside outer only, def also inside
-		{0, []int{3, 12, 25}, 30}, // multiple uses, worst case wins
+		{0, []int{3, 12, 25}, 31}, // multiple uses, worst case wins
+		{0, []int{30}, 31},        // last read in outer's back-jump cycle
 	}
 	for _, c := range cases {
 		if got := extendUses(c.def, c.uses, loops); got != c.want {
 			t.Errorf("extendUses(%d, %v) = %d, want %d", c.def, c.uses, got, c.want)
 		}
+	}
+	// A value redefined in the outer loop's back-jump cycle commits at its
+	// end, before the next iteration reads the loop-carried value: the two
+	// must not share a register.
+	carried := interval{start: 0, end: extendUses(0, []int{12}, loops), val: &sched.Value{}}
+	redef := interval{start: 30, end: 32, val: &sched.Value{}}
+	ivs := []interval{carried, redef}
+	if leftEdge(ivs) != 2 || ivs[0].val.Addr == ivs[1].val.Addr {
+		t.Errorf("a value defined at back-jump cycle 30 shares register %d with one live across the back edge",
+			ivs[1].val.Addr)
 	}
 }
 

@@ -215,60 +215,49 @@ func (in *Injector) hit(a *armed) {
 	in.count++
 }
 
+// permanent applies to one produced value every permanent fault of kind k
+// that is active at cycle on PE x (PermanentPE) or on the link x→y
+// (BrokenLink): it marks them manifested and returns how many applied and
+// the XOR of their masks.
+func (in *Injector) permanent(k Kind, x, y int, cycle int64) (n int, mask int32) {
+	if in == nil {
+		return 0, 0
+	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	for _, a := range in.faults {
+		at := a.PE == x
+		if k == BrokenLink {
+			at = a.Src == x && a.Dst == y
+		}
+		if a.Kind == k && at && in.active(a, cycle) {
+			n++
+			mask ^= a.mask
+			in.hit(a)
+		}
+	}
+	return n, mask
+}
+
 // CorruptALU corrupts a result produced by physical PE pe (ALU value, DMA
 // load data or DMA store data). The second return reports whether a fault
 // applied.
 func (in *Injector) CorruptALU(pe int, cycle int64, v int32) (int32, bool) {
-	if in == nil {
-		return v, false
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out, applied := v, false
-	for _, a := range in.faults {
-		if a.Kind == PermanentPE && a.PE == pe && in.active(a, cycle) {
-			out ^= a.mask
-			in.hit(a)
-			applied = true
-		}
-	}
-	return out, applied
+	n, mask := in.permanent(PermanentPE, pe, 0, cycle)
+	return v ^ mask, n > 0
 }
 
-// CorruptStatus corrupts a compare status produced by physical PE pe.
+// CorruptStatus corrupts a compare status produced by physical PE pe: each
+// fault that applies flips it.
 func (in *Injector) CorruptStatus(pe int, cycle int64, s bool) (bool, bool) {
-	if in == nil {
-		return s, false
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out, applied := s, false
-	for _, a := range in.faults {
-		if a.Kind == PermanentPE && a.PE == pe && in.active(a, cycle) {
-			out = !out
-			in.hit(a)
-			applied = true
-		}
-	}
-	return out, applied
+	n, _ := in.permanent(PermanentPE, pe, 0, cycle)
+	return s != (n%2 == 1), n > 0
 }
 
 // CorruptRoute corrupts a value routed over the physical link src→dst.
 func (in *Injector) CorruptRoute(src, dst int, cycle int64, v int32) (int32, bool) {
-	if in == nil {
-		return v, false
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out, applied := v, false
-	for _, a := range in.faults {
-		if a.Kind == BrokenLink && a.Src == src && a.Dst == dst && in.active(a, cycle) {
-			out ^= a.mask
-			in.hit(a)
-			applied = true
-		}
-	}
-	return out, applied
+	n, mask := in.permanent(BrokenLink, src, dst, cycle)
+	return v ^ mask, n > 0
 }
 
 // CorruptWrite applies a pending transient bit upset to a register-file

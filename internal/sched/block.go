@@ -488,6 +488,7 @@ func (s *scheduler) emitNode(n *cdfg.Node, p, t, dur int, srcs []Src, predSlot *
 			s.issued(pw, t, finish)
 			l := s.local(pw.Local)
 			l.copies, l.fusedProd = nil, n
+			l.written = max(l.written, finish+1)
 			s.sch.Stats.FusedPWrites++
 			if pw.Pred != nil {
 				panic("fused a predicated pWRITE") // guarded by construction
@@ -591,6 +592,7 @@ func (s *scheduler) schedPWrite(n *cdfg.Node, t int) error {
 	s.issued(n, t, t+dur-1)
 	l := s.local(n.Local)
 	l.copies, l.fusedProd = nil, nil
+	l.written = max(l.written, t+dur)
 	s.emit(&Op{
 		PE: p, Cycle: t, Dur: dur, Code: code, Node: n,
 		A: src, Dest: home, PredSlot: predSlot, Imm: arg.Const,
@@ -796,8 +798,11 @@ func (s *scheduler) provisionOperand(a cdfg.Operand, p int, force bool) {
 	ready := best.Def + 1
 	// A copy serving a versioned local read must not start before the
 	// pending writers have committed: home slots are pinned (Def -1), so
-	// without this a copy could capture the stale pre-write value.
+	// without this a copy could capture the stale pre-write value. Nor
+	// may any copy of a local start before a write already issued on
+	// another path, which the reader's Version does not name.
 	if a.Kind == cdfg.FromLocal {
+		ready = max(ready, s.local(a.Local).written)
 		for _, w := range a.Version {
 			ws := s.st(w)
 			if ws.issue < 0 {
@@ -820,7 +825,8 @@ func (s *scheduler) provisionOperand(a cdfg.Operand, p int, force bool) {
 
 // copyHop emits one MOVE of prev onto its neighbour hop, in the first cycle
 // from ready where hop is free and prev's routing output can carry prev,
-// and returns the copy.
+// and returns the copy. The copy counts toward the block's end, so a copy
+// placed past every issued node still lies inside the block.
 func (s *scheduler) copyHop(prev *Value, hop, ready int) *Value {
 	e := ready
 	for {
@@ -831,6 +837,7 @@ func (s *scheduler) copyHop(prev *Value, hop, ready int) *Value {
 		e++
 	}
 	dst := s.newValue(hop, e)
+	s.blk.maxEnd = max(s.blk.maxEnd, e+1)
 	s.emit(&Op{
 		PE: hop, Cycle: e, Dur: 1, Code: arch.MOVE,
 		A:    Src{Kind: SrcRoute, Val: prev, FromPE: prev.PE},

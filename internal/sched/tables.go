@@ -136,6 +136,11 @@ type localState struct {
 	// slot; a later pWRITE of the local must wait until all of the
 	// producer's value consumers have issued.
 	fusedProd *cdfg.Node
+	// written is the first cycle after the last commit of any issued
+	// pWRITE of the local. No copy of the local starts before it: a copy
+	// placed earlier would carry the value the write replaces to readers
+	// that follow the write.
+	written int
 }
 
 // condState is the C-Box plan of one condition (sub-)expression.

@@ -10,9 +10,9 @@ import (
 // pressure, DMA bandwidth, and watchdog headroom. Attach one Counters per
 // machine; after each Run call Flush to export into a registry.
 //
-// The collector chains any Probe/Trace hooks already installed on the
-// machine (e.g. a trace.Recorder), so waveform capture and counting can
-// run in the same simulation.
+// The collector chains any Probe already installed on the machine (e.g. a
+// trace.Recorder), so waveform capture and counting can run in the same
+// simulation.
 type Counters struct {
 	numPE int
 	limit int64
@@ -29,8 +29,8 @@ type Counters struct {
 	faults    int64
 }
 
-// AttachCounters hooks a new collector into the machine, chaining existing
-// Probe/Trace consumers.
+// AttachCounters hooks a new collector into the machine, chaining an
+// existing Probe consumer.
 func AttachCounters(m *Machine) *Counters {
 	c := &Counters{
 		numPE: m.prog.Comp.NumPEs(),
@@ -46,20 +46,13 @@ func AttachCounters(m *Machine) *Counters {
 			prevProbe(ev)
 		}
 	}
-	prevTrace := m.Trace
-	m.Trace = func(cycle int64, ccnt int) {
-		if cycle+1 > c.cycles {
-			c.cycles = cycle + 1
-		}
-		if prevTrace != nil {
-			prevTrace(cycle, ccnt)
-		}
-	}
 	return c
 }
 
 func (c *Counters) observe(ev Event) {
 	switch ev.Kind {
+	case EvCycle:
+		c.cycles = max(c.cycles, ev.Cycle+1)
 	case EvIssue:
 		if ev.PE < c.numPE {
 			c.issues[ev.PE]++

@@ -26,12 +26,15 @@ const (
 	// EvRouteRead: a PE read a neighbour's routing output (PE = reader,
 	// Addr = source PE, Value = routed word).
 	EvRouteRead
+	// EvCycle: a cycle began at CCNT; every cycle's first event.
+	EvCycle
 )
 
 var eventNames = [...]string{
 	EvRFWrite: "rf-write", EvRFSquash: "rf-squash", EvCondWrite: "cond-write",
 	EvJumpTaken: "jump", EvDMALoad: "dma-load", EvDMAStore: "dma-store",
 	EvHalt: "halt", EvFault: "fault", EvIssue: "issue", EvRouteRead: "route-read",
+	EvCycle: "cycle",
 }
 
 func (k EventKind) String() string {
@@ -42,8 +45,9 @@ func (k EventKind) String() string {
 }
 
 // Event is one observable state change during simulation. The Probe hook on
-// Machine receives every event; package trace converts the stream into a
-// VCD waveform.
+// Machine receives every event, each cycle's opening EvCycle first, so the
+// stream alone orders a run by cycle; package trace converts it into a VCD
+// waveform.
 type Event struct {
 	Cycle int64
 	CCNT  int

@@ -10,7 +10,7 @@ import (
 )
 
 // RefRun runs the program on the reference interpreter (ref_test.go) with
-// the machine's MaxCycles, Probe, Trace, Inject and PhysPE, for the
+// the machine's MaxCycles, Probe, Inject and PhysPE, for the
 // external differential tests.
 func (m *Machine) RefRun(args map[string]int32, host *ir.Host) (*Result, error) {
 	return m.refRun(context.Background(), args, host)

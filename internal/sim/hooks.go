@@ -5,13 +5,12 @@ import (
 	"cgra/internal/fault"
 )
 
-// hooks is the instrumentation of one scalar run: the machine's Probe,
-// Trace and fault plan, called by the hooked walk (Decoded.run) exactly
+// hooks is the instrumentation of one scalar run: the machine's Probe and
+// fault plan, called by the hooked walk (Decoded.run) exactly
 // where the state they observe or corrupt changes. A run without them
 // takes the production walk, which has no hook sites at all.
 type hooks struct {
 	probe  func(Event)
-	trace  func(cycle int64, ccnt int)
 	inject *fault.Injector
 	// phys maps logical PE indices to the physical ones faults name (nil:
 	// identity, see Machine.PhysPE).
@@ -24,18 +23,16 @@ type hooks struct {
 // hooks returns the machine's instrumentation for one run, nil when none
 // is attached.
 func (m *Machine) hooks() *hooks {
-	if m.Probe == nil && m.Trace == nil && m.Inject == nil {
+	if m.Probe == nil && m.Inject == nil {
 		return nil
 	}
-	return &hooks{probe: m.Probe, trace: m.Trace, inject: m.Inject, phys: m.PhysPE}
+	return &hooks{probe: m.Probe, inject: m.Inject, phys: m.PhysPE}
 }
 
-// tick starts one cycle.
+// tick starts one cycle, announcing it by EvCycle.
 func (h *hooks) tick(cycle int64, ccnt int) {
 	h.cycle, h.ccnt = cycle, ccnt
-	if h.trace != nil {
-		h.trace(cycle, ccnt)
-	}
+	h.emit(EvCycle, 0, 0, 0)
 }
 
 func (h *hooks) emit(kind EventKind, pe, addr int, v int32) {

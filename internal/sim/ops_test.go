@@ -74,6 +74,24 @@ func TestEvalALUUnknownOp(t *testing.T) {
 	}
 }
 
+// TestPredecodeRefusesWideArrayTable asserts that a program with more DMA
+// arrays than a commit record's meta word can name is refused, not run
+// with its array indices cut.
+func TestPredecodeRefusesWideArrayTable(t *testing.T) {
+	comp, err := arch.ByName("9 PEs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := oneOpProgram(comp, 0, arch.IADD)
+	if _, err := sim.Predecode(prog); err != nil {
+		t.Fatalf("Predecode of the one-op program: %v", err)
+	}
+	prog.Arrays = make([]string, 1<<13)
+	if _, err := sim.Predecode(prog); err == nil || !strings.Contains(err.Error(), "8192 arrays") {
+		t.Errorf("Predecode of %d arrays: %v", len(prog.Arrays), err)
+	}
+}
+
 // TestEvalCompareUnknownOp asserts that a compare the PE lacks surfaces as
 // a decode error rather than reaching arch.Holds.
 func TestEvalCompareUnknownOp(t *testing.T) {

@@ -114,9 +114,6 @@ type Decoded struct {
 	// targets either kind of word.
 	rfOff   []int32
 	rfTotal int
-	// regPE[off] is the PE whose registers hold offset off: the hooked
-	// walk names a commit's PE by it (see pend).
-	regPE   []int32
 	consts  []int32
 	cbSlots int
 
@@ -158,21 +155,22 @@ type Decoded struct {
 // pend is one deferred end-of-cycle commit, the same 16 bytes on every
 // walk: a register write, a squashed one, or a DMA transfer. Its ring
 // bucket encodes the cycle it completes at. A plain register write has
-// meta 0, and only the hooked walk queues squashed writes. No entry names
-// its PE: the hooked walk, the only one to report it, recovers it from
-// wOff (Decoded.regPE), since a write lands in its own PE's registers and
-// a store carries its slot's wOff, which Predecode keeps there too.
+// meta 0 on the hook-free walks; only the hooked walk queues squashed
+// writes, and only it, the one walk to report a commit's PE, sets that PE
+// in meta's high bits (Predecode refuses a program whose PE or array
+// indices would not fit).
 type pend struct {
 	wOff  int32
 	value int32 // ALU/resolved-load result, or the value a store writes
 	index int32 // DMA array index
-	meta  int32 // array<<3 | pendSquash | pendLoad | pendDMA
+	meta  int32 // pe<<pendPE | array<<3 | pendSquash | pendLoad | pendDMA
 }
 
 const (
 	pendDMA    = int32(1) // a DMA transfer of array meta>>3
 	pendLoad   = int32(2) // the transfer is a load, else a store
 	pendSquash = int32(4) // a register write predication squashed
+	pendPE     = 16       // meta>>pendPE is the PE, on the hooked walk
 )
 
 // dma is the meta of the DMA transfer sl queues.
@@ -351,11 +349,9 @@ func Predecode(prog *ctxgen.Program) (*Decoded, error) {
 		off += int32(pe.RegfileSize)
 	}
 	d.rfTotal = int(off)
-	d.regPE = make([]int32, d.rfTotal)
-	for pe := range d.numPE {
-		for r := range comp.PEs[pe].RegfileSize {
-			d.regPE[int(d.rfOff[pe])+r] = int32(pe)
-		}
+	if d.numPE >= 1<<(31-pendPE) || len(d.arrays) >= 1<<(pendPE-3) {
+		return nil, fmt.Errorf("sim: predecode: %d PEs and %d arrays exceed a commit record's %d and %d",
+			d.numPE, len(d.arrays), 1<<(31-pendPE)-1, 1<<(pendPE-3)-1)
 	}
 	if len(prog.PE) != d.numPE || len(prog.CBox) != d.numCtx || len(prog.CCU) != d.numCtx {
 		return nil, fmt.Errorf("sim: predecode: context tables sized %d/%d/%d PEs/CBox/CCU, want %d/%d",
@@ -1060,12 +1056,12 @@ func (d *Decoded) walk(ctx context.Context, limit int64, rs *runState, host *ir.
 	}
 }
 
-// run is the hooked walk, serving Probe, Trace and fault injection: it
+// run is the hooked walk, serving Probe and fault injection: it
 // steps one context per cycle and calls h where each observed or corrupted
 // value is produced, in issue and commit order. Every commit goes through
 // the ring, squashed ones included, so events and injected write faults
 // keep their commit cycle and order; its own drain emits them, naming the
-// PE it recovers from each entry's register (regPE). Like the other walks,
+// PE each entry carries in meta's high bits. Like the other walks,
 // it makes the watchdog, cancellation and CCNT checks once per block.
 func (d *Decoded) run(ctx context.Context, limit int64, args map[string]int32, host *ir.Host, h *hooks) (*Result, error) {
 	h.inject.BeginRun()
@@ -1105,6 +1101,7 @@ func (d *Decoded) run(ctx context.Context, limit int64, args map[string]int32, h
 				}
 				finish := cycle + int64(sl.dur) - 1
 				squash := sl.predicated && !outPE
+				pe := sl.pe << pendPE
 				energy += sl.energy
 
 				switch sl.kind {
@@ -1113,18 +1110,18 @@ func (d *Decoded) run(ctx context.Context, limit int64, args map[string]int32, h
 					rs.statusArrive[sl.pe] = finish
 				case slotLoad:
 					if !squash {
-						rs.enqueue(d, 0, finish, pend{wOff: sl.wOff, index: a, meta: sl.dma()})
+						rs.enqueue(d, 0, finish, pend{wOff: sl.wOff, index: a, meta: pe | sl.dma()})
 					}
 				case slotStore:
 					if !squash {
-						rs.enqueue(d, 0, finish, pend{wOff: sl.wOff, index: a, value: h.alu(sl.pe, b), meta: sl.dma()})
+						rs.enqueue(d, 0, finish, pend{wOff: sl.wOff, index: a, value: h.alu(sl.pe, b), meta: pe | sl.dma()})
 					}
 				default:
 					val := h.alu(sl.pe, arch.Eval(sl.op, a, b))
 					if sl.writeEnable {
-						p := pend{wOff: sl.wOff, value: val}
+						p := pend{wOff: sl.wOff, value: val, meta: pe}
 						if squash {
-							p.meta = pendSquash
+							p.meta |= pendSquash
 						}
 						rs.enqueue(d, 0, finish, p)
 					}
@@ -1145,9 +1142,9 @@ func (d *Decoded) run(ctx context.Context, limit int64, args map[string]int32, h
 				due := rs.ring[bkt]
 				for pi := range due {
 					pw := &due[pi]
-					pe := d.regPE[pw.wOff]
+					pe := pw.meta >> pendPE
 					addr := int(pw.wOff - d.rfOff[pe])
-					switch array, dma := pw.meta>>3, pw.meta&pendDMA != 0; {
+					switch array, dma := pw.meta>>3&(1<<(pendPE-3)-1), pw.meta&pendDMA != 0; {
 					case dma && (pw.index < 0 || int(pw.index) >= len(rs.hostArr[array])):
 						return nil, d.dmaFault(host, array, pw.index, pw.value, pw.meta&pendLoad != 0)
 					case dma && pw.meta&pendLoad != 0:

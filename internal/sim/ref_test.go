@@ -94,9 +94,7 @@ func (m *Machine) refRun(ctx context.Context, args map[string]int32, host *ir.Ho
 		if ccnt < 0 || ccnt >= prog.NumCtx {
 			return nil, fmt.Errorf("sim: CCNT %d out of range", ccnt)
 		}
-		if m.Trace != nil {
-			m.Trace(cycle, ccnt)
-		}
+		m.emit(Event{Cycle: cycle, CCNT: ccnt, Kind: EvCycle})
 		cbox := prog.CBox[ccnt]
 		ccu := prog.CCU[ccnt]
 

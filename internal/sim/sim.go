@@ -7,9 +7,10 @@
 //
 // Predecode compiles a program once into a Decoded engine, which runs it
 // three ways. A plain run takes Decoded.runPlain, stepping a straight-line
-// block of contexts (ctxMeta.end) per dispatch; a run with Probe, Trace or
-// a fault plan takes Decoded.run, stepping one context per cycle and
-// calling its hooks (hooks.go) where a value is observed or corrupted;
+// block of contexts (ctxMeta.end) per dispatch; a run with a Probe or a
+// fault plan takes Decoded.run, stepping one context per cycle and calling
+// its hooks (hooks.go) where a value is observed or corrupted, each cycle
+// opening with an EvCycle event;
 // RunBatch (runlanes.go) steps N hook-free invocations as lanes, a block
 // per dispatch and each slot as one loop over its lanes, while they agree,
 // and hands each lane to runPlain's loop (Decoded.walk) at the first fault
@@ -28,7 +29,8 @@
 // waits as the same 16-byte record (pend) in a due-cycle ring and lands at
 // the end of its cycle, in issue order. The hooked walk sends every commit
 // through the ring, so events and injected write faults keep their commit
-// cycle and order.
+// cycle and order, and only it marks a record with its PE (meta's high
+// bits), the one fact an event needs that the record lacks.
 //
 // Every walk reads both operands of a slot without testing their modes:
 // Predecode points an absent operand at a zero word and a CONST's
@@ -100,10 +102,9 @@ type Machine struct {
 	prog *ctxgen.Program
 	// MaxCycles bounds the run; zero or negative means 500M.
 	MaxCycles int64
-	// Trace, when non-nil, receives one line per cycle (debugging).
-	Trace func(cycle int64, ccnt int)
 	// Probe, when non-nil, receives every observable state change (RF
-	// writes, squashes, condition writes, jumps, DMA); see Event.
+	// writes, squashes, condition writes, jumps, DMA), each cycle opening
+	// with an EvCycle; see Event.
 	Probe func(Event)
 	// Inject, when non-nil, corrupts machine state per its armed fault
 	// plan (see package fault).
@@ -150,7 +151,7 @@ const ctxCheckInterval = 8192
 //
 // Inside a traced request the execution becomes an "engine" span,
 // annotated with the path taken ("fast" without instrumentation, "hooked"
-// with Probe, Trace or a fault plan attached) and the simulated cycle
+// with Probe or a fault plan attached) and the simulated cycle
 // count. Untraced runs skip the span entirely.
 func (m *Machine) RunCtx(ctx context.Context, args map[string]int32, host *ir.Host) (*Result, error) {
 	h := m.hooks()

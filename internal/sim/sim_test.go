@@ -142,12 +142,17 @@ func TestRunTraceCallback(t *testing.T) {
 	_, p := compile(t, `kernel k(in x, inout r) { r = x + 1; }`, mesh(t, 4))
 	m := New(p)
 	traced := 0
-	m.Trace = func(cycle int64, ccnt int) { traced++ }
-	if _, err := m.Run(map[string]int32{"x": 1, "r": 0}, ir.NewHost()); err != nil {
+	m.Probe = func(ev Event) {
+		if ev.Kind == EvCycle {
+			traced++
+		}
+	}
+	res, err := m.Run(map[string]int32{"x": 1, "r": 0}, ir.NewHost())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if traced == 0 {
-		t.Error("trace callback never invoked")
+	if int64(traced) != res.RunCycles {
+		t.Errorf("%d cycle events, run took %d cycles", traced, res.RunCycles)
 	}
 }
 

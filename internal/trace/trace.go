@@ -16,32 +16,20 @@ import (
 // Recorder collects simulator events and writes a VCD file.
 type Recorder struct {
 	events []sim.Event
-	// ccnt samples, one per cycle, captured via the Trace hook.
-	ccnt []int
 }
 
 // NewRecorder creates an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// Attach hooks the recorder into a machine (both the per-cycle trace and
-// the event probe), chaining any Probe/Trace consumers already installed
-// (e.g. sim.AttachCounters), so both observe the same run.
+// Attach hooks the recorder into a machine's event probe, chaining any
+// Probe consumer already installed (e.g. sim.AttachCounters), so both
+// observe the same run.
 func (r *Recorder) Attach(m *sim.Machine) {
 	prevProbe := m.Probe
 	m.Probe = func(ev sim.Event) {
 		r.Record(ev)
 		if prevProbe != nil {
 			prevProbe(ev)
-		}
-	}
-	prevTrace := m.Trace
-	m.Trace = func(cycle int64, ccnt int) {
-		for int64(len(r.ccnt)) <= cycle {
-			r.ccnt = append(r.ccnt, ccnt)
-		}
-		r.ccnt[cycle] = ccnt
-		if prevTrace != nil {
-			prevTrace(cycle, ccnt)
 		}
 	}
 }
@@ -78,6 +66,7 @@ type signal struct {
 // WriteVCD renders the recorded activity as a VCD document. Signals:
 // the context counter, one 32-bit register value per touched (PE, RF
 // address), one bit per touched condition slot, and a DMA store strobe.
+// The changes follow the stream's order: each EvCycle opens a timestamp.
 func (r *Recorder) WriteVCD(w io.Writer, module string) error {
 	// Collect touched signals.
 	type rfKey struct{ pe, addr int }
@@ -142,50 +131,21 @@ func (r *Recorder) WriteVCD(w io.Writer, module string) error {
 		return err
 	}
 
-	// Dump changes, cycle by cycle.
-	byCycle := map[int64][]sim.Event{}
-	var cycles []int64
-	seen := map[int64]bool{}
+	// Dump changes.
 	for _, ev := range r.events {
-		byCycle[ev.Cycle] = append(byCycle[ev.Cycle], ev)
-		if !seen[ev.Cycle] {
-			seen[ev.Cycle] = true
-			cycles = append(cycles, ev.Cycle)
+		var err error
+		switch ev.Kind {
+		case sim.EvCycle:
+			_, err = fmt.Fprintf(w, "#%d\nb%b %s\n", ev.Cycle, ev.CCNT, ccntSig.id)
+		case sim.EvRFWrite, sim.EvDMALoad:
+			_, err = fmt.Fprintf(w, "b%b %s\n", uint32(ev.Value), rfSignals[rfKey{ev.PE, ev.Addr}].id)
+		case sim.EvCondWrite:
+			_, err = fmt.Fprintf(w, "%d%s\n", ev.Value, condSignals[ev.Addr].id)
+		case sim.EvDMAStore:
+			_, err = fmt.Fprintf(w, "b%b %s\n", uint32(ev.Value), dmaSig.id)
 		}
-	}
-	for cyc := range r.ccnt {
-		c := int64(cyc)
-		if !seen[c] {
-			seen[c] = true
-			cycles = append(cycles, c)
-		}
-	}
-	sort.Slice(cycles, func(i, j int) bool { return cycles[i] < cycles[j] })
-	for _, cyc := range cycles {
-		if _, err := fmt.Fprintf(w, "#%d\n", cyc); err != nil {
+		if err != nil {
 			return err
-		}
-		if cyc < int64(len(r.ccnt)) {
-			if _, err := fmt.Fprintf(w, "b%b %s\n", r.ccnt[cyc], ccntSig.id); err != nil {
-				return err
-			}
-		}
-		for _, ev := range byCycle[cyc] {
-			switch ev.Kind {
-			case sim.EvRFWrite, sim.EvDMALoad:
-				s := rfSignals[rfKey{ev.PE, ev.Addr}]
-				if _, err := fmt.Fprintf(w, "b%b %s\n", uint32(ev.Value), s.id); err != nil {
-					return err
-				}
-			case sim.EvCondWrite:
-				if _, err := fmt.Fprintf(w, "%d%s\n", ev.Value, condSignals[ev.Addr].id); err != nil {
-					return err
-				}
-			case sim.EvDMAStore:
-				if _, err := fmt.Fprintf(w, "b%b %s\n", uint32(ev.Value), dmaSig.id); err != nil {
-					return err
-				}
-			}
 		}
 	}
 	return nil

@@ -1,16 +1,20 @@
 package trace
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strconv"
 	"strings"
 	"testing"
 
+	"cgra/internal/adpcm"
 	"cgra/internal/arch"
 	"cgra/internal/ir"
 	"cgra/internal/irtext"
 	"cgra/internal/obs"
 	"cgra/internal/pipeline"
 	"cgra/internal/sim"
+	"cgra/internal/workload"
 )
 
 func record(t *testing.T, src string, args map[string]int32, arrays map[string][]int32) *Recorder {
@@ -104,9 +108,9 @@ func TestAttachChainsCounters(t *testing.T) {
 		if ctrs.Cycles() != res.RunCycles {
 			t.Errorf("counters first %v: counted %d cycles, run took %d", countersFirst, ctrs.Cycles(), res.RunCycles)
 		}
-		if int64(len(r.ccnt)) != res.RunCycles || r.Summary()[sim.EvHalt] != 1 {
+		if sum := r.Summary(); int64(sum[sim.EvCycle]) != res.RunCycles || sum[sim.EvHalt] != 1 {
 			t.Errorf("counters first %v: recorder saw %d cycles and %d halts, want %d and 1",
-				countersFirst, len(r.ccnt), r.Summary()[sim.EvHalt], res.RunCycles)
+				countersFirst, sum[sim.EvCycle], sum[sim.EvHalt], res.RunCycles)
 		}
 		reg := obs.NewRegistry()
 		ctrs.Flush(reg)
@@ -274,4 +278,61 @@ func mustParse(t testing.TB, src string) *ir.Kernel {
 		t.Fatal(err)
 	}
 	return k
+}
+
+// vcdDigests pins the SHA-256 of the VCD each kernel writes on "8 PEs F",
+// so a change to the event stream or to WriteVCD that alters one byte of
+// the waveform shows here.
+var vcdDigests = map[string]string{
+	"gcd":   "39dd3d0a57244db42f637ffbb4a5a075422ab458a0079405735f8a308d27623b",
+	"fir":   "75f225f78b3b919452088e5aba6e1cffc8d6d889d4297efbdb10bf3d6309edce",
+	"bsort": "2c7226c538fe8df1b9bf39c695a5ffb468fdea596ec8c08fc3aeab310df7474b",
+	"adpcm": "c7c9b989cf7e152e2921db8df5e0760f3b4fa6215d65ded0ef68911f78bb165c",
+}
+
+func TestVCDDigests(t *testing.T) {
+	comp, err := arch.ByName("8 PEs F")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type run struct {
+		k    *ir.Kernel
+		args map[string]int32
+		host *ir.Host
+	}
+	runs := map[string]run{}
+	for _, name := range []string{"gcd", "fir", "bsort"} {
+		w, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[name] = run{w.Kernel, w.Args(w.DefaultSize), w.Host(w.DefaultSize)}
+	}
+	const n = adpcm.NumSamples
+	var st adpcm.State
+	codes, err := adpcm.Encode(adpcm.GenerateSamples(n), &st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs["adpcm"] = run{adpcm.Kernel(), adpcm.Args(n, adpcm.State{}), adpcm.NewHost(codes, n)}
+	for name, want := range vcdDigests {
+		r := runs[name]
+		c, err := pipeline.Compile(r.k, comp, pipeline.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		m := sim.New(c.Program)
+		rec := NewRecorder()
+		rec.Attach(m)
+		if _, err := m.Run(r.args, r.host); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		h := sha256.New()
+		if err := rec.WriteVCD(h, name); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want {
+			t.Errorf("%s: VCD digest %s, want %s", name, got, want)
+		}
+	}
 }
