@@ -131,13 +131,20 @@ func extendToLoops(def, end int, loops [][2]int) int {
 		changed = false
 		for _, lr := range loops {
 			// A lifetime reaching into a loop the definition
-			// precedes must survive the whole loop, its back-jump
-			// cycle lr[1] included: a value defined there commits at
-			// that cycle's end, before the next iteration reads.
-			if def < lr[0] && end >= lr[0] && end <= lr[1] {
-				end = lr[1] + 1
+			// precedes must survive the whole loop.
+			if def < lr[0] && end >= lr[0] && end < lr[1] {
+				end = lr[1]
 				changed = true
 			}
+		}
+	}
+	// It must survive the loop's back-jump cycle lr[1] too: a value
+	// defined there commits at that cycle's end, before the next
+	// iteration reads. One cycle past it reaches into no loop that
+	// begins there, since the value is not read in one.
+	for _, lr := range loops {
+		if def < lr[0] && end == lr[1] {
+			return end + 1
 		}
 	}
 	return end

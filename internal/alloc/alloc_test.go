@@ -159,6 +159,14 @@ func TestExtendUses(t *testing.T) {
 			t.Errorf("extendUses(%d, %v) = %d, want %d", c.def, c.uses, got, c.want)
 		}
 	}
+	// Of two adjacent loops, a value last read in the first stays live
+	// one cycle past its back jump, not through the second.
+	adjacent := [][2]int{{10, 20}, {21, 30}}
+	for _, c := range []struct{ use, want int }{{15, 21}, {20, 21}, {25, 31}} {
+		if got := extendUses(0, []int{c.use}, adjacent); got != c.want {
+			t.Errorf("adjacent loops: extendUses(0, [%d]) = %d, want %d", c.use, got, c.want)
+		}
+	}
 	// A value redefined in the outer loop's back-jump cycle commits at its
 	// end, before the next iteration reads the loop-carried value: the two
 	// must not share a register.

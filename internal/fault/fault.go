@@ -138,6 +138,9 @@ type armed struct {
 	mask int32
 	// bit is the flipped bit position (TransientBit).
 	bit uint
+	// site matches a permanent fault to a produced value: (PE, -1), (Src,
+	// Dst) for a BrokenLink, or (-1, -1), matching none, for a transient.
+	site [2]int
 	// fired marks a spent transient.
 	fired bool
 	// manifested records that the fault corrupted at least one value.
@@ -169,21 +172,27 @@ func NewInjector(plan Plan, numPEs int) (*Injector, error) {
 	rng := rand.New(rand.NewSource(plan.Seed))
 	in := &Injector{}
 	for _, f := range plan.Faults {
+		site := [2]int{-1, -1}
 		switch f.Kind {
 		case PermanentPE, TransientBit:
 			if f.PE < 0 || f.PE >= numPEs {
 				return nil, fmt.Errorf("fault: %s out of range (composition has %d PEs)", f, numPEs)
 			}
+			if f.Kind == PermanentPE {
+				site[0] = f.PE
+			}
 		case BrokenLink:
 			if f.Src < 0 || f.Src >= numPEs || f.Dst < 0 || f.Dst >= numPEs {
 				return nil, fmt.Errorf("fault: %s out of range (composition has %d PEs)", f, numPEs)
 			}
+			site = [2]int{f.Src, f.Dst}
 		}
 		in.faults = append(in.faults, &armed{
 			Fault:      f,
 			activation: rng.Int63n(window),
 			mask:       int32(rng.Uint32() | 1),
 			bit:        uint(rng.Intn(32)),
+			site:       site,
 		})
 	}
 	return in, nil
@@ -215,22 +224,17 @@ func (in *Injector) hit(a *armed) {
 	in.count++
 }
 
-// permanent applies to one produced value every permanent fault of kind k
-// that is active at cycle on PE x (PermanentPE) or on the link x→y
-// (BrokenLink): it marks them manifested and returns how many applied and
-// the XOR of their masks.
-func (in *Injector) permanent(k Kind, x, y int, cycle int64) (n int, mask int32) {
+// permanent applies to one produced value every permanent fault at site
+// (see armed.site) that is active at cycle: it marks them manifested and
+// returns how many applied and the XOR of their masks.
+func (in *Injector) permanent(site [2]int, cycle int64) (n int, mask int32) {
 	if in == nil {
 		return 0, 0
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	for _, a := range in.faults {
-		at := a.PE == x
-		if k == BrokenLink {
-			at = a.Src == x && a.Dst == y
-		}
-		if a.Kind == k && at && in.active(a, cycle) {
+		if a.site == site && in.active(a, cycle) {
 			n++
 			mask ^= a.mask
 			in.hit(a)
@@ -243,20 +247,20 @@ func (in *Injector) permanent(k Kind, x, y int, cycle int64) (n int, mask int32)
 // load data or DMA store data). The second return reports whether a fault
 // applied.
 func (in *Injector) CorruptALU(pe int, cycle int64, v int32) (int32, bool) {
-	n, mask := in.permanent(PermanentPE, pe, 0, cycle)
+	n, mask := in.permanent([2]int{pe, -1}, cycle)
 	return v ^ mask, n > 0
 }
 
 // CorruptStatus corrupts a compare status produced by physical PE pe: each
 // fault that applies flips it.
 func (in *Injector) CorruptStatus(pe int, cycle int64, s bool) (bool, bool) {
-	n, _ := in.permanent(PermanentPE, pe, 0, cycle)
+	n, _ := in.permanent([2]int{pe, -1}, cycle)
 	return s != (n%2 == 1), n > 0
 }
 
 // CorruptRoute corrupts a value routed over the physical link src→dst.
 func (in *Injector) CorruptRoute(src, dst int, cycle int64, v int32) (int32, bool) {
-	n, mask := in.permanent(BrokenLink, src, dst, cycle)
+	n, mask := in.permanent([2]int{src, dst}, cycle)
 	return v ^ mask, n > 0
 }
 

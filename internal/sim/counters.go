@@ -20,7 +20,7 @@ type Counters struct {
 	cycles    int64
 	issues    []int64
 	rfHigh    []int
-	links     map[[2]int]int64
+	links     []int64 // words routed src→dst, at src*numPE+dst
 	cboxSets  int64
 	dmaLoads  int64
 	dmaStores int64
@@ -35,48 +35,47 @@ func AttachCounters(m *Machine) *Counters {
 	c := &Counters{
 		numPE: m.prog.Comp.NumPEs(),
 		limit: cycleLimit(m.MaxCycles),
-		links: map[[2]int]int64{},
 	}
 	c.issues = make([]int64, c.numPE)
 	c.rfHigh = make([]int, c.numPE)
-	prevProbe := m.Probe
+	c.links = make([]int64, c.numPE*c.numPE)
+	prev := m.Probe
+	// The switch is inline: an event, each cycle's EvCycle too, is one call.
 	m.Probe = func(ev Event) {
-		c.observe(ev)
-		if prevProbe != nil {
-			prevProbe(ev)
+		switch ev.Kind {
+		case EvCycle:
+			c.cycles = max(c.cycles, ev.Cycle+1)
+		case EvIssue:
+			if ev.PE < c.numPE {
+				c.issues[ev.PE]++
+			}
+		case EvRouteRead:
+			if ev.PE < c.numPE && ev.Addr < c.numPE {
+				c.links[ev.Addr*c.numPE+ev.PE]++
+			}
+		case EvRFWrite, EvDMALoad:
+			if ev.PE < c.numPE && ev.Addr+1 > c.rfHigh[ev.PE] {
+				c.rfHigh[ev.PE] = ev.Addr + 1
+			}
+			if ev.Kind == EvDMALoad {
+				c.dmaLoads++
+			}
+		case EvDMAStore:
+			c.dmaStores++
+		case EvRFSquash:
+			c.squashes++
+		case EvCondWrite:
+			c.cboxSets++
+		case EvJumpTaken:
+			c.jumps++
+		case EvFault:
+			c.faults++
+		}
+		if prev != nil {
+			prev(ev)
 		}
 	}
 	return c
-}
-
-func (c *Counters) observe(ev Event) {
-	switch ev.Kind {
-	case EvCycle:
-		c.cycles = max(c.cycles, ev.Cycle+1)
-	case EvIssue:
-		if ev.PE < c.numPE {
-			c.issues[ev.PE]++
-		}
-	case EvRouteRead:
-		c.links[[2]int{ev.Addr, ev.PE}]++
-	case EvRFWrite, EvDMALoad:
-		if ev.PE < c.numPE && ev.Addr+1 > c.rfHigh[ev.PE] {
-			c.rfHigh[ev.PE] = ev.Addr + 1
-		}
-		if ev.Kind == EvDMALoad {
-			c.dmaLoads++
-		}
-	case EvDMAStore:
-		c.dmaStores++
-	case EvRFSquash:
-		c.squashes++
-	case EvCondWrite:
-		c.cboxSets++
-	case EvJumpTaken:
-		c.jumps++
-	case EvFault:
-		c.faults++
-	}
 }
 
 // Cycles returns the number of cycles observed so far.
@@ -112,8 +111,10 @@ func (c *Counters) Flush(reg *obs.Registry) {
 		reg.Gauge("cgra_sim_rf_highwater", obs.LInt("pe", pe)).SetMax(float64(c.rfHigh[pe]))
 	}
 	for link, n := range c.links {
-		reg.Counter("cgra_sim_link_words_total",
-			obs.LInt("src", link[0]), obs.LInt("dst", link[1])).Add(n)
+		if n > 0 {
+			reg.Counter("cgra_sim_link_words_total",
+				obs.LInt("src", link/c.numPE), obs.LInt("dst", link%c.numPE)).Add(n)
+		}
 	}
 	reg.Counter("cgra_sim_cbox_writes_total").Add(c.cboxSets)
 	reg.Counter("cgra_sim_dma_total", obs.L("dir", "load")).Add(c.dmaLoads)
@@ -134,9 +135,9 @@ func (c *Counters) Flush(reg *obs.Registry) {
 	}
 
 	c.cycles = 0
-	c.issues = make([]int64, c.numPE)
-	c.rfHigh = make([]int, c.numPE)
-	c.links = map[[2]int]int64{}
+	clear(c.issues)
+	clear(c.rfHigh)
+	clear(c.links)
 	c.cboxSets, c.dmaLoads, c.dmaStores = 0, 0, 0
 	c.squashes, c.jumps, c.faults = 0, 0, 0
 }

@@ -29,10 +29,13 @@ func (m *Machine) hooks() *hooks {
 	return &hooks{probe: m.Probe, inject: m.Inject, phys: m.PhysPE}
 }
 
-// tick starts one cycle, announcing it by EvCycle.
+// tick starts one cycle, announcing it by EvCycle. It builds the event
+// itself, not through emit, so that it stays small enough to inline.
 func (h *hooks) tick(cycle int64, ccnt int) {
 	h.cycle, h.ccnt = cycle, ccnt
-	h.emit(EvCycle, 0, 0, 0)
+	if h.probe != nil {
+		h.probe(Event{Cycle: cycle, CCNT: ccnt, Kind: EvCycle})
+	}
 }
 
 func (h *hooks) emit(kind EventKind, pe, addr int, v int32) {
