@@ -169,6 +169,9 @@ type builder struct {
 	arms     []localDefs
 	armDepth int
 	armSeq   int
+	// cleared logs, while an arm is compiled, the readers each of its
+	// pWRITEs took off a local's list (as a localDefs of readers).
+	cleared []localDefs
 
 	// Nodes, their operands, locals and one-writer defs lists are cut from
 	// slabs: a graph lives and dies as a whole.
@@ -207,6 +210,7 @@ func (b *builder) openBlock() {
 		l := &b.locals[i]
 		l.defs, l.readers = nil, l.readers[:0]
 	}
+	b.cleared = b.cleared[:0]
 	clear(b.lastStore)
 	for i := range b.loadsSince {
 		b.loadsSince[i] = b.loadsSince[i][:0]
@@ -437,6 +441,9 @@ func (b *builder) pwrite(l *Local, val Operand) *Node {
 			n.WeakPrereqs = append(n.WeakPrereqs, r)
 		}
 	}
+	if b.armDepth > 0 && len(lb.readers) > 0 {
+		b.cleared = append(b.cleared, localDefs{l.ID, slices.Clone(lb.readers)})
+	}
 	lb.readers = lb.readers[:0]
 	b.setDefs(l.ID, b.oneWriter(n))
 	if n.Pred == nil && val.Kind == FromNode {
@@ -660,7 +667,7 @@ func (b *builder) inlineIf(s *ir.If) error {
 	}
 	savedPred := b.pred
 
-	thenArm := len(b.arms)
+	thenArm, cleared, before := len(b.arms), len(b.cleared), b.g.nextNode
 	mark := b.openArm()
 	b.pred = b.newPred(savedPred, cond, false)
 	if err := b.inlineStmts(s.Then); err != nil {
@@ -670,6 +677,16 @@ func (b *builder) inlineIf(s *ir.If) error {
 
 	elseArm := len(b.arms)
 	if len(s.Else) > 0 {
+		// The then arm's writes took the readers from before the if off
+		// their lists; the else arm's writes must still order after them.
+		for _, c := range b.cleared[cleared:] {
+			lb := &b.locals[c.id]
+			for _, r := range c.defs {
+				if r.ID < before && !slices.Contains(lb.readers, r) {
+					lb.readers = append(lb.readers, r)
+				}
+			}
+		}
 		mark := b.openArm()
 		b.pred = b.newPred(savedPred, cond, true)
 		if err := b.inlineStmts(s.Else); err != nil {

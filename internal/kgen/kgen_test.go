@@ -3,9 +3,7 @@ package kgen
 import (
 	"testing"
 
-	"cgra/internal/arch"
 	"cgra/internal/ir"
-	"cgra/internal/pipeline"
 )
 
 func TestGeneratedKernelsValidate(t *testing.T) {
@@ -41,130 +39,5 @@ func TestGeneratorDeterministic(t *testing.T) {
 	}
 	if oa["acc"] != ob["acc"] {
 		t.Errorf("same seed, different results: %d vs %d", oa["acc"], ob["acc"])
-	}
-}
-
-// TestFuzzFlowAgainstInterpreter is the central differential fuzz loop:
-// random kernels through the whole flow (predication, branching, loops,
-// DMA, routing copies) on three very different compositions, checked
-// against the interpreter bit-for-bit.
-func TestFuzzFlowAgainstInterpreter(t *testing.T) {
-	seeds := int64(60)
-	if testing.Short() {
-		seeds = 10
-	}
-	comps := fuzzComps(t)
-	for seed := int64(0); seed < seeds; seed++ {
-		gk := New(seed, Config{})
-		comp := comps[seed%int64(len(comps))]
-		c, err := pipeline.Compile(gk.Kernel, comp, pipeline.Options{})
-		if err != nil {
-			t.Fatalf("seed %d on %s: compile: %v", seed, comp.Name, err)
-		}
-		if _, err := pipeline.CheckAgainstInterpreter(gk.Kernel, c, gk.Args, gk.NewHost()); err != nil {
-			t.Fatalf("seed %d on %s: %v", seed, comp.Name, err)
-		}
-	}
-}
-
-// TestFuzzFlowOptimized repeats the fuzz loop with the optimizing flow
-// (unrolling + CSE + folding), which stresses predicate nesting hardest.
-func TestFuzzFlowOptimized(t *testing.T) {
-	seeds := int64(40)
-	if testing.Short() {
-		seeds = 8
-	}
-	comps := fuzzComps(t)
-	for seed := int64(100); seed < 100+seeds; seed++ {
-		gk := New(seed, Config{})
-		comp := comps[seed%int64(len(comps))]
-		c, err := pipeline.Compile(gk.Kernel, comp, pipeline.Defaults())
-		if err != nil {
-			t.Fatalf("seed %d on %s: compile: %v", seed, comp.Name, err)
-		}
-		if _, err := pipeline.CheckAgainstInterpreter(gk.Kernel, c, gk.Args, gk.NewHost()); err != nil {
-			t.Fatalf("seed %d on %s: %v", seed, comp.Name, err)
-		}
-	}
-}
-
-func fuzzComps(t *testing.T) []*arch.Composition {
-	t.Helper()
-	mesh4, err := arch.HomogeneousMesh(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ringB, err := arch.IrregularComposition("B", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inhomF, err := arch.IrregularComposition("F", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []*arch.Composition{mesh4, ringB, inhomF}
-}
-
-// TestFuzzProgramsWithCalls fuzzes the method-inlining path: random
-// programs (entry + helpers with calls) compiled through CompileProgram and
-// checked against the program-level interpreter.
-func TestFuzzProgramsWithCalls(t *testing.T) {
-	seeds := int64(30)
-	if testing.Short() {
-		seeds = 6
-	}
-	comps := fuzzComps(t)
-	for seed := int64(500); seed < 500+seeds; seed++ {
-		prog, gk := NewProgram(seed, Config{})
-		if err := ir.ValidateProgram(prog); err != nil {
-			t.Fatalf("seed %d: invalid program: %v", seed, err)
-		}
-		comp := comps[seed%int64(len(comps))]
-		c, err := pipeline.CompileProgram(prog, comp, pipeline.Options{})
-		if err != nil {
-			t.Fatalf("seed %d on %s: compile: %v", seed, comp.Name, err)
-		}
-		hostSim := gk.NewHost()
-		hostRef := gk.NewHost()
-		res, err := c.Run(gk.Args, hostSim)
-		if err != nil {
-			t.Fatalf("seed %d on %s: sim: %v", seed, comp.Name, err)
-		}
-		interp := &ir.Interp{Library: prog.Kernels}
-		ref, err := interp.Run(prog.EntryKernel(), gk.Args, hostRef)
-		if err != nil {
-			t.Fatalf("seed %d: interp: %v", seed, err)
-		}
-		if res.LiveOuts["acc"] != ref["acc"] {
-			t.Fatalf("seed %d on %s: acc CGRA %d != reference %d",
-				seed, comp.Name, res.LiveOuts["acc"], ref["acc"])
-		}
-		if !hostSim.Equal(hostRef) {
-			t.Fatalf("seed %d on %s: heaps differ", seed, comp.Name)
-		}
-	}
-}
-
-// TestFuzzBranchAllIfs stresses the branched-region code path (CCU jumps
-// over conditional arms) that the default predication strategy mostly
-// avoids.
-func TestFuzzBranchAllIfs(t *testing.T) {
-	seeds := int64(30)
-	if testing.Short() {
-		seeds = 6
-	}
-	comps := fuzzComps(t)
-	opts := pipeline.Options{}
-	opts.Build.BranchAllIfs = true
-	for seed := int64(700); seed < 700+seeds; seed++ {
-		gk := New(seed, Config{})
-		comp := comps[seed%int64(len(comps))]
-		c, err := pipeline.Compile(gk.Kernel, comp, opts)
-		if err != nil {
-			t.Fatalf("seed %d on %s: compile: %v", seed, comp.Name, err)
-		}
-		if _, err := pipeline.CheckAgainstInterpreter(gk.Kernel, c, gk.Args, gk.NewHost()); err != nil {
-			t.Fatalf("seed %d on %s: %v", seed, comp.Name, err)
-		}
 	}
 }

@@ -12,188 +12,31 @@ import (
 	"cgra/internal/adpcm"
 	"cgra/internal/arch"
 	"cgra/internal/ir"
-	"cgra/internal/sched"
 	"cgra/internal/sim"
 	"cgra/internal/workload"
 )
 
-// engineCase is one kernel with concrete inputs for differential runs.
+// engineCase is a compiled kernel with concrete inputs.
 type engineCase struct {
-	name string
 	c    *Compiled
 	args map[string]int32
 	host *ir.Host
 }
 
-func engineCases(t testing.TB) []engineCase {
+// firCase compiles fir on "9 PEs" with Defaults(), for the tests of one
+// walk's limits.
+func firCase(t testing.TB) engineCase {
 	t.Helper()
 	comp, err := arch.ByName("9 PEs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cases []engineCase
-	for _, w := range workload.All() {
-		c, err := Compile(w.Kernel, comp, Defaults())
-		if err != nil {
-			t.Fatalf("compile %s: %v", w.Name, err)
-		}
-		cases = append(cases, engineCase{
-			name: w.Name,
-			c:    c,
-			args: w.Args(w.DefaultSize),
-			host: w.Host(w.DefaultSize),
-		})
-		// Modulo-backend variants: software-pipelined context layouts
-		// (prologue/kernel/epilogue with a conditional back-jump).
-		mo := Defaults()
-		mo.Backend = sched.BackendModulo
-		cm, err := Compile(w.Kernel, comp, mo)
-		if err != nil {
-			t.Fatalf("compile %s (modulo): %v", w.Name, err)
-		}
-		if cm.Schedule.Stats.PipelinedLoops > 0 {
-			cases = append(cases, engineCase{
-				name: w.Name + "-modulo",
-				c:    cm,
-				args: w.Args(w.DefaultSize),
-				host: w.Host(w.DefaultSize),
-			})
-		}
-	}
-	const n = 24
-	samples := adpcm.GenerateSamples(n)
-	var encSt adpcm.State
-	codes, err := adpcm.Encode(samples, &encSt)
+	w := workload.FIR()
+	c, err := Compile(w.Kernel, comp, Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Compile(adpcm.Kernel(), comp, Defaults())
-	if err != nil {
-		t.Fatalf("compile adpcm: %v", err)
-	}
-	cases = append(cases, engineCase{
-		name: "adpcm",
-		c:    c,
-		args: adpcm.Args(n, adpcm.State{}),
-		host: adpcm.NewHost(codes, n),
-	})
-	return cases
-}
-
-// runHooked runs the compiled kernel with a no-op probe attached, so the
-// walk takes every hook branch.
-func runHooked(c *Compiled, args map[string]int32, host *ir.Host) (*sim.Result, error) {
-	m := c.Machine()
-	m.Probe = func(sim.Event) {}
-	return m.Run(args, host)
-}
-
-// TestEngineDifferential asserts that attaching instrumentation leaves a
-// run result-identical on every workload kernel: live-outs, run/transfer
-// cycles, accumulated energy and heap effects of the hooked walk equal the
-// plain one. Identity with the old interpreter, events and faults included,
-// is sim's TestEngineMatchesReference.
-func TestEngineDifferential(t *testing.T) {
-	for _, tc := range engineCases(t) {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := tc.c.Engine(); err != nil {
-				t.Fatalf("program does not predecode: %v", err)
-			}
-			hostHooked := tc.host.Clone()
-			hostPlain := tc.host.Clone()
-			hooked, err := runHooked(tc.c, tc.args, hostHooked)
-			if err != nil {
-				t.Fatalf("hooked: %v", err)
-			}
-			plain, err := tc.c.Run(tc.args, hostPlain)
-			if err != nil {
-				t.Fatalf("plain: %v", err)
-			}
-			if hooked.RunCycles != plain.RunCycles {
-				t.Errorf("run cycles: hooked %d, plain %d", hooked.RunCycles, plain.RunCycles)
-			}
-			if hooked.TransferCycles != plain.TransferCycles {
-				t.Errorf("transfer cycles: hooked %d, plain %d", hooked.TransferCycles, plain.TransferCycles)
-			}
-			if hooked.Energy != plain.Energy {
-				t.Errorf("energy: hooked %v, plain %v", hooked.Energy, plain.Energy)
-			}
-			if len(hooked.LiveOuts) != len(plain.LiveOuts) {
-				t.Errorf("live-out count: hooked %d, plain %d", len(hooked.LiveOuts), len(plain.LiveOuts))
-			}
-			for name, want := range hooked.LiveOuts {
-				if got, ok := plain.LiveOuts[name]; !ok || got != want {
-					t.Errorf("live-out %q: hooked %d, plain %d (present %v)", name, want, got, ok)
-				}
-			}
-			if !hostHooked.Equal(hostPlain) {
-				t.Errorf("heap contents diverge between hooked and plain run")
-			}
-		})
-	}
-}
-
-// laneInput is one lane of a batched differential run.
-type laneInput struct {
-	args map[string]int32
-	host *ir.Host
-}
-
-// runLaneDifferential executes lanes once each through the scalar fast
-// path and once as a single RunBatch, and requires byte-identical results
-// per lane: cycles, energy, live-outs and heap effects.
-func runLaneDifferential(t *testing.T, c *Compiled, lanes []laneInput) {
-	t.Helper()
-	eng, err := c.Engine()
-	if err != nil {
-		t.Fatalf("program does not predecode: %v", err)
-	}
-	type scalarRef struct {
-		res  *sim.Result
-		host *ir.Host
-	}
-	refs := make([]scalarRef, len(lanes))
-	for i, ln := range lanes {
-		h := ln.host.Clone()
-		res, err := c.Run(ln.args, h)
-		if err != nil {
-			t.Fatalf("scalar lane %d: %v", i, err)
-		}
-		refs[i] = scalarRef{res: res, host: h}
-	}
-	reqs := make([]sim.BatchRequest, len(lanes))
-	hosts := make([]*ir.Host, len(lanes))
-	for i, ln := range lanes {
-		hosts[i] = ln.host.Clone()
-		reqs[i] = sim.BatchRequest{Args: ln.args, Host: hosts[i]}
-	}
-	outs := eng.RunBatch(context.Background(), 0, reqs)
-	for i, o := range outs {
-		if o.Err != nil {
-			t.Fatalf("batched lane %d: %v", i, o.Err)
-		}
-		ref := refs[i].res
-		if o.Res.RunCycles != ref.RunCycles {
-			t.Errorf("lane %d run cycles: scalar %d, batched %d", i, ref.RunCycles, o.Res.RunCycles)
-		}
-		if o.Res.TransferCycles != ref.TransferCycles {
-			t.Errorf("lane %d transfer cycles: scalar %d, batched %d", i, ref.TransferCycles, o.Res.TransferCycles)
-		}
-		if o.Res.Energy != ref.Energy {
-			t.Errorf("lane %d energy: scalar %v, batched %v", i, ref.Energy, o.Res.Energy)
-		}
-		if len(o.Res.LiveOuts) != len(ref.LiveOuts) {
-			t.Errorf("lane %d live-out count: scalar %d, batched %d", i, len(ref.LiveOuts), len(o.Res.LiveOuts))
-		}
-		for name, want := range ref.LiveOuts {
-			if got, ok := o.Res.LiveOuts[name]; !ok || got != want {
-				t.Errorf("lane %d live-out %q: scalar %d, batched %d (present %v)", i, name, want, got, ok)
-			}
-		}
-		if !hosts[i].Equal(refs[i].host) {
-			t.Errorf("lane %d heap contents diverge between scalar and batched run", i)
-		}
-	}
+	return engineCase{c: c, args: w.Args(w.DefaultSize), host: w.Host(w.DefaultSize)}
 }
 
 // laneMix builds a shuffled mixed-size batch for one workload, so lanes
@@ -222,33 +65,32 @@ func laneMix(w *workload.Workload) []laneInput {
 	return lanes
 }
 
-// TestEngineDifferentialLanes is the lane differential: RunBatch over a
-// shuffled mixed-input batch must be byte-identical to N scalar runs for
-// every workload kernel, including the modulo-pipelined variants, with
-// per-lane early exit in play.
+// TestEngineDifferentialLanes is the lane differential: the check chain
+// over a shuffled mixed-input batch, so lanes halt at different cycles and
+// per-lane early exit is in play, for every workload kernel, its
+// modulo-pipelined variant and adpcm.
 func TestEngineDifferentialLanes(t *testing.T) {
 	comp, err := arch.ByName("9 PEs")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range workload.All() {
-		c, err := Compile(w.Kernel, comp, Defaults())
-		if err != nil {
-			t.Fatalf("compile %s: %v", w.Name, err)
-		}
-		w := w
-		t.Run(w.Name, func(t *testing.T) {
-			runLaneDifferential(t, c, laneMix(w))
-		})
-		mo := Defaults()
-		mo.Backend = sched.BackendModulo
-		cm, err := Compile(w.Kernel, comp, mo)
-		if err != nil {
-			t.Fatalf("compile %s (modulo): %v", w.Name, err)
-		}
-		if cm.Schedule.Stats.PipelinedLoops > 0 {
-			t.Run(w.Name+"-modulo", func(t *testing.T) {
-				runLaneDifferential(t, cm, laneMix(w))
+		for _, arm := range []string{"list2", "modulo"} {
+			c, err := Compile(w.Kernel, comp, armOptions(arm))
+			if err != nil {
+				t.Fatalf("compile %s (%s): %v", w.Name, arm, err)
+			}
+			name := w.Name
+			if arm == "modulo" {
+				if c.Schedule.Stats.PipelinedLoops == 0 {
+					continue
+				}
+				name += "-modulo"
+			}
+			t.Run(name, func(t *testing.T) {
+				if err := checkChain(&ir.Interp{}, w.Kernel, c, laneMix(w)...); err != nil {
+					t.Error(err)
+				}
 			})
 		}
 	}
@@ -259,15 +101,16 @@ func TestEngineDifferentialLanes(t *testing.T) {
 		}
 		var lanes []laneInput
 		for _, n := range []int{8, 24, 16, 24, 12} {
-			samples := adpcm.GenerateSamples(n)
-			var encSt adpcm.State
-			codes, err := adpcm.Encode(samples, &encSt)
+			var st adpcm.State
+			codes, err := adpcm.Encode(adpcm.GenerateSamples(n), &st)
 			if err != nil {
 				t.Fatal(err)
 			}
 			lanes = append(lanes, laneInput{args: adpcm.Args(n, adpcm.State{}), host: adpcm.NewHost(codes, n)})
 		}
-		runLaneDifferential(t, c, lanes)
+		if err := checkChain(&ir.Interp{}, adpcm.Kernel(), c, lanes...); err != nil {
+			t.Error(err)
+		}
 	})
 }
 
@@ -333,7 +176,7 @@ func TestEngineLanesErrorIsolation(t *testing.T) {
 // TestEngineLanesWatchdog asserts RunBatch honors the cycle budget with
 // the scalar path's typed error on every unfinished lane.
 func TestEngineLanesWatchdog(t *testing.T) {
-	tc := engineCases(t)[0]
+	tc := firCase(t)
 	eng, err := tc.c.Engine()
 	if err != nil {
 		t.Fatal(err)
@@ -357,7 +200,7 @@ func TestEngineLanesWatchdog(t *testing.T) {
 // TestEngineLanesCancellation asserts a cancelled context fails every lane
 // with a wrapped cancellation error, like the scalar path.
 func TestEngineLanesCancellation(t *testing.T) {
-	tc := engineCases(t)[0]
+	tc := firCase(t)
 	eng, err := tc.c.Engine()
 	if err != nil {
 		t.Fatal(err)
@@ -370,16 +213,21 @@ func TestEngineLanesCancellation(t *testing.T) {
 	}
 }
 
-// checkedOnce is a context that turns Canceled once it has been checked:
-// its first Err reports nil, every later one context.Canceled.
-type checkedOnce struct {
-	context.Context
-	checks int
+// expiresAfter returns a context whose Err reports nil for its first
+// checks calls and err from then on.
+func expiresAfter(checks int, err error) context.Context {
+	return &expiring{Context: context.Background(), checks: checks, err: err}
 }
 
-func (c *checkedOnce) Err() error {
-	if c.checks++; c.checks > 1 {
-		return context.Canceled
+type expiring struct {
+	context.Context
+	checks int
+	err    error
+}
+
+func (c *expiring) Err() error {
+	if c.checks--; c.checks < 0 {
+		return c.err
 	}
 	return nil
 }
@@ -420,13 +268,13 @@ func longAdpcm(t *testing.T) (*Compiled, map[string]int32, *ir.Host) {
 func TestEngineCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	tc := engineCases(t)[0]
+	tc := firCase(t)
 	if _, err := tc.c.Machine().RunCtx(ctx, tc.args, tc.host.Clone()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("run under a cancelled context: %v, want context.Canceled", err)
 	}
 
 	c, args, host := longAdpcm(t)
-	_, err := c.Machine().RunCtx(&checkedOnce{Context: context.Background()}, args, host.Clone())
+	_, err := c.Machine().RunCtx(expiresAfter(1, context.Canceled), args, host.Clone())
 	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "run cancelled at cycle 8192") {
 		t.Fatalf("run cancelled after its first check: %v, want cancellation at cycle 8192", err)
 	}
@@ -439,7 +287,7 @@ func TestEngineCancellation(t *testing.T) {
 // blocks.
 func TestEngineLanesCancellationCadence(t *testing.T) {
 	c, args, host := longAdpcm(t)
-	_, want := c.Machine().RunCtx(&checkedOnce{Context: context.Background()}, args, host.Clone())
+	_, want := c.Machine().RunCtx(expiresAfter(1, context.Canceled), args, host.Clone())
 	if want == nil || !strings.Contains(want.Error(), "run cancelled at cycle 8192") {
 		t.Fatalf("scalar run cancelled after its first check: %v, want cancellation at cycle 8192", want)
 	}
@@ -451,7 +299,7 @@ func TestEngineLanesCancellationCadence(t *testing.T) {
 	for l := range reqs {
 		reqs[l] = sim.BatchRequest{Args: args, Host: host.Clone()}
 	}
-	for l, o := range eng.RunBatch(&checkedOnce{Context: context.Background()}, 0, reqs) {
+	for l, o := range eng.RunBatch(expiresAfter(1, context.Canceled), 0, reqs) {
 		if !errors.Is(o.Err, context.Canceled) || o.Err.Error() != want.Error() {
 			t.Errorf("lane %d: %v, want %v", l, o.Err, want)
 		}
@@ -462,7 +310,7 @@ func TestEngineLanesCancellationCadence(t *testing.T) {
 // one shared Decoded: pooled run state must be fully reset between runs,
 // and concurrent requests must not interfere (the cgrad serving pattern).
 func TestEnginePoolReuse(t *testing.T) {
-	tc := engineCases(t)[0]
+	tc := firCase(t)
 	ref, err := tc.c.Run(tc.args, tc.host.Clone())
 	if err != nil {
 		t.Fatal(err)
@@ -510,7 +358,7 @@ func TestEnginePoolReuse(t *testing.T) {
 // TestEngineWatchdog asserts the scalar walk honors MaxCycles with the
 // typed WatchdogError.
 func TestEngineWatchdog(t *testing.T) {
-	tc := engineCases(t)[0]
+	tc := firCase(t)
 	m := tc.c.Machine()
 	if m.Engine == nil {
 		t.Fatal("no engine attached")

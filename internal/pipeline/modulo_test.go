@@ -17,29 +17,6 @@ func moduloOptions() Options {
 	return o
 }
 
-// TestModuloBackendDifferential compiles every workload with the modulo
-// backend and checks byte-identical live-outs and heap against the
-// reference interpreter — whether the kernel's loops pipelined or fell
-// back to the list layout.
-func TestModuloBackendDifferential(t *testing.T) {
-	comp, err := arch.ByName("9 PEs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range workload.All() {
-		t.Run(w.Name, func(t *testing.T) {
-			c, err := Compile(w.Kernel, comp, moduloOptions())
-			if err != nil {
-				t.Fatalf("compile: %v", err)
-			}
-			if _, err := CheckAgainstInterpreter(w.Kernel, c, w.Args(w.DefaultSize), w.Host(w.DefaultSize)); err != nil {
-				t.Fatalf("differential (pipelined=%d): %v", c.Schedule.Stats.PipelinedLoops, err)
-			}
-			t.Logf("pipelined loops: %d, stats: %+v", c.Schedule.Stats.PipelinedLoops, c.Schedule.Pipelined)
-		})
-	}
-}
-
 // pipeliningWins are the kernels whose inner loop must software-pipeline on
 // "9 PEs" and pay for it end to end.
 var pipeliningWins = []string{"dot", "fir"}

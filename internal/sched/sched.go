@@ -65,7 +65,12 @@ func RunCtx(ctx context.Context, g *cdfg.Graph, comp *arch.Composition, opts Opt
 		}
 	}
 	// Halt context: the CCNT jumps to the last entry and stays locked
-	// (§IV-A3). Realized as a self-jump.
+	// (§IV-A3). Realized as a self-jump. A combination no operation waits
+	// for (a dead arm's predicate) can float past the last block into a
+	// free C-Box cycle; the halt context then moves up to take it in.
+	for _, cb := range s.sch.CBox {
+		end = max(end, cb.Cycle)
+	}
 	halt := s.jump(&CCUOp{Cycle: end, Uncond: true})
 	halt.Target = halt.Cycle
 	s.sch.Length = halt.Cycle + 1
@@ -242,7 +247,7 @@ func (s *scheduler) loop(r *cdfg.Region, start int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	bj := s.jump(&CCUOp{Cycle: maxInt(bodyEnd-1, bodyStart), Uncond: true, Target: hdrStart}).Cycle
+	bj := s.jump(&CCUOp{Cycle: s.armEnd(bodyStart, bodyEnd), Uncond: true, Target: hdrStart}).Cycle
 	exit := bj + 1
 	exitJump.Target = exit
 
@@ -289,7 +294,7 @@ func (s *scheduler) branchedIf(r *cdfg.Region, start int) (int, error) {
 	s.purgeCopiesFrom(thenStart)
 	end := thenEnd
 	if r.Else != nil {
-		skipElse := s.jump(&CCUOp{Cycle: maxInt(thenEnd-1, thenStart), Uncond: true})
+		skipElse := s.jump(&CCUOp{Cycle: s.armEnd(thenStart, thenEnd), Uncond: true})
 		elseStart := skipElse.Cycle + 1
 		condJump.Target = elseStart
 		s.safeFloor = elseStart
@@ -306,6 +311,19 @@ func (s *scheduler) branchedIf(r *cdfg.Region, start int) (int, error) {
 	}
 	s.safeFloor = end
 	return end, nil
+}
+
+// armEnd returns the cycle for the jump that closes an arm or loop body
+// laid out in [start, end): its last context, or end itself when a jump
+// inside it (a nested conditional's, say) targets end, since that jump
+// would otherwise bypass the closing one.
+func (s *scheduler) armEnd(start, end int) int {
+	for c := start; c < end; c++ {
+		if j := s.sch.CCU[c]; j != nil && j.Target == end {
+			return end
+		}
+	}
+	return maxInt(end-1, start)
 }
 
 // purgeWrittenCopies invalidates copies of every local that is written
