@@ -1,394 +1,130 @@
-package pipeline
+package pipeline_test
 
 import (
-	"context"
-	"fmt"
-	"os"
-	"path/filepath"
+	"math/rand"
 	"slices"
-	"strconv"
-	"strings"
 	"testing"
 
 	"cgra/internal/adpcm"
-	"cgra/internal/arch"
+	"cgra/internal/difftest"
 	"cgra/internal/ir"
-	"cgra/internal/irtext"
-	"cgra/internal/kgen"
-	"cgra/internal/sched"
-	"cgra/internal/sim"
+	"cgra/internal/pipeline"
 	"cgra/internal/workload"
 )
 
-// The differential net: kernels compiled under every arm onto every
-// composition, each held to the interpreter by one check chain. Its cells
-// are generated kernels (TestDifferential and FuzzDifferential), the
-// library kernels (TestEngineDifferential, TestModuloBackendDifferential)
-// and the minimized miscompiles under testdata (TestMiscompileMinimized).
-
-// laneInput is one set of inputs of a kernel.
-type laneInput struct {
-	args map[string]int32
-	host *ir.Host
-}
-
-// checkChain runs c on each lane's inputs on the plain walk and on the
-// hooked walk with a no-op probe, and on all lanes as one RunBatch. Every
-// run must leave the live-outs and heap the interpreter leaves for its
-// inputs, and the hooked walk and the batch lane must match the plain walk
-// in run and transfer cycles and energy.
-func checkChain(interp *ir.Interp, k *ir.Kernel, c *Compiled, lanes ...laneInput) error {
-	eng, err := c.Engine()
-	if err != nil {
-		return err
-	}
-	checks := make([]func(string, *sim.Result, error, *ir.Host) error, len(lanes))
-	reqs := make([]sim.BatchRequest, len(lanes))
-	for i, ln := range lanes {
-		refHost := ln.host.Clone()
-		ref, err := interp.Run(k, ln.args, refHost)
-		if err != nil {
-			return fmt.Errorf("lane %d: interpreter: %v", i, err)
-		}
-		var plain *sim.Result
-		same := func(walk string, res *sim.Result, err error, h *ir.Host) error {
-			if err == nil {
-				err = ir.Compare(ref, refHost, res.LiveOuts, h)
-			}
-			if err == nil && plain != nil && (res.RunCycles != plain.RunCycles ||
-				res.TransferCycles != plain.TransferCycles || res.Energy != plain.Energy) {
-				err = fmt.Errorf("%d run, %d transfer cycles and energy %v; the plain walk %d, %d and %v",
-					res.RunCycles, res.TransferCycles, res.Energy, plain.RunCycles, plain.TransferCycles, plain.Energy)
-			}
-			if err != nil {
-				return fmt.Errorf("lane %d, %s: %v", i, walk, err)
-			}
-			return nil
-		}
-		h := ln.host.Clone()
-		res, err := c.Run(ln.args, h)
-		if err := same("plain walk", res, err, h); err != nil {
-			return err
-		}
-		plain = res
-		m := c.Machine()
-		m.Probe = func(sim.Event) {}
-		h = ln.host.Clone()
-		res, err = m.Run(ln.args, h)
-		if err := same("hooked walk", res, err, h); err != nil {
-			return err
-		}
-		checks[i], reqs[i] = same, sim.BatchRequest{Args: ln.args, Host: ln.host.Clone()}
-	}
-	for i, o := range eng.RunBatch(context.Background(), 0, reqs) {
-		if err := checks[i]("batch", o.Res, o.Err, reqs[i].Host); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// arms are the ways the net compiles a kernel: zero options, Defaults()
-// (unroll 2), Defaults() at unroll 1, the modulo scheduler, every if as a
-// branch, and a generated program with calls through CompileProgram.
-var arms = []string{"zero", "list2", "list1", "modulo", "branch", "program"}
-
-// armOptions returns the compile options of arm. A generated kernel's
-// counter increments move into the post clause under "modulo"
-// (kgen.IncrementInPost), so its loops reach the pipeliner.
-func armOptions(arm string) Options {
-	o := Defaults()
-	switch arm {
-	case "zero", "program":
-		o = Options{}
-	case "list1":
-		o.UnrollFactor = 1
-	case "modulo":
-		o.Backend = sched.BackendModulo
-	case "branch":
-		o = Options{}
-		o.Build.BranchAllIfs = true
-	}
-	return o
-}
-
-// configs are the two shapes of generated kernel: kgen's defaults and the
-// deep, long-block stress shape.
-var configs = []kgen.Config{{}, {MaxDepth: 3, MaxStmts: 6}}
-
-// comps are the net's compositions: the seven of the paper's tables the
-// list and modulo arms were swept on, 8 PEs F with a one-cycle multiplier,
-// and 9 PEs with PE 4 masked.
-var comps = []string{"4 PEs", "9 PEs", "16 PEs", "8 PEs A", "8 PEs B", "8 PEs D", "8 PEs F", "8 PEs F mul 1", "9 PEs less PE 4"}
-
-// netComp builds the composition of comps named name.
-func netComp(t testing.TB, name string) *arch.Composition {
-	t.Helper()
-	var comp *arch.Composition
-	var err error
-	switch name {
-	case "8 PEs F mul 1":
-		comp, err = arch.IrregularComposition("F", 1)
-	case "9 PEs less PE 4":
-		var d *arch.Degraded
-		if comp, err = arch.ByName("9 PEs"); err == nil {
-			if d, err = arch.Degrade(comp, map[int]bool{4: true}, nil); err == nil {
-				comp = d.Comp
-			}
-		}
-	default:
-		comp, err = arch.ByName(name)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return comp
-}
-
-// compileCell compiles kgen kernel id of cfg under arm onto comp. It
-// returns the compile's refusal, or else the chain's verdict on the result.
-func compileCell(id int64, cfg kgen.Config, arm string, comp *arch.Composition) (refused, wrong error) {
-	var (
-		g      *kgen.Generated
-		c      *Compiled
-		interp = &ir.Interp{}
-		err    error
-	)
-	if arm == "program" {
-		var prog *ir.Program
-		prog, g = kgen.NewProgram(id, cfg)
-		interp.Library = prog.Kernels
-		c, err = CompileProgram(prog, comp, armOptions(arm))
-	} else {
-		g = kgen.New(id, cfg)
-		if arm == "modulo" {
-			g.Kernel.Body = kgen.IncrementInPost(g.Kernel.Body)
-		}
-		c, err = Compile(g.Kernel, comp, armOptions(arm))
-	}
-	if err != nil {
-		return err, nil
-	}
-	in := laneInput{g.Args, g.NewHost()}
-	return nil, checkChain(interp, g.Kernel, c, in, in)
-}
-
-// refusable reports whether a compile refusal of a kernel of configs[cfg]
-// is a limit of the array, not a miscompile: a deep kernel may exceed any of
-// the context memory, the register files and the C-Box slots, one of kgen's
-// default shape only the context memory.
-func refusable(cfg int, err error) bool {
-	msg := err.Error()
-	return strings.Contains(msg, "memory holds") ||
-		cfg == 1 && (strings.Contains(msg, "RF entries") || strings.Contains(msg, "C-Box slots"))
-}
-
-// trio are the compositions the deep kernels run on.
-var trio = []string{"4 PEs", "8 PEs B", "8 PEs F mul 1"}
-
-// rows are the net's tier-1 cells. A row compiles kgen ids [from, to) of
-// configs[cfg] under each of its arms on every composition, or on the trio
-// only; a compile may end in a refusable refusal unless the row is strict.
-// A cell in two rows runs once, under the first.
-var rows = []struct {
-	cfg          int
-	arms         []string
-	from, to     int64
-	strict, trio bool
-}{
-	{0, []string{"zero"}, 0, 60, true, false},
-	{0, []string{"list2"}, 100, 140, true, false},
-	{0, []string{"program"}, 500, 530, true, false},
-	{0, []string{"branch"}, 700, 730, true, false},
-	{0, []string{"zero", "list2", "list1", "modulo", "branch"}, 0, 512, false, false},
-	{1, []string{"zero", "list2"}, 1000, 1400, false, true},
-}
-
-// checkCell compiles one cell onto comp, named name, and fails t on a wrong
-// answer or on a refusal, unless strict is unset and it is refusable.
-func checkCell(t *testing.T, id int64, cfg int, arm, name string, comp *arch.Composition, strict bool) {
-	t.Helper()
-	refusal, wrong := compileCell(id, configs[cfg], arm, comp)
-	switch {
-	case refusal != nil && (strict || !refusable(cfg, refusal)):
-		t.Errorf("kgen %d, config %d, %s on %s: refused: %v", id, cfg, arm, name, refusal)
-	case wrong != nil:
-		t.Errorf("kgen %d, config %d, %s on %s: %v", id, cfg, arm, name, wrong)
-	}
-}
-
-// TestDifferential runs every row of the net, one parallel subtest per
-// composition. Under the race detector each row runs its first 64 ids,
-// with -short its first 8.
-func TestDifferential(t *testing.T) {
-	limit := int64(1 << 62)
-	if raceEnabled {
-		limit = 64
-	}
-	if testing.Short() {
-		limit = 8
-	}
-	for _, name := range comps {
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			comp := netComp(t, name)
-			type cell struct {
-				id  int64
-				cfg int
-				arm string
-			}
-			seen := map[cell]bool{}
-			for _, r := range rows {
-				if r.trio && !slices.Contains(trio, name) {
-					continue
-				}
-				for _, arm := range r.arms {
-					for id := r.from; id < min(r.to, r.from+limit); id++ {
-						if c := (cell{id, r.cfg, arm}); !seen[c] {
-							seen[c] = true
-							checkCell(t, id, r.cfg, arm, name, comp, r.strict)
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
-// FuzzDifferential maps its inputs onto the net's tables: kgen kernel id of
-// configs[cfg] under arms[arm] on comps[comp], held to the interpreter by
-// the check chain. A compile may end in a refusable refusal.
+// FuzzDifferential maps its inputs onto the differential net's tables
+// (internal/difftest): kgen kernel id of Configs[cfg] under Arms[arm] on
+// Comps[comp], held to the interpreter by the check chain. A compile may
+// end in a refusal of its config's array limits.
 func FuzzDifferential(f *testing.F) {
 	index := func(list []string, name string) uint8 { return uint8(slices.Index(list, name)) }
-	// Cells that gave a wrong answer, or were refused by Verify, before the
-	// three fixes of the copy placement and the back-jump lifetime, under
-	// the list and modulo arms.
-	for _, c := range []struct {
-		id   int64
-		comp string
-	}{
-		{2616, "16 PEs"}, {2616, "8 PEs B"}, {2616, "8 PEs D"}, {2616, "8 PEs F"}, // copy before write
-		{2814, "8 PEs A"}, {987654323677, "8 PEs D"}, {987654323677, "8 PEs F"}, // copy before write
-		{987654323193, "9 PEs"},                                // copy before write
-		{790, "8 PEs A"}, {3913, "8 PEs A"}, {3913, "8 PEs B"}, // back-jump cycle
-		{3621, "4 PEs"}, {1417, "16 PEs"}, {2502, "8 PEs B"}, // copy past the block
-	} {
-		for _, arm := range []string{"list2", "list1", "modulo"} {
-			f.Add(c.id, index(comps, c.comp), index(arms, arm), uint8(0))
+	for _, c := range difftest.Miscompiled {
+		for _, arm := range difftest.MiscompiledArms {
+			f.Add(c.ID, index(difftest.Comps, c.Comp), index(difftest.Arms, arm), uint8(0))
 		}
 	}
 	// Generated kernel 35 is the one cell of zero options on 8 PEs F with
 	// a one-cycle multiplier the kgen loops once pinned.
-	f.Add(int64(35), index(comps, "8 PEs F mul 1"), index(arms, "zero"), uint8(0))
+	f.Add(int64(35), index(difftest.Comps, "8 PEs F mul 1"), index(difftest.Arms, "zero"), uint8(0))
 	// Cells where a jump inside an if's then arm or a loop's body targeted
 	// the cycle after it and bypassed the jump over the else arm or back to
 	// the header, on 9 PEs: every if branched, and deep kernels.
 	for _, id := range []int64{92, 130, 171, 252, 320, 505} {
-		f.Add(id, index(comps, "9 PEs"), index(arms, "branch"), uint8(0))
+		f.Add(id, index(difftest.Comps, "9 PEs"), index(difftest.Arms, "branch"), uint8(0))
 	}
 	for _, id := range []int64{503, 542, 894} {
-		f.Add(id, index(comps, "9 PEs"), index(arms, "zero"), uint8(1))
+		f.Add(id, index(difftest.Comps, "9 PEs"), index(difftest.Arms, "zero"), uint8(1))
 	}
 	// A dead arm's predicate conjunction floated past the last block and
 	// out of the schedule, so Verify refused the compile.
-	f.Add(int64(987654323584), index(comps, "8 PEs F"), index(arms, "zero"), uint8(0))
+	f.Add(int64(987654323584), index(difftest.Comps, "8 PEs F"), index(difftest.Arms, "zero"), uint8(0))
 	f.Fuzz(func(t *testing.T, id int64, comp, arm, cfg uint8) {
-		name := comps[int(comp)%len(comps)]
-		checkCell(t, id, int(cfg)%len(configs), arms[int(arm)%len(arms)], name, netComp(t, name), false)
+		name := difftest.Comps[int(comp)%len(difftest.Comps)]
+		difftest.CheckCell(t, id, int(cfg)%len(difftest.Configs), difftest.Arms[int(arm)%len(difftest.Arms)],
+			name, difftest.Comp(t, name), false)
 	})
 }
 
-// checkLibrary holds every workload kernel at its default size, and adpcm
-// decoding 24 samples, compiled under arm on "9 PEs" to the check chain.
-func checkLibrary(t *testing.T, arm string) {
-	comp, err := arch.ByName("9 PEs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(name string, k *ir.Kernel, in laneInput) {
-		t.Run(name, func(t *testing.T) {
-			c, err := Compile(k, comp, armOptions(arm))
-			if err != nil {
-				t.Fatalf("compile: %v", err)
-			}
-			if err := checkChain(&ir.Interp{}, k, c, in, in); err != nil {
-				t.Error(err)
-			}
-		})
-	}
-	for _, w := range workload.All() {
-		check(w.Name, w.Kernel, laneInput{w.Args(w.DefaultSize), w.Host(w.DefaultSize)})
-	}
-	const n = 24
-	var st adpcm.State
-	codes, err := adpcm.Encode(adpcm.GenerateSamples(n), &st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("adpcm", adpcm.Kernel(), laneInput{adpcm.Args(n, adpcm.State{}), adpcm.NewHost(codes, n)})
+// TestEngineDifferential holds the library kernels under Defaults(), and
+// the ones the modulo scheduler pipelines under it, to the check chain.
+func TestEngineDifferential(t *testing.T) {
+	difftest.CheckLibrary(t, "list2", false)
+	difftest.CheckLibrary(t, "modulo", true)
 }
-
-// TestEngineDifferential holds the library kernels under Defaults() to the
-// check chain.
-func TestEngineDifferential(t *testing.T) { checkLibrary(t, "list2") }
 
 // TestModuloBackendDifferential holds the library kernels under the modulo
 // scheduler to the check chain, whether their loops pipelined or fell back
 // to the list layout.
-func TestModuloBackendDifferential(t *testing.T) { checkLibrary(t, "modulo") }
+func TestModuloBackendDifferential(t *testing.T) { difftest.CheckLibrary(t, "modulo", false) }
 
-// TestMiscompileMinimized compiles each minimized kernel under
-// testdata/miscompile-*.k, one per mechanism, and holds it to the check
-// chain. A case's header comments name its composition ("// comp: 9
-// PEs"), its arm ("// arm: list2"), and the value of each parameter: a
-// scalar's ("// p: 977") and an array's contents ("// m0: 143 -148 35").
-func TestMiscompileMinimized(t *testing.T) {
-	files, err := filepath.Glob("testdata/miscompile-*.k")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no minimized cases: %v", err)
+// laneMix builds a shuffled mixed-size batch for one workload, so lanes
+// halt at different cycles and exercise early-exit compaction.
+func laneMix(w *workload.Workload) []difftest.Lane {
+	base := w.DefaultSize
+	if base < 4 {
+		base = 4
 	}
-	for _, file := range files {
-		t.Run(filepath.Base(file), func(t *testing.T) {
-			src, err := os.ReadFile(file)
-			if err != nil {
-				t.Fatal(err)
-			}
-			k, err := irtext.Parse(string(src))
-			if err != nil {
-				t.Fatal(err)
-			}
-			header := map[string]string{}
-			for _, line := range strings.Split(string(src), "\n") {
-				if key, val, ok := strings.Cut(strings.TrimPrefix(line, "// "), ": "); ok {
-					header[key] = val
-				}
-			}
-			args, host := map[string]int32{}, ir.NewHost()
-			for _, p := range k.Params {
-				for _, f := range strings.Fields(header[p.Name]) {
-					v, err := strconv.ParseInt(f, 10, 32)
-					if err != nil {
-						t.Fatalf("%s: %v", p.Name, err)
-					}
-					if p.Kind == ir.ArrayRef {
-						host.Arrays[p.Name] = append(host.Arrays[p.Name], int32(v))
-					} else {
-						args[p.Name] = int32(v)
-					}
-				}
-			}
-			comp, err := arch.ByName(header["comp"])
-			if err != nil {
-				t.Fatal(err)
-			}
-			c, err := Compile(k, comp, armOptions(header["arm"]))
-			if err != nil {
-				t.Fatalf("refused: %v", err)
-			}
-			in := laneInput{args, host}
-			if err := checkChain(&ir.Interp{}, k, c, in, in); err != nil {
-				t.Error(err)
-			}
-		})
+	sizes := []int{base, base + 3, base - 1, base, base + 1, base - 2, base + 5}
+	r := rand.New(rand.NewSource(int64(len(w.Name)) + 42))
+	r.Shuffle(len(sizes), func(i, j int) { sizes[i], sizes[j] = sizes[j], sizes[i] })
+	var lanes []difftest.Lane
+	for i, sz := range sizes {
+		if sz < 3 {
+			sz = 3
+		}
+		args := w.Args(sz)
+		if w.Name == "gcd" {
+			// gcd ignores size: vary the operands instead so every lane
+			// runs a different iteration count.
+			args = map[string]int32{"a": int32(1071 + 13*i), "b": int32(462 + 7*i)}
+		}
+		lanes = append(lanes, difftest.Lane{Args: args, Host: w.Host(sz)})
 	}
+	return lanes
+}
+
+// TestEngineDifferentialLanes is the lane differential: the check chain
+// over a shuffled mixed-input batch, so lanes halt at different cycles and
+// per-lane early exit is in play, for every workload kernel, its
+// modulo-pipelined variant and adpcm.
+func TestEngineDifferentialLanes(t *testing.T) {
+	comp := difftest.Comp(t, "9 PEs")
+	for _, w := range workload.All() {
+		for _, arm := range []string{"list2", "modulo"} {
+			c, err := pipeline.Compile(w.Kernel, comp, difftest.ArmOptions(arm))
+			if err != nil {
+				t.Fatalf("compile %s (%s): %v", w.Name, arm, err)
+			}
+			name := w.Name
+			if arm == "modulo" {
+				if c.Schedule.Stats.PipelinedLoops == 0 {
+					continue
+				}
+				name += "-modulo"
+			}
+			t.Run(name, func(t *testing.T) {
+				if err := difftest.Chain(&ir.Interp{}, w.Kernel, c, laneMix(w)...); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+	}
+	t.Run("adpcm", func(t *testing.T) {
+		c, err := pipeline.Compile(adpcm.Kernel(), comp, pipeline.Defaults())
+		if err != nil {
+			t.Fatalf("compile adpcm: %v", err)
+		}
+		var lanes []difftest.Lane
+		for _, n := range []int{8, 24, 16, 24, 12} {
+			var st adpcm.State
+			codes, err := adpcm.Encode(adpcm.GenerateSamples(n), &st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lanes = append(lanes, difftest.Lane{Args: adpcm.Args(n, adpcm.State{}), Host: adpcm.NewHost(codes, n)})
+		}
+		if err := difftest.Chain(&ir.Interp{}, adpcm.Kernel(), c, lanes...); err != nil {
+			t.Error(err)
+		}
+	})
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -39,81 +38,6 @@ func firCase(t testing.TB) engineCase {
 	return engineCase{c: c, args: w.Args(w.DefaultSize), host: w.Host(w.DefaultSize)}
 }
 
-// laneMix builds a shuffled mixed-size batch for one workload, so lanes
-// halt at different cycles and exercise early-exit compaction.
-func laneMix(w *workload.Workload) []laneInput {
-	base := w.DefaultSize
-	if base < 4 {
-		base = 4
-	}
-	sizes := []int{base, base + 3, base - 1, base, base + 1, base - 2, base + 5}
-	r := rand.New(rand.NewSource(int64(len(w.Name)) + 42))
-	r.Shuffle(len(sizes), func(i, j int) { sizes[i], sizes[j] = sizes[j], sizes[i] })
-	var lanes []laneInput
-	for i, sz := range sizes {
-		if sz < 3 {
-			sz = 3
-		}
-		args := w.Args(sz)
-		if w.Name == "gcd" {
-			// gcd ignores size: vary the operands instead so every lane
-			// runs a different iteration count.
-			args = map[string]int32{"a": int32(1071 + 13*i), "b": int32(462 + 7*i)}
-		}
-		lanes = append(lanes, laneInput{args: args, host: w.Host(sz)})
-	}
-	return lanes
-}
-
-// TestEngineDifferentialLanes is the lane differential: the check chain
-// over a shuffled mixed-input batch, so lanes halt at different cycles and
-// per-lane early exit is in play, for every workload kernel, its
-// modulo-pipelined variant and adpcm.
-func TestEngineDifferentialLanes(t *testing.T) {
-	comp, err := arch.ByName("9 PEs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range workload.All() {
-		for _, arm := range []string{"list2", "modulo"} {
-			c, err := Compile(w.Kernel, comp, armOptions(arm))
-			if err != nil {
-				t.Fatalf("compile %s (%s): %v", w.Name, arm, err)
-			}
-			name := w.Name
-			if arm == "modulo" {
-				if c.Schedule.Stats.PipelinedLoops == 0 {
-					continue
-				}
-				name += "-modulo"
-			}
-			t.Run(name, func(t *testing.T) {
-				if err := checkChain(&ir.Interp{}, w.Kernel, c, laneMix(w)...); err != nil {
-					t.Error(err)
-				}
-			})
-		}
-	}
-	t.Run("adpcm", func(t *testing.T) {
-		c, err := Compile(adpcm.Kernel(), comp, Defaults())
-		if err != nil {
-			t.Fatalf("compile adpcm: %v", err)
-		}
-		var lanes []laneInput
-		for _, n := range []int{8, 24, 16, 24, 12} {
-			var st adpcm.State
-			codes, err := adpcm.Encode(adpcm.GenerateSamples(n), &st)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lanes = append(lanes, laneInput{args: adpcm.Args(n, adpcm.State{}), host: adpcm.NewHost(codes, n)})
-		}
-		if err := checkChain(&ir.Interp{}, adpcm.Kernel(), c, lanes...); err != nil {
-			t.Error(err)
-		}
-	})
-}
-
 // TestEngineLanesErrorIsolation puts a poisoned lane (missing live-in) and
 // a DMA-faulting lane (truncated host array) in the middle of a batch of
 // good lanes: each bad lane gets its own error and every good lane's
@@ -135,7 +59,7 @@ func TestEngineLanesErrorIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := laneInput{args: w.Args(w.DefaultSize), host: w.Host(w.DefaultSize)}
+	good := engineCase{args: w.Args(w.DefaultSize), host: w.Host(w.DefaultSize)}
 	ref, err := c.Run(good.args, good.host.Clone())
 	if err != nil {
 		t.Fatal(err)
